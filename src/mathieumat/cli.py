@@ -35,6 +35,7 @@ from .verify import (
     PRE_TWO_SIDED,
     RIGHT,
     TWO_SIDED,
+    idempotents,
     left_ideal_normal_form,
     max_left_ideal,
     proposition_family,
@@ -280,7 +281,7 @@ def repro_proposition():
     f = Field.prime(5)
     fam = proposition_family(f, 2, 1)
     verdict = verify_mathieu(fam, TWO_SIDED)
-    idems = [e for e in fam.elements() if e.mul(e) == e]
+    idems = idempotents(fam)
     only_zero = len(idems) == 1 and idems[0].is_zero()
     expected = "two-sided Mathieu: true; only idempotent is zero"
     observed = "two-sided Mathieu: %s; %s" % (
@@ -368,8 +369,6 @@ def build_parser():
             p.add_argument("file", help="space file (see package docs for format)")
             p.add_argument("--field", default=None,
                            help="override the file's field: a prime or Q")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in the report (reserved)")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
         p.set_defaults(fn=fn)
         return p
@@ -406,8 +405,6 @@ def main(argv=None) -> int:
     except MathieuMatError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
-    if getattr(args, "seed", None) is not None:
-        payload["seed"] = args.seed
     report = Report(
         command=args.command,
         digest=digest,

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 from .errors import HypothesisFailed, PreconditionViolated
 from .linalg import DenseMatrix, VectorSubspace, invert, solve_affine
-from .matspace import MatrixSubspace, constraint_space, rct_zero_members
+from .matspace import (
+    MatrixSubspace,
+    constraint_space,
+    members_vanishing_at,
+    rct_zero_members,
+)
 from .normalize import rct_zero_is_scalar
 
 UPPER = "upper"
@@ -77,13 +82,9 @@ class FullSpaceCertificate:
 
 def corner_slice(space: MatrixSubspace, r: int) -> MatrixSubspace:
     """Members supported on the lower-left (n-r) x r block only."""
-    f, n = space.field, space.n
-    gens = [
-        DenseMatrix.unit(f, n, n, i, j)
-        for i in range(r, n) for j in range(r)
-    ]
-    block = MatrixSubspace.from_matrices(f, n, gens)
-    return space.intersect(block)
+    n = space.n
+    return members_vanishing_at(
+        space, [(i, j) for i in range(n) for j in range(n) if i < r or j >= r])
 
 
 def _minor_trace(m: DenseMatrix, r: int, form: str):
@@ -124,7 +125,8 @@ def idempotent_family(space: MatrixSubspace, r: int, form: str = UPPER) -> Affin
         rhs.append(f.neg(_minor_trace(c, r, form)))
     system = DenseMatrix(f, rows, cols=ncols)
     sol = solve_affine(system, rhs)
-    assert sol is not None, "solvable by construction once the hypothesis holds"
+    if sol is None:
+        raise AssertionError("solvable by construction once the hypothesis holds")
     block, directions = sol
     entries = [[f.zero] * n for _ in range(n)]
     fixed = range(r) if form == UPPER else range(r, n)
@@ -163,10 +165,12 @@ def full_space_certificate(space: MatrixSubspace, r: int) -> FullSpaceCertificat
     power = nil
     for _ in range(n - 1):
         power = power.mul(nil)
-    assert power.is_zero(), "sum of the two idempotents must be unipotent"
+    if not power.is_zero():
+        raise AssertionError("sum of the two idempotents must be unipotent")
     # decomposition sanity on a canonical sample: A = A (e+e')^-1 e + A (e+e')^-1 e'
     sample = DenseMatrix.unit(f, n, n, 0, 0)
     inv_total = invert(total)
     restored = sample.mul(inv_total).mul(e) + sample.mul(inv_total).mul(e_prime)
-    assert restored == sample
+    if restored != sample:
+        raise AssertionError("the two idempotents do not decompose the sample")
     return FullSpaceCertificate(e=e, e_prime=e_prime, r=r)

@@ -138,27 +138,15 @@ def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:
         [t_inv.mul(m).mul(t) for m in space.basis_matrices])
 
 
-def filtration_level(space: MatrixSubspace, k: int) -> MatrixSubspace:
-    """Members whose columns beyond the k-th vanish (level k = 0..n).
-
-    Level 0 is the zero space, level n the space itself, and the levels
-    form a nested chain.
-    """
-    n = space.n
-    if not 0 <= k <= n:
-        raise ValueError("level %d out of range 0..%d" % (k, n))
-    if k == n:
-        return space
-    f = space.field
+def members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSubspace:
+    """The subspace of members whose entries at the (row, column)
+    ``positions`` all vanish, as a canonical space."""
+    f, n = space.field, space.n
     mats = space.basis_matrices
-    if not mats:
+    if not mats or not positions:
         return space
-    # Linear conditions on basis coefficients: entries in columns > k vanish.
-    rows = [
-        [m.entries[r][c] for m in mats]
-        for r in range(n)
-        for c in range(k, n)
-    ]
+    # Linear conditions on basis coefficients: the listed entries vanish.
+    rows = [[m.entries[i][j] for m in mats] for i, j in positions]
     coeffs = kernel(DenseMatrix(f, rows, cols=len(mats)))
     gens = []
     for coeff in coeffs.basis:
@@ -168,6 +156,18 @@ def filtration_level(space: MatrixSubspace, k: int) -> MatrixSubspace:
                 g = g + m.scale(ci)
         gens.append(g)
     return MatrixSubspace.from_matrices(f, n, gens)
+
+
+def filtration_level(space: MatrixSubspace, k: int) -> MatrixSubspace:
+    """Members whose columns beyond the k-th vanish (level k = 0..n).
+
+    Level 0 is the zero space, level n the space itself, and the levels
+    form a nested chain.
+    """
+    n = space.n
+    if not 0 <= k <= n:
+        raise ValueError("level %d out of range 0..%d" % (k, n))
+    return members_vanishing_at(space, [(i, j) for i in range(n) for j in range(k, n)])
 
 
 def column_space(space: MatrixSubspace, vec) -> VectorSubspace:
@@ -204,26 +204,10 @@ def is_rct_zero(m: DenseMatrix, r: int) -> bool:
 
 def rct_zero_members(space: MatrixSubspace, r: int) -> MatrixSubspace:
     """The subspace of members whose top-right r x (n-r) block vanishes."""
-    f, n = space.field, space.n
+    n = space.n
     if not 1 <= r <= n - 1:
         raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
-    mats = space.basis_matrices
-    if not mats:
-        return space
-    rows = [
-        [m.entries[i][j] for m in mats]
-        for i in range(r)
-        for j in range(r, n)
-    ]
-    coeffs = kernel(DenseMatrix(f, rows, cols=len(mats)))
-    gens = []
-    for coeff in coeffs.basis:
-        g = DenseMatrix.zeros(f, n, n)
-        for ci, m in zip(coeff, mats):
-            if ci:
-                g = g + m.scale(ci)
-        gens.append(g)
-    return MatrixSubspace.from_matrices(f, n, gens)
+    return members_vanishing_at(space, [(i, j) for i in range(r) for j in range(r, n)])
 
 
 class BinaryProfile:

@@ -112,7 +112,9 @@ def move_generic_vector(space: MatrixSubspace, k: int, pivot=False):
             entries[i][tstar] = f.one if i == k - 1 else f.zero
     t = DenseMatrix(f, entries)
     out = conjugate(space, t)
-    assert column_space_dim(filtration_level(out, k), _basis_vector(f, n, k)) == dk
+    if column_space_dim(filtration_level(out, k), _basis_vector(f, n, k)) != dk:
+        raise NormalizationError(
+            "generic-vector move missed dimension %d at level %d" % (dk, k), [])
     return t, out
 
 
@@ -298,7 +300,8 @@ def rct_certificate(m: MatrixSubspace) -> RctCertificate:
             "certificate needs #K >= %d" % d_top, needed=d_top)
     result = normalize(cn)
     r = d_top - 1
-    assert 1 <= r <= n - 1, "generic dimension out of range: %d" % d_top
+    if not 1 <= r <= n - 1:
+        raise NormalizationError("generic dimension out of range: %d" % d_top, result.log)
     if not rct_zero_is_scalar(conjugate(c, result.t_total), r):
         raise NormalizationError(
             "normalized space still has a non-scalar member with zero "

@@ -3,18 +3,21 @@
 Everything here is exhaustive: powers of a matrix over F_p are
 eventually periodic, so "for all large exponents" means "for every
 exponent in the eventual cycle", which turns the defining quantifiers
-into finite checks.  The multiplier loops are batched with numpy (exact
-integer arithmetic mod p; the guard keeps products far below overflow),
-and the first counterexample in enumeration order is returned as a
-replayable witness.
+into finite checks.  The whole enumeration runs on keys, a matrix's
+index in ``all_matrices_np(p, n)`` (below 2^20 under the guard): power
+trajectories, the full power set, the radical, the idempotents and the
+multiplier scans all work on fixed-size batches of keys with numpy
+(exact integer arithmetic mod p, in int16 wherever the products fit), and
+``power_trajectory`` and ``witness_replays`` stay the definitional path.
 
 Enumeration orders are fixed: candidate matrices by lexicographic
-row-major entries, subspace members by lexicographic basis coefficients.
+row-major entries, subspace members by lexicographic basis coefficients;
+the first counterexample in that order is returned as a replayable
+witness.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +28,9 @@ from .linalg import DenseMatrix, VectorSubspace, invert, kernel
 from .matspace import MatrixSubspace, conjugate, constraint_space
 
 ENUMERATION_GUARD = 2 ** 20
+PAIR_BUDGET = 2 ** 24       # multiplier pairs a two-sided verdict may scan
+_PAIR_CHUNK = 2 ** 14       # products a multiplier scan forms at once
+_BATCH = 4096               # keys whose powers are followed in lockstep
 
 LEFT = "left"
 RIGHT = "right"
@@ -102,120 +108,113 @@ class MathieuVerdict:
     witness: Optional[Witness]
 
 
+def _digits(p: int, width: int) -> np.ndarray:
+    """All base-p digit strings of the given width, in increasing order;
+    int16 when a sum of ``width`` products of digits fits in it."""
+    idx = np.arange(p ** width, dtype=np.int64)
+    out = np.empty((len(idx), width),
+                   dtype=np.int16 if width * (p - 1) ** 2 < 2 ** 15 else np.int64)
+    for j in range(width - 1, -1, -1):
+        idx, out[:, j] = np.divmod(idx, p)
+    return out
+
+
 def all_matrices_np(p: int, n: int) -> np.ndarray:
-    """All n x n matrices over F_p as an (p^(n*n), n, n) int array in
-    lexicographic row-major order."""
-    count = p ** (n * n)
-    idx = np.arange(count, dtype=np.int64)
-    cols = []
-    for pos in range(n * n):
-        cols.append((idx // p ** (n * n - 1 - pos)) % p)
-    return np.stack(cols, axis=1).reshape(count, n, n)
+    """All n x n matrices over F_p, (p^(n*n), n, n), lexicographic row-major."""
+    return _digits(p, n * n).reshape(-1, n, n)
 
 
-def _np_of(m: DenseMatrix) -> np.ndarray:
-    return np.array(m.entries, dtype=np.int64)
-
-
-def _mat_of(field, arr) -> DenseMatrix:
-    return DenseMatrix(field, [[int(x) for x in row] for row in arr])
-
-
-class _MembershipOracle:
-    """Vectorized membership tests via the trace pairing with the dual."""
+class _Enumeration:
+    """A space over its key ``universe``: ``inside[key]`` is membership,
+    ``members`` the members' keys in coefficient order."""
 
     def __init__(self, space: MatrixSubspace):
-        self.space = space
-        self.p = space.field.p
-        cons = constraint_space(space)
-        self.kstack = np.array(
-            [m.entries for m in cons.basis_matrices], dtype=np.int64
-        ) if cons.dim else None
+        f, n, p = space.field, space.n, space.field.p
+        _require_enumerable(f, n)
+        self.field, self.n, self.p = f, n, p
+        self.universe = all_matrices_np(p, n)
+        self.place = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        basis = np.array(space.basis.basis, dtype=self.universe.dtype).reshape(-1, n * n)
+        coeffs = _digits(p, space.dim)    # members in batches keep the arrays small
+        self.members = np.concatenate([
+            self.key((coeffs[lo:lo + _BATCH] @ basis).reshape(-1, n, n))
+            for lo in range(0, len(coeffs), _BATCH)])
+        self.inside = np.zeros(len(self.universe), dtype=bool)
+        self.inside[self.members] = True
 
-    def violations(self, batch: np.ndarray) -> np.ndarray:
-        """Boolean array over the leading axes: True = not a member."""
-        if self.kstack is None:
-            return np.zeros(batch.shape[:-2], dtype=bool)
-        pairings = np.einsum("kab,...ba->...k", self.kstack, batch) % self.p
-        return (pairings != 0).any(axis=-1)
+    def key(self, mats: np.ndarray) -> np.ndarray:
+        """Keys of the integer matrices (..., n, n), reduced mod p."""
+        return mats.reshape(mats.shape[:-2] + (-1,)) % self.p @ self.place
 
+    def matrix(self, key) -> Optional[DenseMatrix]:
+        return None if key is None else DenseMatrix(self.field, self.universe[key].tolist())
 
-def _full_power_pairs(space: MatrixSubspace):
-    """(member, trajectory) pairs of the full power set, in coefficient
-    order.  Since the first power must already belong, only subspace
-    members are candidates."""
-    _require_enumerable(space.field, space.n)
-    out = []
-    for a in space.elements():
-        traj = power_trajectory(a)
-        if all(space.contains(x) for x in traj.tail) and \
-                all(space.contains(x) for x in traj.cycle):
-            out.append((a, traj))
-    return out
+    def trajectories(self, keys):
+        """Per batch of keys: the batch, the keys of the powers a^1 ..
+        a^(n+P) of each (P the longest period in the batch), the tail
+        lengths and the periods.  The tail of an n x n matrix is shorter
+        than n, so every power from a^n on lies in the cycle."""
+        n, u = self.n, self.universe
+        for lo in range(0, len(keys), _BATCH):
+            batch = keys[lo:lo + _BATCH]
+            a, powers = u[batch], [batch]
+            for _ in range(n - 1):
+                powers.append(self.key(u[powers[-1]] @ a))
+            period = np.zeros(len(batch), dtype=np.int64)
+            while not period.all():
+                powers.append(self.key(u[powers[-1]] @ a))
+                period[(period == 0) & (powers[-1] == powers[n - 1])] = len(powers) - n
+            powers = np.stack(powers, axis=1)
+            in_cycle = (powers[:, :n - 1, None] == powers[:, None, n - 1:]).any(axis=2)
+            yield batch, powers, n - 1 - in_cycle.sum(axis=1), period
+
+    def full_powers(self):
+        """``trajectories`` of the full power set (members, as a^1 must belong)."""
+        for batch, powers, tails, periods in self.trajectories(self.members):
+            ok = self.inside[powers].all(axis=1)
+            yield batch[ok], powers[ok], tails[ok], periods[ok]
 
 
 def full_power_set(space: MatrixSubspace):
     """All members whose every power stays inside the space."""
-    return [a for a, _ in _full_power_pairs(space)]
+    en = _Enumeration(space)
+    return [en.matrix(k) for batch, *_ in en.full_powers() for k in batch]
 
 
 def radical(space: MatrixSubspace):
     """All a whose large powers eventually stay inside: every element of
     the cycle of a belongs to the space.  Lexicographic order."""
-    _require_enumerable(space.field, space.n)
-    f, n = space.field, space.n
-    out = []
-    for flat in itertools.product(f.elements(), repeat=n * n):
-        a = DenseMatrix.from_flat(f, n, n, flat)
-        traj = power_trajectory(a)
-        if all(space.contains(z) for z in traj.cycle):
-            out.append(a)
-    return out
+    en = _Enumeration(space)
+    return [en.matrix(k)
+            for batch, powers, _, _ in en.trajectories(np.arange(len(en.universe)))
+            for k in batch[en.inside[powers[:, space.n - 1:]].all(axis=1)]]
 
 
-def _first_one_sided_violation(traj, mats, oracle, left):
-    """First multiplier index violating b z (or z b) membership, with the
-    first bad cycle position there; None when all products stay inside."""
-    combined = None
-    per_pos = []
-    for z in traj.cycle:
-        if z.is_zero():
-            per_pos.append(None)
-            continue
-        z_np = _np_of(z)
-        prods = (mats @ z_np if left else z_np @ mats) % oracle.p
-        bad = oracle.violations(prods)
-        per_pos.append(bad)
-        combined = bad if combined is None else (combined | bad)
-    if combined is None or not combined.any():
-        return None
-    b_idx = int(np.argmax(combined))
-    pos = next(i for i, bad in enumerate(per_pos) if bad is not None and bad[b_idx])
-    return b_idx, pos
+def idempotents(space: MatrixSubspace):
+    """All members e with e^2 = e (tail 0, period 1), in coefficient order."""
+    en = _Enumeration(space)
+    return [en.matrix(k) for batch, _, tails, periods in en.trajectories(en.members)
+            for k in batch[(tails == 0) & (periods == 1)]]
 
 
-def _first_two_sided_violation(traj, mats, oracle, chunk=256):
-    count = mats.shape[0]
-    combined = np.zeros((count, count), dtype=bool)
-    for z in traj.cycle:
-        if z.is_zero():
-            continue
-        bz = (mats @ _np_of(z)) % oracle.p
-        for lo in range(0, count, chunk):
-            hi = min(lo + chunk, count)
-            prods = (bz[lo:hi, None] @ mats[None, :]) % oracle.p
-            combined[lo:hi] |= oracle.violations(prods)
-    if not combined.any():
-        return None
-    flat = int(np.argmax(combined))
-    b_idx, c_idx = divmod(flat, count)
-    for pos, z in enumerate(traj.cycle):
-        if z.is_zero():
-            continue
-        prod = (mats[b_idx] @ _np_of(z) @ mats[c_idx]) % oracle.p
-        if oracle.violations(prod[None])[0]:
-            return b_idx, c_idx, pos
-    raise AssertionError("violation vanished on single-pair replay")
+def _first_escape(en: _Enumeration, zs, side):
+    """The first multiplier in enumeration order taking some z of ``zs``
+    (keys) outside, with the index of the first such z, or None: b (left),
+    c (right) or (b, c) as b * count + c (two-sided).  It scans chunks of
+    about _PAIR_CHUNK products in order and stops at the first escape."""
+    u, z = en.universe, en.universe[zs][:, None]
+    width = len(u) if side == TWO_SIDED else 1
+    step = max(1, _PAIR_CHUNK // (len(zs) * width))
+    for lo in range(0, len(u), step):
+        prods = z @ u[lo:lo + step] if side == RIGHT else u[lo:lo + step] @ z
+        if side == TWO_SIDED:
+            prods = (prods % en.p)[:, :, None] @ u
+        bad = ~en.inside[en.key(prods)].reshape(len(zs), -1)
+        hit = bad.any(axis=0)
+        if hit.any():
+            i = int(np.argmax(hit))
+            return lo * width + i, int(np.argmax(bad[:, i]))
+    return None
 
 
 def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
@@ -224,37 +223,45 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
     For every member a all of whose powers stay inside, every multiplier
     (pair) is checked against every element of a's power cycle; the
     first counterexample in enumeration order becomes the witness.
+    Raises TooLargeError, before any work, when the two-sided check would
+    scan more than PAIR_BUDGET multiplier pairs.
     """
     if vtype not in ALL_TYPES:
         raise ValueError("unknown type %r" % vtype)
     _require_enumerable(space.field, space.n)
-    f, n = space.field, space.n
+    p, n = space.field.p, space.n
     if space.dim == n * n:
         return MathieuVerdict(holds=True, vtype=vtype, witness=None)
-    oracle = _MembershipOracle(space)
-    mats = all_matrices_np(f.p, n)
-    for a, traj in _full_power_pairs(space):
-        checks = {
-            LEFT: (True,),
-            RIGHT: (False,),
-            PRE_TWO_SIDED: (True, False),
-        }
-        if vtype == TWO_SIDED:
-            hit = _first_two_sided_violation(traj, mats, oracle)
-            if hit is not None:
-                b_idx, c_idx, pos = hit
-                return MathieuVerdict(False, vtype, Witness(
-                    a=a, b=_mat_of(f, mats[b_idx]), c=_mat_of(f, mats[c_idx]),
-                    exponent=traj.tail_len + 1 + pos))
-        else:
-            for left in checks[vtype]:
-                hit = _first_one_sided_violation(traj, mats, oracle, left)
+    if vtype == TWO_SIDED and p ** (2 * n * n) > PAIR_BUDGET:
+        raise TooLargeError(
+            "%d^%d multiplier pairs exceed the two-sided budget 2^24" % (p, 2 * n * n))
+    en = _Enumeration(space)
+    sides = (LEFT, RIGHT) if vtype == PRE_TWO_SIDED else (vtype,)
+    # Cycle elements no multiplier takes outside; products of zero never
+    # leave, so the scans skip it.
+    settled = np.arange(len(en.universe)) == 0
+    for batch, powers, tails, periods in en.full_powers():
+        cycles = powers[:, n - 1:]
+        zs, first = np.unique(cycles, return_index=True)
+        # In order of first appearance, so the first escaping z belongs
+        # to the first member with an escape.
+        for at in np.sort(first[~settled[zs]]):
+            z = cycles.flat[at]
+            if not any(_first_escape(en, [z], s) for s in sides):
+                settled[z] = True
+                continue
+            i = at // cycles.shape[1]
+            cycle = powers[i, tails[i]:tails[i] + periods[i]]
+            nonzero = np.flatnonzero(cycle)
+            for s in sides:
+                hit = _first_escape(en, cycle[nonzero], s)
                 if hit is not None:
-                    idx, pos = hit
-                    mult = _mat_of(f, mats[idx])
+                    mult, j = hit
+                    b, c = {LEFT: (mult, None), RIGHT: (None, mult)}.get(
+                        s, divmod(mult, len(en.universe)))
                     return MathieuVerdict(False, vtype, Witness(
-                        a=a, b=mult if left else None, c=None if left else mult,
-                        exponent=traj.tail_len + 1 + pos))
+                        a=en.matrix(batch[i]), b=en.matrix(b), c=en.matrix(c),
+                        exponent=int(tails[i] + 1 + nonzero[j])))
     return MathieuVerdict(holds=True, vtype=vtype, witness=None)
 
 
@@ -388,11 +395,7 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
     pred1 = not 0 < p <= n
     pred2 = (not 0 < p <= n - 1) and not space.contains_identity()
     rad = radical(space)
-    zero = DenseMatrix.zeros(f, n, n)
-    nilpotent = {}
-    for a in rad:
-        nilpotent[a] = a.power(n).is_zero()
-    pred3 = all(nilpotent.values())
+    pred3 = all(a.power(n).is_zero() for a in rad)
     pred4 = verify_mathieu(space, TWO_SIDED).holds
     bound_ok = None
     if pred2:
@@ -402,11 +405,11 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
             threshold = traj.tail_len + 1
             while threshold > 1 and space.contains(traj.power(threshold - 1)):
                 threshold -= 1
-            if not a.power(n * threshold) == zero:
+            if not a.power(n * threshold).is_zero():
                 bound_ok = False
     flags = (pred1, pred2, pred3, pred4)
-    assert all(not x or y for x, y in zip(flags, flags[1:])), \
-        "implication chain violated: %r" % (flags,)
+    if not all(not x or y for x, y in zip(flags, flags[1:])):
+        raise AssertionError("implication chain violated: %r" % (flags,))
     return TraceChainReport(
         char_avoids_1_to_n=pred1,
         char_avoids_1_to_n_minus_1_and_identity_free=pred2,
@@ -491,7 +494,8 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     conjugated = conjugate(ideal, t)
     expected = MatrixSubspace.from_matrices(f, n, [
         DenseMatrix.unit(f, n, n, u, v) for u in range(n) for v in range(k)])
-    assert conjugated == expected, "left ideal is not a full column-kill space"
+    if conjugated != expected:
+        raise AssertionError("left ideal is not a full column-kill space")
     diag = DenseMatrix(f, [[f.one if i == j < k else f.zero for j in range(n)]
                            for i in range(n)])
     idem = t.mul(diag).mul(invert(t))
@@ -519,13 +523,14 @@ def left_ideal_equivalences(space: MatrixSubspace) -> LeftIdealEquivalences:
     _require_enumerable(space.field, space.n)
     ideal = max_left_ideal(space)
     left = verify_mathieu(space, LEFT).holds
-    idems = [e for e in space.elements() if e.mul(e) == e]
+    idems = idempotents(space)
     in_ideal = all(ideal.contains(e) for e in idems)
     radicals = set(radical(space)) == set(radical(ideal))
     report = LeftIdealEquivalences(
         left_mathieu=left, idempotents_in_ideal=in_ideal,
         radicals_match=radicals, ideal=ideal, idempotent_count=len(idems))
-    assert report.consistent, "equivalence chain violated: %r" % (report,)
+    if not report.consistent:
+        raise AssertionError("equivalence chain violated: %r" % (report,))
     return report
 
 
@@ -548,7 +553,10 @@ def small_codim_report(space: MatrixSubspace) -> SmallCodimReport:
     two = None
     if left:
         two = verify_mathieu(space, TWO_SIDED).holds
-        assert two, "left Mathieu subspace of small codimension must be two-sided"
-        assert f.p > 2, "left Mathieu subspace of small codimension needs #K > 2"
+        if not two:
+            raise AssertionError(
+                "left Mathieu subspace of small codimension must be two-sided")
+        if f.p <= 2:
+            raise AssertionError("left Mathieu subspace of small codimension needs #K > 2")
     return SmallCodimReport(left_mathieu=left, two_sided_mathieu=two,
                             field_order=f.p)

@@ -195,12 +195,6 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
-def test_cli_seed_recorded(tmp_path, capsys):
-    path = write(tmp_path, PAIR)
-    rc, out, _ = run(capsys, "constraints", path, "--seed", "7", "--json")
-    assert json.loads(out)["payload"]["seed"] == 7
-
-
 def test_report_json_roundtrip(tmp_path, capsys):
     path = write(tmp_path, PAIR)
     rc, out, _ = run(capsys, "profile", path, "--json")

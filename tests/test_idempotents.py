@@ -50,6 +50,20 @@ def test_family_one_parameter():
     assert fam.dim == corner_slice(m, 1).dim
 
 
+def test_corner_slice_is_intersection_with_the_block():
+    rng = random.Random(23)
+    for _ in range(30):
+        field, n = rng.choice([(F2, 3), (F3, 3), (F5, 2)])
+        gens = [DenseMatrix(field, [[rng.randrange(field.p) for _ in range(n)]
+                                    for _ in range(n)])
+                for _ in range(rng.randrange(1, n * n))]
+        space = MatrixSubspace.from_matrices(field, n, gens)
+        for r in range(1, n):
+            block = MatrixSubspace.from_matrices(field, n, [
+                unit(field, n, i, j) for i in range(r, n) for j in range(r)])
+            assert corner_slice(space, r) == space.intersect(block)
+
+
 def test_family_hypothesis_failed_on_trace_zero_space():
     with pytest.raises(HypothesisFailed) as exc:
         idempotent_family(trace_zero_space(F5, 2), 1, UPPER)

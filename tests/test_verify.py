@@ -1,8 +1,12 @@
+import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieumat.errors import PreconditionViolated, TooLargeError
 from mathieumat.linalg import DenseMatrix, Field, all_matrices, invert
@@ -15,6 +19,7 @@ from mathieumat.verify import (
     RIGHT,
     TWO_SIDED,
     full_power_set,
+    idempotents,
     is_left_ideal,
     left_ideal_equivalences,
     left_ideal_normal_form,
@@ -357,36 +362,98 @@ def test_small_codim_report():
         small_codim_report(MatrixSubspace.full_space(F3, 2))
 
 
+_trajectory = functools.lru_cache(maxsize=None)(power_trajectory)
+
+
+@functools.lru_cache(maxsize=None)
+def _universe(p, n):
+    return tuple(all_matrices(Field.prime(p), n, n))
+
+
+def _definitional_full_power_set(space):
+    return [a for a in space.elements()
+            if all(space.contains(x) for x in _trajectory(a).tail + _trajectory(a).cycle)]
+
+
 def _definitional_verdict(space, vtype):
-    # independent pure-Python reading of the defining property
-    from mathieumat.verify import full_power_set
-    universe = list(all_matrices(space.field, space.n, space.n))
-    for a in full_power_set(space):
-        cycle = power_trajectory(a).cycle
-        if vtype in (LEFT, PRE_TWO_SIDED):
-            for b in universe:
-                if any(not space.contains(b.mul(z)) for z in cycle):
-                    return False
-        if vtype in (RIGHT, PRE_TWO_SIDED):
-            for c in universe:
-                if any(not space.contains(z.mul(c)) for z in cycle):
-                    return False
-        if vtype == TWO_SIDED:
-            for b in universe:
-                for c in universe:
-                    if any(not space.contains(b.mul(z).mul(c)) for z in cycle):
-                        return False
-    return True
+    """Independent pure-Python reading of the defining property, built
+    from space.elements(), power_trajectory and space.contains only: the
+    first escape (a, b, c, exponent) in enumeration order, None if none."""
+    if space.dim == space.n ** 2:
+        return None     # every product lies in the whole algebra
+    universe = _universe(space.field.p, space.n)
+    factors = {LEFT: (universe, [None]), RIGHT: ([None], universe),
+               TWO_SIDED: (universe, universe)}
+    sides = (LEFT, RIGHT) if vtype == PRE_TWO_SIDED else (vtype,)
+    for a in _definitional_full_power_set(space):
+        traj = _trajectory(a)
+        # every product of zero stays inside
+        cycle = [(pos, z) for pos, z in enumerate(traj.cycle) if not z.is_zero()]
+        for side in sides:
+            for b, c in itertools.product(*factors[side]) if cycle else ():
+                for pos, z in cycle:
+                    prod = z if b is None else b.mul(z)
+                    prod = prod if c is None else prod.mul(c)
+                    if not space.contains(prod):
+                        return a, b, c, traj.tail_len + 1 + pos
+    return None
+
+
+def _check_against_definition(space, types=ALL_TYPES):
+    for vtype in types:
+        w = verify_mathieu(space, vtype).witness
+        got = None if w is None else (w.a, w.b, w.c, w.exponent)
+        assert got == _definitional_verdict(space, vtype)
+    assert full_power_set(space) == _definitional_full_power_set(space)
+    assert radical(space) == [a for a in _universe(space.field.p, space.n)
+                              if all(space.contains(z) for z in _trajectory(a).cycle)]
+    assert idempotents(space) == [e for e in space.elements() if e.mul(e) == e]
 
 
 def test_batched_verifier_matches_definition_on_f2_universe():
     from mathieumat.linalg import all_subspaces
     for dim in range(5):
         for basis in all_subspaces(F2, 4, dim):
-            space = MatrixSubspace(F2, 2, basis)
-            for vtype in ALL_TYPES:
-                assert verify_mathieu(space, vtype).holds == \
-                    _definitional_verdict(space, vtype)
+            _check_against_definition(MatrixSubspace(F2, 2, basis))
+
+
+def test_batched_verifier_matches_definition_on_f3_universe():
+    from mathieumat.linalg import all_subspaces
+    for dim in range(5):
+        for basis in all_subspaces(F3, 4, dim):
+            _check_against_definition(MatrixSubspace(F3, 2, basis))
+
+
+def test_witness_belongs_to_the_first_member_with_an_escape():
+    # An escaping cycle element of a later member has a smaller key than
+    # those of the first member with an escape: the witness must follow
+    # the members' order, not the order of the keys.
+    rows = [(1, 0, 0, 0, 0, 0, 2, 2, 2), (0, 1, 0, 0, 0, 0, 2, 1, 1),
+            (0, 0, 1, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 0, 0, 0, 2, 2),
+            (0, 0, 0, 0, 1, 0, 1, 1, 1), (0, 0, 0, 0, 0, 1, 0, 0, 0)]
+    space = MatrixSubspace.from_matrices(
+        F3, 3, [DenseMatrix.from_flat(F3, 3, 3, r) for r in rows])
+    for vtype in (LEFT, RIGHT, PRE_TWO_SIDED):
+        w = verify_mathieu(space, vtype).witness
+        assert (w.a, w.b, w.c, w.exponent) == _definitional_verdict(space, vtype)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(2, 3), (5, 2), (7, 2)]).flatmap(lambda pn: st.tuples(
+    st.just(pn),
+    st.lists(st.lists(st.integers(0, pn[0] - 1), min_size=pn[1] ** 2,
+                      max_size=pn[1] ** 2), max_size=pn[1] ** 2 - 1),
+    st.booleans())))
+def test_batched_verifier_matches_definition_on_drawn_spaces(drawn):
+    # two-sided witnesses are compared at n = 2 only: the pure-Python
+    # pair search over Mat_3(F_2) would dominate the suite
+    (p, n), flats, with_identity = drawn
+    field = Field.prime(p)
+    gens = [DenseMatrix.from_flat(field, n, n, flat) for flat in flats]
+    if with_identity:
+        gens.append(DenseMatrix.identity(field, n))
+    space = MatrixSubspace.from_matrices(field, n, gens)
+    _check_against_definition(space, ALL_TYPES if n == 2 else ALL_TYPES[:3])
 
 
 def test_equivalences_exhaustive_on_small_universes():
@@ -432,3 +499,13 @@ def test_enumeration_guard():
         radical(MatrixSubspace.zero_space(F5, 3))  # 5^9 > 2^20
     with pytest.raises(TooLargeError):
         verify_mathieu(MatrixSubspace.zero_space(QQ, 2), LEFT)
+    # 2^16 matrices fit the guard, but 2^32 multiplier pairs exceed the
+    # two-sided budget: refused before any array is built
+    space = MatrixSubspace.zero_space(F2, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            verify_mathieu(space, TWO_SIDED)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()

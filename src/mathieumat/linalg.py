@@ -6,11 +6,19 @@ rationals.  A :class:`Field` object supplies the arithmetic; matrices and
 subspaces carry their field.  Everything here is immutable after
 construction and all operations are pure, so values can be shared freely
 between concurrent tasks.
+
+Gauss-Jordan elimination (behind ``rref``, ``rank_of_rows``, ``kernel``,
+``invert`` and :meth:`VectorSubspace.from_vectors`) works on integers:
+over Q each row is scaled to integers and eliminated fraction-free, and
+only the finished rows become ``Fraction`` again, divided by their
+pivots; over F_p the same loop runs on residues.  The reduced echelon
+form is unique, so the result does not depend on the scaling.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import SingularMatrixError
@@ -43,7 +51,7 @@ def _is_prime(n: int) -> bool:
 class Field:
     """A prime field F_p (``p`` > 0) or the rationals (``p`` == 0)."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int):
         if p != 0:
@@ -52,6 +60,9 @@ class Field:
             if not _is_prime(p):
                 raise ValueError("%d is not prime" % p)
         object.__setattr__(self, "p", p)
+        # Canonical constants, built once; Fractions are immutable, so sharing is safe.
+        object.__setattr__(self, "zero", 0 if p else Fraction(0))
+        object.__setattr__(self, "one", 1 if p else Fraction(1))
 
     def __setattr__(self, *a):
         raise AttributeError("Field is immutable")
@@ -93,14 +104,6 @@ class Field:
                 return x.numerator * pow(x.denominator, -1, self.p) % self.p
             return x % self.p
         return x if isinstance(x, Fraction) else Fraction(x)
-
-    @property
-    def zero(self):
-        return 0 if self.p else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.p else Fraction(1)
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
@@ -303,27 +306,53 @@ class DenseMatrix:
 
 
 def _eliminate(field, rows, ncols):
-    """In-place Gauss-Jordan on a list of row lists.  Returns pivot columns."""
+    """In-place Gauss-Jordan on a list of row lists.  Returns pivot columns.
+
+    Fraction-free: over Q each row is first scaled to integers; a row is
+    cleared at a pivot by cross-multiplication, ``a * row - b * pivot_row``,
+    and then divided by the gcd of its entries.  Over F_p the same loop
+    runs on residues.  Only the finished rows are divided by their pivots,
+    which gives back the unique RREF with canonical entries.
+    """
+    p = field.p
+    if not p:
+        for i, row in enumerate(rows):
+            den = math.lcm(*(x.denominator for x in row))
+            rows[i] = [x.numerator * (den // x.denominator) for x in row]
     pivots = []
     r = 0
-    zero = field.zero
     for c in range(ncols):
         if r == len(rows):
             break
-        src = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        src = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if src is None:
             continue
         rows[r], rows[src] = rows[src], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
         prow = rows[r]
+        a = prow[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], prow)]
+            b = rows[i][c]
+            if i == r or not b:
+                continue
+            row = [a * x - b * y for x, y in zip(rows[i], prow)]
+            if p:
+                row = [x % p for x in row]
+            else:
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+            rows[i] = row
         pivots.append(c)
         r += 1
+    for i, c in enumerate(pivots):
+        piv = rows[i][c]
+        if p:
+            inv = pow(piv, -1, p)
+            rows[i] = [x * inv % p for x in rows[i]]
+        else:
+            rows[i] = [Fraction(x, piv) for x in rows[i]]
+    for i in range(r, len(rows)):
+        rows[i] = [field.zero] * ncols
     return pivots
 
 

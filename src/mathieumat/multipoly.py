@@ -6,13 +6,29 @@ exact polynomial division, never by randomized evaluation: small-field
 instances can defeat evaluation at field points, and exactness is the
 whole point of this layer.
 
-Exponent vectors are plain tuples; the zero polynomial stores no terms,
-so equality of term maps is equality of polynomials.
+A :class:`MultiPoly` keeps exponent tuples and canonical coefficients
+(``Fraction`` over Q, residues over F_p); the zero polynomial stores no
+terms, so equality of term maps is equality of polynomials.  The
+arithmetic runs on integer kernels instead: term dicts from packed
+exponent keys to ``int`` coefficients, reduced mod p only over F_p.
+Over Q a polynomial is split into an integral term dict and a common
+denominator, so products and quotients are computed in Z[x] and turned
+back into ``Fraction`` coefficients once, when the result is built.
+``divexact`` first makes the divisor primitive: by Gauss's lemma, if a
+primitive polynomial divides an integral one over Q, the quotient is
+integral, so the division runs over Z with integer ``divmod`` and any
+remainder proves it inexact.  ``poly_matrix_rank`` scales each column by
+the lcm of its denominators (the rank over Q(x) does not change) and
+runs Bareiss over Z[x], whose divisions are exact in Z[x] (Bareiss,
+*Math. Comp.* 22, 1968); no ``Fraction`` is built in its loop.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+from fractions import Fraction
 
 from .linalg import DenseMatrix, Field
 
@@ -116,17 +132,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         self._compatible(other)
-        f = self.field
+        p = self.field.p
+        width = _width(_max_exponent(self) + _max_exponent(other))
+        (a, da), (b, db) = _integral(self, width), _integral(other, width)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(f, self.nvars, out)
+        _mul_into(out, a, b)
+        factor = 1 if p else Fraction(1, da * db)
+        return _poly(self.field, self.nvars, width, _clean(out, p), factor)
 
     def scale(self, c) -> "MultiPoly":
         f = self.field
@@ -148,11 +160,6 @@ class MultiPoly:
             total = f.add(total, v)
         return total
 
-    def _lead(self):
-        """Leading (exponents, coefficient) under lexicographic order."""
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"
@@ -167,34 +174,135 @@ class MultiPoly:
 
 
 def divexact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Exact division of polynomials; raises if the remainder is nonzero.
+    """Exact division of polynomials; ArithmeticError if the remainder is nonzero.
 
-    Inexactness here always indicates a bug in the caller (fraction-free
-    elimination only ever divides by earlier pivots), so fail loudly.
+    Over Q the divisor is made primitive first; by Gauss's lemma the
+    quotient of integral polynomials is then integral whenever it exists.
     """
     num._compatible(den)
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    f = num.field
-    den_lead_e, den_lead_c = den._lead()
-    den_lead_inv = f.inv(den_lead_c)
+    p = num.field.p
+    width = _width(max(_max_exponent(num), _max_exponent(den)))
+    (a, da), (b, db) = _integral(num, width), _integral(den, width)
+    content = 1 if p else math.gcd(*b.values())
+    if content > 1:
+        b = {e: c // content for e, c in b.items()}
+    quot = _div(a, b, p, _guard(num.nvars, width))
+    factor = 1 if p else Fraction(db, da * content)
+    return _poly(num.field, num.nvars, width, quot, factor)
+
+
+# Integer kernels.  A term dict maps a packed exponent key to an int
+# coefficient (a residue when ``p`` is set).  Each exponent lives in a
+# field of ``width`` bits whose top bit is a guard; the first variable
+# takes the most significant field, so integer order on keys is the
+# lexicographic order on exponent tuples and exponent addition is one
+# integer ``+``.  Keys never carry a set guard bit into a product, so a
+# sum of two exponents cannot spill into the next field.
+
+
+def _max_exponent(f: MultiPoly) -> int:
+    return max((max(e, default=0) for e in f.terms), default=0)
+
+
+def _width(bound: int) -> int:
+    """Field width for exponents up to ``bound``, plus the guard bit."""
+    return max(bound, 1).bit_length() + 1
+
+
+def _guard(nvars: int, width: int) -> int:
+    """The key with every field's guard bit set."""
+    top = 1 << (width - 1)
+    return sum(top << (width * i) for i in range(nvars))
+
+
+def _pack(exps, width: int) -> int:
+    """The key of an exponent tuple; ValueError if one reaches the guard bit."""
+    key = 0
+    limit = 1 << (width - 1)
+    for e in exps:
+        if e >= limit:
+            raise ValueError("exponent %d does not fit a %d-bit field" % (e, width))
+        key = (key << width) | e
+    return key
+
+
+def _integral(f: MultiPoly, width: int):
+    """(term dict, d) with ``f`` equal to the dict's polynomial over d."""
+    if f.field.p:
+        return {_pack(e, width): c for e, c in f.terms.items()}, 1
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {_pack(e, width): c.numerator * (den // c.denominator)
+            for e, c in f.terms.items()}, den
+
+
+def _poly(field, nvars, width, terms, factor) -> MultiPoly:
+    """The MultiPoly of a term dict, every coefficient times ``factor``."""
+    mask = (1 << width) - 1
+    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+    return MultiPoly(field, nvars, {
+        tuple((key >> s) & mask for s in shifts): c * factor for key, c in terms.items()})
+
+
+def _mul_into(out: dict, a: dict, b: dict) -> None:
+    """Add ``a * b`` to ``out``; entries may be left zero or unreduced."""
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+
+
+def _clean(terms: dict, p: int) -> dict:
+    if p:
+        terms = {e: c % p for e, c in terms.items()}
+    return {e: c for e, c in terms.items() if c}
+
+
+def _div(num: dict, den: dict, p: int, guard: int) -> dict:
+    """Exact quotient of term dicts; ArithmeticError if there is none.
+
+    Over Z every quotient coefficient must be an integer.  A remainder
+    term whose exponent would go negative, or has outgrown its field,
+    proves the division inexact.
+    """
+    lead = max(den)
+    lc = den[lead]
+    inv = pow(lc, -1, p) if p else 0
+    rest = [(e, -c) for e, c in den.items() if e != lead]
+    # Every new remainder key lies below the current leading one, so a
+    # key leaves the heap once; coefficients are reduced when it does.
+    rem = dict(num)
+    heap = [-e for e in rem]
+    heapq.heapify(heap)
     quot = {}
-    rem = dict(num.terms)
-    while rem:
-        e = max(rem)
-        qe = tuple(a - b for a, b in zip(e, den_lead_e))
-        if any(x < 0 for x in qe):
+    while heap:
+        e = -heapq.heappop(heap)
+        c = rem.pop(e)
+        if p:
+            c %= p
+        if not c:
+            continue
+        q = (e | guard) - lead
+        if e & guard or q & guard != guard:
             raise ArithmeticError("inexact polynomial division")
-        qc = f.mul(rem[e], den_lead_inv)
-        quot[qe] = qc
-        for de, dc in den.terms.items():
-            te = tuple(a + b for a, b in zip(qe, de))
-            s = f.sub(rem.get(te, f.zero), f.mul(qc, dc))
-            if s == f.zero:
-                rem.pop(te, None)
+        q ^= guard
+        if p:
+            qc = c * inv % p
+        else:
+            qc, r = divmod(c, lc)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+        quot[q] = qc
+        for de, dc in rest:
+            t = q + de
+            if t in rem:
+                rem[t] += qc * dc
             else:
-                rem[te] = s
-    return MultiPoly(f, num.nvars, quot)
+                rem[t] = qc * dc
+                heapq.heappush(heap, -t)
+    return quot
 
 
 class PolyMatrix:
@@ -247,33 +355,53 @@ class PolyMatrix:
 def poly_matrix_rank(m: PolyMatrix) -> int:
     """Rank of ``m`` over the function field K(x_1..x_nvars).
 
-    Fraction-free elimination: every division is by a previous pivot and
+    Fraction-free (Bareiss) elimination over Z[x], or F_p[x], after each
+    column is scaled by the lcm of its coefficient denominators, which
+    leaves the rank unchanged.  Every division is by a previous pivot and
     provably exact; a nonzero remainder aborts the run.
     """
-    work = [list(row) for row in m.entries]
     nrows, ncols = m.rows, m.cols
     if nrows == 0 or ncols == 0:
         return 0
-    one = MultiPoly.constant(m.field, m.nvars, m.field.one)
-    prev = one
+    p = m.field.p
+    # Every entry is a minor of at most min(rows, cols) rows, and a numerator
+    # is a product of two entries, so no exponent exceeds twice that many
+    # times the largest input exponent.
+    degree = max(_max_exponent(f) for row in m.entries for f in row)
+    width = _width(2 * min(nrows, ncols) * degree)
+    guard = _guard(m.nvars, width)
+    columns = [_integral_column(col, width) for col in zip(*m.entries)]
+    work = [list(row) for row in zip(*columns)]
+    prev = {0: 1}
     pr = 0
     for c in range(ncols):
         if pr >= nrows:
             break
-        src = next((r for r in range(pr, nrows) if not work[r][c].is_zero()), None)
+        src = next((r for r in range(pr, nrows) if work[r][c]), None)
         if src is None:
             continue
         work[pr], work[src] = work[src], work[pr]
-        pivot = work[pr][c]
+        pivot = work[pr]
         for r in range(pr + 1, nrows):
-            below = work[r][c]
+            row = work[r]
+            minus_below = {e: -v for e, v in row[c].items()}
             for cc in range(c + 1, ncols):
-                num = pivot * work[r][cc] - below * work[pr][cc]
-                work[r][cc] = num if num.is_zero() else divexact(num, prev)
-            work[r][c] = MultiPoly.zero(m.field, m.nvars)
-        prev = pivot
+                num = {}
+                _mul_into(num, pivot[c], row[cc])
+                _mul_into(num, minus_below, pivot[cc])
+                num = _clean(num, p)
+                row[cc] = _div(num, prev, p, guard) if num else num
+            row[c] = {}
+        prev = pivot[c]
         pr += 1
     return pr
+
+
+def _integral_column(col, width):
+    """The entries of ``col`` as term dicts, scaled by a common denominator."""
+    parts = [_integral(f, width) for f in col]
+    den = math.lcm(*(d for _, d in parts))
+    return [{e: c * (den // d) for e, c in terms.items()} for terms, d in parts]
 
 
 def find_nonvanishing(f: MultiPoly, s):

@@ -13,6 +13,7 @@ from mathieumat.linalg import (
     all_vectors,
     invert,
     kernel,
+    rank_of_rows,
     rref,
     solve_affine,
 )
@@ -53,6 +54,87 @@ def test_field_canonical_values():
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert F3.first_elements(5) == [0, 1, 2]
     assert QQ.first_elements(3) == [Fraction(0), Fraction(1), Fraction(2)]
+    # the constants are built once per field, in canonical form
+    assert QQ.zero is QQ.zero and type(QQ.one) is Fraction and QQ.one == 1
+    assert (F5.zero, F5.one) == (0, 1)
+
+
+def reference_eliminate(field, rows, ncols):
+    """Definitional Gauss-Jordan in Field arithmetic: the reference for rref."""
+    pivots = []
+    r = 0
+    zero = field.zero
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        src = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = field.inv(rows[r][c])
+        if inv != field.one:
+            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                factor = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def random_rows(rng, field, nrows, ncols):
+    """Rows with zero rows, repeated combinations and, over Q, signed
+    fractions with large denominators."""
+    def scalar():
+        if field.p:
+            return rng.randrange(field.p)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randrange(-9, 10)
+        if kind == 2:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
+        return Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**15))
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = scalar(), scalar()
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([scalar() for _ in range(ncols)])
+    return [[field.of(x) for x in row] for row in rows]
+
+
+def test_eliminate_matches_field_reference():
+    rng = random.Random(12)
+    for field in (QQ, F2, F3, F5, Field.prime(2147483647)):
+        for _ in range(80):
+            ncols = rng.randrange(1, 8)
+            rows = random_rows(rng, field, rng.randrange(0, 7), ncols)
+            expected = [list(r) for r in rows]
+            pivots = tuple(reference_eliminate(field, expected, ncols))
+            reduced, rank, got_pivots = rref(DenseMatrix(field, rows, cols=ncols))
+            assert [list(r) for r in reduced.entries] == expected
+            assert (rank, got_pivots) == (len(pivots), pivots)
+            assert rank_of_rows(field, rows) == rank
+            space = VectorSubspace.from_vectors(field, ncols, rows)
+            assert space.basis == tuple(tuple(r) for r in expected[:rank])
+            assert space.pivots == pivots
+            for x in (x for row in reduced.entries for x in row):
+                if field.p:
+                    assert type(x) is int and 0 <= x < field.p
+                else:
+                    assert type(x) is Fraction
+    # plain int rows over Q stay exact: no float from ``1 / a`` on the way
+    assert rank_of_rows(QQ, [[3, 7], [3, 7], [12, 28]]) == 1
 
 
 def test_rref_identity_case():

@@ -1,13 +1,19 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from mathieumat.linalg import DenseMatrix, Field, rank_of_rows
 from mathieumat.matspace import MatrixSubspace, column_space_dim
 from mathieumat.multipoly import (
     MultiPoly,
     PolyMatrix,
+    _pack,
     divexact,
     find_nonvanishing,
     generic_rank_of_action,
@@ -85,10 +91,31 @@ def test_divexact_basic():
     num = x1 * x1 - x2 * x2
     assert divexact(num, x1 - x2) == x1 + x2
     assert divexact(num, x1 + x2) == x1 - x2
+    # ((x1^2 - x2^2)/2) / ((x1 - x2)/3) = (3/2)(x1 + x2)
+    assert (divexact(num.scale(Fraction(1, 2)), (x1 - x2).scale(Fraction(1, 3)))
+            == (x1 + x2).scale(Fraction(3, 2)))
+    assert divexact(x1.scale(3), x1.scale(6)) == MultiPoly.constant(QQ, 2, Fraction(1, 2))
+    for field in (QQ, F5):
+        y1, y2 = x(field, 2, 1), x(field, 2, 2)
+        one = MultiPoly.constant(field, 2, 1)
+        for bad_num, bad_den in [
+            (y1 * y1 + one, y1 - y2),
+            (y1 * y1 + one.scale(2), y1.scale(2) + one),  # over Z: lead coefficient 1/2
+            (y1 * y1 * y1, y1 - y2 * y2 * y2),   # remainder exponents outgrow the key
+        ]:
+            with pytest.raises(ArithmeticError):
+                divexact(bad_num, bad_den)
+        with pytest.raises(ZeroDivisionError):
+            divexact(y1, MultiPoly.zero(field, 2))
+    # over F_2 a remainder exponent wrapped into the next field would cancel
+    # down to a false quotient x1*x2^3 + 1
+    y1, y2 = x(F2, 2, 1), x(F2, 2, 2)
     with pytest.raises(ArithmeticError):
-        divexact(x1 * x1 + MultiPoly.constant(QQ, 2, 1), x1 - x2)
-    with pytest.raises(ZeroDivisionError):
-        divexact(x1, MultiPoly.zero(QQ, 2))
+        divexact(y1 * y1 * y2 * y2 * y2 + y2, y1 + y2)
+    # a 3-bit field holds exponents 0..3 below its guard bit, and never wraps
+    assert _pack((3, 0, 1), 3) == (3 << 6) | 1
+    with pytest.raises(ValueError):
+        _pack((0, 4), 3)
 
 
 def test_divexact_random_roundtrip():
@@ -247,3 +274,102 @@ def test_homogeneity_and_degree():
     g = f + MultiPoly.constant(QQ, 2, 1)
     assert not g.is_homogeneous()
     assert MultiPoly.zero(QQ, 2).is_homogeneous()
+
+
+# Differential oracle: ranks over K(x) against sympy's DomainMatrix.
+
+def _sympy_rank(field, grid, symbols):
+    """Rank of a grid of sympy expressions over K(symbols)."""
+    base = sympy.QQ if field.p == 0 else sympy.GF(field.p)
+    dom = base.frac_field(*symbols)
+    if not grid or not grid[0]:
+        return 0
+    return DomainMatrix([[dom.from_sympy(e) for e in row] for row in grid],
+                        (len(grid), len(grid[0])), dom).rank()
+
+
+def _to_sympy(poly, symbols):
+    total = sympy.Integer(0)
+    for exps, c in poly.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator) if poly.field.p == 0 else sympy.Integer(c)
+        for s, e in zip(symbols, exps):
+            term *= s ** e
+        total += term
+    return total
+
+
+FIELDS = [F2, F3, F5, QQ]
+
+
+def _coefficients(field):
+    if field.p:
+        return st.integers(0, field.p - 1)
+    return st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def poly_matrices(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 4))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    polys = st.dictionaries(exps, _coefficients(field), max_size=3).map(
+        lambda terms: MultiPoly(field, nvars, terms))
+    cols = []
+    for _ in range(ncols):
+        if cols and draw(st.booleans()):
+            # a K[x]-combination of two earlier columns keeps the rank down
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            fa, fb = draw(polys), draw(polys)
+            cols.append([fa * u + fb * v for u, v in zip(a, b)])
+        else:
+            cols.append([draw(polys) for _ in range(nrows)])
+    return PolyMatrix(field, nvars, [[col[i] for col in cols] for i in range(nrows)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(poly_matrices())
+def test_poly_matrix_rank_matches_sympy(pm):
+    syms = sympy.symbols("x1:%d" % (pm.nvars + 1))
+    grid = [[_to_sympy(f, syms) for f in row] for row in pm.entries]
+    assert poly_matrix_rank(pm) == _sympy_rank(pm.field, grid, syms)
+
+
+@st.composite
+def spaces(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    # entries outside a common support vanish; with rows left out of it the
+    # generic rank falls short of min(n, dim)
+    rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    support = [[keep and cell for cell in draw(st.lists(st.booleans(), min_size=n, max_size=n))]
+               for keep in rows]
+    scalars = _coefficients(field)
+    gens = draw(st.lists(
+        st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n),
+        max_size=n + 2))
+    gens = [DenseMatrix(field, [[c if keep else 0 for c, keep in zip(row, mask)]
+                                for row, mask in zip(g, support)]) for g in gens]
+    k, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+    return MatrixSubspace.from_matrices(field, n, gens), k, j
+
+
+def _sympy_scalar(field, c):
+    return sympy.Rational(c.numerator, c.denominator) if field.p == 0 else sympy.Integer(c)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(spaces())
+def test_generic_ranks_of_spaces_match_sympy(case):
+    space, k, j = case
+    f, n = space.field, space.n
+    mats = [[[_sympy_scalar(f, c) for c in row] for row in m.entries]
+            for m in space.basis_matrices]
+    xs = sympy.symbols("x1:%d" % (n + 1))
+    # column C x for each basis matrix C
+    action = [[sum(m[i][l] * xs[l] for l in range(n)) for m in mats] for i in range(n)]
+    assert generic_rank_of_action(space) == _sympy_rank(f, action if mats else [], xs)
+    # column C (e_k + t e_j) for each basis matrix C
+    t = sympy.Symbol("t")
+    uni = [[m[i][k - 1] + t * m[i][j - 1] for m in mats] for i in range(n)]
+    assert generic_rank_univariate(space, k, j) == _sympy_rank(f, uni if mats else [], (t,))

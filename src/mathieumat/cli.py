@@ -47,10 +47,15 @@ from .verify import (
 TYPE_FLAGS = {"left": LEFT, "right": RIGHT, "pre2": PRE_TWO_SIDED, "two": TWO_SIDED}
 
 
+def _scalar_payload(field):
+    if field.p:
+        return int
+    return str
+
+
 def matrix_payload(m: DenseMatrix):
-    if m.field.p:
-        return [[int(x) for x in row] for row in m.entries]
-    return [[str(x) for x in row] for row in m.entries]
+    scalar = _scalar_payload(m.field)
+    return [[scalar(x) for x in row] for row in m.entries]
 
 
 @dataclass
@@ -94,9 +99,13 @@ def _digest(data: bytes) -> str:
 
 
 def _load(args):
-    with open(args.file, "rb") as fh:
-        raw = fh.read()
-    sf = spacefile.loads(raw.decode("utf-8"))
+    try:
+        with open(args.file, "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpaceFileError(str(exc))
+    sf = spacefile.loads(text)
     field, space = sf.resolve(args.field)
     return _digest(raw), sf, field, space
 
@@ -152,6 +161,9 @@ def cmd_normalize(args):
 
 def cmd_idempotents(args):
     digest, sf, field, space = _load(args)
+    if not 1 <= args.r <= space.n - 1:
+        raise argparse.ArgumentError(
+            None, "--r %d out of range 1..%d" % (args.r, space.n - 1))
     form = UPPER if args.form == "upper" else LOWER
     fam = idempotent_family(space, args.r, form)
     payload = {
@@ -166,12 +178,6 @@ def cmd_idempotents(args):
                        for row in fam.directions.basis],
     }
     return digest, payload, None
-
-
-def _scalar_payload(field):
-    if field.p:
-        return int
-    return str
 
 
 def cmd_verify(args):
@@ -396,10 +402,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         digest, payload, move_log = args.fn(args)
-    except SpaceFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SpaceFileError, argparse.ArgumentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MathieuMatError as exc:

@@ -13,6 +13,15 @@ over Q each row is scaled to integers and eliminated fraction-free, and
 only the finished rows become ``Fraction`` again, divided by their
 pivots; over F_p the same loop runs on residues.  The reduced echelon
 form is unique, so the result does not depend on the scaling.
+
+"The vectors of a row space that satisfy linear conditions" is read off
+one elimination (``_readout``): put the conditions' coordinates first,
+eliminate once, and keep the rows whose pivot lies past them.  Those rows,
+with the leading zeros dropped, are already the canonical RREF basis of
+the answer.  :meth:`VectorSubspace.intersect` (Zassenhaus rows ``(u, u)``
+and ``(w, 0)``) and :meth:`VectorSubspace.vanishing_at` (behind
+``matspace.members_vanishing_at``) are built on it; ``kernel`` stays
+rref plus free vectors.
 """
 
 from __future__ import annotations
@@ -76,10 +85,6 @@ class Field:
     @staticmethod
     def rationals() -> "Field":
         return Field(0)
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p != 0
 
     def characteristic(self) -> int:
         return self.p
@@ -305,7 +310,7 @@ class DenseMatrix:
         return "DenseMatrix(%r, [%s])" % (self.field, body)
 
 
-def _eliminate(field, rows, ncols):
+def _eliminate(field, rows, ncols, first=0):
     """In-place Gauss-Jordan on a list of row lists.  Returns pivot columns.
 
     Fraction-free: over Q each row is first scaled to integers; a row is
@@ -313,6 +318,11 @@ def _eliminate(field, rows, ncols):
     and then divided by the gcd of its entries.  Over F_p the same loop
     runs on residues.  Only the finished rows are divided by their pivots,
     which gives back the unique RREF with canonical entries.
+
+    Columns before ``first`` are only eliminated forward, and the rows
+    pivoting there are left unfinished: the rows pivoting at ``first`` or
+    later are then the RREF of the row space's members that vanish
+    before ``first`` (see ``_readout``), and the others are dropped.
     """
     p = field.p
     if not p:
@@ -320,7 +330,7 @@ def _eliminate(field, rows, ncols):
             den = math.lcm(*(x.denominator for x in row))
             rows[i] = [x.numerator * (den // x.denominator) for x in row]
     pivots = []
-    r = 0
+    r = top = 0
     for c in range(ncols):
         if r == len(rows):
             break
@@ -330,7 +340,7 @@ def _eliminate(field, rows, ncols):
         rows[r], rows[src] = rows[src], rows[r]
         prow = rows[r]
         a = prow[c]
-        for i in range(len(rows)):
+        for i in range(r + 1 if c < first else top, len(rows)):
             b = rows[i][c]
             if i == r or not b:
                 continue
@@ -344,8 +354,10 @@ def _eliminate(field, rows, ncols):
             rows[i] = row
         pivots.append(c)
         r += 1
-    for i, c in enumerate(pivots):
-        piv = rows[i][c]
+        if c < first:
+            top = r
+    for i in range(top, r):
+        piv = rows[i][pivots[i]]
         if p:
             inv = pow(piv, -1, p)
             rows[i] = [x * inv % p for x in rows[i]]
@@ -441,30 +453,19 @@ class VectorSubspace:
             self.field, self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersect(self, other: "VectorSubspace") -> "VectorSubspace":
-        """Intersection via the kernel of the stacked coefficient system."""
+        """Intersection read off the Zassenhaus rows (u, u) and (w, 0):
+        their row space meets 0 x K^n in exactly 0 x (self & other)."""
         self._check_compatible(other)
-        f = self.field
-        k, l = self.dim, other.dim
-        if k == 0 or l == 0:
-            return VectorSubspace.zero(f, self.ambient_dim)
-        # Columns: coefficients (a, b) with sum a_i self_i - sum b_j other_j = 0.
-        system = DenseMatrix(f, [
-            [self.basis[i][c] for i in range(k)]
-            + [f.neg(other.basis[j][c]) for j in range(l)]
-            for c in range(self.ambient_dim)
-        ])
-        coeffs = kernel(system)
-        vectors = []
-        for coeff in coeffs.basis:
-            v = [f.zero] * self.ambient_dim
-            for i in range(k):
-                if coeff[i] != f.zero:
-                    v = [f.add(x, f.mul(coeff[i], y)) for x, y in zip(v, self.basis[i])]
-            vectors.append(v)
-        return VectorSubspace.from_vectors(f, self.ambient_dim, vectors)
+        zeros = [self.field.zero] * self.ambient_dim
+        rows = [list(u) + list(u) for u in self.basis] + [list(w) + zeros for w in other.basis]
+        return _readout(self.field, rows, self.ambient_dim, 2 * self.ambient_dim)
 
-    def basis_vectors(self):
-        return self.basis
+    def vanishing_at(self, coords) -> "VectorSubspace":
+        """The members whose coordinates at the indices ``coords`` vanish."""
+        if not coords:
+            return self
+        rows = [[v[c] for c in coords] + list(v) for v in self.basis]
+        return _readout(self.field, rows, len(coords), len(coords) + self.ambient_dim)
 
     def _check_compatible(self, other):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -483,6 +484,21 @@ class VectorSubspace:
 
     def __repr__(self):
         return "VectorSubspace(%r, dim %d of K^%d)" % (self.field, self.dim, self.ambient_dim)
+
+
+def _readout(field, rows, k, ncols) -> VectorSubspace:
+    """Eliminate ``rows`` (of length ``ncols``) once; the subspace of
+    K^(ncols - k) made of the members of their row space whose first k
+    coordinates vanish.
+
+    After forward elimination on the first k columns, the rows without a
+    pivot there span those members; reduced, and without their k leading
+    zeros, they are that subspace's canonical RREF.
+    """
+    pivots = _eliminate(field, rows, ncols, k)
+    first = sum(c < k for c in pivots)
+    basis = tuple(tuple(row[k:]) for row in rows[first:len(pivots)])
+    return VectorSubspace(field, ncols - k, basis, tuple(c - k for c in pivots[first:]))
 
 
 def kernel(m: DenseMatrix) -> VectorSubspace:

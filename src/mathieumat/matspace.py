@@ -5,6 +5,12 @@ vectorization, so subspace equality is structural.  Levels ``k`` of the
 column filtration run from 0 (zero space) to n (the whole space);
 coordinate indices such as the ``k`` of ``e_k`` are 1-based to match the
 usual linear-algebra convention, while raw matrix entries stay 0-based.
+
+Members cut out by vanishing entries (``members_vanishing_at``, behind
+the filtration levels, the zero-corner members and
+``idempotents.corner_slice``) and intersections are read off a single
+elimination of the basis rows in ``linalg``, not solved for as basis
+coefficients.
 """
 
 from __future__ import annotations
@@ -141,21 +147,9 @@ def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:
 def members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSubspace:
     """The subspace of members whose entries at the (row, column)
     ``positions`` all vanish, as a canonical space."""
-    f, n = space.field, space.n
-    mats = space.basis_matrices
-    if not mats or not positions:
-        return space
-    # Linear conditions on basis coefficients: the listed entries vanish.
-    rows = [[m.entries[i][j] for m in mats] for i, j in positions]
-    coeffs = kernel(DenseMatrix(f, rows, cols=len(mats)))
-    gens = []
-    for coeff in coeffs.basis:
-        g = DenseMatrix.zeros(f, n, n)
-        for ci, m in zip(coeff, mats):
-            if ci:
-                g = g + m.scale(ci)
-        gens.append(g)
-    return MatrixSubspace.from_matrices(f, n, gens)
+    n = space.n
+    return MatrixSubspace(
+        space.field, n, space.basis.vanishing_at([i * n + j for i, j in positions]))
 
 
 def filtration_level(space: MatrixSubspace, k: int) -> MatrixSubspace:

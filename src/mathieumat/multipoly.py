@@ -30,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import DenseMatrix, Field
+from .linalg import Field
 
 
 class MultiPoly:
@@ -328,18 +328,6 @@ class PolyMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
-
-    @staticmethod
-    def from_constant(m: DenseMatrix, nvars=0) -> "PolyMatrix":
-        f = m.field
-        return PolyMatrix(f, nvars, [
-            [MultiPoly.constant(f, nvars, x) for x in row] for row in m.entries
-        ], cols=m.cols)
-
-    def evaluate(self, point) -> DenseMatrix:
-        return DenseMatrix(self.field, [
-            [p.evaluate(point) for p in row] for row in self.entries
-        ], cols=self.cols)
 
     def __eq__(self, other):
         return (

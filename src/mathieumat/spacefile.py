@@ -148,24 +148,13 @@ def dumps(sf: SpaceFile) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_path(path: str) -> SpaceFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
 def from_subspace(space: MatrixSubspace, name: Optional[str] = None) -> SpaceFile:
     """A space file whose blocks are the canonical basis of the space."""
     f = space.field
     token = "Q" if not f.p else str(f.p)
     basis = []
     for m in space.basis_matrices:
-        if f.p:
-            basis.append(tuple(tuple(int(x) for x in row) for row in m.entries))
-        else:
-            for row in m.entries:
-                for x in row:
-                    if x.denominator != 1:
-                        raise ValueError(
-                            "only integer entries can be written to a space file")
-            basis.append(tuple(tuple(int(x) for x in row) for row in m.entries))
+        if not f.p and any(x.denominator != 1 for row in m.entries for x in row):
+            raise ValueError("only integer entries can be written to a space file")
+        basis.append(tuple(tuple(int(x) for x in row) for row in m.entries))
     return SpaceFile(field_token=token, n=space.n, basis=tuple(basis), name=name)

@@ -14,6 +14,11 @@ Enumeration orders are fixed: candidate matrices by lexicographic
 row-major entries, subspace members by lexicographic basis coefficients;
 the first counterexample in that order is returned as a replayable
 witness.
+
+``max_left_ideal`` needs no enumeration and works over any field: A lies
+in the maximal left ideal of a space S iff every row of A lies in the
+intersection over i of R_i, where R_i is the set of rows i of the
+members of S that vanish off row i.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
 from .linalg import DenseMatrix, VectorSubspace, invert, kernel
-from .matspace import MatrixSubspace, conjugate, constraint_space
+from .matspace import MatrixSubspace, conjugate, members_vanishing_at
 
 ENUMERATION_GUARD = 2 ** 20
 PAIR_BUDGET = 2 ** 24       # multiplier pairs a two-sided verdict may scan
@@ -418,43 +423,29 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
         nilpotency_bound_ok=bound_ok)
 
 
-def _unit_products_member_rows(space):
-    """Rows of the linear system 'E_ij A inside the space for all i, j'."""
-    f, n = space.field, space.n
-    cons = constraint_space(space)
-    rows = []
-    for kmat in cons.basis_matrices:
-        for i in range(n):
-            for j in range(n):
-                # tr(K E_ij A) = sum_t K[t][i] A[j][t]
-                row = [f.zero] * (n * n)
-                for t in range(n):
-                    row[j * n + t] = kmat.entries[t][i]
-                rows.append(row)
-    return rows
-
-
 def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
     """The unique maximal left ideal contained in the space.
 
     Consists of all A with E_ij A inside the space for every unit E_ij;
     any left ideal inside the space satisfies that, and the set itself
-    is a left ideal.  Works over any field.
+    is a left ideal.  E_ij A is row j of A placed at row i, so A belongs
+    iff each of its rows lies in R, the intersection over i of R_i, the
+    rows i of the members vanishing off row i.  Works over any field.
     """
     f, n = space.field, space.n
-    rows = _unit_products_member_rows(space)
-    system = DenseMatrix(f, rows, cols=n * n)
-    return MatrixSubspace(f, n, kernel(system))
+    common = VectorSubspace.full(f, n)
+    for i in range(n):
+        on_row = members_vanishing_at(
+            space, [(r, c) for r in range(n) if r != i for c in range(n)])
+        common = common.intersect(VectorSubspace.from_vectors(
+            f, n, [m.entries[i] for m in on_row.basis_matrices]))
+    zero = (f.zero,) * n
+    return MatrixSubspace.from_matrices(f, n, [
+        [zero] * i + [row] + [zero] * (n - 1 - i) for i in range(n) for row in common.basis])
 
 
 def is_left_ideal(space: MatrixSubspace) -> bool:
-    f, n = space.field, space.n
-    for a in space.basis_matrices:
-        for i in range(n):
-            for j in range(n):
-                if not space.contains(DenseMatrix.unit(f, n, n, i, j).mul(a)):
-                    return False
-    return True
+    return max_left_ideal(space) == space
 
 
 @dataclass(frozen=True)

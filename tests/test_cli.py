@@ -195,6 +195,32 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("r", ["0", "3", "-1"])
+def test_cli_idempotents_block_size_out_of_range(tmp_path, capsys, r):
+    path = write(tmp_path, PAIR)
+    rc, out, err = run(capsys, "idempotents", path, "--r", r)
+    assert rc == 2 and out == "" and one_error_line(err)
+    assert "--r %s out of range 1..2" % r in err
+
+
+def test_cli_directory_is_a_parse_error(tmp_path, capsys):
+    rc, out, err = run(capsys, "profile", str(tmp_path))
+    assert rc == 2 and out == "" and one_error_line(err)
+
+
+def test_cli_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# caf\xe9\n".encode("latin-1") + PAIR.encode())
+    rc, out, err = run(capsys, "profile", str(path))
+    assert rc == 2 and out == "" and one_error_line(err)
+    assert "utf-8" in err
+
+
 def test_report_json_roundtrip(tmp_path, capsys):
     path = write(tmp_path, PAIR)
     rc, out, _ = run(capsys, "profile", path, "--json")

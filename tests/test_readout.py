@@ -1,0 +1,223 @@
+"""Differential tests of the single-elimination readout.
+
+``VectorSubspace.intersect``, ``members_vanishing_at``, ``max_left_ideal``
+and ``is_left_ideal`` all read their answer off one RREF.  The references
+below are the definitional formulations they replaced: a kernel on basis
+coefficients recombined into members, the kernel of the system
+"tr(K E_ij A) = 0 for every constraint K", and a loop over unit products.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, kernel
+from mathieumat.matspace import MatrixSubspace, constraint_space, members_vanishing_at
+from mathieumat.verify import is_left_ideal, max_left_ideal
+
+F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
+FIELDS = (F2, F3, F5, QQ)
+KINDS = ("zero", "full", "random", "ideal", "ideal+random")
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+# --- references --------------------------------------------------------------
+
+def reference_intersect(u: VectorSubspace, w: VectorSubspace) -> VectorSubspace:
+    """Solve sum a_i u_i = sum b_j w_j for (a, b) and recombine the u_i."""
+    f = u.field
+    k, l = u.dim, w.dim
+    if k == 0 or l == 0:
+        return VectorSubspace.zero(f, u.ambient_dim)
+    system = DenseMatrix(f, [
+        [u.basis[i][c] for i in range(k)] + [f.neg(w.basis[j][c]) for j in range(l)]
+        for c in range(u.ambient_dim)
+    ])
+    vectors = []
+    for coeff in kernel(system).basis:
+        v = [f.zero] * u.ambient_dim
+        for i in range(k):
+            if coeff[i] != f.zero:
+                v = [f.add(x, f.mul(coeff[i], y)) for x, y in zip(v, u.basis[i])]
+        vectors.append(v)
+    return VectorSubspace.from_vectors(f, u.ambient_dim, vectors)
+
+
+def reference_members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSubspace:
+    """Basis coefficients under which the listed entries vanish, recombined."""
+    f, n = space.field, space.n
+    mats = space.basis_matrices
+    if not mats or not positions:
+        return space
+    rows = [[m.entries[i][j] for m in mats] for i, j in positions]
+    gens = []
+    for coeff in kernel(DenseMatrix(f, rows, cols=len(mats))).basis:
+        g = DenseMatrix.zeros(f, n, n)
+        for ci, m in zip(coeff, mats):
+            if ci:
+                g = g + m.scale(ci)
+        gens.append(g)
+    return MatrixSubspace.from_matrices(f, n, gens)
+
+
+def reference_max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
+    """All A with tr(K E_ij A) = 0 for every constraint K and unit E_ij."""
+    f, n = space.field, space.n
+    rows = []
+    for kmat in constraint_space(space).basis_matrices:
+        for i in range(n):
+            for j in range(n):
+                # tr(K E_ij A) = sum_t K[t][i] A[j][t]
+                row = [f.zero] * (n * n)
+                for t in range(n):
+                    row[j * n + t] = kmat.entries[t][i]
+                rows.append(row)
+    return MatrixSubspace(f, n, kernel(DenseMatrix(f, rows, cols=n * n)))
+
+
+def reference_is_left_ideal(space: MatrixSubspace) -> bool:
+    f, n = space.field, space.n
+    return all(space.contains(DenseMatrix.unit(f, n, n, i, j).mul(a))
+               for a in space.basis_matrices for i in range(n) for j in range(n))
+
+
+# --- inputs ------------------------------------------------------------------
+
+def scalars(field):
+    if field.p:
+        return st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def matrices(field, n):
+    return st.lists(st.lists(scalars(field), min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(lambda rows: DenseMatrix(field, rows))
+
+
+@st.composite
+def matrix_spaces(draw, field, n):
+    """Zero and full spaces, random spans, left ideals (the span of all
+    E_ij M for M with a kernel: a matrix with its last column zeroed,
+    times any T), and such ideals plus a few random matrices."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "zero":
+        return MatrixSubspace.zero_space(field, n)
+    if kind == "full":
+        return MatrixSubspace.full_space(field, n)
+    gens = draw(st.lists(matrices(field, n), max_size=n * n))
+    if kind.startswith("ideal"):
+        t = draw(matrices(field, n))
+        singular = [DenseMatrix(field, [row[:-1] + (field.zero,) for row in m.entries]).mul(t)
+                    for m in gens[:2]]
+        extra = gens[2:2 + n] if kind == "ideal+random" else []
+        gens = [DenseMatrix.unit(field, n, n, i, j).mul(m)
+                for m in singular for i in range(n) for j in range(n)] + extra
+    return MatrixSubspace.from_matrices(field, n, gens)
+
+
+@st.composite
+def fields_and_sizes(draw):
+    return draw(st.sampled_from(FIELDS)), draw(st.integers(1, 4))
+
+
+@st.composite
+def spaces(draw):
+    field, n = draw(fields_and_sizes())
+    return draw(matrix_spaces(field, n))
+
+
+@st.composite
+def space_pairs(draw):
+    field, n = draw(fields_and_sizes())
+    return draw(matrix_spaces(field, n)), draw(matrix_spaces(field, n))
+
+
+@st.composite
+def spaces_with_positions(draw):
+    field, n = draw(fields_and_sizes())
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return draw(matrix_spaces(field, n)), draw(st.lists(cells, max_size=n * n + 1))
+
+
+def column_kill(field, n, k):
+    """The left ideal of matrices whose last n - k columns vanish."""
+    return MatrixSubspace.from_matrices(field, n, [
+        DenseMatrix.unit(field, n, n, i, j) for i in range(n) for j in range(k)])
+
+
+def column_kill_and_identity(field, n, k):
+    """Not a left ideal for k < n; its maximal left ideal is column_kill."""
+    return column_kill(field, n, k).adjoin_identity()
+
+
+# --- comparisons --------------------------------------------------------------
+
+@SETTINGS
+@given(space_pairs())
+@example((MatrixSubspace.zero_space(F2, 1), MatrixSubspace.full_space(F2, 1)))
+@example((MatrixSubspace.full_space(QQ, 3), MatrixSubspace.full_space(QQ, 3)))
+@example((column_kill(F3, 3, 2), MatrixSubspace.zero_space(F3, 3)))
+def test_intersect_matches_coefficient_kernel(pair):
+    u, w = pair[0].basis, pair[1].basis
+    got = u.intersect(w)
+    assert got == reference_intersect(u, w)
+    assert got.basis == VectorSubspace.from_vectors(u.field, u.ambient_dim, got.basis).basis
+    assert w.intersect(u) == got
+
+
+@SETTINGS
+@given(spaces_with_positions())
+@example((MatrixSubspace.full_space(F5, 2), []))
+@example((MatrixSubspace.zero_space(QQ, 2), [(0, 1)]))
+@example((MatrixSubspace.full_space(F2, 1), [(0, 0)]))
+@example((MatrixSubspace.full_space(QQ, 4), [(i, j) for i in range(4) for j in range(4)]))
+def test_members_vanishing_at_matches_coefficient_kernel(case):
+    space, positions = case
+    got = members_vanishing_at(space, positions)
+    assert got == reference_members_vanishing_at(space, positions)
+    assert got == MatrixSubspace.from_matrices(space.field, space.n, got.basis_matrices)
+    assert all(m.entries[i][j] == space.field.zero
+               for m in got.basis_matrices for i, j in positions)
+
+
+@SETTINGS
+@given(spaces())
+@example(MatrixSubspace.zero_space(F3, 1))
+@example(MatrixSubspace.full_space(F3, 1))
+@example(MatrixSubspace.full_space(QQ, 4))
+@example(column_kill(F2, 4, 3))
+@example(column_kill(QQ, 3, 1))
+@example(column_kill_and_identity(F3, 3, 2))
+@example(column_kill_and_identity(QQ, 4, 1))
+def test_max_left_ideal_matches_trace_dual_system(space):
+    ideal = max_left_ideal(space)
+    assert ideal == reference_max_left_ideal(space)
+    assert reference_is_left_ideal(ideal)
+    assert space.basis.contains_subspace(ideal.basis)
+
+
+@SETTINGS
+@given(spaces())
+@example(MatrixSubspace.zero_space(F5, 2))
+@example(MatrixSubspace.full_space(F5, 2))
+@example(column_kill(F5, 3, 1))
+@example(column_kill(F2, 1, 1))
+@example(column_kill_and_identity(F2, 2, 1))
+@example(column_kill_and_identity(QQ, 3, 2))
+def test_is_left_ideal_matches_unit_products(space):
+    assert is_left_ideal(space) == reference_is_left_ideal(space)
+
+
+def test_left_ideal_examples_over_every_field():
+    for field in FIELDS:
+        for n in range(1, 5):
+            for k in range(n + 1):
+                ideal = column_kill(field, n, k)
+                padded = column_kill_and_identity(field, n, k)
+                assert is_left_ideal(ideal) and max_left_ideal(ideal) == ideal
+                closed = k == n or n == 1     # then padded is the full space
+                assert is_left_ideal(padded) == reference_is_left_ideal(padded) == closed
+                assert max_left_ideal(padded) == (padded if closed else ideal)
+

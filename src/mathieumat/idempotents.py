@@ -123,7 +123,7 @@ def idempotent_family(space: MatrixSubspace, r: int, form: str = UPPER) -> Affin
     for c in cmats:
         rows.append([c.entries[s][r + a] for a in range(n - r) for s in range(r)])
         rhs.append(f.neg(_minor_trace(c, r, form)))
-    system = DenseMatrix(f, rows, cols=ncols)
+    system = DenseMatrix._trusted(f, rows, ncols)
     sol = solve_affine(system, rhs)
     if sol is None:
         raise AssertionError("solvable by construction once the hypothesis holds")
@@ -136,7 +136,8 @@ def idempotent_family(space: MatrixSubspace, r: int, form: str = UPPER) -> Affin
         for s in range(r):
             entries[r + a][s] = block[a * r + s]
     return AffineFamily(n=n, r=r, form=form,
-                        particular=DenseMatrix(f, entries), directions=directions)
+                        particular=DenseMatrix._trusted(f, entries, n),
+                        directions=directions)
 
 
 def full_space_certificate(space: MatrixSubspace, r: int) -> FullSpaceCertificate:

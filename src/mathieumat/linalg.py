@@ -7,6 +7,13 @@ subspaces carry their field.  Everything here is immutable after
 construction and all operations are pure, so values can be shared freely
 between concurrent tasks.
 
+Input is canonicalized once, where it enters: the public constructors
+and ``VectorSubspace.reduce``/``member`` run every scalar through
+``Field.of`` and check lengths.  A value held as a ``DenseMatrix``,
+``VectorSubspace`` or basis row is trusted: what the package builds from
+such values comes from ``DenseMatrix._trusted``, ``VectorSubspace._span``
+and ``_kernel``, which neither convert nor check.
+
 Gauss-Jordan elimination (behind ``rref``, ``rank_of_rows``, ``kernel``,
 ``invert`` and :meth:`VectorSubspace.from_vectors`) works on integers:
 over Q each row is scaled to integers and eliminated fraction-free, and
@@ -19,9 +26,9 @@ one elimination (``_readout``): put the conditions' coordinates first,
 eliminate once, and keep the rows whose pivot lies past them.  Those rows,
 with the leading zeros dropped, are already the canonical RREF basis of
 the answer.  :meth:`VectorSubspace.intersect` (Zassenhaus rows ``(u, u)``
-and ``(w, 0)``) and :meth:`VectorSubspace.vanishing_at` (behind
-``matspace.members_vanishing_at``) are built on it; ``kernel`` stays
-rref plus free vectors.
+and ``(w, 0)``), :meth:`VectorSubspace.vanishing_at` (behind
+``matspace.members_vanishing_at``) and ``kernel`` (rows ``(column j of m,
+e_j)``, which span the pairs ``(m v, v)``) are built on it.
 """
 
 from __future__ import annotations
@@ -162,28 +169,35 @@ class DenseMatrix:
 
     def __init__(self, field: Field, entries, cols: int | None = None):
         rows = tuple(tuple(field.of(x) for x in row) for row in entries)
-        nrow = len(rows)
-        ncol = len(rows[0]) if nrow else (cols or 0)
-        for row in rows:
-            if len(row) != ncol:
-                raise ValueError("ragged rows")
+        ncol = len(rows[0]) if rows else (cols or 0)
+        if any(len(row) != ncol for row in rows):
+            raise ValueError("ragged rows")
+        self._set(field, rows, ncol)
+
+    def _set(self, field, rows, cols) -> "DenseMatrix":
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", nrow)
-        object.__setattr__(self, "cols", ncol)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", rows)
+        return self
+
+    @staticmethod
+    def _trusted(field, rows, cols) -> "DenseMatrix":
+        """The matrix of ``rows`` of ``cols`` canonical entries, unchecked."""
+        return object.__new__(DenseMatrix)._set(field, tuple(map(tuple, rows)), cols)
 
     def __setattr__(self, *a):
         raise AttributeError("DenseMatrix is immutable")
 
     @staticmethod
     def zeros(field, rows, cols) -> "DenseMatrix":
-        z = field.zero
-        return DenseMatrix(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return DenseMatrix._trusted(field, [(field.zero,) * cols] * rows, cols)
 
     @staticmethod
     def identity(field, n) -> "DenseMatrix":
         z, o = field.zero, field.one
-        return DenseMatrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return DenseMatrix._trusted(
+            field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def unit(field, rows, cols, i, j) -> "DenseMatrix":
@@ -191,7 +205,7 @@ class DenseMatrix:
         z = field.zero
         m = [[z] * cols for _ in range(rows)]
         m[i][j] = field.one
-        return DenseMatrix(field, m)
+        return DenseMatrix._trusted(field, m, cols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -207,53 +221,57 @@ class DenseMatrix:
     def __hash__(self):
         return hash((self.field, self.entries))
 
-    def __add__(self, other):
-        f = self.field
-        return DenseMatrix(f, [
-            [f.add(a, b) for a, b in zip(ra, rb)]
+    def _entrywise(self, other, op) -> "DenseMatrix":
+        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("entrywise operation on different shapes or fields")
+        return DenseMatrix._trusted(self.field, [
+            [op(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.entries, other.entries)
-        ])
+        ], self.cols)
+
+    def __add__(self, other):
+        return self._entrywise(other, self.field.add)
 
     def __sub__(self, other):
-        f = self.field
-        return DenseMatrix(f, [
-            [f.sub(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ])
+        return self._entrywise(other, self.field.sub)
 
     def __neg__(self):
         f = self.field
-        return DenseMatrix(f, [[f.neg(a) for a in row] for row in self.entries])
+        return DenseMatrix._trusted(f, [[f.neg(a) for a in row] for row in self.entries],
+                                    self.cols)
 
     def scale(self, c) -> "DenseMatrix":
         f = self.field
         c = f.of(c)
-        return DenseMatrix(f, [[f.mul(c, a) for a in row] for row in self.entries])
+        return DenseMatrix._trusted(f, [[f.mul(c, a) for a in row] for row in self.entries],
+                                    self.cols)
 
     def __matmul__(self, other):
         return self.mul(other)
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch: %dx%d @ %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
+        if self.field != other.field or self.cols != other.rows:
+            raise ValueError("shape mismatch: %dx%d over %r @ %dx%d over %r" % (
+                self.rows, self.cols, self.field, other.rows, other.cols, other.field))
         f = self.field
         bt = [other.column(j) for j in range(other.cols)]
-        out = []
         if f.p:
             p = f.p
-            for row in self.entries:
-                out.append(tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt))
+            out = [tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
+                   for row in self.entries]
         else:
-            for row in self.entries:
-                out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in bt))
-        return DenseMatrix(f, out, cols=other.cols)
+            z = f.zero
+            out = [tuple(sum((a * b for a, b in zip(row, col)), z) for col in bt)
+                   for row in self.entries]
+        return DenseMatrix._trusted(f, out, other.cols)
 
     def mul_vector(self, v) -> tuple:
+        if len(v) != self.cols:
+            raise ValueError("vector of length %d for %d columns" % (len(v), self.cols))
         f = self.field
         if f.p:
             return tuple(sum(a * b for a, b in zip(row, v)) % f.p for row in self.entries)
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum((a * b for a, b in zip(row, v)), f.zero) for row in self.entries)
 
     def power(self, k: int) -> "DenseMatrix":
         if self.rows != self.cols:
@@ -268,11 +286,8 @@ class DenseMatrix:
         return out
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return DenseMatrix._trusted(
+            self.field, [self.column(j) for j in range(self.cols)], self.rows)
 
     def trace(self):
         f = self.field
@@ -282,9 +297,9 @@ class DenseMatrix:
         return t
 
     def submatrix(self, row_indices, col_indices) -> "DenseMatrix":
-        return DenseMatrix(self.field, [
+        return DenseMatrix._trusted(self.field, [
             [self.entries[i][j] for j in col_indices] for i in row_indices
-        ], cols=len(col_indices))
+        ], len(col_indices))
 
     def row(self, i) -> tuple:
         return self.entries[i]
@@ -311,7 +326,7 @@ class DenseMatrix:
 
 
 def _eliminate(field, rows, ncols, first=0):
-    """In-place Gauss-Jordan on a list of row lists.  Returns pivot columns.
+    """Gauss-Jordan on a list of rows, replaced but never mutated; returns pivots.
 
     Fraction-free: over Q each row is first scaled to integers; a row is
     cleared at a pivot by cross-multiplication, ``a * row - b * pivot_row``,
@@ -375,10 +390,9 @@ def rref(m: DenseMatrix):
     RREF of ``m``, ``rank`` its number of nonzero rows and ``pivots`` the
     strictly increasing pivot column indices.
     """
-    rows = [list(row) for row in m.entries]
+    rows = list(m.entries)
     pivots = _eliminate(m.field, rows, m.cols)
-    rank = len(pivots)
-    return DenseMatrix(m.field, rows, cols=m.cols), rank, tuple(pivots)
+    return DenseMatrix._trusted(m.field, rows, m.cols), len(pivots), tuple(pivots)
 
 
 def rank_of_rows(field, rows) -> int:
@@ -398,7 +412,7 @@ class VectorSubspace:
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
     def __init__(self, field, ambient_dim, basis, pivots):
-        # Internal: callers go through from_vectors / zero / full.
+        # Internal: callers go through from_vectors / _span / zero / full.
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
@@ -410,11 +424,16 @@ class VectorSubspace:
     @staticmethod
     def from_vectors(field, ambient_dim, vectors) -> "VectorSubspace":
         rows = [[field.of(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
+        if any(len(row) != ambient_dim for row in rows):
+            raise ValueError("vector length != ambient dimension")
+        return VectorSubspace._span(field, ambient_dim, rows)
+
+    @staticmethod
+    def _span(field, ambient_dim, rows) -> "VectorSubspace":
+        """The span of rows of ``ambient_dim`` canonical entries, unchecked."""
+        rows = list(rows)
         pivots = _eliminate(field, rows, ambient_dim)
-        basis = tuple(tuple(r) for r in rows[: len(pivots)])
+        basis = tuple(map(tuple, rows[:len(pivots)]))
         return VectorSubspace(field, ambient_dim, basis, tuple(pivots))
 
     @staticmethod
@@ -432,8 +451,14 @@ class VectorSubspace:
 
     def reduce(self, v) -> tuple:
         """Residual of ``v`` after reduction against the basis."""
+        v = [self.field.of(x) for x in v]
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        return self._reduce(v)
+
+    def _reduce(self, v) -> tuple:
+        """``reduce`` of ``ambient_dim`` canonical entries, unchecked."""
         f = self.field
-        v = [f.of(x) for x in v]
         for row, piv in zip(self.basis, self.pivots):
             c = v[piv]
             if c != f.zero:
@@ -441,16 +466,15 @@ class VectorSubspace:
         return tuple(v)
 
     def member(self, v) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "VectorSubspace") -> bool:
-        return all(self.member(row) for row in other.basis)
+        self._check_compatible(other)
+        return not any(any(self._reduce(row)) for row in other.basis)
 
     def sum(self, other: "VectorSubspace") -> "VectorSubspace":
         self._check_compatible(other)
-        return VectorSubspace.from_vectors(
-            self.field, self.ambient_dim, list(self.basis) + list(other.basis))
+        return VectorSubspace._span(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other: "VectorSubspace") -> "VectorSubspace":
         """Intersection read off the Zassenhaus rows (u, u) and (w, 0):
@@ -503,18 +527,16 @@ def _readout(field, rows, k, ncols) -> VectorSubspace:
 
 def kernel(m: DenseMatrix) -> VectorSubspace:
     """The right kernel {v : m v = 0} as a canonical subspace."""
-    f = m.field
-    reduced, rank, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for fc in free:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(reduced.entries[r][fc])
-        vectors.append(v)
-    return VectorSubspace.from_vectors(f, m.cols, vectors)
+    return _kernel(m.field, m.rows, [m.column(j) for j in range(m.cols)])
+
+
+def _kernel(field, k, columns) -> VectorSubspace:
+    """{v : sum_j v_j columns[j] = 0}, columns of k canonical entries: the rows
+    (columns[j], e_j) span the pairs (m v, v); read off where m v = 0."""
+    z, o = field.zero, field.one
+    rows = [list(col) + [o if i == j else z for i in range(len(columns))]
+            for j, col in enumerate(columns)]
+    return _readout(field, rows, k, k + len(columns))
 
 
 def solve_affine(a: DenseMatrix, b):
@@ -528,8 +550,8 @@ def solve_affine(a: DenseMatrix, b):
     b = [f.of(x) for x in b]
     if len(b) != a.rows:
         raise ValueError("right-hand side length != row count")
-    aug = DenseMatrix(f, [list(row) + [b[i]] for i, row in enumerate(a.entries)]) \
-        if a.rows else DenseMatrix.zeros(f, 0, a.cols + 1)
+    aug = DenseMatrix._trusted(f, [row + (b[i],) for i, row in enumerate(a.entries)],
+                               a.cols + 1)
     reduced, rank, pivots = rref(aug)
     if pivots and pivots[-1] == a.cols:
         return None
@@ -546,11 +568,11 @@ def invert(m: DenseMatrix) -> DenseMatrix:
     f = m.field
     n = m.rows
     eye = DenseMatrix.identity(f, n)
-    aug = DenseMatrix(f, [list(mr) + list(ir) for mr, ir in zip(m.entries, eye.entries)])
+    aug = DenseMatrix._trusted(f, [mr + ir for mr, ir in zip(m.entries, eye.entries)], 2 * n)
     reduced, rank, _ = rref(aug)
     if rank < n or any(reduced.entries[i][i] != f.one for i in range(n)):
         raise SingularMatrixError("matrix has rank < %d" % n)
-    return DenseMatrix(f, [row[n:] for row in reduced.entries])
+    return DenseMatrix._trusted(f, [row[n:] for row in reduced.entries], n)
 
 
 def all_vectors(field, n):
@@ -562,7 +584,8 @@ def all_vectors(field, n):
 def all_matrices(field, rows, cols):
     """All rows x cols matrices, lexicographic by row-major entries."""
     for flat in itertools.product(field.elements(), repeat=rows * cols):
-        yield DenseMatrix.from_flat(field, rows, cols, flat)
+        yield DenseMatrix._trusted(
+            field, [flat[i * cols:(i + 1) * cols] for i in range(rows)], cols)
 
 
 def all_subspaces(field, ambient_dim, dim):

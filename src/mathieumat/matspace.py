@@ -18,14 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import FieldTooSmallError
-from .linalg import (
-    DenseMatrix,
-    Field,
-    VectorSubspace,
-    invert,
-    kernel,
-    rank_of_rows,
-)
+from .linalg import DenseMatrix, Field, VectorSubspace, _kernel, invert
 from .multipoly import generic_rank_of_action
 
 
@@ -37,7 +30,8 @@ class MatrixSubspace:
     def __init__(self, field: Field, n: int, basis: VectorSubspace):
         if basis.field != field or basis.ambient_dim != n * n:
             raise ValueError("basis does not live in Mat_%d" % n)
-        mats = tuple(DenseMatrix.from_flat(field, n, n, row) for row in basis.basis)
+        mats = tuple(DenseMatrix._trusted(field, [row[i * n:(i + 1) * n] for i in range(n)], n)
+                     for row in basis.basis)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
@@ -55,7 +49,7 @@ class MatrixSubspace:
             if m.rows != n or m.cols != n or m.field != field:
                 raise ValueError("generator is not an n x n matrix over the field")
             vecs.append(m.flatten())
-        return MatrixSubspace(field, n, VectorSubspace.from_vectors(field, n * n, vecs))
+        return MatrixSubspace(field, n, VectorSubspace._span(field, n * n, vecs))
 
     @staticmethod
     def zero_space(field, n) -> "MatrixSubspace":
@@ -70,7 +64,9 @@ class MatrixSubspace:
         return self.basis.dim
 
     def contains(self, m: DenseMatrix) -> bool:
-        return self.basis.member(m.flatten())
+        if m.field != self.field or (m.rows, m.cols) != (self.n, self.n):
+            raise ValueError("not an n x n matrix over the field")
+        return not any(self.basis._reduce(m.flatten()))
 
     def contains_identity(self) -> bool:
         return self.contains(DenseMatrix.identity(self.field, self.n))
@@ -127,11 +123,10 @@ def constraint_space(space: MatrixSubspace) -> MatrixSubspace:
     Its dimension is n^2 - dim(space); applying it twice returns the
     original space.
     """
-    f, n = space.field, space.n
-    # tr(C M) = vec(M^T) . vec(C), so the dual is a kernel.
-    rows = [m.transpose().flatten() for m in space.basis_matrices]
-    system = DenseMatrix(f, rows, cols=n * n)
-    return MatrixSubspace(f, n, kernel(system))
+    n, basis = space.n, space.basis.basis
+    # tr(C M) = sum_ij C_ij M_ji: the coefficient of C_ij is M_ji.
+    columns = [[m[j * n + i] for m in basis] for i in range(n) for j in range(n)]
+    return MatrixSubspace(space.field, n, _kernel(space.field, space.dim, columns))
 
 
 def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:
@@ -166,18 +161,20 @@ def filtration_level(space: MatrixSubspace, k: int) -> MatrixSubspace:
 
 def column_space(space: MatrixSubspace, vec) -> VectorSubspace:
     """span{C vec : C in space} inside K^n."""
-    f, n = space.field, space.n
-    if len(vec) != n:
+    if len(vec) != space.n:
         raise ValueError("vector has wrong length")
-    return VectorSubspace.from_vectors(
-        f, n, [m.mul_vector(vec) for m in space.basis_matrices])
+    return _column_space(space, [space.field.of(x) for x in vec])
+
+
+def _column_space(space: MatrixSubspace, vec) -> VectorSubspace:
+    """``column_space`` of a vector of n canonical scalars, unchecked."""
+    return VectorSubspace._span(
+        space.field, space.n, [m.mul_vector(vec) for m in space.basis_matrices])
 
 
 def column_space_dim(space: MatrixSubspace, vec) -> int:
-    """dim of column_space without building the subspace object."""
-    if space.dim == 0:
-        return 0
-    return rank_of_rows(space.field, [m.mul_vector(vec) for m in space.basis_matrices])
+    """dim of column_space."""
+    return column_space(space, vec).dim
 
 
 def rct(m: DenseMatrix, r: int) -> DenseMatrix:
@@ -282,7 +279,7 @@ def binary_profile(space: MatrixSubspace) -> BinaryProfile:
     col_dims = []
     for j in range(1, n + 1):
         ej = tuple(f.one if i == j - 1 else f.zero for i in range(n))
-        cs = column_space(levels[j], ej)
+        cs = _column_space(levels[j], ej)
         col_dims.append(cs.dim)
         for row in cs.basis:
             for i in range(n):
@@ -321,7 +318,7 @@ def find_generic_vector(space: MatrixSubspace, k: int, require_pivot_one=False):
         if require_pivot_one and point[k - 1] == zero:
             continue
         v = point + tail
-        if column_space_dim(level, v) == dk:
+        if _column_space(level, v).dim == dk:
             if require_pivot_one and point[k - 1] != one:
                 inv = f.inv(point[k - 1])
                 v = tuple(f.mul(inv, x) for x in v)

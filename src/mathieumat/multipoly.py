@@ -17,10 +17,13 @@ back into ``Fraction`` coefficients once, when the result is built.
 ``divexact`` first makes the divisor primitive: by Gauss's lemma, if a
 primitive polynomial divides an integral one over Q, the quotient is
 integral, so the division runs over Z with integer ``divmod`` and any
-remainder proves it inexact.  ``poly_matrix_rank`` scales each column by
-the lcm of its denominators (the rank over Q(x) does not change) and
-runs Bareiss over Z[x], whose divisions are exact in Z[x] (Bareiss,
-*Math. Comp.* 22, 1968); no ``Fraction`` is built in its loop.
+remainder proves it inexact.  One Bareiss loop over Z[x] computes every
+rank, on columns of term dicts scaled by the lcm of their denominators
+(the rank over Q(x) does not change); its divisions are exact in Z[x]
+(Bareiss, *Math. Comp.* 22, 1968).  ``MultiPoly`` and ``PolyMatrix`` are
+input types, and ``poly_matrix_rank`` adapts a ``PolyMatrix`` to the
+loop; the generic ranks of a space read its columns straight off the
+canonical basis rows, with no polynomial object in between.
 """
 
 from __future__ import annotations
@@ -72,17 +75,6 @@ class MultiPoly:
         exps = [0] * nvars
         exps[i - 1] = 1
         return MultiPoly(field, nvars, {tuple(exps): field.one})
-
-    @staticmethod
-    def linear_form(field, coeffs) -> "MultiPoly":
-        """sum coeffs[i] * x_{i+1} over as many variables as coefficients."""
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            exps = [0] * n
-            exps[i] = 1
-            terms[tuple(exps)] = c
-        return MultiPoly(field, n, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -348,18 +340,21 @@ def poly_matrix_rank(m: PolyMatrix) -> int:
     leaves the rank unchanged.  Every division is by a previous pivot and
     provably exact; a nonzero remainder aborts the run.
     """
-    nrows, ncols = m.rows, m.cols
-    if nrows == 0 or ncols == 0:
+    if m.rows == 0 or m.cols == 0:
         return 0
-    p = m.field.p
-    # Every entry is a minor of at most min(rows, cols) rows, and a numerator
-    # is a product of two entries, so no exponent exceeds twice that many
-    # times the largest input exponent.
     degree = max(_max_exponent(f) for row in m.entries for f in row)
-    width = _width(2 * min(nrows, ncols) * degree)
-    guard = _guard(m.nvars, width)
+    width = _width(2 * min(m.rows, m.cols) * degree)
     columns = [_integral_column(col, width) for col in zip(*m.entries)]
+    return _bareiss_rank(columns, m.field.p, _guard(m.nvars, width))
+
+
+def _bareiss_rank(columns, p, guard) -> int:
+    """Rank of the matrix with these columns of integral term dicts, keys
+    packed at a width for 2 min(rows, cols) times the largest exponent (an
+    entry is a minor of that many rows; a numerator, a product of two)."""
+    ncols = len(columns)
     work = [list(row) for row in zip(*columns)]
+    nrows = len(work)
     prev = {0: 1}
     pr = 0
     for c in range(ncols):
@@ -410,12 +405,20 @@ def find_nonvanishing(f: MultiPoly, s):
     return None
 
 
-def action_matrix(space) -> PolyMatrix:
-    """The n x dim matrix whose j-th column is (j-th basis matrix) * x."""
-    f, n = space.field, space.n
-    mats = space.basis_matrices
-    cols = [[MultiPoly.linear_form(f, mat.row(i)) for i in range(n)] for mat in mats]
-    return PolyMatrix(f, n, [[col[i] for col in cols] for i in range(n)], cols=len(mats))
+def _basis_rank(space, nvars, entry) -> int:
+    """Rank over K(x_1..x_nvars) of the n x dim matrix whose column for a
+    basis matrix C holds the term dicts ``entry(keys, row i of C)``, read
+    off the basis row scaled to integers; ``keys[l]`` packs x_(l+1)."""
+    n = space.n
+    width = _width(2 * min(n, space.dim))           # linear entries
+    keys = [1 << (width * (nvars - 1 - l)) for l in range(nvars)]
+    columns = []
+    for row in space.basis.basis:
+        if not space.field.p:
+            den = math.lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+        columns.append([entry(keys, row[i * n:(i + 1) * n]) for i in range(n)])
+    return _bareiss_rank(columns, space.field.p, _guard(nvars, width))
 
 
 def generic_rank_of_action(space) -> int:
@@ -423,9 +426,8 @@ def generic_rank_of_action(space) -> int:
 
     Independent of the chosen basis of the subspace.
     """
-    if space.dim == 0:
-        return 0
-    return poly_matrix_rank(action_matrix(space))
+    return _basis_rank(space, space.n, lambda keys, r: {
+        key: c for key, c in zip(keys, r) if c})
 
 
 def generic_rank_univariate(space, k: int, j: int) -> int:
@@ -433,19 +435,7 @@ def generic_rank_univariate(space, k: int, j: int) -> int:
 
     ``k`` and ``j`` are 1-based coordinate indices.
     """
-    f, n = space.field, space.n
-    if not (1 <= k <= n and 1 <= j <= n):
+    if not (1 <= k <= space.n and 1 <= j <= space.n):
         raise ValueError("coordinate indices out of range")
-    if space.dim == 0:
-        return 0
-    cols = []
-    for mat in space.basis_matrices:
-        col = []
-        for i in range(n):
-            col.append(MultiPoly(f, 1, {
-                (0,): mat.entries[i][k - 1],
-                (1,): mat.entries[i][j - 1],
-            }))
-        cols.append(col)
-    pm = PolyMatrix(f, 1, [[col[i] for col in cols] for i in range(n)], cols=len(cols))
-    return poly_matrix_rank(pm)
+    return _basis_rank(space, 1, lambda keys, r: {
+        key: c for key, c in ((0, r[k - 1]), (keys[0], r[j - 1])) if c})

@@ -26,9 +26,8 @@ from .errors import FieldTooSmallError, PreconditionViolated
 from .linalg import DenseMatrix
 from .matspace import (
     MatrixSubspace,
+    _column_space,
     binary_profile,
-    column_space,
-    column_space_dim,
     conjugate,
     constraint_space,
     filtration_level,
@@ -73,10 +72,9 @@ def pencil_condition(space: MatrixSubspace, j: int, k: int) -> bool:
     When true, equality holds; the normalization arranges this at every
     level, which forces the profile rows to be increasing.
     """
-    f, n = space.field, space.n
     level = filtration_level(space, j)
-    ej = tuple(f.one if i == j - 1 else f.zero for i in range(n))
-    return column_space_dim(level, ej) >= generic_rank_univariate(level, k, j)
+    e_j = _basis_vector(space.field, space.n, j)
+    return _column_space(level, e_j).dim >= generic_rank_univariate(level, k, j)
 
 
 def _basis_vector(field, n, k):
@@ -97,7 +95,7 @@ def move_generic_vector(space: MatrixSubspace, k: int, pivot=False):
         return eye, space
     level = filtration_level(space, k)
     dk = generic_rank_of_action(level)
-    if dk == 0 or column_space_dim(level, _basis_vector(f, n, k)) == dk:
+    if dk == 0 or _column_space(level, _basis_vector(f, n, k)).dim == dk:
         return eye, space
     v = find_generic_vector(space, k, require_pivot_one=pivot)
     entries = [list(row) for row in eye.entries]
@@ -110,9 +108,9 @@ def move_generic_vector(space: MatrixSubspace, k: int, pivot=False):
         tstar = max(i for i in range(n) if v[i] != f.zero)
         for i in range(n):
             entries[i][tstar] = f.one if i == k - 1 else f.zero
-    t = DenseMatrix(f, entries)
+    t = DenseMatrix._trusted(f, entries, n)
     out = conjugate(space, t)
-    if column_space_dim(filtration_level(out, k), _basis_vector(f, n, k)) != dk:
+    if _column_space(filtration_level(out, k), _basis_vector(f, n, k)).dim != dk:
         raise NormalizationError(
             "generic-vector move missed dimension %d at level %d" % (dk, k), [])
     return t, out
@@ -126,7 +124,7 @@ def move_unit_triangular(space: MatrixSubspace, k: int):
     eye = DenseMatrix.identity(f, n)
     if k == 0:
         return eye, space
-    cs = column_space(filtration_level(space, k), _basis_vector(f, n, k))
+    cs = _column_space(filtration_level(space, k), _basis_vector(f, n, k))
     if all(sum(1 for x in row if x != f.zero) == 1 for row in cs.basis):
         return eye, space
     entries = [list(row) for row in eye.entries]
@@ -136,7 +134,7 @@ def move_unit_triangular(space: MatrixSubspace, k: int):
         lead = next(i for i in range(n) if row[i] != f.zero)
         for i in range(n):
             entries[i][lead] = row[i]
-    t = DenseMatrix(f, entries)
+    t = DenseMatrix._trusted(f, entries, n)
     return t, conjugate(space, t)
 
 
@@ -148,7 +146,7 @@ def move_permutation(space: MatrixSubspace, k: int):
     eye = DenseMatrix.identity(f, n)
     if k == 0:
         return eye, space
-    cs = column_space(filtration_level(space, k), _basis_vector(f, n, k))
+    cs = _column_space(filtration_level(space, k), _basis_vector(f, n, k))
     ind = [0] * n
     for row in cs.basis:
         for i in range(n):
@@ -164,8 +162,8 @@ def move_permutation(space: MatrixSubspace, k: int):
         entries[new][old] = f.one
     for i in range(s, n):
         entries[i][i] = f.one
-    perm = DenseMatrix(f, entries)          # perm . w  sorts the indicator
-    t = perm.transpose()                    # = perm^(-1)
+    perm = DenseMatrix._trusted(f, entries, n)  # perm . w  sorts the indicator
+    t = perm.transpose()                        # = perm^(-1)
     return t, conjugate(space, t)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
 from .linalg import DenseMatrix, VectorSubspace, invert, kernel
-from .matspace import MatrixSubspace, conjugate, members_vanishing_at
+from .matspace import MatrixSubspace, conjugate, constraint_space, members_vanishing_at
 
 ENUMERATION_GUARD = 2 ** 20
 PAIR_BUDGET = 2 ** 24       # multiplier pairs a two-sided verdict may scan
@@ -152,7 +152,8 @@ class _Enumeration:
         return mats.reshape(mats.shape[:-2] + (-1,)) % self.p @ self.place
 
     def matrix(self, key) -> Optional[DenseMatrix]:
-        return None if key is None else DenseMatrix(self.field, self.universe[key].tolist())
+        return None if key is None else DenseMatrix._trusted(
+            self.field, self.universe[key].tolist(), self.n)
 
     def trajectories(self, keys):
         """Per batch of keys: the batch, the keys of the powers a^1 ..
@@ -316,17 +317,11 @@ def proposition_family(field, n: int, a_param) -> MatrixSubspace:
         if field.add(field.of(j), a) == field.zero:
             raise PreconditionViolated(
                 "parameter equal to -%d admits idempotents" % j)
-    rows = []
-    for j in range(n - 1):
-        row = [field.zero] * (n * n)
-        row[(n - 1) * n + j] = field.one
-        rows.append(row)
-    trace_row = [field.zero] * (n * n)
-    for i in range(n):
-        trace_row[i * n + i] = field.one
-    trace_row[n * n - 1] = field.add(field.one, a)
-    rows.append(trace_row)
-    return MatrixSubspace(field, n, kernel(DenseMatrix(field, rows, cols=n * n)))
+    # the members M with tr(E_jn M) = M_nj = 0 (j < n) and tr((I + a E_nn) M) = 0
+    gens = [DenseMatrix.unit(field, n, n, j, n - 1) for j in range(n - 1)]
+    corner = DenseMatrix.unit(field, n, n, n - 1, n - 1).scale(a)
+    return constraint_space(MatrixSubspace.from_matrices(
+        field, n, gens + [DenseMatrix.identity(field, n) + corner]))
 
 
 def newton_char_poly(a: DenseMatrix):
@@ -437,11 +432,11 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
     for i in range(n):
         on_row = members_vanishing_at(
             space, [(r, c) for r in range(n) if r != i for c in range(n)])
-        common = common.intersect(VectorSubspace.from_vectors(
+        common = common.intersect(VectorSubspace._span(
             f, n, [m.entries[i] for m in on_row.basis_matrices]))
     zero = (f.zero,) * n
-    return MatrixSubspace.from_matrices(f, n, [
-        [zero] * i + [row] + [zero] * (n - 1 - i) for i in range(n) for row in common.basis])
+    return MatrixSubspace(f, n, VectorSubspace._span(f, n * n, [
+        zero * i + row + zero * (n - 1 - i) for i in range(n) for row in common.basis]))
 
 
 def is_left_ideal(space: MatrixSubspace) -> bool:
@@ -469,26 +464,22 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
         raise NotLeftIdealError("input is not closed under left multiplication")
     f, n = ideal.field, ideal.n
     stacked = [row for m in ideal.basis_matrices for row in m.entries]
-    common = kernel(DenseMatrix(f, stacked, cols=n))
+    common = kernel(DenseMatrix._trusted(f, stacked, n))
     k = n - common.dim
-    columns = []
-    taken = VectorSubspace.from_vectors(f, n, common.basis)
-    for i in range(n):
-        e = tuple(f.one if j == i else f.zero for j in range(n))
-        if not taken.member(e):
-            columns.append(e)
-            taken = taken.sum(VectorSubspace.from_vectors(f, n, [e]))
-        if len(columns) == k:
-            break
-    columns += list(common.basis)
-    t = DenseMatrix(f, [[columns[j][i] for j in range(n)] for i in range(n)])
+    # The first k columns: each e_i outside the span of the kernel and
+    # e_1..e_(i-1), i.e. each i that is no kernel vector's last nonzero
+    # coordinate (no pivot of the kernel with its coordinates reversed).
+    last = VectorSubspace._span(f, n, [v[::-1] for v in common.basis]).pivots
+    columns = [e for i, e in enumerate(DenseMatrix.identity(f, n).entries)
+               if n - 1 - i not in last] + list(common.basis)
+    t = DenseMatrix._trusted(f, zip(*columns), n)
     conjugated = conjugate(ideal, t)
     expected = MatrixSubspace.from_matrices(f, n, [
         DenseMatrix.unit(f, n, n, u, v) for u in range(n) for v in range(k)])
     if conjugated != expected:
         raise AssertionError("left ideal is not a full column-kill space")
-    diag = DenseMatrix(f, [[f.one if i == j < k else f.zero for j in range(n)]
-                           for i in range(n)])
+    diag = DenseMatrix._trusted(f, [[f.one if i == j < k else f.zero for j in range(n)]
+                                    for i in range(n)], n)
     idem = t.mul(diag).mul(invert(t))
     return LeftIdealForm(t=t, k=k, idempotent=idem)
 

@@ -1,0 +1,185 @@
+"""The boundary rule: scalars are canonicalized once, where they enter.
+
+Public constructors run every entry through ``Field.of``; what the
+package builds from values it already holds (matrix arithmetic, spans,
+kernels, eliminations, enumerated matrices) is trusted and skips it.
+These tests check that every such producer still returns canonical
+entries (``Fraction`` over Q, ``int`` in [0, p) over F_p), equal to what
+the public constructor makes of them, and that the structural algorithms
+make no ``Field.of`` call at all on spaces built beforehand.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, invert, kernel, rref
+from mathieumat.matspace import (
+    MatrixSubspace,
+    binary_profile,
+    column_space,
+    conjugate,
+    constraint_space,
+)
+from mathieumat.multipoly import MultiPoly, PolyMatrix, poly_matrix_rank
+from mathieumat.normalize import normalize
+from mathieumat.verify import full_power_set, radical, verify_mathieu
+
+F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
+FIELDS = (F2, F3, F5, QQ)
+
+
+def canonical_scalar(f, x):
+    if f.p:
+        return type(x) is int and 0 <= x < f.p
+    return type(x) is Fraction
+
+
+def assert_canonical(m):
+    f = m.field
+    assert len(m.entries) == m.rows and all(len(row) == m.cols for row in m.entries)
+    assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+    assert all(canonical_scalar(f, x) for row in m.entries for x in row)
+    assert m == DenseMatrix(f, m.entries, cols=m.cols)
+
+
+def assert_canonical_span(v):
+    assert all(canonical_scalar(v.field, x) for row in v.basis for x in row)
+    assert all(type(row) is tuple for row in v.basis)
+    assert v == VectorSubspace.from_vectors(v.field, v.ambient_dim, v.basis)
+
+
+def scalars(field):
+    if field.p:
+        return st.integers(-2 * field.p, 2 * field.p)
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two r x c matrices and a c x s one over one field; shapes may be 0."""
+    field = draw(st.sampled_from(FIELDS))
+    r, c, s = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        grid = draw(st.lists(st.lists(scalars(field), min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return DenseMatrix(field, grid, cols=cols)
+
+    return matrix(r, c), matrix(r, c), matrix(c, s), draw(scalars(field))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(matrix_pairs())
+@example((DenseMatrix.zeros(QQ, 2, 0), DenseMatrix.zeros(QQ, 2, 0),
+          DenseMatrix.zeros(QQ, 0, 3), 2))
+@example((DenseMatrix.zeros(F5, 0, 3), DenseMatrix.zeros(F5, 0, 3),
+          DenseMatrix.zeros(F5, 3, 0), -1))
+def test_matrix_producers_return_canonical_entries(case):
+    a, b, c, x = case
+    f = a.field
+    prod = a.mul(c)
+    assert (prod.rows, prod.cols) == (a.rows, c.cols)
+    products = [a + b, a - b, -a, a.scale(x), prod, a.transpose(), c.transpose(),
+                a.submatrix(range(a.rows), range(a.cols)),
+                a.submatrix(range(a.rows)[::-1], range(a.cols)[1:]),
+                DenseMatrix.identity(f, a.cols), DenseMatrix.zeros(f, a.rows, c.cols),
+                rref(a)[0], rref(c.transpose())[0]]
+    if a.rows and a.cols:
+        products.append(DenseMatrix.unit(f, a.rows, a.cols, a.rows - 1, 0))
+    for m in products:
+        assert_canonical(m)
+    sq = a.mul(a.transpose())
+    if rref(sq)[1] == sq.rows:
+        assert_canonical(invert(sq))
+    assert_canonical_span(kernel(a))
+
+
+def test_empty_shapes_keep_their_dimensions():
+    prod = DenseMatrix.zeros(QQ, 2, 0).mul(DenseMatrix.zeros(QQ, 0, 3))
+    assert_canonical(prod)
+    assert (prod.rows, prod.cols) == (2, 3) and prod == DenseMatrix.zeros(QQ, 2, 3)
+    for f in (F3, QQ):
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            t = DenseMatrix.zeros(f, rows, cols).transpose()
+            assert (t.rows, t.cols) == (cols, rows)
+            assert_canonical(t)
+        sub = DenseMatrix.identity(f, 3).submatrix([], [0, 2])
+        assert (sub.rows, sub.cols) == (0, 2)
+        sub = DenseMatrix.identity(f, 3).submatrix([1], [])
+        assert (sub.rows, sub.cols) == (1, 0) and sub.entries == ((),)
+
+
+def spaces(field):
+    """Spaces over ``field`` with the generators given as raw integers."""
+    pair = [[[0, 1, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 1], [0, 0, 0]]]
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    mixed = [[[2, -1, 0], [1, 3, -2], [0, 1, 1]], [[1, 0, 4], [0, -2, 0], [3, 0, 1]]]
+    return [MatrixSubspace.from_matrices(field, 3, gens)
+            for gens in (pair, pair + [eye], mixed + [eye], mixed)]
+
+
+def test_spans_and_space_matrices_are_canonical():
+    for f in FIELDS:
+        for space in spaces(f):
+            assert_canonical_span(space.basis)
+            for m in space.basis_matrices:
+                assert_canonical(m)
+            dual = constraint_space(space)
+            assert_canonical_span(dual.basis)
+            assert_canonical_span(space.sum(dual).basis)
+            assert_canonical_span(column_space(space, (1, -1, 2)))
+            assert_canonical_span(MatrixSubspace.from_matrices(
+                f, 3, space.basis_matrices + dual.basis_matrices[:2]).basis)
+            t = DenseMatrix(f, [[1, 2, 3], [1, 3, 3], [2, 5, 7]])
+            for m in conjugate(space, t).basis_matrices:
+                assert_canonical(m)
+
+
+def test_enumerated_matrices_are_canonical():
+    trace_zero = MatrixSubspace.from_matrices(
+        F2, 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    witness = verify_mathieu(trace_zero, "left").witness
+    mats = radical(MatrixSubspace.zero_space(F2, 2)) + full_power_set(spaces(F3)[1])
+    for m in mats + [witness.a, witness.b]:
+        assert_canonical(m)
+
+
+def test_public_entry_points_canonicalize_outside_input():
+    half = Fraction(1, 2)                       # 3 in F_5
+    assert DenseMatrix(F5, [[half, -1]]).entries == ((3, 4),)
+    assert DenseMatrix.from_flat(F5, 1, 2, [7, half]) == DenseMatrix(F5, [[2, 3]])
+    line = VectorSubspace.from_vectors(F5, 2, [[half, 1]])
+    assert line.basis == ((1, 2),) and line.member([Fraction(3, 2), 3])
+    assert line.reduce([1, -1]) == (0, 2)
+    full = MatrixSubspace.full_space(F5, 2)
+    assert column_space(full, (half, 0)).basis == ((1, 0), (0, 1))
+    assert column_space(MatrixSubspace.full_space(QQ, 2), (1, 0)).basis[0] == (1, 0)
+    p = MultiPoly(F5, 1, {(1,): half, (0,): -2})
+    assert p.terms == {(1,): 3, (0,): 3}
+    assert poly_matrix_rank(PolyMatrix(F5, 1, [[p, p.scale(half)]])) == 1
+
+
+def test_structural_algorithms_make_no_field_of_call(monkeypatch):
+    calls = []
+    original = Field.of
+
+    def counting_of(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    for f in (F5, QQ):
+        built = spaces(f)
+        t = DenseMatrix(f, [[1, 2, 3], [1, 3, 3], [2, 5, 7]])
+        monkeypatch.setattr(Field, "of", counting_of)
+        for space in built:
+            normalize(space.adjoin_identity())
+            binary_profile(space)
+            conjugate(space, t)
+            constraint_space(space)
+        monkeypatch.setattr(Field, "of", original)
+        assert calls == []
+    monkeypatch.setattr(Field, "of", counting_of)
+    DenseMatrix(F5, [[7]])          # the public constructor still converts
+    assert calls == [7]

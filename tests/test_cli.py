@@ -243,3 +243,72 @@ def test_cli_repro_counterexample(capsys):
     payload = json.loads(out)["payload"]
     assert payload["match"] is True
     assert payload["conjugators"] == 168 and payload["successes"] == 0
+
+
+# Nonzero maximal left ideals: a column-kill ideal conjugated by T (not a
+# permutation; det 1, so T^-1 is integral and the files hold integers),
+# alone and plus a matrix outside any ideal.
+T = [[1, 2, 3], [1, 3, 3], [2, 5, 7]]
+T_INV = [[6, 1, -3], [-1, 1, 0], [-1, -1, 1]]
+EXTRA = [[2, -1, 0], [1, 3, -2], [0, 1, 1]]
+
+
+def int_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def conjugated_column_kill(k):
+    units = [[[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+             for i in range(3) for j in range(k)]
+    return [int_mul(int_mul(T_INV, u), T) for u in units]
+
+
+MAXIDEAL_SPACES = {
+    "kill": conjugated_column_kill(2),
+    "kill+random": conjugated_column_kill(1) + [EXTRA],
+}
+
+# Recorded with the earlier kernel (rref, free vectors, a second elimination).
+MAXIDEAL_PAYLOADS = {
+    ("kill", "5"): {
+        "dim": 6, "k": 2,
+        "t": [[1, 0, 1], [0, 1, 0], [0, 0, 3]],
+        "idempotent": [[1, 0, 3], [0, 1, 0], [0, 0, 0]],
+        "basis": [[[1, 0, 3], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                  [[0, 0, 0], [1, 0, 3], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                  [[0, 0, 0], [0, 0, 0], [1, 0, 3]], [[0, 0, 0], [0, 0, 0], [0, 1, 0]]]},
+    ("kill", "Q"): {
+        "dim": 6, "k": 2,
+        "t": [["1", "0", "1"], ["0", "1", "0"], ["0", "0", "-1/3"]],
+        "idempotent": [["1", "0", "3"], ["0", "1", "0"], ["0", "0", "0"]],
+        "basis": [[["1", "0", "3"], ["0", "0", "0"], ["0", "0", "0"]],
+                  [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["1", "0", "3"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "3"]],
+                  [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]]},
+    ("kill+random", "5"): {
+        "dim": 3, "k": 1,
+        "t": [[1, 1, 0], [0, 0, 1], [0, 3, 1]],
+        "idempotent": [[1, 2, 3], [0, 0, 0], [0, 0, 0]],
+        "basis": [[[1, 2, 3], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 2, 3], [0, 0, 0]],
+                  [[0, 0, 0], [0, 0, 0], [1, 2, 3]]]},
+    ("kill+random", "Q"): {
+        "dim": 3, "k": 1,
+        "t": [["1", "1", "0"], ["0", "0", "1"], ["0", "-1/3", "-2/3"]],
+        "idempotent": [["1", "2", "3"], ["0", "0", "0"], ["0", "0", "0"]],
+        "basis": [[["1", "2", "3"], ["0", "0", "0"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["1", "2", "3"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["0", "0", "0"], ["1", "2", "3"]]]},
+}
+
+
+@pytest.mark.parametrize("name, field", sorted(MAXIDEAL_PAYLOADS))
+def test_cli_maxideal_payload_of_nonzero_ideals(tmp_path, capsys, name, field):
+    assert int_mul(T, T_INV) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    blocks = ["\n".join(" ".join(map(str, row)) for row in m) for m in MAXIDEAL_SPACES[name]]
+    path = write(tmp_path, "field 2\nn 3\nbasis\n" + "\n\n".join(blocks) + "\n")
+    rc, out, _ = run(capsys, "maxideal", path, "--field", field, "--json")
+    assert rc == 0
+    expected = dict(MAXIDEAL_PAYLOADS[name, field], field="F5" if field == "5" else "Q", n=3)
+    assert json.loads(out)["payload"] == expected

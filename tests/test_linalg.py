@@ -338,3 +338,41 @@ def test_enumerated_subspaces_are_all_distinct_spaces():
         assert members not in seen
         seen.add(members)
     assert len(seen) == 7  # [3 choose 2]_2
+
+
+# Wrong lengths, shapes and fields raise instead of being cut short by zip.
+
+def test_reduce_and_member_reject_a_vector_of_the_wrong_length():
+    line = VectorSubspace.from_vectors(F3, 2, [[1, 1]])
+    for v in ([1, 1, 0], [1], []):
+        with pytest.raises(ValueError):
+            line.reduce(v)
+        with pytest.raises(ValueError):
+            line.member(v)
+    assert line.member([2, 2]) and line.reduce([1, 0]) == (0, 2)
+
+
+def test_mul_vector_rejects_a_vector_of_the_wrong_length():
+    m = DenseMatrix(F5, [[1, 2], [3, 4]])
+    for v in ([1, 0, 0], [1]):
+        with pytest.raises(ValueError):
+            m.mul_vector(v)
+    assert m.mul_vector([1, 1]) == (3, 2)
+
+
+def test_add_and_sub_reject_other_shapes_and_fields():
+    a = DenseMatrix(F3, [[1, 2], [0, 1]])
+    for b in (DenseMatrix(F3, [[1, 2, 0], [0, 1, 0]]), DenseMatrix(F3, [[1, 2]]),
+              DenseMatrix(F5, [[1, 2], [0, 1]])):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
+    assert a + a == DenseMatrix(F3, [[2, 1], [0, 2]]) and (a - a).is_zero()
+
+
+def test_mul_rejects_a_matrix_over_another_field():
+    with pytest.raises(ValueError):
+        DenseMatrix.identity(F3, 2).mul(DenseMatrix.identity(F5, 2))
+    with pytest.raises(ValueError):
+        DenseMatrix.identity(QQ, 2).mul(DenseMatrix.identity(F5, 2))

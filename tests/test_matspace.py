@@ -71,6 +71,23 @@ def random_invertible(rng, field, n):
             continue
 
 
+def test_contains_rejects_a_matrix_of_another_shape():
+    scalars = MatrixSubspace.from_matrices(F3, 2, [DenseMatrix.identity(F3, 2)])
+    with pytest.raises(ValueError):
+        scalars.contains(DenseMatrix(F3, [[1, 0, 0], [1, 0, 0], [0, 0, 0]]))
+    with pytest.raises(ValueError):
+        scalars.contains(DenseMatrix(F3, [[1, 0], [0, 1], [0, 0]]))
+    assert scalars.contains(DenseMatrix(F3, [[2, 0], [0, 2]]))
+
+
+def test_contains_rejects_a_matrix_over_another_field():
+    scalars = MatrixSubspace.from_matrices(F3, 2, [DenseMatrix.identity(F3, 2)])
+    with pytest.raises(ValueError):
+        scalars.contains(DenseMatrix(F5, [[4, 0], [0, 4]]))
+    with pytest.raises(ValueError):
+        scalars.contains(DenseMatrix(QQ, [[1, 0], [0, 1]]))
+
+
 def test_constraint_space_of_trace_zero():
     h = trace_zero_space(F5, 2)
     c = constraint_space(h)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -358,8 +358,16 @@ def _sympy_scalar(field, c):
     return sympy.Rational(c.numerator, c.denominator) if field.p == 0 else sympy.Integer(c)
 
 
+# Its RREF basis rows have denominators 2, 4 and 12 within one row; with
+# the numerators alone the rank over Q(x) would read 3 instead of 2.
+MIXED_DENOMINATORS = MatrixSubspace.from_matrices(QQ, 3, [
+    [[1, 2, 3], [0, 0, 0], [0, 0, 0]], [[0, -1, 3], [0, 0, 0], [0, 0, 0]],
+    [[2, 1, 3], [2, 0, -1], [1, 3, 0]]])
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(spaces())
+@example((MIXED_DENOMINATORS, 1, 3))
 def test_generic_ranks_of_spaces_match_sympy(case):
     space, k, j = case
     f, n = space.field, space.n

@@ -1,10 +1,13 @@
 """Differential tests of the single-elimination readout.
 
-``VectorSubspace.intersect``, ``members_vanishing_at``, ``max_left_ideal``
-and ``is_left_ideal`` all read their answer off one RREF.  The references
-below are the definitional formulations they replaced: a kernel on basis
-coefficients recombined into members, the kernel of the system
-"tr(K E_ij A) = 0 for every constraint K", and a loop over unit products.
+``kernel``, ``constraint_space``, ``VectorSubspace.intersect``,
+``members_vanishing_at``, ``max_left_ideal`` and ``is_left_ideal`` all
+read their answer off one RREF.  The references below are the
+definitional formulations they replaced: free vectors of an RREF, the
+kernel of the transposed basis, a kernel on basis coefficients recombined
+into members, the kernel of the system "tr(K E_ij A) = 0 for every
+constraint K", and a loop over unit products.  Every reference solves
+its kernels with ``reference_kernel``, never with the code under test.
 """
 
 from fractions import Fraction
@@ -12,9 +15,9 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, kernel
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, kernel, rref
 from mathieumat.matspace import MatrixSubspace, constraint_space, members_vanishing_at
-from mathieumat.verify import is_left_ideal, max_left_ideal
+from mathieumat.verify import is_left_ideal, left_ideal_normal_form, max_left_ideal
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 FIELDS = (F2, F3, F5, QQ)
@@ -24,6 +27,28 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
 
 # --- references --------------------------------------------------------------
+
+def reference_kernel(m: DenseMatrix) -> VectorSubspace:
+    """One vector per free column of the RREF, then their span."""
+    f = m.field
+    reduced, rank, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    vectors = []
+    for fc in free:
+        v = [f.zero] * m.cols
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(reduced.entries[r][fc])
+        vectors.append(v)
+    return VectorSubspace.from_vectors(f, m.cols, vectors)
+
+
+def reference_constraint_space(space: MatrixSubspace) -> MatrixSubspace:
+    """tr(C M) = vec(M^T) . vec(C): the kernel of the transposed basis."""
+    f, n = space.field, space.n
+    rows = [m.transpose().flatten() for m in space.basis_matrices]
+    return MatrixSubspace(f, n, reference_kernel(DenseMatrix(f, rows, cols=n * n)))
+
 
 def reference_intersect(u: VectorSubspace, w: VectorSubspace) -> VectorSubspace:
     """Solve sum a_i u_i = sum b_j w_j for (a, b) and recombine the u_i."""
@@ -36,7 +61,7 @@ def reference_intersect(u: VectorSubspace, w: VectorSubspace) -> VectorSubspace:
         for c in range(u.ambient_dim)
     ])
     vectors = []
-    for coeff in kernel(system).basis:
+    for coeff in reference_kernel(system).basis:
         v = [f.zero] * u.ambient_dim
         for i in range(k):
             if coeff[i] != f.zero:
@@ -53,7 +78,7 @@ def reference_members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSu
         return space
     rows = [[m.entries[i][j] for m in mats] for i, j in positions]
     gens = []
-    for coeff in kernel(DenseMatrix(f, rows, cols=len(mats))).basis:
+    for coeff in reference_kernel(DenseMatrix(f, rows, cols=len(mats))).basis:
         g = DenseMatrix.zeros(f, n, n)
         for ci, m in zip(coeff, mats):
             if ci:
@@ -66,7 +91,7 @@ def reference_max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
     """All A with tr(K E_ij A) = 0 for every constraint K and unit E_ij."""
     f, n = space.field, space.n
     rows = []
-    for kmat in constraint_space(space).basis_matrices:
+    for kmat in reference_constraint_space(space).basis_matrices:
         for i in range(n):
             for j in range(n):
                 # tr(K E_ij A) = sum_t K[t][i] A[j][t]
@@ -74,7 +99,23 @@ def reference_max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
                 for t in range(n):
                     row[j * n + t] = kmat.entries[t][i]
                 rows.append(row)
-    return MatrixSubspace(f, n, kernel(DenseMatrix(f, rows, cols=n * n)))
+    return MatrixSubspace(f, n, reference_kernel(DenseMatrix(f, rows, cols=n * n)))
+
+
+def reference_normal_form_t(ideal: MatrixSubspace) -> DenseMatrix:
+    """Columns: e_1, e_2, ... taken greedily while outside the span of the
+    common kernel and the columns taken so far, then the kernel basis."""
+    f, n = ideal.field, ideal.n
+    stacked = [row for m in ideal.basis_matrices for row in m.entries]
+    common = reference_kernel(DenseMatrix(f, stacked, cols=n))
+    columns, taken = [], common
+    for i in range(n):
+        e = [f.one if j == i else f.zero for j in range(n)]
+        if len(columns) < n - common.dim and not taken.member(e):
+            columns.append(e)
+            taken = VectorSubspace.from_vectors(f, n, list(taken.basis) + [e])
+    columns += list(common.basis)
+    return DenseMatrix(f, [[c[i] for c in columns] for i in range(n)])
 
 
 def reference_is_left_ideal(space: MatrixSubspace) -> bool:
@@ -152,7 +193,55 @@ def column_kill_and_identity(field, n, k):
     return column_kill(field, n, k).adjoin_identity()
 
 
+@st.composite
+def kernel_inputs(draw):
+    """Random, zero and low-rank (a product through k < min(rows, cols)
+    dimensions) matrices, 0..4 x 0..5."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(("random", "zero", "low_rank")))
+    if kind == "zero":
+        return DenseMatrix.zeros(field, rows, cols)
+
+    def grid(r, c):
+        return draw(st.lists(st.lists(scalars(field), min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if kind == "random":
+        return DenseMatrix(field, grid(rows, cols), cols=cols)
+    k = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+    left = DenseMatrix(field, grid(rows, k), cols=k)
+    return left.mul(DenseMatrix(field, grid(k, cols), cols=cols))
+
+
 # --- comparisons --------------------------------------------------------------
+
+@SETTINGS
+@given(kernel_inputs())
+@example(DenseMatrix.zeros(F2, 0, 3))
+@example(DenseMatrix.zeros(QQ, 3, 0))
+@example(DenseMatrix.zeros(F5, 0, 0))
+@example(DenseMatrix.zeros(QQ, 2, 4))
+@example(DenseMatrix.identity(F3, 4))
+@example(DenseMatrix(QQ, [[2, 1, 0, 5], [0, Fraction(1, 3), 1, -1]]))
+@example(DenseMatrix(F2, [[1, 1], [0, 1], [1, 0]]))
+@example(DenseMatrix(F5, [[0, 0, 1, 2], [0, 0, 2, 4]]))
+def test_kernel_matches_free_vectors_of_the_rref(m):
+    got = kernel(m)
+    assert got == reference_kernel(m)
+    assert got.ambient_dim == m.cols and got.dim == m.cols - rref(m)[1]
+    assert all(not any(m.mul_vector(v)) for v in got.basis)
+
+
+@SETTINGS
+@given(spaces())
+@example(MatrixSubspace.zero_space(QQ, 3))
+@example(MatrixSubspace.full_space(F2, 2))
+def test_constraint_space_matches_kernel_of_transposes(space):
+    dual = constraint_space(space)
+    assert dual == reference_constraint_space(space)
+    assert constraint_space(dual) == space
+
 
 @SETTINGS
 @given(space_pairs())
@@ -208,6 +297,16 @@ def test_max_left_ideal_matches_trace_dual_system(space):
 @example(column_kill_and_identity(QQ, 3, 2))
 def test_is_left_ideal_matches_unit_products(space):
     assert is_left_ideal(space) == reference_is_left_ideal(space)
+
+
+@SETTINGS
+@given(spaces())
+@example(column_kill(F3, 3, 2))
+@example(column_kill(QQ, 4, 1))
+@example(MatrixSubspace.full_space(F5, 2))
+def test_left_ideal_normal_form_matches_greedy_completion(space):
+    ideal = max_left_ideal(space)
+    assert left_ideal_normal_form(ideal).t == reference_normal_form_t(ideal)
 
 
 def test_left_ideal_examples_over_every_field():

@@ -12,3 +12,53 @@ def test_no_assert_statements_in_package():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+
+# ``Field.of`` and the public constructors that run it convert and check
+# outside input.  They are called only where such input enters: public
+# constructors, the raw scalars callers pass (a scale factor, a
+# right-hand side, grid values, polynomial coefficients, family
+# parameters, literal generators) and the space-file format.  Values the
+# package built itself are canonical and never go through them again.
+VALIDATING = {"of", "DenseMatrix", "from_flat", "from_vectors", "member", "reduce"}
+BOUNDARY = {
+    "linalg.DenseMatrix.__init__", "linalg.DenseMatrix.scale",
+    "linalg.DenseMatrix.from_flat", "linalg.VectorSubspace.from_vectors",
+    "linalg.VectorSubspace.reduce", "linalg.VectorSubspace.member", "linalg.solve_affine",
+    "matspace.MatrixSubspace.from_matrices", "matspace.column_space",
+    "idempotents.AffineFamily.with_block",
+    "multipoly.MultiPoly.__init__", "multipoly.MultiPoly.scale",
+    "multipoly.MultiPoly.evaluate", "multipoly.find_nonvanishing",
+    "verify.proposition_family", "verify.newton_char_poly", "cli.running_pair_space",
+}
+BOUNDARY_MODULES = {"spacefile"}
+
+
+def validating_callers(path):
+    """Qualified names of the functions in ``path`` that call a name in
+    VALIDATING, as a function or as a method."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in VALIDATING:
+                    found.add(".".join([path.stem] + scope))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [])
+    return found
+
+
+def test_validating_entry_points_are_called_only_at_the_boundary():
+    found = set()
+    for path in sorted(pathlib.Path(mathieumat.__file__).parent.glob("*.py")):
+        if path.stem not in BOUNDARY_MODULES:
+            found |= validating_callers(path)
+    assert found == BOUNDARY

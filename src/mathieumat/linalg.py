@@ -266,6 +266,9 @@ class DenseMatrix:
         return DenseMatrix._trusted(f, out, other.cols)
 
     def mul_vector(self, v) -> tuple:
+        """The product with a column vector whose entries are already
+        field scalars (canonical); a raw vector goes through
+        ``matspace.column_space``, which converts it."""
         if len(v) != self.cols:
             raise ValueError("vector of length %d for %d columns" % (len(v), self.cols))
         f = self.field
@@ -396,8 +399,9 @@ def rref(m: DenseMatrix):
 
 
 def rank_of_rows(field, rows) -> int:
-    """Rank of a list of equal-length scalar rows.  Does not mutate."""
-    work = [list(r) for r in rows]
+    """Rank of a list of equal-length rows of ints or Fractions, converted
+    into the field.  Does not mutate."""
+    work = [[field.of(x) for x in r] for r in rows]
     ncols = len(work[0]) if work else 0
     return len(_eliminate(field, work, ncols))
 

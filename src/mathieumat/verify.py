@@ -1,15 +1,25 @@
 """Brute-force Mathieu-subspace semantics over small prime fields.
 
-Everything here is exhaustive: powers of a matrix over F_p are
-eventually periodic, so "for all large exponents" means "for every
-exponent in the eventual cycle", which turns the defining quantifiers
-into finite checks.  The whole enumeration runs on keys, a matrix's
-index in ``all_matrices_np(p, n)`` (below 2^20 under the guard): power
-trajectories, the full power set, the radical, the idempotents and the
-multiplier scans all work on fixed-size batches of keys with numpy
-(exact integer arithmetic mod p, in int16 wherever the products fit), and
-``power_trajectory`` and ``witness_replays`` stay the definitional path.
+Powers of a matrix over F_p are eventually periodic, so "for all large
+exponents" means "for every exponent in the eventual cycle".  The tail
+of an n x n matrix is shorter than n, and by Cayley-Hamilton every power
+of a lies in the span of a^1 .. a^n, the cycle in the span of a^n ..
+a^(2n-1).  So a lies in the full power set iff a^1 .. a^n lie inside,
+in the radical iff a^n .. a^(2n-1) do, and a is idempotent iff a^2 = a.
 
+Every cycle element is a^(m-n) a^n = a^n a^(m-n), so some multiplier
+takes a large power of a outside iff one takes a^n outside.  The
+multipliers that keep a set inside form a subspace, and the first key
+outside a subspace is a matrix unit (keys below p^k are combinations of
+the units with keys below p^k): a one-sided test needs the n^2 unit
+products of a^n, and the first escaping multiplier (b, then c given b)
+is a unit.  In a proper space every nonzero a^n escapes two-sidedly,
+since E_ij z E_kl = z_jk E_il and Mat_n is simple.
+
+The enumeration runs on keys, a matrix's index in ``all_matrices_np(p,
+n)`` (below 2^20 under the guard), in fixed-size batches with numpy
+(exact integer arithmetic mod p, in int16 wherever the products fit);
+``power_trajectory`` and ``witness_replays`` stay the definitional path.
 Enumeration orders are fixed: candidate matrices by lexicographic
 row-major entries, subspace members by lexicographic basis coefficients;
 the first counterexample in that order is returned as a replayable
@@ -33,9 +43,7 @@ from .linalg import DenseMatrix, VectorSubspace, invert, kernel
 from .matspace import MatrixSubspace, conjugate, constraint_space, members_vanishing_at
 
 ENUMERATION_GUARD = 2 ** 20
-PAIR_BUDGET = 2 ** 24       # multiplier pairs a two-sided verdict may scan
-_PAIR_CHUNK = 2 ** 14       # products a multiplier scan forms at once
-_BATCH = 4096               # keys whose powers are followed in lockstep
+_BATCH = 4096               # keys whose powers are formed at once
 
 LEFT = "left"
 RIGHT = "right"
@@ -155,119 +163,99 @@ class _Enumeration:
         return None if key is None else DenseMatrix._trusted(
             self.field, self.universe[key].tolist(), self.n)
 
-    def trajectories(self, keys):
-        """Per batch of keys: the batch, the keys of the powers a^1 ..
-        a^(n+P) of each (P the longest period in the batch), the tail
-        lengths and the periods.  The tail of an n x n matrix is shorter
-        than n, so every power from a^n on lies in the cycle."""
-        n, u = self.n, self.universe
+    def powers(self, keys, count):
+        """Per batch of keys: the batch and the keys of a^1 .. a^count of
+        each, (len(batch), count)."""
+        u = self.universe
         for lo in range(0, len(keys), _BATCH):
             batch = keys[lo:lo + _BATCH]
             a, powers = u[batch], [batch]
-            for _ in range(n - 1):
+            for _ in range(count - 1):
                 powers.append(self.key(u[powers[-1]] @ a))
-            period = np.zeros(len(batch), dtype=np.int64)
-            while not period.all():
-                powers.append(self.key(u[powers[-1]] @ a))
-                period[(period == 0) & (powers[-1] == powers[n - 1])] = len(powers) - n
-            powers = np.stack(powers, axis=1)
-            in_cycle = (powers[:, :n - 1, None] == powers[:, None, n - 1:]).any(axis=2)
-            yield batch, powers, n - 1 - in_cycle.sum(axis=1), period
+            yield batch, np.stack(powers, axis=1)
 
-    def full_powers(self):
-        """``trajectories`` of the full power set (members, as a^1 must belong)."""
-        for batch, powers, tails, periods in self.trajectories(self.members):
-            ok = self.inside[powers].all(axis=1)
-            yield batch[ok], powers[ok], tails[ok], periods[ok]
+    def escapes(self, zs, side):
+        """Whether each unit product of each z in ``zs`` (keys) leaves the
+        space, (len(zs), units): the unit with key p^u at u, a pair (b, c)
+        of them at u_b n^2 + u_c.  With at[i, j] the key of E_ij, E_ij z
+        is row j of z at row i, z E_ij is column i of z at column j, and
+        E_ij z E_kl is z_jk E_il."""
+        n, z, at = self.n, self.universe[zs], self.place.reshape(self.n, self.n)
+        keys = (at @ z.transpose(0, 2, 1) if side == LEFT else
+                z.transpose(0, 2, 1) @ at if side == RIGHT else
+                z[:, None, :, :, None] * at[:, None, None, :])
+        # row-major positions run against key order
+        keys = keys.reshape(len(zs), n * n, -1)[:, ::-1, ::-1]
+        return ~self.inside[keys.reshape(len(zs), -1)]
 
 
 def full_power_set(space: MatrixSubspace):
-    """All members whose every power stays inside the space."""
+    """All members whose every power stays inside: a^1 .. a^n do."""
     en = _Enumeration(space)
-    return [en.matrix(k) for batch, *_ in en.full_powers() for k in batch]
+    return [en.matrix(k) for batch, powers in en.powers(en.members, space.n)
+            for k in batch[en.inside[powers].all(axis=1)]]
 
 
 def radical(space: MatrixSubspace):
     """All a whose large powers eventually stay inside: every element of
-    the cycle of a belongs to the space.  Lexicographic order."""
-    en = _Enumeration(space)
+    the cycle of a belongs to the space, i.e. a^n .. a^(2n-1) do.
+    Lexicographic order."""
+    en, n = _Enumeration(space), space.n
     return [en.matrix(k)
-            for batch, powers, _, _ in en.trajectories(np.arange(len(en.universe)))
-            for k in batch[en.inside[powers[:, space.n - 1:]].all(axis=1)]]
+            for batch, powers in en.powers(np.arange(len(en.universe)), 2 * n - 1)
+            for k in batch[en.inside[powers[:, n - 1:]].all(axis=1)]]
 
 
 def idempotents(space: MatrixSubspace):
-    """All members e with e^2 = e (tail 0, period 1), in coefficient order."""
+    """All members e with e^2 = e, in coefficient order."""
     en = _Enumeration(space)
-    return [en.matrix(k) for batch, _, tails, periods in en.trajectories(en.members)
-            for k in batch[(tails == 0) & (periods == 1)]]
+    return [en.matrix(k) for batch, powers in en.powers(en.members, 2)
+            for k in batch[powers[:, 1] == batch]]
 
 
-def _first_escape(en: _Enumeration, zs, side):
-    """The first multiplier in enumeration order taking some z of ``zs``
-    (keys) outside, with the index of the first such z, or None: b (left),
-    c (right) or (b, c) as b * count + c (two-sided).  It scans chunks of
-    about _PAIR_CHUNK products in order and stops at the first escape."""
-    u, z = en.universe, en.universe[zs][:, None]
-    width = len(u) if side == TWO_SIDED else 1
-    step = max(1, _PAIR_CHUNK // (len(zs) * width))
-    for lo in range(0, len(u), step):
-        prods = z @ u[lo:lo + step] if side == RIGHT else u[lo:lo + step] @ z
-        if side == TWO_SIDED:
-            prods = (prods % en.p)[:, :, None] @ u
-        bad = ~en.inside[en.key(prods)].reshape(len(zs), -1)
+def _witness(en: _Enumeration, key, sides) -> Witness:
+    """The first multiplier in enumeration order taking an element of the
+    cycle of the member ``key`` outside, a matrix unit or a pair of them,
+    with the first such cycle element."""
+    traj = power_trajectory(en.matrix(key))
+    cycle = en.key(np.array([z.entries for z in traj.cycle]))
+    for side in sides:
+        bad = en.escapes(cycle, side)
         hit = bad.any(axis=0)
         if hit.any():
-            i = int(np.argmax(hit))
-            return lo * width + i, int(np.argmax(bad[:, i]))
-    return None
+            mult = int(np.argmax(hit))
+            b, c = {LEFT: (mult, None), RIGHT: (None, mult)}.get(
+                side, divmod(mult, en.n ** 2))
+            return Witness(a=traj.a, b=en.matrix(None if b is None else en.p ** b),
+                           c=en.matrix(None if c is None else en.p ** c),
+                           exponent=traj.tail_len + 1 + int(np.argmax(bad[:, mult])))
 
 
 def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
     """Exhaustively check one of the four defining properties.
 
-    For every member a all of whose powers stay inside, every multiplier
-    (pair) is checked against every element of a's power cycle; the
-    first counterexample in enumeration order becomes the witness.
-    Raises TooLargeError, before any work, when the two-sided check would
-    scan more than PAIR_BUDGET multiplier pairs.
+    A member a with a^1 .. a^n inside has all its powers inside; some
+    multiplier (pair) takes a large power of a outside iff one takes a^n
+    outside, iff a matrix unit (pair) does; two-sided, iff a^n is nonzero.
+    The first such member in coefficient order gives the witness: the
+    first multiplier in enumeration order taking an element of its cycle
+    outside, and the first such element.
     """
     if vtype not in ALL_TYPES:
         raise ValueError("unknown type %r" % vtype)
     _require_enumerable(space.field, space.n)
-    p, n = space.field.p, space.n
+    n = space.n
     if space.dim == n * n:
         return MathieuVerdict(holds=True, vtype=vtype, witness=None)
-    if vtype == TWO_SIDED and p ** (2 * n * n) > PAIR_BUDGET:
-        raise TooLargeError(
-            "%d^%d multiplier pairs exceed the two-sided budget 2^24" % (p, 2 * n * n))
     en = _Enumeration(space)
     sides = (LEFT, RIGHT) if vtype == PRE_TWO_SIDED else (vtype,)
-    # Cycle elements no multiplier takes outside; products of zero never
-    # leave, so the scans skip it.
-    settled = np.arange(len(en.universe)) == 0
-    for batch, powers, tails, periods in en.full_powers():
-        cycles = powers[:, n - 1:]
-        zs, first = np.unique(cycles, return_index=True)
-        # In order of first appearance, so the first escaping z belongs
-        # to the first member with an escape.
-        for at in np.sort(first[~settled[zs]]):
-            z = cycles.flat[at]
-            if not any(_first_escape(en, [z], s) for s in sides):
-                settled[z] = True
-                continue
-            i = at // cycles.shape[1]
-            cycle = powers[i, tails[i]:tails[i] + periods[i]]
-            nonzero = np.flatnonzero(cycle)
-            for s in sides:
-                hit = _first_escape(en, cycle[nonzero], s)
-                if hit is not None:
-                    mult, j = hit
-                    b, c = {LEFT: (mult, None), RIGHT: (None, mult)}.get(
-                        s, divmod(mult, len(en.universe)))
-                    return MathieuVerdict(False, vtype, Witness(
-                        a=en.matrix(batch[i]), b=en.matrix(b), c=en.matrix(c),
-                        exponent=int(tails[i] + 1 + nonzero[j])))
+    for batch, powers in en.powers(en.members, n):
+        top = powers[:, n - 1]
+        out = top != 0 if vtype == TWO_SIDED else np.any(
+            [en.escapes(top, side).any(axis=1) for side in sides], axis=0)
+        out &= en.inside[powers].all(axis=1)
+        if out.any():
+            return MathieuVerdict(False, vtype, _witness(en, batch[np.argmax(out)], sides))
     return MathieuVerdict(holds=True, vtype=vtype, witness=None)
 
 

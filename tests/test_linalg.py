@@ -360,6 +360,20 @@ def test_mul_vector_rejects_a_vector_of_the_wrong_length():
     assert m.mul_vector([1, 1]) == (3, 2)
 
 
+def test_raw_fraction_vectors_over_a_prime_field():
+    # rank_of_rows converts its rows; mul_vector takes field scalars, and
+    # a raw vector reaches it through column_space, which converts
+    from mathieumat.matspace import MatrixSubspace, column_space
+    half = Fraction(1, 2)                    # 3 in F_5
+    assert rank_of_rows(F5, [[half, 1]]) == 1
+    assert rank_of_rows(F5, [[half, 1], [3, 1]]) == 1
+    assert rank_of_rows(F5, [[half, 1], [Fraction(7, 3), 4]]) == 2
+    m = DenseMatrix(F5, [[1, 0], [0, 2]])
+    assert m.mul_vector([F5.of(half), 1]) == (3, 2)
+    space = MatrixSubspace.from_matrices(F5, 2, [m])
+    assert column_space(space, [half, 1]) == VectorSubspace.from_vectors(F5, 2, [[3, 2]])
+
+
 def test_add_and_sub_reject_other_shapes_and_fields():
     a = DenseMatrix(F3, [[1, 2], [0, 1]])
     for b in (DenseMatrix(F3, [[1, 2, 0], [0, 1, 0]]), DenseMatrix(F3, [[1, 2]]),

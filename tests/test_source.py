@@ -26,6 +26,7 @@ BOUNDARY = {
     "linalg.DenseMatrix.__init__", "linalg.DenseMatrix.scale",
     "linalg.DenseMatrix.from_flat", "linalg.VectorSubspace.from_vectors",
     "linalg.VectorSubspace.reduce", "linalg.VectorSubspace.member", "linalg.solve_affine",
+    "linalg.rank_of_rows",
     "matspace.MatrixSubspace.from_matrices", "matspace.column_space",
     "idempotents.AffineFamily.with_block",
     "multipoly.MultiPoly.__init__", "multipoly.MultiPoly.scale",

@@ -43,13 +43,13 @@ from .linalg import (
 )
 from .matspace import (
     BinaryProfile,
+    Filtration,
     MatrixSubspace,
     binary_profile,
     column_space,
     column_space_dim,
     conjugate,
     constraint_space,
-    filtration,
     filtration_level,
     find_generic_vector,
     is_rct_zero,
@@ -59,12 +59,10 @@ from .matspace import (
 )
 from .multipoly import (
     MultiPoly,
-    PolyMatrix,
     divexact,
     find_nonvanishing,
     generic_rank_of_action,
     generic_rank_univariate,
-    poly_matrix_rank,
 )
 from .normalize import (
     Move,

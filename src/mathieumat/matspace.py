@@ -7,10 +7,12 @@ coordinate indices such as the ``k`` of ``e_k`` are 1-based to match the
 usual linear-algebra convention, while raw matrix entries stay 0-based.
 
 Members cut out by vanishing entries (``members_vanishing_at``, behind
-the filtration levels, the zero-corner members and
+``filtration_level``, the zero-corner members and
 ``idempotents.corner_slice``) and intersections are read off a single
 elimination of the basis rows in ``linalg``, not solved for as basis
-coefficients.
+coefficients.  The binary profile, the generic-vector search and the
+normalization moves read all levels, their column spaces and generic
+dimensions off one :class:`Filtration`: one elimination, one Bareiss run.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import FieldTooSmallError
-from .linalg import DenseMatrix, Field, VectorSubspace, _kernel, invert
-from .multipoly import generic_rank_of_action
+from .linalg import DenseMatrix, Field, VectorSubspace, _eliminate, _kernel, invert
+from .multipoly import _action_pivots
 
 
 class MatrixSubspace:
@@ -266,31 +268,73 @@ class BinaryProfile:
         return "BinaryProfile(B=[%s], b=%r, d=%r)" % (grid, self.b, self.d)
 
 
-def filtration(space: MatrixSubspace):
-    """All levels 0..n of the column filtration, as a list."""
-    return [filtration_level(space, k) for k in range(space.n + 1)]
+class Filtration:
+    """The column filtration C_0 <= C_1 <= ... <= C_n of a space, read once.
+
+    One elimination of the basis rows, with the coordinates ordered by
+    matrix column, last column first, gives an adapted basis: a row
+    vanishes on columns k..n-1 iff its pivot lies past their
+    coordinates, so those rows span C_k.  ``matrices`` holds that basis
+    bottom-up, so its first ``dims[k]`` members span C_k.  One Bareiss
+    run over their columns C*x, in that order, gives every generic
+    dimension: ``d[k]`` counts its pivots among the first ``dims[k]``.
+    """
+
+    __slots__ = ("space", "matrices", "dims", "d")
+
+    def __init__(self, space: MatrixSubspace):
+        f, n = space.field, space.n
+        # Entry (i, j) sits at coordinate (n - 1 - j) n + i.
+        rows = [[row[i * n + j] for j in range(n - 1, -1, -1) for i in range(n)]
+                for row in space.basis.basis]
+        pivots = _eliminate(f, rows, n * n)
+        mats = tuple(DenseMatrix._trusted(
+            f, [[row[(n - 1 - j) * n + i] for j in range(n)] for i in range(n)], n)
+            for row in reversed(rows))
+        generic = _action_pivots(f, n, [m.flatten() for m in mats])
+        dims = [sum(n - 1 - c // n < k for c in pivots) for k in range(n + 1)]
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "dims", tuple(dims))
+        object.__setattr__(self, "d", tuple(sum(c < dk for c in generic) for dk in dims))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Filtration is immutable")
+
+    def column_space(self, k: int, vec) -> VectorSubspace:
+        """span{C vec : C in C_k} inside K^n, for n canonical scalars."""
+        if not 0 <= k <= self.space.n:
+            raise ValueError("level %d out of range 0..%d" % (k, self.space.n))
+        return VectorSubspace._span(
+            self.space.field, self.space.n,
+            [m.mul_vector(vec) for m in self.matrices[:self.dims[k]]])
+
+    def profile(self) -> BinaryProfile:
+        """The binary profile of the space, read off this filtration."""
+        f, n = self.space.field, self.space.n
+        B = [[0] * n for _ in range(n)]
+        col_dims = []
+        for j in range(1, n + 1):
+            cs = self.column_space(j, _basis_vector(f, n, j))
+            col_dims.append(cs.dim)
+            for row in cs.basis:
+                for i in range(n):
+                    if row[i] != f.zero:
+                        B[i][j - 1] = 1
+        b = [sum(B[i][j] for i in range(n)) for j in range(n)]
+        return BinaryProfile(n, B, b, col_dims, self.d)
+
+
+def _basis_vector(field, n, k):
+    return tuple(field.one if i == k - 1 else field.zero for i in range(n))
 
 
 def binary_profile(space: MatrixSubspace) -> BinaryProfile:
     """The binary matrix B with counts b, column dims, and generic dims d."""
-    f, n = space.field, space.n
-    levels = filtration(space)
-    B = [[0] * n for _ in range(n)]
-    col_dims = []
-    for j in range(1, n + 1):
-        ej = tuple(f.one if i == j - 1 else f.zero for i in range(n))
-        cs = _column_space(levels[j], ej)
-        col_dims.append(cs.dim)
-        for row in cs.basis:
-            for i in range(n):
-                if row[i] != f.zero:
-                    B[i][j - 1] = 1
-    b = [sum(B[i][j] for i in range(n)) for j in range(n)]
-    d = [generic_rank_of_action(levels[k]) for k in range(n + 1)]
-    return BinaryProfile(n, B, b, col_dims, d)
+    return Filtration(space).profile()
 
 
-def find_generic_vector(space: MatrixSubspace, k: int, require_pivot_one=False):
+def find_generic_vector(fil: Filtration, k: int, require_pivot_one=False):
     """A vector v with v_{k+1} = ... = v_n = 0 whose column space at
     level k has the full generic dimension d_k; with ``require_pivot_one``
     additionally v_k = 1.
@@ -301,11 +345,10 @@ def find_generic_vector(space: MatrixSubspace, k: int, require_pivot_one=False):
     (#K > d_k for the pivot form); below those bounds the scan may still
     succeed, and FieldTooSmallError is raised only when it does not.
     """
-    f, n = space.field, space.n
-    if require_pivot_one and not 1 <= k <= n:
-        raise ValueError("pivot form needs a coordinate level 1..n")
-    level = filtration_level(space, k)
-    dk = generic_rank_of_action(level)
+    f, n = fil.space.field, fil.space.n
+    if not int(require_pivot_one) <= k <= n:
+        raise ValueError("level %d out of range %d..%d" % (k, require_pivot_one, n))
+    dk = fil.d[k]
     zero, one = f.zero, f.one
     if dk == 0:
         v = [zero] * n
@@ -318,7 +361,7 @@ def find_generic_vector(space: MatrixSubspace, k: int, require_pivot_one=False):
         if require_pivot_one and point[k - 1] == zero:
             continue
         v = point + tail
-        if _column_space(level, v).dim == dk:
+        if fil.column_space(k, v).dim == dk:
             if require_pivot_one and point[k - 1] != one:
                 inv = f.inv(point[k - 1])
                 v = tuple(f.mul(inv, x) for x in v)

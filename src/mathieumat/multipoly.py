@@ -20,10 +20,11 @@ integral, so the division runs over Z with integer ``divmod`` and any
 remainder proves it inexact.  One Bareiss loop over Z[x] computes every
 rank, on columns of term dicts scaled by the lcm of their denominators
 (the rank over Q(x) does not change); its divisions are exact in Z[x]
-(Bareiss, *Math. Comp.* 22, 1968).  ``MultiPoly`` and ``PolyMatrix`` are
-input types, and ``poly_matrix_rank`` adapts a ``PolyMatrix`` to the
-loop; the generic ranks of a space read its columns straight off the
-canonical basis rows, with no polynomial object in between.
+(Bareiss, *Math. Comp.* 22, 1968).  It reads its columns straight off
+basis rows, with no polynomial object in between, and returns its pivot
+columns: the pivots among the first m columns count the rank of those m,
+so ``matspace.Filtration`` reads all generic dimensions of a filtered
+space off one run over rows in level order.
 """
 
 from __future__ import annotations
@@ -297,67 +298,18 @@ def _div(num: dict, den: dict, p: int, guard: int) -> dict:
     return quot
 
 
-class PolyMatrix:
-    """Dense matrix of MultiPoly entries over a shared ring."""
-
-    __slots__ = ("field", "nvars", "rows", "cols", "entries")
-
-    def __init__(self, field, nvars, entries, cols=None):
-        grid = tuple(tuple(entries_row) for entries_row in entries)
-        nrow = len(grid)
-        ncol = len(grid[0]) if nrow else (cols or 0)
-        for row in grid:
-            if len(row) != ncol:
-                raise ValueError("ragged rows")
-            for p in row:
-                if not isinstance(p, MultiPoly) or p.field != field or p.nvars != nvars:
-                    raise ValueError("entry over a different ring")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "rows", nrow)
-        object.__setattr__(self, "cols", ncol)
-        object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and (self.field, self.nvars, self.entries) ==
-                (other.field, other.nvars, other.entries)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, self.entries))
-
-
-def poly_matrix_rank(m: PolyMatrix) -> int:
-    """Rank of ``m`` over the function field K(x_1..x_nvars).
-
-    Fraction-free (Bareiss) elimination over Z[x], or F_p[x], after each
-    column is scaled by the lcm of its coefficient denominators, which
-    leaves the rank unchanged.  Every division is by a previous pivot and
-    provably exact; a nonzero remainder aborts the run.
-    """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    degree = max(_max_exponent(f) for row in m.entries for f in row)
-    width = _width(2 * min(m.rows, m.cols) * degree)
-    columns = [_integral_column(col, width) for col in zip(*m.entries)]
-    return _bareiss_rank(columns, m.field.p, _guard(m.nvars, width))
-
-
-def _bareiss_rank(columns, p, guard) -> int:
-    """Rank of the matrix with these columns of integral term dicts, keys
-    packed at a width for 2 min(rows, cols) times the largest exponent (an
-    entry is a minor of that many rows; a numerator, a product of two)."""
+def _bareiss_rank(columns, p, guard) -> list:
+    """Pivot columns, as many as the rank, of the matrix with these columns
+    of integral term dicts, keys packed at a width for 2 min(rows, cols)
+    times the largest exponent (an entry is a minor of that many rows; a
+    numerator, a product of two).  The columns are eliminated in order."""
     ncols = len(columns)
     work = [list(row) for row in zip(*columns)]
     nrows = len(work)
     prev = {0: 1}
-    pr = 0
+    pivots = []
     for c in range(ncols):
+        pr = len(pivots)
         if pr >= nrows:
             break
         src = next((r for r in range(pr, nrows) if work[r][c]), None)
@@ -376,15 +328,8 @@ def _bareiss_rank(columns, p, guard) -> int:
                 row[cc] = _div(num, prev, p, guard) if num else num
             row[c] = {}
         prev = pivot[c]
-        pr += 1
-    return pr
-
-
-def _integral_column(col, width):
-    """The entries of ``col`` as term dicts, scaled by a common denominator."""
-    parts = [_integral(f, width) for f in col]
-    den = math.lcm(*(d for _, d in parts))
-    return [{e: c * (den // d) for e, c in terms.items()} for terms, d in parts]
+        pivots.append(c)
+    return pivots
 
 
 def find_nonvanishing(f: MultiPoly, s):
@@ -405,20 +350,28 @@ def find_nonvanishing(f: MultiPoly, s):
     return None
 
 
-def _basis_rank(space, nvars, entry) -> int:
-    """Rank over K(x_1..x_nvars) of the n x dim matrix whose column for a
-    basis matrix C holds the term dicts ``entry(keys, row i of C)``, read
-    off the basis row scaled to integers; ``keys[l]`` packs x_(l+1)."""
-    n = space.n
-    width = _width(2 * min(n, space.dim))           # linear entries
+def _basis_pivots(field, n, rows, nvars, entry) -> list:
+    """Bareiss pivot columns over K(x_1..x_nvars) of the n x len(rows)
+    matrix whose column for a row-major basis row C holds the term dicts
+    ``entry(keys, row i of C)``, read off the row scaled to integers;
+    ``keys[l]`` packs x_(l+1).  Columns run in the order of ``rows``, so
+    the pivots among the first m count the rank of the first m columns."""
+    width = _width(2 * min(n, len(rows)))           # linear entries
     keys = [1 << (width * (nvars - 1 - l)) for l in range(nvars)]
     columns = []
-    for row in space.basis.basis:
-        if not space.field.p:
+    for row in rows:
+        if not field.p:
             den = math.lcm(*(x.denominator for x in row))
             row = [x.numerator * (den // x.denominator) for x in row]
         columns.append([entry(keys, row[i * n:(i + 1) * n]) for i in range(n)])
-    return _bareiss_rank(columns, space.field.p, _guard(nvars, width))
+    return _bareiss_rank(columns, field.p, _guard(nvars, width))
+
+
+def _action_pivots(field, n, rows) -> list:
+    """``_basis_pivots`` of the columns C*x: the pivots among the first m
+    count the generic rank of the span of the first m rows."""
+    return _basis_pivots(field, n, rows, n, lambda keys, r: {
+        key: c for key, c in zip(keys, r) if c})
 
 
 def generic_rank_of_action(space) -> int:
@@ -426,8 +379,7 @@ def generic_rank_of_action(space) -> int:
 
     Independent of the chosen basis of the subspace.
     """
-    return _basis_rank(space, space.n, lambda keys, r: {
-        key: c for key, c in zip(keys, r) if c})
+    return len(_action_pivots(space.field, space.n, space.basis.basis))
 
 
 def generic_rank_univariate(space, k: int, j: int) -> int:
@@ -437,5 +389,5 @@ def generic_rank_univariate(space, k: int, j: int) -> int:
     """
     if not (1 <= k <= space.n and 1 <= j <= space.n):
         raise ValueError("coordinate indices out of range")
-    return _basis_rank(space, 1, lambda keys, r: {
-        key: c for key, c in ((0, r[k - 1]), (keys[0], r[j - 1])) if c})
+    return len(_basis_pivots(space.field, space.n, space.basis.basis, 1, lambda keys, r: {
+        key: c for key, c in ((0, r[k - 1]), (keys[0], r[j - 1])) if c}))

@@ -16,6 +16,9 @@ pass with all three moves per level suffices; otherwise the
 generic-vector pass runs in full first and the unit-triangular pass
 second.  Every move is logged with its conjugator so a run can be
 replayed and audited move by move.
+
+The moves read the current space's levels off its ``matspace.Filtration``;
+``normalize`` reads one for the input and one after each logged move.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 from .errors import FieldTooSmallError, PreconditionViolated
 from .linalg import DenseMatrix
 from .matspace import (
+    Filtration,
     MatrixSubspace,
+    _basis_vector,
     _column_space,
-    binary_profile,
     conjugate,
     constraint_space,
     filtration_level,
@@ -77,27 +81,27 @@ def pencil_condition(space: MatrixSubspace, j: int, k: int) -> bool:
     return _column_space(level, e_j).dim >= generic_rank_univariate(level, k, j)
 
 
-def _basis_vector(field, n, k):
-    return tuple(field.one if i == k - 1 else field.zero for i in range(n))
-
-
-def move_generic_vector(space: MatrixSubspace, k: int, pivot=False):
-    """Conjugate so the level-k column space attains its generic dimension.
+def move_generic_vector(fil: Filtration, k: int, pivot=False):
+    """Conjugate the filtered space so the level-k column space attains
+    its generic dimension.
 
     Returns ``(t, conjugated)``.  The conjugator's columns right of k are
     identity columns; with ``pivot`` the found vector has k-th entry 1
     and t is the identity outside column k.  No-op (t = I) when the
     level is already saturated or zero.
     """
+    space = fil.space
     f, n = space.field, space.n
     eye = DenseMatrix.identity(f, n)
     if k == 0:
         return eye, space
-    level = filtration_level(space, k)
-    dk = generic_rank_of_action(level)
-    if dk == 0 or _column_space(level, _basis_vector(f, n, k)).dim == dk:
+    # The column space along e_k never exceeds d_k, so it is saturated
+    # when d_k = 0.
+    cs = fil.column_space(k, _basis_vector(f, n, k))
+    dk = fil.d[k]
+    if cs.dim == dk:
         return eye, space
-    v = find_generic_vector(space, k, require_pivot_one=pivot)
+    v = find_generic_vector(fil, k, require_pivot_one=pivot)
     entries = [list(row) for row in eye.entries]
     for i in range(n):
         entries[i][k - 1] = v[i]
@@ -116,15 +120,16 @@ def move_generic_vector(space: MatrixSubspace, k: int, pivot=False):
     return t, out
 
 
-def move_unit_triangular(space: MatrixSubspace, k: int):
-    """Lower-triangular conjugation making the level-k column space a
-    span of standard basis unit vectors (so its one-count equals its
-    dimension).  No-op when it already is."""
+def move_unit_triangular(fil: Filtration, k: int):
+    """Lower-triangular conjugation making the level-k column space of the
+    filtered space a span of standard basis unit vectors (so its
+    one-count equals its dimension).  No-op when it already is."""
+    space = fil.space
     f, n = space.field, space.n
     eye = DenseMatrix.identity(f, n)
     if k == 0:
         return eye, space
-    cs = _column_space(filtration_level(space, k), _basis_vector(f, n, k))
+    cs = fil.column_space(k, _basis_vector(f, n, k))
     if all(sum(1 for x in row if x != f.zero) == 1 for row in cs.basis):
         return eye, space
     entries = [list(row) for row in eye.entries]
@@ -138,15 +143,17 @@ def move_unit_triangular(space: MatrixSubspace, k: int):
     return t, conjugate(space, t)
 
 
-def move_permutation(space: MatrixSubspace, k: int):
-    """Permute leading coordinates so column k of the profile becomes
-    decreasing above the diagonal.  The permutation is stable and fixes
-    every coordinate from the lowest 1 of the column downward."""
+def move_permutation(fil: Filtration, k: int):
+    """Permute leading coordinates so column k of the filtered space's
+    profile becomes decreasing above the diagonal.  The permutation is
+    stable and fixes every coordinate from the lowest 1 of the column
+    downward."""
+    space = fil.space
     f, n = space.field, space.n
     eye = DenseMatrix.identity(f, n)
     if k == 0:
         return eye, space
-    cs = _column_space(filtration_level(space, k), _basis_vector(f, n, k))
+    cs = fil.column_space(k, _basis_vector(f, n, k))
     ind = [0] * n
     for row in cs.basis:
         for i in range(n):
@@ -193,47 +200,45 @@ def normalize(space: MatrixSubspace) -> NormalizationResult:
       b_n > min(b_{n-1}, n-1) and B_{(n-1)n} >= B_{n(n-1)}.
     """
     f, n = space.field, space.n
-    d_top = generic_rank_of_action(space)
+    fil = Filtration(space)
+    d_top = fil.d[n]
     if not f.size_at_least(d_top):
         raise FieldTooSmallError(
             "normalization needs #K >= %d" % d_top, needed=d_top)
     log = []
-    cur = space
 
     def apply(kind, k, move):
-        nonlocal cur
-        t, cur = move
+        nonlocal fil
+        t, out = move
         if t != DenseMatrix.identity(f, n):
             log.append(Move(kind, k, t))
+            fil = Filtration(out)
 
-    apply("generic_vector", n, move_generic_vector(cur, n))
-    d_next = generic_rank_of_action(filtration_level(cur, n - 1))
-    branch = SINGLE_PASS if f.size_greater(min(d_next, n - 1)) else DOUBLE_PASS
+    apply("generic_vector", n, move_generic_vector(fil, n))
+    branch = SINGLE_PASS if f.size_greater(min(fil.d[n - 1], n - 1)) else DOUBLE_PASS
 
     if branch == SINGLE_PASS:
         for k in range(n, 0, -1):
-            dk = generic_rank_of_action(filtration_level(cur, k))
-            if dk == n:
+            if fil.d[k] == n:
                 if k < n:
-                    apply("generic_vector", k, move_generic_vector(cur, k))
+                    apply("generic_vector", k, move_generic_vector(fil, k))
                 continue
             if k < n:
-                apply("generic_vector", k, move_generic_vector(cur, k, pivot=True))
-            apply("unit_triangular", k, move_unit_triangular(cur, k))
-            apply("permutation", k, move_permutation(cur, k))
+                apply("generic_vector", k, move_generic_vector(fil, k, pivot=True))
+            apply("unit_triangular", k, move_unit_triangular(fil, k))
+            apply("permutation", k, move_permutation(fil, k))
     else:
         for k in range(n - 1, 0, -1):
-            apply("generic_vector", k, move_generic_vector(cur, k))
+            apply("generic_vector", k, move_generic_vector(fil, k))
         for k in range(n, 0, -1):
-            apply("unit_triangular", k, move_unit_triangular(cur, k))
+            apply("unit_triangular", k, move_unit_triangular(fil, k))
 
     t_total = DenseMatrix.identity(f, n)
     for move in log:
         t_total = t_total.mul(move.t)
-    profile = binary_profile(cur)
     result = NormalizationResult(
-        c_n_input=space, t_total=t_total, c_n_final=cur,
-        profile=profile, branch=branch, log=tuple(log))
+        c_n_input=space, t_total=t_total, c_n_final=fil.space,
+        profile=fil.profile(), branch=branch, log=tuple(log))
     _check_postconditions(result, d_top)
     return result
 

@@ -124,11 +124,10 @@ class MathieuVerdict:
 def _digits(p: int, width: int) -> np.ndarray:
     """All base-p digit strings of the given width, in increasing order;
     int16 when a sum of ``width`` products of digits fits in it."""
-    idx = np.arange(p ** width, dtype=np.int64)
-    out = np.empty((len(idx), width),
-                   dtype=np.int16 if width * (p - 1) ** 2 < 2 ** 15 else np.int64)
-    for j in range(width - 1, -1, -1):
-        idx, out[:, j] = np.divmod(idx, p)
+    dtype = np.int16 if width * (p - 1) ** 2 < 2 ** 15 else np.int64
+    out = np.empty((p ** width, width), dtype=dtype)
+    for j in range(width):
+        out[:, j] = np.tile(np.repeat(np.arange(p, dtype=dtype), p ** (width - 1 - j)), p ** j)
     return out
 
 

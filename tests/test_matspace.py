@@ -12,6 +12,7 @@ from mathieumat.linalg import (
 )
 from mathieumat.matspace import (
     BinaryProfile,
+    Filtration,
     MatrixSubspace,
     binary_profile,
     column_space,
@@ -282,25 +283,25 @@ def test_rct_examples():
 
 def test_find_generic_vector_scalar_space():
     eye = MatrixSubspace.from_matrices(F5, 3, [DenseMatrix.identity(F5, 3)])
-    v = find_generic_vector(eye, 3)
+    v = find_generic_vector(Filtration(eye), 3)
     assert v == (0, 0, 1)
     assert column_space_dim(eye, v) == 1
 
 
 def test_find_generic_vector_pivot_success_at_bound():
     cn = pair_space(F3).adjoin_identity()
-    v = find_generic_vector(cn, 3, require_pivot_one=True)
+    v = find_generic_vector(Filtration(cn), 3, require_pivot_one=True)
     assert v[2] == F3.one
     assert column_space_dim(filtration_level(cn, 3), v) == 3
     # deterministic output
-    assert v == find_generic_vector(cn, 3, require_pivot_one=True)
+    assert v == find_generic_vector(Filtration(cn), 3, require_pivot_one=True)
     assert v == (0, 1, 1)
 
 
 def test_find_generic_vector_field_too_small():
     cn = pair_space(F2).adjoin_identity()
     with pytest.raises(FieldTooSmallError) as exc:
-        find_generic_vector(cn, 3, require_pivot_one=True)
+        find_generic_vector(Filtration(cn), 3, require_pivot_one=True)
     assert exc.value.needed == 4
 
 
@@ -309,7 +310,7 @@ def test_find_generic_vector_trailing_zeros():
     for _ in range(10):
         cn = random_subspace(rng, F5, 3)
         for k in range(4):
-            v = find_generic_vector(cn, k)
+            v = find_generic_vector(Filtration(cn), k)
             assert all(x == 0 for x in v[k:])
             level = filtration_level(cn, k)
             assert column_space_dim(level, v) == generic_rank_of_action(level)

@@ -8,17 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from mathieumat.linalg import DenseMatrix, Field, rank_of_rows
-from mathieumat.matspace import MatrixSubspace, column_space_dim
+from mathieumat.linalg import DenseMatrix, Field
+from mathieumat.matspace import Filtration, MatrixSubspace, column_space_dim, filtration_level
 from mathieumat.multipoly import (
     MultiPoly,
-    PolyMatrix,
     _pack,
     divexact,
     find_nonvanishing,
     generic_rank_of_action,
     generic_rank_univariate,
-    poly_matrix_rank,
 )
 
 F2 = Field.prime(2)
@@ -128,45 +126,6 @@ def test_divexact_random_roundtrip():
             if g.is_zero():
                 continue
             assert divexact(f * g, g) == f
-
-
-def test_poly_matrix_rank_diagonal():
-    f = QQ
-    entries = [[MultiPoly.zero(f, 3)] * 3 for _ in range(3)]
-    for i in range(3):
-        entries[i][i] = x(f, 3, i + 1)
-    assert poly_matrix_rank(PolyMatrix(f, 3, entries)) == 3
-
-
-def test_poly_matrix_rank_f2_columns():
-    # columns (x2,x2,0), (0,x2+x3,0), (x1,x2,x3): determinant x3*x2*(x2+x3) != 0
-    f = F2
-    z = MultiPoly.zero(f, 3)
-    x1, x2, x3 = (x(f, 3, i) for i in (1, 2, 3))
-    cols = [[x2, x2, z], [z, x2 + x3, z], [x1, x2, x3]]
-    pm = PolyMatrix(f, 3, [[cols[j][i] for j in range(3)] for i in range(3)])
-    assert poly_matrix_rank(pm) == 3
-
-
-def test_poly_matrix_rank_proportional_columns():
-    f = QQ
-    x1, x2 = x(f, 2, 1), x(f, 2, 2)
-    pm = PolyMatrix(f, 2, [[x1, x1.scale(2)], [x2, x2.scale(2)]])
-    assert poly_matrix_rank(pm) == 1
-
-
-def test_poly_matrix_rank_constant_matches_linalg():
-    rng = random.Random(4)
-    for field in (F2, F5, QQ):
-        for _ in range(25):
-            rows = rng.randrange(1, 5)
-            cols = rng.randrange(1, 5)
-            grid = [[field.of(rng.randrange(-3, 4)) for _ in range(cols)]
-                    for _ in range(rows)]
-            pm = PolyMatrix(field, 0, [
-                [MultiPoly.constant(field, 0, v) for v in row] for row in grid
-            ], cols=cols)
-            assert poly_matrix_rank(pm) == rank_of_rows(field, grid)
 
 
 def test_find_nonvanishing_basic():
@@ -288,16 +247,6 @@ def _sympy_rank(field, grid, symbols):
                         (len(grid), len(grid[0])), dom).rank()
 
 
-def _to_sympy(poly, symbols):
-    total = sympy.Integer(0)
-    for exps, c in poly.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator) if poly.field.p == 0 else sympy.Integer(c)
-        for s, e in zip(symbols, exps):
-            term *= s ** e
-        total += term
-    return total
-
-
 FIELDS = [F2, F3, F5, QQ]
 
 
@@ -305,34 +254,6 @@ def _coefficients(field):
     if field.p:
         return st.integers(0, field.p - 1)
     return st.fractions(min_value=-4, max_value=4, max_denominator=9)
-
-
-@st.composite
-def poly_matrices(draw):
-    field = draw(st.sampled_from(FIELDS))
-    nvars = draw(st.integers(1, 4))
-    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    exps = st.tuples(*[st.integers(0, 2)] * nvars)
-    polys = st.dictionaries(exps, _coefficients(field), max_size=3).map(
-        lambda terms: MultiPoly(field, nvars, terms))
-    cols = []
-    for _ in range(ncols):
-        if cols and draw(st.booleans()):
-            # a K[x]-combination of two earlier columns keeps the rank down
-            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
-            fa, fb = draw(polys), draw(polys)
-            cols.append([fa * u + fb * v for u, v in zip(a, b)])
-        else:
-            cols.append([draw(polys) for _ in range(nrows)])
-    return PolyMatrix(field, nvars, [[col[i] for col in cols] for i in range(nrows)])
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(poly_matrices())
-def test_poly_matrix_rank_matches_sympy(pm):
-    syms = sympy.symbols("x1:%d" % (pm.nvars + 1))
-    grid = [[_to_sympy(f, syms) for f in row] for row in pm.entries]
-    assert poly_matrix_rank(pm) == _sympy_rank(pm.field, grid, syms)
 
 
 @st.composite
@@ -348,8 +269,13 @@ def spaces(draw):
     gens = draw(st.lists(
         st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n),
         max_size=n + 2))
-    gens = [DenseMatrix(field, [[c if keep else 0 for c, keep in zip(row, mask)]
-                                for row, mask in zip(g, support)]) for g in gens]
+    # a generator kept to its first columns gives the lower filtration
+    # levels members
+    widths = [draw(st.integers(1, n)) for _ in gens]
+    gens = [DenseMatrix(field, [[c if keep and l < w else 0
+                                 for l, (c, keep) in enumerate(zip(row, mask))]
+                                for row, mask in zip(g, support)])
+            for g, w in zip(gens, widths)]
     k, j = draw(st.integers(1, n)), draw(st.integers(1, n))
     return MatrixSubspace.from_matrices(field, n, gens), k, j
 
@@ -371,13 +297,26 @@ MIXED_DENOMINATORS = MatrixSubspace.from_matrices(QQ, 3, [
 def test_generic_ranks_of_spaces_match_sympy(case):
     space, k, j = case
     f, n = space.field, space.n
-    mats = [[[_sympy_scalar(f, c) for c in row] for row in m.entries]
-            for m in space.basis_matrices]
+    mats = _sympy_matrices(space)
     xs = sympy.symbols("x1:%d" % (n + 1))
-    # column C x for each basis matrix C
-    action = [[sum(m[i][l] * xs[l] for l in range(n)) for m in mats] for i in range(n)]
-    assert generic_rank_of_action(space) == _sympy_rank(f, action if mats else [], xs)
+    assert generic_rank_of_action(space) == _sympy_action_rank(space, xs)
+    # every generic dimension of the one filtration readout, level by level
+    assert Filtration(space).d == tuple(
+        _sympy_action_rank(filtration_level(space, level), xs) for level in range(n + 1))
     # column C (e_k + t e_j) for each basis matrix C
     t = sympy.Symbol("t")
     uni = [[m[i][k - 1] + t * m[i][j - 1] for m in mats] for i in range(n)]
     assert generic_rank_univariate(space, k, j) == _sympy_rank(f, uni if mats else [], (t,))
+
+
+def _sympy_matrices(space):
+    return [[[_sympy_scalar(space.field, c) for c in row] for row in m.entries]
+            for m in space.basis_matrices]
+
+
+def _sympy_action_rank(space, xs):
+    """Rank over K(x) of the columns C x, C over the basis, by sympy."""
+    mats = _sympy_matrices(space)
+    action = [[sum(m[i][l] * xs[l] for l in range(space.n)) for m in mats]
+              for i in range(space.n)]
+    return _sympy_rank(space.field, action if mats else [], xs)

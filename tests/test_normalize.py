@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from mathieumat import multipoly
 from mathieumat.errors import FieldTooSmallError, PreconditionViolated
 from mathieumat.linalg import DenseMatrix, Field, invert
 from mathieumat.matspace import (
+    Filtration,
     MatrixSubspace,
     binary_profile,
     column_space,
@@ -68,7 +70,7 @@ def test_pencil_condition_examples():
     assert not pencil_condition(cn2, 3, 2)
     # after a generic-vector move at the top level it holds for every k
     cn3 = pair_space(F3).adjoin_identity()
-    _, moved = move_generic_vector(cn3, 3)
+    _, moved = move_generic_vector(Filtration(cn3), 3)
     for k in (1, 2, 3):
         assert pencil_condition(moved, 3, k)
 
@@ -77,7 +79,7 @@ def test_move_generic_vector_saturates_level():
     cn3 = pair_space(F3).adjoin_identity()
     level = filtration_level(cn3, 3)
     assert column_space_dim(level, e(F3, 3, 3)) == 2
-    t, moved = move_generic_vector(cn3, 3)
+    t, moved = move_generic_vector(Filtration(cn3), 3)
     assert moved == conjugate(cn3, t)
     assert column_space_dim(filtration_level(moved, 3), e(F3, 3, 3)) == 3
     # identity columns right of k (here k = n, so just invertibility)
@@ -86,18 +88,18 @@ def test_move_generic_vector_saturates_level():
 
 def test_move_generic_vector_noops():
     eye3 = MatrixSubspace.from_matrices(F5, 3, [DenseMatrix.identity(F5, 3)])
-    t, out = move_generic_vector(eye3, 3)
+    t, out = move_generic_vector(Filtration(eye3), 3)
     assert t == DenseMatrix.identity(F5, 3) and out == eye3
     # a level whose filtration is zero
-    t, out = move_generic_vector(eye3, 1)
+    t, out = move_generic_vector(Filtration(eye3), 1)
     assert t == DenseMatrix.identity(F5, 3) and out == eye3
 
 
 def test_move_generic_vector_pivot_form_is_identity_outside_column():
     cn3 = pair_space(F3).adjoin_identity()
-    _, moved = move_generic_vector(cn3, 3)
+    _, moved = move_generic_vector(Filtration(cn3), 3)
     # craft a level below n that needs a pivot move
-    t, _ = move_generic_vector(moved, 2, pivot=True)
+    t, _ = move_generic_vector(Filtration(moved), 2, pivot=True)
     n = 3
     for j in range(n):
         if j == 1:
@@ -109,7 +111,7 @@ def test_move_unit_triangular_spans_units():
     # level-3 column space span{e2+e3} becomes span{e2}
     m = DenseMatrix(F5, [[0, 0, 0], [0, 0, 1], [0, 0, 1]])
     s = MatrixSubspace.from_matrices(F5, 3, [m])
-    t, out = move_unit_triangular(s, 3)
+    t, out = move_unit_triangular(Filtration(s), 3)
     assert out == conjugate(s, t)
     cs = column_space(filtration_level(out, 3), e(F5, 3, 3))
     assert cs.dim == 1 and cs.member((0, 1, 0))
@@ -123,9 +125,9 @@ def test_move_unit_triangular_spans_units():
 
 def test_move_unit_triangular_noops():
     eye3 = MatrixSubspace.from_matrices(F5, 3, [DenseMatrix.identity(F5, 3)])
-    t, out = move_unit_triangular(eye3, 3)
+    t, out = move_unit_triangular(Filtration(eye3), 3)
     assert t == DenseMatrix.identity(F5, 3) and out == eye3
-    t, out = move_unit_triangular(MatrixSubspace.zero_space(F5, 3), 2)
+    t, out = move_unit_triangular(Filtration(MatrixSubspace.zero_space(F5, 3)), 2)
     assert t == DenseMatrix.identity(F5, 3)
 
 
@@ -136,7 +138,7 @@ def test_move_permutation_sorts_column():
         DenseMatrix.unit(f, 4, 4, 0, 3),
         DenseMatrix.unit(f, 4, 4, 2, 3),
     ])
-    t, out = move_permutation(s, 4)
+    t, out = move_permutation(Filtration(s), 4)
     assert out == conjugate(s, t)
     cs = column_space(filtration_level(out, 4), e(f, 4, 4))
     assert cs.member((1, 0, 0, 0)) and cs.member((0, 1, 0, 0))
@@ -150,9 +152,9 @@ def test_move_permutation_noops():
         DenseMatrix.unit(f, 4, 4, 0, 3),
         DenseMatrix.unit(f, 4, 4, 1, 3),
     ])
-    t, _ = move_permutation(s, 4)
+    t, _ = move_permutation(Filtration(s), 4)
     assert t == DenseMatrix.identity(f, 4)
-    t, _ = move_permutation(MatrixSubspace.zero_space(f, 4), 4)
+    t, _ = move_permutation(Filtration(MatrixSubspace.zero_space(f, 4)), 4)
     assert t == DenseMatrix.identity(f, 4)
 
 
@@ -238,6 +240,36 @@ def test_normalize_over_rationals():
     res = normalize(s)
     assert res.branch == SINGLE_PASS
     assert res.profile.b[2] == 3
+
+
+def test_one_bareiss_run_per_filtered_space(monkeypatch):
+    # binary_profile reads every generic dimension off one run; normalize
+    # runs it on the input and once after each logged move
+    runs = []
+    bareiss = multipoly._bareiss_rank
+
+    def counting(*args):
+        runs.append(1)
+        return bareiss(*args)
+
+    monkeypatch.setattr(multipoly, "_bareiss_rank", counting)
+    rng = random.Random(89)
+    moves = []
+    for field in (F5, QQ):
+        for _ in range(8):
+            n = rng.choice((3, 4))
+            s = MatrixSubspace.from_matrices(field, n, [
+                DenseMatrix(field, [[rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(n)]
+                                    for _ in range(n)])
+                for _ in range(rng.randrange(1, n))])
+            runs.clear()
+            binary_profile(s)
+            assert len(runs) == 1
+            runs.clear()
+            result = normalize(s)
+            assert len(runs) == 1 + len(result.log)
+            moves.append(len(result.log))
+    assert max(moves) >= 2
 
 
 def test_lower_triangular_column_replacement():

@@ -8,15 +8,34 @@ kernel of the transposed basis, a kernel on basis coefficients recombined
 into members, the kernel of the system "tr(K E_ij A) = 0 for every
 constraint K", and a loop over unit products.  Every reference solves
 its kernels with ``reference_kernel``, never with the code under test.
+
+The column filtration (``Filtration``: one RREF and one Bareiss run per
+space) is compared with the level-by-level reading it replaced: each
+level by ``filtration_level``, its column spaces by ``_column_space`` and
+its generic dimension by its own ``generic_rank_of_action``.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mathieumat.errors import FieldTooSmallError, SingularMatrixError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, kernel, rref
-from mathieumat.matspace import MatrixSubspace, constraint_space, members_vanishing_at
+from mathieumat.matspace import (
+    BinaryProfile,
+    Filtration,
+    MatrixSubspace,
+    _column_space,
+    binary_profile,
+    conjugate,
+    constraint_space,
+    filtration_level,
+    find_generic_vector,
+    members_vanishing_at,
+)
+from mathieumat.multipoly import generic_rank_of_action
 from mathieumat.verify import is_left_ideal, left_ideal_normal_form, max_left_ideal
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
@@ -124,6 +143,47 @@ def reference_is_left_ideal(space: MatrixSubspace) -> bool:
                for a in space.basis_matrices for i in range(n) for j in range(n))
 
 
+def unit_vector(field, n, k):
+    return tuple(field.one if i == k - 1 else field.zero for i in range(n))
+
+
+def reference_profile(space: MatrixSubspace) -> BinaryProfile:
+    """B, the column dimensions and d, one level at a time."""
+    f, n = space.field, space.n
+    levels = [filtration_level(space, k) for k in range(n + 1)]
+    B = [[0] * n for _ in range(n)]
+    col_dims = []
+    for j in range(1, n + 1):
+        cs = _column_space(levels[j], unit_vector(f, n, j))
+        col_dims.append(cs.dim)
+        for row in cs.basis:
+            for i in range(n):
+                if row[i] != f.zero:
+                    B[i][j - 1] = 1
+    b = [sum(B[i][j] for i in range(n)) for j in range(n)]
+    return BinaryProfile(n, B, b, col_dims, [generic_rank_of_action(lv) for lv in levels])
+
+
+def reference_generic_vector(space: MatrixSubspace, k: int, pivot: bool):
+    """The first grid vector of S^k x 0 whose level-k column space has
+    dimension d_k (S the first d_k + 1 elements), scaled to v_k = 1 in
+    the pivot form; None when there is none."""
+    f, n = space.field, space.n
+    level = filtration_level(space, k)
+    dk = generic_rank_of_action(level)
+    if dk == 0:
+        return tuple(f.one if pivot and i == k - 1 else f.zero for i in range(n))
+    for point in itertools.product(f.first_elements(dk + 1), repeat=k):
+        if pivot and point[k - 1] == f.zero:
+            continue
+        v = point + (f.zero,) * (n - k)
+        if _column_space(level, v).dim == dk:
+            if pivot:
+                v = tuple(f.div(x, point[k - 1]) for x in v)
+            return v
+    return None
+
+
 # --- inputs ------------------------------------------------------------------
 
 def scalars(field):
@@ -191,6 +251,45 @@ def column_kill(field, n, k):
 def column_kill_and_identity(field, n, k):
     """Not a left ideal for k < n; its maximal left ideal is column_kill."""
     return column_kill(field, n, k).adjoin_identity()
+
+
+@st.composite
+def filtered_spaces(draw):
+    """Spans of generators kept to their first columns, so that the lower
+    filtration levels are not zero, conjugated by a permutation, by an
+    invertible lower-triangular matrix (which keeps every level's
+    dimension) or by a random matrix; and the spaces above.  n = 1..5."""
+    field, n = draw(st.sampled_from(FIELDS)), draw(st.integers(1, 5))
+    how = draw(st.sampled_from(("plain", "permuted", "lower", "conjugated", "random")))
+    if how == "random":
+        return draw(matrix_spaces(field, n))
+    gens = []
+    for m in draw(st.lists(matrices(field, n), max_size=n + 2)):
+        width = draw(st.integers(1, n))
+        gens.append(DenseMatrix(field, [row[:width] + (field.zero,) * (n - width)
+                                        for row in m.entries]))
+    space = MatrixSubspace.from_matrices(field, n, gens)
+    if how == "permuted":
+        order = draw(st.permutations(range(n)))
+        t = DenseMatrix(field, [[int(j == order[i]) for j in range(n)] for i in range(n)])
+    elif how == "lower":
+        t = draw(matrices(field, n))
+        t = DenseMatrix(field, [[x if j < i else field.one if j == i else 0
+                                 for j, x in enumerate(row)] for i, row in enumerate(t.entries)])
+    elif how == "conjugated":
+        t = draw(matrices(field, n))
+    else:
+        return space
+    try:
+        return conjugate(space, t)
+    except SingularMatrixError:
+        return space
+
+
+@st.composite
+def filtered_spaces_with_levels(draw):
+    space = draw(filtered_spaces())
+    return space, draw(st.integers(0, space.n)), draw(st.booleans())
 
 
 @st.composite
@@ -320,3 +419,40 @@ def test_left_ideal_examples_over_every_field():
                 assert is_left_ideal(padded) == reference_is_left_ideal(padded) == closed
                 assert max_left_ideal(padded) == (padded if closed else ideal)
 
+
+
+@SETTINGS
+@given(filtered_spaces())
+@example(MatrixSubspace.zero_space(F2, 1))
+@example(MatrixSubspace.full_space(QQ, 4))
+@example(column_kill(F3, 4, 2))
+@example(column_kill_and_identity(F5, 5, 3))
+def test_filtration_readout_matches_levels(space):
+    got = Filtration(space)
+    assert binary_profile(space) == got.profile() == reference_profile(space)
+    levels = [filtration_level(space, k) for k in range(space.n + 1)]
+    assert got.dims == tuple(level.dim for level in levels)
+    assert all(MatrixSubspace.from_matrices(space.field, space.n, got.matrices[:level.dim])
+               == level for level in levels)
+
+
+# d_3 = 3, but no vector over F_2 reaches it: both scans come up empty.
+PAIR_PLUS_IDENTITY = MatrixSubspace.from_matrices(F2, 3, [
+    [[0, 1, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 1], [0, 0, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(filtered_spaces_with_levels())
+@example((PAIR_PLUS_IDENTITY, 3, True))
+@example((PAIR_PLUS_IDENTITY, 3, False))
+@example((column_kill(QQ, 4, 3), 3, True))
+def test_generic_vector_from_the_readout_matches_levels(case):
+    space, k, pivot = case
+    pivot = pivot and k >= 1
+    want = reference_generic_vector(space, k, pivot)
+    try:
+        got = find_generic_vector(Filtration(space), k, require_pivot_one=pivot)
+    except FieldTooSmallError:
+        got = None
+    assert got == want

@@ -18,6 +18,7 @@ from mathieumat.verify import (
     PRE_TWO_SIDED,
     RIGHT,
     TWO_SIDED,
+    all_matrices_np,
     full_power_set,
     idempotents,
     is_left_ideal,
@@ -517,6 +518,22 @@ def test_enumeration_guard():
             tracemalloc.stop()
         assert verdict.holds == _two_sided_oracle(space)
         assert verdict.holds or witness_replays(space, verdict.witness)
+
+
+def test_universe_is_built_without_a_key_array():
+    assert all_matrices_np(3, 2).tolist() == [
+        [list(row) for row in m.entries] for m in all_matrices(F3, 2, 2)]
+    # Mat_2(F_31) is 923,521 keys, 7 MiB as int16; an int64 array of the
+    # keys and its divmod temporaries took the peak to 28 MiB
+    tracemalloc.start()
+    try:
+        universe = all_matrices_np(31, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+    assert universe[32].tolist() == [[0, 0], [1, 1]]
+    assert universe[-1].tolist() == [[30, 30], [30, 30]]
 
 
 def _two_sided_oracle(space):

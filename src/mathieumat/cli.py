@@ -1,5 +1,16 @@
 """Command-line front end: parse space files, run computations, report.
 
+The commands form one table in ``build_parser``.  A file command is
+``cmd_x(args, space) -> (payload, move_log)`` and returns only its own
+payload keys (``move_log`` is None except for ``normalize``); ``repro``,
+the one command without a file, returns its payload alone.  ``main``
+does the shared work once: it parses the arguments, loads the space
+file, adds ``field`` and ``n`` to the payload, and reports the payload
+with the file's sha256 (``digest``; "-" for ``repro``) and the wall
+time.  The parser is built once per process, on first use rather than
+at import, so a wrapper installed on a command after import is the one
+it dispatches to.
+
 Reports are a single structured document on stdout (plain text, or JSON
 with ``--json``); diagnostics go to stderr.  Identical input files give
 byte-identical payloads; only the wall-time field varies.  Exit status
@@ -11,12 +22,11 @@ argument or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from . import spacefile
 from .errors import MathieuMatError, SpaceFileError
@@ -58,93 +68,43 @@ def matrix_payload(m: DenseMatrix):
     return [[scalar(x) for x in row] for row in m.entries]
 
 
-@dataclass
-class Report:
-    command: str
-    digest: str
-    payload: dict
-    move_log: Optional[list]
-    wall_time_ms: float
-
-    def to_dict(self):
-        out = {
-            "command": self.command,
-            "digest": self.digest,
-            "payload": self.payload,
-            "wall_time_ms": self.wall_time_ms,
-        }
-        if self.move_log is not None:
-            out["move_log"] = self.move_log
-        return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def _render_text(report: Report, stream):
-    print("command: %s" % report.command, file=stream)
-    print("digest: %s" % report.digest, file=stream)
-    for key in sorted(report.payload):
-        print("%s: %s" % (key, json.dumps(report.payload[key], sort_keys=True)),
-              file=stream)
-    if report.move_log is not None:
-        print("move_log:", file=stream)
-        for move in report.move_log:
-            print("  %s" % json.dumps(move, sort_keys=True), file=stream)
-    print("wall_time_ms: %.1f" % report.wall_time_ms, file=stream)
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _load(args):
+def _load(path, field_token):
     try:
-        with open(args.file, "rb") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
         text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SpaceFileError(str(exc))
-    sf = spacefile.loads(text)
-    field, space = sf.resolve(args.field)
-    return _digest(raw), sf, field, space
+    _, space = spacefile.loads(text).resolve(field_token)
+    return hashlib.sha256(raw).hexdigest(), space
 
 
-def cmd_constraints(args):
-    digest, sf, field, space = _load(args)
+def cmd_constraints(args, space):
     cons = constraint_space(space)
     payload = {
-        "field": repr(field),
-        "n": space.n,
         "space_dim": space.dim,
         "dim": cons.dim,
         "identity_in_constraints": cons.contains_identity(),
         "basis": [matrix_payload(m) for m in cons.basis_matrices],
     }
-    return digest, payload, None
+    return payload, None
 
 
-def cmd_profile(args):
-    digest, sf, field, space = _load(args)
+def cmd_profile(args, space):
     prof = binary_profile(space)
     payload = {
-        "field": repr(field),
-        "n": space.n,
         "B": [list(row) for row in prof.B],
         "b": list(prof.b),
         "col_dims": list(prof.col_dims),
         "d": list(prof.d),
     }
-    return digest, payload, None
+    return payload, None
 
 
-def cmd_normalize(args):
-    digest, sf, field, space = _load(args)
+def cmd_normalize(args, space):
     result = normalize(space)
     prof = result.profile
     payload = {
-        "field": repr(field),
-        "n": space.n,
         "branch": result.branch,
         "t_total": matrix_payload(result.t_total),
         "B": [list(row) for row in prof.B],
@@ -156,36 +116,30 @@ def cmd_normalize(args):
         {"kind": m.kind, "level": m.level, "t": matrix_payload(m.t)}
         for m in result.log
     ]
-    return digest, payload, move_log
+    return payload, move_log
 
 
-def cmd_idempotents(args):
-    digest, sf, field, space = _load(args)
+def cmd_idempotents(args, space):
     if not 1 <= args.r <= space.n - 1:
         raise argparse.ArgumentError(
             None, "--r %d out of range 1..%d" % (args.r, space.n - 1))
     form = UPPER if args.form == "upper" else LOWER
     fam = idempotent_family(space, args.r, form)
     payload = {
-        "field": repr(field),
-        "n": space.n,
         "r": fam.r,
         "form": fam.form,
         "rank": fam.rank,
         "dim": fam.dim,
         "particular": matrix_payload(fam.particular),
-        "directions": [list(map(_scalar_payload(field), row))
+        "directions": [list(map(_scalar_payload(space.field), row))
                        for row in fam.directions.basis],
     }
-    return digest, payload, None
+    return payload, None
 
 
-def cmd_verify(args):
-    digest, sf, field, space = _load(args)
+def cmd_verify(args, space):
     verdict = verify_mathieu(space, TYPE_FLAGS[args.type])
     payload = {
-        "field": repr(field),
-        "n": space.n,
         "type": verdict.vtype,
         "holds": verdict.holds,
         "witness": None,
@@ -199,52 +153,43 @@ def cmd_verify(args):
             "exponent": w.exponent,
             "replays": witness_replays(space, w),
         }
-    return digest, payload, None
+    return payload, None
 
 
-def cmd_radical(args):
-    digest, sf, field, space = _load(args)
+def cmd_radical(args, space):
     rad = radical(space)
     canon = json.dumps([matrix_payload(m) for m in rad])
     payload = {
-        "field": repr(field),
-        "n": space.n,
         "count": len(rad),
-        "sha256": _digest(canon.encode("utf-8")),
+        "sha256": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
     }
     if len(rad) <= 64:
         payload["elements"] = [matrix_payload(m) for m in rad]
-    return digest, payload, None
+    return payload, None
 
 
-def cmd_maxideal(args):
-    digest, sf, field, space = _load(args)
+def cmd_maxideal(args, space):
     ideal = max_left_ideal(space)
     nf = left_ideal_normal_form(ideal)
     payload = {
-        "field": repr(field),
-        "n": space.n,
         "dim": ideal.dim,
         "k": nf.k,
         "t": matrix_payload(nf.t),
         "idempotent": matrix_payload(nf.idempotent),
         "basis": [matrix_payload(m) for m in ideal.basis_matrices],
     }
-    return digest, payload, None
+    return payload, None
 
 
-def cmd_main2(args):
-    digest, sf, field, space = _load(args)
+def cmd_main2(args, space):
     cert = rct_certificate(space)
     conjugated = conjugate(constraint_space(space), cert.t)
     payload = {
-        "field": repr(field),
-        "n": space.n,
         "r": cert.r,
         "t": matrix_payload(cert.t),
         "conclusion_holds": rct_zero_is_scalar(conjugated, cert.r),
     }
-    return digest, payload, None
+    return payload, None
 
 
 # --- canned reproductions ------------------------------------------------
@@ -358,11 +303,12 @@ def cmd_repro(args):
         "match": expected == observed,
     }
     payload.update(extra)
-    return "-", payload, None
+    return payload
 
 
 # --- driver ---------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mathieumat",
@@ -397,28 +343,38 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        digest, payload, move_log = args.fn(args)
+        if args.command == "repro":
+            digest, payload, move_log = "-", args.fn(args), None
+        else:
+            digest, space = _load(args.file, args.field)
+            payload, move_log = args.fn(args, space)
+            payload.update(field=repr(space.field), n=space.n)
     except (SpaceFileError, argparse.ArgumentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MathieuMatError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
-    report = Report(
-        command=args.command,
-        digest=digest,
-        payload=payload,
-        move_log=move_log,
-        wall_time_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    wall_time_ms = (time.perf_counter() - start) * 1000.0
     if args.json:
-        print(report.to_json())
+        report = {"command": args.command, "digest": digest, "payload": payload,
+                  "wall_time_ms": wall_time_ms}
+        if move_log is not None:
+            report["move_log"] = move_log
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        _render_text(report, sys.stdout)
+        print("command: %s" % args.command)
+        print("digest: %s" % digest)
+        for key in sorted(payload):
+            print("%s: %s" % (key, json.dumps(payload[key], sort_keys=True)))
+        if move_log is not None:
+            print("move_log:")
+            for move in move_log:
+                print("  %s" % json.dumps(move, sort_keys=True))
+        print("wall_time_ms: %.1f" % wall_time_ms)
     if args.command == "repro" and not payload["match"]:
         return 1
     return 0

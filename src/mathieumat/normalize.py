@@ -38,7 +38,7 @@ from .matspace import (
     find_generic_vector,
     rct_zero_members,
 )
-from .multipoly import generic_rank_of_action, generic_rank_univariate
+from .multipoly import generic_rank_univariate
 
 DOUBLE_PASS = "double_pass"
 SINGLE_PASS = "single_pass"
@@ -288,7 +288,7 @@ def rct_certificate(m: MatrixSubspace) -> RctCertificate:
     must have at least d_n elements.  Under these the normalization
     always succeeds, with r + 1 = d_n.
     """
-    f, n = m.field, m.n
+    n = m.n
     c = constraint_space(m)
     if c.contains_identity():
         raise PreconditionViolated("the identity is a constraint of the space")
@@ -296,15 +296,14 @@ def rct_certificate(m: MatrixSubspace) -> RctCertificate:
         raise PreconditionViolated(
             "constraint dimension %d must lie strictly between 0 and %d"
             % (c.dim, n))
-    cn = c.adjoin_identity()
-    d_top = generic_rank_of_action(cn)
-    if not f.size_at_least(d_top):
+    try:
+        result = normalize(c.adjoin_identity())
+    except FieldTooSmallError as exc:
         raise FieldTooSmallError(
-            "certificate needs #K >= %d" % d_top, needed=d_top)
-    result = normalize(cn)
-    r = d_top - 1
+            "certificate needs #K >= %d" % exc.needed, needed=exc.needed) from exc
+    r = result.profile.d[n] - 1
     if not 1 <= r <= n - 1:
-        raise NormalizationError("generic dimension out of range: %d" % d_top, result.log)
+        raise NormalizationError("generic dimension out of range: %d" % (r + 1), result.log)
     if not rct_zero_is_scalar(conjugate(c, result.t_total), r):
         raise NormalizationError(
             "normalized space still has a non-scalar member with zero "

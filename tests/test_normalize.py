@@ -244,7 +244,8 @@ def test_normalize_over_rationals():
 
 def test_one_bareiss_run_per_filtered_space(monkeypatch):
     # binary_profile reads every generic dimension off one run; normalize
-    # runs it on the input and once after each logged move
+    # runs it on the input and once after each logged move, and
+    # rct_certificate runs nothing besides its normalization
     runs = []
     bareiss = multipoly._bareiss_rank
 
@@ -255,6 +256,7 @@ def test_one_bareiss_run_per_filtered_space(monkeypatch):
     monkeypatch.setattr(multipoly, "_bareiss_rank", counting)
     rng = random.Random(89)
     moves = []
+    certified = 0
     for field in (F5, QQ):
         for _ in range(8):
             n = rng.choice((3, 4))
@@ -269,7 +271,14 @@ def test_one_bareiss_run_per_filtered_space(monkeypatch):
             result = normalize(s)
             assert len(runs) == 1 + len(result.log)
             moves.append(len(result.log))
-    assert max(moves) >= 2
+            if s.dim and not s.contains_identity():
+                # s is the constraint space of its own constraint space
+                log = normalize(s.adjoin_identity()).log
+                runs.clear()
+                rct_certificate(constraint_space(s))
+                assert len(runs) == 1 + len(log)
+                certified += 1
+    assert max(moves) >= 2 and certified >= 8
 
 
 def test_lower_triangular_column_replacement():
@@ -342,5 +351,6 @@ def test_rct_certificate_preconditions():
 
 
 def test_rct_certificate_field_too_small():
-    with pytest.raises(FieldTooSmallError):
+    with pytest.raises(FieldTooSmallError, match="certificate needs #K >= 3") as exc:
         rct_certificate(constraint_space(pair_space(F2)))
+    assert exc.value.needed == 3

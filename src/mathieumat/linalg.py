@@ -14,12 +14,20 @@ and ``VectorSubspace.reduce``/``member`` run every scalar through
 such values comes from ``DenseMatrix._trusted``, ``VectorSubspace._span``
 and ``_kernel``, which neither convert nor check.
 
+Matrix products (``DenseMatrix.mul`` and ``mul_vector``, behind
+``power``, ``matspace.conjugate`` and the column spaces) take their dot
+products on integers: over Q each operand is scaled once by the least
+common denominator of its entries, the dot products are sums of ``int``
+products, and each output entry is one ``Fraction`` of its sum over the
+two denominators; over F_p the dot products are reduced once per entry.
+
 Gauss-Jordan elimination (behind ``rref``, ``rank_of_rows``, ``kernel``,
 ``invert`` and :meth:`VectorSubspace.from_vectors`) works on integers:
 over Q each row is scaled to integers and eliminated fraction-free, and
 only the finished rows become ``Fraction`` again, divided by their
-pivots; over F_p the same loop runs on residues.  The reduced echelon
-form is unique, so the result does not depend on the scaling.
+pivots (a zero entry is ``field.zero`` itself); over F_p the same loop
+runs on residues.  The reduced echelon form is unique, so the result
+does not depend on the scaling.
 
 "The vectors of a row space that satisfy linear conditions" is read off
 one elimination (``_readout``): put the conditions' coordinates first,
@@ -35,6 +43,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from fractions import Fraction
 
 from .errors import SingularMatrixError
@@ -108,14 +118,26 @@ class Field:
         return self.p == 0 or self.p > k
 
     def of(self, x):
-        """Canonical representative of an int or Fraction in this field."""
-        if self.p:
+        """Canonical representative of a rational in this field.
+
+        Accepts an ``int`` (or ``bool``, or any ``numbers.Integral`` such as
+        a numpy integer) and a ``Fraction``; anything else, a float or a
+        string included, raises ``TypeError``.  Over F_p a fraction whose
+        denominator p divides raises ``ValueError``.
+        """
+        p = self.p
+        if type(x) is not int:
             if isinstance(x, Fraction):
-                if x.denominator == 1:
-                    return x.numerator % self.p
-                return x.numerator * pow(x.denominator, -1, self.p) % self.p
-            return x % self.p
-        return x if isinstance(x, Fraction) else Fraction(x)
+                if not p:
+                    return x if type(x) is Fraction else Fraction(x)
+                if x.denominator % p == 0:
+                    raise ValueError("%s has no value in F_%d: %d divides its denominator"
+                                     % (x, p, p))
+                return x.numerator * pow(x.denominator, -1, p) % p
+            if not isinstance(x, numbers.Integral):
+                raise TypeError("a field scalar must be an int or a Fraction, got %r" % (x,))
+            x = int(x)
+        return x % p if p else Fraction(x)
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
@@ -250,31 +272,32 @@ class DenseMatrix:
         return self.mul(other)
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
+        """The matrix product, with the dot products taken on integers:
+        over Q each operand is scaled once by the least common denominator
+        of its entries, and each entry of the result is one ``Fraction``
+        of its integer sum over the product of the two denominators."""
         if self.field != other.field or self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d over %r @ %dx%d over %r" % (
                 self.rows, self.cols, self.field, other.rows, other.cols, other.field))
         f = self.field
-        bt = [other.column(j) for j in range(other.cols)]
-        if f.p:
-            p = f.p
-            out = [tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
-                   for row in self.entries]
-        else:
-            z = f.zero
-            out = [tuple(sum((a * b for a, b in zip(row, col)), z) for col in bt)
-                   for row in self.entries]
-        return DenseMatrix._trusted(f, out, other.cols)
+        a, da = _cleared(f, self.entries)
+        bt, db = _cleared(f, [other.column(j) for j in range(other.cols)])
+        return DenseMatrix._trusted(f, [
+            _scalars(f, [sum(map(operator.mul, row, col)) for col in bt], da * db) for row in a
+        ], other.cols)
 
     def mul_vector(self, v) -> tuple:
         """The product with a column vector whose entries are already
         field scalars (canonical); a raw vector goes through
-        ``matspace.column_space``, which converts it."""
+        ``matspace.column_space``, which converts it.  Computed on
+        integers like ``mul``: one denominator for the matrix, one for the
+        vector."""
         if len(v) != self.cols:
             raise ValueError("vector of length %d for %d columns" % (len(v), self.cols))
         f = self.field
-        if f.p:
-            return tuple(sum(a * b for a, b in zip(row, v)) % f.p for row in self.entries)
-        return tuple(sum((a * b for a, b in zip(row, v)), f.zero) for row in self.entries)
+        a, da = _cleared(f, self.entries)
+        (v,), dv = _cleared(f, [v])
+        return _scalars(f, [sum(map(operator.mul, row, v)) for row in a], da * dv)
 
     def power(self, k: int) -> "DenseMatrix":
         if self.rows != self.cols:
@@ -328,6 +351,27 @@ class DenseMatrix:
         return "DenseMatrix(%r, [%s])" % (self.field, body)
 
 
+def _cleared(field, rows):
+    """``(int_rows, d)``: over Q the rows times ``d``, the least common
+    denominator of all their entries, as lists of ints; over F_p the
+    rows themselves and 1."""
+    if field.p:
+        return rows, 1
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _scalars(field, ints, d) -> tuple:
+    """The canonical scalars ``x / d`` for the integers ``x`` in ``ints``
+    and a nonzero integer ``d``; a zero is ``field.zero`` itself."""
+    if field.p:
+        p = field.p
+        inv = pow(d, -1, p)
+        return tuple(x * inv % p for x in ints)
+    z = field.zero
+    return tuple(Fraction(x, d) if x else z for x in ints)
+
+
 def _eliminate(field, rows, ncols, first=0):
     """Gauss-Jordan on a list of rows, replaced but never mutated; returns pivots.
 
@@ -343,10 +387,8 @@ def _eliminate(field, rows, ncols, first=0):
     before ``first`` (see ``_readout``), and the others are dropped.
     """
     p = field.p
-    if not p:
-        for i, row in enumerate(rows):
-            den = math.lcm(*(x.denominator for x in row))
-            rows[i] = [x.numerator * (den // x.denominator) for x in row]
+    for i, row in enumerate(rows):
+        (rows[i],), _ = _cleared(field, [row])
     pivots = []
     r = top = 0
     for c in range(ncols):
@@ -375,12 +417,7 @@ def _eliminate(field, rows, ncols, first=0):
         if c < first:
             top = r
     for i in range(top, r):
-        piv = rows[i][pivots[i]]
-        if p:
-            inv = pow(piv, -1, p)
-            rows[i] = [x * inv % p for x in rows[i]]
-        else:
-            rows[i] = [Fraction(x, piv) for x in rows[i]]
+        rows[i] = _scalars(field, rows[i], rows[i][pivots[i]])
     for i in range(r, len(rows)):
         rows[i] = [field.zero] * ncols
     return pivots

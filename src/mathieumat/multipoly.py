@@ -34,7 +34,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import Field
+from .linalg import Field, _cleared
 
 
 class MultiPoly:
@@ -360,9 +360,7 @@ def _basis_pivots(field, n, rows, nvars, entry) -> list:
     keys = [1 << (width * (nvars - 1 - l)) for l in range(nvars)]
     columns = []
     for row in rows:
-        if not field.p:
-            den = math.lcm(*(x.denominator for x in row))
-            row = [x.numerator * (den // x.denominator) for x in row]
+        (row,), _ = _cleared(field, [row])
         columns.append([entry(keys, row[i * n:(i + 1) * n]) for i in range(n)])
     return _bareiss_rank(columns, field.p, _guard(nvars, width))
 

@@ -59,6 +59,35 @@ def test_field_canonical_values():
     assert (F5.zero, F5.one) == (0, 1)
 
 
+def test_field_of_accepts_only_rationals():
+    import numpy as np
+
+    from mathieumat.matspace import MatrixSubspace
+    # integers of any integral type become plain canonical scalars
+    for x, want in ((np.int64(7), 2), (True, 1), (np.uint8(9), 4), (-3, 2)):
+        assert F5.of(x) == want and type(F5.of(x)) is int
+    assert QQ.of(np.int32(-4)) == -4 and type(QQ.of(np.int32(-4))) is Fraction
+    assert QQ.of(True) == 1 and type(QQ.of(True)) is Fraction
+    # a float or a string is no rational, however exact it looks
+    for field in (F5, QQ):
+        for x in (0.5, 2.0, 0.1, "1", "1/2", None, 1j):
+            with pytest.raises(TypeError):
+                field.of(x)
+        with pytest.raises(TypeError):
+            DenseMatrix(field, [[0.5, 2.0]])
+        with pytest.raises(TypeError):
+            DenseMatrix(field, [[1, 2]]).scale(0.5)
+        with pytest.raises(TypeError):
+            MatrixSubspace.from_matrices(field, 1, [[[0.5]]])
+    # a denominator that p divides has no value in F_p
+    for x in (Fraction(1, 5), Fraction(-7, 10), Fraction(3, 25)):
+        with pytest.raises(ValueError, match="divides its denominator"):
+            F5.of(x)
+    with pytest.raises(ValueError, match="divides its denominator"):
+        DenseMatrix(F5, [[1, Fraction(2, 5)]])
+    assert F5.of(Fraction(10, 5)) == 2 and F5.of(Fraction(-1, 3)) == 3
+
+
 def reference_eliminate(field, rows, ncols):
     """Definitional Gauss-Jordan in Field arithmetic: the reference for rref."""
     pivots = []

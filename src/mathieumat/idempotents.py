@@ -3,12 +3,12 @@
 For a block size r, an upper-form candidate has the identity on its
 leading r x r block, free entries on the lower-left (n-r) x r block and
 zeros elsewhere; every matrix of that shape is an idempotent of rank r.
-Whenever each constraint with vanishing top-right block has trace-zero
-leading principal minor, the trace conditions can be solved inside the
-free block alone, giving an affine family of idempotents that all lie in
-the original space.  The lower form (identity on the trailing block,
-rank n-r) is solved directly by the same system with a different
-right-hand side.
+The trace conditions are one affine system on the free block, whose
+solutions are an affine family of idempotents inside the original space.
+By the Fredholm alternative it is solvable iff each constraint with
+vanishing top-right block has trace-zero leading principal minor, so
+solving it decides that hypothesis.  The lower form (identity on the
+trailing block, rank n-r) is the same system with another right-hand side.
 """
 
 from __future__ import annotations
@@ -111,22 +111,20 @@ def idempotent_family(space: MatrixSubspace, r: int, form: str = UPPER) -> Affin
     if not 1 <= r <= n - 1:
         raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
     constraints = constraint_space(space)
-    for z in rct_zero_members(constraints, r).basis_matrices:
-        if _minor_trace(z, r, form) != f.zero:
-            raise HypothesisFailed(
-                "a zero-corner constraint has nonzero %s minor trace" % form,
-                witness=z)
-    cmats = constraints.basis_matrices
     ncols = (n - r) * r
     rows = []
     rhs = []
-    for c in cmats:
+    for c in constraints.basis_matrices:
         rows.append([c.entries[s][r + a] for a in range(n - r) for s in range(r)])
         rhs.append(f.neg(_minor_trace(c, r, form)))
-    system = DenseMatrix._trusted(f, rows, ncols)
-    sol = solve_affine(system, rhs)
+    sol = solve_affine(DenseMatrix._trusted(f, rows, ncols), rhs)
     if sol is None:
-        raise AssertionError("solvable by construction once the hypothesis holds")
+        # Fredholm: some zero-corner constraint has a nonzero minor trace
+        witness = next(z for z in rct_zero_members(constraints, r).basis_matrices
+                       if _minor_trace(z, r, form) != f.zero)
+        raise HypothesisFailed(
+            "a zero-corner constraint has nonzero %s minor trace" % form,
+            witness=witness)
     block, directions = sol
     entries = [[f.zero] * n for _ in range(n)]
     fixed = range(r) if form == UPPER else range(r, n)

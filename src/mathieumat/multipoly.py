@@ -350,26 +350,18 @@ def find_nonvanishing(f: MultiPoly, s):
     return None
 
 
-def _basis_pivots(field, n, rows, nvars, entry) -> list:
-    """Bareiss pivot columns over K(x_1..x_nvars) of the n x len(rows)
-    matrix whose column for a row-major basis row C holds the term dicts
-    ``entry(keys, row i of C)``, read off the row scaled to integers;
-    ``keys[l]`` packs x_(l+1).  Columns run in the order of ``rows``, so
-    the pivots among the first m count the rank of the first m columns."""
+def _action_pivots(field, n, rows) -> list:
+    """Bareiss pivot columns over K(x_1..x_n) of the n x len(rows) matrix
+    of columns C*x, C the row-major ``rows`` in order: the pivots among
+    the first m count the generic rank of the span of the first m rows."""
     width = _width(2 * min(n, len(rows)))           # linear entries
-    keys = [1 << (width * (nvars - 1 - l)) for l in range(nvars)]
+    keys = [1 << (width * (n - 1 - l)) for l in range(n)]
     columns = []
     for row in rows:
         (row,), _ = _cleared(field, [row])
-        columns.append([entry(keys, row[i * n:(i + 1) * n]) for i in range(n)])
-    return _bareiss_rank(columns, field.p, _guard(nvars, width))
-
-
-def _action_pivots(field, n, rows) -> list:
-    """``_basis_pivots`` of the columns C*x: the pivots among the first m
-    count the generic rank of the span of the first m rows."""
-    return _basis_pivots(field, n, rows, n, lambda keys, r: {
-        key: c for key, c in zip(keys, r) if c})
+        columns.append([{key: c for key, c in zip(keys, row[i * n:(i + 1) * n]) if c}
+                        for i in range(n)])
+    return _bareiss_rank(columns, field.p, _guard(n, width))
 
 
 def generic_rank_of_action(space) -> int:
@@ -383,9 +375,13 @@ def generic_rank_of_action(space) -> int:
 def generic_rank_univariate(space, k: int, j: int) -> int:
     """Rank over K(x_j) of the columns C*(e_k + x_j e_j), C in the basis.
 
-    ``k`` and ``j`` are 1-based coordinate indices.
+    ``k`` and ``j`` are 1-based coordinate indices.  Homogenizing keeps
+    every minor's vanishing, so this is the rank of C*(x_k e_k + x_j e_j):
+    the action of the basis with all columns but k and j zeroed.
     """
     if not (1 <= k <= space.n and 1 <= j <= space.n):
         raise ValueError("coordinate indices out of range")
-    return len(_basis_pivots(space.field, space.n, space.basis.basis, 1, lambda keys, r: {
-        key: c for key, c in ((0, r[k - 1]), (keys[0], r[j - 1])) if c}))
+    z = space.field.zero
+    rows = [[x if c % space.n in (k - 1, j - 1) else z for c, x in enumerate(row)]
+            for row in space.basis.basis]
+    return len(_action_pivots(space.field, space.n, rows))

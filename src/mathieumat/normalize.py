@@ -272,11 +272,9 @@ def _check_postconditions(result: NormalizationResult, d_top: int):
 
 
 def rct_zero_is_scalar(space: MatrixSubspace, r: int) -> bool:
-    """Whether, inside the identity-adjoined space, the members with zero
-    top-right r x (n-r) block are exactly the scalar line."""
-    f, n = space.field, space.n
-    scalars = MatrixSubspace.from_matrices(f, n, [DenseMatrix.identity(f, n)])
-    return rct_zero_members(space.adjoin_identity(), r) == scalars
+    """Whether the members of the identity-adjoined space with zero
+    top-right r x (n-r) block, I among them, are only the scalar line."""
+    return rct_zero_members(space.adjoin_identity(), r).dim == 1
 
 
 def rct_certificate(m: MatrixSubspace) -> RctCertificate:
@@ -304,7 +302,8 @@ def rct_certificate(m: MatrixSubspace) -> RctCertificate:
     r = result.profile.d[n] - 1
     if not 1 <= r <= n - 1:
         raise NormalizationError("generic dimension out of range: %d" % (r + 1), result.log)
-    if not rct_zero_is_scalar(conjugate(c, result.t_total), r):
+    # c_n_final = t^-1 (c + K I) t = t^-1 c t + K I, as normalize checked
+    if not rct_zero_is_scalar(result.c_n_final, r):
         raise NormalizationError(
             "normalized space still has a non-scalar member with zero "
             "top-right block", result.log)

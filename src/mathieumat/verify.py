@@ -28,7 +28,9 @@ witness.
 ``max_left_ideal`` needs no enumeration and works over any field: A lies
 in the maximal left ideal of a space S iff every row of A lies in the
 intersection over i of R_i, where R_i is the set of rows i of the
-members of S that vanish off row i.
+members of S that vanish off row i.  S lies in Ann(W), the left ideal
+of dimension n(n - dim W) killing its common kernel W; as every left
+ideal is such an annihilator, S is one iff dim S = n(n - dim W).
 """
 
 from __future__ import annotations
@@ -426,8 +428,14 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
         zero * i + row + zero * (n - 1 - i) for i in range(n) for row in common.basis]))
 
 
+def _common_kernel(space: MatrixSubspace) -> VectorSubspace:
+    stacked = [row for m in space.basis_matrices for row in m.entries]
+    return kernel(DenseMatrix._trusted(space.field, stacked, space.n))
+
+
 def is_left_ideal(space: MatrixSubspace) -> bool:
-    return max_left_ideal(space) == space
+    """Whether the space is Ann(W), W its common kernel (see above)."""
+    return space.dim == space.n * (space.n - _common_kernel(space).dim)
 
 
 @dataclass(frozen=True)
@@ -447,12 +455,11 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     conjugating by t yields exactly the matrices vanishing on the last
     n-k coordinates.  Raises NotLeftIdealError on bad input.
     """
-    if not is_left_ideal(ideal):
-        raise NotLeftIdealError("input is not closed under left multiplication")
     f, n = ideal.field, ideal.n
-    stacked = [row for m in ideal.basis_matrices for row in m.entries]
-    common = kernel(DenseMatrix._trusted(f, stacked, n))
+    common = _common_kernel(ideal)
     k = n - common.dim
+    if ideal.dim != n * k:      # dim Ann(common), as in is_left_ideal
+        raise NotLeftIdealError("input is not closed under left multiplication")
     # The first k columns: each e_i outside the span of the kernel and
     # e_1..e_(i-1), i.e. each i that is no kernel vector's last nonzero
     # coordinate (no pivot of the kernel with its coordinates reversed).

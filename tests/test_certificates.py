@@ -1,0 +1,202 @@
+"""Each certificate condition is decided once, on values the caller holds.
+
+The check-first ``idempotent_family`` and the scalar-line comparison of
+``rct_zero_is_scalar`` live on here as references; call counts pin that
+no certificate repeats a conjugation, a constraint space or a maximal
+left ideal it already has.
+"""
+
+import importlib
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mathieumat import spacefile
+from mathieumat.errors import HypothesisFailed, NotLeftIdealError
+from mathieumat.idempotents import LOWER, UPPER, _minor_trace, idempotent_family
+from mathieumat.linalg import DenseMatrix, Field, solve_affine
+from mathieumat.matspace import MatrixSubspace, constraint_space, conjugate, rct_zero_members
+from mathieumat.normalize import rct_certificate, rct_zero_is_scalar
+from mathieumat.verify import is_left_ideal, left_ideal_normal_form
+
+F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
+# the package re-exports functions named like some of its modules
+MODULES = [importlib.import_module("mathieumat." + name) for name in (
+    "linalg", "multipoly", "matspace", "normalize", "idempotents", "verify", "cli")]
+linalg, multipoly, matspace, normalize, idempotents, verify, cli = MODULES
+
+
+# --- references --------------------------------------------------------------
+
+def reference_idempotent_family(space, r, form=UPPER):
+    """Check every zero-corner constraint's minor trace first, then solve."""
+    f, n = space.field, space.n
+    constraints = constraint_space(space)
+    for z in rct_zero_members(constraints, r).basis_matrices:
+        if _minor_trace(z, r, form) != f.zero:
+            raise HypothesisFailed(
+                "a zero-corner constraint has nonzero %s minor trace" % form,
+                witness=z)
+    rows = [[c.entries[s][r + a] for a in range(n - r) for s in range(r)]
+            for c in constraints.basis_matrices]
+    rhs = [f.neg(_minor_trace(c, r, form)) for c in constraints.basis_matrices]
+    sol = solve_affine(DenseMatrix(f, rows, cols=(n - r) * r), rhs)
+    if sol is None:
+        raise AssertionError("solvable by construction once the hypothesis holds")
+    block, directions = sol
+    entries = [[f.zero] * n for _ in range(n)]
+    for i in (range(r) if form == UPPER else range(r, n)):
+        entries[i][i] = f.one
+    for a in range(n - r):
+        for s in range(r):
+            entries[r + a][s] = block[a * r + s]
+    return DenseMatrix(f, entries), directions
+
+
+def reference_rct_zero_is_scalar(space, r):
+    """Compare the zero-corner members with the scalar line itself."""
+    f, n = space.field, space.n
+    scalars = MatrixSubspace.from_matrices(f, n, [DenseMatrix.identity(f, n)])
+    return rct_zero_members(space.adjoin_identity(), r) == scalars
+
+
+def count_calls(monkeypatch, name, defined_in):
+    """Count the calls of ``defined_in.name`` through every package module
+    that binds it."""
+    original = getattr(defined_in, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in MODULES:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+# --- differential tests ------------------------------------------------------
+
+def _scalars(field):
+    if field.p:
+        return st.integers(0, field.p - 1)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def spaces_with_block(draw):
+    """Spans of a few generators, with entries outside a random support
+    zeroed so that zero-corner members occur, or their constraint spaces;
+    with a block size and a form."""
+    field = draw(st.sampled_from((F2, F3, F5, QQ)))
+    n = draw(st.integers(2, 4))
+    support = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    gens = draw(st.lists(st.lists(_scalars(field), min_size=n * n, max_size=n * n),
+                         max_size=n + 1))
+    space = MatrixSubspace.from_matrices(field, n, [
+        [[g[i * n + j] if support[i * n + j] else 0 for j in range(n)] for i in range(n)]
+        for g in gens])
+    if draw(st.booleans()):
+        space = constraint_space(space)
+    return space, draw(st.integers(1, n - 1)), draw(st.sampled_from((UPPER, LOWER)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=250, database=None)
+@given(spaces_with_block())
+def test_idempotent_family_matches_check_first_reference(case):
+    space, r, form = case
+    try:
+        expected = reference_idempotent_family(space, r, form)
+    except HypothesisFailed as exc:
+        with pytest.raises(HypothesisFailed) as got:
+            idempotent_family(space, r, form)
+        assert str(got.value) == str(exc)
+        assert got.value.witness == exc.witness
+        return
+    fam = idempotent_family(space, r, form)
+    assert (fam.particular, fam.directions) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=250, database=None)
+@given(spaces_with_block())
+def test_rct_zero_is_scalar_matches_scalar_line_reference(case):
+    space, r, _ = case
+    for s in (space, constraint_space(space)):
+        assert rct_zero_is_scalar(s, r) == reference_rct_zero_is_scalar(s, r)
+
+
+# --- call counts -------------------------------------------------------------
+
+def test_rct_certificate_conjugates_once_per_move(monkeypatch):
+    # one inversion per logged move and one for normalize's postcondition;
+    # the conclusion is read off the normalized space itself
+    rng = random.Random(97)
+    certified = 0
+    for field in (F5, QQ):
+        for _ in range(10):
+            n = rng.choice((3, 4))
+            s = MatrixSubspace.from_matrices(field, n, [
+                DenseMatrix(field, [[rng.choice((0, 0, 1, 2, -1)) for _ in range(n)]
+                                    for _ in range(n)])
+                for _ in range(rng.randrange(1, n))])
+            if not s.dim or s.contains_identity():
+                continue
+            log = normalize.normalize(s.adjoin_identity()).log
+            calls = count_calls(monkeypatch, "invert", linalg)
+            cert = rct_certificate(constraint_space(s))
+            monkeypatch.undo()
+            assert len(calls) == 1 + len(log)
+            assert rct_zero_is_scalar(conjugate(s, cert.t), cert.r)
+            certified += 1
+    assert certified >= 12
+
+
+def test_main2_builds_the_constraint_space_once(monkeypatch, tmp_path, capsys):
+    pair = cli.running_pair_space(F3)
+    path = tmp_path / "dual.txt"
+    path.write_text(spacefile.dumps(spacefile.from_subspace(constraint_space(pair))))
+    calls = count_calls(monkeypatch, "constraint_space", matspace)
+    assert cli.main(["main2", str(path), "--json"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["payload"]["conclusion_holds"] is True
+
+
+def test_repro_counterexample_inverts_each_conjugator_once(monkeypatch, capsys):
+    # 512 candidate matrices over F_2, each inverted once inside conjugate
+    calls = count_calls(monkeypatch, "invert", linalg)
+    assert cli.main(["repro", "counterexample", "--json"]) == 0
+    assert len(calls) == 512
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["conjugators"] == 168 and payload["successes"] == 0
+
+
+def column_kill(field, n, k, t):
+    """t^-1 {A : A kills the last n - k coordinates} t."""
+    return conjugate(MatrixSubspace.from_matrices(field, n, [
+        DenseMatrix.unit(field, n, n, u, v) for u in range(n) for v in range(k)]), t)
+
+
+def test_left_ideal_tests_build_no_maximal_left_ideal(monkeypatch):
+    def refuse(space):
+        raise AssertionError("max_left_ideal called")
+
+    monkeypatch.setattr(verify, "max_left_ideal", refuse)
+    for field in (F2, F3, QQ):
+        for n in range(1, 5):
+            # unipotent upper triangular: invertible over every field
+            t = DenseMatrix(field, [[1 if i == j else (i + 2 * j) % 3 * (i < j)
+                                     for j in range(n)] for i in range(n)])
+            eye = MatrixSubspace.from_matrices(field, n, [DenseMatrix.identity(field, n)])
+            for k in range(n + 1):
+                ideal = column_kill(field, n, k, t)
+                assert is_left_ideal(ideal)
+                assert left_ideal_normal_form(ideal).k == k
+                if 0 < k < n:
+                    padded = ideal.sum(eye)
+                    assert not is_left_ideal(padded)
+                    with pytest.raises(NotLeftIdealError):
+                        left_ideal_normal_form(padded)

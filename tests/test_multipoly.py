@@ -291,9 +291,17 @@ MIXED_DENOMINATORS = MatrixSubspace.from_matrices(QQ, 3, [
     [[2, 1, 3], [2, 0, -1], [1, 3, 0]]])
 
 
+# k = j: the pencil is C e_k (1 + t), of rank dim span{C e_k}; over F_2
+# the specialization t = 1 would read 0.
+PAIR_PLUS_IDENTITY_F2 = MatrixSubspace.from_matrices(F2, 3, [
+    [[0, 1, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 1], [0, 0, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(spaces())
 @example((MIXED_DENOMINATORS, 1, 3))
+@example((PAIR_PLUS_IDENTITY_F2, 2, 2))
 def test_generic_ranks_of_spaces_match_sympy(case):
     space, k, j = case
     f, n = space.field, space.n

@@ -63,3 +63,22 @@ def test_validating_entry_points_are_called_only_at_the_boundary():
         if path.stem not in BOUNDARY_MODULES:
             found |= validating_callers(path)
     assert found == BOUNDARY
+
+
+def test_every_imported_name_is_used():
+    # no linter runs on the package: an import left behind by the removal
+    # of its last use fails here (``__init__`` imports to re-export)
+    unused = []
+    for path in sorted(pathlib.Path(mathieumat.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += ["%s:%d %s" % (path.name, node.lineno, alias.name)
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []

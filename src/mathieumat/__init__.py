@@ -35,7 +35,6 @@ from .linalg import (
     VectorSubspace,
     all_matrices,
     all_subspaces,
-    all_vectors,
     invert,
     kernel,
     rref,
@@ -52,8 +51,6 @@ from .matspace import (
     constraint_space,
     filtration_level,
     find_generic_vector,
-    is_rct_zero,
-    rct,
     rct_zero_members,
     trace_pairing,
 )
@@ -62,7 +59,6 @@ from .multipoly import (
     divexact,
     find_nonvanishing,
     generic_rank_of_action,
-    generic_rank_univariate,
 )
 from .normalize import (
     Move,
@@ -72,7 +68,6 @@ from .normalize import (
     move_permutation,
     move_unit_triangular,
     normalize,
-    pencil_condition,
     rct_certificate,
     rct_zero_is_scalar,
 )
@@ -97,11 +92,9 @@ from .verify import (
     left_ideal_equivalences,
     left_ideal_normal_form,
     max_left_ideal,
-    newton_char_poly,
     power_trajectory,
     proposition_family,
     radical,
-    small_codim_report,
     trace_chain_report,
     verify_mathieu,
     witness_replays,

@@ -105,12 +105,16 @@ def idempotent_family(space: MatrixSubspace, r: int, form: str = UPPER) -> Affin
     always equals the dimension of the lower-left corner slice of the
     space.
     """
-    f, n = space.field, space.n
     if form not in (UPPER, LOWER):
         raise ValueError("form must be %r or %r" % (UPPER, LOWER))
-    if not 1 <= r <= n - 1:
-        raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
-    constraints = constraint_space(space)
+    if not 1 <= r <= space.n - 1:
+        raise ValueError("r = %d out of range 1..%d" % (r, space.n - 1))
+    return _family(constraint_space(space), r, form)
+
+
+def _family(constraints: MatrixSubspace, r: int, form: str) -> AffineFamily:
+    """``idempotent_family`` of the space with these constraints."""
+    f, n = constraints.field, constraints.n
     ncols = (n - r) * r
     rows = []
     rhs = []
@@ -156,8 +160,8 @@ def full_space_certificate(space: MatrixSubspace, r: int) -> FullSpaceCertificat
         raise HypothesisFailed(
             "a zero-corner member of the adjoined constraints is not scalar",
             witness=witness)
-    e = idempotent_family(space, r, UPPER).particular
-    e_prime = idempotent_family(space, r, LOWER).particular
+    e = _family(constraints, r, UPPER).particular
+    e_prime = _family(constraints, r, LOWER).particular
     total = e + e_prime
     eye = DenseMatrix.identity(f, n)
     nil = total - eye

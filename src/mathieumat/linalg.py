@@ -616,12 +616,6 @@ def invert(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix._trusted(f, [row[n:] for row in reduced.entries], n)
 
 
-def all_vectors(field, n):
-    """All vectors of K^n in lexicographic order (prime fields only)."""
-    for tup in itertools.product(field.elements(), repeat=n):
-        yield tup
-
-
 def all_matrices(field, rows, cols):
     """All rows x cols matrices, lexicographic by row-major entries."""
     for flat in itertools.product(field.elements(), repeat=rows * cols):

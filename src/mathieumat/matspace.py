@@ -179,22 +179,6 @@ def column_space_dim(space: MatrixSubspace, vec) -> int:
     return column_space(space, vec).dim
 
 
-def rct(m: DenseMatrix, r: int) -> DenseMatrix:
-    """The top-right block: first r rows, last n-r columns (1 <= r <= n-1)."""
-    n = m.rows
-    if not 1 <= r <= n - 1:
-        raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
-    return m.submatrix(range(r), range(r, n))
-
-
-def is_rct_zero(m: DenseMatrix, r: int) -> bool:
-    n = m.rows
-    if not 1 <= r <= n - 1:
-        raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
-    z = m.field.zero
-    return all(m.entries[i][j] == z for i in range(r) for j in range(r, n))
-
-
 def rct_zero_members(space: MatrixSubspace, r: int) -> MatrixSubspace:
     """The subspace of members whose top-right r x (n-r) block vanishes."""
     n = space.n

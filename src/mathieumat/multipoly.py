@@ -370,18 +370,3 @@ def generic_rank_of_action(space) -> int:
     Independent of the chosen basis of the subspace.
     """
     return len(_action_pivots(space.field, space.n, space.basis.basis))
-
-
-def generic_rank_univariate(space, k: int, j: int) -> int:
-    """Rank over K(x_j) of the columns C*(e_k + x_j e_j), C in the basis.
-
-    ``k`` and ``j`` are 1-based coordinate indices.  Homogenizing keeps
-    every minor's vanishing, so this is the rank of C*(x_k e_k + x_j e_j):
-    the action of the basis with all columns but k and j zeroed.
-    """
-    if not (1 <= k <= space.n and 1 <= j <= space.n):
-        raise ValueError("coordinate indices out of range")
-    z = space.field.zero
-    rows = [[x if c % space.n in (k - 1, j - 1) else z for c, x in enumerate(row)]
-            for row in space.basis.basis]
-    return len(_action_pivots(space.field, space.n, rows))

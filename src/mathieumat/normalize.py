@@ -38,7 +38,6 @@ from .matspace import (
     find_generic_vector,
     rct_zero_members,
 )
-from .multipoly import generic_rank_univariate
 
 DOUBLE_PASS = "double_pass"
 SINGLE_PASS = "single_pass"
@@ -67,18 +66,6 @@ class RctCertificate:
     identity-adjoined conjugated space with zero top-right block is scalar."""
     t: DenseMatrix
     r: int
-
-
-def pencil_condition(space: MatrixSubspace, j: int, k: int) -> bool:
-    """Whether the level-j column space already has the dimension of the
-    generic line e_k + x e_j (1-based coordinates).
-
-    When true, equality holds; the normalization arranges this at every
-    level, which forces the profile rows to be increasing.
-    """
-    level = filtration_level(space, j)
-    e_j = _basis_vector(space.field, space.n, j)
-    return _column_space(level, e_j).dim >= generic_rank_univariate(level, k, j)
 
 
 def move_generic_vector(fil: Filtration, k: int, pivot=False):

@@ -7,23 +7,29 @@ of a lies in the span of a^1 .. a^n, the cycle in the span of a^n ..
 a^(2n-1).  So a lies in the full power set iff a^1 .. a^n lie inside,
 in the radical iff a^n .. a^(2n-1) do, and a is idempotent iff a^2 = a.
 
-Every cycle element is a^(m-n) a^n = a^n a^(m-n), so some multiplier
-takes a large power of a outside iff one takes a^n outside.  The
-multipliers that keep a set inside form a subspace, and the first key
-outside a subspace is a matrix unit (keys below p^k are combinations of
-the units with keys below p^k): a one-sided test needs the n^2 unit
-products of a^n, and the first escaping multiplier (b, then c given b)
-is a unit.  In a proper space every nonzero a^n escapes two-sidedly,
-since E_ij z E_kl = z_jk E_il and Mat_n is simple.
+Membership is read off the trace dual: X is a member iff tr(C_l X) = 0
+for the basis C_1 .. C_c of ``constraint_space(space)``.  Every cycle
+element is a^(m-n) a^n = a^n a^(m-n), so some multiplier takes a large
+power of a outside iff one takes z = a^n outside.  Those keeping z
+inside form a subspace, so the first one outside in row-major
+lexicographic order is a matrix unit (the matrices before the unit at
+position q combine the units after it): the escaping unit with the
+largest row-major position.  As tr(C E_ij z) = (z C)_ji and
+tr(C z E_ij) = (C z)_ji, E_ij takes z outside on the left iff some
+(z C_l)_ji != 0, on the right iff some (C_l z)_ji != 0.  The pair
+E_ij z E_kl = z_jk E_il escapes iff z_jk != 0 and some (C_m)_li != 0;
+in a proper space every nonzero z escapes two-sidedly.
 
-The enumeration runs on keys, a matrix's index in ``all_matrices_np(p,
-n)`` (below 2^20 under the guard), in fixed-size batches with numpy
-(exact integer arithmetic mod p, in int16 wherever the products fit);
-``power_trajectory`` and ``witness_replays`` stay the definitional path.
-Enumeration orders are fixed: candidate matrices by lexicographic
-row-major entries, subspace members by lexicographic basis coefficients;
-the first counterexample in that order is returned as a replayable
-witness.
+Only what a question ranges over is enumerated, and
+``ENUMERATION_GUARD`` bounds its count: the p^dim members for the
+verdicts, ``full_power_set`` and ``idempotents``, all p^(n^2) matrices
+(the members of the full space) for ``radical``.  Members are formed
+from their indices in batches with numpy (exact arithmetic mod p, int16
+wherever the sums fit), so memory does not grow with their number, in
+lexicographic order of their basis coefficients (for the full space, of
+the row-major entries); the first counterexample in that order is
+returned as a replayable witness.  ``power_trajectory`` and
+``witness_replays`` stay the definitional path.
 
 ``max_left_ideal`` needs no enumeration and works over any field: A lies
 in the maximal left ideal of a space S iff every row of A lies in the
@@ -42,10 +48,10 @@ import numpy as np
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
 from .linalg import DenseMatrix, VectorSubspace, invert, kernel
-from .matspace import MatrixSubspace, conjugate, constraint_space, members_vanishing_at
+from .matspace import MatrixSubspace, constraint_space, members_vanishing_at
 
 ENUMERATION_GUARD = 2 ** 20
-_BATCH = 4096               # keys whose powers are formed at once
+_BATCH = 4096               # matrices whose powers are formed at once
 
 LEFT = "left"
 RIGHT = "right"
@@ -54,12 +60,12 @@ TWO_SIDED = "two_sided"
 ALL_TYPES = (LEFT, RIGHT, PRE_TWO_SIDED, TWO_SIDED)
 
 
-def _require_enumerable(field, n):
+def _require_enumerable(field, width):
     if not field.p:
         raise TooLargeError("the rationals are not enumerable")
-    if field.p ** (n * n) > ENUMERATION_GUARD:
+    if field.p ** width > ENUMERATION_GUARD:
         raise TooLargeError(
-            "%d^%d matrices exceed the enumeration guard 2^20" % (field.p, n * n))
+            "%d^%d matrices exceed the enumeration guard 2^20" % (field.p, width))
 
 
 @dataclass(frozen=True)
@@ -92,17 +98,13 @@ def power_trajectory(a: DenseMatrix) -> PowerTrajectory:
         raise ValueError("trajectory of a non-square matrix")
     if not a.field.p:
         raise TooLargeError("power trajectories need a finite field")
-    seen = {}
-    seq = []
-    cur = a
-    m = 1
+    seen, seq, cur = {}, [], a
     while cur not in seen:
-        seen[cur] = m
+        seen[cur] = len(seq)
         seq.append(cur)
         cur = cur.mul(a)
-        m += 1
     first = seen[cur]
-    return PowerTrajectory(a=a, tail=tuple(seq[:first - 1]), cycle=tuple(seq[first - 1:]))
+    return PowerTrajectory(a=a, tail=tuple(seq[:first]), cycle=tuple(seq[first:]))
 
 
 @dataclass(frozen=True)
@@ -123,113 +125,108 @@ class MathieuVerdict:
     witness: Optional[Witness]
 
 
-def _digits(p: int, width: int) -> np.ndarray:
-    """All base-p digit strings of the given width, in increasing order;
-    int16 when a sum of ``width`` products of digits fits in it."""
-    dtype = np.int16 if width * (p - 1) ** 2 < 2 ** 15 else np.int64
-    out = np.empty((p ** width, width), dtype=dtype)
-    for j in range(width):
-        out[:, j] = np.tile(np.repeat(np.arange(p, dtype=dtype), p ** (width - 1 - j)), p ** j)
-    return out
+def _dtype(p: int, n: int):
+    """int16 when a sum of n^2 products of residues mod p fits in it."""
+    return np.int16 if n * n * (p - 1) ** 2 < 2 ** 15 else np.int64
 
 
-def all_matrices_np(p: int, n: int) -> np.ndarray:
-    """All n x n matrices over F_p, (p^(n*n), n, n), lexicographic row-major."""
-    return _digits(p, n * n).reshape(-1, n, n)
+def _members(space: MatrixSubspace):
+    """Batches (k, n, n) of the members in coefficient order: digits @ basis."""
+    n, p, d = space.n, space.field.p, space.dim
+    basis = np.array(space.basis.basis, dtype=_dtype(p, n)).reshape(-1, n * n)
+    place = p ** np.arange(d - 1, -1, -1)
+    for lo in range(0, p ** d, _BATCH):
+        digits = np.arange(lo, min(lo + _BATCH, p ** d))[:, None] // place % p
+        yield (digits.astype(basis.dtype) @ basis % p).reshape(-1, n, n)
 
 
-class _Enumeration:
-    """A space over its key ``universe``: ``inside[key]`` is membership,
-    ``members`` the members' keys in coefficient order."""
+def _matrix(field, entries: np.ndarray) -> DenseMatrix:
+    return DenseMatrix._trusted(field, entries.tolist(), len(entries))
+
+
+class _Dual:
+    """A space read off the basis C_1 .. C_c of its constraint space."""
 
     def __init__(self, space: MatrixSubspace):
-        f, n, p = space.field, space.n, space.field.p
-        _require_enumerable(f, n)
-        self.field, self.n, self.p = f, n, p
-        self.universe = all_matrices_np(p, n)
-        self.place = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-        basis = np.array(space.basis.basis, dtype=self.universe.dtype).reshape(-1, n * n)
-        coeffs = _digits(p, space.dim)    # members in batches keep the arrays small
-        self.members = np.concatenate([
-            self.key((coeffs[lo:lo + _BATCH] @ basis).reshape(-1, n, n))
-            for lo in range(0, len(coeffs), _BATCH)])
-        self.inside = np.zeros(len(self.universe), dtype=bool)
-        self.inside[self.members] = True
+        n, self.p = space.n, space.field.p
+        self.cons = np.array([m.entries for m in constraint_space(space).basis_matrices],
+                             dtype=_dtype(self.p, n)).reshape(-1, n, n)
+        # tr(C X) = sum_ij C_ij X_ji pairs X row-major with C transposed
+        self.pairing = self.cons.transpose(0, 2, 1).reshape(-1, n * n).T
 
-    def key(self, mats: np.ndarray) -> np.ndarray:
-        """Keys of the integer matrices (..., n, n), reduced mod p."""
-        return mats.reshape(mats.shape[:-2] + (-1,)) % self.p @ self.place
+    def contains(self, mats: np.ndarray) -> np.ndarray:
+        """Membership of each matrix of ``mats`` (k, n, n)."""
+        flat = mats.reshape(len(mats), len(self.pairing))
+        return ~(flat @ self.pairing % self.p).any(axis=1)
 
-    def matrix(self, key) -> Optional[DenseMatrix]:
-        return None if key is None else DenseMatrix._trusted(
-            self.field, self.universe[key].tolist(), self.n)
+    def staying(self, a: np.ndarray, first: int, last: int):
+        """Indices into the batch ``a`` (k, n, n) of the a with a^first .. a^last
+        inside, and their a^last; each power is formed where those tested lie inside."""
+        keep, z = np.arange(len(a)), a
+        for m in range(1, last + 1):
+            if m >= first:
+                inside = self.contains(z)
+                keep, z = keep[inside], z[inside]
+            if m < last:
+                z = z @ a[keep] % self.p
+        return keep, z
 
-    def powers(self, keys, count):
-        """Per batch of keys: the batch and the keys of a^1 .. a^count of
-        each, (len(batch), count)."""
-        u = self.universe
-        for lo in range(0, len(keys), _BATCH):
-            batch = keys[lo:lo + _BATCH]
-            a, powers = u[batch], [batch]
-            for _ in range(count - 1):
-                powers.append(self.key(u[powers[-1]] @ a))
-            yield batch, np.stack(powers, axis=1)
-
-    def escapes(self, zs, side):
-        """Whether each unit product of each z in ``zs`` (keys) leaves the
-        space, (len(zs), units): the unit with key p^u at u, a pair (b, c)
-        of them at u_b n^2 + u_c.  With at[i, j] the key of E_ij, E_ij z
-        is row j of z at row i, z E_ij is column i of z at column j, and
-        E_ij z E_kl is z_jk E_il."""
-        n, z, at = self.n, self.universe[zs], self.place.reshape(self.n, self.n)
-        keys = (at @ z.transpose(0, 2, 1) if side == LEFT else
-                z.transpose(0, 2, 1) @ at if side == RIGHT else
-                z[:, None, :, :, None] * at[:, None, None, :])
-        # row-major positions run against key order
-        keys = keys.reshape(len(zs), n * n, -1)[:, ::-1, ::-1]
-        return ~self.inside[keys.reshape(len(zs), -1)]
+    def escapes(self, zs: np.ndarray, side: str) -> np.ndarray:
+        """Whether each unit product of each z in ``zs`` (k, n, n) leaves
+        the space, (k, units) with the units E_ij in row-major order and
+        a pair (b, c) of them at pos(b) n^2 + pos(c)."""
+        if side == TWO_SIDED:
+            used = self.cons.any(axis=0).T      # used[i, l]: some (C_m)_li != 0
+            out = (zs != 0)[:, None, :, :, None] & used[None, :, None, None, :]
+        else:
+            prods = zs[:, None] @ self.cons if side == LEFT else self.cons @ zs[:, None]
+            out = (prods % self.p).any(axis=1).transpose(0, 2, 1)
+        return out.reshape(len(zs), np.prod(out.shape[1:]))
 
 
 def full_power_set(space: MatrixSubspace):
     """All members whose every power stays inside: a^1 .. a^n do."""
-    en = _Enumeration(space)
-    return [en.matrix(k) for batch, powers in en.powers(en.members, space.n)
-            for k in batch[en.inside[powers].all(axis=1)]]
+    _require_enumerable(space.field, space.dim)
+    dual = _Dual(space)
+    return [_matrix(space.field, m) for a in _members(space)
+            for m in a[dual.staying(a, 2, space.n)[0]]]
 
 
 def radical(space: MatrixSubspace):
     """All a whose large powers eventually stay inside: every element of
     the cycle of a belongs to the space, i.e. a^n .. a^(2n-1) do.
     Lexicographic order."""
-    en, n = _Enumeration(space), space.n
-    return [en.matrix(k)
-            for batch, powers in en.powers(np.arange(len(en.universe)), 2 * n - 1)
-            for k in batch[en.inside[powers[:, n - 1:]].all(axis=1)]]
+    f, n = space.field, space.n
+    _require_enumerable(f, n * n)
+    dual = _Dual(space)
+    return [_matrix(f, m) for a in _members(MatrixSubspace.full_space(f, n))
+            for m in a[dual.staying(a, n, 2 * n - 1)[0]]]
 
 
 def idempotents(space: MatrixSubspace):
     """All members e with e^2 = e, in coefficient order."""
-    en = _Enumeration(space)
-    return [en.matrix(k) for batch, powers in en.powers(en.members, 2)
-            for k in batch[powers[:, 1] == batch]]
+    _require_enumerable(space.field, space.dim)
+    return [_matrix(space.field, e) for a in _members(space)
+            for e in a[(a @ a % space.field.p == a).all(axis=(1, 2))]]
 
 
-def _witness(en: _Enumeration, key, sides) -> Witness:
+def _witness(space: MatrixSubspace, dual: _Dual, a: np.ndarray, sides) -> Witness:
     """The first multiplier in enumeration order taking an element of the
-    cycle of the member ``key`` outside, a matrix unit or a pair of them,
+    cycle of the member ``a`` outside, a matrix unit or a pair of them,
     with the first such cycle element."""
-    traj = power_trajectory(en.matrix(key))
-    cycle = en.key(np.array([z.entries for z in traj.cycle]))
+    f, n = space.field, space.n
+    traj = power_trajectory(_matrix(f, a))
+    cycle = np.array([z.entries for z in traj.cycle], dtype=a.dtype)
     for side in sides:
-        bad = en.escapes(cycle, side)
-        hit = bad.any(axis=0)
-        if hit.any():
-            mult = int(np.argmax(hit))
-            b, c = {LEFT: (mult, None), RIGHT: (None, mult)}.get(
-                side, divmod(mult, en.n ** 2))
-            return Witness(a=traj.a, b=en.matrix(None if b is None else en.p ** b),
-                           c=en.matrix(None if c is None else en.p ** c),
-                           exponent=traj.tail_len + 1 + int(np.argmax(bad[:, mult])))
+        bad = dual.escapes(cycle, side)
+        hit = np.flatnonzero(bad.any(axis=0))
+        if len(hit):
+            pos = int(hit[-1])      # the first in enumeration order
+            b, c = {LEFT: (pos, None), RIGHT: (None, pos)}.get(side, divmod(pos, n * n))
+            b, c = (u if u is None else DenseMatrix.unit(f, n, n, *divmod(u, n))
+                    for u in (b, c))
+            return Witness(a=traj.a, b=b, c=c,
+                           exponent=traj.tail_len + 1 + int(np.argmax(bad[:, pos])))
 
 
 def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
@@ -244,19 +241,18 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
     """
     if vtype not in ALL_TYPES:
         raise ValueError("unknown type %r" % vtype)
-    _require_enumerable(space.field, space.n)
+    _require_enumerable(space.field, space.dim)
     n = space.n
     if space.dim == n * n:
         return MathieuVerdict(holds=True, vtype=vtype, witness=None)
-    en = _Enumeration(space)
+    dual = _Dual(space)
     sides = (LEFT, RIGHT) if vtype == PRE_TWO_SIDED else (vtype,)
-    for batch, powers in en.powers(en.members, n):
-        top = powers[:, n - 1]
-        out = top != 0 if vtype == TWO_SIDED else np.any(
-            [en.escapes(top, side).any(axis=1) for side in sides], axis=0)
-        out &= en.inside[powers].all(axis=1)
-        if out.any():
-            return MathieuVerdict(False, vtype, _witness(en, batch[np.argmax(out)], sides))
+    for a in _members(space):
+        keep, top = dual.staying(a, 2, n)
+        out = keep[top.any(axis=(1, 2)) if vtype == TWO_SIDED else np.any(
+            [dual.escapes(top, side).any(axis=1) for side in sides], axis=0)]
+        if len(out):
+            return MathieuVerdict(False, vtype, _witness(space, dual, a[out[0]], sides))
     return MathieuVerdict(holds=True, vtype=vtype, witness=None)
 
 
@@ -313,42 +309,6 @@ def proposition_family(field, n: int, a_param) -> MatrixSubspace:
         field, n, gens + [DenseMatrix.identity(field, n) + corner]))
 
 
-def newton_char_poly(a: DenseMatrix):
-    """Characteristic polynomial coefficients (descending powers of t)
-    recovered from the power sums tr(a), tr(a^2), ..., tr(a^n).
-
-    Needs n! invertible: characteristic 0 or > n.
-    """
-    f = a.field
-    n = a.rows
-    if a.rows != a.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    p = f.characteristic()
-    if 0 < p <= n:
-        raise PreconditionViolated(
-            "power-sum recovery divides by 1..%d; characteristic %d is too small"
-            % (n, p))
-    sums = []
-    power = a
-    for _ in range(n):
-        sums.append(power.trace())
-        power = power.mul(a)
-    elem = [f.one]
-    for k in range(1, n + 1):
-        acc = f.zero
-        sign = f.one
-        for i in range(1, k + 1):
-            acc = f.add(acc, f.mul(sign, f.mul(elem[k - i], sums[i - 1])))
-            sign = f.neg(sign)
-        elem.append(f.div(acc, f.of(k)))
-    coeffs = []
-    sign = f.one
-    for k in range(n + 1):
-        coeffs.append(f.mul(sign, elem[k]))
-        sign = f.neg(sign)
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class TraceChainReport:
     """The implication chain for spaces of trace-zero matrices:
@@ -379,7 +339,7 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
     for m in space.basis_matrices:
         if m.trace() != f.zero:
             raise PreconditionViolated("the space contains a nonzero-trace matrix")
-    _require_enumerable(f, n)
+    _require_enumerable(f, n * n)
     p = f.characteristic()
     pred1 = not 0 < p <= n
     pred2 = (not 0 < p <= n - 1) and not space.contains_identity()
@@ -467,14 +427,16 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     columns = [e for i, e in enumerate(DenseMatrix.identity(f, n).entries)
                if n - 1 - i not in last] + list(common.basis)
     t = DenseMatrix._trusted(f, zip(*columns), n)
-    conjugated = conjugate(ideal, t)
+    t_inv = invert(t)
+    conjugated = MatrixSubspace.from_matrices(    # conjugate(ideal, t), keeping t^-1
+        f, n, [t_inv.mul(m).mul(t) for m in ideal.basis_matrices])
     expected = MatrixSubspace.from_matrices(f, n, [
         DenseMatrix.unit(f, n, n, u, v) for u in range(n) for v in range(k)])
     if conjugated != expected:
         raise AssertionError("left ideal is not a full column-kill space")
     diag = DenseMatrix._trusted(f, [[f.one if i == j < k else f.zero for j in range(n)]
                                     for i in range(n)], n)
-    idem = t.mul(diag).mul(invert(t))
+    idem = t.mul(diag).mul(t_inv)
     return LeftIdealForm(t=t, k=k, idempotent=idem)
 
 
@@ -496,7 +458,7 @@ class LeftIdealEquivalences:
 
 def left_ideal_equivalences(space: MatrixSubspace) -> LeftIdealEquivalences:
     """Evaluate all three predicates exhaustively; they must agree."""
-    _require_enumerable(space.field, space.n)
+    _require_enumerable(space.field, space.n * space.n)
     ideal = max_left_ideal(space)
     left = verify_mathieu(space, LEFT).holds
     idems = idempotents(space)
@@ -508,31 +470,3 @@ def left_ideal_equivalences(space: MatrixSubspace) -> LeftIdealEquivalences:
     if not report.consistent:
         raise AssertionError("equivalence chain violated: %r" % (report,))
     return report
-
-
-@dataclass(frozen=True)
-class SmallCodimReport:
-    """For proper subspaces of codimension below n: a left Mathieu
-    subspace is automatically two-sided and the field exceeds F_2."""
-    left_mathieu: bool
-    two_sided_mathieu: Optional[bool]
-    field_order: int
-
-
-def small_codim_report(space: MatrixSubspace) -> SmallCodimReport:
-    f, n = space.field, space.n
-    codim = n * n - space.dim
-    if not 0 < codim < n:
-        raise PreconditionViolated(
-            "codimension %d must lie strictly between 0 and %d" % (codim, n))
-    left = verify_mathieu(space, LEFT).holds
-    two = None
-    if left:
-        two = verify_mathieu(space, TWO_SIDED).holds
-        if not two:
-            raise AssertionError(
-                "left Mathieu subspace of small codimension must be two-sided")
-        if f.p <= 2:
-            raise AssertionError("left Mathieu subspace of small codimension needs #K > 2")
-    return SmallCodimReport(left_mathieu=left, two_sided_mathieu=two,
-                            field_order=f.p)

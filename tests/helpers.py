@@ -1,0 +1,125 @@
+"""Functions only the tests use: independent readings that the package
+itself does not need, kept beside the tests that check them."""
+
+import itertools
+from dataclasses import dataclass
+from typing import Optional
+
+from mathieumat.errors import PreconditionViolated
+from mathieumat.linalg import DenseMatrix
+from mathieumat.matspace import MatrixSubspace, _basis_vector, _column_space, filtration_level
+from mathieumat.multipoly import _action_pivots
+from mathieumat.verify import LEFT, TWO_SIDED, verify_mathieu
+
+
+def all_vectors(field, n):
+    """All vectors of K^n in lexicographic order (prime fields only)."""
+    for tup in itertools.product(field.elements(), repeat=n):
+        yield tup
+
+
+def rct(m: DenseMatrix, r: int) -> DenseMatrix:
+    """The top-right block: first r rows, last n-r columns (1 <= r <= n-1)."""
+    n = m.rows
+    if not 1 <= r <= n - 1:
+        raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
+    return m.submatrix(range(r), range(r, n))
+
+
+def is_rct_zero(m: DenseMatrix, r: int) -> bool:
+    n = m.rows
+    if not 1 <= r <= n - 1:
+        raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
+    z = m.field.zero
+    return all(m.entries[i][j] == z for i in range(r) for j in range(r, n))
+
+
+def generic_rank_univariate(space, k: int, j: int) -> int:
+    """Rank over K(x_j) of the columns C*(e_k + x_j e_j), C in the basis.
+
+    ``k`` and ``j`` are 1-based coordinate indices.  Homogenizing keeps
+    every minor's vanishing, so this is the rank of C*(x_k e_k + x_j e_j):
+    the action of the basis with all columns but k and j zeroed.
+    """
+    if not (1 <= k <= space.n and 1 <= j <= space.n):
+        raise ValueError("coordinate indices out of range")
+    z = space.field.zero
+    rows = [[x if c % space.n in (k - 1, j - 1) else z for c, x in enumerate(row)]
+            for row in space.basis.basis]
+    return len(_action_pivots(space.field, space.n, rows))
+
+
+def pencil_condition(space: MatrixSubspace, j: int, k: int) -> bool:
+    """Whether the level-j column space already has the dimension of the
+    generic line e_k + x e_j (1-based coordinates).
+
+    When true, equality holds; the normalization arranges this at every
+    level, which forces the profile rows to be increasing.
+    """
+    level = filtration_level(space, j)
+    e_j = _basis_vector(space.field, space.n, j)
+    return _column_space(level, e_j).dim >= generic_rank_univariate(level, k, j)
+
+
+def newton_char_poly(a: DenseMatrix):
+    """Characteristic polynomial coefficients (descending powers of t)
+    recovered from the power sums tr(a), tr(a^2), ..., tr(a^n).
+
+    Needs n! invertible: characteristic 0 or > n.
+    """
+    f = a.field
+    n = a.rows
+    if a.rows != a.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    p = f.characteristic()
+    if 0 < p <= n:
+        raise PreconditionViolated(
+            "power-sum recovery divides by 1..%d; characteristic %d is too small"
+            % (n, p))
+    sums = []
+    power = a
+    for _ in range(n):
+        sums.append(power.trace())
+        power = power.mul(a)
+    elem = [f.one]
+    for k in range(1, n + 1):
+        acc = f.zero
+        sign = f.one
+        for i in range(1, k + 1):
+            acc = f.add(acc, f.mul(sign, f.mul(elem[k - i], sums[i - 1])))
+            sign = f.neg(sign)
+        elem.append(f.div(acc, f.of(k)))
+    coeffs = []
+    sign = f.one
+    for k in range(n + 1):
+        coeffs.append(f.mul(sign, elem[k]))
+        sign = f.neg(sign)
+    return tuple(coeffs)
+
+
+@dataclass(frozen=True)
+class SmallCodimReport:
+    """For proper subspaces of codimension below n: a left Mathieu
+    subspace is automatically two-sided and the field exceeds F_2."""
+    left_mathieu: bool
+    two_sided_mathieu: Optional[bool]
+    field_order: int
+
+
+def small_codim_report(space: MatrixSubspace) -> SmallCodimReport:
+    f, n = space.field, space.n
+    codim = n * n - space.dim
+    if not 0 < codim < n:
+        raise PreconditionViolated(
+            "codimension %d must lie strictly between 0 and %d" % (codim, n))
+    left = verify_mathieu(space, LEFT).holds
+    two = None
+    if left:
+        two = verify_mathieu(space, TWO_SIDED).holds
+        if not two:
+            raise AssertionError(
+                "left Mathieu subspace of small codimension must be two-sided")
+        if f.p <= 2:
+            raise AssertionError("left Mathieu subspace of small codimension needs #K > 2")
+    return SmallCodimReport(left_mathieu=left, two_sided_mathieu=two,
+                            field_order=f.p)

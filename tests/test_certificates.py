@@ -180,6 +180,25 @@ def column_kill(field, n, k, t):
         DenseMatrix.unit(field, n, n, u, v) for u in range(n) for v in range(k)]), t)
 
 
+def test_full_space_certificate_builds_the_constraint_space_once(monkeypatch):
+    # both idempotent forms are solved on the constraints it already has
+    calls = count_calls(monkeypatch, "constraint_space", matspace)
+    cert = idempotents.full_space_certificate(MatrixSubspace.full_space(F5, 3), 2)
+    assert len(calls) == 1
+    assert cert.e.mul(cert.e) == cert.e and cert.e_prime.mul(cert.e_prime) == cert.e_prime
+
+
+def test_left_ideal_normal_form_inverts_its_conjugator_once(monkeypatch):
+    # t^-1 serves both the column-kill postcondition and t D t^-1
+    t = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [0, 0, 1]])
+    ideal = column_kill(F5, 3, 2, t)
+    calls = count_calls(monkeypatch, "invert", linalg)
+    nf = left_ideal_normal_form(ideal)
+    assert len(calls) == 1
+    assert nf.k == 2 and ideal.contains(nf.idempotent)
+    assert nf.idempotent.mul(nf.idempotent) == nf.idempotent
+
+
 def test_left_ideal_tests_build_no_maximal_left_ideal(monkeypatch):
     def refuse(space):
         raise AssertionError("max_left_ideal called")

@@ -10,13 +10,14 @@ from mathieumat.linalg import (
     VectorSubspace,
     all_matrices,
     all_subspaces,
-    all_vectors,
     invert,
     kernel,
     rank_of_rows,
     rref,
     solve_affine,
 )
+
+from helpers import all_vectors
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)

@@ -21,11 +21,11 @@ from mathieumat.matspace import (
     constraint_space,
     filtration_level,
     find_generic_vector,
-    is_rct_zero,
-    rct,
     trace_pairing,
 )
 from mathieumat.multipoly import generic_rank_of_action
+
+from helpers import is_rct_zero, rct
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)

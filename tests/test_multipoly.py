@@ -16,8 +16,9 @@ from mathieumat.multipoly import (
     divexact,
     find_nonvanishing,
     generic_rank_of_action,
-    generic_rank_univariate,
 )
+
+from helpers import generic_rank_univariate
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)

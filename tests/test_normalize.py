@@ -23,10 +23,11 @@ from mathieumat.normalize import (
     move_permutation,
     move_unit_triangular,
     normalize,
-    pencil_condition,
     rct_certificate,
     rct_zero_is_scalar,
 )
+
+from helpers import pencil_condition
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)

@@ -31,7 +31,7 @@ BOUNDARY = {
     "idempotents.AffineFamily.with_block",
     "multipoly.MultiPoly.__init__", "multipoly.MultiPoly.scale",
     "multipoly.MultiPoly.evaluate", "multipoly.find_nonvanishing",
-    "verify.proposition_family", "verify.newton_char_poly", "cli.running_pair_space",
+    "verify.proposition_family", "cli.running_pair_space",
 }
 BOUNDARY_MODULES = {"spacefile"}
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mathieumat.cli import _trace_zero
 from mathieumat.errors import PreconditionViolated, TooLargeError
 from mathieumat.linalg import DenseMatrix, Field, all_matrices, invert
 from mathieumat.matspace import MatrixSubspace
@@ -18,22 +19,22 @@ from mathieumat.verify import (
     PRE_TWO_SIDED,
     RIGHT,
     TWO_SIDED,
-    all_matrices_np,
     full_power_set,
     idempotents,
     is_left_ideal,
     left_ideal_equivalences,
     left_ideal_normal_form,
     max_left_ideal,
-    newton_char_poly,
     power_trajectory,
     proposition_family,
     radical,
-    small_codim_report,
     trace_chain_report,
     verify_mathieu,
     witness_replays,
 )
+
+import keyed_verify
+from helpers import newton_char_poly, small_codim_report
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -520,20 +521,84 @@ def test_enumeration_guard():
         assert verdict.holds or witness_replays(space, verdict.witness)
 
 
-def test_universe_is_built_without_a_key_array():
-    assert all_matrices_np(3, 2).tolist() == [
-        [list(row) for row in m.entries] for m in all_matrices(F3, 2, 2)]
-    # Mat_2(F_31) is 923,521 keys, 7 MiB as int16; an int64 array of the
-    # keys and its divmod temporaries took the peak to 28 MiB
+def test_radical_memory_does_not_grow_with_the_matrices():
+    # Mat_2(F_31) is 923,521 matrices, formed batch by batch; the key
+    # universe with its bitmap and member keys took the peak to 15.7 MiB
+    big = trace_zero(Field.prime(31), 2)
     tracemalloc.start()
     try:
-        universe = all_matrices_np(31, 2)
+        rad = radical(big)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2 ** 20
-    assert universe[32].tolist() == [[0, 0], [1, 1]]
-    assert universe[-1].tolist() == [[30, 30], [30, 30]]
+    assert peak < 2 * 2 ** 20
+    assert len(rad) == 961
+
+
+def test_trace_zero_f5_n3_verdicts_hold():
+    # claim (A) at n = 3: 3! != 0 in F_5, so sl_3(F_5) is Mathieu.  Its
+    # 5^8 members fit the guard, Mat_3(F_5) (5^9) does not; they are
+    # formed batch by batch, where all of their coefficient digits at
+    # once would be 6.25 MB of int16
+    tz = _trace_zero(F5, 3)
+    for vtype in (LEFT, RIGHT, TWO_SIDED):
+        tracemalloc.start()
+        try:
+            verdict = verify_mathieu(tz, vtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds and verdict.witness is None
+        assert peak < 2 * 2 ** 20
+    with pytest.raises(TooLargeError):
+        radical(tz)
+    for vtype in ALL_TYPES:
+        with pytest.raises(TooLargeError):
+            verify_mathieu(MatrixSubspace.full_space(QQ, 2), vtype)
+
+
+@st.composite
+def keyed_cases(draw):
+    """A subspace of Mat_n(F_p) with p^(n^2) <= 2^20 (the reach of the
+    keyed reference): the span of a few generators with entries outside
+    a random support zeroed, the identity adjoined or not."""
+    p, n = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]))
+    field = Field.prime(p)
+    support = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    flats = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n),
+                          max_size=n * n - 1))
+    gens = [DenseMatrix.from_flat(field, n, n, [x * keep for x, keep in zip(flat, support)])
+            for flat in flats]
+    if draw(st.booleans()):
+        gens.append(DenseMatrix.identity(field, n))
+    return MatrixSubspace.from_matrices(field, n, gens)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(keyed_cases())
+def test_dual_enumeration_matches_keyed_reference(space):
+    for vtype in ALL_TYPES:
+        assert verify_mathieu(space, vtype) == keyed_verify.verify_mathieu(space, vtype)
+    assert full_power_set(space) == keyed_verify.full_power_set(space)
+    assert idempotents(space) == keyed_verify.idempotents(space)
+    if space.field.p ** (space.n ** 2) <= 3 ** 9:
+        assert radical(space) == keyed_verify.radical(space)
+
+
+def test_dual_enumeration_does_not_depend_on_the_batch_size(monkeypatch):
+    # batches of two members: most of them have no member whose powers
+    # stay inside, and the verdict is read off a later batch
+    from mathieumat import verify
+    from mathieumat.linalg import all_subspaces
+    monkeypatch.setattr(verify, "_BATCH", 2)
+    spaces = [MatrixSubspace(field, 2, basis) for field in (F2, F3) for dim in range(1, 4)
+              for basis in all_subspaces(field, 4, dim)]
+    for space in spaces[::5] + [trace_zero(F2, 3)]:
+        for vtype in ALL_TYPES:
+            assert verify_mathieu(space, vtype) == keyed_verify.verify_mathieu(space, vtype)
+        assert full_power_set(space) == keyed_verify.full_power_set(space)
+        assert idempotents(space) == keyed_verify.idempotents(space)
+        assert radical(space) == keyed_verify.radical(space)
 
 
 def _two_sided_oracle(space):

@@ -38,8 +38,9 @@ from .matspace import (
     binary_profile,
     conjugate,
     constraint_space,
+    rct_zero_members,
 )
-from .normalize import normalize, rct_certificate, rct_zero_is_scalar
+from .normalize import normalize, rct_certificate
 from .verify import (
     ALL_TYPES,
     LEFT,
@@ -203,9 +204,10 @@ def running_pair_space(field) -> MatrixSubspace:
 
 def repro_counterexample():
     """Exhaustive check that no conjugation over F_2 makes the zero-corner
-    members of the adjoined running pair scalar, for either block size."""
+    members of the adjoined running pair scalar, for either block size.
+    Conjugation fixes I, so the pair is adjoined once, before the loop."""
     f = Field.prime(2)
-    space = running_pair_space(f)
+    space = running_pair_space(f).adjoin_identity()
     conjugators = 0
     fixed = 0
     for t in all_matrices(f, 3, 3):
@@ -215,7 +217,7 @@ def repro_counterexample():
             continue
         conjugators += 1
         for r in (1, 2):
-            if rct_zero_is_scalar(moved, r):
+            if rct_zero_members(moved, r).dim == 1:
                 fixed += 1
     expected = "all 168 conjugators fail for r in {1,2}"
     if conjugators == 168 and fixed == 0:

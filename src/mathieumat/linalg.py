@@ -22,21 +22,23 @@ products, and each output entry is one ``Fraction`` of its sum over the
 two denominators; over F_p the dot products are reduced once per entry.
 
 Gauss-Jordan elimination (behind ``rref``, ``rank_of_rows``, ``kernel``,
-``invert`` and :meth:`VectorSubspace.from_vectors`) works on integers:
-over Q each row is scaled to integers and eliminated fraction-free, and
+``invert`` and :meth:`VectorSubspace.from_vectors`) works on integers.
+Over Q each row is scaled to integers and eliminated fraction-free, and
 only the finished rows become ``Fraction`` again, divided by their
-pivots (a zero entry is ``field.zero`` itself); over F_p the same loop
-runs on residues.  The reduced echelon form is unique, so the result
-does not depend on the scaling.
+pivots (a zero entry is ``field.zero`` itself).  Over F_p each pivot row
+is scaled to 1 and the other rows are updated from the pivot column on,
+with no final division.  The reduced echelon form is unique, so the
+result does not depend on the scaling.  A kernel is the complement of
+the row space: ``_kernel`` eliminates the system's rows once, reversed,
+and its vectors, one per non-pivot, are already the canonical RREF.
 
 "The vectors of a row space that satisfy linear conditions" is read off
 one elimination (``_readout``): put the conditions' coordinates first,
 eliminate once, and keep the rows whose pivot lies past them.  Those rows,
 with the leading zeros dropped, are already the canonical RREF basis of
 the answer.  :meth:`VectorSubspace.intersect` (Zassenhaus rows ``(u, u)``
-and ``(w, 0)``), :meth:`VectorSubspace.vanishing_at` (behind
-``matspace.members_vanishing_at``) and ``kernel`` (rows ``(column j of m,
-e_j)``, which span the pairs ``(m v, v)``) are built on it.
+and ``(w, 0)``) and :meth:`VectorSubspace.vanishing_at` (behind
+``matspace.members_vanishing_at``) are built on it.
 """
 
 from __future__ import annotations
@@ -375,11 +377,13 @@ def _scalars(field, ints, d) -> tuple:
 def _eliminate(field, rows, ncols, first=0):
     """Gauss-Jordan on a list of rows, replaced but never mutated; returns pivots.
 
-    Fraction-free: over Q each row is first scaled to integers; a row is
-    cleared at a pivot by cross-multiplication, ``a * row - b * pivot_row``,
-    and then divided by the gcd of its entries.  Over F_p the same loop
-    runs on residues.  Only the finished rows are divided by their pivots,
-    which gives back the unique RREF with canonical entries.
+    Over F_p the pivot row is scaled to 1 once, and the other rows are
+    cleared on the columns from the pivot on only (the pivot row is zero
+    before it); no final division is needed.  Over Q it is fraction-free:
+    each row is first scaled to integers; a row is cleared at a pivot by
+    cross-multiplication, ``a * row - b * pivot_row``, and then divided by
+    the gcd of its entries; only the finished rows are divided by their
+    pivots.  Either way the result is the unique RREF, with canonical entries.
 
     Columns before ``first`` are only eliminated forward, and the rows
     pivoting there are left unfinished: the rows pivoting at ``first`` or
@@ -388,7 +392,7 @@ def _eliminate(field, rows, ncols, first=0):
     """
     p = field.p
     for i, row in enumerate(rows):
-        (rows[i],), _ = _cleared(field, [row])
+        (rows[i],), _ = _cleared(field, [list(row)])
     pivots = []
     r = top = 0
     for c in range(ncols):
@@ -400,24 +404,29 @@ def _eliminate(field, rows, ncols, first=0):
         rows[r], rows[src] = rows[src], rows[r]
         prow = rows[r]
         a = prow[c]
+        if p:
+            inv = pow(a, -1, p)
+            tail = [x * inv % p for x in prow[c:]]
+            rows[r] = prow[:c] + tail
         for i in range(r + 1 if c < first else top, len(rows)):
             b = rows[i][c]
             if i == r or not b:
                 continue
-            row = [a * x - b * y for x, y in zip(rows[i], prow)]
             if p:
-                row = [x % p for x in row]
-            else:
-                g = math.gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
+                rows[i] = rows[i][:c] + [(x - b * y) % p for x, y in zip(rows[i][c:], tail)]
+                continue
+            row = [a * x - b * y for x, y in zip(rows[i], prow)]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
             rows[i] = row
         pivots.append(c)
         r += 1
         if c < first:
             top = r
-    for i in range(top, r):
-        rows[i] = _scalars(field, rows[i], rows[i][pivots[i]])
+    if not p:
+        for i in range(top, r):
+            rows[i] = _scalars(field, rows[i], rows[i][pivots[i]])
     for i in range(r, len(rows)):
         rows[i] = [field.zero] * ncols
     return pivots
@@ -568,16 +577,31 @@ def _readout(field, rows, k, ncols) -> VectorSubspace:
 
 def kernel(m: DenseMatrix) -> VectorSubspace:
     """The right kernel {v : m v = 0} as a canonical subspace."""
-    return _kernel(m.field, m.rows, [m.column(j) for j in range(m.cols)])
+    return _kernel(m.field, m.entries, m.cols)
 
 
-def _kernel(field, k, columns) -> VectorSubspace:
-    """{v : sum_j v_j columns[j] = 0}, columns of k canonical entries: the rows
-    (columns[j], e_j) span the pairs (m v, v); read off where m v = 0."""
-    z, o = field.zero, field.one
-    rows = [list(col) + [o if i == j else z for i in range(len(columns))]
-            for j, col in enumerate(columns)]
-    return _readout(field, rows, k, k + len(columns))
+def _kernel(field, rows, m) -> VectorSubspace:
+    """{v : row . v = 0 for every row}, rows of m canonical entries, read
+    off the RREF R' of the reversed rows: for each non-pivot f of R', in
+    descending order, the vector with 1 at m-1-f and -R'[r][f] at m-1-q_r
+    for each pivot q_r < f.  Its first nonzero is at m-1-f, and it vanishes
+    at the other non-pivots (the kernel's pivots): the basis is canonical.
+    """
+    rows = [row[::-1] for row in rows]
+    pivots = _eliminate(field, rows, m)
+    z, o, taken = field.zero, field.one, set(pivots)
+    free = [f for f in range(m - 1, -1, -1) if f not in taken]
+    basis = []
+    for f in free:
+        v = [z] * m
+        v[m - 1 - f] = o
+        for row, q in zip(rows, pivots):
+            if q > f:
+                break
+            if row[f]:
+                v[m - 1 - q] = field.neg(row[f])
+        basis.append(tuple(v))
+    return VectorSubspace(field, m, tuple(basis), tuple(m - 1 - f for f in free))
 
 
 def solve_affine(a: DenseMatrix, b):

@@ -127,8 +127,8 @@ def constraint_space(space: MatrixSubspace) -> MatrixSubspace:
     """
     n, basis = space.n, space.basis.basis
     # tr(C M) = sum_ij C_ij M_ji: the coefficient of C_ij is M_ji.
-    columns = [[m[j * n + i] for m in basis] for i in range(n) for j in range(n)]
-    return MatrixSubspace(space.field, n, _kernel(space.field, space.dim, columns))
+    rows = [[m[j * n + i] for i in range(n) for j in range(n)] for m in basis]
+    return MatrixSubspace(space.field, n, _kernel(space.field, rows, n * n))
 
 
 def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:

@@ -356,15 +356,15 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
                 threshold -= 1
             if not a.power(n * threshold).is_zero():
                 bound_ok = False
-    flags = (pred1, pred2, pred3, pred4)
-    if not all(not x or y for x, y in zip(flags, flags[1:])):
-        raise AssertionError("implication chain violated: %r" % (flags,))
-    return TraceChainReport(
+    report = TraceChainReport(
         char_avoids_1_to_n=pred1,
         char_avoids_1_to_n_minus_1_and_identity_free=pred2,
         radical_nilpotent=pred3,
         two_sided_mathieu=pred4,
         nilpotency_bound_ok=bound_ok)
+    if not report.chain_holds:
+        raise AssertionError("implication chain violated: %r" % (report,))
+    return report
 
 
 def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:

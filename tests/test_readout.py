@@ -18,9 +18,11 @@ its generic dimension by its own ``generic_rank_of_action``.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mathieumat import linalg
 from mathieumat.errors import FieldTooSmallError, SingularMatrixError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, kernel, rref
 from mathieumat.matspace import (
@@ -39,7 +41,12 @@ from mathieumat.multipoly import generic_rank_of_action
 from mathieumat.verify import is_left_ideal, left_ideal_normal_form, max_left_ideal
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
+F7, FBIG = Field.prime(7), Field.prime(2**31 - 1)
 FIELDS = (F2, F3, F5, QQ)
+# kernels and constraint spaces also over F_(2^31-1), where the products
+# of residues in a row update reach 2^62
+WIDE_FIELDS = FIELDS + (F7, FBIG)
+BIG = 2**31 - 2
 KINDS = ("zero", "full", "random", "ideal", "ideal+random")
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -219,13 +226,13 @@ def matrix_spaces(draw, field, n):
 
 
 @st.composite
-def fields_and_sizes(draw):
-    return draw(st.sampled_from(FIELDS)), draw(st.integers(1, 4))
+def fields_and_sizes(draw, fields=FIELDS):
+    return draw(st.sampled_from(fields)), draw(st.integers(1, 4))
 
 
 @st.composite
-def spaces(draw):
-    field, n = draw(fields_and_sizes())
+def spaces(draw, fields=FIELDS):
+    field, n = draw(fields_and_sizes(fields))
     return draw(matrix_spaces(field, n))
 
 
@@ -296,7 +303,7 @@ def filtered_spaces_with_levels(draw):
 def kernel_inputs(draw):
     """Random, zero and low-rank (a product through k < min(rows, cols)
     dimensions) matrices, 0..4 x 0..5."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(WIDE_FIELDS))
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     kind = draw(st.sampled_from(("random", "zero", "low_rank")))
     if kind == "zero":
@@ -325,6 +332,10 @@ def kernel_inputs(draw):
 @example(DenseMatrix(QQ, [[2, 1, 0, 5], [0, Fraction(1, 3), 1, -1]]))
 @example(DenseMatrix(F2, [[1, 1], [0, 1], [1, 0]]))
 @example(DenseMatrix(F5, [[0, 0, 1, 2], [0, 0, 2, 4]]))
+@example(DenseMatrix(F7, [[0, 0, 0], [1, 2, 3], [0, 0, 0]]))
+@example(DenseMatrix(FBIG, [[5, BIG, 7], [5, BIG, 7], [BIG, 1, BIG]]))
+@example(DenseMatrix(QQ, [[1, Fraction(-2, 3), 0, 4, 5, 0, 7], [2, 0, 1, 1, 1, 1, 1]]))
+@example(DenseMatrix(FBIG, [[1, BIG], [BIG, 1], [3, 2**30], [0, 1], [2, 2], [BIG, 0]]))
 def test_kernel_matches_free_vectors_of_the_rref(m):
     got = kernel(m)
     assert got == reference_kernel(m)
@@ -333,13 +344,53 @@ def test_kernel_matches_free_vectors_of_the_rref(m):
 
 
 @SETTINGS
-@given(spaces())
+@given(spaces(WIDE_FIELDS))
 @example(MatrixSubspace.zero_space(QQ, 3))
 @example(MatrixSubspace.full_space(F2, 2))
+@example(MatrixSubspace.from_matrices(FBIG, 3, [[[1, BIG, 0], [2**30, 5, BIG], [0, 0, 3]]]))
+@example(MatrixSubspace.from_matrices(F7, 2, [[[1, 2], [3, 4]], [[2, 4], [6, 1]],
+                                              [[0, 0], [0, 0]], [[0, 1], [1, 0]]]))
 def test_constraint_space_matches_kernel_of_transposes(space):
     dual = constraint_space(space)
     assert dual == reference_constraint_space(space)
     assert constraint_space(dual) == space
+
+
+def recorded_eliminations(monkeypatch):
+    """The (rows, columns) of every ``linalg._eliminate`` call from here on."""
+    original = linalg._eliminate
+    calls = []
+
+    def recording(field, rows, ncols, first=0):
+        calls.append((len(rows), ncols))
+        return original(field, rows, ncols, first)
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("space", [
+    MatrixSubspace.zero_space(F2, 2),
+    MatrixSubspace.full_space(FBIG, 2),
+    column_kill(F3, 3, 2),
+    column_kill_and_identity(QQ, 4, 1),
+], ids=repr)
+def test_constraint_space_eliminates_only_the_basis_rows(space, monkeypatch):
+    # one elimination of the dim transposed basis rows, never n^2 rows
+    calls = recorded_eliminations(monkeypatch)
+    constraint_space(space)
+    assert calls == [(space.dim, space.n ** 2)]
+
+
+@pytest.mark.parametrize("m", [
+    DenseMatrix.zeros(F5, 0, 3),
+    DenseMatrix(F7, [[1, 2, 3, 4, 5], [2, 4, 6, 1, 3]]),
+    DenseMatrix(QQ, [[1, 2], [3, 4], [5, 6]]),
+], ids=repr)
+def test_kernel_eliminates_only_the_system_rows(m, monkeypatch):
+    calls = recorded_eliminations(monkeypatch)
+    kernel(m)
+    assert calls == [(m.rows, m.cols)]
 
 
 @SETTINGS
@@ -361,6 +412,8 @@ def test_intersect_matches_coefficient_kernel(pair):
 @example((MatrixSubspace.zero_space(QQ, 2), [(0, 1)]))
 @example((MatrixSubspace.full_space(F2, 1), [(0, 0)]))
 @example((MatrixSubspace.full_space(QQ, 4), [(i, j) for i in range(4) for j in range(4)]))
+@example((MatrixSubspace.from_matrices(FBIG, 2, [[[1, BIG], [5, 7]], [[0, 3], [2**30, 1]],
+                                                 [[BIG, BIG], [1, 0]]]), [(0, 1), (1, 1)]))
 def test_members_vanishing_at_matches_coefficient_kernel(case):
     space, positions = case
     got = members_vanishing_at(space, positions)

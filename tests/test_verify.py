@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,15 @@ def test_trace_chain_reports():
     assert z.radical_nilpotent and z.two_sided_mathieu
     with pytest.raises(PreconditionViolated):
         trace_chain_report(MatrixSubspace.full_space(F3, 2))
+
+
+def test_trace_chain_report_raises_on_a_broken_implication(monkeypatch):
+    # sl_2(F_3) has a nilpotent radical; a failing two-sided verdict breaks the chain
+    from mathieumat import verify
+    monkeypatch.setattr(verify, "verify_mathieu",
+                        lambda space, kind: types.SimpleNamespace(holds=False))
+    with pytest.raises(AssertionError, match="implication chain violated"):
+        trace_chain_report(trace_zero(F3, 2))
 
 
 def test_max_left_ideal_examples():

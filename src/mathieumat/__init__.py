@@ -17,6 +17,10 @@ The package is organized in layers:
   radicals and maximal left ideals over small prime fields;
 * :mod:`mathieumat.spacefile` / :mod:`mathieumat.cli` -- the plain-text
   input format and the command-line front end.
+
+The package itself binds the names that the demos and the README quick
+start use, and the exception classes of :mod:`mathieumat.errors`; every
+other name is imported from its module.
 """
 
 from .errors import (
@@ -29,66 +33,20 @@ from .errors import (
     SpaceFileError,
     TooLargeError,
 )
-from .linalg import (
-    DenseMatrix,
-    Field,
-    VectorSubspace,
-    all_matrices,
-    all_subspaces,
-    invert,
-    kernel,
-    rref,
-    solve_affine,
-)
+from .linalg import DenseMatrix, Field, invert
 from .matspace import (
-    BinaryProfile,
-    Filtration,
     MatrixSubspace,
     binary_profile,
-    column_space,
     column_space_dim,
     conjugate,
     constraint_space,
-    filtration_level,
-    find_generic_vector,
-    rct_zero_members,
     trace_pairing,
 )
-from .multipoly import (
-    MultiPoly,
-    divexact,
-    find_nonvanishing,
-    generic_rank_of_action,
-)
-from .normalize import (
-    Move,
-    NormalizationResult,
-    RctCertificate,
-    move_generic_vector,
-    move_permutation,
-    move_unit_triangular,
-    normalize,
-    rct_certificate,
-    rct_zero_is_scalar,
-)
-from .idempotents import (
-    AffineFamily,
-    FullSpaceCertificate,
-    corner_slice,
-    full_space_certificate,
-    idempotent_family,
-)
+from .multipoly import MultiPoly, find_nonvanishing, generic_rank_of_action
+from .normalize import normalize, rct_certificate, rct_zero_is_scalar
+from .idempotents import corner_slice, full_space_certificate, idempotent_family
 from .verify import (
     ALL_TYPES,
-    LEFT,
-    PRE_TWO_SIDED,
-    RIGHT,
-    TWO_SIDED,
-    MathieuVerdict,
-    PowerTrajectory,
-    Witness,
-    full_power_set,
-    is_left_ideal,
     left_ideal_equivalences,
     left_ideal_normal_form,
     max_left_ideal,

@@ -24,7 +24,6 @@ from .matspace import (
     members_vanishing_at,
     rct_zero_members,
 )
-from .normalize import rct_zero_is_scalar
 
 UPPER = "upper"
 LOWER = "lower"
@@ -153,22 +152,17 @@ def full_space_certificate(space: MatrixSubspace, r: int) -> FullSpaceCertificat
     constraints = constraint_space(space)
     if constraints.contains_identity():
         raise PreconditionViolated("the identity is a constraint of the space")
-    if not rct_zero_is_scalar(constraints, r):
-        adjoined = rct_zero_members(constraints.adjoin_identity(), r)
+    zero_corner = rct_zero_members(constraints.adjoin_identity(), r)
+    if zero_corner.dim != 1:
         scalars = MatrixSubspace.from_matrices(f, n, [DenseMatrix.identity(f, n)])
-        witness = next(m for m in adjoined.basis_matrices if not scalars.contains(m))
+        witness = next(m for m in zero_corner.basis_matrices if not scalars.contains(m))
         raise HypothesisFailed(
             "a zero-corner member of the adjoined constraints is not scalar",
             witness=witness)
     e = _family(constraints, r, UPPER).particular
     e_prime = _family(constraints, r, LOWER).particular
     total = e + e_prime
-    eye = DenseMatrix.identity(f, n)
-    nil = total - eye
-    power = nil
-    for _ in range(n - 1):
-        power = power.mul(nil)
-    if not power.is_zero():
+    if not (total - DenseMatrix.identity(f, n)).power(n).is_zero():
         raise AssertionError("sum of the two idempotents must be unipotent")
     # decomposition sanity on a canonical sample: A = A (e+e')^-1 e + A (e+e')^-1 e'
     sample = DenseMatrix.unit(f, n, n, 0, 0)

@@ -21,8 +21,8 @@ common denominator of its entries, the dot products are sums of ``int``
 products, and each output entry is one ``Fraction`` of its sum over the
 two denominators; over F_p the dot products are reduced once per entry.
 
-Gauss-Jordan elimination (behind ``rref``, ``rank_of_rows``, ``kernel``,
-``invert`` and :meth:`VectorSubspace.from_vectors`) works on integers.
+Gauss-Jordan elimination (behind ``rref``, ``kernel``, ``invert`` and
+:meth:`VectorSubspace.from_vectors`) works on integers.
 Over Q each row is scaled to integers and eliminated fraction-free, and
 only the finished rows become ``Fraction`` again, divided by their
 pivots (a zero entry is ``field.zero`` itself).  Over F_p each pivot row
@@ -365,11 +365,12 @@ def _cleared(field, rows):
 
 def _scalars(field, ints, d) -> tuple:
     """The canonical scalars ``x / d`` for the integers ``x`` in ``ints``
-    and a nonzero integer ``d``; a zero is ``field.zero`` itself."""
+    and a nonzero integer ``d``; a zero is ``field.zero`` itself.  Over
+    F_p, ``d`` is 1: ``_cleared`` gives 1 there, and ``_eliminate`` divides
+    by its pivots only over Q."""
     if field.p:
         p = field.p
-        inv = pow(d, -1, p)
-        return tuple(x * inv % p for x in ints)
+        return tuple(x % p for x in ints)
     z = field.zero
     return tuple(Fraction(x, d) if x else z for x in ints)
 
@@ -442,14 +443,6 @@ def rref(m: DenseMatrix):
     rows = list(m.entries)
     pivots = _eliminate(m.field, rows, m.cols)
     return DenseMatrix._trusted(m.field, rows, m.cols), len(pivots), tuple(pivots)
-
-
-def rank_of_rows(field, rows) -> int:
-    """Rank of a list of equal-length rows of ints or Fractions, converted
-    into the field.  Does not mutate."""
-    work = [[field.of(x) for x in r] for r in rows]
-    ncols = len(work[0]) if work else 0
-    return len(_eliminate(field, work, ncols))
 
 
 class VectorSubspace:

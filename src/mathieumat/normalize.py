@@ -289,8 +289,9 @@ def rct_certificate(m: MatrixSubspace) -> RctCertificate:
     r = result.profile.d[n] - 1
     if not 1 <= r <= n - 1:
         raise NormalizationError("generic dimension out of range: %d" % (r + 1), result.log)
-    # c_n_final = t^-1 (c + K I) t = t^-1 c t + K I, as normalize checked
-    if not rct_zero_is_scalar(result.c_n_final, r):
+    # c_n_final = t^-1 (c + K I) t = t^-1 c t + K I, as normalize checked:
+    # it holds I already, so its zero-corner members are read off directly
+    if rct_zero_members(result.c_n_final, r).dim != 1:
         raise NormalizationError(
             "normalized space still has a non-scalar member with zero "
             "top-right block", result.log)

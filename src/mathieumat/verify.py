@@ -28,8 +28,11 @@ from their indices in batches with numpy (exact arithmetic mod p, int16
 wherever the sums fit), so memory does not grow with their number, in
 lexicographic order of their basis coefficients (for the full space, of
 the row-major entries); the first counterexample in that order is
-returned as a replayable witness.  ``power_trajectory`` and
-``witness_replays`` stay the definitional path.
+returned as a witness.  ``verify_mathieu`` returns only witnesses it has
+replayed against the powers it followed to find them, and raises
+``AssertionError`` on one that does not replay; ``power_trajectory`` and
+``witness_replays``, which follows the powers itself, stay the
+definitional path.
 
 ``max_left_ideal`` needs no enumeration and works over any field: A lies
 in the maximal left ideal of a space S iff every row of A lies in the
@@ -213,7 +216,7 @@ def idempotents(space: MatrixSubspace):
 def _witness(space: MatrixSubspace, dual: _Dual, a: np.ndarray, sides) -> Witness:
     """The first multiplier in enumeration order taking an element of the
     cycle of the member ``a`` outside, a matrix unit or a pair of them,
-    with the first such cycle element."""
+    with the first such cycle element, replayed on its trajectory."""
     f, n = space.field, space.n
     traj = power_trajectory(_matrix(f, a))
     cycle = np.array([z.entries for z in traj.cycle], dtype=a.dtype)
@@ -225,8 +228,11 @@ def _witness(space: MatrixSubspace, dual: _Dual, a: np.ndarray, sides) -> Witnes
             b, c = {LEFT: (pos, None), RIGHT: (None, pos)}.get(side, divmod(pos, n * n))
             b, c = (u if u is None else DenseMatrix.unit(f, n, n, *divmod(u, n))
                     for u in (b, c))
-            return Witness(a=traj.a, b=b, c=c,
-                           exponent=traj.tail_len + 1 + int(np.argmax(bad[:, pos])))
+            witness = Witness(a=traj.a, b=b, c=c,
+                              exponent=traj.tail_len + 1 + int(np.argmax(bad[:, pos])))
+            if not _replays(space, witness, traj):
+                raise AssertionError("witness does not replay: %r" % (witness,))
+            return witness
 
 
 def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
@@ -237,7 +243,9 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
     outside, iff a matrix unit (pair) does; two-sided, iff a^n is nonzero.
     The first such member in coefficient order gives the witness: the
     first multiplier in enumeration order taking an element of its cycle
-    outside, and the first such element.
+    outside, and the first such element.  The witness is replayed
+    (``witness_replays``) on the powers already followed; AssertionError
+    if it does not replay (it cannot, short of a bug).
     """
     if vtype not in ALL_TYPES:
         raise ValueError("unknown type %r" % vtype)
@@ -260,7 +268,11 @@ def witness_replays(space: MatrixSubspace, witness: Witness) -> bool:
     """Confirm a witness by direct power iteration: all powers of a stay
     inside, while the product escapes at the witness exponent and again
     one full period later."""
-    traj = power_trajectory(witness.a)
+    return _replays(space, witness, power_trajectory(witness.a))
+
+
+def _replays(space: MatrixSubspace, witness: Witness, traj: PowerTrajectory) -> bool:
+    """``witness_replays`` on ``traj``, the trajectory of ``witness.a``."""
     for x in traj.tail + traj.cycle:
         if not space.contains(x):
             return False
@@ -354,7 +366,7 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
             threshold = traj.tail_len + 1
             while threshold > 1 and space.contains(traj.power(threshold - 1)):
                 threshold -= 1
-            if not a.power(n * threshold).is_zero():
+            if not traj.power(n * threshold).is_zero():
                 bound_ok = False
     report = TraceChainReport(
         char_avoids_1_to_n=pred1,

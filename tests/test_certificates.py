@@ -2,8 +2,9 @@
 
 The check-first ``idempotent_family`` and the scalar-line comparison of
 ``rct_zero_is_scalar`` live on here as references; call counts pin that
-no certificate repeats a conjugation, a constraint space or a maximal
-left ideal it already has.
+no certificate repeats a conjugation, a constraint space, a zero-corner
+space or a maximal left ideal it already has, and that a witness's
+powers are followed once.
 """
 
 import importlib
@@ -219,3 +220,55 @@ def test_left_ideal_tests_build_no_maximal_left_ideal(monkeypatch):
                     assert not is_left_ideal(padded)
                     with pytest.raises(NotLeftIdealError):
                         left_ideal_normal_form(padded)
+
+
+def test_rct_certificate_adjoins_the_identity_once(monkeypatch):
+    # the normalized space holds I already; only the constraints get it adjoined
+    original = MatrixSubspace.adjoin_identity
+    calls = []
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(MatrixSubspace, "adjoin_identity", counting)
+    cert = rct_certificate(constraint_space(cli.running_pair_space(F3)))
+    assert len(calls) == 1
+    assert cert.r == 2
+
+
+def test_full_space_certificate_failure_reads_the_zero_corner_once(monkeypatch):
+    # constraints <E_11>: I + <E_11> has the non-scalar zero-corner member E_11
+    e11 = DenseMatrix.unit(F3, 2, 2, 0, 0)
+    space = constraint_space(MatrixSubspace.from_matrices(F3, 2, [e11]))
+    calls = count_calls(monkeypatch, "rct_zero_members", matspace)
+    with pytest.raises(HypothesisFailed) as got:
+        idempotents.full_space_certificate(space, 1)
+    assert len(calls) == 1
+    assert got.value.witness.entries[0][1] == 0
+    assert not MatrixSubspace.from_matrices(
+        F3, 2, [DenseMatrix.identity(F3, 2)]).contains(got.value.witness)
+
+
+def write_trace_zero(tmp_path):
+    path = tmp_path / "sl2.txt"
+    path.write_text("field 2\nn 2\nbasis\n1 0\n0 1\n\n0 1\n0 0\n\n0 0\n1 0\n")
+    return str(path)
+
+
+def test_failing_cli_verify_follows_the_witness_powers_once(monkeypatch, tmp_path, capsys):
+    calls = count_calls(monkeypatch, "power_trajectory", verify)
+    assert cli.main(["verify", write_trace_zero(tmp_path), "--type", "left", "--json"]) == 0
+    assert len(calls) == 1
+    witness = json.loads(capsys.readouterr().out)["payload"]["witness"]
+    assert witness["replays"] is True
+
+
+def test_a_witness_that_does_not_replay_raises(monkeypatch, tmp_path):
+    monkeypatch.setattr(verify, "_replays", lambda space, witness, traj: False)
+    sl2 = cli._trace_zero(F2, 2)
+    for vtype in verify.ALL_TYPES:
+        with pytest.raises(AssertionError, match="witness does not replay"):
+            verify.verify_mathieu(sl2, vtype)
+    with pytest.raises(AssertionError, match="witness does not replay"):
+        cli.main(["verify", write_trace_zero(tmp_path), "--type", "two", "--json"])

@@ -12,7 +12,6 @@ from mathieumat.linalg import (
     all_subspaces,
     invert,
     kernel,
-    rank_of_rows,
     rref,
     solve_affine,
 )
@@ -154,7 +153,6 @@ def test_eliminate_matches_field_reference():
             reduced, rank, got_pivots = rref(DenseMatrix(field, rows, cols=ncols))
             assert [list(r) for r in reduced.entries] == expected
             assert (rank, got_pivots) == (len(pivots), pivots)
-            assert rank_of_rows(field, rows) == rank
             space = VectorSubspace.from_vectors(field, ncols, rows)
             assert space.basis == tuple(tuple(r) for r in expected[:rank])
             assert space.pivots == pivots
@@ -164,7 +162,7 @@ def test_eliminate_matches_field_reference():
                 else:
                     assert type(x) is Fraction
     # plain int rows over Q stay exact: no float from ``1 / a`` on the way
-    assert rank_of_rows(QQ, [[3, 7], [3, 7], [12, 28]]) == 1
+    assert rref(DenseMatrix(QQ, [[3, 7], [3, 7], [12, 28]]))[1] == 1
 
 
 def test_rref_identity_case():
@@ -391,13 +389,13 @@ def test_mul_vector_rejects_a_vector_of_the_wrong_length():
 
 
 def test_raw_fraction_vectors_over_a_prime_field():
-    # rank_of_rows converts its rows; mul_vector takes field scalars, and
+    # DenseMatrix converts its rows; mul_vector takes field scalars, and
     # a raw vector reaches it through column_space, which converts
     from mathieumat.matspace import MatrixSubspace, column_space
     half = Fraction(1, 2)                    # 3 in F_5
-    assert rank_of_rows(F5, [[half, 1]]) == 1
-    assert rank_of_rows(F5, [[half, 1], [3, 1]]) == 1
-    assert rank_of_rows(F5, [[half, 1], [Fraction(7, 3), 4]]) == 2
+    assert rref(DenseMatrix(F5, [[half, 1]]))[1] == 1
+    assert rref(DenseMatrix(F5, [[half, 1], [3, 1]]))[1] == 1
+    assert rref(DenseMatrix(F5, [[half, 1], [Fraction(7, 3), 4]]))[1] == 2
     m = DenseMatrix(F5, [[1, 0], [0, 2]])
     assert m.mul_vector([F5.of(half), 1]) == (3, 2)
     space = MatrixSubspace.from_matrices(F5, 2, [m])

@@ -26,7 +26,6 @@ BOUNDARY = {
     "linalg.DenseMatrix.__init__", "linalg.DenseMatrix.scale",
     "linalg.DenseMatrix.from_flat", "linalg.VectorSubspace.from_vectors",
     "linalg.VectorSubspace.reduce", "linalg.VectorSubspace.member", "linalg.solve_affine",
-    "linalg.rank_of_rows",
     "matspace.MatrixSubspace.from_matrices", "matspace.column_space",
     "idempotents.AffineFamily.with_block",
     "multipoly.MultiPoly.__init__", "multipoly.MultiPoly.scale",
@@ -82,3 +81,33 @@ def test_every_imported_name_is_used():
                            for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in used]
     assert unused == []
+
+
+def imported_names(source):
+    """The names that ``from mathieumat import ...`` statements in
+    ``source`` import."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "mathieumat"
+            for alias in node.names}
+
+
+def test_the_package_binds_only_the_names_in_use():
+    # the demos and the README quick start import from the package; every
+    # other caller imports from the modules, so the package binds exactly
+    # their names and the exception classes of ``errors``
+    package = pathlib.Path(mathieumat.__file__).parent
+    root = package.parent.parent
+    bound = {alias.asname or alias.name
+             for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    errors = {node.name for node in ast.parse(
+        (package / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in sorted((root / "demos").glob("*.py")):
+        used |= imported_names(path.read_text(encoding="utf-8"))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1]
+    used |= imported_names(quick_start.split("```", 1)[0])
+    assert len(errors) == 8 and "DenseMatrix" in used
+    assert {name for name in bound if not name.startswith("_")} == errors | used

@@ -304,14 +304,16 @@ class DenseMatrix:
     def power(self, k: int) -> "DenseMatrix":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        out = DenseMatrix.identity(self.field, self.rows)
-        base = self
+        if k < 0:
+            raise ValueError("negative matrix power")
+        out, base = None, self
         while k:
             if k & 1:
-                out = out.mul(base)
-            base = base.mul(base) if k > 1 else base
+                out = base if out is None else out.mul(base)
             k >>= 1
-        return out
+            if k:
+                base = base.mul(base)
+        return DenseMatrix.identity(self.field, self.rows) if out is None else out
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix._trusted(

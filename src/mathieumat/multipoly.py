@@ -8,22 +8,17 @@ whole point of this layer.
 
 A :class:`MultiPoly` keeps exponent tuples and canonical coefficients
 (``Fraction`` over Q, residues over F_p); the zero polynomial stores no
-terms, so equality of term maps is equality of polynomials.  The
-arithmetic runs on integer kernels instead: term dicts from packed
-exponent keys to ``int`` coefficients, reduced mod p only over F_p.
-Over Q a polynomial is split into an integral term dict and a common
-denominator, so products and quotients are computed in Z[x] and turned
-back into ``Fraction`` coefficients once, when the result is built.
-``divexact`` first makes the divisor primitive: by Gauss's lemma, if a
-primitive polynomial divides an integral one over Q, the quotient is
-integral, so the division runs over Z with integer ``divmod`` and any
-remainder proves it inexact.  One Bareiss loop over Z[x] computes every
-rank, on columns of term dicts scaled by the lcm of their denominators
-(the rank over Q(x) does not change); its divisions are exact in Z[x]
-(Bareiss, *Math. Comp.* 22, 1968).  It reads its columns straight off
-basis rows, with no polynomial object in between, and returns its pivot
-columns: the pivots among the first m columns count the rank of those m,
-so ``matspace.Filtration`` reads all generic dimensions of a filtered
+terms, so equality of term maps is equality of polynomials.  Its
+arithmetic is definitional, through the field's ``add`` and ``mul``.
+Integer kernels serve the Bareiss loop only: term dicts from packed
+exponent keys to ``int`` coefficients, reduced mod p only over F_p.  One
+Bareiss loop over Z[x] computes every rank, on columns of term dicts
+scaled by the lcm of their denominators (the rank over Q(x) does not
+change); its divisions are exact in Z[x] (Bareiss, *Math. Comp.* 22,
+1968).  It reads its columns straight off basis rows, with no
+polynomial object in between, and returns its pivot columns: the pivots
+among the first m columns count the rank of those m, so
+``matspace.Filtration`` reads all generic dimensions of a filtered
 space off one run over rows in level order.
 """
 
@@ -31,8 +26,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from fractions import Fraction
 
 from .linalg import Field, _cleared
 
@@ -40,7 +33,8 @@ from .linalg import Field, _cleared
 class MultiPoly:
     """A polynomial in ``nvars`` variables with exact coefficients.
 
-    Terms map exponent tuples to nonzero canonical coefficients.
+    Terms map exponent tuples to nonzero canonical coefficients; the
+    constructor drops the zero ones, so sums and products need not.
     """
 
     __slots__ = ("field", "nvars", "terms")
@@ -109,11 +103,7 @@ class MultiPoly:
         f = self.field
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = f.add(out.get(exps, f.zero), c)
-            if s == f.zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+            out[exps] = f.add(out.get(exps, f.zero), c)
         return MultiPoly(f, self.nvars, out)
 
     def __neg__(self):
@@ -125,13 +115,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         self._compatible(other)
-        p = self.field.p
-        width = _width(_max_exponent(self) + _max_exponent(other))
-        (a, da), (b, db) = _integral(self, width), _integral(other, width)
+        f = self.field
         out = {}
-        _mul_into(out, a, b)
-        factor = 1 if p else Fraction(1, da * db)
-        return _poly(self.field, self.nvars, width, _clean(out, p), factor)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = f.add(out.get(e, f.zero), f.mul(c1, c2))
+        return MultiPoly(f, self.nvars, out)
 
     def scale(self, c) -> "MultiPoly":
         f = self.field
@@ -166,37 +156,13 @@ class MultiPoly:
         return "MultiPoly(%s)" % " + ".join(bits)
 
 
-def divexact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Exact division of polynomials; ArithmeticError if the remainder is nonzero.
-
-    Over Q the divisor is made primitive first; by Gauss's lemma the
-    quotient of integral polynomials is then integral whenever it exists.
-    """
-    num._compatible(den)
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    p = num.field.p
-    width = _width(max(_max_exponent(num), _max_exponent(den)))
-    (a, da), (b, db) = _integral(num, width), _integral(den, width)
-    content = 1 if p else math.gcd(*b.values())
-    if content > 1:
-        b = {e: c // content for e, c in b.items()}
-    quot = _div(a, b, p, _guard(num.nvars, width))
-    factor = 1 if p else Fraction(db, da * content)
-    return _poly(num.field, num.nvars, width, quot, factor)
-
-
-# Integer kernels.  A term dict maps a packed exponent key to an int
-# coefficient (a residue when ``p`` is set).  Each exponent lives in a
-# field of ``width`` bits whose top bit is a guard; the first variable
-# takes the most significant field, so integer order on keys is the
-# lexicographic order on exponent tuples and exponent addition is one
-# integer ``+``.  Keys never carry a set guard bit into a product, so a
-# sum of two exponents cannot spill into the next field.
-
-
-def _max_exponent(f: MultiPoly) -> int:
-    return max((max(e, default=0) for e in f.terms), default=0)
+# Integer kernels of the Bareiss loop.  A term dict maps a packed
+# exponent key to an int coefficient (a residue when ``p`` is set).  Each
+# exponent lives in a field of ``width`` bits whose top bit is a guard;
+# the first variable takes the most significant field, so integer order
+# on keys is the lexicographic order on exponent tuples and exponent
+# addition is one integer ``+``.  Keys never carry a set guard bit into a
+# product, so a sum of two exponents cannot spill into the next field.
 
 
 def _width(bound: int) -> int:
@@ -208,34 +174,6 @@ def _guard(nvars: int, width: int) -> int:
     """The key with every field's guard bit set."""
     top = 1 << (width - 1)
     return sum(top << (width * i) for i in range(nvars))
-
-
-def _pack(exps, width: int) -> int:
-    """The key of an exponent tuple; ValueError if one reaches the guard bit."""
-    key = 0
-    limit = 1 << (width - 1)
-    for e in exps:
-        if e >= limit:
-            raise ValueError("exponent %d does not fit a %d-bit field" % (e, width))
-        key = (key << width) | e
-    return key
-
-
-def _integral(f: MultiPoly, width: int):
-    """(term dict, d) with ``f`` equal to the dict's polynomial over d."""
-    if f.field.p:
-        return {_pack(e, width): c for e, c in f.terms.items()}, 1
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return {_pack(e, width): c.numerator * (den // c.denominator)
-            for e, c in f.terms.items()}, den
-
-
-def _poly(field, nvars, width, terms, factor) -> MultiPoly:
-    """The MultiPoly of a term dict, every coefficient times ``factor``."""
-    mask = (1 << width) - 1
-    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
-    return MultiPoly(field, nvars, {
-        tuple((key >> s) & mask for s in shifts): c * factor for key, c in terms.items()})
 
 
 def _mul_into(out: dict, a: dict, b: dict) -> None:

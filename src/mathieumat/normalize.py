@@ -17,8 +17,9 @@ generic-vector pass runs in full first and the unit-triangular pass
 second.  Every move is logged with its conjugator so a run can be
 replayed and audited move by move.
 
-The moves read the current space's levels off its ``matspace.Filtration``;
-``normalize`` reads one for the input and one after each logged move.
+Each move reads the current space's levels off its ``matspace.Filtration``
+and returns its conjugator, or None for a no-op; ``normalize`` reads one
+Filtration for the input and one for the conjugate after each logged move.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from .matspace import (
     Filtration,
     MatrixSubspace,
     _basis_vector,
-    _column_space,
     conjugate,
     constraint_space,
-    filtration_level,
     find_generic_vector,
     rct_zero_members,
 )
@@ -69,27 +68,20 @@ class RctCertificate:
 
 
 def move_generic_vector(fil: Filtration, k: int, pivot=False):
-    """Conjugate the filtered space so the level-k column space attains
-    its generic dimension.
+    """Conjugator making the level-k column space of the filtered space
+    attain its generic dimension, for 1 <= k <= n.
 
-    Returns ``(t, conjugated)``.  The conjugator's columns right of k are
-    identity columns; with ``pivot`` the found vector has k-th entry 1
-    and t is the identity outside column k.  No-op (t = I) when the
-    level is already saturated or zero.
+    Its columns right of k are identity columns; with ``pivot`` the found
+    vector has k-th entry 1 and t is the identity outside column k.
+    None (a no-op) when the level is already saturated or zero.
     """
-    space = fil.space
-    f, n = space.field, space.n
-    eye = DenseMatrix.identity(f, n)
-    if k == 0:
-        return eye, space
+    f, n = fil.space.field, fil.space.n
     # The column space along e_k never exceeds d_k, so it is saturated
     # when d_k = 0.
-    cs = fil.column_space(k, _basis_vector(f, n, k))
-    dk = fil.d[k]
-    if cs.dim == dk:
-        return eye, space
+    if fil.column_space(k, _basis_vector(f, n, k)).dim == fil.d[k]:
+        return None
     v = find_generic_vector(fil, k, require_pivot_one=pivot)
-    entries = [list(row) for row in eye.entries]
+    entries = [list(row) for row in DenseMatrix.identity(f, n).entries]
     for i in range(n):
         entries[i][k - 1] = v[i]
     if v[k - 1] == f.zero:
@@ -99,47 +91,34 @@ def move_generic_vector(fil: Filtration, k: int, pivot=False):
         tstar = max(i for i in range(n) if v[i] != f.zero)
         for i in range(n):
             entries[i][tstar] = f.one if i == k - 1 else f.zero
-    t = DenseMatrix._trusted(f, entries, n)
-    out = conjugate(space, t)
-    if _column_space(filtration_level(out, k), _basis_vector(f, n, k)).dim != dk:
-        raise NormalizationError(
-            "generic-vector move missed dimension %d at level %d" % (dk, k), [])
-    return t, out
+    return DenseMatrix._trusted(f, entries, n)
 
 
 def move_unit_triangular(fil: Filtration, k: int):
-    """Lower-triangular conjugation making the level-k column space of the
+    """Lower-triangular conjugator making the level-k column space of the
     filtered space a span of standard basis unit vectors (so its
-    one-count equals its dimension).  No-op when it already is."""
-    space = fil.space
-    f, n = space.field, space.n
-    eye = DenseMatrix.identity(f, n)
-    if k == 0:
-        return eye, space
+    one-count equals its dimension), for 1 <= k <= n.  None when it
+    already is."""
+    f, n = fil.space.field, fil.space.n
     cs = fil.column_space(k, _basis_vector(f, n, k))
     if all(sum(1 for x in row if x != f.zero) == 1 for row in cs.basis):
-        return eye, space
-    entries = [list(row) for row in eye.entries]
+        return None
+    entries = [list(row) for row in DenseMatrix.identity(f, n).entries]
     # RREF rows have distinct leading coordinates; read bottom-up and
     # plant each as the column of its own leading position.
     for row in reversed(cs.basis):
         lead = next(i for i in range(n) if row[i] != f.zero)
         for i in range(n):
             entries[i][lead] = row[i]
-    t = DenseMatrix._trusted(f, entries, n)
-    return t, conjugate(space, t)
+    return DenseMatrix._trusted(f, entries, n)
 
 
 def move_permutation(fil: Filtration, k: int):
-    """Permute leading coordinates so column k of the filtered space's
-    profile becomes decreasing above the diagonal.  The permutation is
-    stable and fixes every coordinate from the lowest 1 of the column
-    downward."""
-    space = fil.space
-    f, n = space.field, space.n
-    eye = DenseMatrix.identity(f, n)
-    if k == 0:
-        return eye, space
+    """Conjugator permuting leading coordinates so column k of the
+    filtered space's profile becomes decreasing above the diagonal, for
+    1 <= k <= n; None when it already is.  The permutation is stable and
+    fixes every coordinate from the lowest 1 of the column downward."""
+    f, n = fil.space.field, fil.space.n
     cs = fil.column_space(k, _basis_vector(f, n, k))
     ind = [0] * n
     for row in cs.basis:
@@ -148,7 +127,7 @@ def move_permutation(fil: Filtration, k: int):
                 ind[i] = 1
     above = ind[:k - 1]
     if all(a >= b for a, b in zip(above, above[1:])):
-        return eye, space
+        return None
     s = max(i for i in range(k - 1) if ind[i]) + 1
     order = sorted(range(s), key=lambda i: (-ind[i], i))
     entries = [[f.zero] * n for _ in range(n)]
@@ -157,8 +136,7 @@ def move_permutation(fil: Filtration, k: int):
     for i in range(s, n):
         entries[i][i] = f.one
     perm = DenseMatrix._trusted(f, entries, n)  # perm . w  sorts the indicator
-    t = perm.transpose()                        # = perm^(-1)
-    return t, conjugate(space, t)
+    return perm.transpose()                     # = perm^(-1)
 
 
 class NormalizationError(AssertionError):
@@ -194,12 +172,16 @@ def normalize(space: MatrixSubspace) -> NormalizationResult:
             "normalization needs #K >= %d" % d_top, needed=d_top)
     log = []
 
-    def apply(kind, k, move):
+    def apply(kind, k, t):
         nonlocal fil
-        t, out = move
-        if t != DenseMatrix.identity(f, n):
-            log.append(Move(kind, k, t))
-            fil = Filtration(out)
+        if t is None:
+            return
+        log.append(Move(kind, k, t))
+        dk = fil.d[k]
+        fil = Filtration(conjugate(fil.space, t))
+        if kind == "generic_vector" and fil.column_space(k, _basis_vector(f, n, k)).dim != dk:
+            raise NormalizationError(
+                "generic-vector move missed dimension %d at level %d" % (dk, k), log)
 
     apply("generic_vector", n, move_generic_vector(fil, n))
     branch = SINGLE_PASS if f.size_greater(min(fil.d[n - 1], n - 1)) else DOUBLE_PASS

@@ -356,18 +356,21 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
     pred1 = not 0 < p <= n
     pred2 = (not 0 < p <= n - 1) and not space.contains_identity()
     rad = radical(space)
-    pred3 = all(a.power(n).is_zero() for a in rad)
-    pred4 = verify_mathieu(space, TWO_SIDED).holds
-    bound_ok = None
     if pred2:
-        bound_ok = True
+        # each element's powers are followed once, for a^n and the bound
+        pred3 = bound_ok = True
         for a in rad:
             traj = power_trajectory(a)
+            pred3 = pred3 and traj.power(n).is_zero()
             threshold = traj.tail_len + 1
             while threshold > 1 and space.contains(traj.power(threshold - 1)):
                 threshold -= 1
             if not traj.power(n * threshold).is_zero():
                 bound_ok = False
+    else:
+        pred3 = all(a.power(n).is_zero() for a in rad)
+        bound_ok = None
+    pred4 = verify_mathieu(space, TWO_SIDED).holds
     report = TraceChainReport(
         char_avoids_1_to_n=pred1,
         char_avoids_1_to_n_minus_1_and_identity_free=pred2,

@@ -272,3 +272,37 @@ def test_a_witness_that_does_not_replay_raises(monkeypatch, tmp_path):
             verify.verify_mathieu(sl2, vtype)
     with pytest.raises(AssertionError, match="witness does not replay"):
         cli.main(["verify", write_trace_zero(tmp_path), "--type", "two", "--json"])
+
+
+def count_method_calls(monkeypatch, cls, name):
+    original = getattr(cls, name)
+    calls = []
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_matrix_power_makes_no_identity_product(monkeypatch):
+    a = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    expected = {k: a.power(k) for k in (1, 2, 4)}
+    calls = count_method_calls(monkeypatch, DenseMatrix, "mul")
+    for k, muls in ((1, 0), (2, 1), (4, 2)):
+        calls.clear()
+        assert a.power(k) == expected[k]
+        assert len(calls) == muls
+
+
+def test_trace_chain_report_follows_each_radical_element_once(monkeypatch):
+    # sl_2(F_5) is identity-free with 5 > n: a^n and the nilpotency bound
+    # are both read off each radical element's one trajectory
+    trajectories = count_calls(monkeypatch, "power_trajectory", verify)
+    powers = count_method_calls(monkeypatch, DenseMatrix, "power")
+    report = verify.trace_chain_report(cli._trace_zero(F5, 2))
+    assert report == verify.TraceChainReport(
+        char_avoids_1_to_n=True, char_avoids_1_to_n_minus_1_and_identity_free=True,
+        radical_nilpotent=True, two_sided_mathieu=True, nilpotency_bound_ok=True)
+    assert len(trajectories) == 25 and powers == []

@@ -351,6 +351,13 @@ def test_matrix_power():
     assert m.power(7) == DenseMatrix(F5, [[1, 2], [0, 1]])
     n = DenseMatrix(QQ, [[0, 1], [0, 0]])
     assert n.power(2).is_zero()
+    a = DenseMatrix(QQ, [[1, 2, 0], [Fraction(1, 3), 1, -1], [0, 5, 2]])
+    repeated = DenseMatrix.identity(QQ, 3)
+    for k in range(10):
+        assert a.power(k) == repeated
+        repeated = repeated.mul(a)
+    with pytest.raises(ValueError):
+        a.power(-1)
 
 
 def test_trace_and_flatten_roundtrip():

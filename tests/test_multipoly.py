@@ -12,8 +12,9 @@ from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import Filtration, MatrixSubspace, column_space_dim, filtration_level
 from mathieumat.multipoly import (
     MultiPoly,
-    _pack,
-    divexact,
+    _div,
+    _guard,
+    _mul_into,
     find_nonvanishing,
     generic_rank_of_action,
 )
@@ -85,48 +86,90 @@ def test_ring_axioms_random():
             assert (f * g) * h == f * (g * h)
 
 
-def test_divexact_basic():
-    x1, x2 = x(QQ, 2, 1), x(QQ, 2, 2)
-    num = x1 * x1 - x2 * x2
-    assert divexact(num, x1 - x2) == x1 + x2
-    assert divexact(num, x1 + x2) == x1 - x2
-    # ((x1^2 - x2^2)/2) / ((x1 - x2)/3) = (3/2)(x1 + x2)
-    assert (divexact(num.scale(Fraction(1, 2)), (x1 - x2).scale(Fraction(1, 3)))
-            == (x1 + x2).scale(Fraction(3, 2)))
-    assert divexact(x1.scale(3), x1.scale(6)) == MultiPoly.constant(QQ, 2, Fraction(1, 2))
-    for field in (QQ, F5):
-        y1, y2 = x(field, 2, 1), x(field, 2, 2)
-        one = MultiPoly.constant(field, 2, 1)
+def _packed(poly, width=3):
+    """Hand-packed term dict of a {exponent tuple: int} map; a 3-bit field
+    holds exponents 0..3 below its guard bit."""
+    return {sum(e << (width * (len(exps) - 1 - i)) for i, e in enumerate(exps)): c
+            for exps, c in poly.items()}
+
+
+def test_div_exact_and_its_guards():
+    # _div is the Bareiss loop's safety net: it returns exact quotients and
+    # raises on every inexact one instead of returning a false quotient
+    guard = _guard(2, 3)
+    x1, x2, one = (1, 0), (0, 1), (0, 0)
+    for p in (0, 5):
+        num = {}
+        _mul_into(num, _packed({x1: 1, x2: 1}), _packed({x1: 1, x2: -1}))
+        num = {e: c % p if p else c for e, c in num.items() if c}
+        assert _div(num, _packed({x1: 1, x2: -1 % p if p else -1}), p, guard) == \
+            _packed({x1: 1, x2: 1})
         for bad_num, bad_den in [
-            (y1 * y1 + one, y1 - y2),
-            (y1 * y1 + one.scale(2), y1.scale(2) + one),  # over Z: lead coefficient 1/2
-            (y1 * y1 * y1, y1 - y2 * y2 * y2),   # remainder exponents outgrow the key
+            ({(2, 0): 1, one: 1}, {x1: 1, x2: p - 1 if p else -1}),   # remainder x2^2 + 1
+            ({(3, 0): 1}, {x1: 1, (0, 3): p - 1 if p else -1}),       # x2^6 outgrows its field
         ]:
             with pytest.raises(ArithmeticError):
-                divexact(bad_num, bad_den)
-        with pytest.raises(ZeroDivisionError):
-            divexact(y1, MultiPoly.zero(field, 2))
+                _div(_packed(bad_num), _packed(bad_den), p, guard)
+    # over Z every exponent fits, but 2 does not divide x1 + 1
+    with pytest.raises(ArithmeticError):
+        _div(_packed({x1: 1, one: 1}), _packed({one: 2}), 0, guard)
     # over F_2 a remainder exponent wrapped into the next field would cancel
     # down to a false quotient x1*x2^3 + 1
-    y1, y2 = x(F2, 2, 1), x(F2, 2, 2)
     with pytest.raises(ArithmeticError):
-        divexact(y1 * y1 * y2 * y2 * y2 + y2, y1 + y2)
-    # a 3-bit field holds exponents 0..3 below its guard bit, and never wraps
-    assert _pack((3, 0, 1), 3) == (3 << 6) | 1
-    with pytest.raises(ValueError):
-        _pack((0, 4), 3)
+        _div(_packed({(2, 3): 1, x2: 1}), _packed({x1: 1, x2: 1}), 2, guard)
 
 
-def test_divexact_random_roundtrip():
+def test_div_random_roundtrip():
+    # (f g) / g = f on integral term dicts, over Z and F_p
     rng = random.Random(3)
     for field in (F3, F5, QQ):
         for _ in range(30):
             nv = rng.randrange(1, 3)
-            f = random_poly(rng, field, nv, 2)
-            g = random_poly(rng, field, nv, 2)
-            if g.is_zero():
+            f, g = (_packed({e: int(c) for e, c in random_poly(rng, field, nv, 2).terms.items()},
+                            width=4) for _ in range(2))
+            if not g:
                 continue
-            assert divexact(f * g, g) == f
+            num = {}
+            _mul_into(num, f, g)
+            num = {e: c % field.p if field.p else c for e, c in num.items()}
+            assert _div({e: c for e, c in num.items() if c}, g, field.p, _guard(nv, 4)) == f
+
+
+def _terms(field, nvars):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(exps, _coefficients(field), max_size=5)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 3))
+    f, g = (MultiPoly(field, nvars, draw(_terms(field, nvars))) for _ in range(2))
+    return f, g
+
+
+def _sympy_poly(f, xs):
+    domain = sympy.GF(f.field.p) if f.field.p else sympy.QQ
+    return sympy.Poly.from_dict(
+        {e: _sympy_scalar(f.field, c) for e, c in f.terms.items()} or {(0,) * f.nvars: 0},
+        *xs, domain=domain)
+
+
+def _from_sympy(field, poly):
+    """Term map of a sympy Poly, coefficients made canonical."""
+    if field.p:
+        return {e: int(c) % field.p for e, c in poly.as_dict().items() if int(c) % field.p}
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.as_dict().items()}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(polynomial_pairs())
+def test_products_and_sums_match_sympy(pair):
+    f, g = pair
+    xs = sympy.symbols("x1:%d" % (f.nvars + 1))
+    sf, sg = _sympy_poly(f, xs), _sympy_poly(g, xs)
+    assert (f * g).terms == _from_sympy(f.field, sf * sg)
+    assert (f + g).terms == _from_sympy(f.field, sf + sg)
 
 
 def test_find_nonvanishing_basic():

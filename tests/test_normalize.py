@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from mathieumat.multipoly import generic_rank_of_action
 from mathieumat.normalize import (
     DOUBLE_PASS,
     SINGLE_PASS,
+    NormalizationError,
     move_generic_vector,
     move_permutation,
     move_unit_triangular,
@@ -71,7 +73,7 @@ def test_pencil_condition_examples():
     assert not pencil_condition(cn2, 3, 2)
     # after a generic-vector move at the top level it holds for every k
     cn3 = pair_space(F3).adjoin_identity()
-    _, moved = move_generic_vector(Filtration(cn3), 3)
+    moved = conjugate(cn3, move_generic_vector(Filtration(cn3), 3))
     for k in (1, 2, 3):
         assert pencil_condition(moved, 3, k)
 
@@ -80,8 +82,8 @@ def test_move_generic_vector_saturates_level():
     cn3 = pair_space(F3).adjoin_identity()
     level = filtration_level(cn3, 3)
     assert column_space_dim(level, e(F3, 3, 3)) == 2
-    t, moved = move_generic_vector(Filtration(cn3), 3)
-    assert moved == conjugate(cn3, t)
+    t = move_generic_vector(Filtration(cn3), 3)
+    moved = conjugate(cn3, t)
     assert column_space_dim(filtration_level(moved, 3), e(F3, 3, 3)) == 3
     # identity columns right of k (here k = n, so just invertibility)
     invert(t)
@@ -89,31 +91,44 @@ def test_move_generic_vector_saturates_level():
 
 def test_move_generic_vector_noops():
     eye3 = MatrixSubspace.from_matrices(F5, 3, [DenseMatrix.identity(F5, 3)])
-    t, out = move_generic_vector(Filtration(eye3), 3)
-    assert t == DenseMatrix.identity(F5, 3) and out == eye3
+    assert move_generic_vector(Filtration(eye3), 3) is None
     # a level whose filtration is zero
-    t, out = move_generic_vector(Filtration(eye3), 1)
-    assert t == DenseMatrix.identity(F5, 3) and out == eye3
+    assert move_generic_vector(Filtration(eye3), 1) is None
 
 
 def test_move_generic_vector_pivot_form_is_identity_outside_column():
-    cn3 = pair_space(F3).adjoin_identity()
-    _, moved = move_generic_vector(Filtration(cn3), 3)
-    # craft a level below n that needs a pivot move
-    t, _ = move_generic_vector(Filtration(moved), 2, pivot=True)
-    n = 3
-    for j in range(n):
-        if j == 1:
-            continue
+    # level 2 is span{E_11 + 2 E_31}: it kills e_2, but its generic
+    # dimension there is 1
+    s = MatrixSubspace.from_matrices(F3, 3, [
+        DenseMatrix(F3, [[1, 0, 0], [0, 0, 0], [2, 0, 0]])]).adjoin_identity()
+    fil = Filtration(s)
+    assert column_space_dim(filtration_level(s, 2), e(F3, 3, 2)) == 0 and fil.d[2] == 1
+    t = move_generic_vector(fil, 2, pivot=True)
+    assert t.entries[1][1] == 1
+    for j in (0, 2):
         assert t.column(j) == e(F3, 3, j + 1)
+    assert column_space_dim(filtration_level(conjugate(s, t), 2), e(F3, 3, 2)) == 1
+
+
+def test_a_generic_vector_move_that_misses_raises(monkeypatch):
+    # normalize checks the column space of the conjugated space along e_k
+    # against the d_k it had before the move; e_k itself cannot attain it
+    s = MatrixSubspace.from_matrices(F3, 3, [
+        DenseMatrix(F3, [[1, 0, 0], [0, 0, 0], [2, 0, 0]])]).adjoin_identity()
+    # the package binds the name "normalize" to the function
+    module = importlib.import_module("mathieumat.normalize")
+    monkeypatch.setattr(module, "find_generic_vector",
+                        lambda fil, k, require_pivot_one=False: e(F3, 3, k))
+    with pytest.raises(NormalizationError, match="missed dimension 2 at level 3"):
+        normalize(s)
 
 
 def test_move_unit_triangular_spans_units():
     # level-3 column space span{e2+e3} becomes span{e2}
     m = DenseMatrix(F5, [[0, 0, 0], [0, 0, 1], [0, 0, 1]])
     s = MatrixSubspace.from_matrices(F5, 3, [m])
-    t, out = move_unit_triangular(Filtration(s), 3)
-    assert out == conjugate(s, t)
+    t = move_unit_triangular(Filtration(s), 3)
+    out = conjugate(s, t)
     cs = column_space(filtration_level(out, 3), e(F5, 3, 3))
     assert cs.dim == 1 and cs.member((0, 1, 0))
     # t is lower triangular
@@ -126,10 +141,8 @@ def test_move_unit_triangular_spans_units():
 
 def test_move_unit_triangular_noops():
     eye3 = MatrixSubspace.from_matrices(F5, 3, [DenseMatrix.identity(F5, 3)])
-    t, out = move_unit_triangular(Filtration(eye3), 3)
-    assert t == DenseMatrix.identity(F5, 3) and out == eye3
-    t, out = move_unit_triangular(Filtration(MatrixSubspace.zero_space(F5, 3)), 2)
-    assert t == DenseMatrix.identity(F5, 3)
+    assert move_unit_triangular(Filtration(eye3), 3) is None
+    assert move_unit_triangular(Filtration(MatrixSubspace.zero_space(F5, 3)), 2) is None
 
 
 def test_move_permutation_sorts_column():
@@ -139,8 +152,8 @@ def test_move_permutation_sorts_column():
         DenseMatrix.unit(f, 4, 4, 0, 3),
         DenseMatrix.unit(f, 4, 4, 2, 3),
     ])
-    t, out = move_permutation(Filtration(s), 4)
-    assert out == conjugate(s, t)
+    t = move_permutation(Filtration(s), 4)
+    out = conjugate(s, t)
     cs = column_space(filtration_level(out, 4), e(f, 4, 4))
     assert cs.member((1, 0, 0, 0)) and cs.member((0, 1, 0, 0))
     prof = binary_profile(out)
@@ -153,10 +166,8 @@ def test_move_permutation_noops():
         DenseMatrix.unit(f, 4, 4, 0, 3),
         DenseMatrix.unit(f, 4, 4, 1, 3),
     ])
-    t, _ = move_permutation(Filtration(s), 4)
-    assert t == DenseMatrix.identity(f, 4)
-    t, _ = move_permutation(Filtration(MatrixSubspace.zero_space(f, 4)), 4)
-    assert t == DenseMatrix.identity(f, 4)
+    assert move_permutation(Filtration(s), 4) is None
+    assert move_permutation(Filtration(MatrixSubspace.zero_space(f, 4)), 4) is None
 
 
 def test_normalize_running_example_over_f3():

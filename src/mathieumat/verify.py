@@ -23,16 +23,17 @@ in a proper space every nonzero z escapes two-sidedly.
 Only what a question ranges over is enumerated, and
 ``ENUMERATION_GUARD`` bounds its count: the p^dim members for the
 verdicts, ``full_power_set`` and ``idempotents``, all p^(n^2) matrices
-(the members of the full space) for ``radical``.  Members are formed
+(their row-major entries as the digits) for ``radical``.  Members are formed
 from their indices in batches with numpy (exact arithmetic mod p, int16
 wherever the sums fit), so memory does not grow with their number, in
-lexicographic order of their basis coefficients (for the full space, of
-the row-major entries); the first counterexample in that order is
+lexicographic order of their basis coefficients (for ``radical``, of the
+row-major entries); the first counterexample in that order is
 returned as a witness.  ``verify_mathieu`` returns only witnesses it has
 replayed against the powers it followed to find them, and raises
 ``AssertionError`` on one that does not replay; ``power_trajectory`` and
 ``witness_replays``, which follows the powers itself, stay the
-definitional path.
+definitional path.  numpy is imported inside the functions that use it,
+at the first enumeration: commands that never enumerate never load it.
 
 ``max_left_ideal`` needs no enumeration and works over any field: A lies
 in the maximal left ideal of a space S iff every row of A lies in the
@@ -47,13 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
 from .linalg import DenseMatrix, VectorSubspace, invert, kernel
 from .matspace import MatrixSubspace, constraint_space, members_vanishing_at
 
-ENUMERATION_GUARD = 2 ** 20
+ENUMERATION_GUARD = 2 ** 20    # a power of two: the guard's message names its exponent
 _BATCH = 4096               # matrices whose powers are formed at once
 
 LEFT = "left"
@@ -67,8 +66,8 @@ def _require_enumerable(field, width):
     if not field.p:
         raise TooLargeError("the rationals are not enumerable")
     if field.p ** width > ENUMERATION_GUARD:
-        raise TooLargeError(
-            "%d^%d matrices exceed the enumeration guard 2^20" % (field.p, width))
+        raise TooLargeError("%d^%d matrices exceed the enumeration guard 2^%d" % (
+            field.p, width, ENUMERATION_GUARD.bit_length() - 1))
 
 
 @dataclass(frozen=True)
@@ -130,17 +129,22 @@ class MathieuVerdict:
 
 def _dtype(p: int, n: int):
     """int16 when a sum of n^2 products of residues mod p fits in it."""
+    import numpy as np
     return np.int16 if n * n * (p - 1) ** 2 < 2 ** 15 else np.int64
 
 
-def _members(space: MatrixSubspace):
-    """Batches (k, n, n) of the members in coefficient order: digits @ basis."""
-    n, p, d = space.n, space.field.p, space.dim
-    basis = np.array(space.basis.basis, dtype=_dtype(p, n)).reshape(-1, n * n)
+def _members(p: int, n: int, basis=None):
+    """Batches (k, n, n) of the members of the span of ``basis`` (rows of
+    n^2 residues) in coefficient order: digits @ basis.  With no basis the
+    digits are the row-major entries, all of Mat_n(F_p) in their order."""
+    import numpy as np
+    dtype = _dtype(p, n)
+    d = n * n if basis is None else len(basis)
+    rows = None if basis is None else np.array(basis, dtype=dtype).reshape(-1, n * n)
     place = p ** np.arange(d - 1, -1, -1)
     for lo in range(0, p ** d, _BATCH):
-        digits = np.arange(lo, min(lo + _BATCH, p ** d))[:, None] // place % p
-        yield (digits.astype(basis.dtype) @ basis % p).reshape(-1, n, n)
+        digits = (np.arange(lo, min(lo + _BATCH, p ** d))[:, None] // place % p).astype(dtype)
+        yield (digits if rows is None else digits @ rows % p).reshape(-1, n, n)
 
 
 def _matrix(field, entries: np.ndarray) -> DenseMatrix:
@@ -151,6 +155,7 @@ class _Dual:
     """A space read off the basis C_1 .. C_c of its constraint space."""
 
     def __init__(self, space: MatrixSubspace):
+        import numpy as np
         n, self.p = space.n, space.field.p
         self.cons = np.array([m.entries for m in constraint_space(space).basis_matrices],
                              dtype=_dtype(self.p, n)).reshape(-1, n, n)
@@ -165,6 +170,7 @@ class _Dual:
     def staying(self, a: np.ndarray, first: int, last: int):
         """Indices into the batch ``a`` (k, n, n) of the a with a^first .. a^last
         inside, and their a^last; each power is formed where those tested lie inside."""
+        import numpy as np
         keep, z = np.arange(len(a)), a
         for m in range(1, last + 1):
             if m >= first:
@@ -178,6 +184,7 @@ class _Dual:
         """Whether each unit product of each z in ``zs`` (k, n, n) leaves
         the space, (k, units) with the units E_ij in row-major order and
         a pair (b, c) of them at pos(b) n^2 + pos(c)."""
+        import numpy as np
         if side == TWO_SIDED:
             used = self.cons.any(axis=0).T      # used[i, l]: some (C_m)_li != 0
             out = (zs != 0)[:, None, :, :, None] & used[None, :, None, None, :]
@@ -191,7 +198,8 @@ def full_power_set(space: MatrixSubspace):
     """All members whose every power stays inside: a^1 .. a^n do."""
     _require_enumerable(space.field, space.dim)
     dual = _Dual(space)
-    return [_matrix(space.field, m) for a in _members(space)
+    return [_matrix(space.field, m)
+            for a in _members(space.field.p, space.n, space.basis.basis)
             for m in a[dual.staying(a, 2, space.n)[0]]]
 
 
@@ -202,14 +210,15 @@ def radical(space: MatrixSubspace):
     f, n = space.field, space.n
     _require_enumerable(f, n * n)
     dual = _Dual(space)
-    return [_matrix(f, m) for a in _members(MatrixSubspace.full_space(f, n))
+    return [_matrix(f, m) for a in _members(f.p, n)
             for m in a[dual.staying(a, n, 2 * n - 1)[0]]]
 
 
 def idempotents(space: MatrixSubspace):
     """All members e with e^2 = e, in coefficient order."""
     _require_enumerable(space.field, space.dim)
-    return [_matrix(space.field, e) for a in _members(space)
+    return [_matrix(space.field, e)
+            for a in _members(space.field.p, space.n, space.basis.basis)
             for e in a[(a @ a % space.field.p == a).all(axis=(1, 2))]]
 
 
@@ -217,6 +226,7 @@ def _witness(space: MatrixSubspace, dual: _Dual, a: np.ndarray, sides) -> Witnes
     """The first multiplier in enumeration order taking an element of the
     cycle of the member ``a`` outside, a matrix unit or a pair of them,
     with the first such cycle element, replayed on its trajectory."""
+    import numpy as np
     f, n = space.field, space.n
     traj = power_trajectory(_matrix(f, a))
     cycle = np.array([z.entries for z in traj.cycle], dtype=a.dtype)
@@ -247,6 +257,7 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
     (``witness_replays``) on the powers already followed; AssertionError
     if it does not replay (it cannot, short of a bug).
     """
+    import numpy as np
     if vtype not in ALL_TYPES:
         raise ValueError("unknown type %r" % vtype)
     _require_enumerable(space.field, space.dim)
@@ -255,7 +266,7 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
         return MathieuVerdict(holds=True, vtype=vtype, witness=None)
     dual = _Dual(space)
     sides = (LEFT, RIGHT) if vtype == PRE_TWO_SIDED else (vtype,)
-    for a in _members(space):
+    for a in _members(space.field.p, space.n, space.basis.basis):
         keep, top = dual.staying(a, 2, n)
         out = keep[top.any(axis=(1, 2)) if vtype == TWO_SIDED else np.any(
             [dual.escapes(top, side).any(axis=1) for side in sides], axis=0)]

@@ -167,6 +167,38 @@ def test_parser_is_built_once_per_process_not_at_import(tmp_path):
     assert run.stdout.split() == ["0", "1"]
 
 
+NUMPY_LOADED = """
+import contextlib, io, json, sys
+loaded, outs = [], []
+import mathieumat
+loaded.append("numpy" in sys.modules)
+import mathieumat.cli as cli
+loaded.append("numpy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    loaded.append("numpy" in sys.modules)
+    outs.append(out.getvalue())
+print(json.dumps([loaded, outs]))
+"""
+
+
+def test_numpy_is_loaded_at_the_first_enumeration(tmp_path, capsys):
+    # pytest has imported numpy already, so a fresh interpreter follows
+    # sys.modules through the imports and a profile, then a verdict
+    paths = write_spaces(tmp_path)
+    calls = [["profile", paths["pair"], "--json"],
+             ["verify", paths["trace_zero"], "--type", "left", "--json"]]
+    run = subprocess.run([sys.executable, "-c", NUMPY_LOADED, json.dumps(calls)],
+                         capture_output=True, text=True, env=package_env(),
+                         timeout=120, check=True)
+    loaded, outs = json.loads(run.stdout)
+    assert loaded == [False, False, False, True]
+    for argv, out in zip(calls, outs):
+        assert mask(out) == mask(in_process(argv, capsys)[1])
+
+
 def test_entry_point_runs_from_the_command_line(tmp_path):
     rc, out, err = fresh_process("repro", "cor62-f2", "--json")
     assert rc == 0 and err == ""

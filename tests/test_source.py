@@ -15,6 +15,29 @@ def test_no_assert_statements_in_package():
 
 
 
+def runs_at_import(node):
+    """The nodes under ``node`` that run when the module is imported:
+    all of them but the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from runs_at_import(child)
+
+
+def test_no_module_imports_numpy_when_it_is_imported():
+    # numpy is loaded at the first enumeration, inside the functions of
+    # ``verify`` that use it; commands that never enumerate never pay for it
+    found = []
+    for path in sorted(pathlib.Path(mathieumat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in runs_at_import(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += ["%s:%d" % (path.name, node.lineno)
+                      for name in names if name.split(".")[0] == "numpy"]
+    assert found == []
+
+
 # ``Field.of`` and the public constructors that run it convert and check
 # outside input.  They are called only where such input enters: public
 # constructors, the raw scalars callers pass (a scale factor, a

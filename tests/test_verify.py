@@ -531,6 +531,30 @@ def test_enumeration_guard():
         assert verdict.holds or witness_replays(space, verdict.witness)
 
 
+def test_guard_message_names_the_guard(monkeypatch):
+    with pytest.raises(TooLargeError) as exc:
+        radical(MatrixSubspace.zero_space(F5, 3))
+    assert str(exc.value) == "5^9 matrices exceed the enumeration guard 2^20"
+    monkeypatch.setattr("mathieumat.verify.ENUMERATION_GUARD", 2 ** 10)
+    with pytest.raises(TooLargeError) as exc:
+        radical(MatrixSubspace.zero_space(F2, 4))
+    assert str(exc.value) == "2^16 matrices exceed the enumeration guard 2^10"
+
+
+def test_radical_enumerates_the_matrices_without_the_full_space(monkeypatch):
+    # Mat_n(F_p) comes straight from the row-major digits, with no basis
+    # of n^2 unit matrices built to multiply them by
+    spaces = [MatrixSubspace.full_space(F3, 2), trace_zero(F3, 2)]
+
+    def refuse(*args):
+        raise AssertionError("radical built the full space")
+
+    monkeypatch.setattr(MatrixSubspace, "full_space", refuse)
+    for space in spaces:
+        assert radical(space) == keyed_verify.radical(space)
+    assert len(radical(spaces[0])) == 81 and len(radical(spaces[1])) == 9
+
+
 def test_radical_memory_does_not_grow_with_the_matrices():
     # Mat_2(F_31) is 923,521 matrices, formed batch by batch; the key
     # universe with its bitmap and member keys took the peak to 15.7 MiB

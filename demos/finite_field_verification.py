@@ -22,6 +22,7 @@ from mathieumat import (
     verify_mathieu,
     witness_replays,
 )
+from mathieumat.verify import idempotents
 
 
 def trace_zero(field):
@@ -64,7 +65,7 @@ def main():
     fam = proposition_family(Field.prime(5), 2, 1)
     print("two-sided verdict over F_5:",
           verify_mathieu(fam, "two_sided").holds)
-    idems = [e for e in fam.elements() if e.mul(e) == e]
+    idems = idempotents(fam)
     print("idempotents inside:", [m.entries for m in idems])
     print()
 

@@ -15,10 +15,10 @@ from mathieumat import (
     Field,
     MatrixSubspace,
     MultiPoly,
-    column_space_dim,
     find_nonvanishing,
     generic_rank_of_action,
 )
+from mathieumat.matspace import column_space
 
 
 def pair_plus_scalars(field):
@@ -34,7 +34,7 @@ def main():
         field = Field.prime(p)
         space = pair_plus_scalars(field)
         d = generic_rank_of_action(space)
-        best = max(column_space_dim(space, v)
+        best = max(column_space(space, v).dim
                    for v in itertools.product(range(p), repeat=3))
         print("over F_%d: generic dimension %d, best over all %d field "
               "points %d%s" % (p, d, p ** 3, best,

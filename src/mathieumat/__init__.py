@@ -37,10 +37,8 @@ from .linalg import DenseMatrix, Field, invert
 from .matspace import (
     MatrixSubspace,
     binary_profile,
-    column_space_dim,
     conjugate,
     constraint_space,
-    trace_pairing,
 )
 from .multipoly import MultiPoly, find_nonvanishing, generic_rank_of_action
 from .normalize import normalize, rct_certificate, rct_zero_is_scalar

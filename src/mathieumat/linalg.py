@@ -105,14 +105,6 @@ class Field:
     def rationals() -> "Field":
         return Field(0)
 
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
-    def order(self):
-        """Number of elements, or None for the rationals."""
-        return self.p if self.p else None
-
     def size_at_least(self, k: int) -> bool:
         return self.p == 0 or self.p >= k
 
@@ -157,9 +149,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p) if self.p else 1 / a
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def elements(self):
         """All field elements in canonical order (prime fields only)."""
@@ -214,10 +203,6 @@ class DenseMatrix:
         raise AttributeError("DenseMatrix is immutable")
 
     @staticmethod
-    def zeros(field, rows, cols) -> "DenseMatrix":
-        return DenseMatrix._trusted(field, [(field.zero,) * cols] * rows, cols)
-
-    @staticmethod
     def identity(field, n) -> "DenseMatrix":
         z, o = field.zero, field.one
         return DenseMatrix._trusted(
@@ -269,9 +254,6 @@ class DenseMatrix:
         c = f.of(c)
         return DenseMatrix._trusted(f, [[f.mul(c, a) for a in row] for row in self.entries],
                                     self.cols)
-
-    def __matmul__(self, other):
-        return self.mul(other)
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
         """The matrix product, with the dot products taken on integers:
@@ -326,14 +308,6 @@ class DenseMatrix:
             t = f.add(t, self.entries[i][i])
         return t
 
-    def submatrix(self, row_indices, col_indices) -> "DenseMatrix":
-        return DenseMatrix._trusted(self.field, [
-            [self.entries[i][j] for j in col_indices] for i in row_indices
-        ], len(col_indices))
-
-    def row(self, i) -> tuple:
-        return self.entries[i]
-
     def column(self, j) -> tuple:
         return tuple(row[j] for row in self.entries)
 
@@ -344,11 +318,6 @@ class DenseMatrix:
     def flatten(self) -> tuple:
         """Row-major vectorization."""
         return tuple(x for row in self.entries for x in row)
-
-    @staticmethod
-    def from_flat(field, rows, cols, flat) -> "DenseMatrix":
-        return DenseMatrix(
-            field, [flat[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -457,7 +426,7 @@ class VectorSubspace:
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
     def __init__(self, field, ambient_dim, basis, pivots):
-        # Internal: callers go through from_vectors / _span / zero / full.
+        # Internal: callers go through from_vectors / _span / full.
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
@@ -480,10 +449,6 @@ class VectorSubspace:
         pivots = _eliminate(field, rows, ambient_dim)
         basis = tuple(map(tuple, rows[:len(pivots)]))
         return VectorSubspace(field, ambient_dim, basis, tuple(pivots))
-
-    @staticmethod
-    def zero(field, ambient_dim) -> "VectorSubspace":
-        return VectorSubspace(field, ambient_dim, (), ())
 
     @staticmethod
     def full(field, ambient_dim) -> "VectorSubspace":
@@ -512,10 +477,6 @@ class VectorSubspace:
 
     def member(self, v) -> bool:
         return not any(self.reduce(v))
-
-    def contains_subspace(self, other: "VectorSubspace") -> bool:
-        self._check_compatible(other)
-        return not any(any(self._reduce(row)) for row in other.basis)
 
     def sum(self, other: "VectorSubspace") -> "VectorSubspace":
         self._check_compatible(other)

@@ -7,8 +7,8 @@ coordinate indices such as the ``k`` of ``e_k`` are 1-based to match the
 usual linear-algebra convention, while raw matrix entries stay 0-based.
 
 Members cut out by vanishing entries (``members_vanishing_at``, behind
-``filtration_level``, the zero-corner members and
-``idempotents.corner_slice``) and intersections are read off a single
+the zero-corner members, ``idempotents.corner_slice`` and
+``verify.max_left_ideal``) and intersections are read off a single
 elimination of the basis rows in ``linalg``, not solved for as basis
 coefficients.  The binary profile, the generic-vector search and the
 normalization moves read all levels, their column spaces and generic
@@ -54,10 +54,6 @@ class MatrixSubspace:
         return MatrixSubspace(field, n, VectorSubspace._span(field, n * n, vecs))
 
     @staticmethod
-    def zero_space(field, n) -> "MatrixSubspace":
-        return MatrixSubspace(field, n, VectorSubspace.zero(field, n * n))
-
-    @staticmethod
     def full_space(field, n) -> "MatrixSubspace":
         return MatrixSubspace(field, n, VectorSubspace.full(field, n * n))
 
@@ -76,23 +72,10 @@ class MatrixSubspace:
     def sum(self, other: "MatrixSubspace") -> "MatrixSubspace":
         return MatrixSubspace(self.field, self.n, self.basis.sum(other.basis))
 
-    def intersect(self, other: "MatrixSubspace") -> "MatrixSubspace":
-        return MatrixSubspace(self.field, self.n, self.basis.intersect(other.basis))
-
     def adjoin_identity(self) -> "MatrixSubspace":
         """The sum with the scalar line K*I."""
         eye = DenseMatrix.identity(self.field, self.n)
         return self.sum(MatrixSubspace.from_matrices(self.field, self.n, [eye]))
-
-    def elements(self):
-        """All members (prime fields), lexicographic by basis coefficients."""
-        coeffs = self.field.elements()
-        for tup in itertools.product(coeffs, repeat=self.dim):
-            m = DenseMatrix.zeros(self.field, self.n, self.n)
-            for c, b in zip(tup, self.basis_matrices):
-                if c:
-                    m = m + b.scale(c)
-            yield m
 
     def __eq__(self, other):
         return (
@@ -107,16 +90,6 @@ class MatrixSubspace:
 
     def __repr__(self):
         return "MatrixSubspace(%r, dim %d of Mat_%d)" % (self.field, self.dim, self.n)
-
-
-def trace_pairing(c: DenseMatrix, m: DenseMatrix):
-    """tr(c m) computed as the Hadamard sum: sum_ij c_ij m_ji."""
-    f = c.field
-    total = f.zero
-    for i in range(c.rows):
-        for j in range(c.cols):
-            total = f.add(total, f.mul(c.entries[i][j], m.entries[j][i]))
-    return total
 
 
 def constraint_space(space: MatrixSubspace) -> MatrixSubspace:
@@ -149,34 +122,13 @@ def members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSubspace:
         space.field, n, space.basis.vanishing_at([i * n + j for i, j in positions]))
 
 
-def filtration_level(space: MatrixSubspace, k: int) -> MatrixSubspace:
-    """Members whose columns beyond the k-th vanish (level k = 0..n).
-
-    Level 0 is the zero space, level n the space itself, and the levels
-    form a nested chain.
-    """
-    n = space.n
-    if not 0 <= k <= n:
-        raise ValueError("level %d out of range 0..%d" % (k, n))
-    return members_vanishing_at(space, [(i, j) for i in range(n) for j in range(k, n)])
-
-
 def column_space(space: MatrixSubspace, vec) -> VectorSubspace:
     """span{C vec : C in space} inside K^n."""
     if len(vec) != space.n:
         raise ValueError("vector has wrong length")
-    return _column_space(space, [space.field.of(x) for x in vec])
-
-
-def _column_space(space: MatrixSubspace, vec) -> VectorSubspace:
-    """``column_space`` of a vector of n canonical scalars, unchecked."""
+    vec = [space.field.of(x) for x in vec]
     return VectorSubspace._span(
         space.field, space.n, [m.mul_vector(vec) for m in space.basis_matrices])
-
-
-def column_space_dim(space: MatrixSubspace, vec) -> int:
-    """dim of column_space."""
-    return column_space(space, vec).dim
 
 
 def rct_zero_members(space: MatrixSubspace, r: int) -> MatrixSubspace:

@@ -57,14 +57,6 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @staticmethod
-    def zero(field, nvars) -> "MultiPoly":
-        return MultiPoly(field, nvars)
-
-    @staticmethod
-    def constant(field, nvars, c) -> "MultiPoly":
-        return MultiPoly(field, nvars, {(0,) * nvars: c})
-
-    @staticmethod
     def variable(field, nvars, i) -> "MultiPoly":
         """The variable x_i, 1-based."""
         exps = [0] * nvars
@@ -73,15 +65,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def degree(self) -> int:
-        """Maximum total degree, -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
 
     def __eq__(self, other):
         return (
@@ -122,11 +105,6 @@ class MultiPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = f.add(out.get(e, f.zero), f.mul(c1, c2))
         return MultiPoly(f, self.nvars, out)
-
-    def scale(self, c) -> "MultiPoly":
-        f = self.field
-        c = f.of(c)
-        return MultiPoly(f, self.nvars, {e: f.mul(c, v) for e, v in self.terms.items()})
 
     def evaluate(self, point):
         """Value at a point given as a sequence of ``nvars`` scalars."""

@@ -18,7 +18,8 @@ Example::
 ``field`` is either a prime or the letter Q.  Entries are arbitrary
 integers; they are reduced modulo p (or read as rationals) only when the
 file is resolved against a field, so a single file can serve several
-fields via an override.  ``loads`` and ``dumps`` round-trip exactly.
+fields via an override.  ``loads`` parses a file and
+``SpaceFile.resolve`` builds the space it denotes.
 """
 
 from __future__ import annotations
@@ -132,29 +133,3 @@ def loads(text: str) -> SpaceFile:
         n=n,
         basis=tuple(tuple(b) for b in blocks),
         name=header.get("name"))
-
-
-def dumps(sf: SpaceFile) -> str:
-    """Canonical text form; loads(dumps(sf)) == sf."""
-    out = ["field %s" % sf.field_token, "n %d" % sf.n]
-    if sf.name is not None:
-        out.append("name %s" % sf.name)
-    out.append("basis")
-    for idx, block in enumerate(sf.basis):
-        if idx:
-            out.append("")
-        for row in block:
-            out.append(" ".join(str(x) for x in row))
-    return "\n".join(out) + "\n"
-
-
-def from_subspace(space: MatrixSubspace, name: Optional[str] = None) -> SpaceFile:
-    """A space file whose blocks are the canonical basis of the space."""
-    f = space.field
-    token = "Q" if not f.p else str(f.p)
-    basis = []
-    for m in space.basis_matrices:
-        if not f.p and any(x.denominator != 1 for row in m.entries for x in row):
-            raise ValueError("only integer entries can be written to a space file")
-        basis.append(tuple(tuple(int(x) for x in row) for row in m.entries))
-    return SpaceFile(field_token=token, n=space.n, basis=tuple(basis), name=name)

@@ -147,7 +147,7 @@ def _members(p: int, n: int, basis=None):
         yield (digits if rows is None else digits @ rows % p).reshape(-1, n, n)
 
 
-def _matrix(field, entries: np.ndarray) -> DenseMatrix:
+def _matrix(field, entries) -> DenseMatrix:
     return DenseMatrix._trusted(field, entries.tolist(), len(entries))
 
 
@@ -162,12 +162,12 @@ class _Dual:
         # tr(C X) = sum_ij C_ij X_ji pairs X row-major with C transposed
         self.pairing = self.cons.transpose(0, 2, 1).reshape(-1, n * n).T
 
-    def contains(self, mats: np.ndarray) -> np.ndarray:
+    def contains(self, mats):
         """Membership of each matrix of ``mats`` (k, n, n)."""
         flat = mats.reshape(len(mats), len(self.pairing))
         return ~(flat @ self.pairing % self.p).any(axis=1)
 
-    def staying(self, a: np.ndarray, first: int, last: int):
+    def staying(self, a, first: int, last: int):
         """Indices into the batch ``a`` (k, n, n) of the a with a^first .. a^last
         inside, and their a^last; each power is formed where those tested lie inside."""
         import numpy as np
@@ -180,7 +180,7 @@ class _Dual:
                 z = z @ a[keep] % self.p
         return keep, z
 
-    def escapes(self, zs: np.ndarray, side: str) -> np.ndarray:
+    def escapes(self, zs, side: str):
         """Whether each unit product of each z in ``zs`` (k, n, n) leaves
         the space, (k, units) with the units E_ij in row-major order and
         a pair (b, c) of them at pos(b) n^2 + pos(c)."""
@@ -222,7 +222,7 @@ def idempotents(space: MatrixSubspace):
             for e in a[(a @ a % space.field.p == a).all(axis=(1, 2))]]
 
 
-def _witness(space: MatrixSubspace, dual: _Dual, a: np.ndarray, sides) -> Witness:
+def _witness(space: MatrixSubspace, dual: _Dual, a, sides) -> Witness:
     """The first multiplier in enumeration order taking an element of the
     cycle of the member ``a`` outside, a matrix unit or a pair of them,
     with the first such cycle element, replayed on its trajectory."""
@@ -312,7 +312,7 @@ def proposition_family(field, n: int, a_param) -> MatrixSubspace:
     subfield), and a to avoid -1..-n; under these the family is a
     two-sided Mathieu subspace with no nonzero idempotent.
     """
-    p = field.characteristic()
+    p = field.p
     if 0 < p <= n - 1:
         raise PreconditionViolated(
             "characteristic %d lies in 1..%d" % (p, n - 1))
@@ -363,7 +363,7 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
         if m.trace() != f.zero:
             raise PreconditionViolated("the space contains a nonzero-trace matrix")
     _require_enumerable(f, n * n)
-    p = f.characteristic()
+    p = f.p
     pred1 = not 0 < p <= n
     pred2 = (not 0 < p <= n - 1) and not space.contains_identity()
     rad = radical(space)
@@ -419,11 +419,6 @@ def _common_kernel(space: MatrixSubspace) -> VectorSubspace:
     return kernel(DenseMatrix._trusted(space.field, stacked, space.n))
 
 
-def is_left_ideal(space: MatrixSubspace) -> bool:
-    """Whether the space is Ann(W), W its common kernel (see above)."""
-    return space.dim == space.n * (space.n - _common_kernel(space).dim)
-
-
 @dataclass(frozen=True)
 class LeftIdealForm:
     """Conjugation data for a left ideal: after conjugating by t it kills
@@ -444,7 +439,7 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     f, n = ideal.field, ideal.n
     common = _common_kernel(ideal)
     k = n - common.dim
-    if ideal.dim != n * k:      # dim Ann(common), as in is_left_ideal
+    if ideal.dim != n * k:      # dim Ann(common), see the module docstring
         raise NotLeftIdealError("input is not closed under left multiplication")
     # The first k columns: each e_i outside the span of the kernel and
     # e_1..e_(i-1), i.e. each i that is no kernel vector's last nonzero

@@ -7,9 +7,59 @@ from typing import Optional
 
 from mathieumat.errors import PreconditionViolated
 from mathieumat.linalg import DenseMatrix
-from mathieumat.matspace import MatrixSubspace, _basis_vector, _column_space, filtration_level
+from mathieumat.matspace import (
+    MatrixSubspace,
+    _basis_vector,
+    column_space,
+    members_vanishing_at,
+)
 from mathieumat.multipoly import _action_pivots
 from mathieumat.verify import LEFT, TWO_SIDED, verify_mathieu
+
+# The space file of the trace dual of the running pair over F_3, its
+# canonical basis.
+PAIR_DUAL = ("field 3\nn 3\nbasis\n1 0 0\n0 0 0\n0 0 0\n\n0 1 0\n0 0 0\n0 0 0\n\n"
+             "0 0 1\n0 0 0\n0 0 0\n\n0 0 0\n1 2 0\n0 1 0\n\n0 0 0\n0 0 1\n0 0 0\n\n"
+             "0 0 0\n0 0 0\n1 0 0\n\n0 0 0\n0 0 0\n0 0 1\n")
+
+
+def zeros(field, rows, cols) -> DenseMatrix:
+    return DenseMatrix._trusted(field, [(field.zero,) * cols] * rows, cols)
+
+
+def elements(space: MatrixSubspace):
+    """All members (prime fields), lexicographic by basis coefficients."""
+    coeffs = space.field.elements()
+    for tup in itertools.product(coeffs, repeat=space.dim):
+        m = zeros(space.field, space.n, space.n)
+        for c, b in zip(tup, space.basis_matrices):
+            if c:
+                m = m + b.scale(c)
+        yield m
+
+
+def filtration_level(space: MatrixSubspace, k: int) -> MatrixSubspace:
+    """Members whose columns beyond the k-th vanish (level k = 0..n).
+
+    Level 0 is the zero space, level n the space itself, and the levels
+    form a nested chain.
+    """
+    n = space.n
+    if not 0 <= k <= n:
+        raise ValueError("level %d out of range 0..%d" % (k, n))
+    return members_vanishing_at(space, [(i, j) for i in range(n) for j in range(k, n)])
+
+
+def reference_is_left_ideal(space: MatrixSubspace) -> bool:
+    """Whether every unit product E_ij A of a basis matrix A stays inside."""
+    f, n = space.field, space.n
+    return all(space.contains(DenseMatrix.unit(f, n, n, i, j).mul(a))
+               for a in space.basis_matrices for i in range(n) for j in range(n))
+
+
+def degree(poly) -> int:
+    """Maximum total degree, -1 for the zero polynomial."""
+    return max((sum(e) for e in poly.terms), default=-1)
 
 
 def all_vectors(field, n):
@@ -23,7 +73,7 @@ def rct(m: DenseMatrix, r: int) -> DenseMatrix:
     n = m.rows
     if not 1 <= r <= n - 1:
         raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
-    return m.submatrix(range(r), range(r, n))
+    return DenseMatrix(m.field, [row[r:] for row in m.entries[:r]])
 
 
 def is_rct_zero(m: DenseMatrix, r: int) -> bool:
@@ -58,7 +108,7 @@ def pencil_condition(space: MatrixSubspace, j: int, k: int) -> bool:
     """
     level = filtration_level(space, j)
     e_j = _basis_vector(space.field, space.n, j)
-    return _column_space(level, e_j).dim >= generic_rank_univariate(level, k, j)
+    return column_space(level, e_j).dim >= generic_rank_univariate(level, k, j)
 
 
 def newton_char_poly(a: DenseMatrix):
@@ -71,7 +121,7 @@ def newton_char_poly(a: DenseMatrix):
     n = a.rows
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    p = f.characteristic()
+    p = f.p
     if 0 < p <= n:
         raise PreconditionViolated(
             "power-sum recovery divides by 1..%d; characteristic %d is too small"
@@ -88,7 +138,7 @@ def newton_char_poly(a: DenseMatrix):
         for i in range(1, k + 1):
             acc = f.add(acc, f.mul(sign, f.mul(elem[k - i], sums[i - 1])))
             sign = f.neg(sign)
-        elem.append(f.div(acc, f.of(k)))
+        elem.append(f.mul(acc, f.inv(f.of(k))))
     coeffs = []
     sign = f.one
     for k in range(n + 1):

@@ -26,6 +26,8 @@ from mathieumat.multipoly import MultiPoly
 from mathieumat.normalize import normalize
 from mathieumat.verify import full_power_set, radical, verify_mathieu
 
+from helpers import zeros
+
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 FIELDS = (F2, F3, F5, QQ)
 
@@ -72,20 +74,15 @@ def matrix_pairs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(matrix_pairs())
-@example((DenseMatrix.zeros(QQ, 2, 0), DenseMatrix.zeros(QQ, 2, 0),
-          DenseMatrix.zeros(QQ, 0, 3), 2))
-@example((DenseMatrix.zeros(F5, 0, 3), DenseMatrix.zeros(F5, 0, 3),
-          DenseMatrix.zeros(F5, 3, 0), -1))
+@example((zeros(QQ, 2, 0), zeros(QQ, 2, 0), zeros(QQ, 0, 3), 2))
+@example((zeros(F5, 0, 3), zeros(F5, 0, 3), zeros(F5, 3, 0), -1))
 def test_matrix_producers_return_canonical_entries(case):
     a, b, c, x = case
     f = a.field
     prod = a.mul(c)
     assert (prod.rows, prod.cols) == (a.rows, c.cols)
     products = [a + b, a - b, -a, a.scale(x), prod, a.transpose(), c.transpose(),
-                a.submatrix(range(a.rows), range(a.cols)),
-                a.submatrix(range(a.rows)[::-1], range(a.cols)[1:]),
-                DenseMatrix.identity(f, a.cols), DenseMatrix.zeros(f, a.rows, c.cols),
-                rref(a)[0], rref(c.transpose())[0]]
+                DenseMatrix.identity(f, a.cols), rref(a)[0], rref(c.transpose())[0]]
     if a.rows and a.cols:
         products.append(DenseMatrix.unit(f, a.rows, a.cols, a.rows - 1, 0))
     for m in products:
@@ -97,18 +94,14 @@ def test_matrix_producers_return_canonical_entries(case):
 
 
 def test_empty_shapes_keep_their_dimensions():
-    prod = DenseMatrix.zeros(QQ, 2, 0).mul(DenseMatrix.zeros(QQ, 0, 3))
+    prod = zeros(QQ, 2, 0).mul(zeros(QQ, 0, 3))
     assert_canonical(prod)
-    assert (prod.rows, prod.cols) == (2, 3) and prod == DenseMatrix.zeros(QQ, 2, 3)
+    assert (prod.rows, prod.cols) == (2, 3) and prod == zeros(QQ, 2, 3)
     for f in (F3, QQ):
         for rows, cols in ((0, 3), (3, 0), (0, 0)):
-            t = DenseMatrix.zeros(f, rows, cols).transpose()
+            t = zeros(f, rows, cols).transpose()
             assert (t.rows, t.cols) == (cols, rows)
             assert_canonical(t)
-        sub = DenseMatrix.identity(f, 3).submatrix([], [0, 2])
-        assert (sub.rows, sub.cols) == (0, 2)
-        sub = DenseMatrix.identity(f, 3).submatrix([1], [])
-        assert (sub.rows, sub.cols) == (1, 0) and sub.entries == ((),)
 
 
 def spaces(field):
@@ -141,7 +134,7 @@ def test_enumerated_matrices_are_canonical():
     trace_zero = MatrixSubspace.from_matrices(
         F2, 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])
     witness = verify_mathieu(trace_zero, "left").witness
-    mats = radical(MatrixSubspace.zero_space(F2, 2)) + full_power_set(spaces(F3)[1])
+    mats = radical(MatrixSubspace.from_matrices(F2, 2, [])) + full_power_set(spaces(F3)[1])
     for m in mats + [witness.a, witness.b]:
         assert_canonical(m)
 
@@ -149,7 +142,6 @@ def test_enumerated_matrices_are_canonical():
 def test_public_entry_points_canonicalize_outside_input():
     half = Fraction(1, 2)                       # 3 in F_5
     assert DenseMatrix(F5, [[half, -1]]).entries == ((3, 4),)
-    assert DenseMatrix.from_flat(F5, 1, 2, [7, half]) == DenseMatrix(F5, [[2, 3]])
     line = VectorSubspace.from_vectors(F5, 2, [[half, 1]])
     assert line.basis == ((1, 2),) and line.member([Fraction(3, 2), 3])
     assert line.reduce([1, -1]) == (0, 2)
@@ -158,7 +150,6 @@ def test_public_entry_points_canonicalize_outside_input():
     assert column_space(MatrixSubspace.full_space(QQ, 2), (1, 0)).basis[0] == (1, 0)
     p = MultiPoly(F5, 1, {(1,): half, (0,): -2})
     assert p.terms == {(1,): 3, (0,): 3}
-    assert p.scale(half).terms == {(1,): 4, (0,): 4}
 
 
 def test_structural_algorithms_make_no_field_of_call(monkeypatch):

@@ -24,6 +24,8 @@ import pytest
 import mathieumat
 from mathieumat.cli import main
 
+from helpers import PAIR_DUAL
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli"
 SRC = str(pathlib.Path(mathieumat.__file__).resolve().parent.parent)
 
@@ -36,10 +38,7 @@ SPACES = {
     "lower_free": "field 3\nn 2\nbasis\n1 0\n0 0\n\n0 0\n1 0\n\n0 0\n0 1\n",
     "pair": "field 2\nn 3\nbasis\n0 1 0\n0 1 0\n0 0 0\n\n0 0 0\n0 1 1\n0 0 0\n\n"
             "1 0 0\n0 1 0\n0 0 1\n",
-    # the trace dual of the running pair over F_3
-    "pair_dual": "field 3\nn 3\nbasis\n1 0 0\n0 0 0\n0 0 0\n\n0 1 0\n0 0 0\n0 0 0\n\n"
-                 "0 0 1\n0 0 0\n0 0 0\n\n0 0 0\n1 2 0\n0 1 0\n\n0 0 0\n0 0 1\n0 0 0\n\n"
-                 "0 0 0\n0 0 0\n1 0 0\n\n0 0 0\n0 0 0\n0 0 1\n",
+    "pair_dual": PAIR_DUAL,
 }
 
 # case -> (argv with {space} placeholders, exit status); exit 0 records

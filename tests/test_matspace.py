@@ -16,16 +16,13 @@ from mathieumat.matspace import (
     MatrixSubspace,
     binary_profile,
     column_space,
-    column_space_dim,
     conjugate,
     constraint_space,
-    filtration_level,
     find_generic_vector,
-    trace_pairing,
 )
 from mathieumat.multipoly import generic_rank_of_action
 
-from helpers import is_rct_zero, rct
+from helpers import elements, filtration_level, is_rct_zero, rct, zeros
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -120,7 +117,7 @@ def test_double_duality_and_dimension():
             assert constraint_space(c) == m
             for cm in c.basis_matrices:
                 for mm in m.basis_matrices:
-                    assert trace_pairing(cm, mm) == field.zero
+                    assert cm.mul(mm).trace() == field.zero
 
 
 def test_conjugate_examples():
@@ -154,13 +151,13 @@ def test_trace_pairing_conjugation_invariant():
         b = DenseMatrix(f, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
         t = random_invertible(rng, f, 3)
         ti = invert(t)
-        assert trace_pairing(a, b) == trace_pairing(ti.mul(a).mul(t), ti.mul(b).mul(t))
+        assert a.mul(b).trace() == ti.mul(a).mul(t).mul(ti.mul(b).mul(t)).trace()
 
 
 def test_filtration_endpoints():
     cn = pair_space(F2).adjoin_identity()
     assert filtration_level(cn, 3) == cn
-    assert filtration_level(cn, 0) == MatrixSubspace.zero_space(F2, 3)
+    assert filtration_level(cn, 0) == MatrixSubspace.from_matrices(F2, 3, [])
 
 
 def test_filtration_nested_chain():
@@ -169,7 +166,7 @@ def test_filtration_nested_chain():
         cn = random_subspace(rng, F3, 3)
         levels = [filtration_level(cn, k) for k in range(4)]
         for lo, hi in zip(levels, levels[1:]):
-            assert hi.basis.contains_subspace(lo.basis)
+            assert hi.sum(lo) == hi
 
 
 def test_filtration_level_two_of_running_example():
@@ -210,7 +207,7 @@ def test_binary_profile_running_example():
 
 
 def test_binary_profile_zero_space():
-    prof = binary_profile(MatrixSubspace.zero_space(F3, 3))
+    prof = binary_profile(MatrixSubspace.from_matrices(F3, 3, []))
     assert prof.B == ((0,) * 3,) * 3
     assert prof.b == (0, 0, 0)
     assert prof.d == (0, 0, 0, 0)
@@ -241,7 +238,7 @@ def test_profile_specialization_bound_random_vectors():
         level = filtration_level(cn, k)
         for _ in range(100):
             v = tuple(rng.randrange(3) for _ in range(3))
-            assert column_space_dim(level, v) <= prof.d[k]
+            assert column_space(level, v).dim <= prof.d[k]
 
 
 def test_top_generic_dim_conjugation_invariant():
@@ -270,7 +267,7 @@ def test_lower_generic_dims_invariant_under_lower_triangular():
 
 def test_rct_examples():
     eye = DenseMatrix.identity(F3, 3)
-    assert rct(eye, 1) == DenseMatrix.zeros(F3, 1, 2)
+    assert rct(eye, 1) == zeros(F3, 1, 2)
     e13 = unit(F3, 3, 0, 2)
     assert rct(e13, 2) == DenseMatrix(F3, [[1], [0]])
     assert is_rct_zero(unit(F3, 3, 1, 0), 1)
@@ -285,14 +282,14 @@ def test_find_generic_vector_scalar_space():
     eye = MatrixSubspace.from_matrices(F5, 3, [DenseMatrix.identity(F5, 3)])
     v = find_generic_vector(Filtration(eye), 3)
     assert v == (0, 0, 1)
-    assert column_space_dim(eye, v) == 1
+    assert column_space(eye, v).dim == 1
 
 
 def test_find_generic_vector_pivot_success_at_bound():
     cn = pair_space(F3).adjoin_identity()
     v = find_generic_vector(Filtration(cn), 3, require_pivot_one=True)
     assert v[2] == F3.one
-    assert column_space_dim(filtration_level(cn, 3), v) == 3
+    assert column_space(filtration_level(cn, 3), v).dim == 3
     # deterministic output
     assert v == find_generic_vector(Filtration(cn), 3, require_pivot_one=True)
     assert v == (0, 1, 1)
@@ -313,7 +310,7 @@ def test_find_generic_vector_trailing_zeros():
             v = find_generic_vector(Filtration(cn), k)
             assert all(x == 0 for x in v[k:])
             level = filtration_level(cn, k)
-            assert column_space_dim(level, v) == generic_rank_of_action(level)
+            assert column_space(level, v).dim == generic_rank_of_action(level)
 
 
 def test_binary_profile_validation():
@@ -325,9 +322,9 @@ def test_binary_profile_validation():
 
 def test_subspace_elements_enumeration():
     cn = pair_space(F2)
-    elems = list(cn.elements())
+    elems = list(elements(cn))
     assert len(elems) == 4
     assert elems[0].is_zero()
     assert all(cn.contains(e) for e in elems)
-    zero = MatrixSubspace.zero_space(F3, 2)
-    assert [m.is_zero() for m in zero.elements()] == [True]
+    zero = MatrixSubspace.from_matrices(F3, 2, [])
+    assert [m.is_zero() for m in elements(zero)] == [True]

@@ -11,10 +11,8 @@ from mathieumat.matspace import (
     MatrixSubspace,
     binary_profile,
     column_space,
-    column_space_dim,
     conjugate,
     constraint_space,
-    filtration_level,
 )
 from mathieumat.multipoly import generic_rank_of_action
 from mathieumat.normalize import (
@@ -29,7 +27,7 @@ from mathieumat.normalize import (
     rct_zero_is_scalar,
 )
 
-from helpers import pencil_condition
+from helpers import filtration_level, pencil_condition
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -81,10 +79,10 @@ def test_pencil_condition_examples():
 def test_move_generic_vector_saturates_level():
     cn3 = pair_space(F3).adjoin_identity()
     level = filtration_level(cn3, 3)
-    assert column_space_dim(level, e(F3, 3, 3)) == 2
+    assert column_space(level, e(F3, 3, 3)).dim == 2
     t = move_generic_vector(Filtration(cn3), 3)
     moved = conjugate(cn3, t)
-    assert column_space_dim(filtration_level(moved, 3), e(F3, 3, 3)) == 3
+    assert column_space(filtration_level(moved, 3), e(F3, 3, 3)).dim == 3
     # identity columns right of k (here k = n, so just invertibility)
     invert(t)
 
@@ -102,12 +100,12 @@ def test_move_generic_vector_pivot_form_is_identity_outside_column():
     s = MatrixSubspace.from_matrices(F3, 3, [
         DenseMatrix(F3, [[1, 0, 0], [0, 0, 0], [2, 0, 0]])]).adjoin_identity()
     fil = Filtration(s)
-    assert column_space_dim(filtration_level(s, 2), e(F3, 3, 2)) == 0 and fil.d[2] == 1
+    assert column_space(filtration_level(s, 2), e(F3, 3, 2)).dim == 0 and fil.d[2] == 1
     t = move_generic_vector(fil, 2, pivot=True)
     assert t.entries[1][1] == 1
     for j in (0, 2):
         assert t.column(j) == e(F3, 3, j + 1)
-    assert column_space_dim(filtration_level(conjugate(s, t), 2), e(F3, 3, 2)) == 1
+    assert column_space(filtration_level(conjugate(s, t), 2), e(F3, 3, 2)).dim == 1
 
 
 def test_a_generic_vector_move_that_misses_raises(monkeypatch):
@@ -142,7 +140,7 @@ def test_move_unit_triangular_spans_units():
 def test_move_unit_triangular_noops():
     eye3 = MatrixSubspace.from_matrices(F5, 3, [DenseMatrix.identity(F5, 3)])
     assert move_unit_triangular(Filtration(eye3), 3) is None
-    assert move_unit_triangular(Filtration(MatrixSubspace.zero_space(F5, 3)), 2) is None
+    assert move_unit_triangular(Filtration(MatrixSubspace.from_matrices(F5, 3, [])), 2) is None
 
 
 def test_move_permutation_sorts_column():
@@ -167,7 +165,7 @@ def test_move_permutation_noops():
         DenseMatrix.unit(f, 4, 4, 1, 3),
     ])
     assert move_permutation(Filtration(s), 4) is None
-    assert move_permutation(Filtration(MatrixSubspace.zero_space(f, 4)), 4) is None
+    assert move_permutation(Filtration(MatrixSubspace.from_matrices(f, 4, [])), 4) is None
 
 
 def test_normalize_running_example_over_f3():
@@ -336,7 +334,7 @@ def test_normalize_total_on_small_universes():
 
 
 def test_rct_zero_is_scalar_for_zero_space():
-    z = MatrixSubspace.zero_space(F3, 3)
+    z = MatrixSubspace.from_matrices(F3, 3, [])
     assert rct_zero_is_scalar(z, 1)
     assert rct_zero_is_scalar(z, 2)
 

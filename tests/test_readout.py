@@ -1,18 +1,20 @@
 """Differential tests of the single-elimination readout.
 
 ``kernel``, ``constraint_space``, ``VectorSubspace.intersect``,
-``members_vanishing_at``, ``max_left_ideal`` and ``is_left_ideal`` all
-read their answer off one RREF.  The references below are the
-definitional formulations they replaced: free vectors of an RREF, the
-kernel of the transposed basis, a kernel on basis coefficients recombined
-into members, the kernel of the system "tr(K E_ij A) = 0 for every
-constraint K", and a loop over unit products.  Every reference solves
+``members_vanishing_at``, ``max_left_ideal`` and the left-ideal test of
+``left_ideal_normal_form`` all read their answer off one RREF.  The
+references below are the definitional formulations they replaced: free
+vectors of an RREF, the kernel of the transposed basis, a kernel on
+basis coefficients recombined into members, the kernel of the system
+"tr(K E_ij A) = 0 for every constraint K", and a loop over unit
+products (``helpers.reference_is_left_ideal``).  Every reference solves
 its kernels with ``reference_kernel``, never with the code under test.
 
 The column filtration (``Filtration``: one RREF and one Bareiss run per
 space) is compared with the level-by-level reading it replaced: each
-level by ``filtration_level``, its column spaces by ``_column_space`` and
-its generic dimension by its own ``generic_rank_of_action``.
+level by ``helpers.filtration_level``, its column spaces by
+``column_space`` and its generic dimension by its own
+``generic_rank_of_action``.
 """
 
 import itertools
@@ -23,22 +25,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mathieumat import linalg
-from mathieumat.errors import FieldTooSmallError, SingularMatrixError
+from mathieumat.errors import FieldTooSmallError, NotLeftIdealError, SingularMatrixError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, kernel, rref
 from mathieumat.matspace import (
     BinaryProfile,
     Filtration,
     MatrixSubspace,
-    _column_space,
     binary_profile,
+    column_space,
     conjugate,
     constraint_space,
-    filtration_level,
     find_generic_vector,
     members_vanishing_at,
 )
 from mathieumat.multipoly import generic_rank_of_action
-from mathieumat.verify import is_left_ideal, left_ideal_normal_form, max_left_ideal
+from mathieumat.verify import left_ideal_normal_form, max_left_ideal
+
+from helpers import filtration_level, reference_is_left_ideal, zeros
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 F7, FBIG = Field.prime(7), Field.prime(2**31 - 1)
@@ -81,7 +84,7 @@ def reference_intersect(u: VectorSubspace, w: VectorSubspace) -> VectorSubspace:
     f = u.field
     k, l = u.dim, w.dim
     if k == 0 or l == 0:
-        return VectorSubspace.zero(f, u.ambient_dim)
+        return VectorSubspace.from_vectors(f, u.ambient_dim, [])
     system = DenseMatrix(f, [
         [u.basis[i][c] for i in range(k)] + [f.neg(w.basis[j][c]) for j in range(l)]
         for c in range(u.ambient_dim)
@@ -105,7 +108,7 @@ def reference_members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSu
     rows = [[m.entries[i][j] for m in mats] for i, j in positions]
     gens = []
     for coeff in reference_kernel(DenseMatrix(f, rows, cols=len(mats))).basis:
-        g = DenseMatrix.zeros(f, n, n)
+        g = zeros(f, n, n)
         for ci, m in zip(coeff, mats):
             if ci:
                 g = g + m.scale(ci)
@@ -144,10 +147,13 @@ def reference_normal_form_t(ideal: MatrixSubspace) -> DenseMatrix:
     return DenseMatrix(f, [[c[i] for c in columns] for i in range(n)])
 
 
-def reference_is_left_ideal(space: MatrixSubspace) -> bool:
-    f, n = space.field, space.n
-    return all(space.contains(DenseMatrix.unit(f, n, n, i, j).mul(a))
-               for a in space.basis_matrices for i in range(n) for j in range(n))
+def normal_form_accepts(space: MatrixSubspace) -> bool:
+    """Whether ``left_ideal_normal_form`` takes the space for a left ideal."""
+    try:
+        left_ideal_normal_form(space)
+    except NotLeftIdealError:
+        return False
+    return True
 
 
 def unit_vector(field, n, k):
@@ -161,7 +167,7 @@ def reference_profile(space: MatrixSubspace) -> BinaryProfile:
     B = [[0] * n for _ in range(n)]
     col_dims = []
     for j in range(1, n + 1):
-        cs = _column_space(levels[j], unit_vector(f, n, j))
+        cs = column_space(levels[j], unit_vector(f, n, j))
         col_dims.append(cs.dim)
         for row in cs.basis:
             for i in range(n):
@@ -184,9 +190,9 @@ def reference_generic_vector(space: MatrixSubspace, k: int, pivot: bool):
         if pivot and point[k - 1] == f.zero:
             continue
         v = point + (f.zero,) * (n - k)
-        if _column_space(level, v).dim == dk:
+        if column_space(level, v).dim == dk:
             if pivot:
-                v = tuple(f.div(x, point[k - 1]) for x in v)
+                v = tuple(f.mul(x, f.inv(point[k - 1])) for x in v)
             return v
     return None
 
@@ -211,7 +217,7 @@ def matrix_spaces(draw, field, n):
     times any T), and such ideals plus a few random matrices."""
     kind = draw(st.sampled_from(KINDS))
     if kind == "zero":
-        return MatrixSubspace.zero_space(field, n)
+        return MatrixSubspace.from_matrices(field, n, [])
     if kind == "full":
         return MatrixSubspace.full_space(field, n)
     gens = draw(st.lists(matrices(field, n), max_size=n * n))
@@ -307,7 +313,7 @@ def kernel_inputs(draw):
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     kind = draw(st.sampled_from(("random", "zero", "low_rank")))
     if kind == "zero":
-        return DenseMatrix.zeros(field, rows, cols)
+        return zeros(field, rows, cols)
 
     def grid(r, c):
         return draw(st.lists(st.lists(scalars(field), min_size=c, max_size=c),
@@ -324,10 +330,10 @@ def kernel_inputs(draw):
 
 @SETTINGS
 @given(kernel_inputs())
-@example(DenseMatrix.zeros(F2, 0, 3))
-@example(DenseMatrix.zeros(QQ, 3, 0))
-@example(DenseMatrix.zeros(F5, 0, 0))
-@example(DenseMatrix.zeros(QQ, 2, 4))
+@example(zeros(F2, 0, 3))
+@example(zeros(QQ, 3, 0))
+@example(zeros(F5, 0, 0))
+@example(zeros(QQ, 2, 4))
 @example(DenseMatrix.identity(F3, 4))
 @example(DenseMatrix(QQ, [[2, 1, 0, 5], [0, Fraction(1, 3), 1, -1]]))
 @example(DenseMatrix(F2, [[1, 1], [0, 1], [1, 0]]))
@@ -345,7 +351,7 @@ def test_kernel_matches_free_vectors_of_the_rref(m):
 
 @SETTINGS
 @given(spaces(WIDE_FIELDS))
-@example(MatrixSubspace.zero_space(QQ, 3))
+@example(MatrixSubspace.from_matrices(QQ, 3, []))
 @example(MatrixSubspace.full_space(F2, 2))
 @example(MatrixSubspace.from_matrices(FBIG, 3, [[[1, BIG, 0], [2**30, 5, BIG], [0, 0, 3]]]))
 @example(MatrixSubspace.from_matrices(F7, 2, [[[1, 2], [3, 4]], [[2, 4], [6, 1]],
@@ -370,7 +376,7 @@ def recorded_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("space", [
-    MatrixSubspace.zero_space(F2, 2),
+    MatrixSubspace.from_matrices(F2, 2, []),
     MatrixSubspace.full_space(FBIG, 2),
     column_kill(F3, 3, 2),
     column_kill_and_identity(QQ, 4, 1),
@@ -383,7 +389,7 @@ def test_constraint_space_eliminates_only_the_basis_rows(space, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [
-    DenseMatrix.zeros(F5, 0, 3),
+    zeros(F5, 0, 3),
     DenseMatrix(F7, [[1, 2, 3, 4, 5], [2, 4, 6, 1, 3]]),
     DenseMatrix(QQ, [[1, 2], [3, 4], [5, 6]]),
 ], ids=repr)
@@ -395,9 +401,9 @@ def test_kernel_eliminates_only_the_system_rows(m, monkeypatch):
 
 @SETTINGS
 @given(space_pairs())
-@example((MatrixSubspace.zero_space(F2, 1), MatrixSubspace.full_space(F2, 1)))
+@example((MatrixSubspace.from_matrices(F2, 1, []), MatrixSubspace.full_space(F2, 1)))
 @example((MatrixSubspace.full_space(QQ, 3), MatrixSubspace.full_space(QQ, 3)))
-@example((column_kill(F3, 3, 2), MatrixSubspace.zero_space(F3, 3)))
+@example((column_kill(F3, 3, 2), MatrixSubspace.from_matrices(F3, 3, [])))
 def test_intersect_matches_coefficient_kernel(pair):
     u, w = pair[0].basis, pair[1].basis
     got = u.intersect(w)
@@ -409,7 +415,7 @@ def test_intersect_matches_coefficient_kernel(pair):
 @SETTINGS
 @given(spaces_with_positions())
 @example((MatrixSubspace.full_space(F5, 2), []))
-@example((MatrixSubspace.zero_space(QQ, 2), [(0, 1)]))
+@example((MatrixSubspace.from_matrices(QQ, 2, []), [(0, 1)]))
 @example((MatrixSubspace.full_space(F2, 1), [(0, 0)]))
 @example((MatrixSubspace.full_space(QQ, 4), [(i, j) for i in range(4) for j in range(4)]))
 @example((MatrixSubspace.from_matrices(FBIG, 2, [[[1, BIG], [5, 7]], [[0, 3], [2**30, 1]],
@@ -425,7 +431,7 @@ def test_members_vanishing_at_matches_coefficient_kernel(case):
 
 @SETTINGS
 @given(spaces())
-@example(MatrixSubspace.zero_space(F3, 1))
+@example(MatrixSubspace.from_matrices(F3, 1, []))
 @example(MatrixSubspace.full_space(F3, 1))
 @example(MatrixSubspace.full_space(QQ, 4))
 @example(column_kill(F2, 4, 3))
@@ -436,19 +442,19 @@ def test_max_left_ideal_matches_trace_dual_system(space):
     ideal = max_left_ideal(space)
     assert ideal == reference_max_left_ideal(space)
     assert reference_is_left_ideal(ideal)
-    assert space.basis.contains_subspace(ideal.basis)
+    assert space.sum(ideal) == space
 
 
 @SETTINGS
 @given(spaces())
-@example(MatrixSubspace.zero_space(F5, 2))
+@example(MatrixSubspace.from_matrices(F5, 2, []))
 @example(MatrixSubspace.full_space(F5, 2))
 @example(column_kill(F5, 3, 1))
 @example(column_kill(F2, 1, 1))
 @example(column_kill_and_identity(F2, 2, 1))
 @example(column_kill_and_identity(QQ, 3, 2))
 def test_is_left_ideal_matches_unit_products(space):
-    assert is_left_ideal(space) == reference_is_left_ideal(space)
+    assert normal_form_accepts(space) == reference_is_left_ideal(space)
 
 
 @SETTINGS
@@ -467,16 +473,16 @@ def test_left_ideal_examples_over_every_field():
             for k in range(n + 1):
                 ideal = column_kill(field, n, k)
                 padded = column_kill_and_identity(field, n, k)
-                assert is_left_ideal(ideal) and max_left_ideal(ideal) == ideal
+                assert normal_form_accepts(ideal) and max_left_ideal(ideal) == ideal
                 closed = k == n or n == 1     # then padded is the full space
-                assert is_left_ideal(padded) == reference_is_left_ideal(padded) == closed
+                assert normal_form_accepts(padded) == reference_is_left_ideal(padded) == closed
                 assert max_left_ideal(padded) == (padded if closed else ideal)
 
 
 
 @SETTINGS
 @given(filtered_spaces())
-@example(MatrixSubspace.zero_space(F2, 1))
+@example(MatrixSubspace.from_matrices(F2, 1, []))
 @example(MatrixSubspace.full_space(QQ, 4))
 @example(column_kill(F3, 4, 2))
 @example(column_kill_and_identity(F5, 5, 3))

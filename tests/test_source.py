@@ -1,13 +1,21 @@
 import ast
+import importlib
+import inspect
 import pathlib
+import re
+import typing
 
 import mathieumat
+
+PACKAGE = pathlib.Path(mathieumat.__file__).parent
+ROOT = PACKAGE.parent.parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_no_assert_statements_in_package():
     # postconditions must survive ``python -O``, which strips asserts
     found = []
-    for path in sorted(pathlib.Path(mathieumat.__file__).parent.glob("*.py")):
+    for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -28,7 +36,7 @@ def test_no_module_imports_numpy_when_it_is_imported():
     # numpy is loaded at the first enumeration, inside the functions of
     # ``verify`` that use it; commands that never enumerate never pay for it
     found = []
-    for path in sorted(pathlib.Path(mathieumat.__file__).parent.glob("*.py")):
+    for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in runs_at_import(tree):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
@@ -44,15 +52,15 @@ def test_no_module_imports_numpy_when_it_is_imported():
 # right-hand side, grid values, polynomial coefficients, family
 # parameters, literal generators) and the space-file format.  Values the
 # package built itself are canonical and never go through them again.
-VALIDATING = {"of", "DenseMatrix", "from_flat", "from_vectors", "member", "reduce"}
+VALIDATING = {"of", "DenseMatrix", "from_vectors", "member", "reduce"}
 BOUNDARY = {
     "linalg.DenseMatrix.__init__", "linalg.DenseMatrix.scale",
-    "linalg.DenseMatrix.from_flat", "linalg.VectorSubspace.from_vectors",
-    "linalg.VectorSubspace.reduce", "linalg.VectorSubspace.member", "linalg.solve_affine",
+    "linalg.VectorSubspace.from_vectors", "linalg.VectorSubspace.reduce",
+    "linalg.VectorSubspace.member", "linalg.solve_affine",
     "matspace.MatrixSubspace.from_matrices", "matspace.column_space",
     "idempotents.AffineFamily.with_block",
-    "multipoly.MultiPoly.__init__", "multipoly.MultiPoly.scale",
-    "multipoly.MultiPoly.evaluate", "multipoly.find_nonvanishing",
+    "multipoly.MultiPoly.__init__", "multipoly.MultiPoly.evaluate",
+    "multipoly.find_nonvanishing",
     "verify.proposition_family", "cli.running_pair_space",
 }
 BOUNDARY_MODULES = {"spacefile"}
@@ -81,18 +89,19 @@ def validating_callers(path):
 
 def test_validating_entry_points_are_called_only_at_the_boundary():
     found = set()
-    for path in sorted(pathlib.Path(mathieumat.__file__).parent.glob("*.py")):
+    for path in MODULES:
         if path.stem not in BOUNDARY_MODULES:
             found |= validating_callers(path)
     assert found == BOUNDARY
 
 
 def test_every_imported_name_is_used():
-    # no linter runs on the package: an import left behind by the removal
-    # of its last use fails here (``__init__`` imports to re-export)
+    # no linter runs here: an import left behind by the removal of its
+    # last use, in the package, the tests or the demos, fails here
+    # (``__init__`` imports to re-export)
     unused = []
-    for path in sorted(pathlib.Path(mathieumat.__file__).parent.glob("*.py")):
-        if path.stem == "__init__":
+    for path in MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")):
+        if path == PACKAGE / "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -100,7 +109,7 @@ def test_every_imported_name_is_used():
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                unused += ["%s:%d %s" % (path.name, node.lineno, alias.name)
+                unused += ["%s:%d %s" % (path.relative_to(ROOT), node.lineno, alias.name)
                            for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in used]
     assert unused == []
@@ -118,19 +127,111 @@ def test_the_package_binds_only_the_names_in_use():
     # the demos and the README quick start import from the package; every
     # other caller imports from the modules, so the package binds exactly
     # their names and the exception classes of ``errors``
-    package = pathlib.Path(mathieumat.__file__).parent
-    root = package.parent.parent
     bound = {alias.asname or alias.name
-             for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+             for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     errors = {node.name for node in ast.parse(
-        (package / "errors.py").read_text(encoding="utf-8")).body
+        (PACKAGE / "errors.py").read_text(encoding="utf-8")).body
         if isinstance(node, ast.ClassDef)}
     used = set()
-    for path in sorted((root / "demos").glob("*.py")):
+    for path in sorted(ROOT.glob("demos/*.py")):
         used |= imported_names(path.read_text(encoding="utf-8"))
-    readme = (root / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     quick_start = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1]
     used |= imported_names(quick_start.split("```", 1)[0])
     assert len(errors) == 8 and "DenseMatrix" in used
     assert {name for name in bound if not name.startswith("_")} == errors | used
+
+
+def test_every_annotation_resolves():
+    # annotations are strings (``from __future__ import annotations``): a
+    # name they use must be bound in the module when they are resolved
+    unresolved = []
+    for path in MODULES:
+        module = importlib.import_module("mathieumat." + path.stem)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [getattr(m, "__func__", getattr(m, "fget", m))
+                            for m in vars(obj).values()]
+            for member in members:
+                if inspect.isfunction(member) or inspect.isclass(member):
+                    try:
+                        typing.get_type_hints(member)
+                    except NameError as exc:
+                        unresolved.append("%s: %s" % (member.__qualname__, exc))
+    assert unresolved == []
+
+
+# Definitions deleted for being reached by nothing but the tests; the
+# tests use the spelling that stays, or keep the reference in ``helpers``.
+DELETED = {
+    "linalg.Field.div", "linalg.Field.order", "linalg.Field.characteristic",
+    "linalg.DenseMatrix.__matmul__", "linalg.DenseMatrix.row", "linalg.DenseMatrix.submatrix",
+    "linalg.DenseMatrix.from_flat", "linalg.DenseMatrix.zeros",
+    "linalg.VectorSubspace.contains_subspace", "linalg.VectorSubspace.zero",
+    "matspace.MatrixSubspace.zero_space", "matspace.MatrixSubspace.intersect",
+    "matspace.MatrixSubspace.elements", "matspace.filtration_level",
+    "matspace.column_space_dim", "matspace._column_space", "matspace.trace_pairing",
+    "multipoly.MultiPoly.zero", "multipoly.MultiPoly.constant", "multipoly.MultiPoly.scale",
+    "multipoly.MultiPoly.degree", "multipoly.MultiPoly.is_homogeneous",
+    "verify.is_left_ideal", "spacefile.dumps", "spacefile.from_subspace",
+}
+
+
+def definitions():
+    """``(qualified name, node)`` of the module-level functions and
+    classes of the package and of the methods of those classes."""
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield "%s.%s" % (path.stem, node.name), node
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef):
+                        yield "%s.%s.%s" % (path.stem, node.name, sub.name), sub
+
+
+def named_in(tree):
+    """The names that the code of ``tree`` uses, as a name, an attribute
+    or an import, except inside a definition of the same name."""
+    names = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name.split(".")[-1] if isinstance(node, ast.alias) else None)
+        if name is not None and name not in inside:
+            names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return names
+
+
+def test_every_public_definition_is_reached():
+    # a public function, class or method of the package is named outside
+    # its own definition: in the package, a demo, the README's code, or
+    # ``HOT_METHODS`` of the tracer, which wraps methods by name; what only
+    # the tests reach lives in the tests.  Names are matched, not types: a
+    # method that shares its name with a reached one passes
+    reached = set()
+    for path in MODULES + sorted(ROOT.glob("demos/*.py")):
+        reached |= named_in(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for code in re.findall(r"```.*?```|`[^`\n]+`", readme, re.S):
+        reached |= set(re.findall(r"\w+", code))
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    hot = next(node.value for node in tracing.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["HOT_METHODS"])
+    for classes in ast.literal_eval(hot).values():
+        for methods in classes.values():
+            reached |= set(methods)
+    unreached = [qualname for qualname, node in definitions()
+                 if not (node.name.startswith("_") or node.name in reached)]
+    assert unreached == []
+    assert DELETED.isdisjoint(qualname for qualname, _ in definitions())

@@ -12,7 +12,10 @@ the zero-corner members, ``idempotents.corner_slice`` and
 elimination of the basis rows in ``linalg``, not solved for as basis
 coefficients.  The binary profile, the generic-vector search and the
 normalization moves read all levels, their column spaces and generic
-dimensions off one :class:`Filtration`: one elimination, one Bareiss run.
+dimensions off one :class:`Filtration`: one elimination, then two cheap
+bounds on each generic dimension.  Evaluation at a point gives only a
+lower bound; where it meets the upper bound the dimension is exact, and
+one Bareiss run decides the rest.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import FieldTooSmallError
-from .linalg import DenseMatrix, Field, VectorSubspace, _eliminate, _kernel, invert
+from .linalg import DenseMatrix, Field, VectorSubspace, _eliminate, _kernel, _scalars, invert
 from .multipoly import _action_pivots
 
 
@@ -211,9 +214,11 @@ class Filtration:
     matrix column, last column first, gives an adapted basis: a row
     vanishes on columns k..n-1 iff its pivot lies past their
     coordinates, so those rows span C_k.  ``matrices`` holds that basis
-    bottom-up, so its first ``dims[k]`` members span C_k.  One Bareiss
-    run over their columns C*x, in that order, gives every generic
-    dimension: ``d[k]`` counts its pivots among the first ``dims[k]``.
+    bottom-up, so its first ``dims[k]`` members span C_k.  ``d[k]`` is
+    read off the bounds of ``_rank_bounds`` when they meet at every
+    level for some point; otherwise one Bareiss run over the columns C*x,
+    in that order, gives every generic dimension: ``d[k]`` counts its
+    pivots among the first ``dims[k]``.
     """
 
     __slots__ = ("space", "matrices", "dims", "d")
@@ -227,12 +232,16 @@ class Filtration:
         mats = tuple(DenseMatrix._trusted(
             f, [[row[(n - 1 - j) * n + i] for j in range(n)] for i in range(n)], n)
             for row in reversed(rows))
-        generic = _action_pivots(f, n, [m.flatten() for m in mats])
         dims = [sum(n - 1 - c // n < k for c in pivots) for k in range(n + 1)]
+        d = next((lower for lower, upper in _rank_bounds(f, n, mats, dims) if lower == upper),
+                 None)
+        if d is None:
+            generic = _action_pivots(f, n, [m.flatten() for m in mats])
+            d = [sum(c < dk for c in generic) for dk in dims]
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "dims", tuple(dims))
-        object.__setattr__(self, "d", tuple(sum(c < dk for c in generic) for dk in dims))
+        object.__setattr__(self, "d", tuple(d))
 
     def __setattr__(self, *a):
         raise AttributeError("Filtration is immutable")
@@ -259,6 +268,33 @@ class Filtration:
                         B[i][j - 1] = 1
         b = [sum(B[i][j] for i in range(n)) for j in range(n)]
         return BinaryProfile(n, B, b, col_dims, self.d)
+
+
+# The points v of the lower bounds, by 0-based coordinate j, in the order tried.
+_POINTS = (lambda j: 1, lambda j: j + 1, lambda j: (j + 1) ** 2 + j)
+
+
+def _rank_bounds(field, n, matrices, dims):
+    """``(lower, upper)`` bounds on the generic rank of the first ``dims[k]``
+    matrices at every level k, once per point of ``_POINTS``.
+
+    C x lies in the column space of C, so the generic rank of C_1..C_m is
+    at most min(m, rank [C_1 | ... | C_m]); a minor that is nonzero at v
+    is nonzero over K(x), so it is at least the rank of C_1 v .. C_m v.
+    """
+    span = _eliminate(field, [[x for m in matrices for x in m.entries[i]] for i in range(n)],
+                      n * len(matrices))
+    upper = [min(m, sum(c < n * m for c in span)) for m in dims]
+    for point in _POINTS:
+        v = _scalars(field, [point(j) for j in range(n)], 1)
+        images = [m.mul_vector(v) for m in matrices]
+        pivots = _eliminate(field, [[im[i] for im in images] for i in range(n)], len(matrices))
+        lower = [sum(c < m for c in pivots) for m in dims]
+        if any(lo > up for lo, up in zip(lower, upper)):
+            raise AssertionError("rank bounds cross (lower %r, upper %r); this "
+                                 "indicates a bug in the generic-rank machinery"
+                                 % (lower, upper))
+        yield lower, upper
 
 
 def _basis_vector(field, n, k):

@@ -2,9 +2,10 @@
 
 The rank of a polynomial matrix over the rational function field
 K(x_1, ..., x_n) is computed by fraction-free (Bareiss) elimination with
-exact polynomial division, never by randomized evaluation: small-field
-instances can defeat evaluation at field points, and exactness is the
-whole point of this layer.
+exact polynomial division.  Evaluation at a point gives only a lower
+bound on it, since small fields can defeat evaluation at every field
+point; ``matspace.Filtration`` takes a rank from evaluation only where
+that bound meets an upper one, and leaves the rest to this layer.
 
 A :class:`MultiPoly` keeps exponent tuples and canonical coefficients
 (``Fraction`` over Q, residues over F_p); the zero polynomial stores no
@@ -17,9 +18,9 @@ scaled by the lcm of their denominators (the rank over Q(x) does not
 change); its divisions are exact in Z[x] (Bareiss, *Math. Comp.* 22,
 1968).  It reads its columns straight off basis rows, with no
 polynomial object in between, and returns its pivot columns: the pivots
-among the first m columns count the rank of those m, so
-``matspace.Filtration`` reads all generic dimensions of a filtered
-space off one run over rows in level order.
+among the first m columns count the rank of those m, so where its bounds
+differ ``matspace.Filtration`` reads all generic dimensions of a
+filtered space off one run over rows in level order.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from mathieumat import multipoly
+from mathieumat.cli import running_pair_space
 from mathieumat.errors import FieldTooSmallError
 from mathieumat.linalg import (
     DenseMatrix,
@@ -263,6 +265,47 @@ def test_lower_generic_dims_invariant_under_lower_triangular():
         t = DenseMatrix(F5, entries)
         after = binary_profile(conjugate(cn, t)).d
         assert after == before
+
+
+@pytest.fixture
+def bareiss_runs(monkeypatch):
+    runs = []
+    bareiss = multipoly._bareiss_rank
+
+    def counting(*args):
+        runs.append(1)
+        return bareiss(*args)
+
+    monkeypatch.setattr(multipoly, "_bareiss_rank", counting)
+    return runs
+
+
+def test_no_bareiss_run_where_the_rank_bounds_meet(bareiss_runs):
+    for n in range(1, 5):
+        assert binary_profile(MatrixSubspace.full_space(F2, n)).d == (0,) + (n,) * n
+    # the columns of E_33 would lift the upper bound at level 2 to 3
+    blocks = [unit(F2, 3, i, j) for i in range(2) for j in range(2)] + [unit(F2, 3, 2, 2)]
+    assert binary_profile(MatrixSubspace.from_matrices(F2, 3, blocks)).d == (0, 2, 2, 3)
+    rng = random.Random(47)
+    for n in (5, 6):
+        for _ in range(3):
+            space = random_subspace(rng, QQ, n, (1, 2 * n))
+            assert binary_profile(space).d[n] == min(n, space.dim)
+    assert bareiss_runs == []
+
+
+@pytest.mark.parametrize("space, d", [
+    # the rank bounds give 2 against 3 at the top level: rank [C_1|C_2|C_3]
+    # is 3, while x^t C x = 0 keeps every C x in a plane
+    (MatrixSubspace.from_matrices(QQ, 3, [
+        unit(QQ, 3, i, j) - unit(QQ, 3, j, i) for i in range(3) for j in range(i + 1, 3)]),
+     (0, 0, 1, 2)),
+    # d_3 = 3, but over F_2 no point reaches it
+    (running_pair_space(F2).adjoin_identity(), (0, 0, 1, 3)),
+])
+def test_bareiss_decides_where_the_rank_bounds_differ(space, d, bareiss_runs):
+    assert Filtration(space).d == d
+    assert len(bareiss_runs) == 1
 
 
 def test_rct_examples():

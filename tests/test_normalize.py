@@ -252,17 +252,24 @@ def test_normalize_over_rationals():
     assert res.profile.b[2] == 3
 
 
-def test_one_bareiss_run_per_filtered_space(monkeypatch):
-    # binary_profile reads every generic dimension off one run; normalize
-    # runs it on the input and once after each logged move, and
-    # rct_certificate runs nothing besides its normalization
-    runs = []
-    bareiss = multipoly._bareiss_rank
+def test_one_filtration_per_filtered_space(monkeypatch):
+    # binary_profile reads every generic dimension off one Filtration;
+    # normalize builds one for the input and one after each logged move,
+    # rct_certificate builds nothing besides its normalization, and
+    # Bareiss runs at most once per Filtration (only where the rank
+    # bounds differ)
+    built, runs = [], []
+    init, bareiss = Filtration.__init__, multipoly._bareiss_rank
+
+    def counting_init(self, space):
+        built.append(1)
+        init(self, space)
 
     def counting(*args):
         runs.append(1)
         return bareiss(*args)
 
+    monkeypatch.setattr(Filtration, "__init__", counting_init)
     monkeypatch.setattr(multipoly, "_bareiss_rank", counting)
     rng = random.Random(89)
     moves = []
@@ -274,19 +281,22 @@ def test_one_bareiss_run_per_filtered_space(monkeypatch):
                 DenseMatrix(field, [[rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(n)]
                                     for _ in range(n)])
                 for _ in range(rng.randrange(1, n))])
+            built.clear()
             runs.clear()
             binary_profile(s)
-            assert len(runs) == 1
+            assert len(built) == 1 and len(runs) <= 1
+            built.clear()
             runs.clear()
             result = normalize(s)
-            assert len(runs) == 1 + len(result.log)
+            assert len(built) == 1 + len(result.log) and len(runs) <= len(built)
             moves.append(len(result.log))
             if s.dim and not s.contains_identity():
                 # s is the constraint space of its own constraint space
                 log = normalize(s.adjoin_identity()).log
+                built.clear()
                 runs.clear()
                 rct_certificate(constraint_space(s))
-                assert len(runs) == 1 + len(log)
+                assert len(built) == 1 + len(log) and len(runs) <= len(built)
                 certified += 1
     assert max(moves) >= 2 and certified >= 8
 

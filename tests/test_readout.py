@@ -10,11 +10,14 @@ basis coefficients recombined into members, the kernel of the system
 products (``helpers.reference_is_left_ideal``).  Every reference solves
 its kernels with ``reference_kernel``, never with the code under test.
 
-The column filtration (``Filtration``: one RREF and one Bareiss run per
-space) is compared with the level-by-level reading it replaced: each
-level by ``helpers.filtration_level``, its column spaces by
-``column_space`` and its generic dimension by its own
-``generic_rank_of_action``.
+The column filtration (``Filtration``: one RREF per space) is compared
+with the level-by-level reading it replaced: each level by
+``helpers.filtration_level``, its column spaces by ``column_space`` and
+its generic dimension by its own ``generic_rank_of_action``, which is
+Bareiss alone.  ``Filtration`` reads its generic dimensions off two rank
+bounds: evaluation at a point gives only a lower bound, the rank of the
+matrices' columns an upper one; where they meet, that is d, and Bareiss
+decides the rest.  Both bounds are checked against Bareiss at every level.
 """
 
 import itertools
@@ -35,6 +38,7 @@ from mathieumat.matspace import (
     column_space,
     conjugate,
     constraint_space,
+    _rank_bounds,
     find_generic_vector,
     members_vanishing_at,
 )
@@ -306,6 +310,30 @@ def filtered_spaces_with_levels(draw):
 
 
 @st.composite
+def spaces_of_dim(draw, field, n, dim):
+    """A space of the given dim: generators that are random, 0/1 or
+    skew-symmetric, each kept to its first columns as in
+    ``filtered_spaces``, topped up with matrix units in a drawn order."""
+    gens = []
+    for m in draw(st.lists(matrices(field, n), max_size=dim)):
+        kind = draw(st.sampled_from(("random", "binary", "skew")))
+        if kind == "binary":
+            m = DenseMatrix(field, [[int(x != field.zero) for x in row] for row in m.entries])
+        elif kind == "skew":
+            m = m - m.transpose()
+        width = draw(st.integers(1, n))
+        gens.append(DenseMatrix(field, [row[:width] + (field.zero,) * (n - width)
+                                        for row in m.entries]))
+    space = MatrixSubspace.from_matrices(field, n, gens[:dim])
+    for i, j in draw(st.permutations(list(itertools.product(range(n), repeat=2)))):
+        if space.dim == dim:
+            break
+        space = space.sum(MatrixSubspace.from_matrices(
+            field, n, [DenseMatrix.unit(field, n, n, i, j)]))
+    return space
+
+
+@st.composite
 def kernel_inputs(draw):
     """Random, zero and low-rank (a product through k < min(rows, cols)
     dimensions) matrices, 0..4 x 0..5."""
@@ -493,6 +521,22 @@ def test_filtration_readout_matches_levels(space):
     assert got.dims == tuple(level.dim for level in levels)
     assert all(MatrixSubspace.from_matrices(space.field, space.n, got.matrices[:level.dim])
                == level for level in levels)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_rank_bounds_bracket_the_bareiss_dimensions(field, data):
+    # every dim from the zero space to Mat_n, n = 1..4
+    for n in range(1, 5):
+        for dim in range(n * n + 1):
+            space = data.draw(spaces_of_dim(field, n, dim))
+            want = tuple(generic_rank_of_action(filtration_level(space, k))
+                         for k in range(n + 1))
+            fil = Filtration(space)
+            assert fil.d == want
+            for lower, upper in _rank_bounds(field, n, fil.matrices, fil.dims):
+                assert all(lo <= d <= up for lo, d, up in zip(lower, want, upper))
 
 
 # d_3 = 3, but no vector over F_2 reaches it: both scans come up empty.

@@ -167,7 +167,8 @@ def full_space_certificate(space: MatrixSubspace, r: int) -> FullSpaceCertificat
     # decomposition sanity on a canonical sample: A = A (e+e')^-1 e + A (e+e')^-1 e'
     sample = DenseMatrix.unit(f, n, n, 0, 0)
     inv_total = invert(total)
-    restored = sample.mul(inv_total).mul(e) + sample.mul(inv_total).mul(e_prime)
+    left = sample.mul(inv_total)
+    restored = left.mul(e) + left.mul(e_prime)
     if restored != sample:
         raise AssertionError("the two idempotents do not decompose the sample")
     return FullSpaceCertificate(e=e, e_prime=e_prime, r=r)

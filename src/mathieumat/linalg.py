@@ -14,12 +14,16 @@ and ``VectorSubspace.reduce``/``member`` run every scalar through
 such values comes from ``DenseMatrix._trusted``, ``VectorSubspace._span``
 and ``_kernel``, which neither convert nor check.
 
-Matrix products (``DenseMatrix.mul`` and ``mul_vector``, behind
-``power``, ``matspace.conjugate`` and the column spaces) take their dot
+Matrix products (``DenseMatrix.mul``, behind ``power``) take their dot
 products on integers: over Q each operand is scaled once by the least
 common denominator of its entries, the dot products are sums of ``int``
 products, and each output entry is one ``Fraction`` of its sum over the
 two denominators; over F_p the dot products are reduced once per entry.
+A product whose only use is to feed an elimination is not made a matrix
+at all: ``_span`` and ``_eliminate`` take over Q any nonzero integer
+multiple of a row, so ``matspace`` hands them its integer products
+(conjugates, column-space images) as they are, and ``invert`` eliminates
+the rows ``[m | I]`` as lists.
 
 Gauss-Jordan elimination (behind ``rref``, ``kernel``, ``invert`` and
 :meth:`VectorSubspace.from_vectors`) works on integers.
@@ -270,19 +274,6 @@ class DenseMatrix:
             _scalars(f, [sum(map(operator.mul, row, col)) for col in bt], da * db) for row in a
         ], other.cols)
 
-    def mul_vector(self, v) -> tuple:
-        """The product with a column vector whose entries are already
-        field scalars (canonical); a raw vector goes through
-        ``matspace.column_space``, which converts it.  Computed on
-        integers like ``mul``: one denominator for the matrix, one for the
-        vector."""
-        if len(v) != self.cols:
-            raise ValueError("vector of length %d for %d columns" % (len(v), self.cols))
-        f = self.field
-        a, da = _cleared(f, self.entries)
-        (v,), dv = _cleared(f, [v])
-        return _scalars(f, [sum(map(operator.mul, row, v)) for row in a], da * dv)
-
     def power(self, k: int) -> "DenseMatrix":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
@@ -356,6 +347,9 @@ def _eliminate(field, rows, ncols, first=0):
     cross-multiplication, ``a * row - b * pivot_row``, and then divided by
     the gcd of its entries; only the finished rows are divided by their
     pivots.  Either way the result is the unique RREF, with canonical entries.
+    Over Q a row may hold ``int`` as well as ``Fraction`` entries, and any
+    nonzero integer multiple of a row gives the same result; over F_p the
+    entries are residues in [0, p).
 
     Columns before ``first`` are only eliminated forward, and the rows
     pivoting there are left unfinished: the rows pivoting at ``first`` or
@@ -444,7 +438,9 @@ class VectorSubspace:
 
     @staticmethod
     def _span(field, ambient_dim, rows) -> "VectorSubspace":
-        """The span of rows of ``ambient_dim`` canonical entries, unchecked."""
+        """The span of rows of ``ambient_dim`` entries, unchecked: canonical
+        scalars, or over Q any nonzero integer multiple of a row (rows of
+        ``int``, as the integer products of ``matspace`` hand over)."""
         rows = list(rows)
         pivots = _eliminate(field, rows, ambient_dim)
         basis = tuple(map(tuple, rows[:len(pivots)]))
@@ -583,17 +579,17 @@ def solve_affine(a: DenseMatrix, b):
 
 
 def invert(m: DenseMatrix) -> DenseMatrix:
-    """Inverse of a square matrix; raises SingularMatrixError if rank-deficient."""
+    """Inverse of a square matrix; raises SingularMatrixError if rank-deficient.
+
+    One elimination of the rows ``[m | I]``: m is invertible iff the
+    pivots are its n columns, and then the right half is the inverse."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    f = m.field
-    n = m.rows
-    eye = DenseMatrix.identity(f, n)
-    aug = DenseMatrix._trusted(f, [mr + ir for mr, ir in zip(m.entries, eye.entries)], 2 * n)
-    reduced, rank, _ = rref(aug)
-    if rank < n or any(reduced.entries[i][i] != f.one for i in range(n)):
+    f, n = m.field, m.rows
+    rows = [list(row) + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m.entries)]
+    if _eliminate(f, rows, 2 * n) != list(range(n)):
         raise SingularMatrixError("matrix has rank < %d" % n)
-    return DenseMatrix._trusted(f, [row[n:] for row in reduced.entries], n)
+    return DenseMatrix._trusted(f, [row[n:] for row in rows], n)
 
 
 def all_matrices(field, rows, cols):

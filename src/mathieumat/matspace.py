@@ -16,34 +16,53 @@ dimensions off one :class:`Filtration`: one elimination, then two cheap
 bounds on each generic dimension.  Evaluation at a point gives only a
 lower bound; where it meets the upper bound the dimension is exact, and
 one Bareiss run decides the rest.
+
+Products that feed an elimination stay on integers.  ``_conjugate``,
+the one conjugation path (behind ``conjugate`` and
+``verify.left_ideal_normal_form``), clears t^-1, t and each basis matrix
+once and hands the flat rows of t^-1 M t to one elimination.  A
+:class:`Filtration` holds its adapted basis as integer grids, cleared
+once, and its column spaces and rank bounds eliminate integer images
+of them.  ``MatrixSubspace.basis_matrices`` is a view built on its first
+read: a space that is only conjugated, filtered or compared never
+builds it.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .errors import FieldTooSmallError
-from .linalg import DenseMatrix, Field, VectorSubspace, _eliminate, _kernel, _scalars, invert
+from .linalg import DenseMatrix, Field, VectorSubspace, _cleared, _eliminate, _kernel, invert
 from .multipoly import _action_pivots
 
 
 class MatrixSubspace:
     """A K-linear subspace of Mat_n(K) with a canonical basis."""
 
-    __slots__ = ("field", "n", "basis", "basis_matrices")
+    __slots__ = ("field", "n", "basis", "_matrices")
 
     def __init__(self, field: Field, n: int, basis: VectorSubspace):
         if basis.field != field or basis.ambient_dim != n * n:
             raise ValueError("basis does not live in Mat_%d" % n)
-        mats = tuple(DenseMatrix._trusted(field, [row[i * n:(i + 1) * n] for i in range(n)], n)
-                     for row in basis.basis)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "basis_matrices", mats)
+        object.__setattr__(self, "_matrices", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MatrixSubspace is immutable")
+
+    @property
+    def basis_matrices(self) -> tuple:
+        """The basis rows as n x n matrices, built on the first read."""
+        if self._matrices is None:
+            n = self.n
+            object.__setattr__(self, "_matrices", tuple(
+                DenseMatrix._trusted(self.field, [row[i * n:(i + 1) * n] for i in range(n)], n)
+                for row in self.basis.basis))
+        return self._matrices
 
     @staticmethod
     def from_matrices(field, n, mats) -> "MatrixSubspace":
@@ -111,10 +130,23 @@ def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:
     """The subspace t^-1 (space) t; raises SingularMatrixError for bad t."""
     if t.rows != space.n or t.cols != space.n:
         raise ValueError("conjugator has wrong size")
-    t_inv = invert(t)
-    return MatrixSubspace.from_matrices(
-        space.field, space.n,
-        [t_inv.mul(m).mul(t) for m in space.basis_matrices])
+    return _conjugate(space, t, invert(t))
+
+
+def _conjugate(space: MatrixSubspace, t: DenseMatrix, t_inv: DenseMatrix) -> MatrixSubspace:
+    """The subspace t_inv (space) t, for t_inv the inverse of t, with
+    integer dot products: t_inv, t and each basis matrix are cleared once,
+    and each product goes to one elimination as an integer row."""
+    f, n, p = space.field, space.n, space.field.p
+    a, _ = _cleared(f, t_inv.entries)
+    b, _ = _cleared(f, [t.column(j) for j in range(n)])
+    rows = []
+    for row in space.basis.basis:
+        m = _grid(f, n, row)
+        mb = [[sum(map(mul, mr, col)) for mr in m] for col in b]      # the columns of m t
+        prod = [sum(map(mul, ar, col)) for ar in a for col in mb]
+        rows.append([x % p for x in prod] if p else prod)
+    return MatrixSubspace(f, n, VectorSubspace._span(f, n * n, rows))
 
 
 def members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSubspace:
@@ -129,9 +161,27 @@ def column_space(space: MatrixSubspace, vec) -> VectorSubspace:
     """span{C vec : C in space} inside K^n."""
     if len(vec) != space.n:
         raise ValueError("vector has wrong length")
-    vec = [space.field.of(x) for x in vec]
-    return VectorSubspace._span(
-        space.field, space.n, [m.mul_vector(vec) for m in space.basis_matrices])
+    f, n = space.field, space.n
+    grids = [_grid(f, n, row) for row in space.basis.basis]
+    return VectorSubspace._span(f, n, _images(f, grids, [f.of(x) for x in vec]))
+
+
+def _grid(field, n, row) -> list:
+    """The flat row of n*n canonical entries as n rows of ints: over Q
+    times the least common denominator of its entries, over F_p as is."""
+    (row,), _ = _cleared(field, [row])
+    return [row[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _images(field, grids, v) -> list:
+    """The products g v of ``_grid`` matrices g with a vector v of
+    canonical scalars or ints, as rows for ``_span``: over Q a nonzero
+    integer multiple of each product, over F_p its residues."""
+    (v,), _ = _cleared(field, [v])
+    p = field.p
+    if p:
+        return [[sum(map(mul, row, v)) % p for row in g] for g in grids]
+    return [[sum(map(mul, row, v)) for row in g] for g in grids]
 
 
 def rct_zero_members(space: MatrixSubspace, r: int) -> MatrixSubspace:
@@ -213,15 +263,17 @@ class Filtration:
     One elimination of the basis rows, with the coordinates ordered by
     matrix column, last column first, gives an adapted basis: a row
     vanishes on columns k..n-1 iff its pivot lies past their
-    coordinates, so those rows span C_k.  ``matrices`` holds that basis
-    bottom-up, so its first ``dims[k]`` members span C_k.  ``d[k]`` is
+    coordinates, so those rows span C_k.  ``grids`` holds that basis
+    bottom-up as ``_grid`` matrices, cleared once, so its first
+    ``dims[k]`` members span C_k; the column spaces and the rank bounds
+    are integer products with them.  ``d[k]`` is
     read off the bounds of ``_rank_bounds`` when they meet at every
     level for some point; otherwise one Bareiss run over the columns C*x,
     in that order, gives every generic dimension: ``d[k]`` counts its
     pivots among the first ``dims[k]``.
     """
 
-    __slots__ = ("space", "matrices", "dims", "d")
+    __slots__ = ("space", "grids", "dims", "d")
 
     def __init__(self, space: MatrixSubspace):
         f, n = space.field, space.n
@@ -229,17 +281,16 @@ class Filtration:
         rows = [[row[i * n + j] for j in range(n - 1, -1, -1) for i in range(n)]
                 for row in space.basis.basis]
         pivots = _eliminate(f, rows, n * n)
-        mats = tuple(DenseMatrix._trusted(
-            f, [[row[(n - 1 - j) * n + i] for j in range(n)] for i in range(n)], n)
-            for row in reversed(rows))
+        grids = tuple(_grid(f, n, [row[(n - 1 - j) * n + i] for i in range(n) for j in range(n)])
+                      for row in reversed(rows))
         dims = [sum(n - 1 - c // n < k for c in pivots) for k in range(n + 1)]
-        d = next((lower for lower, upper in _rank_bounds(f, n, mats, dims) if lower == upper),
+        d = next((lower for lower, upper in _rank_bounds(f, n, grids, dims) if lower == upper),
                  None)
         if d is None:
-            generic = _action_pivots(f, n, [m.flatten() for m in mats])
+            generic = _action_pivots(f, n, [[x for r in g for x in r] for g in grids])
             d = [sum(c < dk for c in generic) for dk in dims]
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "dims", tuple(dims))
         object.__setattr__(self, "d", tuple(d))
 
@@ -252,7 +303,7 @@ class Filtration:
             raise ValueError("level %d out of range 0..%d" % (k, self.space.n))
         return VectorSubspace._span(
             self.space.field, self.space.n,
-            [m.mul_vector(vec) for m in self.matrices[:self.dims[k]]])
+            _images(self.space.field, self.grids[:self.dims[k]], vec))
 
     def profile(self) -> BinaryProfile:
         """The binary profile of the space, read off this filtration."""
@@ -271,24 +322,24 @@ class Filtration:
 
 
 # The points v of the lower bounds, by 0-based coordinate j, in the order tried.
-_POINTS = (lambda j: 1, lambda j: j + 1, lambda j: (j + 1) ** 2 + j)
+# The third differs mod 2 from the first two for n >= 3, so F_2 sees three points.
+_POINTS = (lambda j: 1, lambda j: j + 1, lambda j: (j + 1) * (j + 2) // 2)
 
 
-def _rank_bounds(field, n, matrices, dims):
+def _rank_bounds(field, n, grids, dims):
     """``(lower, upper)`` bounds on the generic rank of the first ``dims[k]``
-    matrices at every level k, once per point of ``_POINTS``.
+    ``_grid`` matrices at every level k, once per point of ``_POINTS``.
 
     C x lies in the column space of C, so the generic rank of C_1..C_m is
     at most min(m, rank [C_1 | ... | C_m]); a minor that is nonzero at v
     is nonzero over K(x), so it is at least the rank of C_1 v .. C_m v.
     """
-    span = _eliminate(field, [[x for m in matrices for x in m.entries[i]] for i in range(n)],
-                      n * len(matrices))
+    span = _eliminate(field, [[x for g in grids for x in g[i]] for i in range(n)],
+                      n * len(grids))
     upper = [min(m, sum(c < n * m for c in span)) for m in dims]
     for point in _POINTS:
-        v = _scalars(field, [point(j) for j in range(n)], 1)
-        images = [m.mul_vector(v) for m in matrices]
-        pivots = _eliminate(field, [[im[i] for im in images] for i in range(n)], len(matrices))
+        images = _images(field, grids, [point(j) for j in range(n)])
+        pivots = _eliminate(field, [[im[i] for im in images] for i in range(n)], len(grids))
         lower = [sum(c < m for c in pivots) for m in dims]
         if any(lo > up for lo, up in zip(lower, upper)):
             raise AssertionError("rank bounds cross (lower %r, upper %r); this "

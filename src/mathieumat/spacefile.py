@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SpaceFileError
-from .linalg import DenseMatrix, Field
+from .linalg import Field, VectorSubspace
 from .matspace import MatrixSubspace
 
 
@@ -40,11 +40,20 @@ class SpaceFile:
     name: Optional[str] = None
 
     def resolve(self, field_override: Optional[str] = None):
-        """The (Field, MatrixSubspace) this file denotes."""
+        """The (Field, MatrixSubspace) this file denotes.
+
+        The flat integer rows go to one elimination as they are over Q
+        and reduced mod p over F_p; the basis comes out canonical."""
         token = field_override if field_override is not None else self.field_token
         field = parse_field_token(token)
-        mats = [DenseMatrix(field, rows) for rows in self.basis]
-        return field, MatrixSubspace.from_matrices(field, self.n, mats)
+        n, p = self.n, field.p
+        rows = [[x for row in block for x in row] for block in self.basis]
+        if (any(len(block) != n or any(len(row) != n for row in block) for block in self.basis)
+                or any(type(x) is not int for row in rows for x in row)):
+            raise SpaceFileError("the basis must be %d x %d integer matrices" % (n, n))
+        if p:
+            rows = [[x % p for x in row] for row in rows]
+        return field, MatrixSubspace(field, n, VectorSubspace._span(field, n * n, rows))
 
 
 def parse_field_token(token: str) -> Field:

@@ -50,7 +50,7 @@ from typing import Optional
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
 from .linalg import DenseMatrix, VectorSubspace, invert, kernel
-from .matspace import MatrixSubspace, constraint_space, members_vanishing_at
+from .matspace import MatrixSubspace, _conjugate, constraint_space, members_vanishing_at
 
 ENUMERATION_GUARD = 2 ** 20    # a power of two: the guard's message names its exponent
 _BATCH = 4096               # matrices whose powers are formed at once
@@ -449,15 +449,13 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
                if n - 1 - i not in last] + list(common.basis)
     t = DenseMatrix._trusted(f, zip(*columns), n)
     t_inv = invert(t)
-    conjugated = MatrixSubspace.from_matrices(    # conjugate(ideal, t), keeping t^-1
-        f, n, [t_inv.mul(m).mul(t) for m in ideal.basis_matrices])
     expected = MatrixSubspace.from_matrices(f, n, [
         DenseMatrix.unit(f, n, n, u, v) for u in range(n) for v in range(k)])
-    if conjugated != expected:
+    if _conjugate(ideal, t, t_inv) != expected:
         raise AssertionError("left ideal is not a full column-kill space")
-    diag = DenseMatrix._trusted(f, [[f.one if i == j < k else f.zero for j in range(n)]
-                                    for i in range(n)], n)
-    idem = t.mul(diag).mul(t_inv)
+    # t D t^-1 for D the diagonal of k ones: t with its last n-k columns zeroed, times t^-1
+    idem = DenseMatrix._trusted(f, [row[:k] + (f.zero,) * (n - k) for row in t.entries], n)
+    idem = idem.mul(t_inv)
     return LeftIdealForm(t=t, k=k, idempotent=idem)
 
 

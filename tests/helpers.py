@@ -23,6 +23,11 @@ PAIR_DUAL = ("field 3\nn 3\nbasis\n1 0 0\n0 0 0\n0 0 0\n\n0 1 0\n0 0 0\n0 0 0\n\
              "0 0 0\n0 0 0\n1 0 0\n\n0 0 0\n0 0 0\n0 0 1\n")
 
 
+def mul_vector(m: DenseMatrix, v) -> tuple:
+    """m v, through the matrix product with v as a column."""
+    return m.mul(DenseMatrix(m.field, [[x] for x in v], cols=1)).column(0)
+
+
 def zeros(field, rows, cols) -> DenseMatrix:
     return DenseMatrix._trusted(field, [(field.zero,) * cols] * rows, cols)
 

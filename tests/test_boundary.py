@@ -11,11 +11,14 @@ make no ``Field.of`` call at all on spaces built beforehand.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mathieumat.errors import SpaceFileError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, invert, kernel, rref
 from mathieumat.matspace import (
+    Filtration,
     MatrixSubspace,
     binary_profile,
     column_space,
@@ -24,9 +27,10 @@ from mathieumat.matspace import (
 )
 from mathieumat.multipoly import MultiPoly
 from mathieumat.normalize import normalize
+from mathieumat.spacefile import SpaceFile, loads
 from mathieumat.verify import full_power_set, radical, verify_mathieu
 
-from helpers import zeros
+from helpers import filtration_level, mul_vector, zeros
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 FIELDS = (F2, F3, F5, QQ)
@@ -128,6 +132,76 @@ def test_spans_and_space_matrices_are_canonical():
             t = DenseMatrix(f, [[1, 2, 3], [1, 3, 3], [2, 5, 7]])
             for m in conjugate(space, t).basis_matrices:
                 assert_canonical(m)
+
+
+@st.composite
+def space_files(draw):
+    """A space file over F_2, F_3, F_5 or Q whose integer entries run
+    past [0, p) on both sides; a generator may carry a common factor."""
+    token = draw(st.sampled_from(("2", "3", "5", "Q")))
+    n = draw(st.integers(1, 3))
+    bound = 3 * int(token) if token != "Q" else 9
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        flat = draw(st.lists(st.integers(-bound, bound), min_size=n * n, max_size=n * n))
+        factor = draw(st.sampled_from((1, 1, -1, 6, -10)))
+        blocks.append(tuple(tuple(factor * x for x in flat[i * n:(i + 1) * n])
+                            for i in range(n)))
+    return SpaceFile(field_token=token, n=n, basis=tuple(blocks))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(space_files())
+@example(SpaceFile("Q", 2, (((6, -4), (2, 10)), ((-3, 2), (-1, -5)))))
+@example(SpaceFile("3", 2, (((-1, 7), (3, -6)), ((5, -2), (0, 9)))))
+def test_resolved_space_files_are_canonical(sf):
+    field, space = sf.resolve()
+    assert_canonical_span(space.basis)
+    assert space == MatrixSubspace.from_matrices(
+        field, sf.n, [DenseMatrix(field, block) for block in sf.basis])
+    for m in space.basis_matrices:
+        assert_canonical(m)
+
+
+def test_space_file_resolve_rejects_a_malformed_basis():
+    for blocks in ((((1, 0),),), (((1, 0), (0, 1, 0)),), (((1, 0, 0), (0, 1, 0)),),
+                   (((1, 0), (0, 0.5)),), (((1, 0), (0, Fraction(1, 2))),)):
+        with pytest.raises(SpaceFileError):
+            SpaceFile("5", 2, blocks).resolve()
+    assert loads("field Q\nn 1\nbasis\n-6\n").resolve()[1].basis.basis == ((1,),)
+
+
+def test_conjugates_inverses_and_column_spaces_match_the_dense_path():
+    for f in FIELDS:
+        t = DenseMatrix(f, [[1, 2, 3], [1, 3, 3], [2, 5, 7]])
+        t_inv = invert(t)
+        assert_canonical(t_inv)
+        eye = DenseMatrix.identity(f, 3)
+        assert t_inv.mul(t) == eye
+        for space in spaces(f):
+            moved = conjugate(space, t)
+            assert_canonical_span(moved.basis)
+            assert moved == MatrixSubspace.from_matrices(
+                f, 3, [t_inv.mul(m).mul(t) for m in space.basis_matrices])
+            fil = Filtration(space)
+            for k in range(4):
+                level = filtration_level(space, k)
+                for v in ((1, -1, 2), (0, 0, 1), (Fraction(1, 7), 2, Fraction(-5, 11))):
+                    v = tuple(f.of(x) for x in v)
+                    got = fil.column_space(k, v)
+                    assert_canonical_span(got)
+                    assert got == VectorSubspace.from_vectors(
+                        f, 3, [mul_vector(m, v) for m in level.basis_matrices])
+                    assert got.dim <= fil.d[k]
+
+
+def test_basis_matrices_are_built_once_on_the_first_read():
+    for f in FIELDS:
+        for space in spaces(f) + [conjugate(spaces(f)[2], DenseMatrix.identity(f, 3))]:
+            eager = tuple(DenseMatrix(f, [row[3 * i:3 * i + 3] for i in range(3)])
+                          for row in space.basis.basis)
+            assert space.basis_matrices == eager
+            assert space.basis_matrices is space.basis_matrices
 
 
 def test_enumerated_matrices_are_canonical():

@@ -192,6 +192,14 @@ def test_column_space_examples():
     assert column_space(cn3, (1, 1, 1)) == VectorSubspace.full(F3, 3)
 
 
+def test_column_space_rejects_a_vector_of_the_wrong_length():
+    space = MatrixSubspace.from_matrices(F5, 2, [[[1, 2], [3, 4]]])
+    for v in ([1, 0, 0], [1]):
+        with pytest.raises(ValueError):
+            column_space(space, v)
+    assert column_space(space, [1, 1]).basis == ((1, 4),)      # the line of (3, 2)
+
+
 def test_binary_profile_scalars_only():
     eye = MatrixSubspace.from_matrices(F5, 3, [DenseMatrix.identity(F5, 3)])
     prof = binary_profile(eye)

@@ -27,7 +27,7 @@ from mathieumat.normalize import (
     rct_zero_is_scalar,
 )
 
-from helpers import filtration_level, pencil_condition
+from helpers import filtration_level, mul_vector, pencil_condition
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -324,7 +324,7 @@ def test_lower_triangular_column_replacement():
         after = column_space(filtration_level(conjugate(s, t), k), e(f, n, k))
         from mathieumat.linalg import VectorSubspace
         expected = VectorSubspace.from_vectors(
-            f, n, [ti.mul_vector(v) for v in before.basis])
+            f, n, [mul_vector(ti, v) for v in before.basis])
         assert after == expected
 
 

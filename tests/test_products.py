@@ -1,23 +1,27 @@
 """Matrix products on integers.
 
-``DenseMatrix.mul`` and ``mul_vector`` clear each operand's denominators
-once, take the dot products on Python ints and build one canonical
-scalar per output entry.  The definitional products, summing field
+``DenseMatrix.mul`` clears each operand's denominators once, takes the
+dot products on Python ints and builds one canonical scalar per output
+entry.  ``matspace._images`` (the column spaces) and ``matspace.conjugate``
+hand their integer products to an elimination without building scalars.  The definitional products, summing field
 scalars entry by entry, are kept here as the reference; the last two
 tests pin that no ``Fraction`` arithmetic is left on the product path.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mathieumat.linalg import DenseMatrix, Field, invert, rref
-from mathieumat.matspace import Filtration, MatrixSubspace, conjugate
+from mathieumat.errors import SingularMatrixError
+from mathieumat.linalg import DenseMatrix, Field, _cleared, _scalars, invert, rref
+from mathieumat.matspace import Filtration, MatrixSubspace, _images, column_space, conjugate
 
 from helpers import zeros
 
-F2, F5, F_BIG, QQ = Field.prime(2), Field.prime(5), Field.prime(2**31 - 1), Field.rationals()
+F2, F3, F5 = Field.prime(2), Field.prime(3), Field.prime(5)
+F_BIG, QQ = Field.prime(2**31 - 1), Field.rationals()
 FIELDS = (QQ, F2, F5, F_BIG)
 
 
@@ -91,9 +95,12 @@ def test_products_match_the_fraction_sum(case):
     assert (prod.rows, prod.cols) == (a.rows, b.cols)
     assert prod.entries == reference_mul(a, b).entries
     assert canonical(f, prod.flatten()) and type(prod.entries) is tuple
-    got = a.mul_vector(v)
-    assert got == reference_mul_vector(a, v) and canonical(f, got)
-    assert type(got) is tuple
+    # the integer image is the product times both denominators
+    grid, da = _cleared(f, a.entries)
+    _, dv = _cleared(f, [v])
+    (image,) = _images(f, [grid], v)
+    assert all(type(x) is int for x in image)
+    assert _scalars(f, image, da * dv) == reference_mul_vector(a, v)
     k = min(a.rows, a.cols)
     square = DenseMatrix(f, [row[:k] for row in a.entries[:k]], cols=k)
     for e in range(4):
@@ -126,6 +133,59 @@ def test_conjugate_matches_the_fraction_sum(case):
         assert canonical(space.field, m.flatten())
 
 
+@st.composite
+def conjugators_of_every_rank(draw):
+    """A space of Mat_n over F_2, F_3, F_5 or Q and an n x n matrix t of a
+    drawn rank r = 0..n: a unit lower times the first r units of the
+    diagonal times a unit upper triangular matrix, with its rows permuted."""
+    field = draw(st.sampled_from((F2, F3, F5, QQ)))
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n))
+    gens = [matrices(draw, field, n, n) for _ in range(draw(st.integers(0, 4)))]
+    entries = draw(st.lists(scalars(field), min_size=n * n, max_size=n * n))
+    lower = DenseMatrix(field, [[1 if i == j else entries[i * n + j] if j < i else 0
+                                 for j in range(n)] for i in range(n)])
+    upper = DenseMatrix(field, [[1 if i == j else entries[i * n + j] if j > i else 0
+                                 for j in range(n)] for i in range(n)])
+    diag = DenseMatrix(field, [[int(i == j < r) for j in range(n)] for i in range(n)])
+    order = draw(st.permutations(range(n)))
+    t = lower.mul(diag).mul(upper)
+    t = DenseMatrix(field, [t.entries[i] for i in order])
+    return MatrixSubspace.from_matrices(field, n, gens), t, r
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(conjugators_of_every_rank())
+def test_conjugate_matches_the_dense_products(case):
+    space, t, r = case
+    f, n = space.field, space.n
+    assert rref(t)[1] == r
+    if r < n:
+        with pytest.raises(SingularMatrixError):
+            invert(t)
+        with pytest.raises(SingularMatrixError):
+            conjugate(space, t)
+        return
+    t_inv = invert(t)
+    eye = DenseMatrix.identity(f, n)
+    assert t_inv.mul(t) == eye == t.mul(t_inv)
+    assert canonical(f, t_inv.flatten())
+    got = conjugate(space, t)
+    assert got == MatrixSubspace.from_matrices(
+        f, n, [t_inv.mul(m).mul(t) for m in space.basis_matrices])
+    assert canonical(f, [x for row in got.basis.basis for x in row])
+
+
+def test_conjugate_rejects_a_conjugator_of_the_wrong_size():
+    space = MatrixSubspace.from_matrices(QQ, 2, [[[1, 2], [0, 1]]])
+    for t in (DenseMatrix.identity(QQ, 3), DenseMatrix(QQ, [[1, 0, 0], [0, 1, 0]]),
+              DenseMatrix(QQ, [[1], [1]])):
+        with pytest.raises(ValueError):
+            conjugate(space, t)
+    with pytest.raises(ValueError):
+        invert(DenseMatrix(F3, [[1, 0, 0], [0, 1, 0]]))
+
+
 def q_spaces():
     gens = [[[2, -1, 0], [Fraction(1, 3), 3, -2], [0, 1, 1]],
             [[1, 0, Fraction(-4, 7)], [0, -2, 0], [3, 0, 1]],
@@ -138,7 +198,8 @@ def test_products_do_no_fraction_arithmetic(monkeypatch):
     spaces = q_spaces()
     t = DenseMatrix(QQ, [[1, Fraction(1, 2), 3], [1, 3, Fraction(-2, 9)], [2, 5, 7]])
     v = (QQ.of(Fraction(1, 4)), QQ.of(-3), QQ.zero)
-    want = [(m.mul(t), m.mul_vector(v)) for s in spaces for m in s.basis_matrices]
+    want = [m.mul(t) for s in spaces for m in s.basis_matrices]
+    want_columns = [column_space(s, v) for s in spaces]
     want_conjugates = [conjugate(s, t) for s in spaces]
     want_profiles = [Filtration(s).profile() for s in spaces]
 
@@ -147,8 +208,9 @@ def test_products_do_no_fraction_arithmetic(monkeypatch):
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    got = [(m.mul(t), m.mul_vector(v)) for s in spaces for m in s.basis_matrices]
+    got = [m.mul(t) for s in spaces for m in s.basis_matrices]
     assert got == want
+    assert [column_space(s, v) for s in spaces] == want_columns
     assert [conjugate(s, t) for s in spaces] == want_conjugates
     assert [Filtration(s).profile() for s in spaces] == want_profiles
 

@@ -38,6 +38,7 @@ from mathieumat.matspace import (
     column_space,
     conjugate,
     constraint_space,
+    _POINTS,
     _rank_bounds,
     find_generic_vector,
     members_vanishing_at,
@@ -45,7 +46,7 @@ from mathieumat.matspace import (
 from mathieumat.multipoly import generic_rank_of_action
 from mathieumat.verify import left_ideal_normal_form, max_left_ideal
 
-from helpers import filtration_level, reference_is_left_ideal, zeros
+from helpers import filtration_level, mul_vector, reference_is_left_ideal, zeros
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 F7, FBIG = Field.prime(7), Field.prime(2**31 - 1)
@@ -374,7 +375,7 @@ def test_kernel_matches_free_vectors_of_the_rref(m):
     got = kernel(m)
     assert got == reference_kernel(m)
     assert got.ambient_dim == m.cols and got.dim == m.cols - rref(m)[1]
-    assert all(not any(m.mul_vector(v)) for v in got.basis)
+    assert all(not any(mul_vector(m, v)) for v in got.basis)
 
 
 @SETTINGS
@@ -519,7 +520,9 @@ def test_filtration_readout_matches_levels(space):
     assert binary_profile(space) == got.profile() == reference_profile(space)
     levels = [filtration_level(space, k) for k in range(space.n + 1)]
     assert got.dims == tuple(level.dim for level in levels)
-    assert all(MatrixSubspace.from_matrices(space.field, space.n, got.matrices[:level.dim])
+    # the integer grids are multiples of the basis matrices; the public
+    # constructor reads them as field scalars
+    assert all(MatrixSubspace.from_matrices(space.field, space.n, got.grids[:level.dim])
                == level for level in levels)
 
 
@@ -535,8 +538,14 @@ def test_rank_bounds_bracket_the_bareiss_dimensions(field, data):
                          for k in range(n + 1))
             fil = Filtration(space)
             assert fil.d == want
-            for lower, upper in _rank_bounds(field, n, fil.matrices, fil.dims):
+            for lower, upper in _rank_bounds(field, n, fil.grids, fil.dims):
                 assert all(lo <= d <= up for lo, d, up in zip(lower, want, upper))
+
+
+def test_the_rank_bound_points_differ_over_f2():
+    # from n = 3 on, F_2 sees three distinct points, not the first one twice
+    for n in range(3, 8):
+        assert len({tuple(point(j) % 2 for j in range(n)) for point in _POINTS}) == 3
 
 
 # d_3 = 3, but no vector over F_2 reaches it: both scans come up empty.

@@ -66,9 +66,9 @@ BOUNDARY = {
 BOUNDARY_MODULES = {"spacefile"}
 
 
-def validating_callers(path):
+def callers(path, names=VALIDATING):
     """Qualified names of the functions in ``path`` that call a name in
-    VALIDATING, as a function or as a method."""
+    ``names``, as a function or as a method."""
     found = set()
 
     def visit(node, scope):
@@ -79,7 +79,7 @@ def validating_callers(path):
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in VALIDATING:
+                if name in names:
                     found.add(".".join([path.stem] + scope))
             visit(child, inner)
 
@@ -91,8 +91,25 @@ def test_validating_entry_points_are_called_only_at_the_boundary():
     found = set()
     for path in MODULES:
         if path.stem not in BOUNDARY_MODULES:
-            found |= validating_callers(path)
+            found |= callers(path)
     assert found == BOUNDARY
+
+
+def test_one_conjugation_path():
+    # t^-1 M t is formed on integers by ``matspace._conjugate`` alone: no
+    # chained product ``x.mul(y).mul(z)`` in the package builds a second one
+    chained = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "mul" and isinstance(node.func.value, ast.Call)
+                    and getattr(node.func.value.func, "attr", None) == "mul"):
+                chained.append("%s:%d" % (path.name, node.lineno))
+    assert chained == []
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"_conjugate"})
+    assert found == {"matspace.conjugate", "verify.left_ideal_normal_form"}
 
 
 def test_every_imported_name_is_used():
@@ -170,7 +187,7 @@ def test_every_annotation_resolves():
 DELETED = {
     "linalg.Field.div", "linalg.Field.order", "linalg.Field.characteristic",
     "linalg.DenseMatrix.__matmul__", "linalg.DenseMatrix.row", "linalg.DenseMatrix.submatrix",
-    "linalg.DenseMatrix.from_flat", "linalg.DenseMatrix.zeros",
+    "linalg.DenseMatrix.from_flat", "linalg.DenseMatrix.zeros", "linalg.DenseMatrix.mul_vector",
     "linalg.VectorSubspace.contains_subspace", "linalg.VectorSubspace.zero",
     "matspace.MatrixSubspace.zero_space", "matspace.MatrixSubspace.intersect",
     "matspace.MatrixSubspace.elements", "matspace.filtration_level",

@@ -36,6 +36,7 @@ from mathieumat.verify import (
 import keyed_verify
 from helpers import (
     elements,
+    mul_vector,
     newton_char_poly,
     reference_is_left_ideal,
     small_codim_report,
@@ -345,7 +346,7 @@ def test_left_ideal_normal_form_examples():
     assert nf.k == 1 and nf.t == DenseMatrix.identity(F3, 2)
 
     gens = [m for m in all_matrices(F3, 2, 2)
-            if all(x == 0 for x in m.mul_vector((1, 1)))]
+            if all(x == 0 for x in mul_vector(m, (1, 1)))]
     ideal = MatrixSubspace.from_matrices(F3, 2, gens)
     nf = left_ideal_normal_form(ideal)
     assert nf.k == 1

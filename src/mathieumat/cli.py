@@ -78,8 +78,7 @@ def _load(path, field_token):
         text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SpaceFileError(str(exc))
-    _, space = spacefile.loads(text).resolve(field_token)
-    return hashlib.sha256(raw).hexdigest(), space
+    return hashlib.sha256(raw).hexdigest(), spacefile.loads(text, field_token)
 
 
 def cmd_constraints(args, space):

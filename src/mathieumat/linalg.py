@@ -112,9 +112,6 @@ class Field:
     def size_at_least(self, k: int) -> bool:
         return self.p == 0 or self.p >= k
 
-    def size_greater(self, k: int) -> bool:
-        return self.p == 0 or self.p > k
-
     def of(self, x):
         """Canonical representative of a rational in this field.
 

@@ -389,13 +389,12 @@ def find_generic_vector(fil: Filtration, k: int, require_pivot_one=False):
                 inv = f.inv(point[k - 1])
                 v = tuple(f.mul(inv, x) for x in v)
             return v
-    guaranteed = f.size_greater(dk) if require_pivot_one else f.size_at_least(dk)
-    if guaranteed:
+    needed = dk + require_pivot_one
+    if f.size_at_least(needed):
         raise AssertionError(
             "no generic vector found at level %d despite #K bound; "
             "this indicates a bug in the generic-rank machinery" % k)
     raise FieldTooSmallError(
         "no vector over K attains generic dimension %d at level %d "
         "(guaranteed only for #K %s %d)"
-        % (dk, k, ">" if require_pivot_one else ">=", dk + (1 if require_pivot_one else 0)),
-        needed=dk + (1 if require_pivot_one else 0))
+        % (dk, k, ">" if require_pivot_one else ">=", needed), needed=needed)

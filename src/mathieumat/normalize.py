@@ -184,7 +184,7 @@ def normalize(space: MatrixSubspace) -> NormalizationResult:
                 "generic-vector move missed dimension %d at level %d" % (dk, k), log)
 
     apply("generic_vector", n, move_generic_vector(fil, n))
-    branch = SINGLE_PASS if f.size_greater(min(fil.d[n - 1], n - 1)) else DOUBLE_PASS
+    branch = SINGLE_PASS if f.size_at_least(min(fil.d[n - 1], n - 1) + 1) else DOUBLE_PASS
 
     if branch == SINGLE_PASS:
         for k in range(n, 0, -1):
@@ -229,7 +229,7 @@ def _check_postconditions(result: NormalizationResult, d_top: int):
            "b_j = dim column space = d_j for all j")
     ensure(prof.rows_increasing(), "rows of B increasing")
     b_next = prof.b[n - 2] if n >= 2 else 0
-    if f.size_greater(min(b_next, n - 1)):
+    if f.size_at_least(min(b_next, n - 1) + 1):
         ensure(prof.columns_decreasing_above_diagonal(),
                "columns of B decreasing above the diagonal")
     if space.contains_identity():

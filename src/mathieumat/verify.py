@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
-from .linalg import DenseMatrix, VectorSubspace, invert, kernel
+from .linalg import DenseMatrix, VectorSubspace, _kernel, invert
 from .matspace import MatrixSubspace, _conjugate, constraint_space, members_vanishing_at
 
 ENUMERATION_GUARD = 2 ** 20    # a power of two: the guard's message names its exponent
@@ -157,7 +157,7 @@ class _Dual:
     def __init__(self, space: MatrixSubspace):
         import numpy as np
         n, self.p = space.n, space.field.p
-        self.cons = np.array([m.entries for m in constraint_space(space).basis_matrices],
+        self.cons = np.array(constraint_space(space).basis.basis,
                              dtype=_dtype(self.p, n)).reshape(-1, n, n)
         # tr(C X) = sum_ij C_ij X_ji pairs X row-major with C transposed
         self.pairing = self.cons.transpose(0, 2, 1).reshape(-1, n * n).T
@@ -414,11 +414,6 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
         zero * i + row + zero * (n - 1 - i) for i in range(n) for row in common.basis]))
 
 
-def _common_kernel(space: MatrixSubspace) -> VectorSubspace:
-    stacked = [row for m in space.basis_matrices for row in m.entries]
-    return kernel(DenseMatrix._trusted(space.field, stacked, space.n))
-
-
 @dataclass(frozen=True)
 class LeftIdealForm:
     """Conjugation data for a left ideal: after conjugating by t it kills
@@ -437,7 +432,8 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     n-k coordinates.  Raises NotLeftIdealError on bad input.
     """
     f, n = ideal.field, ideal.n
-    common = _common_kernel(ideal)
+    common = _kernel(f, [row[i * n:(i + 1) * n] for row in ideal.basis.basis
+                         for i in range(n)], n)
     k = n - common.dim
     if ideal.dim != n * k:      # dim Ann(common), see the module docstring
         raise NotLeftIdealError("input is not closed under left multiplication")
@@ -482,7 +478,7 @@ def left_ideal_equivalences(space: MatrixSubspace) -> LeftIdealEquivalences:
     left = verify_mathieu(space, LEFT).holds
     idems = idempotents(space)
     in_ideal = all(ideal.contains(e) for e in idems)
-    radicals = set(radical(space)) == set(radical(ideal))
+    radicals = radical(space) == radical(ideal)
     report = LeftIdealEquivalences(
         left_mathieu=left, idempotents_in_ideal=in_ideal,
         radicals_match=radicals, ideal=ideal, idempotent_count=len(idems))

@@ -237,7 +237,7 @@ def test_criterion_09_normal_form_postconditions():
         ok &= prof.b == prof.col_dims == tuple(prof.d[1:])
         ok &= prof.rows_increasing()
         b_next = prof.b[n - 2]
-        if field.size_greater(min(b_next, n - 1)):
+        if field.size_at_least(min(b_next, n - 1) + 1):
             ok &= prof.columns_decreasing_above_diagonal()
         if result.c_n_final.contains_identity():
             ok &= prof.b[n - 1] > min(b_next, n - 1)

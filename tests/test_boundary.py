@@ -11,11 +11,9 @@ make no ``Field.of`` call at all on spaces built beforehand.
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mathieumat.errors import SpaceFileError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, invert, kernel, rref
 from mathieumat.matspace import (
     Filtration,
@@ -27,7 +25,7 @@ from mathieumat.matspace import (
 )
 from mathieumat.multipoly import MultiPoly
 from mathieumat.normalize import normalize
-from mathieumat.spacefile import SpaceFile, loads
+from mathieumat.spacefile import loads
 from mathieumat.verify import full_power_set, radical, verify_mathieu
 
 from helpers import filtration_level, mul_vector, zeros
@@ -134,10 +132,17 @@ def test_spans_and_space_matrices_are_canonical():
                 assert_canonical(m)
 
 
+def space_file_text(token, n, blocks):
+    """The space file over ``token`` with these n x n integer blocks."""
+    return "field %s\nn %d\nbasis\n%s" % (token, n, "\n".join(
+        "".join(" ".join(map(str, row)) + "\n" for row in block) for block in blocks))
+
+
 @st.composite
 def space_files(draw):
-    """A space file over F_2, F_3, F_5 or Q whose integer entries run
-    past [0, p) on both sides; a generator may carry a common factor."""
+    """The field token, n and integer blocks of a space file over F_2,
+    F_3, F_5 or Q whose entries run past [0, p) on both sides; a
+    generator may carry a common factor."""
     token = draw(st.sampled_from(("2", "3", "5", "Q")))
     n = draw(st.integers(1, 3))
     bound = 3 * int(token) if token != "Q" else 9
@@ -147,28 +152,25 @@ def space_files(draw):
         factor = draw(st.sampled_from((1, 1, -1, 6, -10)))
         blocks.append(tuple(tuple(factor * x for x in flat[i * n:(i + 1) * n])
                             for i in range(n)))
-    return SpaceFile(field_token=token, n=n, basis=tuple(blocks))
+    return token, n, tuple(blocks)
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
-@given(space_files())
-@example(SpaceFile("Q", 2, (((6, -4), (2, 10)), ((-3, 2), (-1, -5)))))
-@example(SpaceFile("3", 2, (((-1, 7), (3, -6)), ((5, -2), (0, 9)))))
-def test_resolved_space_files_are_canonical(sf):
-    field, space = sf.resolve()
+@given(space_files(), st.sampled_from((None, "2", "3", "5", "Q")))
+@example(("Q", 2, (((6, -4), (2, 10)), ((-3, 2), (-1, -5)))), None)
+@example(("3", 2, (((-1, 7), (3, -6)), ((5, -2), (0, 9)))), None)
+def test_resolved_space_files_are_canonical(drawn, override):
+    token, n, blocks = drawn
+    space = loads(space_file_text(token, n, blocks), override)
+    token = token if override is None else override
+    field = QQ if token == "Q" else Field.prime(int(token))
+    assert space.field == field and space.n == n
     assert_canonical_span(space.basis)
     assert space == MatrixSubspace.from_matrices(
-        field, sf.n, [DenseMatrix(field, block) for block in sf.basis])
+        field, n, [DenseMatrix(field, block) for block in blocks])
     for m in space.basis_matrices:
         assert_canonical(m)
-
-
-def test_space_file_resolve_rejects_a_malformed_basis():
-    for blocks in ((((1, 0),),), (((1, 0), (0, 1, 0)),), (((1, 0, 0), (0, 1, 0)),),
-                   (((1, 0), (0, 0.5)),), (((1, 0), (0, Fraction(1, 2))),)):
-        with pytest.raises(SpaceFileError):
-            SpaceFile("5", 2, blocks).resolve()
-    assert loads("field Q\nn 1\nbasis\n-6\n").resolve()[1].basis.basis == ((1,),)
+    assert loads("field Q\nn 1\nbasis\n-6\n").basis.basis == ((1,),)
 
 
 def test_conjugates_inverses_and_column_spaces_match_the_dense_path():

@@ -45,9 +45,13 @@ def write(tmp_path, text, name="space.txt"):
 
 
 def test_loads_reads_the_header_and_the_blocks():
-    sf = spacefile.loads(PAIR)
-    assert sf.field_token == "2" and sf.n == 3 and sf.name == "pair"
-    assert sf.basis == (((0, 1, 0), (0, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 1), (0, 0, 0)))
+    space = spacefile.loads(PAIR)
+    f = Field.prime(2)
+    assert space.field == f and space.n == 3 and space.dim == 2
+    assert space == MatrixSubspace.from_matrices(f, 3, [
+        DenseMatrix(f, [[0, 1, 0], [0, 1, 0], [0, 0, 0]]),
+        DenseMatrix(f, [[0, 0, 0], [0, 1, 1], [0, 0, 0]]),
+    ])
 
 
 def test_loads_reports_line_numbers():
@@ -64,13 +68,64 @@ def test_loads_reports_line_numbers():
     assert exc.value.line == 3
 
 
-def test_resolve_reduces_mod_p_and_overrides():
-    sf = spacefile.loads("field 5\nn 2\nbasis\n7 -1\n0 3\n")
-    field, space = sf.resolve()
-    assert space.contains(DenseMatrix(field, [[2, 4], [0, 3]]))
-    field_q, space_q = sf.resolve("Q")
-    assert field_q == Field.rationals()
-    assert space_q.contains(DenseMatrix(field_q, [[7, -1], [0, 3]]))
+def test_loads_reduces_mod_p_and_overrides():
+    text = "field 5\nn 2\nbasis\n7 -1\n0 3\n"
+    space = spacefile.loads(text)
+    assert space.contains(DenseMatrix(space.field, [[2, 4], [0, 3]]))
+    space_q = spacefile.loads(text, "Q")
+    assert space_q.field == Field.rationals()
+    assert space_q.contains(DenseMatrix(space_q.field, [[7, -1], [0, 3]]))
+
+
+# One malformed file per check of ``loads``, in the order they run, with
+# the message and line number each gives: a header error comes before a
+# block error, a block error before a bad override.
+MALFORMED = [
+    ("field 2\nn 2\nwhatever\nbasis\n", None, "expected 'key value'", 3),
+    ("field 2\nn 2\ncolour red\nbasis\n", None, "unknown header key 'colour'", 3),
+    ("field 2\nn 2\nn 3\nbasis\n", None, "duplicate header key 'n'", 3),
+    ("field 2\nn 2\nbasis extra\n", None, "unknown header key 'basis'", 3),
+    ("n x\nfoo bar\n", None, "unknown header key 'foo'", 2),
+    ("n 2\nbasis\n1 0\n0 1\n", None, "missing 'field' header", None),
+    ("field 2\nbasis\n", None, "missing 'n' header", None),
+    ("field 4\nn 2\nbasis\n", None, "4 is not prime", None),
+    ("field R\nn 2\nbasis\n", None, "field must be a prime or Q, got 'R'", None),
+    ("field 0\nn 2\n", None, "characteristic 0 is Field.rationals()", None),
+    ("field 2147483659\nn 1\n", None, "prime must be < 2**31, got 2147483659", None),
+    ("field R\nn 0\n", None, "field must be a prime or Q, got 'R'", None),
+    ("field 2\nn two\n", None, "n must be an integer, got 'two'", None),
+    ("field 2\nn 0\n", None, "n must be positive, got 0", None),
+    ("field 2\nn 1\nbasis\n1 0\n", None, "expected 1 entries, got 2", 4),
+    ("# c\nfield 2\n\nn 2\nbasis\n\n# row\n1 0 0\n", None, "expected 2 entries, got 3", 8),
+    ("field 2\nn 2\nbasis\n1 0\n0\n", None, "expected 2 entries, got 1", 5),
+    ("field 2\nn 2\nbasis\n1 x\n", None, "entries must be integers", 4),
+    ("field 2\nn 2\nbasis\n1 0\n0 1\n1 1\n", None,
+     "matrix block has more than 2 rows (separate blocks with a blank line)", 6),
+    ("field 2\nn 2\nbasis\n1 0\n0 1\n1 x\n", None, "entries must be integers", 6),
+    ("field 2\nn 2\nbasis\n1 0\n# c\n0 1\n1 1\n0 1\n", None,
+     "matrix block has more than 2 rows (separate blocks with a blank line)", 7),
+    ("field 2\nn 2\nbasis\n1 0\n\n0 1\n", None, "matrix block has 1 rows, expected 2", None),
+    ("field 2\nn 2\nbasis\n1 0\n\n0 x\n", None, "entries must be integers", 6),
+    ("field 2\nn 2\nbasis\n1 0\n0 1\n", "4", "4 is not prime", None),
+    ("field 2\nn 2\nbasis\n1 0\n0 1\n", "R", "field must be a prime or Q, got 'R'", None),
+    ("field 2\nn 2\nbasis\n1 0\n0 1\n", "", "field must be a prime or Q, got ''", None),
+    ("field 2\nn 2\nbasis\n1 0\n0 1\n", "-3", "-3 is not prime", None),
+    ("field 4\nn 2\nbasis\n1 0\n0 1\n", "5", "4 is not prime", None),
+    ("field 2\nn 2\nbasis\n1 0\n", "R", "matrix block has 1 rows, expected 2", None),
+]
+
+
+@pytest.mark.parametrize("text, override, message, line", MALFORMED)
+def test_malformed_space_files_keep_their_message_and_line(tmp_path, capsys, text, override,
+                                                          message, line):
+    if line is not None:
+        message = "line %d: %s" % (line, message)
+    with pytest.raises(SpaceFileError) as exc:
+        spacefile.loads(text, override)
+    assert (str(exc.value), exc.value.line) == (message, line)
+    argv = ["profile", write(tmp_path, text)]
+    argv += [] if override is None else ["--field", override]
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
 def test_cli_constraints(tmp_path, capsys):
@@ -167,7 +222,7 @@ def test_cli_main2(tmp_path, capsys):
         DenseMatrix(f, [[0, 1, 0], [0, 1, 0], [0, 0, 0]]),
         DenseMatrix(f, [[0, 0, 0], [0, 1, 1], [0, 0, 0]]),
     ])
-    assert spacefile.loads(PAIR_DUAL).resolve()[1] == constraint_space(pair)
+    assert spacefile.loads(PAIR_DUAL) == constraint_space(pair)
     path = write(tmp_path, PAIR_DUAL)
     rc, out, _ = run(capsys, "main2", path, "--json")
     assert rc == 0

@@ -182,8 +182,9 @@ def test_every_annotation_resolves():
     assert unresolved == []
 
 
-# Definitions deleted for being reached by nothing but the tests; the
-# tests use the spelling that stays, or keep the reference in ``helpers``.
+# Definitions deleted for being reached by nothing but the tests, or for
+# being a second way to do what another definition does; the tests use the
+# spelling that stays, or keep the reference in ``helpers``.
 DELETED = {
     "linalg.Field.div", "linalg.Field.order", "linalg.Field.characteristic",
     "linalg.DenseMatrix.__matmul__", "linalg.DenseMatrix.row", "linalg.DenseMatrix.submatrix",
@@ -195,6 +196,7 @@ DELETED = {
     "multipoly.MultiPoly.zero", "multipoly.MultiPoly.constant", "multipoly.MultiPoly.scale",
     "multipoly.MultiPoly.degree", "multipoly.MultiPoly.is_homogeneous",
     "verify.is_left_ideal", "spacefile.dumps", "spacefile.from_subspace",
+    "spacefile.SpaceFile", "spacefile.SpaceFile.resolve", "linalg.Field.size_greater",
 }
 
 

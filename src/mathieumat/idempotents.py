@@ -14,10 +14,10 @@ trailing block, rank n-r) is the same system with another right-hand side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import HypothesisFailed, PreconditionViolated
-from .linalg import DenseMatrix, VectorSubspace, invert, solve_affine
+from .linalg import DenseMatrix, invert, solve_affine
 from .matspace import (
     MatrixSubspace,
     constraint_space,
@@ -29,18 +29,13 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class AffineFamily:
+class AffineFamily(namedtuple("AffineFamily", "n r form particular directions")):
     """particular + directions, all idempotent of the same rank.
 
-    ``directions`` lives in K^((n-r)r): row-major coordinates of the
-    free lower-left block.
+    ``directions`` is a VectorSubspace of K^((n-r)r): row-major
+    coordinates of the free lower-left block.
     """
-    n: int
-    r: int
-    form: str
-    particular: DenseMatrix
-    directions: VectorSubspace
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -71,12 +66,9 @@ class AffineFamily:
             yield self.with_block(shift)
 
 
-@dataclass(frozen=True)
-class FullSpaceCertificate:
+class FullSpaceCertificate(namedtuple("FullSpaceCertificate", "e e_prime r")):
     """Two idempotents of complementary ranks whose sum is unipotent."""
-    e: DenseMatrix
-    e_prime: DenseMatrix
-    r: int
+    __slots__ = ()
 
 
 def corner_slice(space: MatrixSubspace, r: int) -> MatrixSubspace:

@@ -396,5 +396,4 @@ def find_generic_vector(fil: Filtration, k: int, require_pivot_one=False):
             "this indicates a bug in the generic-rank machinery" % k)
     raise FieldTooSmallError(
         "no vector over K attains generic dimension %d at level %d "
-        "(guaranteed only for #K %s %d)"
-        % (dk, k, ">" if require_pivot_one else ">=", needed), needed=needed)
+        "(guaranteed only for #K >= %d)" % (dk, k, needed), needed=needed)

@@ -24,7 +24,7 @@ Filtration for the input and one for the conjugate after each logged move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FieldTooSmallError, PreconditionViolated
 from .linalg import DenseMatrix
@@ -42,29 +42,23 @@ DOUBLE_PASS = "double_pass"
 SINGLE_PASS = "single_pass"
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str        # generic_vector | unit_triangular | permutation
-    level: int
-    t: DenseMatrix
+class Move(namedtuple("Move", "kind level t")):
+    """One logged conjugation by ``t`` at ``level``; ``kind`` is
+    generic_vector, unit_triangular or permutation."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
-    c_n_input: MatrixSubspace
-    t_total: DenseMatrix
-    c_n_final: MatrixSubspace
-    profile: object
-    branch: str
-    log: tuple
+class NormalizationResult(namedtuple("NormalizationResult",
+        "c_n_input t_total c_n_final profile branch log")):
+    """The input and final constraint spaces, the total conjugator, the
+    final binary profile, the branch taken and the tuple of ``Move``s."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RctCertificate:
+class RctCertificate(namedtuple("RctCertificate", "t r")):
     """A conjugator t and block size r after which every member of the
     identity-adjoined conjugated space with zero top-right block is scalar."""
-    t: DenseMatrix
-    r: int
+    __slots__ = ()
 
 
 def move_generic_vector(fil: Filtration, k: int, pivot=False):

@@ -45,8 +45,7 @@ ideal is such an annihilator, S is one iff dim S = n(n - dim W).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
 from .linalg import DenseMatrix, VectorSubspace, _kernel, invert
@@ -70,12 +69,11 @@ def _require_enumerable(field, width):
             field.p, width, ENUMERATION_GUARD.bit_length() - 1))
 
 
-@dataclass(frozen=True)
-class PowerTrajectory:
-    """Powers a^1, a^2, ... split into the pre-period and the cycle."""
-    a: DenseMatrix
-    tail: tuple      # a^1 .. a^t, the part before the cycle is entered
-    cycle: tuple     # a^(t+1) .. a^(t+period)
+class PowerTrajectory(namedtuple("PowerTrajectory", "a tail cycle")):
+    """Powers a^1, a^2, ... split into the pre-period ``tail`` (a^1 ..
+    a^t, before the cycle is entered) and the ``cycle`` (a^(t+1) ..
+    a^(t+period)), both tuples."""
+    __slots__ = ()
 
     @property
     def tail_len(self) -> int:
@@ -109,22 +107,18 @@ def power_trajectory(a: DenseMatrix) -> PowerTrajectory:
     return PowerTrajectory(a=a, tail=tuple(seq[:first]), cycle=tuple(seq[first:]))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "a b c exponent")):
     """A replayable counterexample: all powers of ``a`` stay inside, yet
-    the displayed product escapes at the given cycle exponent (hence at
-    infinitely many exponents)."""
-    a: DenseMatrix
-    b: Optional[DenseMatrix]
-    c: Optional[DenseMatrix]
-    exponent: int
+    the product b a^m c escapes at the cycle exponent m = ``exponent``
+    (hence at infinitely many exponents); ``b`` or ``c`` is None for a
+    side without a multiplier."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MathieuVerdict:
-    holds: bool
-    vtype: str
-    witness: Optional[Witness]
+class MathieuVerdict(namedtuple("MathieuVerdict", "holds vtype witness")):
+    """Whether the space is Mathieu of type ``vtype``; when it is not, the
+    ``Witness`` found, else None."""
+    __slots__ = ()
 
 
 def _dtype(p: int, n: int):
@@ -332,24 +326,18 @@ def proposition_family(field, n: int, a_param) -> MatrixSubspace:
         field, n, gens + [DenseMatrix.identity(field, n) + corner]))
 
 
-@dataclass(frozen=True)
-class TraceChainReport:
+class TraceChainReport(namedtuple("TraceChainReport",
+        "char_avoids_1_to_n char_avoids_1_to_n_minus_1_and_identity_free "
+        "radical_nilpotent two_sided_mathieu nilpotency_bound_ok")):
     """The implication chain for spaces of trace-zero matrices:
     small-characteristic avoidance => identity-free variant => nilpotent
-    radical => two-sided Mathieu."""
-    char_avoids_1_to_n: bool
-    char_avoids_1_to_n_minus_1_and_identity_free: bool
-    radical_nilpotent: bool
-    two_sided_mathieu: bool
-    nilpotency_bound_ok: Optional[bool]
+    radical => two-sided Mathieu.  The four flags are bools;
+    ``nilpotency_bound_ok`` is None when the identity-free variant fails."""
+    __slots__ = ()
 
     @property
     def chain_holds(self) -> bool:
-        flags = (self.char_avoids_1_to_n,
-                 self.char_avoids_1_to_n_minus_1_and_identity_free,
-                 self.radical_nilpotent,
-                 self.two_sided_mathieu)
-        return all(not a or b for a, b in zip(flags, flags[1:]))
+        return all(not a or b for a, b in zip(self[:3], self[1:4]))
 
 
 def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
@@ -382,12 +370,7 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
         pred3 = all(a.power(n).is_zero() for a in rad)
         bound_ok = None
     pred4 = verify_mathieu(space, TWO_SIDED).holds
-    report = TraceChainReport(
-        char_avoids_1_to_n=pred1,
-        char_avoids_1_to_n_minus_1_and_identity_free=pred2,
-        radical_nilpotent=pred3,
-        two_sided_mathieu=pred4,
-        nilpotency_bound_ok=bound_ok)
+    report = TraceChainReport(pred1, pred2, pred3, pred4, bound_ok)
     if not report.chain_holds:
         raise AssertionError("implication chain violated: %r" % (report,))
     return report
@@ -414,14 +397,11 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
         zero * i + row + zero * (n - 1 - i) for i in range(n) for row in common.basis]))
 
 
-@dataclass(frozen=True)
-class LeftIdealForm:
+class LeftIdealForm(namedtuple("LeftIdealForm", "t k idempotent")):
     """Conjugation data for a left ideal: after conjugating by t it kills
     exactly the last n-k coordinates, and the returned idempotent
     generates it."""
-    t: DenseMatrix
-    k: int
-    idempotent: DenseMatrix
+    __slots__ = ()
 
 
 def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
@@ -455,16 +435,13 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     return LeftIdealForm(t=t, k=k, idempotent=idem)
 
 
-@dataclass(frozen=True)
-class LeftIdealEquivalences:
+class LeftIdealEquivalences(namedtuple("LeftIdealEquivalences",
+        "left_mathieu idempotents_in_ideal radicals_match ideal idempotent_count")):
     """Three equivalent views of the one-sided property: the space is
     left Mathieu, its idempotents all lie in the maximal left ideal, and
-    space and ideal have the same radical."""
-    left_mathieu: bool
-    idempotents_in_ideal: bool
-    radicals_match: bool
-    ideal: MatrixSubspace
-    idempotent_count: int
+    space and ideal have the same radical.  Also the maximal left
+    ``ideal`` and the number of idempotents."""
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:

@@ -198,6 +198,26 @@ def test_numpy_is_loaded_at_the_first_enumeration(tmp_path, capsys):
         assert mask(out) == mask(in_process(argv, capsys)[1])
 
 
+START_UP = """
+import contextlib, io, json, sys
+import mathieumat.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([rc, sorted(set(sys.argv[2:]) & set(sys.modules))]))
+"""
+
+
+def test_start_up_and_a_profile_load_no_heavy_module(tmp_path):
+    # -S: no site ``.pth`` file loads one of them before the package does
+    paths = write_spaces(tmp_path)
+    heavy = ["dataclasses", "inspect", "typing", "ast", "numpy"]
+    run = subprocess.run([sys.executable, "-S", "-c", START_UP,
+                          json.dumps(["profile", paths["pair"], "--json"]), *heavy],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                         timeout=120, check=True)
+    assert json.loads(run.stdout) == [0, []]
+
+
 def test_entry_point_runs_from_the_command_line(tmp_path):
     rc, out, err = fresh_process("repro", "cor62-f2", "--json")
     assert rc == 0 and err == ""

@@ -351,6 +351,9 @@ def test_find_generic_vector_field_too_small():
     with pytest.raises(FieldTooSmallError) as exc:
         find_generic_vector(Filtration(cn), 3, require_pivot_one=True)
     assert exc.value.needed == 4
+    # the scan's own check takes #K >= needed as guaranteed, pivot form or not
+    assert str(exc.value) == ("no vector over K attains generic dimension 3 at level 3 "
+                              "(guaranteed only for #K >= 4)")
 
 
 def test_find_generic_vector_trailing_zeros():

@@ -32,17 +32,29 @@ def runs_at_import(node):
             yield from runs_at_import(child)
 
 
-def test_no_module_imports_numpy_when_it_is_imported():
-    # numpy is loaded at the first enumeration, inside the functions of
-    # ``verify`` that use it; commands that never enumerate never pay for it
+# Modules that no module of the package imports when it is imported, so
+# that ``import mathieumat.cli``, which every command pays, stays short;
+# each with the reason the package does without it at start-up.
+KEPT_OUT_OF_START_UP = {
+    "numpy": "loaded at the first enumeration, inside the functions of "
+             "``verify`` that use it: commands that never enumerate never pay for it",
+    "dataclasses": "imports inspect, ast, dis, tokenize and copy, and execs "
+                   "generated methods per class: the result records are namedtuples",
+    "typing": "annotations are strings (``from __future__ import annotations``)",
+    "inspect": "imports ast, dis, tokenize and linecache; nothing is introspected",
+}
+
+
+def test_no_module_imports_what_start_up_keeps_out():
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in runs_at_import(tree):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            found += ["%s:%d" % (path.name, node.lineno)
-                      for name in names if name.split(".")[0] == "numpy"]
+            found += ["%s:%d %s: %s" % (path.name, node.lineno, name, KEPT_OUT_OF_START_UP[name])
+                      for name in (name.split(".")[0] for name in names)
+                      if name in KEPT_OUT_OF_START_UP]
     assert found == []
 
 

@@ -26,13 +26,15 @@ multiple of a row, so ``matspace`` hands them its integer products
 the rows ``[m | I]`` as lists.
 
 Gauss-Jordan elimination (behind ``rref``, ``kernel``, ``invert`` and
-:meth:`VectorSubspace.from_vectors`) works on integers.
-Over Q each row is scaled to integers and eliminated fraction-free, and
-only the finished rows become ``Fraction`` again, divided by their
-pivots (a zero entry is ``field.zero`` itself).  Over F_p each pivot row
-is scaled to 1 and the other rows are updated from the pivot column on,
-with no final division.  The reduced echelon form is unique, so the
-result does not depend on the scaling.  A kernel is the complement of
+:meth:`VectorSubspace.from_vectors`) works on integers.  It copies its
+rows once, as lists, and then updates those lists in place.  Over Q a
+row of ``int`` is taken as it is and any other row is scaled to
+integers; the rows are eliminated fraction-free, and only the finished
+rows become ``Fraction`` again, divided by their pivots (a zero entry is
+``field.zero`` itself).  Over F_p a pivot row is scaled to 1 unless its
+pivot is 1 already, and the other rows are updated from the pivot
+column on, with no final division.  The reduced echelon form is unique,
+so the result does not depend on the scaling.  A kernel is the complement of
 the row space: ``_kernel`` eliminates the system's rows once, reversed,
 and its vectors, one per non-pivot, are already the canonical RREF.
 
@@ -335,18 +337,20 @@ def _scalars(field, ints, d) -> tuple:
 
 
 def _eliminate(field, rows, ncols, first=0):
-    """Gauss-Jordan on a list of rows, replaced but never mutated; returns pivots.
+    """Gauss-Jordan on a list of rows, copied once, then updated in place
+    (the caller's row lists are never written to); returns pivots.
 
-    Over F_p the pivot row is scaled to 1 once, and the other rows are
-    cleared on the columns from the pivot on only (the pivot row is zero
-    before it); no final division is needed.  Over Q it is fraction-free:
-    each row is first scaled to integers; a row is cleared at a pivot by
-    cross-multiplication, ``a * row - b * pivot_row``, and then divided by
-    the gcd of its entries; only the finished rows are divided by their
-    pivots.  Either way the result is the unique RREF, with canonical entries.
-    Over Q a row may hold ``int`` as well as ``Fraction`` entries, and any
-    nonzero integer multiple of a row gives the same result; over F_p the
-    entries are residues in [0, p).
+    Over F_p a pivot row is scaled to 1 unless its pivot is 1 already,
+    and the other rows are cleared on the columns from the pivot on only
+    (the pivot row is zero before it); no final division is needed.
+    Over Q it is fraction-free: a row of ``int`` is taken as it is, any
+    other row is first scaled to integers; a row is cleared at a pivot
+    by cross-multiplication, ``a * row - b * pivot_row``, and then
+    divided by the gcd of its entries; only the finished rows are
+    divided by their pivots.  Either way the result is the unique RREF,
+    with canonical entries.  Over Q a row may hold ``int`` as well as
+    ``Fraction`` entries, and any nonzero integer multiple of a row gives
+    the same result; over F_p the entries are residues in [0, p).
 
     Columns before ``first`` are only eliminated forward, and the rows
     pivoting there are left unfinished: the rows pivoting at ``first`` or
@@ -354,31 +358,39 @@ def _eliminate(field, rows, ncols, first=0):
     before ``first`` (see ``_readout``), and the others are dropped.
     """
     p = field.p
-    for i, row in enumerate(rows):
-        (rows[i],), _ = _cleared(field, [list(row)])
+    if p:
+        rows[:] = map(list, rows)
+    else:
+        rows[:] = [list(row) if all(type(x) is int for x in row) else _cleared(field, [row])[0][0]
+                   for row in rows]
+    n = len(rows)
     pivots = []
     r = top = 0
     for c in range(ncols):
-        if r == len(rows):
+        if r == n:
             break
-        src = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if src is None:
+        for src in range(r, n):
+            if rows[src][c]:
+                break
+        else:
             continue
         rows[r], rows[src] = rows[src], rows[r]
         prow = rows[r]
         a = prow[c]
         if p:
-            inv = pow(a, -1, p)
-            tail = [x * inv % p for x in prow[c:]]
-            rows[r] = prow[:c] + tail
-        for i in range(r + 1 if c < first else top, len(rows)):
-            b = rows[i][c]
+            if a != 1:
+                inv = pow(a, -1, p)
+                prow[c:] = [x * inv % p for x in prow[c:]]
+            tail = prow[c:]
+        for i in range(r + 1 if c < first else top, n):
+            row = rows[i]
+            b = row[c]
             if i == r or not b:
                 continue
             if p:
-                rows[i] = rows[i][:c] + [(x - b * y) % p for x, y in zip(rows[i][c:], tail)]
+                row[c:] = [(x - b * y) % p for x, y in zip(row[c:], tail)]
                 continue
-            row = [a * x - b * y for x, y in zip(rows[i], prow)]
+            row = [a * x - b * y for x, y in zip(row, prow)]
             g = math.gcd(*row)
             if g > 1:
                 row = [x // g for x in row]
@@ -390,7 +402,7 @@ def _eliminate(field, rows, ncols, first=0):
     if not p:
         for i in range(top, r):
             rows[i] = _scalars(field, rows[i], rows[i][pivots[i]])
-    for i in range(r, len(rows)):
+    for i in range(r, n):
         rows[i] = [field.zero] * ncols
     return pivots
 

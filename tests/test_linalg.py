@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from mathieumat.linalg import (
     DenseMatrix,
     Field,
     VectorSubspace,
+    _eliminate,
     all_matrices,
     all_subspaces,
     invert,
@@ -111,13 +113,13 @@ def reference_eliminate(field, rows, ncols):
     return pivots
 
 
-def random_rows(rng, field, nrows, ncols):
+def random_rows(rng, field, nrows, ncols, small=False):
     """Rows with zero rows, repeated combinations and, over Q, signed
-    fractions with large denominators."""
+    fractions with large denominators (none when ``small``)."""
     def scalar():
         if field.p:
             return rng.randrange(field.p)
-        kind = rng.randrange(4)
+        kind = rng.randrange(3 if small else 4)
         if kind == 0:
             return 0
         if kind == 1:
@@ -140,12 +142,28 @@ def random_rows(rng, field, nrows, ncols):
     return [[field.of(x) for x in row] for row in rows]
 
 
+def caller_forms(rng, field, rows):
+    """The rows as callers hand them to ``_eliminate``: canonical and, over
+    Q, as rows of ``int`` (each a nonzero integer multiple of its row, as
+    the integer products hand over) and as ``int`` and ``Fraction`` entries
+    mixed (as ``invert`` builds ``[m | I]``)."""
+    if field.p:
+        return [rows]
+    ints = []
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row)) * rng.choice((1, -1, 2, -3, 7))
+        ints.append([int(x * d) for x in row])
+    mixed = [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+    return [rows, ints, mixed]
+
+
 def test_eliminate_matches_field_reference():
     rng = random.Random(12)
     for field in (QQ, F2, F3, F5, Field.prime(2147483647)):
-        for _ in range(80):
-            ncols = rng.randrange(1, 8)
-            rows = random_rows(rng, field, rng.randrange(0, 7), ncols)
+        for case in range(81):
+            # the last case is the size of a codim-1 space file's elimination at n = 6
+            nrows, ncols = (35, 36) if case == 80 else (rng.randrange(0, 7), rng.randrange(1, 8))
+            rows = random_rows(rng, field, nrows, ncols, small=case == 80)
             expected = [list(r) for r in rows]
             pivots = tuple(reference_eliminate(field, expected, ncols))
             reduced, rank, got_pivots = rref(DenseMatrix(field, rows, cols=ncols))
@@ -159,6 +177,20 @@ def test_eliminate_matches_field_reference():
                     assert type(x) is int and 0 <= x < field.p
                 else:
                     assert type(x) is Fraction
+            # the kernel itself, on every row form and with columns before
+            # ``first`` only eliminated forward: from ``top`` on, the rows are
+            # the reference rows pivoting at ``first`` or later, then zeros
+            for raw in caller_forms(rng, field, rows):
+                first = rng.choice((0, rng.randrange(ncols + 1)))
+                before = [list(r) for r in raw]
+                work = list(raw)
+                assert _eliminate(field, work, ncols, first) == list(pivots)
+                assert raw == before        # the caller's row lists are not written to
+                top = sum(c < first for c in pivots)
+                assert [list(r) for r in work[top:]] == (
+                    [r for r, c in zip(expected, pivots) if c >= first] + expected[rank:])
+                for x in (x for row in work[top:] for x in row):
+                    assert type(x) is (int if field.p else Fraction)
     # plain int rows over Q stay exact: no float from ``1 / a`` on the way
     assert rref(DenseMatrix(QQ, [[3, 7], [3, 7], [12, 28]]))[1] == 1
 

@@ -4,8 +4,9 @@
 dot products on Python ints and builds one canonical scalar per output
 entry.  ``matspace._images`` (the column spaces) and ``matspace.conjugate``
 hand their integer products to an elimination without building scalars.  The definitional products, summing field
-scalars entry by entry, are kept here as the reference; the last two
-tests pin that no ``Fraction`` arithmetic is left on the product path.
+scalars entry by entry, are kept here as the reference; the last three
+tests pin that no ``Fraction`` arithmetic is left on the product path
+and that the elimination takes those integer rows as they are.
 """
 
 from fractions import Fraction
@@ -15,8 +16,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mathieumat.errors import SingularMatrixError
+from mathieumat import linalg
 from mathieumat.linalg import DenseMatrix, Field, _cleared, _scalars, invert, rref
 from mathieumat.matspace import Filtration, MatrixSubspace, _images, column_space, conjugate
+from mathieumat.spacefile import loads
 
 from helpers import zeros
 
@@ -231,3 +234,21 @@ def test_mul_builds_at_most_one_fraction_per_entry(monkeypatch):
     monkeypatch.undo()
     assert prod == want
     assert len(made) <= prod.rows * prod.cols
+
+
+def test_integer_rows_are_eliminated_without_clearing(monkeypatch):
+    # conjugate and loads hand all-int rows to the elimination over Q; it
+    # copies them as they are, and clears only the rows holding a Fraction
+    t = DenseMatrix(QQ, [[1, Fraction(1, 2), 3], [1, 3, Fraction(-2, 9)], [2, 5, 7]])
+    text = "field Q\nn 2\nbasis\n4 -2\n6 0\n\n0 3\n-9 12\n"
+    want = [conjugate(s, t) for s in q_spaces()], loads(text)
+    original = linalg._cleared
+    cleared = []
+
+    def counting(field, rows):
+        cleared.extend(row for row in rows if all(type(x) is int for x in row))
+        return original(field, rows)
+
+    monkeypatch.setattr(linalg, "_cleared", counting)
+    assert ([conjugate(s, t) for s in q_spaces()], loads(text)) == want
+    assert cleared == []

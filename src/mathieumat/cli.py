@@ -242,11 +242,9 @@ def repro_proposition():
 
 
 def _trace_zero(field, n):
-    gens = [DenseMatrix.unit(field, n, n, i, j)
-            for i in range(n) for j in range(n) if i != j]
-    gens += [DenseMatrix.unit(field, n, n, 0, 0) - DenseMatrix.unit(field, n, n, i, i)
-             for i in range(1, n)]
-    return MatrixSubspace.from_matrices(field, n, gens)
+    """sl_n(K): the trace dual of the scalar line."""
+    return constraint_space(
+        MatrixSubspace.from_matrices(field, n, [DenseMatrix.identity(field, n)]))
 
 
 def repro_codim1_boundary():

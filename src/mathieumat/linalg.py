@@ -3,9 +3,10 @@
 Scalars are plain Python values in canonical form: residues in ``[0, p)``
 (ints) for a prime field, always-reduced ``fractions.Fraction`` for the
 rationals.  A :class:`Field` object supplies the arithmetic; matrices and
-subspaces carry their field.  Everything here is immutable after
-construction and all operations are pure, so values can be shared freely
-between concurrent tasks.
+subspaces carry their field.  Every value is immutable after
+construction (its class derives from ``_Frozen``, which refuses both
+assignment and ``del``) and all operations are pure, so values can be
+shared freely between concurrent tasks.
 
 Input is canonicalized once, where it enters: the public constructors
 and ``VectorSubspace.reduce``/``member`` run every scalar through
@@ -82,7 +83,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Field:
+class _Frozen:
+    """Base of the value classes: the constructors set the slots through
+    ``object.__setattr__``; assigning or deleting one afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
+class Field(_Frozen):
     """A prime field F_p (``p`` > 0) or the rationals (``p`` == 0)."""
 
     __slots__ = ("p", "zero", "one")
@@ -97,9 +110,6 @@ class Field:
         # Canonical constants, built once; Fractions are immutable, so sharing is safe.
         object.__setattr__(self, "zero", 0 if p else Fraction(0))
         object.__setattr__(self, "one", 1 if p else Fraction(1))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Field is immutable")
 
     @staticmethod
     def prime(p: int) -> "Field":
@@ -178,7 +188,7 @@ class Field:
         return "F%d" % self.p if self.p else "Q"
 
 
-class DenseMatrix:
+class DenseMatrix(_Frozen):
     """Immutable dense matrix with exact entries over a fixed field."""
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -202,9 +212,6 @@ class DenseMatrix:
         """The matrix of ``rows`` of ``cols`` canonical entries, unchecked."""
         return object.__new__(DenseMatrix)._set(field, tuple(map(tuple, rows)), cols)
 
-    def __setattr__(self, *a):
-        raise AttributeError("DenseMatrix is immutable")
-
     @staticmethod
     def identity(field, n) -> "DenseMatrix":
         z, o = field.zero, field.one
@@ -218,10 +225,6 @@ class DenseMatrix:
         m = [[z] * cols for _ in range(rows)]
         m[i][j] = field.one
         return DenseMatrix._trusted(field, m, cols)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def __eq__(self, other):
         return (
@@ -419,7 +422,7 @@ def rref(m: DenseMatrix):
     return DenseMatrix._trusted(m.field, rows, m.cols), len(pivots), tuple(pivots)
 
 
-class VectorSubspace:
+class VectorSubspace(_Frozen):
     """A subspace of K^n held by its canonical RREF basis.
 
     Two subspaces are equal iff their basis grids are identical, which
@@ -434,9 +437,6 @@ class VectorSubspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, *a):
-        raise AttributeError("VectorSubspace is immutable")
 
     @staticmethod
     def from_vectors(field, ambient_dim, vectors) -> "VectorSubspace":

@@ -7,10 +7,10 @@ coordinate indices such as the ``k`` of ``e_k`` are 1-based to match the
 usual linear-algebra convention, while raw matrix entries stay 0-based.
 
 Members cut out by vanishing entries (``members_vanishing_at``, behind
-the zero-corner members, ``idempotents.corner_slice`` and
-``verify.max_left_ideal``) and intersections are read off a single
-elimination of the basis rows in ``linalg``, not solved for as basis
-coefficients.  The binary profile, the generic-vector search and the
+the zero-corner members and ``idempotents.corner_slice``; the rows of
+``verify.max_left_ideal`` use the same readout) and intersections are
+read off a single elimination of the basis rows in ``linalg``, not
+solved for as basis coefficients.  The binary profile, the generic-vector search and the
 normalization moves read all levels, their column spaces and generic
 dimensions off one :class:`Filtration`: one elimination, then two cheap
 bounds on each generic dimension.  Evaluation at a point gives only a
@@ -31,14 +31,24 @@ builds it.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from operator import mul
 
 from .errors import FieldTooSmallError
-from .linalg import DenseMatrix, Field, VectorSubspace, _cleared, _eliminate, _kernel, invert
+from .linalg import (
+    DenseMatrix,
+    Field,
+    VectorSubspace,
+    _Frozen,
+    _cleared,
+    _eliminate,
+    _kernel,
+    invert,
+)
 from .multipoly import _action_pivots
 
 
-class MatrixSubspace:
+class MatrixSubspace(_Frozen):
     """A K-linear subspace of Mat_n(K) with a canonical basis."""
 
     __slots__ = ("field", "n", "basis", "_matrices")
@@ -50,9 +60,6 @@ class MatrixSubspace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_matrices", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MatrixSubspace is immutable")
 
     @property
     def basis_matrices(self) -> tuple:
@@ -192,7 +199,7 @@ def rct_zero_members(space: MatrixSubspace, r: int) -> MatrixSubspace:
     return members_vanishing_at(space, [(i, j) for i in range(r) for j in range(r, n)])
 
 
-class BinaryProfile:
+class BinaryProfile(namedtuple("BinaryProfile", "n B b col_dims d")):
     """The 0/1 matrix B of a filtered space with its column statistics.
 
     ``B[i][j]`` (0-based grid) is 1 iff the coordinate projection
@@ -200,10 +207,9 @@ class BinaryProfile:
     ones in column j; ``col_dims[j]`` is the dimension of the level-(j+1)
     column space; ``d[k]`` is the generic dimension of level k (0..n).
     """
+    __slots__ = ()
 
-    __slots__ = ("n", "B", "b", "col_dims", "d")
-
-    def __init__(self, n, B, b, col_dims, d):
+    def __new__(cls, n, B, b, col_dims, d):
         B = tuple(tuple(int(x) for x in row) for row in B)
         b = tuple(int(x) for x in b)
         col_dims = tuple(int(x) for x in col_dims)
@@ -221,14 +227,7 @@ class BinaryProfile:
                 raise ValueError("b[%d] < column dimension" % j)
         if d[0] != 0 or any(d[k] > d[k + 1] for k in range(n)):
             raise ValueError("d must be nondecreasing from 0")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "col_dims", col_dims)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BinaryProfile is immutable")
+        return super().__new__(cls, n, B, b, col_dims, d)
 
     def rows_increasing(self) -> bool:
         """B_ij = 0 implies B_i(j-1) = 0: ones extend to the right."""
@@ -242,22 +241,8 @@ class BinaryProfile:
             self.B[i][j] >= self.B[i + 1][j]
             for j in range(self.n) for i in range(j - 1))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryProfile)
-            and (self.n, self.B, self.b, self.col_dims, self.d) ==
-                (other.n, other.B, other.b, other.col_dims, other.d)
-        )
 
-    def __hash__(self):
-        return hash((self.n, self.B, self.b, self.col_dims, self.d))
-
-    def __repr__(self):
-        grid = "; ".join("".join(str(x) for x in row) for row in self.B)
-        return "BinaryProfile(B=[%s], b=%r, d=%r)" % (grid, self.b, self.d)
-
-
-class Filtration:
+class Filtration(_Frozen):
     """The column filtration C_0 <= C_1 <= ... <= C_n of a space, read once.
 
     One elimination of the basis rows, with the coordinates ordered by
@@ -293,9 +278,6 @@ class Filtration:
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "dims", tuple(dims))
         object.__setattr__(self, "d", tuple(d))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Filtration is immutable")
 
     def column_space(self, k: int, vec) -> VectorSubspace:
         """span{C vec : C in C_k} inside K^n, for n canonical scalars."""

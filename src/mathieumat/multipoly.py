@@ -28,10 +28,10 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .linalg import Field, _cleared
+from .linalg import Field, _Frozen, _cleared
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     """A polynomial in ``nvars`` variables with exact coefficients.
 
     Terms map exponent tuples to nonzero canonical coefficients; the
@@ -53,9 +53,6 @@ class MultiPoly:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiPoly is immutable")
 
     @staticmethod
     def variable(field, nvars, i) -> "MultiPoly":

@@ -125,12 +125,11 @@ def move_permutation(fil: Filtration, k: int):
     s = max(i for i in range(k - 1) if ind[i]) + 1
     order = sorted(range(s), key=lambda i: (-ind[i], i))
     entries = [[f.zero] * n for _ in range(n)]
-    for new, old in enumerate(order):
-        entries[new][old] = f.one
+    for new, old in enumerate(order):       # the inverse of the sorting permutation
+        entries[old][new] = f.one
     for i in range(s, n):
         entries[i][i] = f.one
-    perm = DenseMatrix._trusted(f, entries, n)  # perm . w  sorts the indicator
-    return perm.transpose()                     # = perm^(-1)
+    return DenseMatrix._trusted(f, entries, n)
 
 
 class NormalizationError(AssertionError):

@@ -48,8 +48,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
-from .linalg import DenseMatrix, VectorSubspace, _kernel, invert
-from .matspace import MatrixSubspace, _conjugate, constraint_space, members_vanishing_at
+from .linalg import DenseMatrix, VectorSubspace, _kernel, _readout, invert
+from .matspace import MatrixSubspace, _conjugate, constraint_space
 
 ENUMERATION_GUARD = 2 ** 20    # a power of two: the guard's message names its exponent
 _BATCH = 4096               # matrices whose powers are formed at once
@@ -383,15 +383,15 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
     any left ideal inside the space satisfies that, and the set itself
     is a left ideal.  E_ij A is row j of A placed at row i, so A belongs
     iff each of its rows lies in R, the intersection over i of R_i, the
-    rows i of the members vanishing off row i.  Works over any field.
+    rows i of the members vanishing off row i.  Each R_i is read off one
+    elimination, with the coordinates of row i last.  Works over any field.
     """
     f, n = space.field, space.n
     common = VectorSubspace.full(f, n)
     for i in range(n):
-        on_row = members_vanishing_at(
-            space, [(r, c) for r in range(n) if r != i for c in range(n)])
-        common = common.intersect(VectorSubspace._span(
-            f, n, [m.entries[i] for m in on_row.basis_matrices]))
+        rows = [row[:i * n] + row[(i + 1) * n:] + row[i * n:(i + 1) * n]
+                for row in space.basis.basis]
+        common = common.intersect(_readout(f, rows, n * n - n, n * n))
     zero = (f.zero,) * n
     return MatrixSubspace(f, n, VectorSubspace._span(f, n * n, [
         zero * i + row + zero * (n - 1 - i) for i in range(n) for row in common.basis]))

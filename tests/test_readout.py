@@ -474,6 +474,15 @@ def test_max_left_ideal_matches_trace_dual_system(space):
     assert space.sum(ideal) == space
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_max_left_ideal_eliminates_twice_per_row(n, monkeypatch):
+    # per row one readout of R_i and one intersection, then the ideal's span
+    space, ideal = column_kill_and_identity(F5, n, 1), column_kill(F5, n, 1)
+    calls = recorded_eliminations(monkeypatch)
+    assert max_left_ideal(space) == ideal
+    assert len(calls) == 2 * n + 1
+
+
 @SETTINGS
 @given(spaces())
 @example(MatrixSubspace.from_matrices(F5, 2, []))

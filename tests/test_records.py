@@ -2,7 +2,9 @@
 
 Each record is built by the function that returns it, twice, and checked
 for its field order, its immutability, equality and hashing by value and
-its ``Name(field=value, ...)`` repr, which the demo goldens print.
+its ``Name(field=value, ...)`` repr, which the demo goldens print.  The
+value classes, which are not tuples, refuse assignment and ``del`` of
+their slots.
 """
 
 import pytest
@@ -15,8 +17,15 @@ from mathieumat.idempotents import (
     full_space_certificate,
     idempotent_family,
 )
-from mathieumat.linalg import DenseMatrix, Field
-from mathieumat.matspace import MatrixSubspace, constraint_space
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace
+from mathieumat.matspace import (
+    BinaryProfile,
+    Filtration,
+    MatrixSubspace,
+    binary_profile,
+    constraint_space,
+)
+from mathieumat.multipoly import MultiPoly
 from mathieumat.normalize import (
     Move,
     NormalizationResult,
@@ -80,6 +89,7 @@ RECORDS = {
                    lambda: idempotent_family(MatrixSubspace.full_space(F2, 2), 1, UPPER)),
     FullSpaceCertificate: (("e", "e_prime", "r"),
                            lambda: full_space_certificate(MatrixSubspace.full_space(F3, 2), 1)),
+    BinaryProfile: (("n", "B", "b", "col_dims", "d"), lambda: binary_profile(moves_space())),
 }
 
 
@@ -112,3 +122,26 @@ def test_record_properties_and_methods():
     assert report.consistent
     assert not report._replace(radicals_match=not report.radicals_match).consistent
     assert trace_chain_report(cli._trace_zero(F2, 2)).chain_holds
+
+
+# value class -> (one of its values, a slot of it)
+VALUES = {
+    Field: (lambda: Field.prime(5), "p"),
+    DenseMatrix: (lambda: DenseMatrix(F3, [[1, 1], [0, 1]]), "entries"),
+    VectorSubspace: (lambda: VectorSubspace.full(F3, 2), "basis"),
+    MatrixSubspace: (moves_space, "basis"),
+    Filtration: (lambda: Filtration(moves_space()), "d"),
+    MultiPoly: (lambda: MultiPoly.variable(F5, 2, 1), "terms"),
+}
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_value_refuses_assignment_and_deletion(cls):
+    build, slot = VALUES[cls]
+    value = build()
+    before = getattr(value, slot)
+    with pytest.raises(AttributeError, match="^%s is immutable$" % cls.__name__):
+        setattr(value, slot, None)
+    with pytest.raises(AttributeError):
+        delattr(value, slot)
+    assert type(value) is cls and getattr(value, slot) is before

@@ -209,6 +209,7 @@ DELETED = {
     "multipoly.MultiPoly.degree", "multipoly.MultiPoly.is_homogeneous",
     "verify.is_left_ideal", "spacefile.dumps", "spacefile.from_subspace",
     "spacefile.SpaceFile", "spacefile.SpaceFile.resolve", "linalg.Field.size_greater",
+    "linalg.DenseMatrix.__getitem__",
 }
 
 

@@ -30,14 +30,18 @@ Gauss-Jordan elimination (behind ``rref``, ``kernel``, ``invert`` and
 :meth:`VectorSubspace.from_vectors`) works on integers.  It copies its
 rows once, as lists, and then updates those lists in place.  Over Q a
 row of ``int`` is taken as it is and any other row is scaled to
-integers; the rows are eliminated fraction-free, and only the finished
-rows become ``Fraction`` again, divided by their pivots (a zero entry is
-``field.zero`` itself).  Over F_p a pivot row is scaled to 1 unless its
-pivot is 1 already, and the other rows are updated from the pivot
+integers; the rows are eliminated fraction-free and stay integers: each
+finished row is the canonical RREF row times its pivot, the primitive
+row with a positive pivot.  Over F_p a pivot row is scaled to 1 unless
+its pivot is 1 already, and the other rows are updated from the pivot
 column on, with no final division.  The reduced echelon form is unique,
-so the result does not depend on the scaling.  A kernel is the complement of
+so the result does not depend on the scaling.  A :class:`VectorSubspace`
+keeps those rows (``rows``) and builds its ``Fraction`` basis only when
+``basis`` is read; ``rref`` and ``invert`` divide by the pivots as they
+return.  So a space over Q that is only spanned, intersected, dualized
+or compared never builds a ``Fraction``.  A kernel is the complement of
 the row space: ``_kernel`` eliminates the system's rows once, reversed,
-and its vectors, one per non-pivot, are already the canonical RREF.
+and its vectors, one per non-pivot, are already the canonical RREF rows.
 
 "The vectors of a row space that satisfy linear conditions" is read off
 one elimination (``_readout``): put the conditions' coordinates first,
@@ -330,8 +334,7 @@ def _cleared(field, rows):
 def _scalars(field, ints, d) -> tuple:
     """The canonical scalars ``x / d`` for the integers ``x`` in ``ints``
     and a nonzero integer ``d``; a zero is ``field.zero`` itself.  Over
-    F_p, ``d`` is 1: ``_cleared`` gives 1 there, and ``_eliminate`` divides
-    by its pivots only over Q."""
+    F_p, ``d`` is 1, as ``_cleared`` gives it there, and a pivot is."""
     if field.p:
         p = field.p
         return tuple(x % p for x in ints)
@@ -345,15 +348,17 @@ def _eliminate(field, rows, ncols, first=0):
 
     Over F_p a pivot row is scaled to 1 unless its pivot is 1 already,
     and the other rows are cleared on the columns from the pivot on only
-    (the pivot row is zero before it); no final division is needed.
-    Over Q it is fraction-free: a row of ``int`` is taken as it is, any
-    other row is first scaled to integers; a row is cleared at a pivot
-    by cross-multiplication, ``a * row - b * pivot_row``, and then
-    divided by the gcd of its entries; only the finished rows are
-    divided by their pivots.  Either way the result is the unique RREF,
-    with canonical entries.  Over Q a row may hold ``int`` as well as
-    ``Fraction`` entries, and any nonzero integer multiple of a row gives
-    the same result; over F_p the entries are residues in [0, p).
+    (the pivot row is zero before it); the result is the unique RREF,
+    residues in [0, p).  Over Q it is fraction-free and nothing is
+    divided by a pivot: a row of ``int`` is taken as it is, any other row
+    is first scaled to integers; a pivot row is made primitive with a
+    positive pivot, and a row is cleared at a pivot by
+    cross-multiplication, ``a * row - b * pivot_row``, then divided by
+    the gcd of its entries.  Each finished row is then the unique RREF
+    row times its pivot: the primitive ``int`` row with a positive pivot
+    (``_cleared`` of the RREF row), and any nonzero integer multiple of
+    an input row gives the same result.  The rows after the finished
+    ones are zero.
 
     Columns before ``first`` are only eliminated forward, and the rows
     pivoting there are left unfinished: the rows pivoting at ``first`` or
@@ -385,6 +390,11 @@ def _eliminate(field, rows, ncols, first=0):
                 inv = pow(a, -1, p)
                 prow[c:] = [x * inv % p for x in prow[c:]]
             tail = prow[c:]
+        else:
+            g = math.gcd(*prow) if a > 0 else -math.gcd(*prow)
+            if g != 1:
+                prow[c:] = [x // g for x in prow[c:]]
+                a = prow[c]
         for i in range(r + 1 if c < first else top, n):
             row = rows[i]
             b = row[c]
@@ -402,11 +412,6 @@ def _eliminate(field, rows, ncols, first=0):
         r += 1
         if c < first:
             top = r
-    if not p:
-        for i in range(top, r):
-            rows[i] = _scalars(field, rows[i], rows[i][pivots[i]])
-    for i in range(r, n):
-        rows[i] = [field.zero] * ncols
     return pivots
 
 
@@ -417,26 +422,32 @@ def rref(m: DenseMatrix):
     RREF of ``m``, ``rank`` its number of nonzero rows and ``pivots`` the
     strictly increasing pivot column indices.
     """
-    rows = list(m.entries)
-    pivots = _eliminate(m.field, rows, m.cols)
-    return DenseMatrix._trusted(m.field, rows, m.cols), len(pivots), tuple(pivots)
+    f, rows = m.field, list(m.entries)
+    pivots = _eliminate(f, rows, m.cols)
+    rows = ([_scalars(f, row, row[c]) for row, c in zip(rows, pivots)]
+            + [(f.zero,) * m.cols] * (m.rows - len(pivots)))
+    return DenseMatrix._trusted(f, rows, m.cols), len(pivots), tuple(pivots)
 
 
 class VectorSubspace(_Frozen):
-    """A subspace of K^n held by its canonical RREF basis.
+    """A subspace of K^n held by the rows of its canonical RREF basis.
 
-    Two subspaces are equal iff their basis grids are identical, which
-    makes equality structural.
+    ``rows`` are the RREF rows as ``_eliminate`` leaves them: over F_p
+    the basis itself, over Q each basis row times its pivot, a primitive
+    ``int`` row with a positive pivot.  Both are unique, so two subspaces
+    are equal iff their rows are identical, which makes equality
+    structural.  ``basis`` is the canonical basis, built on the first read.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis")
 
-    def __init__(self, field, ambient_dim, basis, pivots):
+    def __init__(self, field, ambient_dim, rows, pivots):
         # Internal: callers go through from_vectors / _span / full.
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_basis", None)
 
     @staticmethod
     def from_vectors(field, ambient_dim, vectors) -> "VectorSubspace":
@@ -452,17 +463,29 @@ class VectorSubspace(_Frozen):
         ``int``, as the integer products of ``matspace`` hand over)."""
         rows = list(rows)
         pivots = _eliminate(field, rows, ambient_dim)
-        basis = tuple(map(tuple, rows[:len(pivots)]))
-        return VectorSubspace(field, ambient_dim, basis, tuple(pivots))
+        return VectorSubspace(field, ambient_dim, tuple(map(tuple, rows[:len(pivots)])),
+                              tuple(pivots))
 
     @staticmethod
     def full(field, ambient_dim) -> "VectorSubspace":
-        eye = DenseMatrix.identity(field, ambient_dim)
-        return VectorSubspace(field, ambient_dim, eye.entries, tuple(range(ambient_dim)))
+        rows = [(0,) * i + (1,) + (0,) * (ambient_dim - 1 - i) for i in range(ambient_dim)]
+        return VectorSubspace(field, ambient_dim, tuple(rows), tuple(range(ambient_dim)))
+
+    @property
+    def basis(self) -> tuple:
+        """The canonical RREF basis: over Q ``rows`` divided by their
+        pivots, built on the first read; over F_p ``rows`` itself."""
+        f = self.field
+        if f.p:
+            return self.rows
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(
+                _scalars(f, row, row[c]) for row, c in zip(self.rows, self.pivots)))
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def reduce(self, v) -> tuple:
         """Residual of ``v`` after reduction against the basis."""
@@ -472,11 +495,14 @@ class VectorSubspace(_Frozen):
         return self._reduce(v)
 
     def _reduce(self, v) -> tuple:
-        """``reduce`` of ``ambient_dim`` canonical entries, unchecked."""
+        """``reduce`` of ``ambient_dim`` canonical entries, unchecked; over
+        Q each row of ``rows`` is taken divided by its pivot."""
         f = self.field
-        for row, piv in zip(self.basis, self.pivots):
+        for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
-            if c != f.zero:
+            if c:
+                if not f.p:
+                    c /= row[piv]
                 v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
         return tuple(v)
 
@@ -485,21 +511,21 @@ class VectorSubspace(_Frozen):
 
     def sum(self, other: "VectorSubspace") -> "VectorSubspace":
         self._check_compatible(other)
-        return VectorSubspace._span(self.field, self.ambient_dim, self.basis + other.basis)
+        return VectorSubspace._span(self.field, self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "VectorSubspace") -> "VectorSubspace":
         """Intersection read off the Zassenhaus rows (u, u) and (w, 0):
         their row space meets 0 x K^n in exactly 0 x (self & other)."""
         self._check_compatible(other)
-        zeros = [self.field.zero] * self.ambient_dim
-        rows = [list(u) + list(u) for u in self.basis] + [list(w) + zeros for w in other.basis]
+        zeros = [0] * self.ambient_dim
+        rows = [list(u) + list(u) for u in self.rows] + [list(w) + zeros for w in other.rows]
         return _readout(self.field, rows, self.ambient_dim, 2 * self.ambient_dim)
 
     def vanishing_at(self, coords) -> "VectorSubspace":
         """The members whose coordinates at the indices ``coords`` vanish."""
         if not coords:
             return self
-        rows = [[v[c] for c in coords] + list(v) for v in self.basis]
+        rows = [[v[c] for c in coords] + list(v) for v in self.rows]
         return _readout(self.field, rows, len(coords), len(coords) + self.ambient_dim)
 
     def _check_compatible(self, other):
@@ -511,11 +537,11 @@ class VectorSubspace(_Frozen):
             isinstance(other, VectorSubspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self.rows))
 
     def __repr__(self):
         return "VectorSubspace(%r, dim %d of K^%d)" % (self.field, self.dim, self.ambient_dim)
@@ -528,12 +554,12 @@ def _readout(field, rows, k, ncols) -> VectorSubspace:
 
     After forward elimination on the first k columns, the rows without a
     pivot there span those members; reduced, and without their k leading
-    zeros, they are that subspace's canonical RREF.
+    zeros, they are that subspace's canonical RREF rows.
     """
     pivots = _eliminate(field, rows, ncols, k)
     first = sum(c < k for c in pivots)
-    basis = tuple(tuple(row[k:]) for row in rows[first:len(pivots)])
-    return VectorSubspace(field, ncols - k, basis, tuple(c - k for c in pivots[first:]))
+    kept = tuple(tuple(row[k:]) for row in rows[first:len(pivots)])
+    return VectorSubspace(field, ncols - k, kept, tuple(c - k for c in pivots[first:]))
 
 
 def kernel(m: DenseMatrix) -> VectorSubspace:
@@ -542,27 +568,30 @@ def kernel(m: DenseMatrix) -> VectorSubspace:
 
 
 def _kernel(field, rows, m) -> VectorSubspace:
-    """{v : row . v = 0 for every row}, rows of m canonical entries, read
-    off the RREF R' of the reversed rows: for each non-pivot f of R', in
-    descending order, the vector with 1 at m-1-f and -R'[r][f] at m-1-q_r
-    for each pivot q_r < f.  Its first nonzero is at m-1-f, and it vanishes
-    at the other non-pivots (the kernel's pivots): the basis is canonical.
+    """{v : row . v = 0 for every row}, rows of m entries as ``_span``
+    takes them, read off the RREF R' of the reversed rows: for each
+    non-pivot f of R', in descending order, the vector with 1 at m-1-f and
+    -R'[r][f] at m-1-q_r for each pivot q_r < f.  Its first nonzero is at
+    m-1-f, and it vanishes at the other non-pivots (the kernel's pivots):
+    the basis is canonical.  Over Q, where row r is R'[r] times its pivot
+    a_r, each vector is taken times d, the lcm of the denominators of its
+    entries -x_r / a_r: the primitive row with a positive pivot.
     """
+    p = field.p
     rows = [row[::-1] for row in rows]
     pivots = _eliminate(field, rows, m)
-    z, o, taken = field.zero, field.one, set(pivots)
+    taken = set(pivots)
     free = [f for f in range(m - 1, -1, -1) if f not in taken]
-    basis = []
+    vectors = []
     for f in free:
-        v = [z] * m
-        v[m - 1 - f] = o
-        for row, q in zip(rows, pivots):
-            if q > f:
-                break
-            if row[f]:
-                v[m - 1 - q] = field.neg(row[f])
-        basis.append(tuple(v))
-    return VectorSubspace(field, m, tuple(basis), tuple(m - 1 - f for f in free))
+        terms = [(q, row[f], row[q]) for row, q in zip(rows, pivots) if q < f and row[f]]
+        d = 1 if p else math.lcm(*(a // math.gcd(a, x) for _, x, a in terms))
+        v = [0] * m
+        v[m - 1 - f] = d
+        for q, x, a in terms:
+            v[m - 1 - q] = -x % p if p else -x * d // a
+        vectors.append(tuple(v))
+    return VectorSubspace(field, m, tuple(vectors), tuple(m - 1 - f for f in free))
 
 
 def solve_affine(a: DenseMatrix, b):
@@ -598,7 +627,9 @@ def invert(m: DenseMatrix) -> DenseMatrix:
     rows = [list(row) + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m.entries)]
     if _eliminate(f, rows, 2 * n) != list(range(n)):
         raise SingularMatrixError("matrix has rank < %d" % n)
-    return DenseMatrix._trusted(f, [row[n:] for row in rows], n)
+    if f.p:
+        return DenseMatrix._trusted(f, [row[n:] for row in rows], n)
+    return DenseMatrix._trusted(f, [_scalars(f, row[n:], row[i]) for i, row in enumerate(rows)], n)
 
 
 def all_matrices(field, rows, cols):

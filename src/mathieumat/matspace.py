@@ -17,15 +17,16 @@ bounds on each generic dimension.  Evaluation at a point gives only a
 lower bound; where it meets the upper bound the dimension is exact, and
 one Bareiss run decides the rest.
 
-Products that feed an elimination stay on integers.  ``_conjugate``,
-the one conjugation path (behind ``conjugate`` and
-``verify.left_ideal_normal_form``), clears t^-1, t and each basis matrix
-once and hands the flat rows of t^-1 M t to one elimination.  A
-:class:`Filtration` holds its adapted basis as integer grids, cleared
-once, and its column spaces and rank bounds eliminate integer images
-of them.  ``MatrixSubspace.basis_matrices`` is a view built on its first
-read: a space that is only conjugated, filtered or compared never
-builds it.
+Products that feed an elimination stay on integers: they read the basis
+as ``VectorSubspace.rows``, integer rows over Q.  ``_conjugate``, the
+one conjugation path (behind ``conjugate`` and
+``verify.left_ideal_normal_form``), clears t^-1 and t once and hands
+the flat rows of t^-1 M t to one elimination.  A :class:`Filtration`
+holds its adapted basis as integer grids, and its column spaces and
+rank bounds eliminate integer images of them.
+``MatrixSubspace.basis_matrices`` and the ``Fraction`` basis of a space
+over Q are views built on their first read: a space that is only
+loaded, conjugated, filtered, dualized or compared never builds either.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ class MatrixSubspace(_Frozen):
 
     def adjoin_identity(self) -> "MatrixSubspace":
         """The sum with the scalar line K*I."""
-        eye = DenseMatrix.identity(self.field, self.n)
-        return self.sum(MatrixSubspace.from_matrices(self.field, self.n, [eye]))
+        f, n = self.field, self.n
+        eye = VectorSubspace._span(f, n * n, [[int(i % (n + 1) == 0) for i in range(n * n)]])
+        return self.sum(MatrixSubspace(f, n, eye))
 
     def __eq__(self, other):
         return (
@@ -127,9 +129,9 @@ def constraint_space(space: MatrixSubspace) -> MatrixSubspace:
     Its dimension is n^2 - dim(space); applying it twice returns the
     original space.
     """
-    n, basis = space.n, space.basis.basis
+    n = space.n
     # tr(C M) = sum_ij C_ij M_ji: the coefficient of C_ij is M_ji.
-    rows = [[m[j * n + i] for i in range(n) for j in range(n)] for m in basis]
+    rows = [[m[j * n + i] for i in range(n) for j in range(n)] for m in space.basis.rows]
     return MatrixSubspace(space.field, n, _kernel(space.field, rows, n * n))
 
 
@@ -142,14 +144,15 @@ def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:
 
 def _conjugate(space: MatrixSubspace, t: DenseMatrix, t_inv: DenseMatrix) -> MatrixSubspace:
     """The subspace t_inv (space) t, for t_inv the inverse of t, with
-    integer dot products: t_inv, t and each basis matrix are cleared once,
-    and each product goes to one elimination as an integer row."""
+    integer dot products: t_inv and t are cleared once, the basis rows
+    are integers already, and each product goes to one elimination as an
+    integer row."""
     f, n, p = space.field, space.n, space.field.p
     a, _ = _cleared(f, t_inv.entries)
     b, _ = _cleared(f, [t.column(j) for j in range(n)])
     rows = []
-    for row in space.basis.basis:
-        m = _grid(f, n, row)
+    for row in space.basis.rows:
+        m = _grid(n, row)
         mb = [[sum(map(mul, mr, col)) for mr in m] for col in b]      # the columns of m t
         prod = [sum(map(mul, ar, col)) for ar in a for col in mb]
         rows.append([x % p for x in prod] if p else prod)
@@ -169,14 +172,13 @@ def column_space(space: MatrixSubspace, vec) -> VectorSubspace:
     if len(vec) != space.n:
         raise ValueError("vector has wrong length")
     f, n = space.field, space.n
-    grids = [_grid(f, n, row) for row in space.basis.basis]
+    grids = [_grid(n, row) for row in space.basis.rows]
     return VectorSubspace._span(f, n, _images(f, grids, [f.of(x) for x in vec]))
 
 
-def _grid(field, n, row) -> list:
-    """The flat row of n*n canonical entries as n rows of ints: over Q
-    times the least common denominator of its entries, over F_p as is."""
-    (row,), _ = _cleared(field, [row])
+def _grid(n, row) -> list:
+    """The flat integer row of n*n entries (a ``VectorSubspace.rows``
+    row) as the n rows of its matrix."""
     return [row[i * n:(i + 1) * n] for i in range(n)]
 
 
@@ -229,6 +231,11 @@ class BinaryProfile(namedtuple("BinaryProfile", "n B b col_dims d")):
             raise ValueError("d must be nondecreasing from 0")
         return super().__new__(cls, n, B, b, col_dims, d)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make (behind _replace) would skip the checks above
+        return cls(*iterable)
+
     def rows_increasing(self) -> bool:
         """B_ij = 0 implies B_i(j-1) = 0: ones extend to the right."""
         return all(
@@ -249,7 +256,7 @@ class Filtration(_Frozen):
     matrix column, last column first, gives an adapted basis: a row
     vanishes on columns k..n-1 iff its pivot lies past their
     coordinates, so those rows span C_k.  ``grids`` holds that basis
-    bottom-up as ``_grid`` matrices, cleared once, so its first
+    bottom-up as ``_grid`` matrices of integer rows, so its first
     ``dims[k]`` members span C_k; the column spaces and the rank bounds
     are integer products with them.  ``d[k]`` is
     read off the bounds of ``_rank_bounds`` when they meet at every
@@ -264,9 +271,9 @@ class Filtration(_Frozen):
         f, n = space.field, space.n
         # Entry (i, j) sits at coordinate (n - 1 - j) n + i.
         rows = [[row[i * n + j] for j in range(n - 1, -1, -1) for i in range(n)]
-                for row in space.basis.basis]
+                for row in space.basis.rows]
         pivots = _eliminate(f, rows, n * n)
-        grids = tuple(_grid(f, n, [row[(n - 1 - j) * n + i] for i in range(n) for j in range(n)])
+        grids = tuple(_grid(n, [row[(n - 1 - j) * n + i] for i in range(n) for j in range(n)])
                       for row in reversed(rows))
         dims = [sum(n - 1 - c // n < k for c in pivots) for k in range(n + 1)]
         d = next((lower for lower, upper in _rank_bounds(f, n, grids, dims) if lower == upper),
@@ -295,9 +302,9 @@ class Filtration(_Frozen):
         for j in range(1, n + 1):
             cs = self.column_space(j, _basis_vector(f, n, j))
             col_dims.append(cs.dim)
-            for row in cs.basis:
+            for row in cs.rows:
                 for i in range(n):
-                    if row[i] != f.zero:
+                    if row[i]:
                         B[i][j - 1] = 1
         b = [sum(B[i][j] for i in range(n)) for j in range(n)]
         return BinaryProfile(n, B, b, col_dims, self.d)

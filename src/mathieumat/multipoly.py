@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .linalg import Field, _Frozen, _cleared
+from .linalg import Field, _Frozen
 
 
 class MultiPoly(_Frozen):
@@ -267,14 +267,13 @@ def find_nonvanishing(f: MultiPoly, s):
 def _action_pivots(field, n, rows) -> list:
     """Bareiss pivot columns over K(x_1..x_n) of the n x len(rows) matrix
     of columns C*x, C the row-major ``rows`` in order: the pivots among
-    the first m count the generic rank of the span of the first m rows."""
+    the first m count the generic rank of the span of the first m rows.
+    The rows are integers: over Q any nonzero multiple of C will do, as
+    ``VectorSubspace.rows`` and ``_grid`` hold them."""
     width = _width(2 * min(n, len(rows)))           # linear entries
     keys = [1 << (width * (n - 1 - l)) for l in range(n)]
-    columns = []
-    for row in rows:
-        (row,), _ = _cleared(field, [row])
-        columns.append([{key: c for key, c in zip(keys, row[i * n:(i + 1) * n]) if c}
-                        for i in range(n)])
+    columns = [[{key: c for key, c in zip(keys, row[i * n:(i + 1) * n]) if c}
+                for i in range(n)] for row in rows]
     return _bareiss_rank(columns, field.p, _guard(n, width))
 
 
@@ -283,4 +282,4 @@ def generic_rank_of_action(space) -> int:
 
     Independent of the chosen basis of the subspace.
     """
-    return len(_action_pivots(space.field, space.n, space.basis.basis))
+    return len(_action_pivots(space.field, space.n, space.basis.rows))

@@ -95,7 +95,7 @@ def move_unit_triangular(fil: Filtration, k: int):
     already is."""
     f, n = fil.space.field, fil.space.n
     cs = fil.column_space(k, _basis_vector(f, n, k))
-    if all(sum(1 for x in row if x != f.zero) == 1 for row in cs.basis):
+    if all(sum(1 for x in row if x) == 1 for row in cs.rows):
         return None
     entries = [list(row) for row in DenseMatrix.identity(f, n).entries]
     # RREF rows have distinct leading coordinates; read bottom-up and
@@ -115,9 +115,9 @@ def move_permutation(fil: Filtration, k: int):
     f, n = fil.space.field, fil.space.n
     cs = fil.column_space(k, _basis_vector(f, n, k))
     ind = [0] * n
-    for row in cs.basis:
+    for row in cs.rows:
         for i in range(n):
-            if row[i] != f.zero:
+            if row[i]:
                 ind[i] = 1
     above = ind[:k - 1]
     if all(a >= b for a, b in zip(above, above[1:])):

@@ -390,11 +390,11 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
     common = VectorSubspace.full(f, n)
     for i in range(n):
         rows = [row[:i * n] + row[(i + 1) * n:] + row[i * n:(i + 1) * n]
-                for row in space.basis.basis]
+                for row in space.basis.rows]
         common = common.intersect(_readout(f, rows, n * n - n, n * n))
-    zero = (f.zero,) * n
+    zero = (0,) * n
     return MatrixSubspace(f, n, VectorSubspace._span(f, n * n, [
-        zero * i + row + zero * (n - 1 - i) for i in range(n) for row in common.basis]))
+        zero * i + row + zero * (n - 1 - i) for i in range(n) for row in common.rows]))
 
 
 class LeftIdealForm(namedtuple("LeftIdealForm", "t k idempotent")):
@@ -412,7 +412,7 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     n-k coordinates.  Raises NotLeftIdealError on bad input.
     """
     f, n = ideal.field, ideal.n
-    common = _kernel(f, [row[i * n:(i + 1) * n] for row in ideal.basis.basis
+    common = _kernel(f, [row[i * n:(i + 1) * n] for row in ideal.basis.rows
                          for i in range(n)], n)
     k = n - common.dim
     if ideal.dim != n * k:      # dim Ann(common), see the module docstring
@@ -420,7 +420,7 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     # The first k columns: each e_i outside the span of the kernel and
     # e_1..e_(i-1), i.e. each i that is no kernel vector's last nonzero
     # coordinate (no pivot of the kernel with its coordinates reversed).
-    last = VectorSubspace._span(f, n, [v[::-1] for v in common.basis]).pivots
+    last = VectorSubspace._span(f, n, [v[::-1] for v in common.rows]).pivots
     columns = [e for i, e in enumerate(DenseMatrix.identity(f, n).entries)
                if n - 1 - i not in last] + list(common.basis)
     t = DenseMatrix._trusted(f, zip(*columns), n)

@@ -98,9 +98,8 @@ def generic_rank_univariate(space, k: int, j: int) -> int:
     """
     if not (1 <= k <= space.n and 1 <= j <= space.n):
         raise ValueError("coordinate indices out of range")
-    z = space.field.zero
-    rows = [[x if c % space.n in (k - 1, j - 1) else z for c, x in enumerate(row)]
-            for row in space.basis.basis]
+    rows = [[x if c % space.n in (k - 1, j - 1) else 0 for c, x in enumerate(row)]
+            for row in space.basis.rows]
     return len(_action_pivots(space.field, space.n, rows))
 
 

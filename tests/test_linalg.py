@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieumat.errors import SingularMatrixError
 from mathieumat.linalg import (
@@ -10,6 +12,7 @@ from mathieumat.linalg import (
     Field,
     VectorSubspace,
     _eliminate,
+    _kernel,
     all_matrices,
     all_subspaces,
     invert,
@@ -19,6 +22,7 @@ from mathieumat.linalg import (
 )
 
 from helpers import all_vectors, mul_vector, zeros
+from test_readout import reference_kernel
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -179,7 +183,8 @@ def test_eliminate_matches_field_reference():
                     assert type(x) is Fraction
             # the kernel itself, on every row form and with columns before
             # ``first`` only eliminated forward: from ``top`` on, the rows are
-            # the reference rows pivoting at ``first`` or later, then zeros
+            # the reference rows pivoting at ``first`` or later, over Q each
+            # times its pivot, then zeros
             for raw in caller_forms(rng, field, rows):
                 first = rng.choice((0, rng.randrange(ncols + 1)))
                 before = [list(r) for r in raw]
@@ -187,12 +192,91 @@ def test_eliminate_matches_field_reference():
                 assert _eliminate(field, work, ncols, first) == list(pivots)
                 assert raw == before        # the caller's row lists are not written to
                 top = sum(c < first for c in pivots)
-                assert [list(r) for r in work[top:]] == (
-                    [r for r, c in zip(expected, pivots) if c >= first] + expected[rank:])
+                if field.p:
+                    assert [list(r) for r in work[top:]] == (
+                        [r for r, c in zip(expected, pivots) if c >= first] + expected[rank:])
+                else:
+                    for row, c, want in zip(work[top:rank], pivots[top:], expected[top:rank]):
+                        assert row[c] > 0 and math.gcd(*row) == 1
+                        assert [x * row[c] for x in want] == list(row)
+                    assert [list(r) for r in work[rank:]] == expected[rank:]
                 for x in (x for row in work[top:] for x in row):
-                    assert type(x) is (int if field.p else Fraction)
+                    assert type(x) is int
     # plain int rows over Q stay exact: no float from ``1 / a`` on the way
     assert rref(DenseMatrix(QQ, [[3, 7], [3, 7], [12, 28]]))[1] == 1
+
+
+Q_SCALARS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+MULTIPLIERS = st.sampled_from((1, -1, 2, -3, 6))
+
+
+@st.composite
+def q_spans(draw):
+    """``(m, vectors)``: ``Fraction`` vectors of length m spanning a zero,
+    a full (m invertible rows) or a low-rank subspace of Q^m."""
+    m = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("zero", "full", "low")))
+    if kind == "zero":
+        return m, [[Fraction(0)] * m for _ in range(draw(st.integers(0, 3)))]
+    if kind == "full":
+        # upper triangular with a nonzero diagonal, then row operations
+        rows = [[Fraction(0)] * i + [draw(Q_SCALARS.filter(bool))]
+                + [draw(Q_SCALARS) for _ in range(m - 1 - i)] for i in range(m)]
+        for i in range(1, m):
+            c = draw(Q_SCALARS)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[i - 1])]
+        return m, draw(st.permutations(rows))
+    rank = draw(st.integers(1, max(1, m - 1)))
+    gens = [[draw(Q_SCALARS) for _ in range(m)] for _ in range(rank)]
+    vectors = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = [draw(Q_SCALARS) for _ in gens]
+        vectors.append([sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0))
+                        for j in range(m)])
+    return m, vectors
+
+
+def assert_primitive_rows(space):
+    for row, c in zip(space.rows, space.pivots):
+        assert all(type(x) is int for x in row) and not any(row[:c])
+        assert row[c] > 0 and math.gcd(*row) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(q_spans(), st.data())
+def test_q_spaces_keep_primitive_rows_and_read_the_reference_rref(case, data):
+    m, vectors = case
+    # the same rows as integer multiples, as ``matspace`` and space files hand them over
+    ints = []
+    for v in vectors:
+        d = math.lcm(*(x.denominator for x in v)) * data.draw(MULTIPLIERS)
+        ints.append([int(x * d) for x in v])
+    space = VectorSubspace.from_vectors(QQ, m, vectors)
+    again = VectorSubspace._span(QQ, m, ints)
+    assert space == again and hash(space) == hash(again)
+    assert space.rows == again.rows and space.pivots == again.pivots
+    assert_primitive_rows(space)
+    expected = [list(r) for r in vectors]
+    pivots = reference_eliminate(QQ, expected, m)
+    assert space.pivots == tuple(pivots)
+    assert space.basis == again.basis == tuple(tuple(r) for r in expected[:len(pivots)])
+    assert all(type(x) is Fraction for row in space.basis for x in row)
+    # the kernel, from either route, is the reference's
+    want = reference_kernel(DenseMatrix(QQ, vectors, cols=m))
+    for rows in (vectors, ints):
+        got = _kernel(QQ, rows, m)
+        assert got == want and got.basis == want.basis
+        assert_primitive_rows(got)
+    # rref and invert divide by the pivots as they return
+    reduced, rank, got_pivots = rref(DenseMatrix(QQ, vectors, cols=m))
+    assert [list(r) for r in reduced.entries] == expected
+    assert (rank, got_pivots) == (len(pivots), tuple(pivots))
+    assert all(type(x) is Fraction for x in reduced.flatten())
+    if rank == m == len(vectors):
+        a = DenseMatrix(QQ, vectors, cols=m)
+        inv = invert(a)
+        assert all(type(x) is Fraction for x in inv.flatten())
+        assert a.mul(inv) == DenseMatrix.identity(QQ, m)
 
 
 def test_rref_identity_case():

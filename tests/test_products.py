@@ -4,11 +4,14 @@
 dot products on Python ints and builds one canonical scalar per output
 entry.  ``matspace._images`` (the column spaces) and ``matspace.conjugate``
 hand their integer products to an elimination without building scalars.  The definitional products, summing field
-scalars entry by entry, are kept here as the reference; the last three
-tests pin that no ``Fraction`` arithmetic is left on the product path
-and that the elimination takes those integer rows as they are.
+scalars entry by entry, are kept here as the reference; the last four
+tests pin that no ``Fraction`` arithmetic is left on the product path,
+that the elimination takes those integer rows as they are, and that a
+space over Q that is only loaded, dualized, filtered or certified never
+builds its ``Fraction`` basis.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,9 +19,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mathieumat.errors import SingularMatrixError
-from mathieumat import linalg
+from mathieumat import linalg, matspace, multipoly
 from mathieumat.linalg import DenseMatrix, Field, _cleared, _scalars, invert, rref
-from mathieumat.matspace import Filtration, MatrixSubspace, _images, column_space, conjugate
+from mathieumat.matspace import (
+    Filtration,
+    MatrixSubspace,
+    _images,
+    binary_profile,
+    column_space,
+    conjugate,
+    constraint_space,
+)
+from mathieumat.normalize import rct_certificate
 from mathieumat.spacefile import loads
 
 from helpers import zeros
@@ -252,3 +264,41 @@ def test_integer_rows_are_eliminated_without_clearing(monkeypatch):
     monkeypatch.setattr(linalg, "_cleared", counting)
     assert ([conjugate(s, t) for s in q_spaces()], loads(text)) == want
     assert cleared == []
+
+
+def test_q_spaces_stay_on_integer_rows(monkeypatch):
+    # a space over Q that is only loaded, dualized, filtered and certified
+    # never builds its Fraction basis: no row of n^2 canonical scalars is
+    # made, and no basis row is cleared back to integers
+    n = 4
+    c = [[1, 2, 0, -1], [3, 0, 1, 2], [0, -2, 5, 1], [1, 1, 0, -3]]
+    blocks = []
+    for m in constraint_space(MatrixSubspace.from_matrices(QQ, n, [c])).basis_matrices:
+        d = math.lcm(*(x.denominator for x in m.flatten()))
+        blocks.append("\n".join(" ".join(str(int(x * d)) for x in row) for row in m.entries))
+    text = "field Q\nn %d\nbasis\n%s\n" % (n, "\n\n".join(blocks))
+
+    def run():
+        space = loads(text)
+        return space, constraint_space(space), binary_profile(space), rct_certificate(space)
+
+    want = run()
+    assert want[0].dim == n * n - 1 and want[1].dim == 1
+    scalars, cleared = [], []
+    original_scalars, original_cleared = linalg._scalars, linalg._cleared
+
+    def counting_scalars(field, ints, d):
+        scalars.append(len(ints))
+        return original_scalars(field, ints, d)
+
+    def counting_cleared(field, rows):
+        cleared.extend(len(row) for row in rows)
+        return original_cleared(field, rows)
+
+    monkeypatch.setattr(linalg, "_scalars", counting_scalars)
+    for module in (linalg, matspace, multipoly):
+        if hasattr(module, "_cleared"):
+            monkeypatch.setattr(module, "_cleared", counting_cleared)
+    assert run() == want
+    assert scalars and n * n not in scalars
+    assert cleared and n * n not in cleared

@@ -107,6 +107,22 @@ def test_validating_entry_points_are_called_only_at_the_boundary():
     assert found == BOUNDARY
 
 
+# Over Q a subspace keeps integer rows, and ``_scalars`` turns integers
+# into canonical ``Fraction`` scalars only where a value leaves in that
+# form: the basis view, ``rref``, ``invert`` and a matrix product.  No
+# internal path builds scalars only to clear them back to integers.
+BUILDS_SCALARS = {
+    "linalg.VectorSubspace.basis", "linalg.rref", "linalg.invert", "linalg.DenseMatrix.mul",
+}
+
+
+def test_scalars_are_built_only_at_the_edge():
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"_scalars"})
+    assert found == BUILDS_SCALARS
+
+
 def test_one_conjugation_path():
     # t^-1 M t is formed on integers by ``matspace._conjugate`` alone: no
     # chained product ``x.mul(y).mul(z)`` in the package builds a second one

@@ -205,20 +205,22 @@ def running_pair_space(field) -> MatrixSubspace:
 def repro_counterexample():
     """Exhaustive check that no conjugation over F_2 makes the zero-corner
     members of the adjoined running pair scalar, for either block size.
-    Conjugation fixes I, so the pair is adjoined once, before the loop."""
+    Conjugation fixes I, so the pair is adjoined once, before the loop;
+    many conjugators give the same conjugate, whose corners are read once."""
     f = Field.prime(2)
     space = running_pair_space(f).adjoin_identity()
     conjugators = 0
     fixed = 0
+    scalar_corners = {}     # conjugate -> how many r give a scalar-only corner
     for t in all_matrices(f, 3, 3):
         try:
             moved = conjugate(space, t)
         except SingularMatrixError:
             continue
         conjugators += 1
-        for r in (1, 2):
-            if rct_zero_members(moved, r).dim == 1:
-                fixed += 1
+        if moved not in scalar_corners:
+            scalar_corners[moved] = sum(rct_zero_members(moved, r).dim == 1 for r in (1, 2))
+        fixed += scalar_corners[moved]
     expected = "all 168 conjugators fail for r in {1,2}"
     if conjugators == 168 and fixed == 0:
         observed = expected

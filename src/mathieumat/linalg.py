@@ -26,22 +26,29 @@ multiple of a row, so ``matspace`` hands them its integer products
 (conjugates, column-space images) as they are, and ``invert`` eliminates
 the rows ``[m | I]`` as lists.
 
-Gauss-Jordan elimination (behind ``rref``, ``kernel``, ``invert`` and
-:meth:`VectorSubspace.from_vectors`) works on integers.  It copies its
-rows once, as lists, and then updates those lists in place.  Over Q a
-row of ``int`` is taken as it is and any other row is scaled to
-integers; the rows are eliminated fraction-free and stay integers: each
+Elimination (``_eliminate``, behind ``rref``, ``kernel``, ``invert`` and
+every subspace) works on integers.  It copies its rows once, as lists,
+and then updates those lists in place.  Over F_p it is Gauss-Jordan: a
+pivot row is scaled to 1 unless its pivot is 1 already, and the other
+rows are updated from the pivot column on, with no final division.  Over
+Q it takes only rows of ``int``: the entry points that hold ``Fraction``
+rows (``rref``, ``invert``, ``kernel``, ``VectorSubspace.from_vectors``,
+``MatrixSubspace.from_matrices``) clear them once with ``_cleared``.  The
+rows are eliminated fraction-free and stay integers: a forward pass
+clears the rows below each pivot, and one back-substitution, bottom up,
+then changes only the free (non-pivot) columns of the rows above.  Each
 finished row is the canonical RREF row times its pivot, the primitive
-row with a positive pivot.  Over F_p a pivot row is scaled to 1 unless
-its pivot is 1 already, and the other rows are updated from the pivot
-column on, with no final division.  The reduced echelon form is unique,
-so the result does not depend on the scaling.  A :class:`VectorSubspace`
-keeps those rows (``rows``) and builds its ``Fraction`` basis only when
-``basis`` is read; ``rref`` and ``invert`` divide by the pivots as they
-return.  So a space over Q that is only spanned, intersected, dualized
-or compared never builds a ``Fraction``.  A kernel is the complement of
-the row space: ``_kernel`` eliminates the system's rows once, reversed,
-and its vectors, one per non-pivot, are already the canonical RREF rows.
+row with a positive pivot.  The reduced echelon form is unique, so the
+result does not depend on the scaling.  A :class:`VectorSubspace` keeps
+those rows (``rows``) and builds its ``Fraction`` basis only when
+``basis`` is read; ``rref``, ``invert`` and ``reduce`` divide as they
+return.  Membership (``_reduce``, behind ``MatrixSubspace.contains``)
+subtracts the rows from an integer vector in one cross-multiplied step.
+So a space over Q that is only spanned, intersected, dualized, compared
+or tested with ``contains`` never builds a ``Fraction``.  A kernel is
+the complement of the row space: ``_kernel`` eliminates the system's
+rows once, reversed, and its vectors, one per non-pivot, are already the
+canonical RREF rows.
 
 "The vectors of a row space that satisfy linear conditions" is read off
 one elimination (``_readout``): put the conditions' coordinates first,
@@ -343,34 +350,39 @@ def _scalars(field, ints, d) -> tuple:
 
 
 def _eliminate(field, rows, ncols, first=0):
-    """Gauss-Jordan on a list of rows, copied once, then updated in place
-    (the caller's row lists are never written to); returns pivots.
+    """Eliminate a list of rows, copied once, then updated in place (the
+    caller's row lists are never written to); returns the pivots.
 
-    Over F_p a pivot row is scaled to 1 unless its pivot is 1 already,
-    and the other rows are cleared on the columns from the pivot on only
-    (the pivot row is zero before it); the result is the unique RREF,
-    residues in [0, p).  Over Q it is fraction-free and nothing is
-    divided by a pivot: a row of ``int`` is taken as it is, any other row
-    is first scaled to integers; a pivot row is made primitive with a
-    positive pivot, and a row is cleared at a pivot by
-    cross-multiplication, ``a * row - b * pivot_row``, then divided by
-    the gcd of its entries.  Each finished row is then the unique RREF
-    row times its pivot: the primitive ``int`` row with a positive pivot
-    (``_cleared`` of the RREF row), and any nonzero integer multiple of
-    an input row gives the same result.  The rows after the finished
-    ones are zero.
+    Over F_p it is Gauss-Jordan: a pivot row is scaled to 1 unless its
+    pivot is 1 already, and the other rows are cleared from the pivot
+    column on; the result is the unique RREF, residues in [0, p).
 
-    Columns before ``first`` are only eliminated forward, and the rows
-    pivoting there are left unfinished: the rows pivoting at ``first`` or
-    later are then the RREF of the row space's members that vanish
-    before ``first`` (see ``_readout``), and the others are dropped.
+    Over Q the rows are ``int`` rows, each any nonzero integer multiple
+    of its row (as ``_cleared`` gives them), and nothing is divided by a
+    pivot.  A forward pass makes each pivot row primitive with a positive
+    pivot and clears only the rows below it, from the pivot column on,
+    by ``a * row - b * pivot_row`` divided by its gcd.  Then one
+    back-substitution, bottom up, finishes the rows pivoting at ``first``
+    or later.  The rows X_j below row k are finished, so they are zero at
+    each other's pivots, and row k's entries b_j at their pivots clear in
+    one step: with s the lcm of their pivots a_j, row k's pivot becomes
+    s * a_k, each free (non-pivot) column f becomes s * row[f] - sum_j
+    b_j * (s / a_j) * X_j[f], and the row is divided by its gcd.  Only the
+    free columns change: c of them for a space of codimension c in Mat_n.
+    Each finished row is the RREF row times its pivot, the primitive
+    ``int`` row with a positive pivot, whatever multiples came in.  F_p
+    keeps Gauss-Jordan: on its small systems (3 x 6 inverses, 3 x 11
+    readouts) the back-substitution costs more than it saves.
+
+    The rows after the finished ones are zero.  Columns before ``first``
+    are only eliminated forward, and the rows pivoting there are left
+    unfinished: the rows pivoting at ``first`` or later are then the RREF
+    of the row space's members that vanish before ``first`` (see
+    ``_readout``), and the others are dropped.  With ``first == ncols``
+    the elimination is forward only, for callers that read only pivots.
     """
     p = field.p
-    if p:
-        rows[:] = map(list, rows)
-    else:
-        rows[:] = [list(row) if all(type(x) is int for x in row) else _cleared(field, [row])[0][0]
-                   for row in rows]
+    rows[:] = map(list, rows)
     n = len(rows)
     pivots = []
     r = top = 0
@@ -389,13 +401,13 @@ def _eliminate(field, rows, ncols, first=0):
             if a != 1:
                 inv = pow(a, -1, p)
                 prow[c:] = [x * inv % p for x in prow[c:]]
-            tail = prow[c:]
         else:
             g = math.gcd(*prow) if a > 0 else -math.gcd(*prow)
             if g != 1:
                 prow[c:] = [x // g for x in prow[c:]]
                 a = prow[c]
-        for i in range(r + 1 if c < first else top, n):
+        tail = prow[c:]
+        for i in range(r + 1 if c < first or not p else top, n):
             row = rows[i]
             b = row[c]
             if i == r or not b:
@@ -403,16 +415,49 @@ def _eliminate(field, rows, ncols, first=0):
             if p:
                 row[c:] = [(x - b * y) % p for x, y in zip(row[c:], tail)]
                 continue
-            row = [a * x - b * y for x, y in zip(row, prow)]
-            g = math.gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-            rows[i] = row
+            new = [a * x - b * y for x, y in zip(row[c:], tail)]
+            g = math.gcd(*new)
+            row[c:] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if c < first:
             top = r
+    if p:
+        return pivots
+    free = None
+    for k in range(r - 2, top - 1, -1):
+        row = rows[k]
+        hits = [(row[c], x, x[c]) for x, c in zip(rows[k + 1:r], pivots[k + 1:]) if row[c]]
+        if not hits:
+            continue
+        if free is None:
+            taken = set(pivots)
+            free = [f for f in range(pivots[top] + 1, ncols) if f not in taken]
+        new, s = _subtract_rows([row[f] for f in free],
+                                [(b, [x[f] for f in free], a) for b, x, a in hits])
+        for c in pivots[k + 1:]:
+            row[c] = 0
+        c = pivots[k]
+        a = s * row[c]
+        g = math.gcd(a, *new)
+        row[c] = a // g
+        for f, v in zip(free, new):
+            row[f] = v // g
     return pivots
+
+
+def _subtract_rows(v, hits):
+    """``(w, s)`` for an integer vector v and ``hits``, triples (b, row, a)
+    of v's entry b at the pivot of a row whose pivot entry is a: s is the
+    lcm of the a, and w = s v - sum (b s / a) row.  When the rows are zero
+    at each other's pivots, that clears all of v's entries at them in one
+    step, on integers."""
+    s = math.lcm(*(a for _, _, a in hits))
+    w = v if s == 1 else [s * x for x in v]
+    for b, row, a in hits:
+        m = b * (s // a)
+        w = [x - m * y for x, y in zip(w, row)]
+    return w, s
 
 
 def rref(m: DenseMatrix):
@@ -422,7 +467,8 @@ def rref(m: DenseMatrix):
     RREF of ``m``, ``rank`` its number of nonzero rows and ``pivots`` the
     strictly increasing pivot column indices.
     """
-    f, rows = m.field, list(m.entries)
+    f = m.field
+    rows = list(_cleared(f, m.entries)[0])
     pivots = _eliminate(f, rows, m.cols)
     rows = ([_scalars(f, row, row[c]) for row, c in zip(rows, pivots)]
             + [(f.zero,) * m.cols] * (m.rows - len(pivots)))
@@ -454,13 +500,14 @@ class VectorSubspace(_Frozen):
         rows = [[field.of(x) for x in v] for v in vectors]
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("vector length != ambient dimension")
-        return VectorSubspace._span(field, ambient_dim, rows)
+        return VectorSubspace._span(field, ambient_dim, _cleared(field, rows)[0])
 
     @staticmethod
     def _span(field, ambient_dim, rows) -> "VectorSubspace":
-        """The span of rows of ``ambient_dim`` entries, unchecked: canonical
-        scalars, or over Q any nonzero integer multiple of a row (rows of
-        ``int``, as the integer products of ``matspace`` hand over)."""
+        """The span of rows of ``ambient_dim`` entries, unchecked: over F_p
+        residues, over Q rows of ``int``, any nonzero integer multiple of
+        each row (as ``_cleared`` and the integer products of ``matspace``
+        hand them over)."""
         rows = list(rows)
         pivots = _eliminate(field, rows, ambient_dim)
         return VectorSubspace(field, ambient_dim, tuple(map(tuple, rows[:len(pivots)])),
@@ -489,22 +536,26 @@ class VectorSubspace(_Frozen):
 
     def reduce(self, v) -> tuple:
         """Residual of ``v`` after reduction against the basis."""
-        v = [self.field.of(x) for x in v]
+        f = self.field
+        v = [f.of(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        return self._reduce(v)
+        (v,), d = _cleared(f, [v])
+        w, s = self._reduce(v)
+        return _scalars(f, w, s * d)
 
     def _reduce(self, v) -> tuple:
-        """``reduce`` of ``ambient_dim`` canonical entries, unchecked; over
-        Q each row of ``rows`` is taken divided by its pivot."""
-        f = self.field
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                if not f.p:
-                    c /= row[piv]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        """``(w, s)``, ``w / s`` the residual of a vector of ``ambient_dim``
+        entries as ``_span`` takes them, unchecked: over Q v's entries at
+        the pivots clear in one ``_subtract_rows`` step; over F_p the
+        pivots are 1, each row is subtracted as it is and s = 1."""
+        p = self.field.p
+        hits = [(v[c], row, row[c]) for row, c in zip(self.rows, self.pivots) if v[c]]
+        if not p:
+            return _subtract_rows(v, hits)
+        for b, row, _ in hits:
+            v = [x - b * y for x, y in zip(v, row)]
+        return [x % p for x in v], 1
 
     def member(self, v) -> bool:
         return not any(self.reduce(v))
@@ -564,7 +615,7 @@ def _readout(field, rows, k, ncols) -> VectorSubspace:
 
 def kernel(m: DenseMatrix) -> VectorSubspace:
     """The right kernel {v : m v = 0} as a canonical subspace."""
-    return _kernel(m.field, m.entries, m.cols)
+    return _kernel(m.field, _cleared(m.field, m.entries)[0], m.cols)
 
 
 def _kernel(field, rows, m) -> VectorSubspace:
@@ -624,7 +675,8 @@ def invert(m: DenseMatrix) -> DenseMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     f, n = m.field, m.rows
-    rows = [list(row) + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m.entries)]
+    a, d = _cleared(f, m.entries)
+    rows = [list(row) + [0] * i + [d] + [0] * (n - 1 - i) for i, row in enumerate(a)]
     if _eliminate(f, rows, 2 * n) != list(range(n)):
         raise SingularMatrixError("matrix has rank < %d" % n)
     if f.p:

@@ -81,6 +81,7 @@ class MatrixSubspace(_Frozen):
             if m.rows != n or m.cols != n or m.field != field:
                 raise ValueError("generator is not an n x n matrix over the field")
             vecs.append(m.flatten())
+        vecs, _ = _cleared(field, vecs)
         return MatrixSubspace(field, n, VectorSubspace._span(field, n * n, vecs))
 
     @staticmethod
@@ -94,10 +95,12 @@ class MatrixSubspace(_Frozen):
     def contains(self, m: DenseMatrix) -> bool:
         if m.field != self.field or (m.rows, m.cols) != (self.n, self.n):
             raise ValueError("not an n x n matrix over the field")
-        return not any(self.basis._reduce(m.flatten()))
+        (v,), _ = _cleared(self.field, [m.flatten()])
+        return not any(self.basis._reduce(v)[0])
 
     def contains_identity(self) -> bool:
-        return self.contains(DenseMatrix.identity(self.field, self.n))
+        n = self.n
+        return not any(self.basis._reduce([int(i % (n + 1) == 0) for i in range(n * n)])[0])
 
     def sum(self, other: "MatrixSubspace") -> "MatrixSubspace":
         return MatrixSubspace(self.field, self.n, self.basis.sum(other.basis))
@@ -322,13 +325,16 @@ def _rank_bounds(field, n, grids, dims):
     C x lies in the column space of C, so the generic rank of C_1..C_m is
     at most min(m, rank [C_1 | ... | C_m]); a minor that is nonzero at v
     is nonzero over K(x), so it is at least the rank of C_1 v .. C_m v.
+    Only the pivots are read, so both eliminations run forward only
+    (``first`` is the column count).
     """
+    count = len(grids)
     span = _eliminate(field, [[x for g in grids for x in g[i]] for i in range(n)],
-                      n * len(grids))
+                      n * count, n * count)
     upper = [min(m, sum(c < n * m for c in span)) for m in dims]
     for point in _POINTS:
         images = _images(field, grids, [point(j) for j in range(n)])
-        pivots = _eliminate(field, [[im[i] for im in images] for i in range(n)], len(grids))
+        pivots = _eliminate(field, [[im[i] for im in images] for i in range(n)], count, count)
         lower = [sum(c < m for c in pivots) for m in dims]
         if any(lo > up for lo, up in zip(lower, upper)):
             raise AssertionError("rank bounds cross (lower %r, upper %r); this "

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mathieumat import spacefile
+from mathieumat import linalg, spacefile
 from mathieumat.cli import main
 from mathieumat.errors import SpaceFileError
 from mathieumat.linalg import DenseMatrix, Field
@@ -283,12 +283,23 @@ def test_cli_repro_fast_names(name, capsys):
     assert payload["expected"] == payload["observed"]
 
 
-def test_cli_repro_counterexample(capsys):
+def test_cli_repro_counterexample(capsys, monkeypatch):
+    # the 168 conjugators give 42 distinct conjugates, and the two
+    # zero corners of each are read once: 84 readouts, not 336
+    readouts = []
+    readout = linalg._readout
+
+    def counting(*args):
+        readouts.append(1)
+        return readout(*args)
+
+    monkeypatch.setattr(linalg, "_readout", counting)
     rc, out, _ = run(capsys, "repro", "counterexample", "--json")
     assert rc == 0
     payload = json.loads(out)["payload"]
     assert payload["match"] is True
     assert payload["conjugators"] == 168 and payload["successes"] == 0
+    assert len(readouts) == 84
 
 
 # Nonzero maximal left ideals: a column-kill ideal conjugated by T (not a

@@ -11,6 +11,7 @@ from mathieumat.linalg import (
     DenseMatrix,
     Field,
     VectorSubspace,
+    _cleared,
     _eliminate,
     _kernel,
     all_matrices,
@@ -20,6 +21,7 @@ from mathieumat.linalg import (
     rref,
     solve_affine,
 )
+from mathieumat.matspace import MatrixSubspace
 
 from helpers import all_vectors, mul_vector, zeros
 from test_readout import reference_kernel
@@ -147,10 +149,10 @@ def random_rows(rng, field, nrows, ncols, small=False):
 
 
 def caller_forms(rng, field, rows):
-    """The rows as callers hand them to ``_eliminate``: canonical and, over
-    Q, as rows of ``int`` (each a nonzero integer multiple of its row, as
-    the integer products hand over) and as ``int`` and ``Fraction`` entries
-    mixed (as ``invert`` builds ``[m | I]``)."""
+    """The rows as callers hold them before ``_cleared`` makes them the
+    ``int`` rows ``_eliminate`` takes: canonical and, over Q, as rows of
+    ``int`` (each a nonzero integer multiple of its row, as the integer
+    products hand over) and as ``int`` and ``Fraction`` entries mixed."""
     if field.p:
         return [rows]
     ints = []
@@ -161,13 +163,32 @@ def caller_forms(rng, field, rows):
     return [rows, ints, mixed]
 
 
+def low_rank_rows(rng, field, nrows, ncols, rank):
+    """``nrows`` random combinations of ``rank`` random rows."""
+    gens = random_rows(rng, field, rank, ncols, small=True)
+    rows = [[sum((field.mul(field.of(rng.randrange(-3, 4)), g[j]) for g in gens), field.zero)
+             for j in range(ncols)] for _ in range(nrows)]
+    return [[field.of(x) for x in row] for row in rows]
+
+
+# Tall systems, as the space files and their corners give them: (rows,
+# columns, rank or None for random rows).  The first is a codim-1 space
+# file at n = 6, the next two the sizes of a codim-2 file at n = 5 and
+# a codim-2 file at n = 4; the last three are rank-deficient.
+TALL = [(35, 36, None), (23, 25, None), (14, 16, None), (20, 24, 12), (30, 36, 29), (16, 9, 5)]
+
+
 def test_eliminate_matches_field_reference():
     rng = random.Random(12)
     for field in (QQ, F2, F3, F5, Field.prime(2147483647)):
-        for case in range(81):
-            # the last case is the size of a codim-1 space file's elimination at n = 6
-            nrows, ncols = (35, 36) if case == 80 else (rng.randrange(0, 7), rng.randrange(1, 8))
-            rows = random_rows(rng, field, nrows, ncols, small=case == 80)
+        for case in range(80 + len(TALL)):
+            if case < 80:
+                nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 8)
+                rows = random_rows(rng, field, nrows, ncols)
+            else:
+                nrows, ncols, rank = TALL[case - 80]
+                rows = (random_rows(rng, field, nrows, ncols, small=True) if rank is None
+                        else low_rank_rows(rng, field, nrows, ncols, rank))
             expected = [list(r) for r in rows]
             pivots = tuple(reference_eliminate(field, expected, ncols))
             reduced, rank, got_pivots = rref(DenseMatrix(field, rows, cols=ncols))
@@ -181,16 +202,20 @@ def test_eliminate_matches_field_reference():
                     assert type(x) is int and 0 <= x < field.p
                 else:
                     assert type(x) is Fraction
-            # the kernel itself, on every row form and with columns before
-            # ``first`` only eliminated forward: from ``top`` on, the rows are
-            # the reference rows pivoting at ``first`` or later, over Q each
-            # times its pivot, then zeros
-            for raw in caller_forms(rng, field, rows):
+            # the kernel itself, on every row form once cleared and with
+            # columns before ``first`` only eliminated forward: from ``top``
+            # on, the rows are the reference rows pivoting at ``first`` or
+            # later, over Q each times its pivot, then zeros; the tall cases
+            # take first at their fourth pivot on their canonical rows
+            for form, raw in enumerate(caller_forms(rng, field, rows)):
+                given, _ = _cleared(field, raw)
                 first = rng.choice((0, rng.randrange(ncols + 1)))
-                before = [list(r) for r in raw]
-                work = list(raw)
+                if case >= 80 and form == 0:
+                    first = pivots[3]
+                before = [list(r) for r in given]
+                work = list(given)
                 assert _eliminate(field, work, ncols, first) == list(pivots)
-                assert raw == before        # the caller's row lists are not written to
+                assert [list(r) for r in given] == before      # the caller's rows are not written to
                 top = sum(c < first for c in pivots)
                 if field.p:
                     assert [list(r) for r in work[top:]] == (
@@ -202,6 +227,12 @@ def test_eliminate_matches_field_reference():
                     assert [list(r) for r in work[rank:]] == expected[rank:]
                 for x in (x for row in work[top:] for x in row):
                     assert type(x) is int
+                if case >= 80 and form == 0 and not field.p:
+                    # the forward pass alone leaves kept rows that are not
+                    # zero at a later pivot: back-substitution had work
+                    forward = list(given)
+                    assert _eliminate(field, forward, ncols, ncols) == list(pivots)
+                    assert any(forward[k][c] for k in range(top, rank) for c in pivots[k + 1:])
     # plain int rows over Q stay exact: no float from ``1 / a`` on the way
     assert rref(DenseMatrix(QQ, [[3, 7], [3, 7], [12, 28]]))[1] == 1
 
@@ -263,8 +294,7 @@ def test_q_spaces_keep_primitive_rows_and_read_the_reference_rref(case, data):
     assert all(type(x) is Fraction for row in space.basis for x in row)
     # the kernel, from either route, is the reference's
     want = reference_kernel(DenseMatrix(QQ, vectors, cols=m))
-    for rows in (vectors, ints):
-        got = _kernel(QQ, rows, m)
+    for got in (kernel(DenseMatrix(QQ, vectors, cols=m)), _kernel(QQ, ints, m)):
         assert got == want and got.basis == want.basis
         assert_primitive_rows(got)
     # rref and invert divide by the pivots as they return
@@ -277,6 +307,40 @@ def test_q_spaces_keep_primitive_rows_and_read_the_reference_rref(case, data):
         inv = invert(a)
         assert all(type(x) is Fraction for x in inv.flatten())
         assert a.mul(inv) == DenseMatrix.identity(QQ, m)
+
+
+def reference_reduce(space, v):
+    """The residual of ``v`` in Field arithmetic against the canonical basis."""
+    f = space.field
+    v = [f.of(x) for x in v]
+    for row, c in zip(space.basis, space.pivots):
+        k = v[c]
+        v = [f.sub(x, f.mul(k, y)) for x, y in zip(v, row)]
+    return tuple(v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(q_spans(), st.data())
+def test_reduce_reads_the_reference_residual_on_integer_rows(case, data):
+    m, vectors = case
+    space = VectorSubspace.from_vectors(QQ, m, vectors)
+    coeffs = [data.draw(Q_SCALARS) for _ in space.basis]
+    inside = [sum((c * row[j] for c, row in zip(coeffs, space.basis)), Fraction(0))
+              for j in range(m)]
+    for v in ([data.draw(Q_SCALARS) for _ in range(m)], inside):
+        want = reference_reduce(space, v)
+        assert space.reduce(v) == want
+        assert all(type(x) is Fraction for x in space.reduce(v))
+        assert space.member(v) == (not any(want))
+        if m == 4:
+            mat = MatrixSubspace(QQ, 2, space)
+            assert mat.contains(DenseMatrix(QQ, [v[:2], v[2:]])) == (not any(want))
+            assert mat.contains_identity() == mat.contains(DenseMatrix.identity(QQ, 2))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for field in (F2, F5):
+        space = VectorSubspace.from_vectors(field, m, random_rows(rng, field, len(vectors), m))
+        v = [rng.randrange(field.p) for _ in range(m)]
+        assert space.reduce(v) == reference_reduce(space, v)
 
 
 def test_rref_identity_case():

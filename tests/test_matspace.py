@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mathieumat import multipoly
+from mathieumat import matspace, multipoly
 from mathieumat.cli import running_pair_space
 from mathieumat.errors import FieldTooSmallError
 from mathieumat.linalg import (
@@ -314,6 +314,29 @@ def test_no_bareiss_run_where_the_rank_bounds_meet(bareiss_runs):
 def test_bareiss_decides_where_the_rank_bounds_differ(space, d, bareiss_runs):
     assert Filtration(space).d == d
     assert len(bareiss_runs) == 1
+
+
+def test_rank_bounds_eliminate_forward_only(monkeypatch):
+    # the bounds read only pivots, so both of their eliminations (the span
+    # and each point) take ``first`` at the column count, on both fields
+    calls = []
+    eliminate = matspace._eliminate
+
+    def recording(field, rows, ncols, first=0):
+        calls.append((ncols, first))
+        return eliminate(field, rows, ncols, first)
+
+    rng = random.Random(5)
+    for field in (F2, F5, QQ):
+        space = random_subspace(rng, field, 4, (3, 12))
+        fil = Filtration(space)
+        want = list(matspace._rank_bounds(field, 4, fil.grids, fil.dims))
+        monkeypatch.setattr(matspace, "_eliminate", recording)
+        assert list(matspace._rank_bounds(field, 4, fil.grids, fil.dims)) == want
+        monkeypatch.undo()
+        assert len(calls) == 1 + len(matspace._POINTS)
+        assert all(first == ncols for ncols, first in calls)
+        calls.clear()
 
 
 def test_rct_examples():

@@ -249,8 +249,9 @@ def test_mul_builds_at_most_one_fraction_per_entry(monkeypatch):
 
 
 def test_integer_rows_are_eliminated_without_clearing(monkeypatch):
-    # conjugate and loads hand all-int rows to the elimination over Q; it
-    # copies them as they are, and clears only the rows holding a Fraction
+    # conjugate and loads hand all-int rows to the elimination over Q, and
+    # nothing clears them again: only the entry points holding Fraction
+    # rows (here `invert`, on the conjugator) clear them
     t = DenseMatrix(QQ, [[1, Fraction(1, 2), 3], [1, 3, Fraction(-2, 9)], [2, 5, 7]])
     text = "field Q\nn 2\nbasis\n4 -2\n6 0\n\n0 3\n-9 12\n"
     want = [conjugate(s, t) for s in q_spaces()], loads(text)

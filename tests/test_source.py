@@ -109,10 +109,12 @@ def test_validating_entry_points_are_called_only_at_the_boundary():
 
 # Over Q a subspace keeps integer rows, and ``_scalars`` turns integers
 # into canonical ``Fraction`` scalars only where a value leaves in that
-# form: the basis view, ``rref``, ``invert`` and a matrix product.  No
+# form: the basis view, a residual of ``reduce``, ``rref``, ``invert`` and
+# a matrix product.  No
 # internal path builds scalars only to clear them back to integers.
 BUILDS_SCALARS = {
-    "linalg.VectorSubspace.basis", "linalg.rref", "linalg.invert", "linalg.DenseMatrix.mul",
+    "linalg.VectorSubspace.basis", "linalg.VectorSubspace.reduce", "linalg.rref",
+    "linalg.invert", "linalg.DenseMatrix.mul",
 }
 
 

@@ -546,16 +546,13 @@ class VectorSubspace(_Frozen):
 
     def _reduce(self, v) -> tuple:
         """``(w, s)``, ``w / s`` the residual of a vector of ``ambient_dim``
-        entries as ``_span`` takes them, unchecked: over Q v's entries at
-        the pivots clear in one ``_subtract_rows`` step; over F_p the
-        pivots are 1, each row is subtracted as it is and s = 1."""
+        entries as ``_span`` takes them, unchecked: v's entries at the
+        pivots clear in one ``_subtract_rows`` step, over F_p with pivots
+        1, so s = 1, and the residual taken mod p."""
         p = self.field.p
-        hits = [(v[c], row, row[c]) for row, c in zip(self.rows, self.pivots) if v[c]]
-        if not p:
-            return _subtract_rows(v, hits)
-        for b, row, _ in hits:
-            v = [x - b * y for x, y in zip(v, row)]
-        return [x % p for x in v], 1
+        w, s = _subtract_rows(v, [(v[c], row, row[c])
+                                  for row, c in zip(self.rows, self.pivots) if v[c]])
+        return ([x % p for x in w] if p else w), s
 
     def member(self, v) -> bool:
         return not any(self.reduce(v))

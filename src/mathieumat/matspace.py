@@ -15,15 +15,18 @@ normalization moves read all levels, their column spaces and generic
 dimensions off one :class:`Filtration`: one elimination, then two cheap
 bounds on each generic dimension.  Evaluation at a point gives only a
 lower bound; where it meets the upper bound the dimension is exact, and
-one Bareiss run decides the rest.
+one Bareiss run decides the rest.  The column space of level k along
+e_k, which drives the moves and is column k of the profile, is read once
+per level, off column k of the level's basis matrices.
 
 Products that feed an elimination stay on integers: they read the basis
 as ``VectorSubspace.rows``, integer rows over Q.  ``_conjugate``, the
 one conjugation path (behind ``conjugate`` and
 ``verify.left_ideal_normal_form``), clears t^-1 and t once and hands
 the flat rows of t^-1 M t to one elimination.  A :class:`Filtration`
-holds its adapted basis as integer grids, and its column spaces and
-rank bounds eliminate integer images of them.
+holds its adapted basis as integer grids: its column spaces along e_k
+eliminate their columns, and the generic-vector scan and the rank bounds
+eliminate integer images of them.
 ``MatrixSubspace.basis_matrices`` and the ``Fraction`` basis of a space
 over Q are views built on their first read: a space that is only
 loaded, conjugated, filtered, dualized or compared never builds either.
@@ -260,15 +263,17 @@ class Filtration(_Frozen):
     vanishes on columns k..n-1 iff its pivot lies past their
     coordinates, so those rows span C_k.  ``grids`` holds that basis
     bottom-up as ``_grid`` matrices of integer rows, so its first
-    ``dims[k]`` members span C_k; the column spaces and the rank bounds
-    are integer products with them.  ``d[k]`` is
+    ``dims[k]`` members span C_k.  C e_k is column k of C, so
+    ``col_spaces[k - 1]``, the column space of C_k along e_k, spans
+    column k of those grids; ``column_space`` along other vectors and
+    the rank bounds are integer products with them.  ``d[k]`` is
     read off the bounds of ``_rank_bounds`` when they meet at every
     level for some point; otherwise one Bareiss run over the columns C*x,
     in that order, gives every generic dimension: ``d[k]`` counts its
     pivots among the first ``dims[k]``.
     """
 
-    __slots__ = ("space", "grids", "dims", "d")
+    __slots__ = ("space", "grids", "dims", "d", "col_spaces")
 
     def __init__(self, space: MatrixSubspace):
         f, n = space.field, space.n
@@ -288,29 +293,29 @@ class Filtration(_Frozen):
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "dims", tuple(dims))
         object.__setattr__(self, "d", tuple(d))
+        object.__setattr__(self, "col_spaces", tuple(
+            VectorSubspace._span(f, n, [[r[j] for r in g] for g in grids[:dims[j + 1]]])
+            for j in range(n)))
 
     def column_space(self, k: int, vec) -> VectorSubspace:
         """span{C vec : C in C_k} inside K^n, for n canonical scalars."""
-        if not 0 <= k <= self.space.n:
-            raise ValueError("level %d out of range 0..%d" % (k, self.space.n))
-        return VectorSubspace._span(
-            self.space.field, self.space.n,
-            _images(self.space.field, self.grids[:self.dims[k]], vec))
+        f, n = self.space.field, self.space.n
+        if not 0 <= k <= n:
+            raise ValueError("level %d out of range 0..%d" % (k, n))
+        if len(vec) != n:
+            raise ValueError("vector has wrong length")
+        return VectorSubspace._span(f, n, _images(f, self.grids[:self.dims[k]], vec))
 
     def profile(self) -> BinaryProfile:
         """The binary profile of the space, read off this filtration."""
-        f, n = self.space.field, self.space.n
-        B = [[0] * n for _ in range(n)]
-        col_dims = []
-        for j in range(1, n + 1):
-            cs = self.column_space(j, _basis_vector(f, n, j))
-            col_dims.append(cs.dim)
-            for row in cs.rows:
-                for i in range(n):
-                    if row[i]:
-                        B[i][j - 1] = 1
-        b = [sum(B[i][j] for i in range(n)) for j in range(n)]
-        return BinaryProfile(n, B, b, col_dims, self.d)
+        columns = [_support(cs) for cs in self.col_spaces]
+        return BinaryProfile(self.space.n, zip(*columns), map(sum, columns),
+                             [cs.dim for cs in self.col_spaces], self.d)
+
+
+def _support(cs: VectorSubspace) -> list:
+    """0/1 by coordinate: 1 where some vector of ``cs`` is nonzero."""
+    return [int(any(row[i] for row in cs.rows)) for i in range(cs.ambient_dim)]
 
 
 # The points v of the lower bounds, by 0-based coordinate j, in the order tried.
@@ -341,10 +346,6 @@ def _rank_bounds(field, n, grids, dims):
                                  "indicates a bug in the generic-rank machinery"
                                  % (lower, upper))
         yield lower, upper
-
-
-def _basis_vector(field, n, k):
-    return tuple(field.one if i == k - 1 else field.zero for i in range(n))
 
 
 def binary_profile(space: MatrixSubspace) -> BinaryProfile:

@@ -20,6 +20,8 @@ replayed and audited move by move.
 Each move reads the current space's levels off its ``matspace.Filtration``
 and returns its conjugator, or None for a no-op; ``normalize`` reads one
 Filtration for the input and one for the conjugate after each logged move.
+The moves read the column space of level k along e_k off
+``Filtration.col_spaces``; only the generic-vector search computes one anew.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .linalg import DenseMatrix
 from .matspace import (
     Filtration,
     MatrixSubspace,
-    _basis_vector,
+    _support,
     conjugate,
     constraint_space,
     find_generic_vector,
@@ -72,7 +74,7 @@ def move_generic_vector(fil: Filtration, k: int, pivot=False):
     f, n = fil.space.field, fil.space.n
     # The column space along e_k never exceeds d_k, so it is saturated
     # when d_k = 0.
-    if fil.column_space(k, _basis_vector(f, n, k)).dim == fil.d[k]:
+    if fil.col_spaces[k - 1].dim == fil.d[k]:
         return None
     v = find_generic_vector(fil, k, require_pivot_one=pivot)
     entries = [list(row) for row in DenseMatrix.identity(f, n).entries]
@@ -94,7 +96,7 @@ def move_unit_triangular(fil: Filtration, k: int):
     one-count equals its dimension), for 1 <= k <= n.  None when it
     already is."""
     f, n = fil.space.field, fil.space.n
-    cs = fil.column_space(k, _basis_vector(f, n, k))
+    cs = fil.col_spaces[k - 1]
     if all(sum(1 for x in row if x) == 1 for row in cs.rows):
         return None
     entries = [list(row) for row in DenseMatrix.identity(f, n).entries]
@@ -113,12 +115,7 @@ def move_permutation(fil: Filtration, k: int):
     1 <= k <= n; None when it already is.  The permutation is stable and
     fixes every coordinate from the lowest 1 of the column downward."""
     f, n = fil.space.field, fil.space.n
-    cs = fil.column_space(k, _basis_vector(f, n, k))
-    ind = [0] * n
-    for row in cs.rows:
-        for i in range(n):
-            if row[i]:
-                ind[i] = 1
+    ind = _support(fil.col_spaces[k - 1])
     above = ind[:k - 1]
     if all(a >= b for a, b in zip(above, above[1:])):
         return None
@@ -172,7 +169,7 @@ def normalize(space: MatrixSubspace) -> NormalizationResult:
         log.append(Move(kind, k, t))
         dk = fil.d[k]
         fil = Filtration(conjugate(fil.space, t))
-        if kind == "generic_vector" and fil.column_space(k, _basis_vector(f, n, k)).dim != dk:
+        if kind == "generic_vector" and fil.col_spaces[k - 1].dim != dk:
             raise NormalizationError(
                 "generic-vector move missed dimension %d at level %d" % (dk, k), log)
 

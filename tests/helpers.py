@@ -9,7 +9,6 @@ from mathieumat.errors import PreconditionViolated
 from mathieumat.linalg import DenseMatrix
 from mathieumat.matspace import (
     MatrixSubspace,
-    _basis_vector,
     column_space,
     members_vanishing_at,
 )
@@ -53,6 +52,11 @@ def filtration_level(space: MatrixSubspace, k: int) -> MatrixSubspace:
     if not 0 <= k <= n:
         raise ValueError("level %d out of range 0..%d" % (k, n))
     return members_vanishing_at(space, [(i, j) for i in range(n) for j in range(k, n)])
+
+
+def unit_vector(field, n, k) -> tuple:
+    """e_k in K^n (1-based k) as canonical scalars."""
+    return tuple(field.one if i == k - 1 else field.zero for i in range(n))
 
 
 def reference_is_left_ideal(space: MatrixSubspace) -> bool:
@@ -111,7 +115,7 @@ def pencil_condition(space: MatrixSubspace, j: int, k: int) -> bool:
     level, which forces the profile rows to be increasing.
     """
     level = filtration_level(space, j)
-    e_j = _basis_vector(space.field, space.n, j)
+    e_j = unit_vector(space.field, space.n, j)
     return column_space(level, e_j).dim >= generic_rank_univariate(level, k, j)
 
 

@@ -194,10 +194,20 @@ def test_column_space_examples():
 
 def test_column_space_rejects_a_vector_of_the_wrong_length():
     space = MatrixSubspace.from_matrices(F5, 2, [[[1, 2], [3, 4]]])
+    fil = Filtration(space)
     for v in ([1, 0, 0], [1]):
         with pytest.raises(ValueError):
             column_space(space, v)
+        with pytest.raises(ValueError):
+            fil.column_space(2, v)
     assert column_space(space, [1, 1]).basis == ((1, 4),)      # the line of (3, 2)
+    # Filtration.column_space once read a short vector as its zero-padded
+    # self: (0, 0) gave dim 0 here, where (0, 0, 1) gives 2
+    space = MatrixSubspace.from_matrices(F5, 3, [
+        [[1, 0, 0], [0, 0, 1], [0, 2, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 3]]])
+    with pytest.raises(ValueError, match="wrong length"):
+        Filtration(space).column_space(3, (0, 0))
+    assert Filtration(space).column_space(3, (0, 0, 1)).dim == 2
 
 
 def test_binary_profile_scalars_only():

@@ -301,6 +301,41 @@ def test_one_filtration_per_filtered_space(monkeypatch):
     assert max(moves) >= 2 and certified >= 8
 
 
+def test_column_spaces_along_unit_vectors_are_read_off_the_filtration(monkeypatch):
+    # the profile and the moves read the column space of level k along
+    # e_k off ``Filtration.col_spaces``: only the generic-vector search
+    # calls ``Filtration.column_space``, so a run without a generic-vector
+    # move calls it not at all
+    calls = []
+    column_space_of = Filtration.column_space
+
+    def counting(self, k, vec):
+        calls.append(k)
+        return column_space_of(self, k, vec)
+
+    monkeypatch.setattr(Filtration, "column_space", counting)
+    rng = random.Random(89)
+    searched = unsearched = 0
+    for field in (F5, QQ):
+        for _ in range(8):
+            n = rng.choice((3, 4))
+            s = MatrixSubspace.from_matrices(field, n, [
+                DenseMatrix(field, [[rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(n)]
+                                    for _ in range(n)])
+                for _ in range(rng.randrange(1, n))])
+            calls.clear()
+            binary_profile(s)
+            assert calls == []
+            result = normalize(s)
+            if any(move.kind == "generic_vector" for move in result.log):
+                assert calls
+                searched += 1
+            else:
+                assert calls == []
+                unsearched += bool(result.log)
+    assert searched >= 2 and unsearched >= 8
+
+
 def test_lower_triangular_column_replacement():
     # t with k-th column zero above the diagonal and identity columns to
     # the right replaces the level-k column space by its t^-1 image

@@ -46,7 +46,13 @@ from mathieumat.matspace import (
 from mathieumat.multipoly import generic_rank_of_action
 from mathieumat.verify import left_ideal_normal_form, max_left_ideal
 
-from helpers import filtration_level, mul_vector, reference_is_left_ideal, zeros
+from helpers import (
+    filtration_level,
+    mul_vector,
+    reference_is_left_ideal,
+    unit_vector,
+    zeros,
+)
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 F7, FBIG = Field.prime(7), Field.prime(2**31 - 1)
@@ -159,10 +165,6 @@ def normal_form_accepts(space: MatrixSubspace) -> bool:
     except NotLeftIdealError:
         return False
     return True
-
-
-def unit_vector(field, n, k):
-    return tuple(field.one if i == k - 1 else field.zero for i in range(n))
 
 
 def reference_profile(space: MatrixSubspace) -> BinaryProfile:
@@ -529,6 +531,8 @@ def test_filtration_readout_matches_levels(space):
     assert binary_profile(space) == got.profile() == reference_profile(space)
     levels = [filtration_level(space, k) for k in range(space.n + 1)]
     assert got.dims == tuple(level.dim for level in levels)
+    assert got.col_spaces == tuple(column_space(levels[j], unit_vector(space.field, space.n, j))
+                                   for j in range(1, space.n + 1))
     # the integer grids are multiples of the basis matrices; the public
     # constructor reads them as field scalars
     assert all(MatrixSubspace.from_matrices(space.field, space.n, got.grids[:level.dim])

@@ -142,6 +142,17 @@ def test_one_conjugation_path():
     assert found == {"matspace.conjugate", "verify.left_ideal_normal_form"}
 
 
+def test_unit_vectors_are_not_multiplied_out():
+    # C e_k is column k of C: a ``Filtration`` reads its column spaces
+    # along e_k off the grids' columns, and only the other vectors, of
+    # ``column_space`` and the rank-bound points, are multiplied out
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"_images"})
+    assert found == {"matspace.column_space", "matspace.Filtration.column_space",
+                     "matspace._rank_bounds"}
+
+
 def test_every_imported_name_is_used():
     # no linter runs here: an import left behind by the removal of its
     # last use, in the package, the tests or the demos, fails here
@@ -227,7 +238,7 @@ DELETED = {
     "multipoly.MultiPoly.degree", "multipoly.MultiPoly.is_homogeneous",
     "verify.is_left_ideal", "spacefile.dumps", "spacefile.from_subspace",
     "spacefile.SpaceFile", "spacefile.SpaceFile.resolve", "linalg.Field.size_greater",
-    "linalg.DenseMatrix.__getitem__",
+    "linalg.DenseMatrix.__getitem__", "matspace._basis_vector",
 }
 
 

@@ -3,7 +3,7 @@
 The package is organized in layers:
 
 * :mod:`mathieumat.linalg` -- exact fields (F_p, Q) and dense linear
-  algebra: RREF, kernels, affine solving, canonical subspaces;
+  algebra: products, inverses, canonical subspaces;
 * :mod:`mathieumat.multipoly` -- sparse multivariate polynomials and
   fraction-free generic ranks over function fields;
 * :mod:`mathieumat.matspace` -- subspaces of Mat_n(K): trace-dual

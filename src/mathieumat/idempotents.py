@@ -9,15 +9,22 @@ By the Fredholm alternative it is solvable iff each constraint with
 vanishing top-right block has trace-zero leading principal minor, so
 solving it decides that hypothesis.  The lower form (identity on the
 trailing block, rank n-r) is the same system with another right-hand side.
+
+The system is built on the constraint space's basis rows, integer rows
+over Q, and solved by one elimination of [A | b], which gives the
+particular block with the free coordinates zero, plus one ``_kernel`` of
+A, which gives the directions; scalars are built only for the particular
+member.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 
 from .errors import HypothesisFailed, PreconditionViolated
-from .linalg import DenseMatrix, invert, solve_affine
+from .linalg import DenseMatrix, _eliminate, _kernel, _scalars, invert
 from .matspace import (
     MatrixSubspace,
     constraint_space,
@@ -49,6 +56,8 @@ class AffineFamily(namedtuple("AffineFamily", "n r form particular directions"))
         """The member whose free block is shifted by ``flat_block``."""
         f = self.particular.field
         n, r = self.n, self.r
+        if len(flat_block) != (n - r) * r:
+            raise ValueError("block has wrong length")
         entries = [list(row) for row in self.particular.entries]
         for a in range(n - r):
             for s in range(r):
@@ -104,33 +113,45 @@ def idempotent_family(space: MatrixSubspace, r: int, form: str = UPPER) -> Affin
 
 
 def _family(constraints: MatrixSubspace, r: int, form: str) -> AffineFamily:
-    """``idempotent_family`` of the space with these constraints."""
-    f, n = constraints.field, constraints.n
+    """``idempotent_family`` of the space with these constraints.
+
+    Each basis row of the constraints, an integer row over Q, gives one
+    equation on the free block: its top-right entries C[s][r + a] against
+    X[a][s], equal to minus its trace on the fixed diagonal.  One
+    elimination of [A | b] gives the particular block, with the free
+    coordinates zero, and ``_kernel`` of A the directions.
+    """
+    f, n, p = constraints.field, constraints.n, constraints.field.p
     ncols = (n - r) * r
-    rows = []
-    rhs = []
-    for c in constraints.basis_matrices:
-        rows.append([c.entries[s][r + a] for a in range(n - r) for s in range(r)])
-        rhs.append(f.neg(_minor_trace(c, r, form)))
-    sol = solve_affine(DenseMatrix._trusted(f, rows, ncols), rhs)
-    if sol is None:
+    fixed = range(r) if form == UPPER else range(r, n)
+    rows, aug = [], []
+    for c in constraints.basis.rows:
+        row = [c[s * n + r + a] for a in range(n - r) for s in range(r)]
+        t = -sum(c[i * (n + 1)] for i in fixed)
+        rows.append(row)
+        aug.append(row + [t % p if p else t])
+    pivots = _eliminate(f, aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
         # Fredholm: some zero-corner constraint has a nonzero minor trace
         witness = next(z for z in rct_zero_members(constraints, r).basis_matrices
                        if _minor_trace(z, r, form) != f.zero)
         raise HypothesisFailed(
             "a zero-corner constraint has nonzero %s minor trace" % form,
             witness=witness)
-    block, directions = sol
+    # over Q each row is its RREF row times its pivot, over F_p the pivots are 1
+    d = math.lcm(*(row[c] for row, c in zip(aug, pivots)))
+    block = [0] * ncols
+    for row, c in zip(aug, pivots):
+        block[c] = row[ncols] * (d // row[c])
+    block = _scalars(f, block, d)
     entries = [[f.zero] * n for _ in range(n)]
-    fixed = range(r) if form == UPPER else range(r, n)
     for i in fixed:
         entries[i][i] = f.one
     for a in range(n - r):
-        for s in range(r):
-            entries[r + a][s] = block[a * r + s]
+        entries[r + a][:r] = block[a * r:(a + 1) * r]
     return AffineFamily(n=n, r=r, form=form,
                         particular=DenseMatrix._trusted(f, entries, n),
-                        directions=directions)
+                        directions=_kernel(f, rows, ncols))
 
 
 def full_space_certificate(space: MatrixSubspace, r: int) -> FullSpaceCertificate:

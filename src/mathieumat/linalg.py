@@ -26,29 +26,29 @@ multiple of a row, so ``matspace`` hands them its integer products
 (conjugates, column-space images) as they are, and ``invert`` eliminates
 the rows ``[m | I]`` as lists.
 
-Elimination (``_eliminate``, behind ``rref``, ``kernel``, ``invert`` and
-every subspace) works on integers.  It copies its rows once, as lists,
-and then updates those lists in place.  Over F_p it is Gauss-Jordan: a
-pivot row is scaled to 1 unless its pivot is 1 already, and the other
-rows are updated from the pivot column on, with no final division.  Over
-Q it takes only rows of ``int``: the entry points that hold ``Fraction``
-rows (``rref``, ``invert``, ``kernel``, ``VectorSubspace.from_vectors``,
-``MatrixSubspace.from_matrices``) clear them once with ``_cleared``.  The
-rows are eliminated fraction-free and stay integers: a forward pass
-clears the rows below each pivot, and one back-substitution, bottom up,
-then changes only the free (non-pivot) columns of the rows above.  Each
-finished row is the canonical RREF row times its pivot, the primitive
-row with a positive pivot.  The reduced echelon form is unique, so the
-result does not depend on the scaling.  A :class:`VectorSubspace` keeps
-those rows (``rows``) and builds its ``Fraction`` basis only when
-``basis`` is read; ``rref``, ``invert`` and ``reduce`` divide as they
-return.  Membership (``_reduce``, behind ``MatrixSubspace.contains``)
-subtracts the rows from an integer vector in one cross-multiplied step.
-So a space over Q that is only spanned, intersected, dualized, compared
-or tested with ``contains`` never builds a ``Fraction``.  A kernel is
-the complement of the row space: ``_kernel`` eliminates the system's
-rows once, reversed, and its vectors, one per non-pivot, are already the
-canonical RREF rows.
+Elimination (``_eliminate``, behind ``_kernel``, ``invert``, every
+subspace and the trace system of ``idempotents``) works on integers.  It
+copies its rows once, as lists, and then updates those lists in place.
+Over F_p it is Gauss-Jordan: a pivot row is scaled to 1 unless its pivot
+is 1 already, and the other rows are updated from the pivot column on,
+with no final division.  Over Q it takes only rows of ``int``: the entry
+points that hold ``Fraction`` rows (``invert``,
+``VectorSubspace.from_vectors``, ``MatrixSubspace.from_matrices``) clear
+them once with ``_cleared``.  The rows are eliminated fraction-free and
+stay integers: a forward pass clears the rows below each pivot, and one
+back-substitution, bottom up, then changes only the free (non-pivot)
+columns of the rows above.  Each finished row is the canonical RREF row
+times its pivot, the primitive row with a positive pivot.  The reduced
+echelon form is unique, so the result does not depend on the scaling.
+A :class:`VectorSubspace` keeps those rows (``rows``) and builds its
+``Fraction`` basis only when ``basis`` is read; ``invert`` and
+``reduce`` divide as they return.  Membership (``_reduce``, behind
+``MatrixSubspace.contains``) subtracts the rows from an integer vector
+in one cross-multiplied step.  So a space over Q that is only spanned,
+intersected, dualized, compared or tested with ``contains`` never builds
+a ``Fraction``.  A kernel is the complement of the row space:
+``_kernel`` eliminates the system's rows once, reversed, and its
+vectors, one per non-pivot, are already the canonical RREF rows.
 
 "The vectors of a row space that satisfy linear conditions" is read off
 one elimination (``_readout``): put the conditions' coordinates first,
@@ -460,21 +460,6 @@ def _subtract_rows(v, hits):
     return w, s
 
 
-def rref(m: DenseMatrix):
-    """Reduced row echelon form.
-
-    Returns ``(reduced, rank, pivots)`` where ``reduced`` is the unique
-    RREF of ``m``, ``rank`` its number of nonzero rows and ``pivots`` the
-    strictly increasing pivot column indices.
-    """
-    f = m.field
-    rows = list(_cleared(f, m.entries)[0])
-    pivots = _eliminate(f, rows, m.cols)
-    rows = ([_scalars(f, row, row[c]) for row, c in zip(rows, pivots)]
-            + [(f.zero,) * m.cols] * (m.rows - len(pivots)))
-    return DenseMatrix._trusted(f, rows, m.cols), len(pivots), tuple(pivots)
-
-
 class VectorSubspace(_Frozen):
     """A subspace of K^n held by the rows of its canonical RREF basis.
 
@@ -610,11 +595,6 @@ def _readout(field, rows, k, ncols) -> VectorSubspace:
     return VectorSubspace(field, ncols - k, kept, tuple(c - k for c in pivots[first:]))
 
 
-def kernel(m: DenseMatrix) -> VectorSubspace:
-    """The right kernel {v : m v = 0} as a canonical subspace."""
-    return _kernel(m.field, _cleared(m.field, m.entries)[0], m.cols)
-
-
 def _kernel(field, rows, m) -> VectorSubspace:
     """{v : row . v = 0 for every row}, rows of m entries as ``_span``
     takes them, read off the RREF R' of the reversed rows: for each
@@ -640,28 +620,6 @@ def _kernel(field, rows, m) -> VectorSubspace:
             v[m - 1 - q] = -x % p if p else -x * d // a
         vectors.append(tuple(v))
     return VectorSubspace(field, m, tuple(vectors), tuple(m - 1 - f for f in free))
-
-
-def solve_affine(a: DenseMatrix, b):
-    """All solutions of ``a x = b``.
-
-    Returns ``None`` when inconsistent, else ``(particular, directions)``
-    with ``directions = kernel(a)``; every solution is the particular one
-    plus a kernel element.
-    """
-    f = a.field
-    b = [f.of(x) for x in b]
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length != row count")
-    aug = DenseMatrix._trusted(f, [row + (b[i],) for i, row in enumerate(a.entries)],
-                               a.cols + 1)
-    reduced, rank, pivots = rref(aug)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [f.zero] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.entries[r][a.cols]
-    return tuple(x), kernel(a)
 
 
 def invert(m: DenseMatrix) -> DenseMatrix:

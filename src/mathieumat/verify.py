@@ -22,7 +22,7 @@ in a proper space every nonzero z escapes two-sidedly.
 
 Only what a question ranges over is enumerated, and
 ``ENUMERATION_GUARD`` bounds its count: the p^dim members for the
-verdicts, ``full_power_set`` and ``idempotents``, all p^(n^2) matrices
+verdicts and ``idempotents``, all p^(n^2) matrices
 (their row-major entries as the digits) for ``radical``.  Members are formed
 from their indices in batches with numpy (exact arithmetic mod p, int16
 wherever the sums fit), so memory does not grow with their number, in
@@ -186,15 +186,6 @@ class _Dual:
             prods = zs[:, None] @ self.cons if side == LEFT else self.cons @ zs[:, None]
             out = (prods % self.p).any(axis=1).transpose(0, 2, 1)
         return out.reshape(len(zs), np.prod(out.shape[1:]))
-
-
-def full_power_set(space: MatrixSubspace):
-    """All members whose every power stays inside: a^1 .. a^n do."""
-    _require_enumerable(space.field, space.dim)
-    dual = _Dual(space)
-    return [_matrix(space.field, m)
-            for a in _members(space.field.p, space.n, space.basis.basis)
-            for m in a[dual.staying(a, 2, space.n)[0]]]
 
 
 def radical(space: MatrixSubspace):

@@ -6,20 +6,86 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mathieumat.errors import PreconditionViolated
-from mathieumat.linalg import DenseMatrix
+from mathieumat.linalg import (
+    DenseMatrix,
+    VectorSubspace,
+    _cleared,
+    _eliminate,
+    _kernel,
+    _scalars,
+)
 from mathieumat.matspace import (
     MatrixSubspace,
     column_space,
     members_vanishing_at,
 )
 from mathieumat.multipoly import _action_pivots
-from mathieumat.verify import LEFT, TWO_SIDED, verify_mathieu
+from mathieumat.verify import (
+    LEFT,
+    TWO_SIDED,
+    _Dual,
+    _matrix,
+    _members,
+    _require_enumerable,
+    verify_mathieu,
+)
 
 # The space file of the trace dual of the running pair over F_3, its
 # canonical basis.
 PAIR_DUAL = ("field 3\nn 3\nbasis\n1 0 0\n0 0 0\n0 0 0\n\n0 1 0\n0 0 0\n0 0 0\n\n"
              "0 0 1\n0 0 0\n0 0 0\n\n0 0 0\n1 2 0\n0 1 0\n\n0 0 0\n0 0 1\n0 0 0\n\n"
              "0 0 0\n0 0 0\n1 0 0\n\n0 0 0\n0 0 0\n0 0 1\n")
+
+
+def rref(m: DenseMatrix):
+    """Reduced row echelon form.
+
+    Returns ``(reduced, rank, pivots)`` where ``reduced`` is the unique
+    RREF of ``m``, ``rank`` its number of nonzero rows and ``pivots`` the
+    strictly increasing pivot column indices.
+    """
+    f = m.field
+    rows = list(_cleared(f, m.entries)[0])
+    pivots = _eliminate(f, rows, m.cols)
+    rows = ([_scalars(f, row, row[c]) for row, c in zip(rows, pivots)]
+            + [(f.zero,) * m.cols] * (m.rows - len(pivots)))
+    return DenseMatrix._trusted(f, rows, m.cols), len(pivots), tuple(pivots)
+
+
+def kernel(m: DenseMatrix) -> VectorSubspace:
+    """The right kernel {v : m v = 0} as a canonical subspace."""
+    return _kernel(m.field, _cleared(m.field, m.entries)[0], m.cols)
+
+
+def solve_affine(a: DenseMatrix, b):
+    """All solutions of ``a x = b``.
+
+    Returns ``None`` when inconsistent, else ``(particular, directions)``
+    with ``directions = kernel(a)``; every solution is the particular one
+    plus a kernel element.
+    """
+    f = a.field
+    b = [f.of(x) for x in b]
+    if len(b) != a.rows:
+        raise ValueError("right-hand side length != row count")
+    aug = DenseMatrix._trusted(f, [row + (b[i],) for i, row in enumerate(a.entries)],
+                               a.cols + 1)
+    reduced, rank, pivots = rref(aug)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = [f.zero] * a.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced.entries[r][a.cols]
+    return tuple(x), kernel(a)
+
+
+def full_power_set(space: MatrixSubspace):
+    """All members whose every power stays inside: a^1 .. a^n do."""
+    _require_enumerable(space.field, space.dim)
+    dual = _Dual(space)
+    return [_matrix(space.field, m)
+            for a in _members(space.field.p, space.n, space.basis.basis)
+            for m in a[dual.staying(a, 2, space.n)[0]]]
 
 
 def mul_vector(m: DenseMatrix, v) -> tuple:

@@ -23,7 +23,6 @@ from mathieumat.linalg import (
     all_matrices,
     all_subspaces,
     invert,
-    rref,
 )
 from mathieumat.matspace import (
     MatrixSubspace,
@@ -45,7 +44,7 @@ from mathieumat.verify import (
     witness_replays,
 )
 
-from helpers import degree, elements, reference_is_left_ideal
+from helpers import degree, elements, reference_is_left_ideal, rref
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, invert, kernel, rref
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, invert
 from mathieumat.matspace import (
     Filtration,
     MatrixSubspace,
@@ -26,9 +26,9 @@ from mathieumat.matspace import (
 from mathieumat.multipoly import MultiPoly
 from mathieumat.normalize import normalize
 from mathieumat.spacefile import loads
-from mathieumat.verify import full_power_set, radical, verify_mathieu
+from mathieumat.verify import radical, verify_mathieu
 
-from helpers import filtration_level, mul_vector, zeros
+from helpers import filtration_level, full_power_set, kernel, mul_vector, rref, zeros
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 FIELDS = (F2, F3, F5, QQ)

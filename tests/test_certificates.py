@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from mathieumat.errors import HypothesisFailed, NotLeftIdealError
 from mathieumat.idempotents import LOWER, UPPER, _minor_trace, idempotent_family
-from mathieumat.linalg import DenseMatrix, Field, solve_affine
+from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import MatrixSubspace, constraint_space, conjugate, rct_zero_members
 from mathieumat.normalize import rct_certificate, rct_zero_is_scalar
 from mathieumat.verify import left_ideal_normal_form
 
-from helpers import PAIR_DUAL
+from helpers import PAIR_DUAL, solve_affine
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 # the package re-exports functions named like some of its modules

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,15 +8,20 @@ from mathieumat.idempotents import (
     LOWER,
     UPPER,
     corner_slice,
+    _family,
     full_space_certificate,
     idempotent_family,
 )
-from mathieumat.linalg import DenseMatrix, Field, rref
+from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import MatrixSubspace, constraint_space
+from mathieumat.verify import idempotents
+
+from helpers import rref
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+QQ = Field.rationals()
 
 
 def unit(field, n, i, j):
@@ -165,3 +171,96 @@ def test_family_with_block_embedding():
     shifted = fam.with_block((1,))
     assert shifted == DenseMatrix(F2, [[1, 0], [1, 0]])
     assert shifted.mul(shifted) == shifted
+    # one free coordinate: a longer or an empty block is refused
+    for block in ((1, 1, 1), ()):
+        with pytest.raises(ValueError, match="block has wrong length"):
+            fam.with_block(block)
+
+
+def of_shape(e, r, form):
+    """Whether e has the shape of the form's family at block size r: the
+    identity on the fixed diagonal block, anything on the lower-left
+    (n-r) x r block and zeros elsewhere."""
+    n, f = e.rows, e.field
+    fixed = range(r) if form == UPPER else range(r, n)
+    return all(e.entries[i][j] == (f.one if i == j and i in fixed else f.zero)
+               for i in range(n) for j in range(n) if not (i >= r and j < r))
+
+
+def seeded_space(rng, field, n):
+    """A space spanned by random matrices, more often of small codimension."""
+    def scalar():
+        if field.p:
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    dim = rng.choice([rng.randrange(n * n + 1), n * n - rng.randrange(2 * n)])
+    return MatrixSubspace.from_matrices(field, n, [
+        DenseMatrix(field, [[scalar() for _ in range(n)] for _ in range(n)])
+        for _ in range(dim)])
+
+
+@pytest.mark.parametrize("field, n", [(F2, 2), (F3, 2), (F5, 2), (F2, 3), (F3, 3)], ids=repr)
+def test_family_is_every_idempotent_of_its_shape(field, n):
+    # the family solves the trace system completely: its members are all
+    # the idempotents of M of that shape, and it fails exactly when none is
+    rng = random.Random(61 + 10 * field.p + n)
+    solved = failed = 0
+    for _ in range(8):
+        space = seeded_space(rng, field, n)
+        found = idempotents(space)
+        for r in range(1, n):
+            for form in (UPPER, LOWER):
+                expected = [e for e in found if of_shape(e, r, form)]
+                try:
+                    fam = idempotent_family(space, r, form)
+                except HypothesisFailed:
+                    assert expected == []
+                    failed += 1
+                    continue
+                members = list(fam.members())
+                assert len(members) == len(expected)
+                assert set(members) == set(expected)
+                solved += 1
+    assert solved >= 4 and failed >= 1
+
+
+def test_q_family_points_are_idempotents_of_the_space():
+    # over Q the particular point, and that point plus each direction,
+    # are idempotents of the stated rank inside the space
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(40):
+        n = rng.choice([3, 4])
+        space = seeded_space(rng, QQ, n)
+        for r in range(1, n):
+            for form in (UPPER, LOWER):
+                try:
+                    fam = idempotent_family(space, r, form)
+                except HypothesisFailed:
+                    continue
+                checked += 1
+                points = [fam.particular] + [fam.with_block(v) for v in fam.directions.basis]
+                for e in points:
+                    assert e.mul(e) == e
+                    assert space.contains(e)
+                    assert matrix_rank(e) == fam.rank
+    assert checked >= 20
+
+
+def test_q_family_reads_only_the_integer_constraint_rows():
+    # the trace system is built on the constraints' integer rows: neither
+    # their Fraction basis nor their basis matrices are built
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(20):
+        space = seeded_space(rng, QQ, 3)
+        for r in (1, 2):
+            for form in (UPPER, LOWER):
+                c = constraint_space(space)
+                try:
+                    _family(c, r, form)
+                except HypothesisFailed:
+                    continue
+                assert c.basis._basis is None and c._matrices is None
+                checked += c.dim > 0
+    assert checked >= 5

@@ -17,13 +17,10 @@ from mathieumat.linalg import (
     all_matrices,
     all_subspaces,
     invert,
-    kernel,
-    rref,
-    solve_affine,
 )
 from mathieumat.matspace import MatrixSubspace
 
-from helpers import all_vectors, mul_vector, zeros
+from helpers import all_vectors, kernel, mul_vector, rref, solve_affine, zeros
 from test_readout import reference_kernel
 
 F2 = Field.prime(2)

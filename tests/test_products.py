@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from mathieumat.errors import SingularMatrixError
 from mathieumat import linalg, matspace, multipoly
-from mathieumat.linalg import DenseMatrix, Field, _cleared, _scalars, invert, rref
+from mathieumat.linalg import DenseMatrix, Field, _cleared, _scalars, invert
 from mathieumat.matspace import (
     Filtration,
     MatrixSubspace,
@@ -33,7 +33,7 @@ from mathieumat.matspace import (
 from mathieumat.normalize import rct_certificate
 from mathieumat.spacefile import loads
 
-from helpers import zeros
+from helpers import rref, zeros
 
 F2, F3, F5 = Field.prime(2), Field.prime(3), Field.prime(5)
 F_BIG, QQ = Field.prime(2**31 - 1), Field.rationals()

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from mathieumat import linalg
 from mathieumat.errors import FieldTooSmallError, NotLeftIdealError, SingularMatrixError
-from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, kernel, rref
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace
 from mathieumat.matspace import (
     BinaryProfile,
     Filtration,
@@ -48,8 +48,10 @@ from mathieumat.verify import left_ideal_normal_form, max_left_ideal
 
 from helpers import (
     filtration_level,
+    kernel,
     mul_vector,
     reference_is_left_ideal,
+    rref,
     unit_vector,
     zeros,
 )

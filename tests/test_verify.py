@@ -20,7 +20,6 @@ from mathieumat.verify import (
     PRE_TWO_SIDED,
     RIGHT,
     TWO_SIDED,
-    full_power_set,
     idempotents,
     left_ideal_equivalences,
     left_ideal_normal_form,
@@ -36,6 +35,7 @@ from mathieumat.verify import (
 import keyed_verify
 from helpers import (
     elements,
+    full_power_set,
     mul_vector,
     newton_char_poly,
     reference_is_left_ideal,

@@ -55,8 +55,8 @@ one elimination (``_readout``): put the conditions' coordinates first,
 eliminate once, and keep the rows whose pivot lies past them.  Those rows,
 with the leading zeros dropped, are already the canonical RREF basis of
 the answer.  :meth:`VectorSubspace.intersect` (Zassenhaus rows ``(u, u)``
-and ``(w, 0)``) and :meth:`VectorSubspace.vanishing_at` (behind
-``matspace.members_vanishing_at``) are built on it.
+and ``(w, 0)``), ``matspace.members_vanishing_at`` (rows ``(v at the
+positions, v)``) and ``verify.max_left_ideal`` are built on it.
 """
 
 from __future__ import annotations
@@ -71,27 +71,9 @@ from .errors import SingularMatrixError
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; bases 2,3,5,7 are exact below 3.2e9.
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # Trial division is exact and cheap here: a Field takes only p < 2**31,
+    # so the divisors to try stop below 46341.
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 class _Frozen:
@@ -209,6 +191,8 @@ class DenseMatrix(_Frozen):
         ncol = len(rows[0]) if rows else (cols or 0)
         if any(len(row) != ncol for row in rows):
             raise ValueError("ragged rows")
+        if cols is not None and cols != ncol:
+            raise ValueError("rows have %d entries, not cols = %d" % (ncol, cols))
         self._set(field, rows, ncol)
 
     def _set(self, field, rows, cols) -> "DenseMatrix":
@@ -553,13 +537,6 @@ class VectorSubspace(_Frozen):
         zeros = [0] * self.ambient_dim
         rows = [list(u) + list(u) for u in self.rows] + [list(w) + zeros for w in other.rows]
         return _readout(self.field, rows, self.ambient_dim, 2 * self.ambient_dim)
-
-    def vanishing_at(self, coords) -> "VectorSubspace":
-        """The members whose coordinates at the indices ``coords`` vanish."""
-        if not coords:
-            return self
-        rows = [[v[c] for c in coords] + list(v) for v in self.rows]
-        return _readout(self.field, rows, len(coords), len(coords) + self.ambient_dim)
 
     def _check_compatible(self, other):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:

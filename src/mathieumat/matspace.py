@@ -47,6 +47,7 @@ from .linalg import (
     _cleared,
     _eliminate,
     _kernel,
+    _readout,
     invert,
 )
 from .multipoly import _action_pivots
@@ -143,8 +144,8 @@ def constraint_space(space: MatrixSubspace) -> MatrixSubspace:
 
 def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:
     """The subspace t^-1 (space) t; raises SingularMatrixError for bad t."""
-    if t.rows != space.n or t.cols != space.n:
-        raise ValueError("conjugator has wrong size")
+    if t.field != space.field or (t.rows, t.cols) != (space.n, space.n):
+        raise ValueError("conjugator is not an n x n matrix over the field")
     return _conjugate(space, t, invert(t))
 
 
@@ -167,10 +168,17 @@ def _conjugate(space: MatrixSubspace, t: DenseMatrix, t_inv: DenseMatrix) -> Mat
 
 def members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSubspace:
     """The subspace of members whose entries at the (row, column)
-    ``positions`` all vanish, as a canonical space."""
+    ``positions`` all vanish, as a canonical space: the basis rows with
+    their entries at the positions put first, read off one ``_readout``."""
     n = space.n
-    return MatrixSubspace(
-        space.field, n, space.basis.vanishing_at([i * n + j for i, j in positions]))
+    if not all(0 <= i < n and 0 <= j < n for i, j in positions):
+        raise ValueError("position outside the %d x %d grid" % (n, n))
+    coords = [i * n + j for i, j in positions]
+    if not coords:
+        return space
+    rows = [[v[c] for c in coords] + list(v) for v in space.basis.rows]
+    k = len(coords)
+    return MatrixSubspace(space.field, n, _readout(space.field, rows, k, k + n * n))
 
 
 def column_space(space: MatrixSubspace, vec) -> VectorSubspace:

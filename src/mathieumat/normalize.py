@@ -77,17 +77,14 @@ def move_generic_vector(fil: Filtration, k: int, pivot=False):
     if fil.col_spaces[k - 1].dim == fil.d[k]:
         return None
     v = find_generic_vector(fil, k, require_pivot_one=pivot)
-    entries = [list(row) for row in DenseMatrix.identity(f, n).entries]
-    for i in range(n):
-        entries[i][k - 1] = v[i]
+    columns = list(DenseMatrix.identity(f, n).entries)
     if v[k - 1] == f.zero:
         # Keep t invertible: the column of the last nonzero coordinate of
         # v moves to e_k.  Only columns left of k change; nothing at
         # levels above k depends on those.
-        tstar = max(i for i in range(n) if v[i] != f.zero)
-        for i in range(n):
-            entries[i][tstar] = f.one if i == k - 1 else f.zero
-    return DenseMatrix._trusted(f, entries, n)
+        columns[max(i for i in range(n) if v[i] != f.zero)] = columns[k - 1]
+    columns[k - 1] = v
+    return DenseMatrix._trusted(f, zip(*columns), n)
 
 
 def move_unit_triangular(fil: Filtration, k: int):
@@ -99,14 +96,11 @@ def move_unit_triangular(fil: Filtration, k: int):
     cs = fil.col_spaces[k - 1]
     if all(sum(1 for x in row if x) == 1 for row in cs.rows):
         return None
-    entries = [list(row) for row in DenseMatrix.identity(f, n).entries]
-    # RREF rows have distinct leading coordinates; read bottom-up and
-    # plant each as the column of its own leading position.
-    for row in reversed(cs.basis):
-        lead = next(i for i in range(n) if row[i] != f.zero)
-        for i in range(n):
-            entries[i][lead] = row[i]
-    return DenseMatrix._trusted(f, entries, n)
+    columns = list(DenseMatrix.identity(f, n).entries)
+    # RREF rows have distinct pivots: each becomes the column of its own.
+    for row, lead in zip(cs.basis, cs.pivots):
+        columns[lead] = row
+    return DenseMatrix._trusted(f, zip(*columns), n)
 
 
 def move_permutation(fil: Filtration, k: int):
@@ -121,12 +115,9 @@ def move_permutation(fil: Filtration, k: int):
         return None
     s = max(i for i in range(k - 1) if ind[i]) + 1
     order = sorted(range(s), key=lambda i: (-ind[i], i))
-    entries = [[f.zero] * n for _ in range(n)]
-    for new, old in enumerate(order):       # the inverse of the sorting permutation
-        entries[old][new] = f.one
-    for i in range(s, n):
-        entries[i][i] = f.one
-    return DenseMatrix._trusted(f, entries, n)
+    eye = DenseMatrix.identity(f, n).entries
+    # column new is e_old: the inverse of the sorting permutation
+    return DenseMatrix._trusted(f, zip(*[eye[old] for old in [*order, *range(s, n)]]), n)
 
 
 class NormalizationError(AssertionError):

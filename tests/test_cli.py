@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mathieumat import linalg, spacefile
+from mathieumat import matspace, spacefile
 from mathieumat.cli import main
 from mathieumat.errors import SpaceFileError
 from mathieumat.linalg import DenseMatrix, Field
@@ -287,13 +287,13 @@ def test_cli_repro_counterexample(capsys, monkeypatch):
     # the 168 conjugators give 42 distinct conjugates, and the two
     # zero corners of each are read once: 84 readouts, not 336
     readouts = []
-    readout = linalg._readout
+    readout = matspace._readout
 
     def counting(*args):
         readouts.append(1)
         return readout(*args)
 
-    monkeypatch.setattr(linalg, "_readout", counting)
+    monkeypatch.setattr(matspace, "_readout", counting)
     rc, out, _ = run(capsys, "repro", "counterexample", "--json")
     assert rc == 0
     payload = json.loads(out)["payload"]

@@ -13,6 +13,7 @@ from mathieumat.linalg import (
     VectorSubspace,
     _cleared,
     _eliminate,
+    _is_prime,
     _kernel,
     all_matrices,
     all_subspaces,
@@ -43,10 +44,31 @@ def test_field_construction():
     with pytest.raises(ValueError):
         Field.prime(6)
     with pytest.raises(ValueError):
-        Field.prime(1)
-    Field.prime(2147483647)  # largest prime below 2**31
+        Field.prime(0)
+    assert not _is_prime(0) and not _is_prime(1)
+    # 46337^2 has no factor below isqrt(n) = 46337, the last divisor tried
+    for n in (46337 * 46337, 46327 * 46337, 1):
+        with pytest.raises(ValueError, match="%d is not prime" % n):
+            Field.prime(n)
+    for p in (2147483647, 2147483629):  # the two largest primes below 2**31
+        assert Field.prime(p).p == p
     with pytest.raises(ValueError):
         Field.prime(2**31 + 11)
+
+
+def test_field_takes_exactly_the_primes():
+    limit = 10**4
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, limit, q))
+    accepted = []
+    for p in range(1, limit):
+        try:
+            accepted.append(Field.prime(p).p)
+        except ValueError:
+            pass
+    assert accepted == [p for p in range(limit) if sieve[p]]
 
 
 def test_field_canonical_values():
@@ -552,6 +574,14 @@ def test_enumerated_subspaces_are_all_distinct_spaces():
 
 
 # Wrong lengths, shapes and fields raise instead of being cut short by zip.
+
+def test_dense_matrix_rejects_ragged_rows_and_a_wrong_cols():
+    for rows, cols in (([[1, 2], [1]], None), ([[1, 2]], 5), ([[1, 2]], 1), ([[1, 2]], 0)):
+        with pytest.raises(ValueError):
+            DenseMatrix(F3, rows, cols=cols)
+    assert DenseMatrix(F3, [[1, 2]], cols=2).cols == 2
+    assert DenseMatrix(F3, [], cols=5).cols == 5
+
 
 def test_reduce_and_member_reject_a_vector_of_the_wrong_length():
     line = VectorSubspace.from_vectors(F3, 2, [[1, 1]])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +87,16 @@ def test_contains_rejects_a_matrix_over_another_field():
         scalars.contains(DenseMatrix(F5, [[4, 0], [0, 4]]))
     with pytest.raises(ValueError):
         scalars.contains(DenseMatrix(QQ, [[1, 0], [0, 1]]))
+
+
+def test_conjugate_rejects_a_conjugator_over_another_field():
+    s = MatrixSubspace.from_matrices(F3, 2, [[[1, 1], [0, 0]]])
+    for t in (DenseMatrix(F5, [[1, 4], [0, 1]]), DenseMatrix(QQ, [[1, Fraction(1, 2)], [0, 1]])):
+        with pytest.raises(ValueError):
+            conjugate(s, t)
+    # the same conjugator over F_3 (1/2 = 2): t^-1 [[1,1],[0,0]] t = [[1,0],[0,0]]
+    moved = conjugate(s, DenseMatrix(F3, [[1, 2], [0, 1]]))
+    assert moved.basis.rows == ((1, 0, 0, 0),)
 
 
 def test_constraint_space_of_trace_zero():

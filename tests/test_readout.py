@@ -462,6 +462,15 @@ def test_members_vanishing_at_matches_coefficient_kernel(case):
                for m in got.basis_matrices for i, j in positions)
 
 
+def test_members_vanishing_at_rejects_positions_outside_the_grid():
+    # (-1, 0) and (0, 2) would both read coordinate 2 of Mat_2, entry (1, 0)
+    space = MatrixSubspace.full_space(F3, 2)
+    for position in ((-1, 0), (0, 2), (2, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            members_vanishing_at(space, [(0, 0), position])
+    assert members_vanishing_at(space, [(1, 0)]).dim == 3
+
+
 @SETTINGS
 @given(spaces())
 @example(MatrixSubspace.from_matrices(F3, 1, []))

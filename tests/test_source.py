@@ -142,6 +142,16 @@ def test_one_conjugation_path():
     assert found == {"matspace.conjugate", "verify.left_ideal_normal_form"}
 
 
+def test_one_readout_path():
+    # members satisfying linear conditions are read off ``_readout`` by
+    # these three alone; no subspace method wraps it a second time
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"_readout"})
+    assert found == {"linalg.VectorSubspace.intersect", "matspace.members_vanishing_at",
+                     "verify.max_left_ideal"}
+
+
 def test_unit_vectors_are_not_multiplied_out():
     # C e_k is column k of C: a ``Filtration`` reads its column spaces
     # along e_k off the grids' columns, and only the other vectors, of
@@ -240,6 +250,7 @@ DELETED = {
     "spacefile.SpaceFile", "spacefile.SpaceFile.resolve", "linalg.Field.size_greater",
     "linalg.DenseMatrix.__getitem__", "matspace._basis_vector",
     "linalg.rref", "linalg.kernel", "linalg.solve_affine", "verify.full_power_set",
+    "linalg.VectorSubspace.vanishing_at",
 }
 
 

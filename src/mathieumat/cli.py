@@ -7,19 +7,22 @@ the one command without a file, returns its payload alone.  ``main``
 does the shared work once: it parses the arguments, loads the space
 file, adds ``field`` and ``n`` to the payload, and reports the payload
 with the file's sha256 (``digest``; "-" for ``repro``) and the wall
-time.  The parser is built once per process, on first use rather than
+time.  The parsers are built once per process, on first use rather than
 at import, so a wrapper installed on a command after import is the one
-it dispatches to.  ``main2`` sets ``conclusion_holds: true`` itself:
+it dispatches to.  A command line goes straight to its command's
+parser; the top-level one runs only to reject it, with argparse's own
+usage and message.  ``main2`` sets ``conclusion_holds: true`` itself:
 ``rct_certificate`` raises unless the zero-corner conclusion holds; and
 ``verify`` sets a witness's ``replays: true`` itself: ``verify_mathieu``
 raises unless the witness it returns replays.
 
 Reports are a single structured document on stdout (plain text, or JSON
-with ``--json``); diagnostics go to stderr.  Identical input files give
-byte-identical payloads; only the wall-time field varies.  Exit status
-is 0 on success (and, for ``repro``, only when the observed outcome
-matches the expected one), 1 on domain errors or mismatches, 2 on
-argument or parse errors.
+with ``--json``, written by ``_json`` as ``json.dumps(report,
+sort_keys=True, indent=2)`` would write it); diagnostics go to stderr.
+Identical input files give byte-identical payloads; only the wall-time
+field varies.  Exit status is 0 on success (and, for ``repro``, only
+when the observed outcome matches the expected one), 1 on domain errors
+or mismatches, 2 on argument or parse errors.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import spacefile
 from .errors import MathieuMatError, SingularMatrixError, SpaceFileError
@@ -60,15 +65,16 @@ from .verify import (
 TYPE_FLAGS = {"left": LEFT, "right": RIGHT, "pre2": PRE_TWO_SIDED, "two": TWO_SIDED}
 
 
-def _scalar_payload(field):
+def _rows_payload(field, rows):
+    """Rows of scalars as the report holds them: F_p residues, already
+    canonical ``int``s, as they are; rationals as strings."""
     if field.p:
-        return int
-    return str
+        return list(map(list, rows))
+    return [list(map(str, row)) for row in rows]
 
 
 def matrix_payload(m: DenseMatrix):
-    scalar = _scalar_payload(m.field)
-    return [[scalar(x) for x in row] for row in m.entries]
+    return _rows_payload(m.field, m.entries)
 
 
 def _load(path, field_token):
@@ -133,8 +139,7 @@ def cmd_idempotents(args, space):
         "rank": fam.rank,
         "dim": fam.dim,
         "particular": matrix_payload(fam.particular),
-        "directions": [list(map(_scalar_payload(space.field), row))
-                       for row in fam.directions.basis],
+        "directions": _rows_payload(space.field, fam.directions.basis),
     }
     return payload, None
 
@@ -309,6 +314,7 @@ def cmd_repro(args):
 
 @functools.cache
 def build_parser():
+    """The top-level parser and its table of command parsers."""
     parser = argparse.ArgumentParser(
         prog="mathieumat",
         description="exact computations on subspaces of Mat_n over F_p and Q")
@@ -338,11 +344,63 @@ def build_parser():
         help="conjugation making zero-corner constraints scalar")
     p = add("repro", cmd_repro, needs_file=False, help="canned reproductions")
     p.add_argument("name", choices=sorted(REPROS))
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv):
+    """The arguments of one command line, parsed by the command's own
+    parser.  The top-level parser, which would hand them to that same
+    parser, runs only to reject: a first word that is not a command, or
+    arguments the command's parser leaves over."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def _json(value, nl="\n"):
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a report's
+    types (dict with str keys, list, str, int, bool, None, finite float),
+    written directly: with ``indent`` set, ``json`` encodes in pure
+    Python.  ``nl`` is the newline and indent of the line ``value``
+    ends on; a flat ``int`` list is joined in one step."""
+    kind = type(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        if {*map(type, value)} == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(v, inner)
+             for k, v in sorted(value.items())]) + nl + "}"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    raise TypeError("not a report value: %r" % (value,))
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     start = time.perf_counter()
     try:
         if args.command == "repro":
@@ -363,7 +421,7 @@ def main(argv=None) -> int:
                   "wall_time_ms": wall_time_ms}
         if move_log is not None:
             report["move_log"] = move_log
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json(report))
     else:
         print("command: %s" % args.command)
         print("digest: %s" % digest)

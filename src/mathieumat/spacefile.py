@@ -19,7 +19,9 @@ Example::
 ignored.  Entries are arbitrary integers, read over the file's field or
 the field that overrides it: reduced modulo p or taken as rationals, so
 a single file can serve several fields.  ``loads`` parses a file
-straight into the space it denotes.
+straight into the space it denotes, in one pass over its lines.
+Lines may end in CRLF; a blank or whitespace-only line ends a block,
+and a comment line may stand anywhere.
 """
 
 from __future__ import annotations
@@ -47,16 +49,18 @@ def loads(text: str, field_override=None) -> MatrixSubspace:
     """The space a space file denotes, over its own field or over
     ``field_override``; raises SpaceFileError with the offending line.
 
-    The file's field token is checked even under an override.  The flat
-    integer rows go to one elimination as they are over Q and reduced
-    mod p over F_p; the basis comes out canonical."""
-    lines = [line.strip() for line in text.splitlines()]
-    header, start = {}, len(lines)
-    for i, raw in enumerate(lines, 1):
+    The lines are read once: the header up to ``basis``, then each block
+    line split once and its entries converted and reduced mod p as it is
+    read.  The file's field token is checked even under an override, and
+    a bad override is reported after the blocks' errors.  The flat
+    integer rows go to one elimination; the basis comes out canonical."""
+    lines = enumerate(text.splitlines(), 1)
+    header = {}
+    for i, raw in lines:
+        raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
         if raw == "basis":
-            start = i
             break
         parts = raw.split(None, 1)
         if len(parts) != 2:
@@ -77,32 +81,37 @@ def loads(text: str, field_override=None) -> MatrixSubspace:
         raise SpaceFileError("n must be an integer, got %r" % header["n"])
     if n < 1:
         raise SpaceFileError("n must be positive, got %d" % n)
+    bad_override = None
+    if field_override is not None:
+        try:
+            field = parse_field_token(field_override)
+        except SpaceFileError as exc:   # raised after the blocks' errors
+            bad_override = exc
 
+    p, size = field.p, n * n
     blocks = [[]]             # each a flat row of n * n integers
-    for i, raw in enumerate(lines[start:], start + 1):
-        if raw.startswith("#"):
-            continue
-        if not raw:
+    for i, raw in lines:
+        entries = raw.split()
+        if not entries:
             if blocks[-1]:
                 blocks.append([])
             continue
-        entries = raw.split()
+        if entries[0].startswith("#"):
+            continue
         if len(entries) != n:
             raise SpaceFileError("expected %d entries, got %d" % (n, len(entries)), line=i)
         try:
-            row = [int(x) for x in entries]
+            row = [x % p for x in map(int, entries)] if p else list(map(int, entries))
         except ValueError:
             raise SpaceFileError("entries must be integers", line=i)
-        if len(blocks[-1]) == n * n:
+        if len(blocks[-1]) == size:
             raise SpaceFileError("matrix block has more than %d rows (separate blocks "
                                  "with a blank line)" % n, line=i)
         blocks[-1] += row
     blocks = [b for b in blocks if b]
     for b in blocks:
-        if len(b) != n * n:
+        if len(b) != size:
             raise SpaceFileError("matrix block has %d rows, expected %d" % (len(b) // n, n))
-    if field_override is not None:
-        field = parse_field_token(field_override)
-    p = field.p
-    rows = [[x % p for x in b] for b in blocks] if p else blocks
-    return MatrixSubspace(field, n, VectorSubspace._span(field, n * n, rows))
+    if bad_override is not None:
+        raise bad_override
+    return MatrixSubspace(field, n, VectorSubspace._span(field, size, blocks))

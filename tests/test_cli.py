@@ -128,6 +128,44 @@ def test_malformed_space_files_keep_their_message_and_line(tmp_path, capsys, tex
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
+SIGNED = "field 2\nn 2\nbasis\n+3 -0\n-1 -7\n\n0 1\n1 -2\n"
+
+# Well-formed files in the layouts a hand-written file takes, each with
+# its field and matrices: the space ``loads`` must read from it.
+WELL_FORMED = [
+    (PAIR.replace("\n", "\r\n"), None, "2", [
+        [[0, 1, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 1], [0, 0, 0]]]),
+    ("field 3\r\nn 2\r\nbasis\r\n1 0\r\n0 0\r\n \t \r\n0 0\r\n1 0\r\n", None, "3", [
+        [[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+    ("field 5\nn 2\nbasis\n1 2\n3 4\n   \n\t\n0 1\n1 0\n\n", None, "5", [
+        [[1, 2], [3, 4]], [[0, 1], [1, 0]]]),
+    ("# lead\nfield 5\n# between keys\nn 2\nbasis\n# before\n1 2\n  # inside\n3 4\n"
+     "# between\n\n# after the gap\n0 1\n1 0\n# last\n", None, "5", [
+        [[1, 2], [3, 4]], [[0, 1], [1, 0]]]),
+    ("field 7\nn 1\nbasis\n\n\n3\n\n\n\n-3\n\n \n", None, "7", [[[3]], [[-3]]]),
+    ("field Q\nn 2\nbasis\n1 0\n0 1\n\n\n\n", None, "Q", [[[1, 0], [0, 1]]]),
+    (SIGNED, None, "2", [[[1, 0], [1, 1]], [[0, 1], [1, 0]]]),
+    (SIGNED, "5", "5", [[[3, 0], [4, 3]], [[0, 1], [1, 3]]]),
+    (SIGNED, "Q", "Q", [[[3, 0], [-1, -7]], [[0, 1], [1, -2]]]),
+]
+
+
+@pytest.mark.parametrize("text, override, field, mats", WELL_FORMED)
+def test_well_formed_space_files_read_as_their_space(tmp_path, capsys, text, override,
+                                                     field, mats):
+    f = spacefile.parse_field_token(field)
+    n = len(mats[0])
+    expected = MatrixSubspace.from_matrices(f, n, [DenseMatrix(f, m) for m in mats])
+    assert spacefile.loads(text, override) == expected
+    path = tmp_path / "space.txt"
+    path.write_bytes(text.encode())     # CRLF as written
+    argv = ["constraints", str(path), "--json"] + ([] if override is None else
+                                                   ["--field", override])
+    rc, out, err = run(capsys, *argv)
+    payload = json.loads(out)["payload"]
+    assert (rc, payload["space_dim"], payload["field"]) == (0, expected.dim, repr(f))
+
+
 def test_cli_constraints(tmp_path, capsys):
     path = write(tmp_path, PAIR)
     rc, out, err = run(capsys, "constraints", path, "--json")

@@ -9,7 +9,10 @@ command line prints, record again with
 The command line is also run as a real entry point
 (``python -m mathieumat.cli``), and a sequence of in-process ``main``
 calls, which share one argument parser, is compared with fresh
-processes.
+processes.  Every ``--json`` report is the bytes
+``json.dumps(report, sort_keys=True, indent=2)`` would give; the
+writer that prints it is also checked against ``json.dumps`` on
+generated documents.
 """
 
 import json
@@ -20,9 +23,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mathieumat
-from mathieumat.cli import main
+from mathieumat.cli import _json, main
 
 from helpers import PAIR_DUAL
 
@@ -54,6 +59,14 @@ CASES = {
     # the certificate reports its own field bound
     "main2_field_too_small": (["main2", "{pair_dual}", "--field", "2"], 1),
     "idempotents_r_out_of_range": (["idempotents", "{lower_free}", "--r", "0"], 2),
+    # argparse's own rejections and help, from the command's parser or the
+    # top-level one
+    "parse_unrecognized": (["verify", "{trace_zero}", "--type", "left", "extra"], 2),
+    "parse_invalid_type": (["verify", "{trace_zero}", "--type", "three"], 2),
+    "parse_unknown_command": (["nosuch", "{trace_zero}"], 2),
+    "parse_no_arguments": ([], 2),
+    "parse_repro_field": (["repro", "cor62-f2", "--field", "3"], 2),
+    "parse_verify_help": (["verify", "--help"], 0),
 }
 
 WALL_TIME = re.compile(r'("?wall_time_ms"?: )[0-9.eE+-]+')
@@ -86,7 +99,8 @@ def in_process(argv, capsys):
 
 
 def package_env():
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    # argparse wraps usage lines to COLUMNS
+    return dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
@@ -102,7 +116,8 @@ def test_every_case_has_a_recording():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_prints_its_recording(case, tmp_path, capsys):
+def test_cli_prints_its_recording(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")     # as recorded
     argv, status = CASES[case]
     rc, out, err = in_process(expand(argv, write_spaces(tmp_path)), capsys)
     assert rc == status
@@ -229,6 +244,58 @@ def test_entry_point_runs_from_the_command_line(tmp_path):
 
     rc, out, err = fresh_process("--help")
     assert rc == 0 and out.startswith("usage: mathieumat") and err == ""
+
+
+# Every command once over a space of its own field and, except the two
+# that enumerate (the rationals are not enumerable), once over Q.
+JSON_RUNS = [
+    ["constraints", "{moves}"],
+    ["profile", "{moves}"],
+    ["normalize", "{moves}"],
+    ["idempotents", "{lower_free}", "--r", "1", "--form", "lower"],
+    ["verify", "{trace_zero}", "--type", "left"],
+    ["verify", "{lower_free}", "--type", "two"],
+    ["radical", "{lower_free}"],
+    ["maxideal", "{lower_free}"],
+    ["main2", "{pair_dual}"],
+]
+JSON_RUNS += [argv + ["--field", "Q"] for argv in JSON_RUNS
+              if argv[0] not in ("verify", "radical")]
+JSON_RUNS += [["repro", name] for name in
+              ("counterexample", "proposition", "codim1-zhao", "cor62-f2")]
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS, ids=" ".join)
+def test_json_report_is_what_json_dumps_writes(argv, tmp_path, capsys):
+    rc, out, err = in_process(expand(argv, write_spaces(tmp_path)) + ["--json"], capsys)
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert ("Q" in argv) == (report["payload"].get("field") == "Q")
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# Report-shaped documents: non-ASCII and control characters in keys and
+# strings, empty containers, flat int lists mixed with bools, big ints.
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-10**300, 10**300)
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.lists(st.integers(), max_size=5)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(json_documents)
+def test_writer_matches_json_dumps(document):
+    assert _json(document) == json.dumps(document, sort_keys=True, indent=2)
+
+
+def test_writer_refuses_what_a_report_never_holds():
+    for value in [float("nan"), float("inf"), (1, 2), {1: 2}, b"x"]:
+        with pytest.raises(TypeError):
+            _json({"payload": [value]})
 
 
 def record(directory):

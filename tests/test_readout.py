@@ -20,14 +20,21 @@ matrices' columns an upper one; where they meet, that is d, and Bareiss
 decides the rest.  Both bounds are checked against Bareiss at every level.
 """
 
+import contextlib
+import io
 import itertools
+import json
+import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mathieumat import linalg
+from mathieumat.cli import main
 from mathieumat.errors import FieldTooSmallError, NotLeftIdealError, SingularMatrixError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace
 from mathieumat.matspace import (
@@ -528,6 +535,65 @@ def test_left_ideal_examples_over_every_field():
                 closed = k == n or n == 1     # then padded is the full space
                 assert normal_form_accepts(padded) == reference_is_left_ideal(padded) == closed
                 assert max_left_ideal(padded) == (padded if closed else ideal)
+
+
+@st.composite
+def ideals_plus_members(draw):
+    """A column-kill ideal conjugated by a random invertible t over F_3,
+    F_5 or Q, and the space it spans with up to two random matrices."""
+    field = draw(st.sampled_from((F3, F5, QQ)))
+    n = draw(st.integers(2, 4))
+    t = draw(matrices(field, n))
+    try:
+        ideal = conjugate(column_kill(field, n, draw(st.integers(1, n - 1))), t)
+    except SingularMatrixError:
+        assume(False)
+    extra = draw(st.lists(matrices(field, n), max_size=2))
+    return ideal, MatrixSubspace.from_matrices(field, n, list(ideal.basis_matrices) + extra)
+
+
+def space_file(space):
+    """The text of a space file for ``space``: each basis matrix cleared
+    of denominators, so the file holds integers."""
+    blocks = []
+    for m in space.basis_matrices:
+        scale = math.lcm(*(Fraction(x).denominator for row in m.entries for x in row))
+        blocks.append("\n".join(" ".join(str(int(x * scale)) for x in row)
+                                for row in m.entries))
+    return "field %s\nn %d\nbasis\n%s\n" % (space.field.p or "Q", space.n,
+                                            "\n\n".join(blocks))
+
+
+def maxideal_payload(space):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "space.txt")
+        with open(path, "w") as fh:
+            fh.write(space_file(space))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["maxideal", path, "--json"]) == 0
+    return json.loads(out.getvalue())["payload"]
+
+
+def matrix_from_payload(field, rows):
+    return DenseMatrix(field, [[x if field.p else Fraction(x) for x in row] for row in rows])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(ideals_plus_members())
+def test_max_left_ideal_of_a_conjugated_ideal_plus_members(case):
+    # nonzero maximal left ideals, which no benchmark job reaches
+    ideal, space = case
+    f, n = space.field, space.n
+    found = max_left_ideal(space)
+    assert found == reference_max_left_ideal(space)
+    assert found.sum(ideal) == found
+    payload = maxideal_payload(space)
+    k, t = payload["k"], matrix_from_payload(f, payload["t"])
+    assert payload["dim"] == found.dim == n * k
+    assert MatrixSubspace.from_matrices(f, n, [
+        matrix_from_payload(f, m) for m in payload["basis"]]) == found
+    assert conjugate(found, t) == column_kill(f, n, k)
 
 
 

@@ -83,6 +83,8 @@ class FullSpaceCertificate(namedtuple("FullSpaceCertificate", "e e_prime r")):
 def corner_slice(space: MatrixSubspace, r: int) -> MatrixSubspace:
     """Members supported on the lower-left (n-r) x r block only."""
     n = space.n
+    if not 1 <= r <= n - 1:
+        raise ValueError("r = %d out of range 1..%d" % (r, n - 1))
     return members_vanishing_at(
         space, [(i, j) for i in range(n) for j in range(n) if i < r or j >= r])
 

@@ -216,6 +216,8 @@ class DenseMatrix(_Frozen):
     @staticmethod
     def unit(field, rows, cols, i, j) -> "DenseMatrix":
         """The matrix with a single 1 at position (i, j)."""
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError("position outside the %d x %d grid" % (rows, cols))
         z = field.zero
         m = [[z] * cols for _ in range(rows)]
         m[i][j] = field.one
@@ -290,9 +292,11 @@ class DenseMatrix(_Frozen):
             self.field, [self.column(j) for j in range(self.cols)], self.rows)
 
     def trace(self):
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
         f = self.field
         t = f.zero
-        for i in range(min(self.rows, self.cols)):
+        for i in range(self.rows):
             t = f.add(t, self.entries[i][i])
         return t
 

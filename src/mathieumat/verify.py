@@ -8,7 +8,9 @@ a^(2n-1).  So a lies in the full power set iff a^1 .. a^n lie inside,
 in the radical iff a^n .. a^(2n-1) do, and a is idempotent iff a^2 = a.
 
 Membership is read off the trace dual: X is a member iff tr(C_l X) = 0
-for the basis C_1 .. C_c of ``constraint_space(space)``.  Every cycle
+for a basis C_1 .. C_c of ``constraint_space(space)``, read off the
+space's RREF with no elimination (any basis gives the same answers
+below, so it need not be the canonical one).  Every cycle
 element is a^(m-n) a^n = a^n a^(m-n), so some multiplier takes a large
 power of a outside iff one takes z = a^n outside.  Those keeping z
 inside form a subspace, so the first one outside in row-major
@@ -28,8 +30,11 @@ from their indices in batches with numpy (exact arithmetic mod p, int16
 wherever the sums fit), so memory does not grow with their number, in
 lexicographic order of their basis coefficients (for ``radical``, of the
 row-major entries); the first counterexample in that order is
-returned as a witness.  ``verify_mathieu`` returns only witnesses it has
-replayed against the powers it followed to find them, and raises
+returned as a witness.  The verdict scan stops at its first
+counterexample, so its batches start at 64 members and quadruple up to
+``_BATCH``: an early witness costs one small batch.  The scans that run
+to the end take full batches.  ``verify_mathieu`` returns only witnesses
+it has replayed against the powers it followed to find them, and raises
 ``AssertionError`` on one that does not replay; ``power_trajectory`` and
 ``witness_replays``, which follows the powers itself, stay the
 definitional path.  numpy is imported inside the functions that use it,
@@ -53,6 +58,7 @@ from .matspace import MatrixSubspace, _conjugate, constraint_space
 
 ENUMERATION_GUARD = 2 ** 20    # a power of two: the guard's message names its exponent
 _BATCH = 4096               # matrices whose powers are formed at once
+_FIRST_BATCH = 64           # members of a verdict's first batch; each next one is 4x
 
 LEFT = "left"
 RIGHT = "right"
@@ -127,18 +133,23 @@ def _dtype(p: int, n: int):
     return np.int16 if n * n * (p - 1) ** 2 < 2 ** 15 else np.int64
 
 
-def _members(p: int, n: int, basis=None):
+def _members(p: int, n: int, basis=None, first: int = _BATCH):
     """Batches (k, n, n) of the members of the span of ``basis`` (rows of
     n^2 residues) in coefficient order: digits @ basis.  With no basis the
-    digits are the row-major entries, all of Mat_n(F_p) in their order."""
+    digits are the row-major entries, all of Mat_n(F_p) in their order.
+    The batches are consecutive: the first holds ``first`` members, each
+    next one four times as many, and none more than ``_BATCH``."""
     import numpy as np
     dtype = _dtype(p, n)
     d = n * n if basis is None else len(basis)
     rows = None if basis is None else np.array(basis, dtype=dtype).reshape(-1, n * n)
     place = p ** np.arange(d - 1, -1, -1)
-    for lo in range(0, p ** d, _BATCH):
-        digits = (np.arange(lo, min(lo + _BATCH, p ** d))[:, None] // place % p).astype(dtype)
+    lo, size = 0, first
+    while lo < p ** d:
+        hi = min(lo + min(size, _BATCH), p ** d)
+        digits = (np.arange(lo, hi)[:, None] // place % p).astype(dtype)
         yield (digits if rows is None else digits @ rows % p).reshape(-1, n, n)
+        lo, size = hi, 4 * size
 
 
 def _matrix(field, entries) -> DenseMatrix:
@@ -146,13 +157,30 @@ def _matrix(field, entries) -> DenseMatrix:
 
 
 class _Dual:
-    """A space read off the basis C_1 .. C_c of its constraint space."""
+    """A space read off a basis C_1 .. C_c of its constraint space, not
+    the canonical one, taken from the space's RREF with no elimination.
+    With pivots q_i and RREF rows R_i, M is a member iff M = sum_i
+    M_(q_i) R_i, iff tr(C_f M) = M_f - sum_i R_i[f] M_(q_i) vanishes for
+    each non-pivot coordinate f."""
 
     def __init__(self, space: MatrixSubspace):
         import numpy as np
-        n, self.p = space.n, space.field.p
-        self.cons = np.array(constraint_space(space).basis.basis,
-                             dtype=_dtype(self.p, n)).reshape(-1, n, n)
+        n, p = space.n, space.field.p
+        rows, pivots = space.basis.rows, space.basis.pivots
+        # tr(C M) = sum_ij C_ij M_ji: coordinate f = i n + j of M pairs with C_ji
+        at = [f % n * n + f // n for f in range(n * n)]
+        cons = []
+        for f in range(n * n):
+            if f in pivots:
+                continue
+            c = [0] * (n * n)
+            c[at[f]] = 1
+            for row, q in zip(rows, pivots):
+                if row[f]:
+                    c[at[q]] = p - row[f]
+            cons.append(c)
+        self.p = p
+        self.cons = np.array(cons, dtype=_dtype(p, n)).reshape(-1, n, n)
         # tr(C X) = sum_ij C_ij X_ji pairs X row-major with C transposed
         self.pairing = self.cons.transpose(0, 2, 1).reshape(-1, n * n).T
 
@@ -251,7 +279,7 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
         return MathieuVerdict(holds=True, vtype=vtype, witness=None)
     dual = _Dual(space)
     sides = (LEFT, RIGHT) if vtype == PRE_TWO_SIDED else (vtype,)
-    for a in _members(space.field.p, space.n, space.basis.basis):
+    for a in _members(space.field.p, n, space.basis.basis, _FIRST_BATCH):
         keep, top = dual.staying(a, 2, n)
         out = keep[top.any(axis=(1, 2)) if vtype == TWO_SIDED else np.any(
             [dual.escapes(top, side).any(axis=1) for side in sides], axis=0)]

@@ -71,6 +71,14 @@ def test_corner_slice_is_intersection_with_the_block():
                 field, n, space.basis.intersect(block.basis))
 
 
+def test_corner_slice_rejects_r_outside_the_corner_range():
+    # as idempotent_family and rct_zero_members do; each once answered the zero space
+    space = MatrixSubspace.full_space(F3, 3)
+    for r in (-1, 0, 3, 7):
+        with pytest.raises(ValueError, match="r = %d out of range 1..2" % r):
+            corner_slice(space, r)
+
+
 def test_family_hypothesis_failed_on_trace_zero_space():
     with pytest.raises(HypothesisFailed) as exc:
         idempotent_family(trace_zero_space(F5, 2), 1, UPPER)

@@ -564,6 +564,20 @@ def test_trace_and_flatten_roundtrip():
     assert flat == (1, 2, 0, 1) and DenseMatrix(F3, [flat[:2], flat[2:]]) == m
 
 
+def test_trace_rejects_a_non_square_matrix():
+    # a 2 x 3 matrix once answered the trace of its leading 2 x 2 block
+    with pytest.raises(ValueError, match="trace of a non-square matrix"):
+        DenseMatrix(F2, [[1, 0, 0], [0, 1, 0]]).trace()
+
+
+def test_unit_rejects_a_position_outside_the_grid():
+    # (-1, 0) once wrapped round to (1, 0), and (2, 0) raised a bare IndexError
+    for i, j in [(-1, 0), (2, 0), (0, -1), (0, 3)]:
+        with pytest.raises(ValueError, match="position outside the 2 x 3 grid"):
+            DenseMatrix.unit(F2, 2, 3, i, j)
+    assert DenseMatrix.unit(F2, 2, 3, 1, 2).entries == ((0, 0, 0), (0, 0, 1))
+
+
 def test_enumerated_subspaces_are_all_distinct_spaces():
     seen = set()
     for s in all_subspaces(F2, 3, 2):

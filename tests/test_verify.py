@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from mathieumat.cli import _trace_zero
 from mathieumat.errors import PreconditionViolated, TooLargeError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, all_matrices, invert
-from mathieumat.matspace import MatrixSubspace
+from mathieumat import verify
+from mathieumat.matspace import MatrixSubspace, constraint_space
 from mathieumat.multipoly import MultiPoly
 from mathieumat.verify import (
     ALL_TYPES,
@@ -20,6 +21,7 @@ from mathieumat.verify import (
     PRE_TWO_SIDED,
     RIGHT,
     TWO_SIDED,
+    _Dual,
     idempotents,
     left_ideal_equivalences,
     left_ideal_normal_form,
@@ -309,7 +311,6 @@ def test_trace_chain_reports():
 
 def test_trace_chain_report_raises_on_a_broken_implication(monkeypatch):
     # sl_2(F_3) has a nilpotent radical; a failing two-sided verdict breaks the chain
-    from mathieumat import verify
     monkeypatch.setattr(verify, "verify_mathieu",
                         lambda space, kind: types.SimpleNamespace(holds=False))
     with pytest.raises(AssertionError, match="implication chain violated"):
@@ -621,12 +622,15 @@ def test_dual_enumeration_matches_keyed_reference(space):
         assert radical(space) == keyed_verify.radical(space)
 
 
-def test_dual_enumeration_does_not_depend_on_the_batch_size(monkeypatch):
+@pytest.mark.parametrize("batch, first", [(2, 64), (4096, 1), (4096, 3)])
+def test_dual_enumeration_does_not_depend_on_the_batch_size(monkeypatch, batch, first):
     # batches of two members: most of them have no member whose powers
-    # stay inside, and the verdict is read off a later batch
-    from mathieumat import verify
+    # stay inside, and the verdict is read off a later batch; verdict
+    # scans starting at one or three members grow past their witness
     from mathieumat.linalg import all_subspaces
-    monkeypatch.setattr(verify, "_BATCH", 2)
+    monkeypatch.setattr(verify, "_BATCH", batch)
+    monkeypatch.setattr(verify, "_FIRST_BATCH", first)
+    sizes = counted_batches(monkeypatch)
     spaces = [MatrixSubspace(field, 2, basis) for field in (F2, F3) for dim in range(1, 4)
               for basis in all_subspaces(field, 4, dim)]
     for space in spaces[::5] + [trace_zero(F2, 3)]:
@@ -635,6 +639,84 @@ def test_dual_enumeration_does_not_depend_on_the_batch_size(monkeypatch):
         assert full_power_set(space) == keyed_verify.full_power_set(space)
         assert idempotents(space) == keyed_verify.idempotents(space)
         assert radical(space) == keyed_verify.radical(space)
+    assert max(sizes) <= batch
+
+
+def counted_batches(monkeypatch):
+    """The sizes of the batches that ``verify`` forms from now on."""
+    members, sizes = verify._members, []
+
+    def counting(*args):
+        for batch in members(*args):
+            sizes.append(len(batch))
+            yield batch
+
+    monkeypatch.setattr(verify, "_members", counting)
+    return sizes
+
+
+def test_failing_verdict_stops_at_its_witness_batch(monkeypatch):
+    # every witness of the 2^15 members of tz(2, 4) lies among the first 64
+    sizes = counted_batches(monkeypatch)
+    for vtype in ALL_TYPES:
+        sizes.clear()
+        assert not verify_mathieu(trace_zero(F2, 4), vtype).holds
+        assert sizes == [64]
+
+
+def test_holding_verdict_forms_every_member_in_growing_batches(monkeypatch):
+    sizes = counted_batches(monkeypatch)
+    for space, expected in [(trace_zero(F7, 2), [64, 256, 23]),
+                            (proposition_family(F5, 3, 1),
+                             [64, 256, 1024, 4096, 4096, 4096, 1993])]:
+        for vtype in ALL_TYPES:
+            sizes.clear()
+            assert verify_mathieu(space, vtype).holds
+            assert sizes == expected and sum(sizes) == space.field.p ** space.dim
+
+
+def test_radical_forms_full_batches(monkeypatch):
+    sizes = counted_batches(monkeypatch)
+    rad = radical(MatrixSubspace.from_matrices(F2, 4, []))
+    assert sizes == [4096] * 16 and len(rad) == 4096
+    monkeypatch.setattr(verify, "_BATCH", 16)
+    sizes.clear()
+    assert radical(trace_zero(F3, 2)) == keyed_verify.radical(trace_zero(F3, 2))
+    assert sizes == [16] * 5 + [1]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dual_spans_the_constraint_space(field, n):
+    rng = random.Random(field.p * 10 + n)
+    spaces = [MatrixSubspace.from_matrices(field, n, []), MatrixSubspace.full_space(field, n)]
+    for dim in range(1, n * n):
+        rows = [[rng.randrange(field.p) for _ in range(n * n)] for _ in range(dim)]
+        spaces.append(MatrixSubspace(field, n, VectorSubspace.from_vectors(field, n * n, rows)))
+    for space in spaces:
+        cons = _Dual(space).cons
+        assert len(cons) == n * n - space.dim
+        assert MatrixSubspace.from_matrices(field, n, [
+            DenseMatrix(field, c.tolist()) for c in cons]) == constraint_space(space)
+
+
+def test_verdicts_and_radicals_eliminate_nothing_once_the_space_is_built(monkeypatch):
+    from mathieumat import linalg, matspace
+    spaces = [trace_zero(F2, 3), trace_zero(F5, 2), column_kill(F3),
+              MatrixSubspace.from_matrices(F3, 2, [])]
+    original, calls = linalg._eliminate, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (linalg, matspace):
+        monkeypatch.setattr(module, "_eliminate", counting)
+    for space in spaces:
+        for vtype in ALL_TYPES:
+            verify_mathieu(space, vtype)
+        radical(space)
+    assert calls == []
 
 
 def _two_sided_oracle(space):

@@ -37,9 +37,9 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import spacefile
-from .errors import MathieuMatError, SingularMatrixError, SpaceFileError
+from .errors import MathieuMatError, SpaceFileError
 from .idempotents import LOWER, UPPER, idempotent_family
-from .linalg import DenseMatrix, Field, all_matrices, all_subspaces
+from .linalg import DenseMatrix, Field, VectorSubspace, _eliminate, all_matrices, all_subspaces
 from .matspace import (
     MatrixSubspace,
     binary_profile,
@@ -81,7 +81,7 @@ def _load(path, field_token):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")     # a leading BOM, as Windows editors write
     except (OSError, UnicodeDecodeError) as exc:
         raise SpaceFileError(str(exc))
     return hashlib.sha256(raw).hexdigest(), spacefile.loads(text, field_token)
@@ -207,25 +207,35 @@ def running_pair_space(field) -> MatrixSubspace:
     ])
 
 
+def _scalar_corners(space):
+    """``(conjugators, successes)``: how many t over the space's field
+    are invertible, and for how many pairs (t, r) the zero-corner
+    members of t^-1 (space) t are the scalar line alone.  The zero-top-right-block
+    matrices Z_r stabilise W = span(e_(r+1) .. e_n), so t^-1 S t meets
+    Z_r in t^-1 (S meets Stab(tW)) t: its dimension depends only on r
+    and tW, the span of t's last n - r columns, and one conjugate is
+    formed per new (r, tW)."""
+    f, n = space.field, space.n
+    conjugators = successes = 0
+    scalar = {}     # (r, span of t's last n - r columns) -> scalar-only corner
+    for t in all_matrices(f, n, n):
+        if len(_eliminate(f, list(t.entries), n, n)) < n:
+            continue
+        conjugators += 1
+        for r in range(1, n):
+            key = r, VectorSubspace._span(f, n, [t.column(j) for j in range(r, n)])
+            if key not in scalar:
+                scalar[key] = rct_zero_members(conjugate(space, t), r).dim == 1
+            successes += scalar[key]
+    return conjugators, successes
+
+
 def repro_counterexample():
     """Exhaustive check that no conjugation over F_2 makes the zero-corner
     members of the adjoined running pair scalar, for either block size.
-    Conjugation fixes I, so the pair is adjoined once, before the loop;
-    many conjugators give the same conjugate, whose corners are read once."""
-    f = Field.prime(2)
-    space = running_pair_space(f).adjoin_identity()
-    conjugators = 0
-    fixed = 0
-    scalar_corners = {}     # conjugate -> how many r give a scalar-only corner
-    for t in all_matrices(f, 3, 3):
-        try:
-            moved = conjugate(space, t)
-        except SingularMatrixError:
-            continue
-        conjugators += 1
-        if moved not in scalar_corners:
-            scalar_corners[moved] = sum(rct_zero_members(moved, r).dim == 1 for r in (1, 2))
-        fixed += scalar_corners[moved]
+    Conjugation fixes I, so the pair is adjoined once; all 168 conjugators
+    are decided, from 14 conjugates, one per block size and column span."""
+    conjugators, fixed = _scalar_corners(running_pair_space(Field.prime(2)).adjoin_identity())
     expected = "all 168 conjugators fail for r in {1,2}"
     if conjugators == 168 and fixed == 0:
         observed = expected

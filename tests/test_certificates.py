@@ -1,7 +1,8 @@
 """Each certificate condition is decided once, on values the caller holds.
 
-The check-first ``idempotent_family`` and the scalar-line comparison of
-``rct_zero_is_scalar`` live on here as references; call counts pin that
+The check-first ``idempotent_family``, the scalar-line comparison of
+``rct_zero_is_scalar`` and the counterexample repro's one conjugate per
+conjugator live on here as references; call counts pin that
 no certificate repeats a conjugation, a constraint space, a zero-corner
 space or a maximal left ideal it already has, and that a witness's
 powers are followed once.
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieumat.errors import HypothesisFailed, NotLeftIdealError
+from mathieumat.errors import HypothesisFailed, NotLeftIdealError, SingularMatrixError
 from mathieumat.idempotents import LOWER, UPPER, _minor_trace, idempotent_family
-from mathieumat.linalg import DenseMatrix, Field
+from mathieumat.linalg import DenseMatrix, Field, all_matrices
 from mathieumat.matspace import MatrixSubspace, constraint_space, conjugate, rct_zero_members
 from mathieumat.normalize import rct_certificate, rct_zero_is_scalar
 from mathieumat.verify import left_ideal_normal_form
@@ -131,6 +132,35 @@ def test_rct_zero_is_scalar_matches_scalar_line_reference(case):
         assert rct_zero_is_scalar(s, r) == reference_rct_zero_is_scalar(s, r)
 
 
+def reference_scalar_corners(space):
+    """``cli._scalar_corners`` by definition: one conjugate per t."""
+    f, n = space.field, space.n
+    conjugators = successes = 0
+    for t in all_matrices(f, n, n):
+        try:
+            moved = conjugate(space, t)
+        except SingularMatrixError:
+            continue
+        conjugators += 1
+        successes += sum(rct_zero_members(moved, r).dim == 1 for r in range(1, n))
+    return conjugators, successes
+
+
+def test_scalar_corners_match_one_conjugate_per_conjugator():
+    # the repro's own pair has no success, so its payload cannot tell a
+    # wrong key (r alone, the first columns) from the right one
+    rng = random.Random(31)
+    successful = 0
+    for f, n, gens in [(F2, 3, 2)] * 6 + [(F2, 3, 1)] * 2 + [(F3, 2, 1)] * 6:
+        space = MatrixSubspace.from_matrices(f, n, [
+            DenseMatrix(f, [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)])
+            for _ in range(gens)]).adjoin_identity()
+        expected = reference_scalar_corners(space)
+        assert cli._scalar_corners(space) == expected
+        successful += expected[1] > 0
+    assert successful >= 3
+
+
 # --- call counts -------------------------------------------------------------
 
 def test_rct_certificate_conjugates_once_per_move(monkeypatch):
@@ -166,11 +196,12 @@ def test_main2_builds_the_constraint_space_once(monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["payload"]["conclusion_holds"] is True
 
 
-def test_repro_counterexample_inverts_each_conjugator_once(monkeypatch, capsys):
-    # 512 candidate matrices over F_2, each inverted once inside conjugate
+def test_repro_counterexample_inverts_each_conjugate_once(monkeypatch, capsys):
+    # 512 candidates over F_2 are tested by rank, not inverted; only the
+    # 14 conjugates, one per block size and column span, invert their t
     calls = count_calls(monkeypatch, "invert", linalg)
     assert cli.main(["repro", "counterexample", "--json"]) == 0
-    assert len(calls) == 512
+    assert len(calls) == 14
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["conjugators"] == 168 and payload["successes"] == 0
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -166,6 +167,21 @@ def test_well_formed_space_files_read_as_their_space(tmp_path, capsys, text, ove
     assert (rc, payload["space_dim"], payload["field"]) == (0, expected.dim, repr(f))
 
 
+def test_a_byte_order_mark_and_crlf_read_as_the_plain_file(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(PAIR.encode())
+    windows = tmp_path / "windows.txt"
+    raw = b"\xef\xbb\xbf" + PAIR.replace("\n", "\r\n").encode()
+    windows.write_bytes(raw)
+    reports = []
+    for path in (plain, windows):
+        rc, out, err = run(capsys, "normalize", str(path), "--json")
+        assert (rc, err) == (0, "")
+        reports.append(json.loads(out))
+    assert reports[0]["payload"] == reports[1]["payload"]
+    assert reports[1]["digest"] == hashlib.sha256(raw).hexdigest()
+
+
 def test_cli_constraints(tmp_path, capsys):
     path = write(tmp_path, PAIR)
     rc, out, err = run(capsys, "constraints", path, "--json")
@@ -322,8 +338,9 @@ def test_cli_repro_fast_names(name, capsys):
 
 
 def test_cli_repro_counterexample(capsys, monkeypatch):
-    # the 168 conjugators give 42 distinct conjugates, and the two
-    # zero corners of each are read once: 84 readouts, not 336
+    # the zero corner of t^-1 S t for block size r depends only on the
+    # span of t's last 3 - r columns: 7 lines and 7 planes, 14 readouts
+    # for the 168 conjugators, not 336
     readouts = []
     readout = matspace._readout
 
@@ -337,7 +354,7 @@ def test_cli_repro_counterexample(capsys, monkeypatch):
     payload = json.loads(out)["payload"]
     assert payload["match"] is True
     assert payload["conjugators"] == 168 and payload["successes"] == 0
-    assert len(readouts) == 84
+    assert len(readouts) == 14
 
 
 # Nonzero maximal left ideals: a column-kill ideal conjugated by T (not a

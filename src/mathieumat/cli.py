@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from . import spacefile
 from .errors import MathieuMatError, SpaceFileError
 from .idempotents import LOWER, UPPER, idempotent_family
-from .linalg import DenseMatrix, Field, VectorSubspace, _eliminate, all_matrices, all_subspaces
+from .linalg import DenseMatrix, Field, all_subspaces
 from .matspace import (
     MatrixSubspace,
     binary_profile,
@@ -213,28 +213,31 @@ def _scalar_corners(space):
     members of t^-1 (space) t are the scalar line alone.  The zero-top-right-block
     matrices Z_r stabilise W = span(e_(r+1) .. e_n), so t^-1 S t meets
     Z_r in t^-1 (S meets Stab(tW)) t: its dimension depends only on r
-    and tW, the span of t's last n - r columns, and one conjugate is
-    formed per new (r, tW)."""
+    and U = tW, the span of t's last n - r columns.  GL_n permutes the U
+    of each dimension transitively, so each U of ``all_subspaces`` is
+    the span of an equal share of the |GL_n| = prod_(i<n) (q^n - q^i)
+    conjugators, and one t is formed per U: the identity columns off U's
+    pivots, then U's canonical basis (e_i at its pivot i modulo those)."""
     f, n = space.field, space.n
-    conjugators = successes = 0
-    scalar = {}     # (r, span of t's last n - r columns) -> scalar-only corner
-    for t in all_matrices(f, n, n):
-        if len(_eliminate(f, list(t.entries), n, n)) < n:
-            continue
-        conjugators += 1
-        for r in range(1, n):
-            key = r, VectorSubspace._span(f, n, [t.column(j) for j in range(r, n)])
-            if key not in scalar:
-                scalar[key] = rct_zero_members(conjugate(space, t), r).dim == 1
-            successes += scalar[key]
+    conjugators = math.prod(f.p ** n - f.p ** i for i in range(n))
+    eye = DenseMatrix.identity(f, n).entries
+    successes = 0
+    for r in range(1, n):
+        spans = list(all_subspaces(f, n, n - r))
+        for u in spans:
+            columns = [e for i, e in enumerate(eye) if i not in u.pivots] + list(u.basis)
+            t = DenseMatrix._trusted(f, zip(*columns), n)
+            if rct_zero_members(conjugate(space, t), r).dim == 1:
+                successes += conjugators // len(spans)
     return conjugators, successes
 
 
 def repro_counterexample():
     """Exhaustive check that no conjugation over F_2 makes the zero-corner
     members of the adjoined running pair scalar, for either block size.
-    Conjugation fixes I, so the pair is adjoined once; all 168 conjugators
-    are decided, from 14 conjugates, one per block size and column span."""
+    Conjugation fixes I, so the pair is adjoined once; all 168 = |GL_3(F_2)|
+    conjugators are decided from 14 conjugates, one per block size r and
+    span of the last 3 - r columns: the 7 planes and 7 lines of F_2^3."""
     conjugators, fixed = _scalar_corners(running_pair_space(Field.prime(2)).adjoin_identity())
     expected = "all 168 conjugators fail for r in {1,2}"
     if conjugators == 168 and fixed == 0:

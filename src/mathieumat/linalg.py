@@ -46,9 +46,10 @@ A :class:`VectorSubspace` keeps those rows (``rows``) and builds its
 ``MatrixSubspace.contains``) subtracts the rows from an integer vector
 in one cross-multiplied step.  So a space over Q that is only spanned,
 intersected, dualized, compared or tested with ``contains`` never builds
-a ``Fraction``.  A kernel is the complement of the row space:
-``_kernel`` eliminates the system's rows once, reversed, and its
-vectors, one per non-pivot, are already the canonical RREF rows.
+a ``Fraction``.  An annihilator is read off an RREF by ``_complement``
+alone: ``_kernel`` eliminates the system's rows once, reversed, and
+its vectors, reversed back, are the canonical RREF rows; ``verify``
+reads the trace dual off the space's own RREF, with no elimination.
 
 "The vectors of a row space that satisfy linear conditions" is read off
 one elimination (``_readout``): put the conditions' coordinates first,
@@ -576,31 +577,39 @@ def _readout(field, rows, k, ncols) -> VectorSubspace:
     return VectorSubspace(field, ncols - k, kept, tuple(c - k for c in pivots[first:]))
 
 
+def _complement(field, rows, pivots, m) -> list:
+    """The annihilator of the row space of an RREF of m columns, as
+    ``_eliminate`` leaves it: for each non-pivot f, ascending, the integer
+    vector d e_f - sum_r (R[r][f] d / a_r) e_(q_r), a_r the entry of row r
+    at its pivot q_r and d the least positive integer making it integral
+    (1 over F_p, entries mod p)."""
+    p = field.p
+    taken = set(pivots)
+    vectors = []
+    for f in range(m):
+        if f in taken:
+            continue
+        terms = [(q, row[f], row[q]) for row, q in zip(rows, pivots) if row[f]]
+        d = 1 if p else math.lcm(*(a // math.gcd(a, x) for _, x, a in terms))
+        v = [0] * m
+        v[f] = d
+        for q, x, a in terms:
+            v[q] = -x % p if p else -x * d // a
+        vectors.append(v)
+    return vectors
+
+
 def _kernel(field, rows, m) -> VectorSubspace:
     """{v : row . v = 0 for every row}, rows of m entries as ``_span``
-    takes them, read off the RREF R' of the reversed rows: for each
-    non-pivot f of R', in descending order, the vector with 1 at m-1-f and
-    -R'[r][f] at m-1-q_r for each pivot q_r < f.  Its first nonzero is at
-    m-1-f, and it vanishes at the other non-pivots (the kernel's pivots):
-    the basis is canonical.  Over Q, where row r is R'[r] times its pivot
-    a_r, each vector is taken times d, the lcm of the denominators of its
-    entries -x_r / a_r: the primitive row with a positive pivot.
-    """
-    p = field.p
+    takes them: the ``_complement`` of the reversed rows, reversed back.
+    The vector of non-pivot f has its first nonzero at m-1-f and vanishes
+    at the other non-pivots, so the basis is canonical."""
     rows = [row[::-1] for row in rows]
     pivots = _eliminate(field, rows, m)
     taken = set(pivots)
-    free = [f for f in range(m - 1, -1, -1) if f not in taken]
-    vectors = []
-    for f in free:
-        terms = [(q, row[f], row[q]) for row, q in zip(rows, pivots) if q < f and row[f]]
-        d = 1 if p else math.lcm(*(a // math.gcd(a, x) for _, x, a in terms))
-        v = [0] * m
-        v[m - 1 - f] = d
-        for q, x, a in terms:
-            v[m - 1 - q] = -x % p if p else -x * d // a
-        vectors.append(tuple(v))
-    return VectorSubspace(field, m, tuple(vectors), tuple(m - 1 - f for f in free))
+    return VectorSubspace(field, m, tuple(tuple(v[::-1]) for v in
+                                          reversed(_complement(field, rows, pivots, m))),
+                          tuple(i for i in range(m) if m - 1 - i not in taken))
 
 
 def invert(m: DenseMatrix) -> DenseMatrix:
@@ -618,13 +627,6 @@ def invert(m: DenseMatrix) -> DenseMatrix:
     if f.p:
         return DenseMatrix._trusted(f, [row[n:] for row in rows], n)
     return DenseMatrix._trusted(f, [_scalars(f, row[n:], row[i]) for i, row in enumerate(rows)], n)
-
-
-def all_matrices(field, rows, cols):
-    """All rows x cols matrices, lexicographic by row-major entries."""
-    for flat in itertools.product(field.elements(), repeat=rows * cols):
-        yield DenseMatrix._trusted(
-            field, [flat[i * cols:(i + 1) * cols] for i in range(rows)], cols)
 
 
 def all_subspaces(field, ambient_dim, dim):

@@ -26,7 +26,8 @@ one conjugation path (behind ``conjugate`` and
 the flat rows of t^-1 M t to one elimination.  A :class:`Filtration`
 holds its adapted basis as integer grids: its column spaces along e_k
 eliminate their columns, and the generic-vector scan and the rank bounds
-eliminate integer images of them.
+eliminate integer images of them forward only, for their rank: the scan
+needs the dimension of a candidate's column space, not the space.
 ``MatrixSubspace.basis_matrices`` and the ``Fraction`` basis of a space
 over Q are views built on their first read: a space that is only
 loaded, conjugated, filtered, dualized or compared never builds either.
@@ -273,8 +274,8 @@ class Filtration(_Frozen):
     bottom-up as ``_grid`` matrices of integer rows, so its first
     ``dims[k]`` members span C_k.  C e_k is column k of C, so
     ``col_spaces[k - 1]``, the column space of C_k along e_k, spans
-    column k of those grids; ``column_space`` along other vectors and
-    the rank bounds are integer products with them.  ``d[k]`` is
+    column k of those grids; the generic-vector scan and the rank
+    bounds take the ranks of integer products with them.  ``d[k]`` is
     read off the bounds of ``_rank_bounds`` when they meet at every
     level for some point; otherwise one Bareiss run over the columns C*x,
     in that order, gives every generic dimension: ``d[k]`` counts its
@@ -304,15 +305,6 @@ class Filtration(_Frozen):
         object.__setattr__(self, "col_spaces", tuple(
             VectorSubspace._span(f, n, [[r[j] for r in g] for g in grids[:dims[j + 1]]])
             for j in range(n)))
-
-    def column_space(self, k: int, vec) -> VectorSubspace:
-        """span{C vec : C in C_k} inside K^n, for n canonical scalars."""
-        f, n = self.space.field, self.space.n
-        if not 0 <= k <= n:
-            raise ValueError("level %d out of range 0..%d" % (k, n))
-        if len(vec) != n:
-            raise ValueError("vector has wrong length")
-        return VectorSubspace._span(f, n, _images(f, self.grids[:self.dims[k]], vec))
 
     def profile(self) -> BinaryProfile:
         """The binary profile of the space, read off this filtration."""
@@ -364,7 +356,8 @@ def binary_profile(space: MatrixSubspace) -> BinaryProfile:
 def find_generic_vector(fil: Filtration, k: int, require_pivot_one=False):
     """A vector v with v_{k+1} = ... = v_n = 0 whose column space at
     level k has the full generic dimension d_k; with ``require_pivot_one``
-    additionally v_k = 1.
+    additionally v_k = 1.  Only the rank of C_1 v .. C_m v is read, so
+    each candidate is eliminated forward only.
 
     Deterministic: scans the grid S^k, S the first min(#K, d_k + 1)
     canonical field elements, in lexicographic order.  The vanishing
@@ -388,7 +381,7 @@ def find_generic_vector(fil: Filtration, k: int, require_pivot_one=False):
         if require_pivot_one and point[k - 1] == zero:
             continue
         v = point + tail
-        if fil.column_space(k, v).dim == dk:
+        if len(_eliminate(f, _images(f, fil.grids[:fil.dims[k]], v), n, n)) == dk:
             if require_pivot_one and point[k - 1] != one:
                 inv = f.inv(point[k - 1])
                 v = tuple(f.mul(inv, x) for x in v)

@@ -21,7 +21,8 @@ Each move reads the current space's levels off its ``matspace.Filtration``
 and returns its conjugator, or None for a no-op; ``normalize`` reads one
 Filtration for the input and one for the conjugate after each logged move.
 The moves read the column space of level k along e_k off
-``Filtration.col_spaces``; only the generic-vector search computes one anew.
+``Filtration.col_spaces``; the generic-vector search reads only the rank
+of each candidate's images, never a column space.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ a^(2n-1).  So a lies in the full power set iff a^1 .. a^n lie inside,
 in the radical iff a^n .. a^(2n-1) do, and a is idempotent iff a^2 = a.
 
 Membership is read off the trace dual: X is a member iff tr(C_l X) = 0
-for a basis C_1 .. C_c of ``constraint_space(space)``, read off the
-space's RREF with no elimination (any basis gives the same answers
-below, so it need not be the canonical one).  Every cycle
+for a basis C_1 .. C_c of ``constraint_space(space)``, the
+``linalg._complement`` of the space's RREF, with no elimination (any
+basis gives the same answers below, so it need not be the canonical
+one).  Every cycle
 element is a^(m-n) a^n = a^n a^(m-n), so some multiplier takes a large
 power of a outside iff one takes z = a^n outside.  Those keeping z
 inside form a subspace, so the first one outside in row-major
@@ -20,7 +21,8 @@ largest row-major position.  As tr(C E_ij z) = (z C)_ji and
 tr(C z E_ij) = (C z)_ji, E_ij takes z outside on the left iff some
 (z C_l)_ji != 0, on the right iff some (C_l z)_ji != 0.  The pair
 E_ij z E_kl = z_jk E_il escapes iff z_jk != 0 and some (C_m)_li != 0;
-in a proper space every nonzero z escapes two-sidedly.
+in a proper space every nonzero z escapes two-sidedly.  The products
+z C_l are formed in slices of at most ``_TABLE`` entries.
 
 Only what a question ranges over is enumerated, and
 ``ENUMERATION_GUARD`` bounds its count: the p^dim members for the
@@ -53,12 +55,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
-from .linalg import DenseMatrix, VectorSubspace, _kernel, _readout, invert
+from .linalg import DenseMatrix, VectorSubspace, _complement, _kernel, _readout, invert
 from .matspace import MatrixSubspace, _conjugate, constraint_space
 
 ENUMERATION_GUARD = 2 ** 20    # a power of two: the guard's message names its exponent
 _BATCH = 4096               # matrices whose powers are formed at once
 _FIRST_BATCH = 64           # members of a verdict's first batch; each next one is 4x
+_TABLE = 2 ** 22            # entries of the largest table of unit products formed at once
 
 LEFT = "left"
 RIGHT = "right"
@@ -158,31 +161,19 @@ def _matrix(field, entries) -> DenseMatrix:
 
 class _Dual:
     """A space read off a basis C_1 .. C_c of its constraint space, not
-    the canonical one, taken from the space's RREF with no elimination.
-    With pivots q_i and RREF rows R_i, M is a member iff M = sum_i
-    M_(q_i) R_i, iff tr(C_f M) = M_f - sum_i R_i[f] M_(q_i) vanishes for
-    each non-pivot coordinate f."""
+    the canonical one: the ``_complement`` of the space's RREF, with no
+    elimination.  Each of its vectors phi pairs with a member M as
+    phi . vec(M) = tr(C M) for the C with C_ji = phi[i n + j]: M is a
+    member iff all of them vanish."""
 
     def __init__(self, space: MatrixSubspace):
         import numpy as np
-        n, p = space.n, space.field.p
-        rows, pivots = space.basis.rows, space.basis.pivots
-        # tr(C M) = sum_ij C_ij M_ji: coordinate f = i n + j of M pairs with C_ji
-        at = [f % n * n + f // n for f in range(n * n)]
-        cons = []
-        for f in range(n * n):
-            if f in pivots:
-                continue
-            c = [0] * (n * n)
-            c[at[f]] = 1
-            for row, q in zip(rows, pivots):
-                if row[f]:
-                    c[at[q]] = p - row[f]
-            cons.append(c)
-        self.p = p
-        self.cons = np.array(cons, dtype=_dtype(p, n)).reshape(-1, n, n)
-        # tr(C X) = sum_ij C_ij X_ji pairs X row-major with C transposed
-        self.pairing = self.cons.transpose(0, 2, 1).reshape(-1, n * n).T
+        n, f = space.n, space.field
+        phi = np.array(_complement(f, space.basis.rows, space.basis.pivots, n * n),
+                       dtype=_dtype(f.p, n)).reshape(-1, n * n)
+        self.p = f.p
+        self.pairing = phi.T
+        self.cons = np.ascontiguousarray(phi.reshape(-1, n, n).transpose(0, 2, 1))
 
     def contains(self, mats):
         """Membership of each matrix of ``mats`` (k, n, n)."""
@@ -205,8 +196,13 @@ class _Dual:
     def escapes(self, zs, side: str):
         """Whether each unit product of each z in ``zs`` (k, n, n) leaves
         the space, (k, units) with the units E_ij in row-major order and
-        a pair (b, c) of them at pos(b) n^2 + pos(c)."""
+        a pair (b, c) of them at pos(b) n^2 + pos(c); in slices whose
+        (k, c, n, n) tables of products with the C_l stay within ``_TABLE``."""
         import numpy as np
+        step = _TABLE // self.cons.size
+        if len(zs) > step:
+            return np.concatenate([self.escapes(zs[i:i + step], side)
+                                   for i in range(0, len(zs), step)])
         if side == TWO_SIDED:
             used = self.cons.any(axis=0).T      # used[i, l]: some (C_m)_li != 0
             out = (zs != 0)[:, None, :, :, None] & used[None, :, None, None, :]

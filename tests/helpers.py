@@ -137,6 +137,13 @@ def degree(poly) -> int:
     return max((sum(e) for e in poly.terms), default=-1)
 
 
+def all_matrices(field, rows, cols):
+    """All rows x cols matrices, lexicographic by row-major entries."""
+    for flat in itertools.product(field.elements(), repeat=rows * cols):
+        yield DenseMatrix._trusted(
+            field, [flat[i * cols:(i + 1) * cols] for i in range(rows)], cols)
+
+
 def all_vectors(field, n):
     """All vectors of K^n in lexicographic order (prime fields only)."""
     for tup in itertools.product(field.elements(), repeat=n):

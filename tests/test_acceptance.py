@@ -20,7 +20,6 @@ from mathieumat.idempotents import (
 from mathieumat.linalg import (
     DenseMatrix,
     Field,
-    all_matrices,
     all_subspaces,
     invert,
 )
@@ -44,7 +43,7 @@ from mathieumat.verify import (
     witness_replays,
 )
 
-from helpers import degree, elements, reference_is_left_ideal, rref
+from helpers import all_matrices, degree, elements, reference_is_left_ideal, rref
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)

@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from mathieumat.errors import HypothesisFailed, NotLeftIdealError, SingularMatrixError
 from mathieumat.idempotents import LOWER, UPPER, _minor_trace, idempotent_family
-from mathieumat.linalg import DenseMatrix, Field, all_matrices
+from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import MatrixSubspace, constraint_space, conjugate, rct_zero_members
 from mathieumat.normalize import rct_certificate, rct_zero_is_scalar
 from mathieumat.verify import left_ideal_normal_form
 
-from helpers import PAIR_DUAL, solve_affine
+from helpers import PAIR_DUAL, all_matrices, solve_affine
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 # the package re-exports functions named like some of its modules
@@ -148,17 +148,19 @@ def reference_scalar_corners(space):
 
 def test_scalar_corners_match_one_conjugate_per_conjugator():
     # the repro's own pair has no success, so its payload cannot tell a
-    # wrong key (r alone, the first columns) from the right one
+    # wrong column span (the first columns) or a wrong multiplicity per
+    # span from the right one; over F_5 every space here has successes
     rng = random.Random(31)
     successful = 0
-    for f, n, gens in [(F2, 3, 2)] * 6 + [(F2, 3, 1)] * 2 + [(F3, 2, 1)] * 6:
+    for f, n, gens in [(F2, 3, 2)] * 6 + [(F2, 3, 1)] * 2 + [(F3, 2, 1)] * 6 + [(F5, 2, 1)] * 4:
         space = MatrixSubspace.from_matrices(f, n, [
             DenseMatrix(f, [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)])
             for _ in range(gens)]).adjoin_identity()
         expected = reference_scalar_corners(space)
         assert cli._scalar_corners(space) == expected
         successful += expected[1] > 0
-    assert successful >= 3
+        assert f != F5 or expected[1] > 0
+    assert successful >= 7
 
 
 # --- call counts -------------------------------------------------------------
@@ -197,11 +199,15 @@ def test_main2_builds_the_constraint_space_once(monkeypatch, tmp_path, capsys):
 
 
 def test_repro_counterexample_inverts_each_conjugate_once(monkeypatch, capsys):
-    # 512 candidates over F_2 are tested by rank, not inverted; only the
-    # 14 conjugates, one per block size and column span, invert their t
+    # the column spans come from ``all_subspaces``, not from eliminating
+    # the columns of 512 candidates: the 14 conjugates, one per block size
+    # and span, each invert their t and eliminate twice (the conjugate and
+    # its zero corner), and building the adjoined pair takes 3 more
     calls = count_calls(monkeypatch, "invert", linalg)
+    eliminations = count_calls(monkeypatch, "_eliminate", linalg)
     assert cli.main(["repro", "counterexample", "--json"]) == 0
     assert len(calls) == 14
+    assert len(eliminations) == 45
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["conjugators"] == 168 and payload["successes"] == 0
 

@@ -12,16 +12,16 @@ from mathieumat.linalg import (
     Field,
     VectorSubspace,
     _cleared,
+    _complement,
     _eliminate,
     _is_prime,
     _kernel,
-    all_matrices,
     all_subspaces,
     invert,
 )
 from mathieumat.matspace import MatrixSubspace
 
-from helpers import all_vectors, kernel, mul_vector, rref, solve_affine, zeros
+from helpers import all_matrices, all_vectors, kernel, mul_vector, rref, solve_affine, zeros
 from test_readout import reference_kernel
 
 F2 = Field.prime(2)
@@ -423,6 +423,33 @@ def test_kernel_cardinality_matches_enumeration():
                     if all(x == 0 for x in mul_vector(m, v)))
                 assert count == p ** k.dim
                 assert all(k.member(row) for row in k.basis)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.sampled_from([F2, F3, F5, Field.prime(101), QQ]), st.integers(1, 7), st.data())
+def test_complement_annihilates_the_row_space(field, m, data):
+    # the empty row space, the full one (the identity's rows) and random
+    # rows: m - rank integer vectors, independent, each d at its own
+    # non-pivot and pairing to zero with every row
+    p = field.p
+    k = data.draw(st.integers(0, m + 1))
+    cases = [[], [[int(i == j) for j in range(m)] for i in range(m)],
+             [data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+              for _ in range(k)]]
+    for given_rows in cases:
+        rows = [[x % p for x in row] if p else list(row) for row in given_rows]
+        pivots = _eliminate(field, rows, m)
+        vectors = _complement(field, rows, pivots, m)
+        free = [f for f in range(m) if f not in pivots]
+        assert len(vectors) == m - len(pivots)
+        assert len(_eliminate(field, [list(v) for v in vectors], m, m)) == len(vectors)
+        for v, f in zip(vectors, free):
+            assert all(type(x) is int for x in v) and v[f] > 0
+            assert all(v[g] == 0 for g in free if g != f)
+            assert not p or all(0 <= x < p for x in v)
+            for row in given_rows:
+                dot = sum(x * y for x, y in zip(row, v))
+                assert (dot % p if p else dot) == 0
 
 
 def test_solve_affine_unique():

@@ -1,9 +1,10 @@
 import importlib
 import random
+import sys
 
 import pytest
 
-from mathieumat import multipoly
+from mathieumat import matspace, multipoly
 from mathieumat.errors import FieldTooSmallError, PreconditionViolated
 from mathieumat.linalg import DenseMatrix, Field, invert
 from mathieumat.matspace import (
@@ -303,17 +304,19 @@ def test_one_filtration_per_filtered_space(monkeypatch):
 
 def test_column_spaces_along_unit_vectors_are_read_off_the_filtration(monkeypatch):
     # the profile and the moves read the column space of level k along
-    # e_k off ``Filtration.col_spaces``: only the generic-vector search
-    # calls ``Filtration.column_space``, so a run without a generic-vector
-    # move calls it not at all
+    # e_k off ``Filtration.col_spaces``: outside the rank bounds only the
+    # generic-vector search multiplies out images (``_images``), so a run
+    # without a generic-vector move multiplies out none elsewhere
     calls = []
-    column_space_of = Filtration.column_space
+    images = matspace._images
 
-    def counting(self, k, vec):
-        calls.append(k)
-        return column_space_of(self, k, vec)
+    def counting(*args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_rank_bounds":
+            calls.append(caller)
+        return images(*args)
 
-    monkeypatch.setattr(Filtration, "column_space", counting)
+    monkeypatch.setattr(matspace, "_images", counting)
     rng = random.Random(89)
     searched = unsearched = 0
     for field in (F5, QQ):
@@ -328,7 +331,7 @@ def test_column_spaces_along_unit_vectors_are_read_off_the_filtration(monkeypatc
             assert calls == []
             result = normalize(s)
             if any(move.kind == "generic_vector" for move in result.log):
-                assert calls
+                assert calls and set(calls) == {"find_generic_vector"}
                 searched += 1
             else:
                 assert calls == []

@@ -155,12 +155,22 @@ def test_one_readout_path():
 def test_unit_vectors_are_not_multiplied_out():
     # C e_k is column k of C: a ``Filtration`` reads its column spaces
     # along e_k off the grids' columns, and only the other vectors, of
-    # ``column_space`` and the rank-bound points, are multiplied out
+    # ``column_space``, the generic-vector scan and the rank-bound points,
+    # are multiplied out
     found = set()
     for path in MODULES:
         found |= callers(path, {"_images"})
-    assert found == {"matspace.column_space", "matspace.Filtration.column_space",
+    assert found == {"matspace.column_space", "matspace.find_generic_vector",
                      "matspace._rank_bounds"}
+
+
+def test_one_annihilator_read_off():
+    # the trace dual of the verdicts and every kernel are read off an RREF
+    # by ``_complement`` alone; no second loop builds an annihilator
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"_complement"})
+    assert found == {"linalg._kernel", "verify._Dual.__init__"}
 
 
 def test_every_imported_name_is_used():
@@ -250,7 +260,8 @@ DELETED = {
     "spacefile.SpaceFile", "spacefile.SpaceFile.resolve", "linalg.Field.size_greater",
     "linalg.DenseMatrix.__getitem__", "matspace._basis_vector",
     "linalg.rref", "linalg.kernel", "linalg.solve_affine", "verify.full_power_set",
-    "linalg.VectorSubspace.vanishing_at",
+    "linalg.VectorSubspace.vanishing_at", "linalg.all_matrices",
+    "matspace.Filtration.column_space",
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mathieumat.cli import _trace_zero
 from mathieumat.errors import PreconditionViolated, TooLargeError
-from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, all_matrices, invert
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, invert
 from mathieumat import verify
 from mathieumat.matspace import MatrixSubspace, constraint_space
 from mathieumat.multipoly import MultiPoly
@@ -36,6 +36,7 @@ from mathieumat.verify import (
 
 import keyed_verify
 from helpers import (
+    all_matrices,
     elements,
     full_power_set,
     mul_vector,
@@ -533,6 +534,39 @@ def test_enumeration_guard():
             tracemalloc.stop()
         assert verdict.holds == _two_sided_oracle(space)
         assert verdict.holds or witness_replays(space, verdict.witness)
+
+
+def test_one_sided_escapes_keep_their_table_small():
+    # the span of E_(1,2) .. E_(1,12) at n = 12: 2^11 members, 133
+    # constraints, so a batch of 1024 members would form 19.6 million unit
+    # products at once (75 MB); in slices of 2^22 it stays under 32 MB
+    n = 12
+    space = MatrixSubspace.from_matrices(
+        F2, n, [DenseMatrix.unit(F2, n, n, 0, j) for j in range(1, n)])
+    tracemalloc.start()
+    try:
+        verdict = verify_mathieu(space, LEFT)
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+
+
+def test_escapes_in_slices_match_one_table(monkeypatch):
+    # a batch past the table bound goes in slices whose rows are the
+    # rows of the single table, in order
+    rng = random.Random(17)
+    for space in (trace_zero(F3, 3), MatrixSubspace.from_matrices(
+            F3, 3, [[[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+                    for _ in range(4)])):
+        dual = _Dual(space)
+        zs = next(verify._members(3, 3, None, 200))
+        whole = {side: dual.escapes(zs, side) for side in (LEFT, RIGHT, TWO_SIDED)}
+        monkeypatch.setattr(verify, "_TABLE", 7 * dual.cons.size)
+        for side, want in whole.items():
+            got = dual.escapes(zs, side)
+            assert got.shape == want.shape and (got == want).all()
+        monkeypatch.undo()
 
 
 def test_guard_message_names_the_guard(monkeypatch):

@@ -21,8 +21,9 @@ largest row-major position.  As tr(C E_ij z) = (z C)_ji and
 tr(C z E_ij) = (C z)_ji, E_ij takes z outside on the left iff some
 (z C_l)_ji != 0, on the right iff some (C_l z)_ji != 0.  The pair
 E_ij z E_kl = z_jk E_il escapes iff z_jk != 0 and some (C_m)_li != 0;
-in a proper space every nonzero z escapes two-sidedly.  The products
-z C_l are formed in slices of at most ``_TABLE`` entries.
+in a proper space every nonzero z escapes two-sidedly.  A pair escapes
+some element of a cycle iff it escapes the cycle's joint support.
+Tables are formed in slices of ``_TABLE`` entries, one member at least.
 
 Only what a question ranges over is enumerated, and
 ``ENUMERATION_GUARD`` bounds its count: the p^dim members for the
@@ -197,9 +198,9 @@ class _Dual:
         """Whether each unit product of each z in ``zs`` (k, n, n) leaves
         the space, (k, units) with the units E_ij in row-major order and
         a pair (b, c) of them at pos(b) n^2 + pos(c); in slices whose
-        (k, c, n, n) tables of products with the C_l stay within ``_TABLE``."""
+        tables, n^4 entries a member at most, stay within ``_TABLE``."""
         import numpy as np
-        step = _TABLE // self.cons.size
+        step = max(_TABLE // zs.shape[1] ** 4, 1)
         if len(zs) > step:
             return np.concatenate([self.escapes(zs[i:i + step], side)
                                    for i in range(0, len(zs), step)])
@@ -240,15 +241,17 @@ def _witness(space: MatrixSubspace, dual: _Dual, a, sides) -> Witness:
     traj = power_trajectory(_matrix(f, a))
     cycle = np.array([z.entries for z in traj.cycle], dtype=a.dtype)
     for side in sides:
-        bad = dual.escapes(cycle, side)
+        # a pair asks only whether z_jk != 0: the joint support stands for the cycle
+        bad = dual.escapes((cycle != 0).any(axis=0)[None] if side == TWO_SIDED else cycle, side)
         hit = np.flatnonzero(bad.any(axis=0))
         if len(hit):
             pos = int(hit[-1])      # the first in enumeration order
             b, c = {LEFT: (pos, None), RIGHT: (None, pos)}.get(side, divmod(pos, n * n))
+            col = cycle[:, b % n, c // n] != 0 if side == TWO_SIDED else bad[:, pos]
             b, c = (u if u is None else DenseMatrix.unit(f, n, n, *divmod(u, n))
                     for u in (b, c))
             witness = Witness(a=traj.a, b=b, c=c,
-                              exponent=traj.tail_len + 1 + int(np.argmax(bad[:, pos])))
+                              exponent=traj.tail_len + 1 + int(np.argmax(col)))
             if not _replays(space, witness, traj):
                 raise AssertionError("witness does not replay: %r" % (witness,))
             return witness

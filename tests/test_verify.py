@@ -5,6 +5,7 @@ import tracemalloc
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -562,11 +563,52 @@ def test_escapes_in_slices_match_one_table(monkeypatch):
         dual = _Dual(space)
         zs = next(verify._members(3, 3, None, 200))
         whole = {side: dual.escapes(zs, side) for side in (LEFT, RIGHT, TWO_SIDED)}
-        monkeypatch.setattr(verify, "_TABLE", 7 * dual.cons.size)
+        # slices of 7 members: n^4 = 81 table entries each
+        monkeypatch.setattr(verify, "_TABLE", 7 * 3 ** 4)
         for side, want in whole.items():
             got = dual.escapes(zs, side)
             assert got.shape == want.shape and (got == want).all()
         monkeypatch.undo()
+
+
+def test_a_member_past_the_table_bound_is_a_slice_of_its_own(monkeypatch):
+    # at n = 46 one member's table, n^4 > 2^22 entries, alone exceeds the
+    # bound: each slice holds one member
+    n = 46
+    space = MatrixSubspace.from_matrices(F2, n, [unit(F2, n, 0, 1)])
+    sliced = []
+    escapes = verify._Dual.escapes
+    monkeypatch.setattr(verify._Dual, "escapes", lambda self, zs, side: (
+        sliced.append(len(zs)), escapes(self, zs, side))[1])
+    assert verify_mathieu(space, LEFT).holds
+    assert sliced == [2, 1, 1]
+
+
+def test_two_sided_witness_reads_the_joint_support_of_its_cycle():
+    # a = diag(C, 1, 1) for the companion matrix C of x^10 + x^3 + 1, of
+    # period 1023, in the span of its powers at n = 12: the two-sided
+    # table of its whole cycle has 1023 x 12^4 = 21 million entries
+    # (42.5 MB peak formed at once); one row of its joint support stays
+    # under 8 MB (2.5 MB)
+    n, d = 12, 10
+    rows = [[int(i == j >= d) for j in range(n)] for i in range(n)]
+    for i in range(1, d):
+        rows[i][i - 1] = 1
+    rows[0][d - 1] = rows[3][d - 1] = 1
+    a = DenseMatrix(F2, rows)
+    powers = [DenseMatrix.identity(F2, n)]
+    for _ in range(d):
+        powers.append(powers[-1].mul(a))
+    space = MatrixSubspace.from_matrices(F2, n, powers)
+    dual = _Dual(space)
+    tracemalloc.start()
+    try:
+        witness = verify._witness(space, dual, np.array(rows, dtype=np.int16), (TWO_SIDED,))
+        assert tracemalloc.get_traced_memory()[1] < 8 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert power_trajectory(a).period == 1023
+    assert witness.exponent == 1 and witness_replays(space, witness)
 
 
 def test_guard_message_names_the_guard(monkeypatch):

@@ -12,9 +12,9 @@ trailing block, rank n-r) is the same system with another right-hand side.
 
 The system is built on the constraint space's basis rows, integer rows
 over Q, and solved by one elimination of [A | b], which gives the
-particular block with the free coordinates zero, plus one ``_kernel`` of
-A, which gives the directions; scalars are built only for the particular
-member.
+particular block with the free coordinates zero; its reduced rows,
+without b, are the RREF of A, and their ``_kernel`` gives the
+directions.  Scalars are built only for the particular member.
 """
 
 from __future__ import annotations
@@ -89,15 +89,6 @@ def corner_slice(space: MatrixSubspace, r: int) -> MatrixSubspace:
         space, [(i, j) for i in range(n) for j in range(n) if i < r or j >= r])
 
 
-def _minor_trace(m: DenseMatrix, r: int, form: str):
-    f = m.field
-    idx = range(r) if form == UPPER else range(r, m.rows)
-    total = f.zero
-    for i in idx:
-        total = f.add(total, m.entries[i][i])
-    return total
-
-
 def idempotent_family(space: MatrixSubspace, r: int, form: str = UPPER) -> AffineFamily:
     """The affine family of idempotents of the given form inside ``space``.
 
@@ -121,22 +112,25 @@ def _family(constraints: MatrixSubspace, r: int, form: str) -> AffineFamily:
     equation on the free block: its top-right entries C[s][r + a] against
     X[a][s], equal to minus its trace on the fixed diagonal.  One
     elimination of [A | b] gives the particular block, with the free
-    coordinates zero, and ``_kernel`` of A the directions.
+    coordinates zero; when no pivot falls on b, the reduced rows without
+    b are the RREF of A, and their ``_kernel`` the directions.
     """
     f, n, p = constraints.field, constraints.n, constraints.field.p
     ncols = (n - r) * r
     fixed = range(r) if form == UPPER else range(r, n)
-    rows, aug = [], []
-    for c in constraints.basis.rows:
-        row = [c[s * n + r + a] for a in range(n - r) for s in range(r)]
+
+    def minus_trace(c):
         t = -sum(c[i * (n + 1)] for i in fixed)
-        rows.append(row)
-        aug.append(row + [t % p if p else t])
+        return t % p if p else t
+
+    aug = [[c[s * n + r + a] for a in range(n - r) for s in range(r)] + [minus_trace(c)]
+           for c in constraints.basis.rows]
     pivots = _eliminate(f, aug, ncols + 1)
     if pivots and pivots[-1] == ncols:
         # Fredholm: some zero-corner constraint has a nonzero minor trace
-        witness = next(z for z in rct_zero_members(constraints, r).basis_matrices
-                       if _minor_trace(z, r, form) != f.zero)
+        zero_corner = rct_zero_members(constraints, r)
+        witness = next(z for z, c in zip(zero_corner.basis_matrices, zero_corner.basis.rows)
+                       if minus_trace(c))
         raise HypothesisFailed(
             "a zero-corner constraint has nonzero %s minor trace" % form,
             witness=witness)
@@ -153,7 +147,8 @@ def _family(constraints: MatrixSubspace, r: int, form: str) -> AffineFamily:
         entries[r + a][:r] = block[a * r:(a + 1) * r]
     return AffineFamily(n=n, r=r, form=form,
                         particular=DenseMatrix._trusted(f, entries, n),
-                        directions=_kernel(f, rows, ncols))
+                        directions=_kernel(f, [row[:ncols] for row in aug[:len(pivots)]],
+                                           ncols))
 
 
 def full_space_certificate(space: MatrixSubspace, r: int) -> FullSpaceCertificate:

@@ -149,9 +149,6 @@ class Field(_Frozen):
     def mul(self, a, b):
         return (a * b) % self.p if self.p else a * b
 
-    def neg(self, a):
-        return -a % self.p if self.p else -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -248,11 +245,6 @@ class DenseMatrix(_Frozen):
     def __sub__(self, other):
         return self._entrywise(other, self.field.sub)
 
-    def __neg__(self):
-        f = self.field
-        return DenseMatrix._trusted(f, [[f.neg(a) for a in row] for row in self.entries],
-                                    self.cols)
-
     def scale(self, c) -> "DenseMatrix":
         f = self.field
         c = f.of(c)
@@ -287,10 +279,6 @@ class DenseMatrix(_Frozen):
             if k:
                 base = base.mul(base)
         return DenseMatrix.identity(self.field, self.rows) if out is None else out
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix._trusted(
-            self.field, [self.column(j) for j in range(self.cols)], self.rows)
 
     def trace(self):
         if self.rows != self.cols:
@@ -530,10 +518,6 @@ class VectorSubspace(_Frozen):
 
     def member(self, v) -> bool:
         return not any(self.reduce(v))
-
-    def sum(self, other: "VectorSubspace") -> "VectorSubspace":
-        self._check_compatible(other)
-        return VectorSubspace._span(self.field, self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "VectorSubspace") -> "VectorSubspace":
         """Intersection read off the Zassenhaus rows (u, u) and (w, 0):

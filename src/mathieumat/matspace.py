@@ -107,14 +107,11 @@ class MatrixSubspace(_Frozen):
         n = self.n
         return not any(self.basis._reduce([int(i % (n + 1) == 0) for i in range(n * n)])[0])
 
-    def sum(self, other: "MatrixSubspace") -> "MatrixSubspace":
-        return MatrixSubspace(self.field, self.n, self.basis.sum(other.basis))
-
     def adjoin_identity(self) -> "MatrixSubspace":
         """The sum with the scalar line K*I."""
         f, n = self.field, self.n
-        eye = VectorSubspace._span(f, n * n, [[int(i % (n + 1) == 0) for i in range(n * n)]])
-        return self.sum(MatrixSubspace(f, n, eye))
+        eye = [int(i % (n + 1) == 0) for i in range(n * n)]
+        return MatrixSubspace(f, n, VectorSubspace._span(f, n * n, [*self.basis.rows, eye]))
 
     def __eq__(self, other):
         return (

@@ -87,13 +87,6 @@ class MultiPoly(_Frozen):
             out[exps] = f.add(out.get(exps, f.zero), c)
         return MultiPoly(f, self.nvars, out)
 
-    def __neg__(self):
-        f = self.field
-        return MultiPoly(f, self.nvars, {e: f.neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._compatible(other)
         f = self.field

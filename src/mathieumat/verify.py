@@ -23,7 +23,8 @@ tr(C z E_ij) = (C z)_ji, E_ij takes z outside on the left iff some
 E_ij z E_kl = z_jk E_il escapes iff z_jk != 0 and some (C_m)_li != 0;
 in a proper space every nonzero z escapes two-sidedly.  A pair escapes
 some element of a cycle iff it escapes the cycle's joint support.
-Tables are formed in slices of ``_TABLE`` entries, one member at least.
+A member with z = 0 escapes nothing and forms no table; the others' tables
+are formed in slices of ``_TABLE`` entries, one member at least.
 
 Only what a question ranges over is enumerated, and
 ``ENUMERATION_GUARD`` bounds its count: the p^dim members for the
@@ -280,8 +281,10 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
     sides = (LEFT, RIGHT) if vtype == PRE_TWO_SIDED else (vtype,)
     for a in _members(space.field.p, n, space.basis.basis, _FIRST_BATCH):
         keep, top = dual.staying(a, 2, n)
-        out = keep[top.any(axis=(1, 2)) if vtype == TWO_SIDED else np.any(
-            [dual.escapes(top, side).any(axis=1) for side in sides], axis=0)]
+        live = top.any(axis=(1, 2))     # a^n = 0 takes no multiplier outside
+        out, top = keep[live], top[live]
+        if vtype != TWO_SIDED and len(out):
+            out = out[np.any([dual.escapes(top, side).any(axis=1) for side in sides], axis=0)]
         if len(out):
             return MathieuVerdict(False, vtype, _witness(space, dual, a[out[0]], sides))
     return MathieuVerdict(holds=True, vtype=vtype, witness=None)
@@ -435,12 +438,11 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     k = n - common.dim
     if ideal.dim != n * k:      # dim Ann(common), see the module docstring
         raise NotLeftIdealError("input is not closed under left multiplication")
-    # The first k columns: each e_i outside the span of the kernel and
-    # e_1..e_(i-1), i.e. each i that is no kernel vector's last nonzero
-    # coordinate (no pivot of the kernel with its coordinates reversed).
-    last = VectorSubspace._span(f, n, [v[::-1] for v in common.rows]).pivots
-    columns = [e for i, e in enumerate(DenseMatrix.identity(f, n).entries)
-               if n - 1 - i not in last] + list(common.basis)
+    # The ideal is Ann(common): its first k pivots, those of its first row,
+    # are the pivots of common's annihilator, and the e_c there complete
+    # the kernel to a basis.
+    eye = DenseMatrix.identity(f, n).entries
+    columns = [eye[c] for c in ideal.basis.pivots[:k]] + list(common.basis)
     t = DenseMatrix._trusted(f, zip(*columns), n)
     t_inv = invert(t)
     expected = MatrixSubspace.from_matrices(f, n, [

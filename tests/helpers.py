@@ -14,12 +14,14 @@ from mathieumat.linalg import (
     _kernel,
     _scalars,
 )
+from mathieumat.idempotents import UPPER
 from mathieumat.matspace import (
     MatrixSubspace,
     column_space,
     members_vanishing_at,
+    rct_zero_members,
 )
-from mathieumat.multipoly import _action_pivots
+from mathieumat.multipoly import MultiPoly, _action_pivots
 from mathieumat.verify import (
     LEFT,
     TWO_SIDED,
@@ -77,6 +79,74 @@ def solve_affine(a: DenseMatrix, b):
     for r, pc in enumerate(pivots):
         x[pc] = reduced.entries[r][a.cols]
     return tuple(x), kernel(a)
+
+
+def neg(field, x):
+    """-x as a canonical scalar."""
+    return field.sub(field.zero, x)
+
+
+def negate(m: DenseMatrix) -> DenseMatrix:
+    """-m, entrywise."""
+    return zeros(m.field, m.rows, m.cols) - m
+
+
+def transpose(m: DenseMatrix) -> DenseMatrix:
+    return DenseMatrix._trusted(m.field, [m.column(j) for j in range(m.cols)], m.rows)
+
+
+def poly_sub(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """a - b, as a plus the negated terms of b."""
+    f = b.field
+    return a + MultiPoly(f, b.nvars, {e: neg(f, c) for e, c in b.terms.items()})
+
+
+def vector_sum(v: VectorSubspace, w: VectorSubspace) -> VectorSubspace:
+    """The sum of two subspaces of the same K^m."""
+    v._check_compatible(w)
+    return VectorSubspace._span(v.field, v.ambient_dim, v.rows + w.rows)
+
+
+def matrix_sum(a: MatrixSubspace, b: MatrixSubspace) -> MatrixSubspace:
+    """The sum of two subspaces of the same Mat_n."""
+    return MatrixSubspace(a.field, a.n, vector_sum(a.basis, b.basis))
+
+
+def minor_trace(m: DenseMatrix, r: int, form: str):
+    """The trace of m on the fixed diagonal of an idempotent family: the
+    leading r x r block for the upper form, the trailing one for the lower."""
+    f = m.field
+    total = f.zero
+    for i in range(r) if form == UPPER else range(r, m.rows):
+        total = f.add(total, m.entries[i][i])
+    return total
+
+
+def minor_trace_witness(constraints: MatrixSubspace, r: int, form: str) -> DenseMatrix:
+    """The first zero-corner basis matrix of the constraints with a
+    nonzero ``minor_trace``, or None."""
+    return next((z for z in rct_zero_members(constraints, r).basis_matrices
+                 if minor_trace(z, r, form) != constraints.field.zero), None)
+
+
+def raw_family_directions(constraints: MatrixSubspace, r: int) -> VectorSubspace:
+    """The kernel of the trace system's A, one row per constraint, its
+    top-right entries C[s][r + a] against the free entry X[a][s]."""
+    f, n = constraints.field, constraints.n
+    return _kernel(f, [[c[s * n + r + a] for a in range(n - r) for s in range(r)]
+                       for c in constraints.basis.rows], (n - r) * r)
+
+
+def reversed_kernel_columns(ideal: MatrixSubspace) -> list:
+    """The indices c of the e_c that complete the common kernel W of a
+    left ideal to a basis, read off W's own RREF: each c that is no
+    pivot of W with its coordinates reversed, so no vector of W has its
+    last nonzero coordinate at c."""
+    f, n = ideal.field, ideal.n
+    common = _kernel(f, [row[i * n:(i + 1) * n] for row in ideal.basis.rows
+                         for i in range(n)], n)
+    last = VectorSubspace._span(f, n, [v[::-1] for v in common.rows]).pivots
+    return [c for c in range(n) if n - 1 - c not in last]
 
 
 def full_power_set(space: MatrixSubspace):
@@ -218,13 +288,13 @@ def newton_char_poly(a: DenseMatrix):
         sign = f.one
         for i in range(1, k + 1):
             acc = f.add(acc, f.mul(sign, f.mul(elem[k - i], sums[i - 1])))
-            sign = f.neg(sign)
+            sign = neg(f, sign)
         elem.append(f.mul(acc, f.inv(f.of(k))))
     coeffs = []
     sign = f.one
     for k in range(n + 1):
         coeffs.append(f.mul(sign, elem[k]))
-        sign = f.neg(sign)
+        sign = neg(f, sign)
     return tuple(coeffs)
 
 

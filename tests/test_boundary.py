@@ -28,7 +28,17 @@ from mathieumat.normalize import normalize
 from mathieumat.spacefile import loads
 from mathieumat.verify import radical, verify_mathieu
 
-from helpers import filtration_level, full_power_set, kernel, mul_vector, rref, zeros
+from helpers import (
+    filtration_level,
+    full_power_set,
+    kernel,
+    matrix_sum,
+    mul_vector,
+    negate,
+    rref,
+    transpose,
+    zeros,
+)
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 FIELDS = (F2, F3, F5, QQ)
@@ -83,13 +93,13 @@ def test_matrix_producers_return_canonical_entries(case):
     f = a.field
     prod = a.mul(c)
     assert (prod.rows, prod.cols) == (a.rows, c.cols)
-    products = [a + b, a - b, -a, a.scale(x), prod, a.transpose(), c.transpose(),
-                DenseMatrix.identity(f, a.cols), rref(a)[0], rref(c.transpose())[0]]
+    products = [a + b, a - b, negate(a), a.scale(x), prod, transpose(a), transpose(c),
+                DenseMatrix.identity(f, a.cols), rref(a)[0], rref(transpose(c))[0]]
     if a.rows and a.cols:
         products.append(DenseMatrix.unit(f, a.rows, a.cols, a.rows - 1, 0))
     for m in products:
         assert_canonical(m)
-    sq = a.mul(a.transpose())
+    sq = a.mul(transpose(a))
     if rref(sq)[1] == sq.rows:
         assert_canonical(invert(sq))
     assert_canonical_span(kernel(a))
@@ -101,7 +111,7 @@ def test_empty_shapes_keep_their_dimensions():
     assert (prod.rows, prod.cols) == (2, 3) and prod == zeros(QQ, 2, 3)
     for f in (F3, QQ):
         for rows, cols in ((0, 3), (3, 0), (0, 0)):
-            t = zeros(f, rows, cols).transpose()
+            t = transpose(zeros(f, rows, cols))
             assert (t.rows, t.cols) == (cols, rows)
             assert_canonical(t)
 
@@ -123,7 +133,7 @@ def test_spans_and_space_matrices_are_canonical():
                 assert_canonical(m)
             dual = constraint_space(space)
             assert_canonical_span(dual.basis)
-            assert_canonical_span(space.sum(dual).basis)
+            assert_canonical_span(matrix_sum(space, dual).basis)
             assert_canonical_span(column_space(space, (1, -1, 2)))
             assert_canonical_span(MatrixSubspace.from_matrices(
                 f, 3, space.basis_matrices + dual.basis_matrices[:2]).basis)

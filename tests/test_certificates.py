@@ -2,30 +2,45 @@
 
 The check-first ``idempotent_family``, the scalar-line comparison of
 ``rct_zero_is_scalar`` and the counterexample repro's one conjugate per
-conjugator live on here as references; call counts pin that
-no certificate repeats a conjugation, a constraint space, a zero-corner
-space or a maximal left ideal it already has, and that a witness's
-powers are followed once.
+conjugator live on here as references, as do (in ``helpers``) the
+readings that the idempotent trace system and ``left_ideal_normal_form``
+once made a second time: the minor-trace witness, the kernel of one raw
+row per constraint and the reversed-kernel column choice.  Call counts
+pin that no certificate repeats a conjugation, a constraint space, a
+zero-corner space or a maximal left ideal it already has, and that a
+witness's powers are followed once.
 """
 
 import importlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieumat.errors import HypothesisFailed, NotLeftIdealError, SingularMatrixError
-from mathieumat.idempotents import LOWER, UPPER, _minor_trace, idempotent_family
+from mathieumat.idempotents import LOWER, UPPER, idempotent_family
 from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import MatrixSubspace, constraint_space, conjugate, rct_zero_members
 from mathieumat.normalize import rct_certificate, rct_zero_is_scalar
 from mathieumat.verify import left_ideal_normal_form
 
-from helpers import PAIR_DUAL, all_matrices, solve_affine
+from helpers import (
+    PAIR_DUAL,
+    all_matrices,
+    matrix_sum,
+    minor_trace,
+    minor_trace_witness,
+    neg,
+    raw_family_directions,
+    reversed_kernel_columns,
+    solve_affine,
+)
 
 F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
+F101 = Field.prime(101)
 # the package re-exports functions named like some of its modules
 MODULES = [importlib.import_module("mathieumat." + name) for name in (
     "linalg", "multipoly", "matspace", "normalize", "idempotents", "verify", "cli")]
@@ -39,13 +54,13 @@ def reference_idempotent_family(space, r, form=UPPER):
     f, n = space.field, space.n
     constraints = constraint_space(space)
     for z in rct_zero_members(constraints, r).basis_matrices:
-        if _minor_trace(z, r, form) != f.zero:
+        if minor_trace(z, r, form) != f.zero:
             raise HypothesisFailed(
                 "a zero-corner constraint has nonzero %s minor trace" % form,
                 witness=z)
     rows = [[c.entries[s][r + a] for a in range(n - r) for s in range(r)]
             for c in constraints.basis_matrices]
-    rhs = [f.neg(_minor_trace(c, r, form)) for c in constraints.basis_matrices]
+    rhs = [neg(f, minor_trace(c, r, form)) for c in constraints.basis_matrices]
     sol = solve_affine(DenseMatrix(f, rows, cols=(n - r) * r), rhs)
     if sol is None:
         raise AssertionError("solvable by construction once the hypothesis holds")
@@ -163,6 +178,75 @@ def test_scalar_corners_match_one_conjugate_per_conjugator():
     assert successful >= 7
 
 
+def seeded_scalar(rng, field):
+    if field.p:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def seeded_matrix(rng, field, n, support=None):
+    return DenseMatrix(field, [[seeded_scalar(rng, field) if support is None or support[i][j]
+                                else 0 for j in range(n)] for i in range(n)])
+
+
+def test_family_reads_match_the_raw_system():
+    # on the consistent path the directions are the kernel of the reduced
+    # rows, the reference that of one raw row per constraint; on the
+    # inconsistent one the witness is the first zero-corner constraint of
+    # nonzero minor trace.  Supports are thinned so both paths occur
+    rng = random.Random(43)
+    solved = failed = 0
+    for field in (F2, F3, F5, F101, QQ):
+        for _ in range(20):
+            n = rng.choice((2, 3, 4, 5))
+            support = [[rng.random() < 0.6 for _ in range(n)] for _ in range(n)]
+            space = MatrixSubspace.from_matrices(field, n, [
+                seeded_matrix(rng, field, n, support) for _ in range(rng.randrange(n * n))])
+            constraints = constraint_space(space)
+            for r in range(1, n):
+                for form in (UPPER, LOWER):
+                    witness = minor_trace_witness(constraints, r, form)
+                    try:
+                        fam = idempotents._family(constraints, r, form)
+                    except HypothesisFailed as exc:
+                        assert witness is not None and exc.witness == witness
+                        failed += 1
+                        continue
+                    assert witness is None
+                    assert fam.directions == raw_family_directions(constraints, r)
+                    solved += 1
+    assert solved >= 80 and failed >= 400
+
+
+def test_left_ideal_columns_match_the_reversed_kernel():
+    # a left ideal is Ann(W) for its common kernel W: its first k pivots
+    # name the e_c that complete W to a basis, the columns the reference
+    # reads off W with its coordinates reversed.  A padded ideal raises
+    rng = random.Random(47)
+    accepted = raised = 0
+    for field in (F2, F3, F5, F101, QQ):
+        for n in range(1, 6):
+            for _ in range(3):
+                try:
+                    ideal = column_kill(field, n, rng.randrange(n + 1),
+                                        seeded_matrix(rng, field, n))
+                except SingularMatrixError:
+                    continue
+                extra = MatrixSubspace.from_matrices(field, n, [seeded_matrix(rng, field, n)])
+                for space in (ideal, matrix_sum(ideal, extra)):
+                    columns = reversed_kernel_columns(space)
+                    try:
+                        nf = left_ideal_normal_form(space)
+                    except NotLeftIdealError:
+                        assert space != ideal
+                        raised += 1
+                        continue
+                    eye = DenseMatrix.identity(field, n).entries
+                    assert [nf.t.column(j) for j in range(nf.k)] == [eye[c] for c in columns]
+                    accepted += 1
+    assert accepted >= 70 and raised >= 30
+
+
 # --- call counts -------------------------------------------------------------
 
 def test_rct_certificate_conjugates_once_per_move(monkeypatch):
@@ -202,12 +286,13 @@ def test_repro_counterexample_inverts_each_conjugate_once(monkeypatch, capsys):
     # the column spans come from ``all_subspaces``, not from eliminating
     # the columns of 512 candidates: the 14 conjugates, one per block size
     # and span, each invert their t and eliminate twice (the conjugate and
-    # its zero corner), and building the adjoined pair takes 3 more
+    # its zero corner), and building the adjoined pair takes 2 more (its
+    # span and the identity adjoined)
     calls = count_calls(monkeypatch, "invert", linalg)
     eliminations = count_calls(monkeypatch, "_eliminate", linalg)
     assert cli.main(["repro", "counterexample", "--json"]) == 0
     assert len(calls) == 14
-    assert len(eliminations) == 45
+    assert len(eliminations) == 44
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["conjugators"] == 168 and payload["successes"] == 0
 
@@ -227,12 +312,16 @@ def test_full_space_certificate_builds_the_constraint_space_once(monkeypatch):
 
 
 def test_left_ideal_normal_form_inverts_its_conjugator_once(monkeypatch):
-    # t^-1 serves both the column-kill postcondition and t D t^-1
+    # t^-1 serves both the column-kill postcondition and t D t^-1; the
+    # columns of t come from the ideal's own pivots, so the four
+    # eliminations are the common kernel, t^-1, the conjugate and the
+    # column-kill space
     t = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [0, 0, 1]])
     ideal = column_kill(F5, 3, 2, t)
     calls = count_calls(monkeypatch, "invert", linalg)
+    eliminations = count_calls(monkeypatch, "_eliminate", linalg)
     nf = left_ideal_normal_form(ideal)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(eliminations) == 4
     assert nf.k == 2 and ideal.contains(nf.idempotent)
     assert nf.idempotent.mul(nf.idempotent) == nf.idempotent
 
@@ -252,9 +341,21 @@ def test_left_ideal_tests_build_no_maximal_left_ideal(monkeypatch):
                 ideal = column_kill(field, n, k, t)
                 assert left_ideal_normal_form(ideal).k == k
                 if 0 < k < n:
-                    padded = ideal.sum(eye)
+                    padded = matrix_sum(ideal, eye)
                     with pytest.raises(NotLeftIdealError):
                         left_ideal_normal_form(padded)
+
+
+def test_adjoin_identity_eliminates_once(monkeypatch):
+    # the basis rows and the identity's row go to one elimination
+    for field in (F2, F3, QQ):
+        space = constraint_space(cli.running_pair_space(field))
+        want = MatrixSubspace.from_matrices(
+            field, 3, list(space.basis_matrices) + [DenseMatrix.identity(field, 3)])
+        eliminations = count_calls(monkeypatch, "_eliminate", linalg)
+        adjoined = space.adjoin_identity()
+        monkeypatch.undo()
+        assert len(eliminations) == 1 and adjoined == want
 
 
 def test_rct_certificate_adjoins_the_identity_once(monkeypatch):

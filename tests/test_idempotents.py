@@ -16,7 +16,7 @@ from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import MatrixSubspace, constraint_space
 from mathieumat.verify import idempotents
 
-from helpers import rref
+from helpers import rref, transpose
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -129,7 +129,7 @@ def test_lower_form_matches_transpose_reduction():
                           for i in range(n)])
 
     def flip(mat):
-        return rev.mul(mat.transpose()).mul(rev)
+        return rev.mul(transpose(mat)).mul(rev)
 
     checked = 0
     while checked < 8:

@@ -21,7 +21,17 @@ from mathieumat.linalg import (
 )
 from mathieumat.matspace import MatrixSubspace
 
-from helpers import all_matrices, all_vectors, kernel, mul_vector, rref, solve_affine, zeros
+from helpers import (
+    all_matrices,
+    all_vectors,
+    kernel,
+    mul_vector,
+    rref,
+    solve_affine,
+    transpose,
+    vector_sum,
+    zeros,
+)
 from test_readout import reference_kernel
 
 F2 = Field.prime(2)
@@ -508,7 +518,7 @@ def test_subspace_sum_and_intersection():
     e3 = (0, 0, 1)
     v12 = VectorSubspace.from_vectors(F5, 3, [e1, e2])
     v23 = VectorSubspace.from_vectors(F5, 3, [e2, e3])
-    assert v12.sum(v23) == VectorSubspace.full(F5, 3)
+    assert vector_sum(v12, v23) == VectorSubspace.full(F5, 3)
     assert v12.intersect(v23) == VectorSubspace.from_vectors(F5, 3, [e2])
 
 
@@ -530,11 +540,11 @@ def test_subspace_dimension_identity_random():
             w = VectorSubspace.from_vectors(
                 field, amb,
                 [random_matrix(rng, field, 1, amb).entries[0] for _ in range(rng.randrange(4))])
-            s = v.sum(w)
+            s = vector_sum(v, w)
             i = v.intersect(w)
             assert s.dim + i.dim == v.dim + w.dim
-            assert v.sum(i) == v and w.sum(i) == w
-            assert s.sum(v) == s and s.sum(w) == s
+            assert vector_sum(v, i) == v and vector_sum(w, i) == w
+            assert vector_sum(s, v) == s and vector_sum(s, w) == s
 
 
 def test_subspace_equality_is_structural():
@@ -566,7 +576,7 @@ def test_zero_row_matrices_keep_shape():
     z = zeros(F3, 0, 4)
     assert z.cols == 4
     assert kernel(z) == VectorSubspace.full(F3, 4)
-    assert z.transpose().rows == 4 and z.transpose().cols == 0
+    assert transpose(z).rows == 4 and transpose(z).cols == 0
 
 
 def test_matrix_power():

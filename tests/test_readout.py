@@ -56,9 +56,12 @@ from mathieumat.verify import left_ideal_normal_form, max_left_ideal
 from helpers import (
     filtration_level,
     kernel,
+    matrix_sum,
     mul_vector,
+    neg,
     reference_is_left_ideal,
     rref,
+    transpose,
     unit_vector,
     zeros,
 )
@@ -87,7 +90,7 @@ def reference_kernel(m: DenseMatrix) -> VectorSubspace:
         v = [f.zero] * m.cols
         v[fc] = f.one
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(reduced.entries[r][fc])
+            v[pc] = neg(f, reduced.entries[r][fc])
         vectors.append(v)
     return VectorSubspace.from_vectors(f, m.cols, vectors)
 
@@ -95,7 +98,7 @@ def reference_kernel(m: DenseMatrix) -> VectorSubspace:
 def reference_constraint_space(space: MatrixSubspace) -> MatrixSubspace:
     """tr(C M) = vec(M^T) . vec(C): the kernel of the transposed basis."""
     f, n = space.field, space.n
-    rows = [m.transpose().flatten() for m in space.basis_matrices]
+    rows = [transpose(m).flatten() for m in space.basis_matrices]
     return MatrixSubspace(f, n, reference_kernel(DenseMatrix(f, rows, cols=n * n)))
 
 
@@ -106,7 +109,7 @@ def reference_intersect(u: VectorSubspace, w: VectorSubspace) -> VectorSubspace:
     if k == 0 or l == 0:
         return VectorSubspace.from_vectors(f, u.ambient_dim, [])
     system = DenseMatrix(f, [
-        [u.basis[i][c] for i in range(k)] + [f.neg(w.basis[j][c]) for j in range(l)]
+        [u.basis[i][c] for i in range(k)] + [neg(f, w.basis[j][c]) for j in range(l)]
         for c in range(u.ambient_dim)
     ])
     vectors = []
@@ -332,7 +335,7 @@ def spaces_of_dim(draw, field, n, dim):
         if kind == "binary":
             m = DenseMatrix(field, [[int(x != field.zero) for x in row] for row in m.entries])
         elif kind == "skew":
-            m = m - m.transpose()
+            m = m - transpose(m)
         width = draw(st.integers(1, n))
         gens.append(DenseMatrix(field, [row[:width] + (field.zero,) * (n - width)
                                         for row in m.entries]))
@@ -340,7 +343,7 @@ def spaces_of_dim(draw, field, n, dim):
     for i, j in draw(st.permutations(list(itertools.product(range(n), repeat=2)))):
         if space.dim == dim:
             break
-        space = space.sum(MatrixSubspace.from_matrices(
+        space = matrix_sum(space, MatrixSubspace.from_matrices(
             field, n, [DenseMatrix.unit(field, n, n, i, j)]))
     return space
 
@@ -491,7 +494,7 @@ def test_max_left_ideal_matches_trace_dual_system(space):
     ideal = max_left_ideal(space)
     assert ideal == reference_max_left_ideal(space)
     assert reference_is_left_ideal(ideal)
-    assert space.sum(ideal) == space
+    assert matrix_sum(space, ideal) == space
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -587,7 +590,7 @@ def test_max_left_ideal_of_a_conjugated_ideal_plus_members(case):
     f, n = space.field, space.n
     found = max_left_ideal(space)
     assert found == reference_max_left_ideal(space)
-    assert found.sum(ideal) == found
+    assert matrix_sum(found, ideal) == found
     payload = maxideal_payload(space)
     k, t = payload["k"], matrix_from_payload(f, payload["t"])
     assert payload["dim"] == found.dim == n * k

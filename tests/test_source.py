@@ -262,6 +262,9 @@ DELETED = {
     "linalg.rref", "linalg.kernel", "linalg.solve_affine", "verify.full_power_set",
     "linalg.VectorSubspace.vanishing_at", "linalg.all_matrices",
     "matspace.Filtration.column_space",
+    "idempotents._minor_trace", "matspace.MatrixSubspace.sum", "linalg.VectorSubspace.sum",
+    "linalg.DenseMatrix.transpose", "linalg.DenseMatrix.__neg__", "multipoly.MultiPoly.__neg__",
+    "multipoly.MultiPoly.__sub__", "linalg.Field.neg",
 }
 
 

@@ -22,6 +22,7 @@ from mathieumat.verify import (
     PRE_TWO_SIDED,
     RIGHT,
     TWO_SIDED,
+    Witness,
     _Dual,
     idempotents,
     left_ideal_equivalences,
@@ -40,7 +41,9 @@ from helpers import (
     all_matrices,
     elements,
     full_power_set,
+    matrix_sum,
     mul_vector,
+    neg,
     newton_char_poly,
     reference_is_left_ideal,
     small_codim_report,
@@ -243,9 +246,9 @@ def char_poly_direct(a):
         term = MultiPoly(f, 1, {(0,): sign})
         for i in range(n):
             if perm[i] == i:
-                entry = MultiPoly(f, 1, {(1,): f.one, (0,): f.neg(a.entries[i][i])})
+                entry = MultiPoly(f, 1, {(1,): f.one, (0,): neg(f, a.entries[i][i])})
             else:
-                entry = MultiPoly(f, 1, {(0,): f.neg(a.entries[i][perm[i]])})
+                entry = MultiPoly(f, 1, {(0,): neg(f, a.entries[i][perm[i]])})
             term = term * entry
         acc = acc + term
     return tuple(acc.terms.get((k,), f.zero) for k in range(n, -1, -1))
@@ -340,7 +343,7 @@ def test_max_left_ideal_properties():
         assert ideal.dim % 2 == 0  # n * k with n = 2
         # maximality: a left ideal inside the space lies inside the ideal
         for sub in (max_left_ideal(ideal),):
-            assert ideal.sum(sub) == ideal
+            assert matrix_sum(ideal, sub) == ideal
 
 
 def test_left_ideal_normal_form_examples():
@@ -573,15 +576,42 @@ def test_escapes_in_slices_match_one_table(monkeypatch):
 
 def test_a_member_past_the_table_bound_is_a_slice_of_its_own(monkeypatch):
     # at n = 46 one member's table, n^4 > 2^22 entries, alone exceeds the
-    # bound: each slice holds one member
+    # bound: each slice holds one member.  Of the span of E_(1,1) over F_3
+    # the two nonzero members reach the table (the zero one has a^n = 0),
+    # and the witness's cycle, E_(1,1) alone, is the last slice
     n = 46
-    space = MatrixSubspace.from_matrices(F2, n, [unit(F2, n, 0, 1)])
+    space = MatrixSubspace.from_matrices(F3, n, [unit(F3, n, 0, 0)])
     sliced = []
     escapes = verify._Dual.escapes
     monkeypatch.setattr(verify._Dual, "escapes", lambda self, zs, side: (
         sliced.append(len(zs)), escapes(self, zs, side))[1])
-    assert verify_mathieu(space, LEFT).holds
-    assert sliced == [2, 1, 1]
+    verdict = verify_mathieu(space, LEFT)
+    assert sliced == [2, 1, 1, 1]
+    assert verdict.witness == Witness(a=unit(F3, n, 0, 0), b=unit(F3, n, n - 1, 0), c=None,
+                                      exponent=1)
+
+
+def test_members_with_a_zero_power_form_no_table(monkeypatch):
+    # a^n = 0 takes no multiplier outside: on a space of nilpotents no
+    # member reaches ``escapes``, and elsewhere no zero a^n does
+    escapes = verify._Dual.escapes
+    seen = []
+
+    def refuse_zero(self, zs, side):
+        assert zs.any(axis=(1, 2)).all()
+        seen.append(len(zs))
+        return escapes(self, zs, side)
+
+    monkeypatch.setattr(verify._Dual, "escapes", refuse_zero)
+    n = 5
+    strict = MatrixSubspace.from_matrices(F2, n, [unit(F2, n, 0, j) for j in range(1, n)])
+    for vtype in (LEFT, RIGHT, PRE_TWO_SIDED):
+        assert verify_mathieu(strict, vtype).holds
+    assert seen == []
+    for space in (trace_zero(F3, 2), column_kill(F3)):
+        for vtype in (LEFT, RIGHT, PRE_TWO_SIDED):
+            assert verify_mathieu(space, vtype) == keyed_verify.verify_mathieu(space, vtype)
+    assert seen
 
 
 def test_two_sided_witness_reads_the_joint_support_of_its_cycle():

@@ -1,17 +1,19 @@
 """Command-line front end: parse space files, run computations, report.
 
-The commands form one table in ``build_parser``.  A file command is
+The commands form one table, ``COMMANDS``.  A file command is
 ``cmd_x(args, space) -> (payload, move_log)`` and returns only its own
 payload keys (``move_log`` is None except for ``normalize``); ``repro``,
 the one command without a file, returns its payload alone.  ``main``
 does the shared work once: it parses the arguments, loads the space
 file, adds ``field`` and ``n`` to the payload, and reports the payload
 with the file's sha256 (``digest``; "-" for ``repro``) and the wall
-time.  The parsers are built once per process, on first use rather than
-at import, so a wrapper installed on a command after import is the one
-it dispatches to.  A command line goes straight to its command's
-parser; the top-level one runs only to reject it, with argparse's own
-usage and message.  ``main2`` sets ``conclusion_holds: true`` itself:
+time.  It looks the command's function up when it calls it, so a
+wrapper installed on ``cmd_x`` after import is the one it calls.
+A well-formed command line is read straight off the table by ``_read``.
+Any other line, a request for help included, goes to argparse, imported
+and built from the same table only then, which reads it or rejects it
+with its own usage and message.
+``main2`` sets ``conclusion_holds: true`` itself:
 ``rct_certificate`` raises unless the zero-corner conclusion holds; and
 ``verify`` sets a witness's ``replays: true`` itself: ``verify_mathieu``
 raises unless the witness it returns replays.
@@ -27,13 +29,13 @@ or mismatches, 2 on argument or parse errors.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
 import math
 import sys
 import time
+import types
 from json.encoder import encode_basestring_ascii
 
 from . import spacefile
@@ -129,8 +131,7 @@ def cmd_normalize(args, space):
 
 def cmd_idempotents(args, space):
     if not 1 <= args.r <= space.n - 1:
-        raise argparse.ArgumentError(
-            None, "--r %d out of range 1..%d" % (args.r, space.n - 1))
+        raise _UsageError("--r %d out of range 1..%d" % (args.r, space.n - 1))
     form = UPPER if args.form == "upper" else LOWER
     fam = idempotent_family(space, args.r, form)
     payload = {
@@ -325,55 +326,107 @@ def cmd_repro(args):
 
 # --- driver ---------------------------------------------------------------
 
+# The grammar of the command line, declared once for both of its readers:
+# command -> (help, positional, *options).  An argument is (flag,
+# converter, default, required, help); the converter is ``str``,
+# ``int``, a list of choices, or ``bool`` for a flag that takes no value.
+_FILE = ("file", str, None, True, "space file (see package docs for format)")
+_FIELD = ("--field", str, None, False, "override the file's field: a prime or Q")
+_JSON = ("--json", bool, False, False, "emit the report as JSON")
+COMMANDS = {
+    "constraints": ("trace-dual basis and dimension", _FILE, _FIELD, _JSON),
+    "profile": ("binary profile B, counts b, generic dims d", _FILE, _FIELD, _JSON),
+    "normalize": ("run the conjugation normal form", _FILE, _FIELD, _JSON),
+    "idempotents": ("affine idempotent family", _FILE, _FIELD, _JSON,
+                    ("--r", int, None, True, "block size, 1..n-1"),
+                    ("--form", ["upper", "lower"], "upper", False, None)),
+    "verify": ("exhaustive Mathieu verdict", _FILE, _FIELD, _JSON,
+               ("--type", sorted(TYPE_FLAGS), None, True, None)),
+    "radical": ("brute-force radical of the space", _FILE, _FIELD, _JSON),
+    "maxideal": ("maximal left ideal and its normal form", _FILE, _FIELD, _JSON),
+    "main2": ("conjugation making zero-corner constraints scalar", _FILE, _FIELD, _JSON),
+    "repro": ("canned reproductions", ("name", sorted(REPROS), None, True, None), _JSON),
+}
+
+
+class _UsageError(Exception):
+    """An argument its space rules out: reported like a space file
+    error, with exit status 2."""
+
+
 @functools.cache
 def build_parser():
-    """The top-level parser and its table of command parsers."""
+    """The argparse parser of ``COMMANDS``.  It runs only for a line
+    ``_read`` does not take, to reject it or print help, or to read the
+    rare line it accepts in another spelling (an abbreviation, a
+    ``--flag=value``)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mathieumat",
         description="exact computations on subspaces of Mat_n over F_p and Q")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, *arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, convert, default, required, text in arguments:
+            kwargs = {"help": text}
+            if flag.startswith("-"):
+                kwargs.update(default=default, required=required)
+            if convert is bool:
+                kwargs["action"] = "store_true"
+            elif convert is int:
+                kwargs["type"] = int
+            elif convert is not str:
+                kwargs["choices"] = convert
+            p.add_argument(flag, **kwargs)
+    return parser
 
-    def add(name, fn, needs_file=True, help=None):
-        p = sub.add_parser(name, help=help)
-        if needs_file:
-            p.add_argument("file", help="space file (see package docs for format)")
-            p.add_argument("--field", default=None,
-                           help="override the file's field: a prime or Q")
-        p.add_argument("--json", action="store_true", help="emit the report as JSON")
-        p.set_defaults(fn=fn)
-        return p
 
-    add("constraints", cmd_constraints, help="trace-dual basis and dimension")
-    add("profile", cmd_profile, help="binary profile B, counts b, generic dims d")
-    add("normalize", cmd_normalize, help="run the conjugation normal form")
-    p = add("idempotents", cmd_idempotents, help="affine idempotent family")
-    p.add_argument("--r", type=int, required=True, help="block size, 1..n-1")
-    p.add_argument("--form", choices=["upper", "lower"], default="upper")
-    p = add("verify", cmd_verify, help="exhaustive Mathieu verdict")
-    p.add_argument("--type", choices=sorted(TYPE_FLAGS), required=True)
-    add("radical", cmd_radical, help="brute-force radical of the space")
-    add("maxideal", cmd_maxideal, help="maximal left ideal and its normal form")
-    add("main2", cmd_main2,
-        help="conjugation making zero-corner constraints scalar")
-    p = add("repro", cmd_repro, needs_file=False, help="canned reproductions")
-    p.add_argument("name", choices=sorted(REPROS))
-    return parser, sub.choices
+def _read(argv):
+    """The arguments of a well-formed command line, read off ``COMMANDS``,
+    or None.  Well-formed is the command, then in any order its one
+    positional and its options, each spelled in full and given at most
+    once; a positional or an option's value does not start with "-",
+    converts and is among the choices, and no required argument is
+    missing.  argparse gives such a line the same arguments."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    arguments = spec[1:]
+    positional = arguments[0]
+    flags = {argument[0]: argument for argument in arguments[1:]}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        argument = flags.get(token) if token.startswith("-") else positional
+        if argument is None or argument[0] in values:
+            return None
+        flag, convert = argument[:2]
+        if convert is bool:
+            values[flag] = True
+            continue
+        value = token if argument is positional else next(tokens, "-")   # "-": none left
+        if value.startswith("-"):
+            return None
+        if convert is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif convert is not str and value not in convert:
+            return None
+        values[flag] = value
+    if any(required and flag not in values for flag, _, _, required, _ in arguments):
+        return None
+    return types.SimpleNamespace(command=argv[0], **{
+        flag.lstrip("-"): values.get(flag, default) for flag, _, default, _, _ in arguments})
 
 
 def _parse_args(argv):
-    """The arguments of one command line, parsed by the command's own
-    parser.  The top-level parser, which would hand them to that same
-    parser, runs only to reject: a first word that is not a command, or
-    arguments the command's parser leaves over."""
-    parser, commands = build_parser()
+    """The arguments of one command line: read directly when it is
+    well-formed, by argparse otherwise."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def _json(value, nl="\n"):
@@ -414,15 +467,19 @@ def _json(value, nl="\n"):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    # the command's function as bound now, a wrapper installed after import included
+    fn = {"constraints": cmd_constraints, "profile": cmd_profile, "normalize": cmd_normalize,
+          "idempotents": cmd_idempotents, "verify": cmd_verify, "radical": cmd_radical,
+          "maxideal": cmd_maxideal, "main2": cmd_main2, "repro": cmd_repro}[args.command]
     start = time.perf_counter()
     try:
         if args.command == "repro":
-            digest, payload, move_log = "-", args.fn(args), None
+            digest, payload, move_log = "-", fn(args), None
         else:
             digest, space = _load(args.file, args.field)
-            payload, move_log = args.fn(args, space)
+            payload, move_log = fn(args, space)
             payload.update(field=repr(space.field), n=space.n)
-    except (SpaceFileError, argparse.ArgumentError) as exc:
+    except (SpaceFileError, _UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MathieuMatError as exc:

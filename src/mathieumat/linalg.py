@@ -450,7 +450,8 @@ class VectorSubspace(_Frozen):
     __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis")
 
     def __init__(self, field, ambient_dim, rows, pivots):
-        # Internal: callers go through from_vectors / _span / full.
+        # Internal: callers go through from_vectors / _span / full, or hand
+        # over rows known to be canonical.
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)

@@ -425,6 +425,15 @@ class LeftIdealForm(namedtuple("LeftIdealForm", "t k idempotent")):
     __slots__ = ()
 
 
+def _column_kill(f, n, k) -> MatrixSubspace:
+    """The matrices vanishing on the last n-k coordinates, built from
+    their canonical RREF: the unit rows of the E_(u,v), v < k, in
+    row-major order."""
+    units = tuple(u * n + v for u in range(n) for v in range(k))
+    return MatrixSubspace(f, n, VectorSubspace(f, n * n, tuple(
+        (0,) * i + (1,) + (0,) * (n * n - 1 - i) for i in units), units))
+
+
 def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     """Normalize a left ideal to the column-kill shape.
 
@@ -445,9 +454,7 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     columns = [eye[c] for c in ideal.basis.pivots[:k]] + list(common.basis)
     t = DenseMatrix._trusted(f, zip(*columns), n)
     t_inv = invert(t)
-    expected = MatrixSubspace.from_matrices(f, n, [
-        DenseMatrix.unit(f, n, n, u, v) for u in range(n) for v in range(k)])
-    if _conjugate(ideal, t, t_inv) != expected:
+    if _conjugate(ideal, t, t_inv) != _column_kill(f, n, k):
         raise AssertionError("left ideal is not a full column-kill space")
     # t D t^-1 for D the diagonal of k ones: t with its last n-k columns zeroed, times t^-1
     idem = DenseMatrix._trusted(f, [row[:k] + (f.zero,) * (n - k) for row in t.entries], n)

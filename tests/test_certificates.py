@@ -313,17 +313,28 @@ def test_full_space_certificate_builds_the_constraint_space_once(monkeypatch):
 
 def test_left_ideal_normal_form_inverts_its_conjugator_once(monkeypatch):
     # t^-1 serves both the column-kill postcondition and t D t^-1; the
-    # columns of t come from the ideal's own pivots, so the four
-    # eliminations are the common kernel, t^-1, the conjugate and the
-    # column-kill space
+    # columns of t come from the ideal's own pivots and the column-kill
+    # space from its known RREF, so the three eliminations are the common
+    # kernel, t^-1 and the conjugate
     t = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [0, 0, 1]])
     ideal = column_kill(F5, 3, 2, t)
     calls = count_calls(monkeypatch, "invert", linalg)
     eliminations = count_calls(monkeypatch, "_eliminate", linalg)
     nf = left_ideal_normal_form(ideal)
-    assert len(calls) == 1 and len(eliminations) == 4
+    assert len(calls) == 1 and len(eliminations) == 3
     assert nf.k == 2 and ideal.contains(nf.idempotent)
     assert nf.idempotent.mul(nf.idempotent) == nf.idempotent
+
+
+def test_the_column_kill_space_is_the_span_of_its_units():
+    for field in (F2, F5, QQ):
+        for n in range(1, 6):
+            for k in range(n + 1):
+                units = MatrixSubspace.from_matrices(field, n, [
+                    DenseMatrix.unit(field, n, n, u, v) for u in range(n) for v in range(k)])
+                built = verify._column_kill(field, n, k)
+                assert (built.basis.rows, built.basis.pivots) == (units.basis.rows,
+                                                                  units.basis.pivots)
 
 
 def test_left_ideal_tests_build_no_maximal_left_ideal(monkeypatch):

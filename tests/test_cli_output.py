@@ -9,12 +9,16 @@ command line prints, record again with
 The command line is also run as a real entry point
 (``python -m mathieumat.cli``), and a sequence of in-process ``main``
 calls, which share one argument parser, is compared with fresh
-processes.  Every ``--json`` report is the bytes
+processes.  A well-formed command line, every benchmark line among
+them, is read without argparse and as argparse reads it, and calls the
+command as bound when it runs.  Every ``--json`` report is the bytes
 ``json.dumps(report, sort_keys=True, indent=2)`` would give; the
 writer that prints it is also checked against ``json.dumps`` on
 generated documents.
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -27,9 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mathieumat
-from mathieumat.cli import _json, main
+import mathieumat.cli as cli
+from mathieumat.cli import COMMANDS, REPROS, TYPE_FLAGS, _json, _read, build_parser, main
 
 from helpers import PAIR_DUAL
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import jobs  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli"
 SRC = str(pathlib.Path(mathieumat.__file__).resolve().parent.parent)
@@ -162,23 +170,107 @@ def counting(self, *args, **kwargs):
         built.append(self)
 argparse.ArgumentParser.__init__ = counting
 import mathieumat.cli as cli
-at_import = len(built)
-with contextlib.redirect_stdout(io.StringIO()):
+counts = [len(built)]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
-        cli.main(argv)
-print(at_import, len(built))
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        counts.append(len(built))
+print(*counts)
 """
 
 
 def test_parser_is_built_once_per_process_not_at_import(tmp_path):
+    # none at import, none for well-formed lines, one for the first line
+    # argparse has to read (a rejection) and no second one after that
     paths = write_spaces(tmp_path)
     calls = [["profile", paths["pair"]], ["repro", "proposition"],
              ["constraints", paths["zero"], "--json"],
-             ["profile", paths["pair"], "--field", "3"], ["radical", paths["zero"]]]
+             ["profile", paths["pair"], "--field", "3"], ["radical", paths["zero"]],
+             ["verify", paths["trace_zero"], "--type", "three"],
+             ["profile", paths["pair"], "--fie", "3"]]
     run = subprocess.run([sys.executable, "-c", COUNT_PARSERS, json.dumps(calls)],
                          capture_output=True, text=True, env=package_env(),
                          timeout=120, check=True)
-    assert run.stdout.split() == ["0", "1"]
+    assert run.stdout.split() == ["0"] * 6 + ["1"] * 2
+
+
+def argparse_reading(argv):
+    """What argparse makes of ``argv`` when it takes every argument;
+    None otherwise."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, rest = build_parser().parse_known_args(argv)
+        except SystemExit:
+            return None
+    return None if rest else vars(args)
+
+
+# Words of well-formed and malformed lines: file-like words, options in
+# full, abbreviated and joined with "=", help, and good and bad values.
+FILES = ["f.txt", "", "-", "-1", "--"]
+FLAGS = ["--field", "--fie", "--field=3", "--json", "--js", "--json=1", "--r", "--r=2",
+         "--form", "--fo", "--form=lower", "--type", "--ty", "--type=left", "-h", "--help"]
+VALUES = ["3", "3.0", "-2", "Q", "upper", "lower", "middle", *TYPE_FLAGS, *REPROS, "nosuch"]
+# each command's pieces of a well-formed line
+WELL_FORMED = {
+    "idempotents": [["f.txt"], ["--field", "3"], ["--json"], ["--r", "2"], ["--form", "lower"]],
+    "verify": [["f.txt"], ["--field", "3"], ["--json"], ["--type", "left"]],
+    "repro": [["proposition"], ["--json"]],
+}
+odd_pieces = st.lists(st.sampled_from(FILES + FLAGS + VALUES).map(lambda word: [word])
+                      | st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
+                      max_size=2)
+
+
+def line(command):
+    """``command`` and, in any order, some of its well-formed pieces
+    and at most two others: a word, or an option and a value."""
+    good = WELL_FORMED.get(command, [["f.txt"], ["--field", "3"], ["--json"]])
+    return st.tuples(st.lists(st.sampled_from(good), unique_by=tuple), odd_pieces).flatmap(
+        lambda parts: st.permutations(parts[0] + parts[1])).map(
+        lambda pieces: [command] + [word for piece in pieces for word in piece])
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500, database=None)
+@given(st.sampled_from([*COMMANDS, "bogus"]).flatmap(line))
+def test_a_line_read_directly_is_read_as_argparse_reads_it(argv):
+    args = _read(argv)
+    if args is not None:
+        assert vars(args) == argparse_reading(argv)
+
+
+POOL_ARGVS = sorted({tuple(job["argv"]) + ("--json",) for workload in jobs.WORKLOADS.values()
+                     for items in jobs.pool(workload).values() for job in items})
+
+
+@pytest.mark.parametrize("argv", POOL_ARGVS, ids=" ".join)
+def test_every_benchmark_line_is_read_directly(argv):
+    args = _read(list(argv))
+    assert args is not None and vars(args) == argparse_reading(list(argv))
+
+
+def test_a_line_calls_the_command_bound_when_it_runs(tmp_path, capsys, monkeypatch):
+    # a wrapper installed after import, as the benchmark's tracer does,
+    # is the function a well-formed line dispatches to
+    calls = []
+
+    def wrap(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+
+    profile, proposition = cli.cmd_profile, cli.REPROS["proposition"]
+    monkeypatch.setattr(cli, "cmd_profile", wrap(profile))
+    monkeypatch.setitem(cli.REPROS, "proposition", wrap(proposition))
+    monkeypatch.setattr(cli, "build_parser", None)      # never reached
+    paths = write_spaces(tmp_path)
+    assert in_process(["profile", paths["pair"], "--json"], capsys)[0] == 0
+    assert in_process(["repro", "proposition"], capsys)[0] == 0
+    assert calls == [profile, proposition]
 
 
 NUMPY_LOADED = """
@@ -225,7 +317,7 @@ print(json.dumps([rc, sorted(set(sys.argv[2:]) & set(sys.modules))]))
 def test_start_up_and_a_profile_load_no_heavy_module(tmp_path):
     # -S: no site ``.pth`` file loads one of them before the package does
     paths = write_spaces(tmp_path)
-    heavy = ["dataclasses", "inspect", "typing", "ast", "numpy"]
+    heavy = ["dataclasses", "inspect", "typing", "ast", "numpy", "argparse", "gettext"]
     run = subprocess.run([sys.executable, "-S", "-c", START_UP,
                           json.dumps(["profile", paths["pair"], "--json"]), *heavy],
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),

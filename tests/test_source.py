@@ -42,6 +42,10 @@ KEPT_OUT_OF_START_UP = {
                    "generated methods per class: the result records are namedtuples",
     "typing": "annotations are strings (``from __future__ import annotations``)",
     "inspect": "imports ast, dis, tokenize and linecache; nothing is introspected",
+    "argparse": "imports gettext, whose locale lookups and ten parsers cost more than a "
+                "short job's parsing: ``cli._read`` reads a well-formed line off "
+                "``cli.COMMANDS``, and ``cli.build_parser`` imports argparse only to "
+                "reject a line or print help",
 }
 
 

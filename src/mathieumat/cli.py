@@ -22,9 +22,10 @@ Reports are a single structured document on stdout (plain text, or JSON
 with ``--json``, written by ``_json`` as ``json.dumps(report,
 sort_keys=True, indent=2)`` would write it); diagnostics go to stderr.
 Identical input files give byte-identical payloads; only the wall-time
-field varies.  Exit status is 0 on success (and, for ``repro``, only
-when the observed outcome matches the expected one), 1 on domain errors
-or mismatches, 2 on argument or parse errors.
+field varies.  A basis in a report is read off the space's integer rows,
+with no ``Fraction`` or matrix built.  Exit status is 0 on success (and,
+for ``repro``, only when the observed outcome matches the expected one),
+1 on domain errors or mismatches, 2 on argument or parse errors.
 """
 
 from __future__ import annotations
@@ -79,6 +80,27 @@ def matrix_payload(m: DenseMatrix):
     return _rows_payload(m.field, m.entries)
 
 
+def _basis_rows(vs):
+    """The canonical basis of a ``VectorSubspace`` as ``_rows_payload``
+    writes it, read off its integer rows: over Q, each entry x of a row
+    with pivot entry a > 0 as ``str(Fraction(x, a))`` writes it."""
+    if vs.field.p:
+        return list(map(list, vs.rows))
+    out = []
+    for row, c in zip(vs.rows, vs.pivots):
+        a = row[c]
+        out.append(list(map(str, row)) if a == 1 else
+                   [str(x // g) if g == a else "%d/%d" % (x // g, a // g)
+                    for x, g in zip(row, [math.gcd(x, a) for x in row])])
+    return out
+
+
+def _basis_payload(space):
+    """``matrix_payload`` of each of ``basis_matrices``, off ``_basis_rows``."""
+    n = space.n
+    return [[row[i:i + n] for i in range(0, n * n, n)] for row in _basis_rows(space.basis)]
+
+
 def _load(path, field_token):
     try:
         with open(path, "rb") as fh:
@@ -95,7 +117,7 @@ def cmd_constraints(args, space):
         "space_dim": space.dim,
         "dim": cons.dim,
         "identity_in_constraints": cons.contains_identity(),
-        "basis": [matrix_payload(m) for m in cons.basis_matrices],
+        "basis": _basis_payload(cons),
     }
     return payload, None
 
@@ -120,7 +142,7 @@ def cmd_normalize(args, space):
         "B": [list(row) for row in prof.B],
         "b": list(prof.b),
         "d": list(prof.d),
-        "final_basis": [matrix_payload(m) for m in result.c_n_final.basis_matrices],
+        "final_basis": _basis_payload(result.c_n_final),
     }
     move_log = [
         {"kind": m.kind, "level": m.level, "t": matrix_payload(m.t)}
@@ -140,7 +162,7 @@ def cmd_idempotents(args, space):
         "rank": fam.rank,
         "dim": fam.dim,
         "particular": matrix_payload(fam.particular),
-        "directions": _rows_payload(space.field, fam.directions.basis),
+        "directions": _basis_rows(fam.directions),
     }
     return payload, None
 
@@ -183,7 +205,7 @@ def cmd_maxideal(args, space):
         "k": nf.k,
         "t": matrix_payload(nf.t),
         "idempotent": matrix_payload(nf.idempotent),
-        "basis": [matrix_payload(m) for m in ideal.basis_matrices],
+        "basis": _basis_payload(ideal),
     }
     return payload, None
 

@@ -10,12 +10,14 @@ Members cut out by vanishing entries (``members_vanishing_at``, behind
 the zero-corner members and ``idempotents.corner_slice``; the rows of
 ``verify.max_left_ideal`` use the same readout) and intersections are
 read off a single elimination of the basis rows in ``linalg``, not
-solved for as basis coefficients.  The binary profile, the generic-vector search and the
-normalization moves read all levels, their column spaces and generic
-dimensions off one :class:`Filtration`: one elimination, then two cheap
-bounds on each generic dimension.  Evaluation at a point gives only a
-lower bound; where it meets the upper bound the dimension is exact, and
-one Bareiss run decides the rest.  The column space of level k along
+solved for as basis coefficients; the trace dual of a space of small
+codimension is read off the space's own RREF by ``_complement``.  The
+binary profile, the generic-vector search and the normalization moves
+read all levels, their column spaces and generic dimensions off one
+:class:`Filtration`: one elimination, then two cheap bounds on each
+generic dimension.  Evaluation at a point gives only a lower bound;
+where it meets the upper bound the dimension is exact, and one Bareiss
+run decides the rest.  The column space of level k along
 e_k, which drives the moves and is column k of the profile, is read once
 per level, off column k of the level's basis matrices.
 
@@ -29,8 +31,8 @@ eliminate their columns, and the generic-vector scan and the rank bounds
 eliminate integer images of them forward only, for their rank: the scan
 needs the dimension of a candidate's column space, not the space.
 ``MatrixSubspace.basis_matrices`` and the ``Fraction`` basis of a space
-over Q are views built on their first read: a space that is only
-loaded, conjugated, filtered, dualized or compared never builds either.
+over Q are views built on their first read: a space that is only loaded,
+conjugated, filtered, dualized, compared or reported builds neither.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .linalg import (
     VectorSubspace,
     _Frozen,
     _cleared,
+    _complement,
     _eliminate,
     _kernel,
     _readout,
@@ -132,12 +135,18 @@ def constraint_space(space: MatrixSubspace) -> MatrixSubspace:
     """All C with tr(C M) = 0 for every M in the space (the trace dual).
 
     Its dimension is n^2 - dim(space); applying it twice returns the
-    original space.
+    original space.  It is the transpose of the annihilator of the basis
+    rows, and the smaller side is eliminated: above half of Mat_n (the
+    small codimensions) the annihilator's vectors, read off the space's
+    RREF by ``_complement``; otherwise the basis rows, by ``_kernel``.
     """
-    n = space.n
+    f, n, basis = space.field, space.n, space.basis
+    small = 2 * basis.dim > n * n
+    rows = _complement(f, basis.rows, basis.pivots, n * n) if small else basis.rows
     # tr(C M) = sum_ij C_ij M_ji: the coefficient of C_ij is M_ji.
-    rows = [[m[j * n + i] for i in range(n) for j in range(n)] for m in space.basis.rows]
-    return MatrixSubspace(space.field, n, _kernel(space.field, rows, n * n))
+    rows = [[row[j * n + i] for i in range(n) for j in range(n)] for row in rows]
+    dual = VectorSubspace._span(f, n * n, rows) if small else _kernel(f, rows, n * n)
+    return MatrixSubspace(f, n, dual)
 
 
 def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:

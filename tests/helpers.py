@@ -81,6 +81,15 @@ def solve_affine(a: DenseMatrix, b):
     return tuple(x), kernel(a)
 
 
+def kernel_constraint_space(space: MatrixSubspace) -> MatrixSubspace:
+    """The trace dual as the ``_kernel`` of the transposed basis rows,
+    whatever the dimension: tr(C M) = sum_ij C_ij M_ji, so the
+    coefficient of C_ij is M_ji."""
+    f, n = space.field, space.n
+    rows = [[m[j * n + i] for i in range(n) for j in range(n)] for m in space.basis.rows]
+    return MatrixSubspace(f, n, _kernel(f, rows, n * n))
+
+
 def neg(field, x):
     """-x as a canonical scalar."""
     return field.sub(field.zero, x)

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from mathieumat import matspace, spacefile
-from mathieumat.cli import main
+from mathieumat.cli import _basis_payload, _basis_rows, _rows_payload, main, matrix_payload
 from mathieumat.errors import SpaceFileError
 from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import MatrixSubspace, constraint_space
@@ -285,6 +286,43 @@ def test_cli_main2(tmp_path, capsys):
 
     rc, out, err = run(capsys, "main2", path, "--field", "2")
     assert rc == 1 and "FieldTooSmall" in err
+
+
+F101, QQ = Field.prime(101), Field.rationals()
+
+
+@pytest.mark.parametrize("space", [
+    MatrixSubspace.from_matrices(Field.prime(2), 3, [[[0, 1, 0], [0, 1, 0], [0, 0, 0]],
+                                                     [[1, 0, 1], [0, 1, 1], [1, 0, 0]]]),
+    MatrixSubspace.from_matrices(F101, 2, [[[3, -1], [50, 7]], [[0, 2], [-4, 100]]]),
+    MatrixSubspace.from_matrices(QQ, 2, [[[3, -1], [Fraction(5, 6), 7]],
+                                         [[0, Fraction(-2, 9)], [-4, 12]]]),
+    MatrixSubspace.from_matrices(QQ, 3, [[[2, 4, -6], [0, 8, 10], [3, 0, 1]]]),
+    MatrixSubspace.from_matrices(QQ, 3, []),
+    MatrixSubspace.full_space(QQ, 2),
+    MatrixSubspace.full_space(F101, 1),
+    MatrixSubspace.from_matrices(QQ, 1, [[[Fraction(-7, 3)]]]),
+    MatrixSubspace.from_matrices(Field.prime(2), 1, []),
+], ids=repr)
+def test_basis_reports_are_read_off_the_integer_rows(space):
+    # the same entries, written the same way, as the basis matrices give
+    assert _basis_payload(space) == [matrix_payload(m) for m in space.basis_matrices]
+    assert _basis_rows(space.basis) == _rows_payload(space.field, space.basis.basis)
+    dual = constraint_space(space)
+    assert _basis_payload(dual) == [matrix_payload(m) for m in dual.basis_matrices]
+
+
+def test_basis_reports_never_build_basis_matrices(tmp_path, capsys, monkeypatch):
+    def refuse(space):
+        raise AssertionError("basis_matrices read for a report")
+
+    monkeypatch.setattr(MatrixSubspace, "basis_matrices", property(refuse))
+    colkill = write(tmp_path, "field 3\nn 2\nbasis\n1 0\n0 0\n\n0 0\n1 0\n", "kill.txt")
+    pair = write(tmp_path, PAIR_WITH_IDENTITY)
+    for field in ("3", "Q"):
+        for argv in (["constraints", pair], ["normalize", pair], ["maxideal", colkill]):
+            rc, out, _ = run(capsys, *argv, "--field", field, "--json")
+            assert rc == 0 and json.loads(out)["payload"]
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -56,6 +57,7 @@ from mathieumat.verify import left_ideal_normal_form, max_left_ideal
 from helpers import (
     filtration_level,
     kernel,
+    kernel_constraint_space,
     matrix_sum,
     mul_vector,
     neg,
@@ -418,17 +420,54 @@ def recorded_eliminations(monkeypatch):
     return calls
 
 
+def route_spaces(field, n, rng):
+    """For every dim 0..n^2 a random space of that dim, then the
+    column-kill spaces with and without the identity adjoined."""
+    p = field.p
+    for dim in range(n * n + 1):
+        space = MatrixSubspace.from_matrices(field, n, [])
+        while space.dim < dim:
+            entries = [rng.randrange(p) if p else
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 4)) * (rng.random() < 0.6)
+                       for _ in range(n * n)]
+            space = matrix_sum(space, MatrixSubspace.from_matrices(
+                field, n, [[entries[i * n:(i + 1) * n] for i in range(n)]]))
+        yield space
+    for k in range(n + 1):
+        yield column_kill(field, n, k)
+        yield column_kill_and_identity(field, n, k)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, Field.prime(101), QQ], ids=repr)
+def test_constraint_space_routes_match_the_kernel_of_transposes(field):
+    # both routes, the complement above half of Mat_n and the kernel at or
+    # below it (2 dim = n^2 at n = 2 and n = 4), against the kernel alone
+    rng = random.Random(field.p)
+    for n in range(1, 6):
+        for space in route_spaces(field, n, rng):
+            dual = constraint_space(space)
+            assert dual == kernel_constraint_space(space), (n, space.dim)
+            assert constraint_space(dual) == space
+
+
 @pytest.mark.parametrize("space", [
     MatrixSubspace.from_matrices(F2, 2, []),
     MatrixSubspace.full_space(FBIG, 2),
     column_kill(F3, 3, 2),
     column_kill_and_identity(QQ, 4, 1),
+    column_kill(F5, 2, 1),
+    column_kill(QQ, 4, 2),
+    MatrixSubspace.from_matrices(QQ, 6, [DenseMatrix.identity(QQ, 6)]),
+    constraint_space(MatrixSubspace.from_matrices(QQ, 6, [DenseMatrix.identity(QQ, 6)])),
+    constraint_space(MatrixSubspace.from_matrices(F7, 6, [DenseMatrix.identity(F7, 6)])),
 ], ids=repr)
-def test_constraint_space_eliminates_only_the_basis_rows(space, monkeypatch):
-    # one elimination of the dim transposed basis rows, never n^2 rows
+def test_constraint_space_eliminates_only_the_smaller_side(space, monkeypatch):
+    # one elimination of min(dim, n^2 - dim) rows: the dim transposed basis
+    # rows, or the transposed complement vectors of a codim-1 space in
+    # Mat_6, one row of 36; at 2 dim = n^2 the basis rows
     calls = recorded_eliminations(monkeypatch)
     constraint_space(space)
-    assert calls == [(space.dim, space.n ** 2)]
+    assert calls == [(min(space.dim, space.n ** 2 - space.dim), space.n ** 2)]
 
 
 @pytest.mark.parametrize("m", [

@@ -169,12 +169,13 @@ def test_unit_vectors_are_not_multiplied_out():
 
 
 def test_one_annihilator_read_off():
-    # the trace dual of the verdicts and every kernel are read off an RREF
-    # by ``_complement`` alone; no second loop builds an annihilator
+    # the trace dual of the verdicts and of small codimensions, and every
+    # kernel, are read off an RREF by ``_complement`` alone; no second loop
+    # builds an annihilator
     found = set()
     for path in MODULES:
         found |= callers(path, {"_complement"})
-    assert found == {"linalg._kernel", "verify._Dual.__init__"}
+    assert found == {"linalg._kernel", "matspace.constraint_space", "verify._Dual.__init__"}
 
 
 def test_every_imported_name_is_used():

@@ -48,8 +48,8 @@ in one cross-multiplied step.  So a space over Q that is only spanned,
 intersected, dualized, compared or tested with ``contains`` never builds
 a ``Fraction``.  An annihilator is read off an RREF by ``_complement``
 alone: ``_kernel`` eliminates the system's rows once, reversed, and
-its vectors, reversed back, are the canonical RREF rows; ``verify``
-reads the trace dual off the space's own RREF, with no elimination.
+its vectors, reversed back, are the canonical RREF rows.  ``verify``, and
+``constraint_space`` above half of Mat_n, read the trace dual off the RREF.
 
 "The vectors of a row space that satisfy linear conditions" is read off
 one elimination (``_readout``): put the conditions' coordinates first,

@@ -47,9 +47,10 @@ at the first enumeration: commands that never enumerate never load it.
 ``max_left_ideal`` needs no enumeration and works over any field: A lies
 in the maximal left ideal of a space S iff every row of A lies in the
 intersection over i of R_i, where R_i is the set of rows i of the
-members of S that vanish off row i.  S lies in Ann(W), the left ideal
-of dimension n(n - dim W) killing its common kernel W; as every left
-ideal is such an annihilator, S is one iff dim S = n(n - dim W).
+members of S that vanish off row i.  Every left ideal is Ann(W), the
+matrices with all rows in R = W^perp, and its RREF is R's repeated in
+each matrix row (``_left_ideal``): S is one iff it is the ideal of its
+first k RREF rows, those with a pivot below n, cut to n entries.
 """
 
 from __future__ import annotations
@@ -397,6 +398,16 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
     return report
 
 
+def _left_ideal(rows: VectorSubspace) -> MatrixSubspace:
+    """Ann(rows^perp), the matrices with all rows in ``rows``, eliminating
+    nothing: matrix row i of its RREF holds that of ``rows``, at i n + c."""
+    f, n = rows.field, rows.ambient_dim
+    zero = (0,) * n
+    return MatrixSubspace(f, n, VectorSubspace(f, n * n, tuple(
+        zero * i + row + zero * (n - 1 - i) for i in range(n) for row in rows.rows),
+        tuple(i * n + c for i in range(n) for c in rows.pivots)))
+
+
 def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
     """The unique maximal left ideal contained in the space.
 
@@ -405,17 +416,16 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
     is a left ideal.  E_ij A is row j of A placed at row i, so A belongs
     iff each of its rows lies in R, the intersection over i of R_i, the
     rows i of the members vanishing off row i.  Each R_i is read off one
-    elimination, with the coordinates of row i last.  Works over any field.
+    elimination, with the coordinates of row i last, and R_0 is met with
+    the other n - 1: 2n - 1 eliminations in all.  Works over any field.
     """
     f, n = space.field, space.n
-    common = VectorSubspace.full(f, n)
+    common = None
     for i in range(n):
-        rows = [row[:i * n] + row[(i + 1) * n:] + row[i * n:(i + 1) * n]
-                for row in space.basis.rows]
-        common = common.intersect(_readout(f, rows, n * n - n, n * n))
-    zero = (0,) * n
-    return MatrixSubspace(f, n, VectorSubspace._span(f, n * n, [
-        zero * i + row + zero * (n - 1 - i) for i in range(n) for row in common.rows]))
+        r_i = _readout(f, [row[:i * n] + row[(i + 1) * n:] + row[i * n:(i + 1) * n]
+                           for row in space.basis.rows], n * n - n, n * n)
+        common = r_i if common is None else common.intersect(r_i)
+    return _left_ideal(common)
 
 
 class LeftIdealForm(namedtuple("LeftIdealForm", "t k idempotent")):
@@ -425,36 +435,26 @@ class LeftIdealForm(namedtuple("LeftIdealForm", "t k idempotent")):
     __slots__ = ()
 
 
-def _column_kill(f, n, k) -> MatrixSubspace:
-    """The matrices vanishing on the last n-k coordinates, built from
-    their canonical RREF: the unit rows of the E_(u,v), v < k, in
-    row-major order."""
-    units = tuple(u * n + v for u in range(n) for v in range(k))
-    return MatrixSubspace(f, n, VectorSubspace(f, n * n, tuple(
-        (0,) * i + (1,) + (0,) * (n * n - 1 - i) for i in units), units))
-
-
 def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     """Normalize a left ideal to the column-kill shape.
 
-    The last n-k columns of t span the common kernel of the ideal;
-    conjugating by t yields exactly the matrices vanishing on the last
-    n-k coordinates.  Raises NotLeftIdealError on bad input.
+    A left ideal is ``_left_ideal(R)``, R its first k rows cut to n entries,
+    k its pivots below n.  The last n-k columns of t span the common kernel
+    R^perp; conjugating by t yields exactly the matrices vanishing on the
+    last n-k coordinates.  Raises NotLeftIdealError on bad input.
     """
     f, n = ideal.field, ideal.n
-    common = _kernel(f, [row[i * n:(i + 1) * n] for row in ideal.basis.rows
-                         for i in range(n)], n)
-    k = n - common.dim
-    if ideal.dim != n * k:      # dim Ann(common), see the module docstring
+    k = sum(c < n for c in ideal.basis.pivots)
+    rows = VectorSubspace(f, n, tuple(r[:n] for r in ideal.basis.rows[:k]), ideal.basis.pivots[:k])
+    if ideal != _left_ideal(rows):
         raise NotLeftIdealError("input is not closed under left multiplication")
-    # The ideal is Ann(common): its first k pivots, those of its first row,
-    # are the pivots of common's annihilator, and the e_c there complete
-    # the kernel to a basis.
+    # the e_c at R's pivots complete the common kernel to a basis
     eye = DenseMatrix.identity(f, n).entries
-    columns = [eye[c] for c in ideal.basis.pivots[:k]] + list(common.basis)
+    columns = [eye[c] for c in rows.pivots] + list(_kernel(f, rows.rows, n).basis)
     t = DenseMatrix._trusted(f, zip(*columns), n)
     t_inv = invert(t)
-    if _conjugate(ideal, t, t_inv) != _column_kill(f, n, k):
+    units = VectorSubspace.full(f, n).rows[:k]
+    if _conjugate(ideal, t, t_inv) != _left_ideal(VectorSubspace(f, n, units, tuple(range(k)))):
         raise AssertionError("left ideal is not a full column-kill space")
     # t D t^-1 for D the diagonal of k ones: t with its last n-k columns zeroed, times t^-1
     idem = DenseMatrix._trusted(f, [row[:k] + (f.zero,) * (n - k) for row in t.entries], n)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from mathieumat.errors import HypothesisFailed, NotLeftIdealError, SingularMatrixError
 from mathieumat.idempotents import LOWER, UPPER, idempotent_family
-from mathieumat.linalg import DenseMatrix, Field
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace
 from mathieumat.matspace import MatrixSubspace, constraint_space, conjugate, rct_zero_members
 from mathieumat.normalize import rct_certificate, rct_zero_is_scalar
 from mathieumat.verify import left_ideal_normal_form
@@ -82,13 +82,13 @@ def reference_rct_zero_is_scalar(space, r):
 
 
 def count_calls(monkeypatch, name, defined_in):
-    """Count the calls of ``defined_in.name`` through every package module
-    that binds it."""
+    """Record the positional arguments of each call of ``defined_in.name``
+    through every package module that binds it."""
     original = getattr(defined_in, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module in MODULES:
@@ -315,26 +315,51 @@ def test_left_ideal_normal_form_inverts_its_conjugator_once(monkeypatch):
     # t^-1 serves both the column-kill postcondition and t D t^-1; the
     # columns of t come from the ideal's own pivots and the column-kill
     # space from its known RREF, so the three eliminations are the common
-    # kernel, t^-1 and the conjugate
+    # kernel, t^-1 and the conjugate.  The kernel is that of the ideal's k
+    # rows with a pivot below n, cut to n entries, not of all n^2 k blocks
     t = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [0, 0, 1]])
     ideal = column_kill(F5, 3, 2, t)
     calls = count_calls(monkeypatch, "invert", linalg)
     eliminations = count_calls(monkeypatch, "_eliminate", linalg)
     nf = left_ideal_normal_form(ideal)
     assert len(calls) == 1 and len(eliminations) == 3
+    _, rows, ncols = eliminations[0]
+    assert (len(rows), ncols) == (2, 3)
     assert nf.k == 2 and ideal.contains(nf.idempotent)
     assert nf.idempotent.mul(nf.idempotent) == nf.idempotent
 
 
-def test_the_column_kill_space_is_the_span_of_its_units():
+def layout(field, n, vectors):
+    """The span of the matrices that carry one of ``vectors`` in one row."""
+    zero = [0] * n
+    return MatrixSubspace.from_matrices(field, n, [
+        DenseMatrix(field, [v if r == i else zero for r in range(n)])
+        for v in vectors for i in range(n)])
+
+
+def test_the_left_ideal_is_the_span_of_its_rows_in_each_row():
+    # ``_left_ideal`` lays R's canonical rows out with no elimination: the
+    # rows and pivots of eliminating the matrices that carry each basis
+    # vector of R in each row.  R spanned by the first k units gives the
+    # column-kill space, the span of the units E_(u,v), v < k
+    rng = random.Random(53)
     for field in (F2, F5, QQ):
         for n in range(1, 6):
+            eye = DenseMatrix.identity(field, n).entries
             for k in range(n + 1):
-                units = MatrixSubspace.from_matrices(field, n, [
+                units = VectorSubspace.from_vectors(field, n, eye[:k])
+                assert verify._left_ideal(units) == MatrixSubspace.from_matrices(field, n, [
                     DenseMatrix.unit(field, n, n, u, v) for u in range(n) for v in range(k)])
-                built = verify._column_kill(field, n, k)
-                assert (built.basis.rows, built.basis.pivots) == (units.basis.rows,
-                                                                  units.basis.pivots)
+                spaces = [units]
+                while len(spaces) < 4:
+                    rows = VectorSubspace.from_vectors(field, n, [
+                        [seeded_scalar(rng, field) for _ in range(n)] for _ in range(k)])
+                    if rows.dim == k:
+                        spaces.append(rows)
+                for rows in spaces:
+                    built, spanned = verify._left_ideal(rows), layout(field, n, rows.basis)
+                    assert (built.basis.rows, built.basis.pivots) == (spanned.basis.rows,
+                                                                      spanned.basis.pivots)
 
 
 def test_left_ideal_tests_build_no_maximal_left_ideal(monkeypatch):

@@ -416,6 +416,11 @@ def conjugated_column_kill(k):
 MAXIDEAL_SPACES = {
     "kill": conjugated_column_kill(2),
     "kill+random": conjugated_column_kill(1) + [EXTRA],
+    # rows in span((2, 1, 0)), plus a member outside: over Q the ideal's
+    # integer rows have pivot entry 2, reported as the basis rows 1 1/2 0.
+    # Recorded before the ideal was laid out from its row space
+    "half": [[[2, 1, 0] if r == i else [0, 0, 0] for r in range(3)] for i in range(3)]
+            + [[[0, 0, 1], [1, 0, 0], [0, 3, 0]]],
 }
 
 # Recorded with the earlier kernel (rref, free vectors, a second elimination).
@@ -450,6 +455,19 @@ MAXIDEAL_PAYLOADS = {
         "basis": [[["1", "2", "3"], ["0", "0", "0"], ["0", "0", "0"]],
                   [["0", "0", "0"], ["1", "2", "3"], ["0", "0", "0"]],
                   [["0", "0", "0"], ["0", "0", "0"], ["1", "2", "3"]]]},
+    ("half", "5"): {
+        "dim": 3, "k": 1,
+        "t": [[1, 1, 0], [0, 3, 0], [0, 0, 1]],
+        "idempotent": [[1, 3, 0], [0, 0, 0], [0, 0, 0]],
+        "basis": [[[1, 3, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 3, 0], [0, 0, 0]],
+                  [[0, 0, 0], [0, 0, 0], [1, 3, 0]]]},
+    ("half", "Q"): {
+        "dim": 3, "k": 1,
+        "t": [["1", "1", "0"], ["0", "-2", "0"], ["0", "0", "1"]],
+        "idempotent": [["1", "1/2", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+        "basis": [[["1", "1/2", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["1", "1/2", "0"], ["0", "0", "0"]],
+                  [["0", "0", "0"], ["0", "0", "0"], ["1", "1/2", "0"]]]},
 }
 
 

@@ -1,12 +1,13 @@
 """Differential tests of the single-elimination readout.
 
 ``kernel``, ``constraint_space``, ``VectorSubspace.intersect``,
-``members_vanishing_at``, ``max_left_ideal`` and the left-ideal test of
-``left_ideal_normal_form`` all read their answer off one RREF.  The
-references below are the definitional formulations they replaced: free
-vectors of an RREF, the kernel of the transposed basis, a kernel on
-basis coefficients recombined into members, the kernel of the system
-"tr(K E_ij A) = 0 for every constraint K", and a loop over unit
+``members_vanishing_at`` and ``max_left_ideal`` all read their answer
+off one RREF; the left-ideal test of ``left_ideal_normal_form`` makes
+no elimination: it compares the space with the block layout of its own
+first RREF rows.  The references below are the definitional formulations they
+replaced: free vectors of an RREF, the kernel of the transposed basis, a
+kernel on basis coefficients recombined into members, the kernel of the
+system "tr(K E_ij A) = 0 for every constraint K", and a loop over unit
 products (``helpers.reference_is_left_ideal``).  Every reference solves
 its kernels with ``reference_kernel``, never with the code under test.
 
@@ -537,12 +538,13 @@ def test_max_left_ideal_matches_trace_dual_system(space):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_max_left_ideal_eliminates_twice_per_row(n, monkeypatch):
-    # per row one readout of R_i and one intersection, then the ideal's span
+def test_max_left_ideal_eliminates_twice_per_row_but_the_first(n, monkeypatch):
+    # per row one readout of R_i, and one intersection for each row after
+    # the first; the ideal is laid out from R's RREF, not spanned again
     space, ideal = column_kill_and_identity(F5, n, 1), column_kill(F5, n, 1)
     calls = recorded_eliminations(monkeypatch)
     assert max_left_ideal(space) == ideal
-    assert len(calls) == 2 * n + 1
+    assert len(calls) == 2 * n - 1
 
 
 @SETTINGS
@@ -553,6 +555,11 @@ def test_max_left_ideal_eliminates_twice_per_row(n, monkeypatch):
 @example(column_kill(F2, 1, 1))
 @example(column_kill_and_identity(F2, 2, 1))
 @example(column_kill_and_identity(QQ, 3, 2))
+# a first-block row running past column n, its cut (2, 0) not primitive
+@example(MatrixSubspace.from_matrices(QQ, 2, [DenseMatrix(QQ, [[2, 0], [3, 0]])]))
+# dimension n k for its one pivot below n, yet E_12 (E_11 + E_22) = E_12 lies outside
+@example(MatrixSubspace.from_matrices(F3, 2, [DenseMatrix.identity(F3, 2),
+                                              DenseMatrix.unit(F3, 2, 2, 1, 0)]))
 def test_is_left_ideal_matches_unit_products(space):
     assert normal_form_accepts(space) == reference_is_left_ideal(space)
 

@@ -156,6 +156,16 @@ def test_one_readout_path():
                      "verify.max_left_ideal"}
 
 
+def test_one_left_ideal_builder():
+    # a left ideal's block RREF is laid out from its row space by
+    # ``verify._left_ideal`` alone: the maximal left ideal, the left-ideal
+    # test and the column-kill postcondition all go through it
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"_left_ideal"})
+    assert found == {"verify.max_left_ideal", "verify.left_ideal_normal_form"}
+
+
 def test_unit_vectors_are_not_multiplied_out():
     # C e_k is column k of C: a ``Filtration`` reads its column spaces
     # along e_k off the grids' columns, and only the other vectors, of

@@ -1,14 +1,14 @@
 """Command-line front end: parse space files, run computations, report.
 
-The commands form one table, ``COMMANDS``.  A file command is
-``cmd_x(args, space) -> (payload, move_log)`` and returns only its own
-payload keys (``move_log`` is None except for ``normalize``); ``repro``,
-the one command without a file, returns its payload alone.  ``main``
+The commands form one table, ``COMMANDS``.  Every command is
+``cmd_x(args, space) -> (payload, move_log)``, with ``space`` None for
+``repro``, the one command without a file; it returns only its own
+payload keys (``move_log`` is None except for ``normalize``).  ``main``
 does the shared work once: it parses the arguments, loads the space
-file, adds ``field`` and ``n`` to the payload, and reports the payload
-with the file's sha256 (``digest``; "-" for ``repro``) and the wall
-time.  It looks the command's function up when it calls it, so a
-wrapper installed on ``cmd_x`` after import is the one it calls.
+file, adds ``field`` and ``n`` to the payload when there is a space, and
+reports the payload with the file's sha256 (``digest``; "-" for
+``repro``) and the wall time.  It looks the command's function up at
+call time, so a wrapper installed on ``cmd_x`` after import is called.
 A well-formed command line is read straight off the table by ``_read``.
 Any other line, a request for help included, goes to argparse, imported
 and built from the same table only then, which reads it or rejects it
@@ -334,7 +334,7 @@ REPROS = {
 }
 
 
-def cmd_repro(args):
+def cmd_repro(args, space):
     expected, observed, extra = REPROS[args.name]()
     payload = {
         "name": args.name,
@@ -343,7 +343,7 @@ def cmd_repro(args):
         "match": expected == observed,
     }
     payload.update(extra)
-    return payload
+    return payload, None
 
 
 # --- driver ---------------------------------------------------------------
@@ -495,11 +495,9 @@ def main(argv=None) -> int:
           "maxideal": cmd_maxideal, "main2": cmd_main2, "repro": cmd_repro}[args.command]
     start = time.perf_counter()
     try:
-        if args.command == "repro":
-            digest, payload, move_log = "-", fn(args), None
-        else:
-            digest, space = _load(args.file, args.field)
-            payload, move_log = fn(args, space)
+        digest, space = ("-", None) if args.command == "repro" else _load(args.file, args.field)
+        payload, move_log = fn(args, space)
+        if space is not None:
             payload.update(field=repr(space.field), n=space.n)
     except (SpaceFileError, _UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)

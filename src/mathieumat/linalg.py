@@ -5,8 +5,8 @@ Scalars are plain Python values in canonical form: residues in ``[0, p)``
 rationals.  A :class:`Field` object supplies the arithmetic; matrices and
 subspaces carry their field.  Every value is immutable after
 construction (its class derives from ``_Frozen``, which refuses both
-assignment and ``del``) and all operations are pure, so values can be
-shared freely between concurrent tasks.
+assignment and ``del``, and only its constructor sets its fields) and
+all operations are pure, so values can be shared between concurrent tasks.
 
 Input is canonicalized once, where it enters: the public constructors
 and ``VectorSubspace.reduce``/``member`` run every scalar through
@@ -444,10 +444,10 @@ class VectorSubspace(_Frozen):
     the basis itself, over Q each basis row times its pivot, a primitive
     ``int`` row with a positive pivot.  Both are unique, so two subspaces
     are equal iff their rows are identical, which makes equality
-    structural.  ``basis`` is the canonical basis, built on the first read.
+    structural.  ``basis`` is the canonical basis, built when read.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
     def __init__(self, field, ambient_dim, rows, pivots):
         # Internal: callers go through from_vectors / _span / full, or hand
@@ -456,7 +456,6 @@ class VectorSubspace(_Frozen):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_basis", None)
 
     @staticmethod
     def from_vectors(field, ambient_dim, vectors) -> "VectorSubspace":
@@ -484,14 +483,11 @@ class VectorSubspace(_Frozen):
     @property
     def basis(self) -> tuple:
         """The canonical RREF basis: over Q ``rows`` divided by their
-        pivots, built on the first read; over F_p ``rows`` itself."""
+        pivots, built when read; over F_p ``rows`` itself."""
         f = self.field
         if f.p:
             return self.rows
-        if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(
-                _scalars(f, row, row[c]) for row, c in zip(self.rows, self.pivots)))
-        return self._basis
+        return tuple(_scalars(f, row, row[c]) for row, c in zip(self.rows, self.pivots))
 
     @property
     def dim(self) -> int:
@@ -609,8 +605,6 @@ def invert(m: DenseMatrix) -> DenseMatrix:
     rows = [list(row) + [0] * i + [d] + [0] * (n - 1 - i) for i, row in enumerate(a)]
     if _eliminate(f, rows, 2 * n) != list(range(n)):
         raise SingularMatrixError("matrix has rank < %d" % n)
-    if f.p:
-        return DenseMatrix._trusted(f, [row[n:] for row in rows], n)
     return DenseMatrix._trusted(f, [_scalars(f, row[n:], row[i]) for i, row in enumerate(rows)], n)
 
 

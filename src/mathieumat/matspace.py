@@ -31,8 +31,8 @@ eliminate their columns, and the generic-vector scan and the rank bounds
 eliminate integer images of them forward only, for their rank: the scan
 needs the dimension of a candidate's column space, not the space.
 ``MatrixSubspace.basis_matrices`` and the ``Fraction`` basis of a space
-over Q are views built on their first read: a space that is only loaded,
-conjugated, filtered, dualized, compared or reported builds neither.
+over Q are views built when read, and never kept: a space that is only
+loaded, conjugated, filtered, dualized, compared or reported builds neither.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .multipoly import _action_pivots
 class MatrixSubspace(_Frozen):
     """A K-linear subspace of Mat_n(K) with a canonical basis."""
 
-    __slots__ = ("field", "n", "basis", "_matrices")
+    __slots__ = ("field", "n", "basis")
 
     def __init__(self, field: Field, n: int, basis: VectorSubspace):
         if basis.field != field or basis.ambient_dim != n * n:
@@ -68,17 +68,13 @@ class MatrixSubspace(_Frozen):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_matrices", None)
 
     @property
     def basis_matrices(self) -> tuple:
-        """The basis rows as n x n matrices, built on the first read."""
-        if self._matrices is None:
-            n = self.n
-            object.__setattr__(self, "_matrices", tuple(
-                DenseMatrix._trusted(self.field, [row[i * n:(i + 1) * n] for i in range(n)], n)
-                for row in self.basis.basis))
-        return self._matrices
+        """The basis rows as n x n matrices, built when read."""
+        n = self.n
+        return tuple(DenseMatrix._trusted(self.field, [row[i * n:(i + 1) * n] for i in range(n)], n)
+                     for row in self.basis.basis)
 
     @staticmethod
     def from_matrices(field, n, mats) -> "MatrixSubspace":
@@ -181,8 +177,6 @@ def members_vanishing_at(space: MatrixSubspace, positions) -> MatrixSubspace:
     if not all(0 <= i < n and 0 <= j < n for i, j in positions):
         raise ValueError("position outside the %d x %d grid" % (n, n))
     coords = [i * n + j for i, j in positions]
-    if not coords:
-        return space
     rows = [[v[c] for c in coords] + list(v) for v in space.basis.rows]
     k = len(coords)
     return MatrixSubspace(space.field, n, _readout(space.field, rows, k, k + n * n))
@@ -365,23 +359,18 @@ def find_generic_vector(fil: Filtration, k: int, require_pivot_one=False):
     additionally v_k = 1.  Only the rank of C_1 v .. C_m v is read, so
     each candidate is eliminated forward only.
 
-    Deterministic: scans the grid S^k, S the first min(#K, d_k + 1)
-    canonical field elements, in lexicographic order.  The vanishing
-    bound for the top minor guarantees a witness whenever #K >= d_k
-    (#K > d_k for the pivot form); below those bounds the scan may still
-    succeed, and FieldTooSmallError is raised only when it does not.
+    Deterministic: scans the grid S^k in lexicographic order, S the first
+    min(#K, max(d_k, 1) + 1) canonical field elements in the pivot form,
+    min(#K, d_k + 1) otherwise.  The top minor's vanishing bound guarantees
+    a witness whenever #K >= d_k (#K > d_k for the pivot form); below those
+    bounds the scan may still succeed, else FieldTooSmallError is raised.
     """
     f, n = fil.space.field, fil.space.n
     if not int(require_pivot_one) <= k <= n:
         raise ValueError("level %d out of range %d..%d" % (k, require_pivot_one, n))
     dk = fil.d[k]
     zero, one = f.zero, f.one
-    if dk == 0:
-        v = [zero] * n
-        if require_pivot_one:
-            v[k - 1] = one
-        return tuple(v)
-    grid = f.first_elements(dk + 1)
+    grid = f.first_elements(max(dk, require_pivot_one) + 1)
     tail = (zero,) * (n - k)
     for point in itertools.product(grid, repeat=k):
         if require_pivot_one and point[k - 1] == zero:

@@ -249,8 +249,6 @@ def find_nonvanishing(f: MultiPoly, s):
     vals = [f.field.of(x) for x in s]
     if len(set(vals)) != len(vals):
         raise ValueError("grid values must be distinct")
-    if f.nvars == 0:
-        return () if not f.is_zero() else None
     for point in itertools.product(vals, repeat=f.nvars):
         if f.evaluate(point) != f.field.zero:
             return point

@@ -207,13 +207,12 @@ def test_conjugates_inverses_and_column_spaces_match_the_dense_path():
                     assert got.dim <= fil.d[k]
 
 
-def test_basis_matrices_are_built_once_on_the_first_read():
+def test_basis_matrices_are_the_basis_rows_as_matrices():
     for f in FIELDS:
         for space in spaces(f) + [conjugate(spaces(f)[2], DenseMatrix.identity(f, 3))]:
             eager = tuple(DenseMatrix(f, [row[3 * i:3 * i + 3] for i in range(3)])
                           for row in space.basis.basis)
             assert space.basis_matrices == eager
-            assert space.basis_matrices is space.basis_matrices
 
 
 def test_enumerated_matrices_are_canonical():

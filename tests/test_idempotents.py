@@ -12,7 +12,7 @@ from mathieumat.idempotents import (
     full_space_certificate,
     idempotent_family,
 )
-from mathieumat.linalg import DenseMatrix, Field
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace
 from mathieumat.matspace import MatrixSubspace, constraint_space
 from mathieumat.verify import idempotents
 
@@ -255,9 +255,13 @@ def test_q_family_points_are_idempotents_of_the_space():
     assert checked >= 20
 
 
-def test_q_family_reads_only_the_integer_constraint_rows():
-    # the trace system is built on the constraints' integer rows: neither
-    # their Fraction basis nor their basis matrices are built
+def test_q_family_reads_only_the_integer_constraint_rows(monkeypatch):
+    # the trace system is built on the constraints' integer rows: a family
+    # found once is found again with the Fraction basis and the basis
+    # matrices refused
+    def refuse(space):
+        raise AssertionError("a basis view read by the trace system")
+
     rng = random.Random(71)
     checked = 0
     for _ in range(20):
@@ -269,6 +273,9 @@ def test_q_family_reads_only_the_integer_constraint_rows():
                     _family(c, r, form)
                 except HypothesisFailed:
                     continue
-                assert c.basis._basis is None and c._matrices is None
+                with monkeypatch.context() as m:
+                    m.setattr(VectorSubspace, "basis", property(refuse))
+                    m.setattr(MatrixSubspace, "basis_matrices", property(refuse))
+                    _family(c, r, form)
                 checked += c.dim > 0
     assert checked >= 5

@@ -194,6 +194,18 @@ def test_find_nonvanishing_distinct_grid_required():
         find_nonvanishing(x(F3, 1, 1), [1, 1])
 
 
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_find_nonvanishing_on_a_constant(field):
+    # s^0 is the one empty point, for an empty grid too: a nonzero
+    # constant is nonzero there, the zero constant nowhere
+    three = MultiPoly(field, 0, {(): 3})
+    for grid in ([], [0], [0, 1]):
+        assert find_nonvanishing(three, grid) == ()
+        assert find_nonvanishing(MultiPoly(field, 0), grid) is None
+    with pytest.raises(ValueError):
+        find_nonvanishing(three, [1, 1])
+
+
 def pair_space(field):
     # dim-2 space whose identity-adjoined filtration has generic dims (0,0,1,3)
     return MatrixSubspace.from_matrices(field, 3, [

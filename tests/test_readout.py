@@ -507,6 +507,7 @@ def test_members_vanishing_at_matches_coefficient_kernel(case):
     space, positions = case
     got = members_vanishing_at(space, positions)
     assert got == reference_members_vanishing_at(space, positions)
+    assert members_vanishing_at(space, []) == space
     assert got == MatrixSubspace.from_matrices(space.field, space.n, got.basis_matrices)
     assert all(m.entries[i][j] == space.field.zero
                for m in got.basis_matrices for i, j in positions)
@@ -698,6 +699,8 @@ PAIR_PLUS_IDENTITY = MatrixSubspace.from_matrices(F2, 3, [
 @example((PAIR_PLUS_IDENTITY, 3, True))
 @example((PAIR_PLUS_IDENTITY, 3, False))
 @example((column_kill(QQ, 4, 3), 3, True))
+@example((MatrixSubspace.from_matrices(F2, 3, []), 3, True))      # d_3 = 0: (0, 0, 1)
+@example((MatrixSubspace.from_matrices(F2, 3, []), 2, False))     # d_2 = 0: (0, 0, 0)
 def test_generic_vector_from_the_readout_matches_levels(case):
     space, k, pivot = case
     pivot = pivot and k >= 1

@@ -188,6 +188,40 @@ def test_one_annihilator_read_off():
     assert found == {"linalg._kernel", "matspace.constraint_space", "verify._Dual.__init__"}
 
 
+# A value is immutable once built: ``object.__setattr__``, the one way
+# past ``_Frozen``, is called by the constructors alone, so no property
+# fills in a cache after the fact.
+BUILDERS = {
+    "linalg.Field.__init__", "linalg.DenseMatrix._set", "linalg.VectorSubspace.__init__",
+    "matspace.MatrixSubspace.__init__", "matspace.Filtration.__init__",
+    "multipoly.MultiPoly.__init__",
+}
+
+
+def test_values_are_not_written_after_they_are_built():
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"__setattr__"})
+    assert found == BUILDERS
+
+
+def test_every_command_has_one_call_shape():
+    # the dispatch table of ``cli.main`` maps each command of
+    # ``cli.COMMANDS`` to its ``cmd_<name>``, and each of those takes
+    # ``(args, space)``: a command added to one table and not the other,
+    # or given a call of its own, fails here
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tables = [node for node in ast.walk(functions["main"]) if isinstance(node, ast.Dict)
+              and all(isinstance(v, ast.Name) and v.id.startswith("cmd_") for v in node.values)]
+    assert len(tables) == 1
+    dispatch = {ast.literal_eval(k): v.id for k, v in zip(tables[0].keys, tables[0].values)}
+    commands = importlib.import_module("mathieumat.cli").COMMANDS
+    assert dispatch == {name: "cmd_" + name for name in commands}
+    assert {name: [a.arg for a in node.args.args] for name, node in functions.items()
+            if name.startswith("cmd_")} == {name: ["args", "space"] for name in dispatch.values()}
+
+
 def test_every_imported_name_is_used():
     # no linter runs here: an import left behind by the removal of its
     # last use, in the package, the tests or the demos, fails here

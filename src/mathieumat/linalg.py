@@ -29,17 +29,18 @@ the rows ``[m | I]`` as lists.
 Elimination (``_eliminate``, behind ``_kernel``, ``invert``, every
 subspace and the trace system of ``idempotents``) works on integers.  It
 copies its rows once, as lists, and then updates those lists in place.
-Over F_p it is Gauss-Jordan: a pivot row is scaled to 1 unless its pivot
-is 1 already, and the other rows are updated from the pivot column on,
-with no final division.  Over Q it takes only rows of ``int``: the entry
-points that hold ``Fraction`` rows (``invert``,
-``VectorSubspace.from_vectors``, ``MatrixSubspace.from_matrices``) clear
-them once with ``_cleared``.  The rows are eliminated fraction-free and
-stay integers: a forward pass clears the rows below each pivot, and one
-back-substitution, bottom up, then changes only the free (non-pivot)
-columns of the rows above.  Each finished row is the canonical RREF row
-times its pivot, the primitive row with a positive pivot.  The reduced
-echelon form is unique, so the result does not depend on the scaling.
+Over Q it takes only rows of ``int``: the entry points that hold
+``Fraction`` rows (``invert``, ``VectorSubspace.from_vectors``,
+``MatrixSubspace.from_matrices``) clear them once with ``_cleared``.  The
+rows are eliminated fraction-free and stay integers: a forward pass
+clears the rows below each pivot, and one back-substitution, bottom up,
+then changes only the free (non-pivot) columns of the rows above.  Each
+finished row is the canonical RREF row times its pivot, the primitive
+row with a positive pivot.  Over F_p a full elimination of a tall system
+(2 rows > columns, as the n^2 - c basis rows of a space of codimension
+c) takes the same two passes; readouts, inverses and short systems are
+Gauss-Jordan.  The reduced echelon form is unique, so the result does
+not depend on the scaling or the route.
 A :class:`VectorSubspace` keeps those rows (``rows``) and builds its
 ``Fraction`` basis only when ``basis`` is read; ``invert`` and
 ``reduce`` divide as they return.  Membership (``_reduce``, behind
@@ -330,37 +331,42 @@ def _eliminate(field, rows, ncols, first=0):
     """Eliminate a list of rows, copied once, then updated in place (the
     caller's row lists are never written to); returns the pivots.
 
-    Over F_p it is Gauss-Jordan: a pivot row is scaled to 1 unless its
-    pivot is 1 already, and the other rows are cleared from the pivot
-    column on; the result is the unique RREF, residues in [0, p).
+    Over F_p the rows are residues, and a pivot row is scaled to 1 unless
+    its pivot is 1 already; the result is the unique RREF, residues in
+    [0, p).  Over Q the rows are ``int`` rows, each any nonzero integer
+    multiple of its row (as ``_cleared`` gives them), and nothing is
+    divided by a pivot: a pivot row is made primitive with a positive
+    pivot, and a row is cleared by ``a * row - b * pivot_row`` over its gcd.
 
-    Over Q the rows are ``int`` rows, each any nonzero integer multiple
-    of its row (as ``_cleared`` gives them), and nothing is divided by a
-    pivot.  A forward pass makes each pivot row primitive with a positive
-    pivot and clears only the rows below it, from the pivot column on,
-    by ``a * row - b * pivot_row`` divided by its gcd.  Then one
-    back-substitution, bottom up, finishes the rows pivoting at ``first``
-    or later.  The rows X_j below row k are finished, so they are zero at
-    each other's pivots, and row k's entries b_j at their pivots clear in
-    one step: with s the lcm of their pivots a_j, row k's pivot becomes
-    s * a_k, each free (non-pivot) column f becomes s * row[f] - sum_j
-    b_j * (s / a_j) * X_j[f], and the row is divided by its gcd.  Only the
-    free columns change: c of them for a space of codimension c in Mat_n.
-    Each finished row is the RREF row times its pivot, the primitive
-    ``int`` row with a positive pivot, whatever multiples came in.  F_p
-    keeps Gauss-Jordan: on its small systems (3 x 6 inverses, 3 x 11
-    readouts) the back-substitution costs more than it saves.
+    Over Q, and over F_p when ``first`` is 0 and 2 * rows > columns (a
+    tall system), a forward pass clears only the rows below each pivot,
+    from the pivot column on.  Then one back-substitution, bottom up,
+    finishes the rows pivoting at ``first`` or later.  The rows X_j below
+    row k are finished, so they are zero at each other's pivots, and row
+    k's entries b_j at their pivots clear with one dot product per free
+    (non-pivot) column f, over the finished rows' entries there: row[f]
+    becomes row[f] - sum_j b_j X_j[f] mod p over F_p; over Q, with s the
+    lcm of the pivots a_j hit, s * row[f] - sum_j b_j (s / a_j) X_j[f],
+    the pivot s * a_k, and the row is divided by its gcd.  Only the free
+    columns change: c of them for a space of codimension c in Mat_n.
+    Each finished row over Q is the RREF row times its pivot, the
+    primitive ``int`` row with a positive pivot.  The other F_p systems
+    (readouts, 3 x 6 inverses, short systems) are Gauss-Jordan, each
+    pivot clearing the other rows: there the back-substitution costs
+    more than it saves.
 
     The rows after the finished ones are zero.  Columns before ``first``
     are only eliminated forward, and the rows pivoting there are left
     unfinished: the rows pivoting at ``first`` or later are then the RREF
     of the row space's members that vanish before ``first`` (see
     ``_readout``), and the others are dropped.  With ``first == ncols``
-    the elimination is forward only, for callers that read only pivots.
+    the elimination is forward only, for callers that read only the
+    pivots or any echelon basis (``matspace.Filtration``).
     """
     p = field.p
     rows[:] = map(list, rows)
     n = len(rows)
+    gauss_jordan = p and (first or 2 * n <= ncols)
     pivots = []
     r = top = 0
     for c in range(ncols):
@@ -384,7 +390,7 @@ def _eliminate(field, rows, ncols, first=0):
                 prow[c:] = [x // g for x in prow[c:]]
                 a = prow[c]
         tail = prow[c:]
-        for i in range(r + 1 if c < first or not p else top, n):
+        for i in range(top if gauss_jordan and c >= first else r + 1, n):
             row = rows[i]
             b = row[c]
             if i == r or not b:
@@ -399,27 +405,36 @@ def _eliminate(field, rows, ncols, first=0):
         r += 1
         if c < first:
             top = r
-    if p:
+    if gauss_jordan or r - top < 2:
         return pivots
-    free = None
-    for k in range(r - 2, top - 1, -1):
+    taken = set(pivots)
+    free = [f for f in range(pivots[top] + 1, ncols) if f not in taken]
+    # the finished rows' pivots, pivot entries and free entries, bottom up
+    done, heads, cols = [], [], [[] for _ in free]
+    for k in range(r - 1, top - 1, -1):
         row = rows[k]
-        hits = [(row[c], x, x[c]) for x, c in zip(rows[k + 1:r], pivots[k + 1:]) if row[c]]
-        if not hits:
-            continue
-        if free is None:
-            taken = set(pivots)
-            free = [f for f in range(pivots[top] + 1, ncols) if f not in taken]
-        new, s = _subtract_rows([row[f] for f in free],
-                                [(b, [x[f] for f in free], a) for b, x, a in hits])
-        for c in pivots[k + 1:]:
-            row[c] = 0
-        c = pivots[k]
-        a = s * row[c]
-        g = math.gcd(a, *new)
-        row[c] = a // g
-        for f, v in zip(free, new):
-            row[f] = v // g
+        b = [row[c] for c in done]
+        if any(b):
+            for c in done:
+                row[c] = 0
+            if p:
+                for f, col in zip(free, cols):
+                    row[f] = (row[f] - sum(map(operator.mul, b, col))) % p
+            else:
+                s = math.lcm(*(a for a, x in zip(heads, b) if x))
+                if s != 1:
+                    b = [x * (s // a) for a, x in zip(heads, b)]
+                new = [s * row[f] - sum(map(operator.mul, b, col)) for f, col in zip(free, cols)]
+                c = pivots[k]
+                a = s * row[c]
+                g = math.gcd(a, *new)
+                row[c] = a // g
+                for f, v in zip(free, new):
+                    row[f] = v // g
+        done.append(pivots[k])
+        heads.append(row[pivots[k]])
+        for f, col in zip(free, cols):
+            col.append(row[f])
     return pivots
 
 

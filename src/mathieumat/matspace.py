@@ -14,7 +14,7 @@ solved for as basis coefficients; the trace dual of a space of small
 codimension is read off the space's own RREF by ``_complement``.  The
 binary profile, the generic-vector search and the normalization moves
 read all levels, their column spaces and generic dimensions off one
-:class:`Filtration`: one elimination, then two cheap bounds on each
+:class:`Filtration`: one forward elimination, then two cheap bounds on each
 generic dimension.  Evaluation at a point gives only a lower bound;
 where it meets the upper bound the dimension is exact, and one Bareiss
 run decides the rest.  The column space of level k along
@@ -267,12 +267,16 @@ class BinaryProfile(namedtuple("BinaryProfile", "n B b col_dims d")):
 class Filtration(_Frozen):
     """The column filtration C_0 <= C_1 <= ... <= C_n of a space, read once.
 
-    One elimination of the basis rows, with the coordinates ordered by
-    matrix column, last column first, gives an adapted basis: a row
-    vanishes on columns k..n-1 iff its pivot lies past their
-    coordinates, so those rows span C_k.  ``grids`` holds that basis
-    bottom-up as ``_grid`` matrices of integer rows, so its first
-    ``dims[k]`` members span C_k.  C e_k is column k of C, so
+    One forward-only elimination of the basis rows (``first = n*n``),
+    with the coordinates ordered by matrix column, last column first,
+    gives an echelon basis, and any echelon basis in that order is
+    adapted: a row vanishes on columns k..n-1 iff its pivot lies past
+    their coordinates, so those rows span C_k.  ``grids`` holds that
+    basis bottom-up as ``_grid`` matrices of integer rows, so its first
+    ``dims[k]`` members span C_k.  Everything read from them (``dims``,
+    the rank bounds, the Bareiss pivots, the canonical ``col_spaces`` and
+    the generic-vector ranks) depends only on those spans, so no
+    back-substitution is needed.  C e_k is column k of C, so
     ``col_spaces[k - 1]``, the column space of C_k along e_k, spans
     column k of those grids; the generic-vector scan and the rank
     bounds take the ranks of integer products with them.  ``d[k]`` is
@@ -289,7 +293,7 @@ class Filtration(_Frozen):
         # Entry (i, j) sits at coordinate (n - 1 - j) n + i.
         rows = [[row[i * n + j] for j in range(n - 1, -1, -1) for i in range(n)]
                 for row in space.basis.rows]
-        pivots = _eliminate(f, rows, n * n)
+        pivots = _eliminate(f, rows, n * n, n * n)
         grids = tuple(_grid(n, [row[(n - 1 - j) * n + i] for i in range(n) for j in range(n)])
                       for row in reversed(rows))
         dims = [sum(n - 1 - c // n < k for c in pivots) for k in range(n + 1)]

@@ -417,7 +417,8 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
     iff each of its rows lies in R, the intersection over i of R_i, the
     rows i of the members vanishing off row i.  Each R_i is read off one
     elimination, with the coordinates of row i last, and R_0 is met with
-    the other n - 1: 2n - 1 eliminations in all.  Works over any field.
+    the other n - 1, stopping once the running intersection is zero: at
+    most 2n - 1 eliminations.  Works over any field.
     """
     f, n = space.field, space.n
     common = None
@@ -425,6 +426,8 @@ def max_left_ideal(space: MatrixSubspace) -> MatrixSubspace:
         r_i = _readout(f, [row[:i * n] + row[(i + 1) * n:] + row[i * n:(i + 1) * n]
                            for row in space.basis.rows], n * n - n, n * n)
         common = r_i if common is None else common.intersect(r_i)
+        if not common.dim:
+            break
     return _left_ideal(common)
 
 

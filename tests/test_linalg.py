@@ -203,8 +203,11 @@ def low_rank_rows(rng, field, nrows, ncols, rank):
 # Tall systems, as the space files and their corners give them: (rows,
 # columns, rank or None for random rows).  The first is a codim-1 space
 # file at n = 6, the next two the sizes of a codim-2 file at n = 5 and
-# a codim-2 file at n = 4; the last three are rank-deficient.
-TALL = [(35, 36, None), (23, 25, None), (14, 16, None), (20, 24, 12), (30, 36, 29), (16, 9, 5)]
+# a codim-2 file at n = 4; the next three are rank-deficient; then a
+# square system, and the two sides of the F_p tall rule 2 rows > columns:
+# (8, 16) stays Gauss-Jordan, (9, 16) back-substitutes.
+TALL = [(35, 36, None), (23, 25, None), (14, 16, None), (20, 24, 12), (30, 36, 29), (16, 9, 5),
+        (16, 16, None), (8, 16, None), (9, 16, None)]
 
 
 def test_eliminate_matches_field_reference():
@@ -235,33 +238,38 @@ def test_eliminate_matches_field_reference():
             # columns before ``first`` only eliminated forward: from ``top``
             # on, the rows are the reference rows pivoting at ``first`` or
             # later, over Q each times its pivot, then zeros; the tall cases
-            # take first at their fourth pivot on their canonical rows
+            # take first at 0 (over F_p the tall route, but at (8, 16)) and
+            # at their fourth pivot, or last below four (a readout, Gauss-
+            # Jordan over F_p), on their canonical rows
             for form, raw in enumerate(caller_forms(rng, field, rows)):
                 given, _ = _cleared(field, raw)
-                first = rng.choice((0, rng.randrange(ncols + 1)))
+                firsts = [rng.choice((0, rng.randrange(ncols + 1)))]
                 if case >= 80 and form == 0:
-                    first = pivots[3]
-                before = [list(r) for r in given]
-                work = list(given)
-                assert _eliminate(field, work, ncols, first) == list(pivots)
-                assert [list(r) for r in given] == before      # the caller's rows are not written to
-                top = sum(c < first for c in pivots)
-                if field.p:
-                    assert [list(r) for r in work[top:]] == (
-                        [r for r, c in zip(expected, pivots) if c >= first] + expected[rank:])
-                else:
-                    for row, c, want in zip(work[top:rank], pivots[top:], expected[top:rank]):
-                        assert row[c] > 0 and math.gcd(*row) == 1
-                        assert [x * row[c] for x in want] == list(row)
-                    assert [list(r) for r in work[rank:]] == expected[rank:]
-                for x in (x for row in work[top:] for x in row):
-                    assert type(x) is int
-                if case >= 80 and form == 0 and not field.p:
-                    # the forward pass alone leaves kept rows that are not
-                    # zero at a later pivot: back-substitution had work
-                    forward = list(given)
-                    assert _eliminate(field, forward, ncols, ncols) == list(pivots)
-                    assert any(forward[k][c] for k in range(top, rank) for c in pivots[k + 1:])
+                    firsts = [0, pivots[min(3, rank - 1)]]
+                for first in firsts:
+                    before = [list(r) for r in given]
+                    work = list(given)
+                    assert _eliminate(field, work, ncols, first) == list(pivots)
+                    assert [list(r) for r in given] == before  # the caller's rows are not written to
+                    top = sum(c < first for c in pivots)
+                    if field.p:
+                        assert [list(r) for r in work[top:]] == (
+                            [r for r, c in zip(expected, pivots) if c >= first] + expected[rank:])
+                    else:
+                        for row, c, want in zip(work[top:rank], pivots[top:], expected[top:rank]):
+                            assert row[c] > 0 and math.gcd(*row) == 1
+                            assert [x * row[c] for x in want] == list(row)
+                        assert [list(r) for r in work[rank:]] == expected[rank:]
+                    for x in (x for row in work[top:] for x in row):
+                        assert type(x) is int
+                    if case >= 80 and form == 0 and (first == 0 or not field.p):
+                        # the forward pass alone leaves kept rows that are
+                        # not zero at a later pivot: the back-substitution
+                        # had work (over F_p at first 0; at (8, 16) it is
+                        # Gauss-Jordan that had it)
+                        forward = list(given)
+                        assert _eliminate(field, forward, ncols, ncols) == list(pivots)
+                        assert any(forward[k][c] for k in range(top, rank) for c in pivots[k + 1:])
     # plain int rows over Q stay exact: no float from ``1 / a`` on the way
     assert rref(DenseMatrix(QQ, [[3, 7], [3, 7], [12, 28]]))[1] == 1
 

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mathieumat import linalg
+from mathieumat import linalg, matspace
 from mathieumat.cli import main
 from mathieumat.errors import FieldTooSmallError, NotLeftIdealError, SingularMatrixError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace
@@ -408,17 +408,32 @@ def test_constraint_space_matches_kernel_of_transposes(space):
     assert constraint_space(dual) == space
 
 
-def recorded_eliminations(monkeypatch):
-    """The (rows, columns) of every ``linalg._eliminate`` call from here on."""
-    original = linalg._eliminate
+def recorded_eliminations(monkeypatch, module=linalg):
+    """The (rows, columns, first) of every ``_eliminate`` call that
+    ``module`` makes from here on."""
+    original = module._eliminate
     calls = []
 
     def recording(field, rows, ncols, first=0):
-        calls.append((len(rows), ncols))
+        calls.append((len(rows), ncols, first))
         return original(field, rows, ncols, first)
 
-    monkeypatch.setattr(linalg, "_eliminate", recording)
+    monkeypatch.setattr(module, "_eliminate", recording)
     return calls
+
+
+def codim1_space(field, n, seed):
+    """A space of codimension 1 in Mat_n spanned by n^2 - 1 matrices of
+    random integers, as the benchmark's space files give them: residues
+    over F_p, entries in -3..3 over Q."""
+    rng = random.Random(seed)
+    lo, hi = (0, field.p - 1) if field.p else (-3, 3)
+    space = MatrixSubspace.from_matrices(field, n, [])
+    while space.dim < n * n - 1:
+        space = MatrixSubspace.from_matrices(field, n, [
+            [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+            for _ in range(n * n - 1)])
+    return space
 
 
 def route_spaces(field, n, rng):
@@ -468,7 +483,7 @@ def test_constraint_space_eliminates_only_the_smaller_side(space, monkeypatch):
     # Mat_6, one row of 36; at 2 dim = n^2 the basis rows
     calls = recorded_eliminations(monkeypatch)
     constraint_space(space)
-    assert calls == [(min(space.dim, space.n ** 2 - space.dim), space.n ** 2)]
+    assert calls == [(min(space.dim, space.n ** 2 - space.dim), space.n ** 2, 0)]
 
 
 @pytest.mark.parametrize("m", [
@@ -479,7 +494,7 @@ def test_constraint_space_eliminates_only_the_smaller_side(space, monkeypatch):
 def test_kernel_eliminates_only_the_system_rows(m, monkeypatch):
     calls = recorded_eliminations(monkeypatch)
     kernel(m)
-    assert calls == [(m.rows, m.cols)]
+    assert calls == [(m.rows, m.cols, 0)]
 
 
 @SETTINGS
@@ -546,6 +561,36 @@ def test_max_left_ideal_eliminates_twice_per_row_but_the_first(n, monkeypatch):
     calls = recorded_eliminations(monkeypatch)
     assert max_left_ideal(space) == ideal
     assert len(calls) == 2 * n - 1
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_max_left_ideal_stops_at_a_zero_intersection(field, monkeypatch):
+    # R_i is cut out by column i of each constraint: the zero space of
+    # Mat_3 has R_0 = 0 (one readout), and the space with constraints
+    # E_00 + E_21 and E_10 + E_31 in Mat_4 has R_0 & R_1 = 0 (two readouts
+    # and one intersection, not 7 eliminations)
+    zero = MatrixSubspace.from_matrices(field, 3, [])
+    codim2 = constraint_space(MatrixSubspace.from_matrices(field, 4, [
+        DenseMatrix.unit(field, 4, 4, 0, 0) + DenseMatrix.unit(field, 4, 4, 2, 1),
+        DenseMatrix.unit(field, 4, 4, 1, 0) + DenseMatrix.unit(field, 4, 4, 3, 1)]))
+    for space, eliminations in ((zero, 1), (codim2, 3)):
+        calls = recorded_eliminations(monkeypatch)
+        ideal = max_left_ideal(space)
+        monkeypatch.undo()
+        assert ideal.dim == 0 and ideal == reference_max_left_ideal(space)
+        assert len(calls) == eliminations
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_filtration_eliminates_its_basis_forward_only(field, monkeypatch):
+    # an echelon basis in the filtration's coordinate order is adapted, so
+    # its one elimination of the n^2 - 1 basis rows takes ``first`` at the
+    # column count, as the rank bounds after it do
+    space = codim1_space(field, 4, 38)
+    calls = recorded_eliminations(monkeypatch, matspace)
+    Filtration(space)
+    assert calls[0] == (15, 16, 16)
+    assert all(first == ncols for _, ncols, first in calls)
 
 
 @SETTINGS
@@ -653,6 +698,8 @@ def test_max_left_ideal_of_a_conjugated_ideal_plus_members(case):
 @example(MatrixSubspace.full_space(QQ, 4))
 @example(column_kill(F3, 4, 2))
 @example(column_kill_and_identity(F5, 5, 3))
+@example(codim1_space(F5, 4, 1))
+@example(codim1_space(QQ, 4, 1))
 def test_filtration_readout_matches_levels(space):
     got = Filtration(space)
     assert binary_profile(space) == got.profile() == reference_profile(space)
@@ -701,6 +748,8 @@ PAIR_PLUS_IDENTITY = MatrixSubspace.from_matrices(F2, 3, [
 @example((column_kill(QQ, 4, 3), 3, True))
 @example((MatrixSubspace.from_matrices(F2, 3, []), 3, True))      # d_3 = 0: (0, 0, 1)
 @example((MatrixSubspace.from_matrices(F2, 3, []), 2, False))     # d_2 = 0: (0, 0, 0)
+@example((codim1_space(F5, 4, 2), 4, True))
+@example((codim1_space(QQ, 4, 2), 3, False))
 def test_generic_vector_from_the_readout_matches_levels(case):
     space, k, pivot = case
     pivot = pivot and k >= 1

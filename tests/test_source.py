@@ -188,6 +188,15 @@ def test_one_annihilator_read_off():
     assert found == {"linalg._kernel", "matspace.constraint_space", "verify._Dual.__init__"}
 
 
+def test_one_back_substitution():
+    # ``_eliminate`` back-substitutes over both fields on its own, a dot
+    # product per free column; ``_subtract_rows`` is left to membership
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"_subtract_rows"})
+    assert found == {"linalg.VectorSubspace._reduce"}
+
+
 # A value is immutable once built: ``object.__setattr__``, the one way
 # past ``_Frozen``, is called by the constructors alone, so no property
 # fills in a cache after the fact.

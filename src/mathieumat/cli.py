@@ -68,20 +68,16 @@ from .verify import (
 TYPE_FLAGS = {"left": LEFT, "right": RIGHT, "pre2": PRE_TWO_SIDED, "two": TWO_SIDED}
 
 
-def _rows_payload(field, rows):
-    """Rows of scalars as the report holds them: F_p residues, already
-    canonical ``int``s, as they are; rationals as strings."""
-    if field.p:
-        return list(map(list, rows))
-    return [list(map(str, row)) for row in rows]
-
-
 def matrix_payload(m: DenseMatrix):
-    return _rows_payload(m.field, m.entries)
+    """The rows of a matrix as the report holds them: F_p residues,
+    already canonical ``int``s, as they are; rationals as strings."""
+    if m.field.p:
+        return list(map(list, m.entries))
+    return [list(map(str, row)) for row in m.entries]
 
 
 def _basis_rows(vs):
-    """The canonical basis of a ``VectorSubspace`` as ``_rows_payload``
+    """The canonical basis of a ``VectorSubspace`` as ``matrix_payload``
     writes it, read off its integer rows: over Q, each entry x of a row
     with pivot entry a > 0 as ``str(Fraction(x, a))`` writes it."""
     if vs.field.p:
@@ -89,8 +85,7 @@ def _basis_rows(vs):
     out = []
     for row, c in zip(vs.rows, vs.pivots):
         a = row[c]
-        out.append(list(map(str, row)) if a == 1 else
-                   [str(x // g) if g == a else "%d/%d" % (x // g, a // g)
+        out.append([str(x // g) if g == a else "%d/%d" % (x // g, a // g)
                     for x, g in zip(row, [math.gcd(x, a) for x in row])])
     return out
 
@@ -444,13 +439,6 @@ def _read(argv):
         flag.lstrip("-"): values.get(flag, default) for flag, _, default, _, _ in arguments})
 
 
-def _parse_args(argv):
-    """The arguments of one command line: read directly when it is
-    well-formed, by argparse otherwise."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    return _read(argv) or build_parser().parse_args(argv)
-
-
 def _json(value, nl="\n"):
     """``json.dumps(value, sort_keys=True, indent=2)`` for a report's
     types (dict with str keys, list, str, int, bool, None, finite float),
@@ -488,7 +476,9 @@ def _json(value, nl="\n"):
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    # a well-formed line is read directly, any other by argparse
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     # the command's function as bound now, a wrapper installed after import included
     fn = {"constraints": cmd_constraints, "profile": cmd_profile, "normalize": cmd_normalize,
           "idempotents": cmd_idempotents, "verify": cmd_verify, "radical": cmd_radical,

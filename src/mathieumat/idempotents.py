@@ -70,8 +70,7 @@ class AffineFamily(namedtuple("AffineFamily", "n r form particular directions"))
         for coeffs in itertools.product(f.elements(), repeat=self.dim):
             shift = [f.zero] * ((self.n - self.r) * self.r)
             for c, row in zip(coeffs, self.directions.basis):
-                if c:
-                    shift = [f.add(x, f.mul(c, y)) for x, y in zip(shift, row)]
+                shift = [f.add(x, f.mul(c, y)) for x, y in zip(shift, row)]
             yield self.with_block(shift)
 
 

@@ -9,11 +9,11 @@ assignment and ``del``, and only its constructor sets its fields) and
 all operations are pure, so values can be shared between concurrent tasks.
 
 Input is canonicalized once, where it enters: the public constructors
-and ``VectorSubspace.reduce``/``member`` run every scalar through
-``Field.of`` and check lengths.  A value held as a ``DenseMatrix``,
-``VectorSubspace`` or basis row is trusted: what the package builds from
-such values comes from ``DenseMatrix._trusted``, ``VectorSubspace._span``
-and ``_kernel``, which neither convert nor check.
+and ``VectorSubspace.member`` run every scalar through ``Field.of`` and
+check lengths.  A value held as a ``DenseMatrix``, ``VectorSubspace`` or
+basis row is trusted: what the package builds from such values comes
+from ``DenseMatrix._trusted``, ``VectorSubspace._span`` and ``_kernel``,
+which neither convert nor check.
 
 Matrix products (``DenseMatrix.mul``, behind ``power``) take their dot
 products on integers: over Q each operand is scaled once by the least
@@ -42,8 +42,8 @@ c) takes the same two passes; readouts, inverses and short systems are
 Gauss-Jordan.  The reduced echelon form is unique, so the result does
 not depend on the scaling or the route.
 A :class:`VectorSubspace` keeps those rows (``rows``) and builds its
-``Fraction`` basis only when ``basis`` is read; ``invert`` and
-``reduce`` divide as they return.  Membership (``_reduce``, behind
+``Fraction`` basis only when ``basis`` is read; ``invert`` divides as
+it returns.  Membership (``_reduce``, behind ``member`` and
 ``MatrixSubspace.contains``) subtracts the rows from an integer vector
 in one cross-multiplied step.  So a space over Q that is only spanned,
 intersected, dualized, compared or tested with ``contains`` never builds
@@ -438,20 +438,6 @@ def _eliminate(field, rows, ncols, first=0):
     return pivots
 
 
-def _subtract_rows(v, hits):
-    """``(w, s)`` for an integer vector v and ``hits``, triples (b, row, a)
-    of v's entry b at the pivot of a row whose pivot entry is a: s is the
-    lcm of the a, and w = s v - sum (b s / a) row.  When the rows are zero
-    at each other's pivots, that clears all of v's entries at them in one
-    step, on integers."""
-    s = math.lcm(*(a for _, _, a in hits))
-    w = v if s == 1 else [s * x for x in v]
-    for b, row, a in hits:
-        m = b * (s // a)
-        w = [x - m * y for x, y in zip(w, row)]
-    return w, s
-
-
 class VectorSubspace(_Frozen):
     """A subspace of K^n held by the rows of its canonical RREF basis.
 
@@ -508,28 +494,29 @@ class VectorSubspace(_Frozen):
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v) -> tuple:
-        """Residual of ``v`` after reduction against the basis."""
+    def _reduce(self, v) -> tuple:
+        """``(w, s)``, ``w / s`` the residual of a vector of ``ambient_dim``
+        entries as ``_span`` takes them, unchecked.  The rows are zero at
+        each other's pivots, so v's entries b at the pivots, of rows whose
+        pivot entry is a, clear in one step on integers: s is the lcm of
+        the a, and w = s v - sum (b s / a) row.  Over F_p the pivots are
+        1, so s = 1, and the residual is taken mod p."""
+        p = self.field.p
+        hits = [(v[c], row, row[c]) for row, c in zip(self.rows, self.pivots) if v[c]]
+        s = math.lcm(*(a for _, _, a in hits))
+        w = v if s == 1 else [s * x for x in v]
+        for b, row, a in hits:
+            m = b * (s // a)
+            w = [x - m * y for x, y in zip(w, row)]
+        return ([x % p for x in w] if p else w), s
+
+    def member(self, v) -> bool:
         f = self.field
         v = [f.of(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        (v,), d = _cleared(f, [v])
-        w, s = self._reduce(v)
-        return _scalars(f, w, s * d)
-
-    def _reduce(self, v) -> tuple:
-        """``(w, s)``, ``w / s`` the residual of a vector of ``ambient_dim``
-        entries as ``_span`` takes them, unchecked: v's entries at the
-        pivots clear in one ``_subtract_rows`` step, over F_p with pivots
-        1, so s = 1, and the residual taken mod p."""
-        p = self.field.p
-        w, s = _subtract_rows(v, [(v[c], row, row[c])
-                                  for row, c in zip(self.rows, self.pivots) if v[c]])
-        return ([x % p for x in w] if p else w), s
-
-    def member(self, v) -> bool:
-        return not any(self.reduce(v))
+        (v,), _ = _cleared(f, [v])
+        return not any(self._reduce(v)[0])
 
     def intersect(self, other: "VectorSubspace") -> "VectorSubspace":
         """Intersection read off the Zassenhaus rows (u, u) and (w, 0):

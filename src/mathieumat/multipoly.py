@@ -217,8 +217,6 @@ def _bareiss_rank(columns, p, guard) -> list:
     pivots = []
     for c in range(ncols):
         pr = len(pivots)
-        if pr >= nrows:
-            break
         src = next((r for r in range(pr, nrows) if work[r][c]), None)
         if src is None:
             continue

@@ -366,8 +366,10 @@ def test_reduce_reads_the_reference_residual_on_integer_rows(case, data):
               for j in range(m)]
     for v in ([data.draw(Q_SCALARS) for _ in range(m)], inside):
         want = reference_reduce(space, v)
-        assert space.reduce(v) == want
-        assert all(type(x) is Fraction for x in space.reduce(v))
+        (u,), d = _cleared(QQ, [v])
+        w, s = space._reduce(u)
+        assert all(type(x) is int for x in w)
+        assert tuple(Fraction(x, s * d) for x in w) == want
         assert space.member(v) == (not any(want))
         if m == 4:
             mat = MatrixSubspace(QQ, 2, space)
@@ -377,7 +379,8 @@ def test_reduce_reads_the_reference_residual_on_integer_rows(case, data):
     for field in (F2, F5):
         space = VectorSubspace.from_vectors(field, m, random_rows(rng, field, len(vectors), m))
         v = [rng.randrange(field.p) for _ in range(m)]
-        assert space.reduce(v) == reference_reduce(space, v)
+        w, s = space._reduce(v)
+        assert s == 1 and tuple(w) == reference_reduce(space, v)
 
 
 def test_rref_identity_case():
@@ -642,14 +645,12 @@ def test_dense_matrix_rejects_ragged_rows_and_a_wrong_cols():
     assert DenseMatrix(F3, [], cols=5).cols == 5
 
 
-def test_reduce_and_member_reject_a_vector_of_the_wrong_length():
+def test_member_rejects_a_vector_of_the_wrong_length():
     line = VectorSubspace.from_vectors(F3, 2, [[1, 1]])
     for v in ([1, 1, 0], [1], []):
         with pytest.raises(ValueError):
-            line.reduce(v)
-        with pytest.raises(ValueError):
             line.member(v)
-    assert line.member([2, 2]) and line.reduce([1, 0]) == (0, 2)
+    assert line.member([2, 2]) and not line.member([1, 0])
 
 
 def test_raw_fraction_vectors_over_a_prime_field():

@@ -68,11 +68,10 @@ def test_no_module_imports_what_start_up_keeps_out():
 # right-hand side, grid values, polynomial coefficients, family
 # parameters, literal generators) and the space-file format.  Values the
 # package built itself are canonical and never go through them again.
-VALIDATING = {"of", "DenseMatrix", "from_vectors", "member", "reduce"}
+VALIDATING = {"of", "DenseMatrix", "from_vectors", "member"}
 BOUNDARY = {
     "linalg.DenseMatrix.__init__", "linalg.DenseMatrix.scale",
-    "linalg.VectorSubspace.from_vectors", "linalg.VectorSubspace.reduce",
-    "linalg.VectorSubspace.member",
+    "linalg.VectorSubspace.from_vectors", "linalg.VectorSubspace.member",
     "matspace.MatrixSubspace.from_matrices", "matspace.column_space",
     "idempotents.AffineFamily.with_block",
     "multipoly.MultiPoly.__init__", "multipoly.MultiPoly.evaluate",
@@ -113,12 +112,12 @@ def test_validating_entry_points_are_called_only_at_the_boundary():
 
 # Over Q a subspace keeps integer rows, and ``_scalars`` turns integers
 # into canonical ``Fraction`` scalars only where a value leaves in that
-# form: the basis view, a residual of ``reduce``, ``invert``, a matrix
-# product and the particular member of an idempotent family.  No
-# internal path builds scalars only to clear them back to integers.
+# form: the basis view, ``invert``, a matrix product and the particular
+# member of an idempotent family.  No internal path builds scalars only to
+# clear them back to integers.
 BUILDS_SCALARS = {
-    "linalg.VectorSubspace.basis", "linalg.VectorSubspace.reduce", "idempotents._family",
-    "linalg.invert", "linalg.DenseMatrix.mul",
+    "linalg.VectorSubspace.basis", "idempotents._family", "linalg.invert",
+    "linalg.DenseMatrix.mul",
 }
 
 
@@ -190,11 +189,13 @@ def test_one_annihilator_read_off():
 
 def test_one_back_substitution():
     # ``_eliminate`` back-substitutes over both fields on its own, a dot
-    # product per free column; ``_subtract_rows`` is left to membership
+    # product per free column; the row-by-row clearing of ``_reduce`` is
+    # left to the three membership tests
     found = set()
     for path in MODULES:
-        found |= callers(path, {"_subtract_rows"})
-    assert found == {"linalg.VectorSubspace._reduce"}
+        found |= callers(path, {"_reduce"})
+    assert found == {"linalg.VectorSubspace.member", "matspace.MatrixSubspace.contains",
+                     "matspace.MatrixSubspace.contains_identity"}
 
 
 # A value is immutable once built: ``object.__setattr__``, the one way
@@ -323,6 +324,8 @@ DELETED = {
     "idempotents._minor_trace", "matspace.MatrixSubspace.sum", "linalg.VectorSubspace.sum",
     "linalg.DenseMatrix.transpose", "linalg.DenseMatrix.__neg__", "multipoly.MultiPoly.__neg__",
     "multipoly.MultiPoly.__sub__", "linalg.Field.neg",
+    "linalg.VectorSubspace.reduce", "linalg._subtract_rows", "cli._parse_args",
+    "cli._rows_payload",
 }
 
 

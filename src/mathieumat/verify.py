@@ -372,7 +372,6 @@ def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
     for m in space.basis_matrices:
         if m.trace() != f.zero:
             raise PreconditionViolated("the space contains a nonzero-trace matrix")
-    _require_enumerable(f, n * n)
     p = f.p
     pred1 = not 0 < p <= n
     pred2 = (not 0 < p <= n - 1) and not space.contains_identity()

@@ -5,7 +5,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from mathieumat.errors import PreconditionViolated
+from mathieumat.errors import PreconditionViolated, SingularMatrixError
 from mathieumat.linalg import (
     DenseMatrix,
     VectorSubspace,
@@ -13,17 +13,22 @@ from mathieumat.linalg import (
     _eliminate,
     _kernel,
     _scalars,
+    invert,
 )
 from mathieumat.idempotents import UPPER
 from mathieumat.matspace import (
     MatrixSubspace,
     column_space,
+    conjugate,
     members_vanishing_at,
     rct_zero_members,
 )
 from mathieumat.multipoly import MultiPoly, _action_pivots
 from mathieumat.verify import (
+    ALL_TYPES,
     LEFT,
+    PRE_TWO_SIDED,
+    RIGHT,
     TWO_SIDED,
     _Dual,
     _matrix,
@@ -79,6 +84,41 @@ def solve_affine(a: DenseMatrix, b):
     for r, pc in enumerate(pivots):
         x[pc] = reduced.entries[r][a.cols]
     return tuple(x), kernel(a)
+
+
+def image_conjugator(u: VectorSubspace) -> DenseMatrix:
+    """The t whose last k = dim U columns span U, formed as
+    ``cli._scalar_corners`` forms its conjugators: the identity columns
+    off U's pivots, then U's canonical basis.  An idempotent e has image
+    U iff t^-1 e t has image span(e_(n-k+1) .. e_n), that is, iff
+    t^-1 e t is a member of the lower-form family at r = n - k."""
+    f, n = u.field, u.ambient_dim
+    eye = DenseMatrix.identity(f, n).entries
+    columns = [e for i, e in enumerate(eye) if i not in u.pivots] + list(u.basis)
+    return DenseMatrix._trusted(f, zip(*columns), n)
+
+
+def image(m: DenseMatrix) -> VectorSubspace:
+    """The column space of m."""
+    return VectorSubspace.from_vectors(m.field, m.rows, [m.column(j) for j in range(m.cols)])
+
+
+def symmetric_images(space: MatrixSubspace, rng):
+    """A random conjugate t^-1 (space) t and the transpose of the space,
+    each as ``(image, t, types)``: ``types`` maps each verdict type of
+    the space to the type of the image with the same verdict, and t is
+    None for the transpose.  Prime fields only."""
+    f, n = space.field, space.n
+    while True:
+        t = DenseMatrix(f, [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)])
+        try:
+            invert(t)
+            break
+        except SingularMatrixError:
+            pass
+    yield conjugate(space, t), t, {v: v for v in ALL_TYPES}
+    yield (MatrixSubspace.from_matrices(f, n, [transpose(m) for m in space.basis_matrices]),
+           None, {LEFT: RIGHT, RIGHT: LEFT, PRE_TWO_SIDED: PRE_TWO_SIDED, TWO_SIDED: TWO_SIDED})
 
 
 def kernel_constraint_space(space: MatrixSubspace) -> MatrixSubspace:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from mathieumat.errors import HypothesisFailed, PreconditionViolated
+from mathieumat import idempotents as idempotent_layer
+from mathieumat.cli import running_pair_space
+from mathieumat.errors import FieldTooSmallError, HypothesisFailed, PreconditionViolated
 from mathieumat.idempotents import (
     LOWER,
     UPPER,
@@ -12,15 +14,17 @@ from mathieumat.idempotents import (
     full_space_certificate,
     idempotent_family,
 )
-from mathieumat.linalg import DenseMatrix, Field, VectorSubspace
-from mathieumat.matspace import MatrixSubspace, constraint_space
+from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, all_subspaces, invert
+from mathieumat.matspace import MatrixSubspace, conjugate, constraint_space
+from mathieumat.normalize import rct_certificate
 from mathieumat.verify import idempotents
 
-from helpers import rref, transpose
+from helpers import image, image_conjugator, rref, transpose
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+F7 = Field.prime(7)
 QQ = Field.rationals()
 
 
@@ -195,16 +199,19 @@ def of_shape(e, r, form):
                for i in range(n) for j in range(n) if not (i >= r and j < r))
 
 
-def seeded_space(rng, field, n):
-    """A space spanned by random matrices, more often of small codimension."""
+def random_matrix(rng, field, n):
     def scalar():
         if field.p:
             return rng.randrange(field.p)
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return DenseMatrix(field, [[scalar() for _ in range(n)] for _ in range(n)])
+
+
+def seeded_space(rng, field, n):
+    """A space spanned by random matrices, more often of small codimension."""
     dim = rng.choice([rng.randrange(n * n + 1), n * n - rng.randrange(2 * n)])
-    return MatrixSubspace.from_matrices(field, n, [
-        DenseMatrix(field, [[scalar() for _ in range(n)] for _ in range(n)])
-        for _ in range(dim)])
+    return MatrixSubspace.from_matrices(field, n, [random_matrix(rng, field, n)
+                                                   for _ in range(dim)])
 
 
 @pytest.mark.parametrize("field, n", [(F2, 2), (F3, 2), (F5, 2), (F2, 3), (F3, 3)], ids=repr)
@@ -279,3 +286,116 @@ def test_q_family_reads_only_the_integer_constraint_rows(monkeypatch):
                     _family(c, r, form)
                 checked += c.dim > 0
     assert checked >= 5
+
+
+def image_family(constraints, u):
+    """The idempotents with image U of the space with these constraints,
+    as ``(family, t, t^-1)``: the lower family of the conjugated
+    constraints at r = n - dim U, whose members m give t m t^-1."""
+    t = image_conjugator(u)
+    return (_family(conjugate(constraints, t), constraints.n - u.dim, LOWER),
+            t, invert(t))
+
+
+@pytest.mark.parametrize("field, n", [(F2, 2), (F3, 2), (F5, 2), (F2, 3), (F3, 3), (F5, 3)],
+                         ids=repr)
+def test_family_of_each_image_is_every_idempotent_with_that_image(field, n):
+    # e has image U iff t^-1 e t has image span(e_(r+1) .. e_n): over all
+    # images U, the families conjugated back are the idempotents of M
+    # other than 0 and I, and a family fails exactly where none has image U
+    rng = random.Random(73 + 10 * field.p + n)
+    failed = 0
+    for _ in range(8):
+        space = seeded_space(rng, field, n)
+        while field.p ** space.dim > 2 ** 17:
+            space = seeded_space(rng, field, n)
+        by_image = {}
+        for e in idempotents(space):
+            by_image.setdefault(image(e), set()).add(e)
+        constraints = constraint_space(space)
+        total = 1 + space.contains_identity()
+        for k in range(1, n):
+            for u in all_subspaces(field, n, k):
+                try:
+                    fam, t, t_inv = image_family(constraints, u)
+                except HypothesisFailed:
+                    assert u not in by_image
+                    failed += 1
+                    continue
+                members = [t.mul(m).mul(t_inv) for m in fam.members()]
+                for e in members:
+                    assert e.mul(e) == e and space.contains(e) and image(e) == u
+                assert len(set(members)) == len(members)
+                assert set(members) == by_image[u]
+                total += len(members)
+        assert total == sum(map(len, by_image.values()))
+    assert failed >= 1
+
+
+def test_q_family_of_each_image_holds_idempotents_with_that_image():
+    # over Q the particular point of a random image's family, and that
+    # point plus each direction, conjugated back, are idempotents of M
+    # with image U
+    rng = random.Random(79)
+    checked = 0
+    for _ in range(30):
+        n = rng.choice([2, 3, 4])
+        space = seeded_space(rng, QQ, n)
+        constraints = constraint_space(space)
+        for k in range(1, n):
+            u = VectorSubspace.from_vectors(QQ, n, [[rng.randint(-2, 2) for _ in range(n)]
+                                                    for _ in range(k)])
+            if u.dim != k:
+                continue
+            try:
+                fam, t, t_inv = image_family(constraints, u)
+            except HypothesisFailed:
+                continue
+            checked += 1
+            for m in [fam.particular] + [fam.with_block(v) for v in fam.directions.basis]:
+                e = t.mul(m).mul(t_inv)
+                assert e.mul(e) == e and space.contains(e) and image(e) == u
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7, QQ], ids=repr)
+def test_certificate_idempotents_lie_in_the_space(field):
+    # each space of codim below n, moved by its rct certificate, gets two
+    # idempotents of ranks r and n - r inside it, or a typed refusal
+    rng = random.Random(83 + field.p)
+    certified = 0
+    for _ in range(20):
+        n = rng.choice([3, 4])
+        m = constraint_space(MatrixSubspace.from_matrices(
+            field, n, [random_matrix(rng, field, n) for _ in range(rng.randrange(1, n))]))
+        try:
+            cert = rct_certificate(m)
+        except (FieldTooSmallError, PreconditionViolated):
+            continue
+        moved = conjugate(m, cert.t)
+        full = full_space_certificate(moved, cert.r)
+        certified += 1
+        for e, rank in ((full.e, cert.r), (full.e_prime, n - cert.r)):
+            assert moved.contains(e)
+            assert e.mul(e) == e
+            assert matrix_rank(e) == rank
+    assert certified >= 12
+
+
+def test_certificate_refuses_an_idempotent_outside_the_space(monkeypatch):
+    # the sum of the two forms is unipotent whatever their free blocks
+    # hold, so only membership can catch a wrong point: the particular
+    # point moved off its family by one unit of the free block is refused
+    m = constraint_space(running_pair_space(F3))
+    cert = rct_certificate(m)
+    moved = conjugate(m, cert.t)
+    solve = idempotent_layer._family
+
+    def shifted(constraints, r, form):
+        fam = solve(constraints, r, form)
+        block = [F3.one] + [F3.zero] * ((fam.n - fam.r) * fam.r - 1)
+        return fam._replace(particular=fam.with_block(block))
+
+    monkeypatch.setattr(idempotent_layer, "_family", shifted)
+    with pytest.raises(AssertionError, match="lies outside the space"):
+        full_space_certificate(moved, cert.r)

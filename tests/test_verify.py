@@ -14,7 +14,7 @@ from mathieumat.cli import _trace_zero
 from mathieumat.errors import PreconditionViolated, TooLargeError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, invert
 from mathieumat import verify
-from mathieumat.matspace import MatrixSubspace, constraint_space
+from mathieumat.matspace import MatrixSubspace, conjugate, constraint_space
 from mathieumat.multipoly import MultiPoly
 from mathieumat.verify import (
     ALL_TYPES,
@@ -47,6 +47,7 @@ from helpers import (
     newton_char_poly,
     reference_is_left_ideal,
     small_codim_report,
+    symmetric_images,
     zeros,
 )
 
@@ -320,6 +321,47 @@ def test_trace_chain_report_raises_on_a_broken_implication(monkeypatch):
                         lambda space, kind: types.SimpleNamespace(holds=False))
     with pytest.raises(AssertionError, match="implication chain violated"):
         trace_chain_report(trace_zero(F3, 2))
+
+
+def test_trace_chain_report_refuses_at_the_radical_guard(monkeypatch):
+    # the radical's own guard refuses a space past it, before any member
+    # is enumerated, with the guard's own message
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member enumerated past the guard")
+
+    monkeypatch.setattr(verify, "_members", refuse)
+    with pytest.raises(TooLargeError) as exc:
+        trace_chain_report(trace_zero(QQ, 2))
+    assert str(exc.value) == "the rationals are not enumerable"
+    with pytest.raises(TooLargeError) as exc:
+        trace_chain_report(trace_zero(F3, 4))
+    assert str(exc.value) == "3^16 matrices exceed the enumeration guard 2^20"
+
+
+def test_verdicts_and_counts_agree_on_conjugates_and_transposes():
+    # t^-1 M t shares M's four verdicts, and M^T has M's left verdict as
+    # its right one and the reverse; both have M's numbers of idempotents
+    # and of radical elements, and the trace dual and the maximal left
+    # ideal of t^-1 M t are those of M conjugated by t
+    rng = random.Random(89)
+    seen = set()
+    for field, n in [(F2, 2), (F3, 2), (F5, 2), (F2, 3), (F3, 3)] * 12:
+        space = MatrixSubspace.from_matrices(field, n, [
+            DenseMatrix(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+            for _ in range(rng.randrange(1, n * n))])
+        verdicts = {v: verify_mathieu(space, v).holds for v in ALL_TYPES}
+        seen.add((verdicts[LEFT], verdicts[RIGHT]))
+        counts = (len(idempotents(space)), len(radical(space)))
+        constraints, ideal = constraint_space(space), max_left_ideal(space)
+        for image, t, types in symmetric_images(space, rng):
+            for v in ALL_TYPES:
+                assert verify_mathieu(image, types[v]).holds == verdicts[v]
+            assert (len(idempotents(image)), len(radical(image))) == counts
+            if t is not None:
+                assert constraint_space(image) == conjugate(constraints, t)
+                assert max_left_ideal(image) == conjugate(ideal, t)
+    # holding, failing and one-sided verdicts all met
+    assert {(True, True), (False, False)} < seen
 
 
 def test_max_left_ideal_examples():

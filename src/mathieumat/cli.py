@@ -149,8 +149,7 @@ def cmd_normalize(args, space):
 def cmd_idempotents(args, space):
     if not 1 <= args.r <= space.n - 1:
         raise _UsageError("--r %d out of range 1..%d" % (args.r, space.n - 1))
-    form = UPPER if args.form == "upper" else LOWER
-    fam = idempotent_family(space, args.r, form)
+    fam = idempotent_family(space, args.r, args.form)
     payload = {
         "r": fam.r,
         "form": fam.form,
@@ -356,7 +355,7 @@ COMMANDS = {
     "normalize": ("run the conjugation normal form", _FILE, _FIELD, _JSON),
     "idempotents": ("affine idempotent family", _FILE, _FIELD, _JSON,
                     ("--r", int, None, True, "block size, 1..n-1"),
-                    ("--form", ["upper", "lower"], "upper", False, None)),
+                    ("--form", [UPPER, LOWER], UPPER, False, None)),
     "verify": ("exhaustive Mathieu verdict", _FILE, _FIELD, _JSON,
                ("--type", sorted(TYPE_FLAGS), None, True, None)),
     "radical": ("brute-force radical of the space", _FILE, _FIELD, _JSON),

@@ -22,14 +22,13 @@ e_k, which drives the moves and is column k of the profile, is read once
 per level, off column k of the level's basis matrices.
 
 Products that feed an elimination stay on integers: they read the basis
-as ``VectorSubspace.rows``, integer rows over Q.  ``_conjugate``, the
-one conjugation path (behind ``conjugate`` and
-``verify.left_ideal_normal_form``), clears t^-1 and t once and hands
-the flat rows of t^-1 M t to one elimination.  A :class:`Filtration`
-holds its adapted basis as integer grids: its column spaces along e_k
-eliminate their columns, and the generic-vector scan and the rank bounds
-eliminate integer images of them forward only, for their rank: the scan
-needs the dimension of a candidate's column space, not the space.
+as ``VectorSubspace.rows``, integer rows over Q.  ``conjugate``, the
+one conjugation path, clears t^-1 and t once and hands the flat rows of
+t^-1 M t to one elimination.  A :class:`Filtration` holds its adapted
+basis as integer grids: its column spaces along e_k eliminate their
+columns, and the generic-vector scan and the rank bounds eliminate
+integer images of them forward only, for their rank: the scan needs the
+dimension of a candidate's column space, not the space.
 ``MatrixSubspace.basis_matrices`` and the ``Fraction`` basis of a space
 over Q are views built when read, and never kept: a space that is only
 loaded, conjugated, filtered, dualized, compared or reported builds neither.
@@ -146,19 +145,15 @@ def constraint_space(space: MatrixSubspace) -> MatrixSubspace:
 
 
 def conjugate(space: MatrixSubspace, t: DenseMatrix) -> MatrixSubspace:
-    """The subspace t^-1 (space) t; raises SingularMatrixError for bad t."""
-    if t.field != space.field or (t.rows, t.cols) != (space.n, space.n):
-        raise ValueError("conjugator is not an n x n matrix over the field")
-    return _conjugate(space, t, invert(t))
+    """The subspace t^-1 (space) t; raises SingularMatrixError for bad t.
 
-
-def _conjugate(space: MatrixSubspace, t: DenseMatrix, t_inv: DenseMatrix) -> MatrixSubspace:
-    """The subspace t_inv (space) t, for t_inv the inverse of t, with
-    integer dot products: t_inv and t are cleared once, the basis rows
-    are integers already, and each product goes to one elimination as an
-    integer row."""
+    The dot products are taken on integers: t^-1 and t are cleared once,
+    the basis rows are integers already, and each product goes to one
+    elimination as an integer row."""
     f, n, p = space.field, space.n, space.field.p
-    a, _ = _cleared(f, t_inv.entries)
+    if t.field != f or (t.rows, t.cols) != (n, n):
+        raise ValueError("conjugator is not an n x n matrix over the field")
+    a, _ = _cleared(f, invert(t).entries)
     b, _ = _cleared(f, [t.column(j) for j in range(n)])
     rows = []
     for row in space.basis.rows:

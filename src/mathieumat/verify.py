@@ -58,8 +58,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
-from .linalg import DenseMatrix, VectorSubspace, _complement, _kernel, _readout, invert
-from .matspace import MatrixSubspace, _conjugate, constraint_space
+from .linalg import DenseMatrix, VectorSubspace, _complement, _kernel, _readout
+from .matspace import MatrixSubspace, conjugate, constraint_space
 
 ENUMERATION_GUARD = 2 ** 20    # a power of two: the guard's message names its exponent
 _BATCH = 4096               # matrices whose powers are formed at once
@@ -293,8 +293,8 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
 
 def witness_replays(space: MatrixSubspace, witness: Witness) -> bool:
     """Confirm a witness by direct power iteration: all powers of a stay
-    inside, while the product escapes at the witness exponent and again
-    one full period later."""
+    inside, while the product escapes at the witness exponent, which lies
+    in the cycle: periodicity gives the escapes one period apart."""
     return _replays(space, witness, power_trajectory(witness.a))
 
 
@@ -303,20 +303,14 @@ def _replays(space: MatrixSubspace, witness: Witness, traj: PowerTrajectory) -> 
     for x in traj.tail + traj.cycle:
         if not space.contains(x):
             return False
-
-    def product(power):
-        out = power
-        if witness.b is not None:
-            out = witness.b.mul(out)
-        if witness.c is not None:
-            out = out.mul(witness.c)
-        return out
-
     if witness.exponent <= traj.tail_len:
         return False
-    first = product(traj.power(witness.exponent))
-    later = product(traj.power(witness.exponent + traj.period))
-    return (not space.contains(first)) and (not space.contains(later))
+    out = traj.power(witness.exponent)
+    if witness.b is not None:
+        out = witness.b.mul(out)
+    if witness.c is not None:
+        out = out.mul(witness.c)
+    return not space.contains(out)
 
 
 def proposition_family(field, n: int, a_param) -> MatrixSubspace:
@@ -443,7 +437,10 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     A left ideal is ``_left_ideal(R)``, R its first k rows cut to n entries,
     k its pivots below n.  The last n-k columns of t span the common kernel
     R^perp; conjugating by t yields exactly the matrices vanishing on the
-    last n-k coordinates.  Raises NotLeftIdealError on bad input.
+    last n-k coordinates.  The idempotent t D t^-1 is the projection onto
+    the e_c at R's pivots along R^perp, read off R with no product: its
+    row c is R's RREF row at pivot c, its other rows zero.  Raises
+    NotLeftIdealError on bad input.
     """
     f, n = ideal.field, ideal.n
     k = sum(c < n for c in ideal.basis.pivots)
@@ -454,13 +451,11 @@ def left_ideal_normal_form(ideal: MatrixSubspace) -> LeftIdealForm:
     eye = DenseMatrix.identity(f, n).entries
     columns = [eye[c] for c in rows.pivots] + list(_kernel(f, rows.rows, n).basis)
     t = DenseMatrix._trusted(f, zip(*columns), n)
-    t_inv = invert(t)
     units = VectorSubspace.full(f, n).rows[:k]
-    if _conjugate(ideal, t, t_inv) != _left_ideal(VectorSubspace(f, n, units, tuple(range(k)))):
+    if conjugate(ideal, t) != _left_ideal(VectorSubspace(f, n, units, tuple(range(k)))):
         raise AssertionError("left ideal is not a full column-kill space")
-    # t D t^-1 for D the diagonal of k ones: t with its last n-k columns zeroed, times t^-1
-    idem = DenseMatrix._trusted(f, [row[:k] + (f.zero,) * (n - k) for row in t.entries], n)
-    idem = idem.mul(t_inv)
+    at = dict(zip(rows.pivots, rows.basis))
+    idem = DenseMatrix._trusted(f, [at.get(i, (f.zero,) * n) for i in range(n)], n)
     return LeftIdealForm(t=t, k=k, idempotent=idem)
 
 

@@ -30,9 +30,11 @@ from mathieumat.verify import left_ideal_normal_form
 from helpers import (
     PAIR_DUAL,
     all_matrices,
+    kernel,
     matrix_sum,
     minor_trace,
     minor_trace_witness,
+    mul_vector,
     neg,
     raw_family_directions,
     reversed_kernel_columns,
@@ -247,6 +249,29 @@ def test_left_ideal_columns_match_the_reversed_kernel():
     assert accepted >= 70 and raised >= 30
 
 
+def test_left_ideal_idempotent_is_the_conjugated_diagonal():
+    # the idempotent read off R is t D t^-1, D the diagonal of k ones, as
+    # the product with the inverse forms it; it squares to itself and
+    # kills R^perp.  R of every dimension, the zero and the full one too
+    rng = random.Random(59)
+    for field in (F2, F3, F5, F101, QQ):
+        for n in range(1, 6):
+            for d in range(n + 1):
+                for _ in range(2):
+                    rows = VectorSubspace.from_vectors(field, n, [])
+                    while rows.dim < d:
+                        rows = VectorSubspace.from_vectors(field, n, [
+                            [seeded_scalar(rng, field) for _ in range(n)] for _ in range(d)])
+                    nf = left_ideal_normal_form(verify._left_ideal(rows))
+                    t, e = nf.t, nf.idempotent
+                    diagonal = DenseMatrix(field, [[int(i == j < d) for j in range(n)]
+                                                   for i in range(n)])
+                    assert nf.k == d and e == t.mul(diagonal).mul(linalg.invert(t))
+                    assert e.mul(e) == e
+                    perp = kernel(DenseMatrix(field, rows.basis, cols=n))
+                    assert all(not any(mul_vector(e, v)) for v in perp.basis)
+
+
 # --- call counts -------------------------------------------------------------
 
 def test_rct_certificate_conjugates_once_per_move(monkeypatch):
@@ -312,17 +337,19 @@ def test_full_space_certificate_builds_the_constraint_space_once(monkeypatch):
 
 
 def test_left_ideal_normal_form_inverts_its_conjugator_once(monkeypatch):
-    # t^-1 serves both the column-kill postcondition and t D t^-1; the
-    # columns of t come from the ideal's own pivots and the column-kill
-    # space from its known RREF, so the three eliminations are the common
-    # kernel, t^-1 and the conjugate.  The kernel is that of the ideal's k
-    # rows with a pivot below n, cut to n entries, not of all n^2 k blocks
+    # t^-1 serves the column-kill postcondition only: t D t^-1 is read off
+    # the ideal's rows with no product.  The columns of t come from the
+    # ideal's own pivots and the column-kill space from its known RREF, so
+    # the three eliminations are the common kernel, t^-1 and the conjugate.
+    # The kernel is that of the ideal's k rows with a pivot below n, cut
+    # to n entries, not of all n^2 k blocks
     t = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [0, 0, 1]])
     ideal = column_kill(F5, 3, 2, t)
     calls = count_calls(monkeypatch, "invert", linalg)
     eliminations = count_calls(monkeypatch, "_eliminate", linalg)
+    products = count_method_calls(monkeypatch, DenseMatrix, "mul")
     nf = left_ideal_normal_form(ideal)
-    assert len(calls) == 1 and len(eliminations) == 3
+    assert len(calls) == 1 and len(eliminations) == 3 and products == []
     _, rows, ncols = eliminations[0]
     assert (len(rows), ncols) == (2, 3)
     assert nf.k == 2 and ideal.contains(nf.idempotent)

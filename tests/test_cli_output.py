@@ -7,7 +7,8 @@ command line prints, record again with
 ``PYTHONPATH=src python3 tests/test_cli_output.py``.
 
 The command line is also run as a real entry point
-(``python -m mathieumat.cli``), and a sequence of in-process ``main``
+(``python -m mathieumat.cli``, and the console script's target as its
+installed wrapper runs it), and a sequence of in-process ``main``
 calls, which share one argument parser, is compared with fresh
 processes.  A well-formed command line, every benchmark line among
 them, is read without argparse and as argparse reads it, and calls the
@@ -336,6 +337,26 @@ def test_entry_point_runs_from_the_command_line(tmp_path):
 
     rc, out, err = fresh_process("--help")
     assert rc == 0 and out.startswith("usage: mathieumat") and err == ""
+
+
+def test_console_script_target_runs():
+    # the ``mathieumat`` script that pyproject.toml declares, run as the
+    # wrapper an install generates runs it: import the target, exit with
+    # its return value
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    module, func = re.search(r'^\[project\.scripts\]\nmathieumat = "([\w.]+):(\w+)"$',
+                             pyproject.read_text(encoding="utf-8"), re.M).groups()
+    wrapper = "import sys; from %s import %s; sys.exit(%s())" % (module, func, func)
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True,
+                              text=True, env=package_env(), timeout=120, check=False)
+
+    run = script("repro", "counterexample", "--json")
+    assert run.returncode == 0 and run.stderr == ""
+    assert json.loads(run.stdout)["payload"]["match"] is True
+    run = script("no-such-command")
+    assert run.returncode == 2 and run.stdout == ""
 
 
 # Every command once over a space of its own field and, except the two

@@ -200,6 +200,58 @@ def test_right_witness_shape():
     assert witness_replays(h, verdict.witness)
 
 
+def test_witness_replays_rejects_a_member_with_a_power_outside():
+    # a = E_12 + E_21 lies in sl_2(F_3), a^2 = I does not; E_11 a^2 escapes
+    h = trace_zero(F3, 2)
+    a = unit(F3, 2, 0, 1) + unit(F3, 2, 1, 0)
+    w = Witness(a=a, b=unit(F3, 2, 0, 0), c=None, exponent=2)
+    assert h.contains(a) and not h.contains(a.mul(a)) and not h.contains(w.b.mul(a.mul(a)))
+    assert not witness_replays(h, w)
+
+
+def test_witness_replays_rejects_an_exponent_in_the_tail():
+    # E_12 has the tail (E_12,) and the cycle (0,): E_21 E_12 escapes
+    # <E_12> at the tail exponent 1, and no cycle exponent escapes
+    e12 = unit(F3, 2, 0, 1)
+    space = MatrixSubspace.from_matrices(F3, 2, [e12])
+    w = Witness(a=e12, b=unit(F3, 2, 1, 0), c=None, exponent=1)
+    assert not space.contains(w.b.mul(e12))
+    assert not witness_replays(space, w)
+
+
+def test_witness_replays_rejects_multipliers_that_keep_the_power_inside():
+    # each verdict's own witness on sl_2(F_2) replays; with a unit (pair)
+    # that keeps its power inside in place of its multipliers, none does
+    h = trace_zero(F2, 2)
+    eye = DenseMatrix.identity(F2, 2)
+    units = [unit(F2, 2, i, j) for i in range(2) for j in range(2)]
+    multipliers = {LEFT: [(u, None) for u in units], RIGHT: [(None, u) for u in units],
+                   TWO_SIDED: [(u, v) for u in units for v in units]}
+    for vtype, pairs in multipliers.items():
+        w = verify_mathieu(h, vtype).witness
+        assert witness_replays(h, w)
+        z = power_trajectory(w.a).power(w.exponent)
+        kept = [(b, c) for b, c in pairs if h.contains((b or eye).mul(z).mul(c or eye))]
+        assert kept
+        for b, c in kept:
+            assert not witness_replays(h, w._replace(b=b, c=c))
+
+
+def test_witness_replays_reads_one_power(monkeypatch):
+    h = trace_zero(F2, 2)
+    w = verify_mathieu(h, LEFT).witness
+    original = verify.PowerTrajectory.power
+    reads = []
+
+    def counting(self, m):
+        reads.append(m)
+        return original(self, m)
+
+    monkeypatch.setattr(verify.PowerTrajectory, "power", counting)
+    assert witness_replays(h, w)
+    assert reads == [w.exponent]
+
+
 def test_proposition_family_shape_and_verdict():
     fam = proposition_family(F5, 2, 1)
     assert fam.dim == 2

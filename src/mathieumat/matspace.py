@@ -218,33 +218,9 @@ class BinaryProfile(namedtuple("BinaryProfile", "n B b col_dims d")):
     e_{i+1}^t (level j+1 column space) is nonzero; ``b[j]`` counts the
     ones in column j; ``col_dims[j]`` is the dimension of the level-(j+1)
     column space; ``d[k]`` is the generic dimension of level k (0..n).
+    ``Filtration.profile`` builds it of tuples of ints; normalize's postconditions check it.
     """
     __slots__ = ()
-
-    def __new__(cls, n, B, b, col_dims, d):
-        B = tuple(tuple(int(x) for x in row) for row in B)
-        b = tuple(int(x) for x in b)
-        col_dims = tuple(int(x) for x in col_dims)
-        d = tuple(int(x) for x in d)
-        if len(B) != n or any(len(row) != n for row in B):
-            raise ValueError("B must be n x n")
-        if any(x not in (0, 1) for row in B for x in row):
-            raise ValueError("B entries must be 0/1")
-        if len(b) != n or len(col_dims) != n or len(d) != n + 1:
-            raise ValueError("bad vector lengths")
-        for j in range(n):
-            if b[j] != sum(B[i][j] for i in range(n)):
-                raise ValueError("b[%d] does not match column of B" % j)
-            if b[j] < col_dims[j]:
-                raise ValueError("b[%d] < column dimension" % j)
-        if d[0] != 0 or any(d[k] > d[k + 1] for k in range(n)):
-            raise ValueError("d must be nondecreasing from 0")
-        return super().__new__(cls, n, B, b, col_dims, d)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make (behind _replace) would skip the checks above
-        return cls(*iterable)
 
     def rows_increasing(self) -> bool:
         """B_ij = 0 implies B_i(j-1) = 0: ones extend to the right."""
@@ -308,8 +284,8 @@ class Filtration(_Frozen):
     def profile(self) -> BinaryProfile:
         """The binary profile of the space, read off this filtration."""
         columns = [_support(cs) for cs in self.col_spaces]
-        return BinaryProfile(self.space.n, zip(*columns), map(sum, columns),
-                             [cs.dim for cs in self.col_spaces], self.d)
+        return BinaryProfile(self.space.n, tuple(zip(*columns)), tuple(map(sum, columns)),
+                             tuple(cs.dim for cs in self.col_spaces), self.d)
 
 
 def _support(cs: VectorSubspace) -> list:

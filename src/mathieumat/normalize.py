@@ -207,7 +207,7 @@ def _check_postconditions(result: NormalizationResult, d_top: int):
     ensure(result.c_n_final == conjugate(result.c_n_input, result.t_total),
            "final space is the conjugate of the input by t_total")
     ensure(prof.d[n] == d_top, "top generic dimension unchanged")
-    ensure(prof.b == prof.col_dims == tuple(prof.d[1:]),
+    ensure(prof.b == prof.col_dims == prof.d[1:],
            "b_j = dim column space = d_j for all j")
     ensure(prof.rows_increasing(), "rows of B increasing")
     b_next = prof.b[n - 2] if n >= 2 else 0

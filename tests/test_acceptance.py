@@ -232,7 +232,7 @@ def test_criterion_09_normal_form_postconditions():
         runs += 1
         result = normalize(cn)
         prof = binary_profile(result.c_n_final)   # independent recomputation
-        ok &= prof.b == prof.col_dims == tuple(prof.d[1:])
+        ok &= prof.b == prof.col_dims == prof.d[1:]
         ok &= prof.rows_increasing()
         b_next = prof.b[n - 2]
         if field.size_at_least(min(b_next, n - 1) + 1):

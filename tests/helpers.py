@@ -107,10 +107,11 @@ def symmetric_images(space: MatrixSubspace, rng):
     """A random conjugate t^-1 (space) t and the transpose of the space,
     each as ``(image, t, types)``: ``types`` maps each verdict type of
     the space to the type of the image with the same verdict, and t is
-    None for the transpose.  Prime fields only."""
+    None for the transpose.  Over Q the entries of t lie in [-3, 3]."""
     f, n = space.field, space.n
     while True:
-        t = DenseMatrix(f, [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)])
+        t = DenseMatrix(f, [[rng.randrange(f.p) if f.p else rng.randint(-3, 3)
+                             for _ in range(n)] for _ in range(n)])
         try:
             invert(t)
             break

@@ -275,8 +275,9 @@ def test_left_ideal_idempotent_is_the_conjugated_diagonal():
 # --- call counts -------------------------------------------------------------
 
 def test_rct_certificate_conjugates_once_per_move(monkeypatch):
-    # one inversion per logged move and one for normalize's postcondition;
-    # the conclusion is read off the normalized space itself
+    # one inversion per logged move, and one for normalize's postcondition
+    # when two or more moves compose t_total; the conclusion is read off
+    # the normalized space itself
     rng = random.Random(97)
     certified = 0
     for field in (F5, QQ):
@@ -292,7 +293,7 @@ def test_rct_certificate_conjugates_once_per_move(monkeypatch):
             calls = count_calls(monkeypatch, "invert", linalg)
             cert = rct_certificate(constraint_space(s))
             monkeypatch.undo()
-            assert len(calls) == 1 + len(log)
+            assert len(calls) == len(log) + (len(log) >= 2)
             assert rct_zero_is_scalar(conjugate(s, cert.t), cert.r)
             certified += 1
     assert certified >= 12

@@ -236,6 +236,21 @@ def test_cli_verify_witness(tmp_path, capsys):
     assert payload["holds"] is True and payload["witness"] is None
 
 
+def test_cli_verify_over_q(tmp_path, capsys):
+    # claim (A) answers a subspace of sl_2 over Q; the span of I is still
+    # refused, as the rationals are not enumerable
+    path = write(tmp_path, "field Q\nn 2\nbasis\n1 0\n0 -1\n\n0 1\n0 0\n\n0 0\n1 0\n",
+                 "sl2.txt")
+    rc, out, _ = run(capsys, "verify", path, "--type", "two", "--json")
+    assert rc == 0
+    payload = json.loads(out)["payload"]
+    assert payload["holds"] is True and payload["witness"] is None
+
+    path = write(tmp_path, "field Q\nn 2\nbasis\n1 0\n0 1\n", "eye.txt")
+    rc, out, err = run(capsys, "verify", path, "--type", "two", "--json")
+    assert rc == 1 and out == "" and "TooLargeError" in err
+
+
 def test_cli_idempotents(tmp_path, capsys):
     lower_free = "field 3\nn 2\nbasis\n1 0\n0 0\n\n0 0\n1 0\n\n0 0\n0 1\n"
     path = write(tmp_path, lower_free)

@@ -326,6 +326,18 @@ def test_start_up_and_a_profile_load_no_heavy_module(tmp_path):
     assert json.loads(run.stdout) == [0, []]
 
 
+def test_a_verdict_answered_by_the_trace_loads_no_numpy(tmp_path):
+    # claim (A): a subspace of sl_3 over Q is answered off its traces,
+    # with no member enumerated
+    path = tmp_path / "sl3.txt"
+    path.write_text("field Q\nn 3\nbasis\n1 0 0\n0 -1 0\n0 0 0\n\n0 2 5\n0 0 0\n-1 0 0\n")
+    run = subprocess.run([sys.executable, "-S", "-c", START_UP,
+                          json.dumps(["verify", str(path), "--type", "two", "--json"]), "numpy"],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                         timeout=120, check=True)
+    assert json.loads(run.stdout) == [0, []]
+
+
 def test_entry_point_runs_from_the_command_line(tmp_path):
     rc, out, err = fresh_process("repro", "cor62-f2", "--json")
     assert rc == 0 and err == ""
@@ -360,7 +372,8 @@ def test_console_script_target_runs():
 
 
 # Every command once over a space of its own field and, except the two
-# that enumerate (the rationals are not enumerable), once over Q.
+# that enumerate (the rationals are not enumerable), once over Q; verify
+# over Q once, on the trace-zero space that claim (A) answers.
 JSON_RUNS = [
     ["constraints", "{moves}"],
     ["profile", "{moves}"],
@@ -374,6 +387,7 @@ JSON_RUNS = [
 ]
 JSON_RUNS += [argv + ["--field", "Q"] for argv in JSON_RUNS
               if argv[0] not in ("verify", "radical")]
+JSON_RUNS += [["verify", "{trace_zero}", "--type", "left", "--field", "Q"]]
 JSON_RUNS += [["repro", name] for name in
               ("counterexample", "proposition", "codim1-zhao", "cor62-f2")]
 

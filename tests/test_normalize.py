@@ -220,6 +220,56 @@ def test_normalize_log_replays():
         assert res.c_n_final == conjugate(cn, res.t_total)
 
 
+def test_total_conjugator_is_the_product_of_the_logged_ones(monkeypatch):
+    # with one move t_total is that move's t, and the final space is the
+    # conjugate the move formed: the input is conjugated by t_total again
+    # only when two or more moves compose it
+    module = importlib.import_module("mathieumat.normalize")
+    calls = []
+
+    def counting(space, t):
+        calls.append(t)
+        return conjugate(space, t)
+
+    monkeypatch.setattr(module, "conjugate", counting)
+    rng = random.Random(101)
+    seen = set()
+    for _ in range(20):
+        n = rng.choice((3, 4))
+        cn = normalizable(rng, F5, n, adjoin=rng.random() < 0.5)
+        calls.clear()
+        res = normalize(cn)
+        log = res.log
+        assert len(calls) == len(log) + (len(log) >= 2)
+        if len(log) == 0:
+            assert res.t_total == DenseMatrix.identity(F5, n) and res.c_n_final == cn
+        elif len(log) == 1:
+            assert res.t_total is log[0].t
+        seen.add(min(len(log), 2))
+    assert seen == {0, 1, 2}
+
+
+def test_a_composition_that_misses_raises(monkeypatch):
+    # on a two-move normalization the postcondition's conjugate, the third
+    # call, decides: another space there fails the composition check
+    rng = random.Random(102)
+    while True:
+        cn = normalizable(rng, F5, 3, adjoin=False)
+        if len(normalize(cn).log) == 2:
+            break
+    module = importlib.import_module("mathieumat.normalize")
+    calls = []
+
+    def third_misses(space, t):
+        calls.append(t)
+        return MatrixSubspace.full_space(F5, 3) if len(calls) == 3 else conjugate(space, t)
+
+    monkeypatch.setattr(module, "conjugate", third_misses)
+    with pytest.raises(NormalizationError, match="conjugate of the input by t_total"):
+        normalize(cn)
+    assert len(calls) == 3
+
+
 def test_normalize_idempotent_profile():
     rng = random.Random(73)
     for _ in range(8):

@@ -390,6 +390,54 @@ def test_trace_chain_report_refuses_at_the_radical_guard(monkeypatch):
     assert str(exc.value) == "3^16 matrices exceed the enumeration guard 2^20"
 
 
+def random_trace_zero(rng, field, n):
+    """A matrix with entries in [-3, 3] whose last diagonal entry sets its
+    trace to 0."""
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    rows[-1][-1] -= sum(rows[i][i] for i in range(n))
+    return DenseMatrix(field, rows)
+
+
+def test_trace_answer_is_the_enumerated_verdict(monkeypatch):
+    # claim (A) inside the guard: on seeded subspaces of sl_n(F_p) with
+    # p > n the trace answer forms no batch and gives the verdict that the
+    # enumeration gives; sl_2(F_2) and sl_3(F_3) (p <= n) still enumerate,
+    # fail, and give witnesses that replay
+    sizes = counted_batches(monkeypatch)
+    for space in (trace_zero(F2, 2), trace_zero(F3, 3)):
+        for vtype in ALL_TYPES:
+            sizes.clear()
+            verdict = verify_mathieu(space, vtype)
+            assert sizes and not verdict.holds and witness_replays(space, verdict.witness)
+    rng = random.Random(45)
+    answered = []
+    for field, n in [(F3, 2), (F5, 2), (F7, 2), (F5, 3), (F7, 3), (F5, 4)] * 5:
+        space = MatrixSubspace.from_matrices(field, n, [
+            random_trace_zero(rng, field, n) for _ in range(rng.randint(1, 4))])
+        answered += [(space, verify_mathieu(space, vtype)) for vtype in ALL_TYPES]
+    sizes.clear()
+    monkeypatch.setattr(verify, "_answered_by_trace", lambda space: False)
+    for space, verdict in answered:
+        assert verify_mathieu(space, verdict.vtype) == verdict == (True, verdict.vtype, None)
+    assert len(sizes) >= len(answered)
+
+
+def test_trace_answer_holds_past_the_guard():
+    # claim (A) where no enumeration reaches: sl_4(F_7) has 7^15 members,
+    # and over Q there is nothing to enumerate; a random conjugate and the
+    # transpose of each space get the same answers
+    rng = random.Random(46)
+    sub = MatrixSubspace.from_matrices(QQ, 6, [random_trace_zero(rng, QQ, 6) for _ in range(5)])
+    for space in (trace_zero(F7, 4), sub):
+        with pytest.raises(TooLargeError):
+            idempotents(space)
+        images = [(space, {v: v for v in ALL_TYPES})]
+        images += [(image, types) for image, _, types in symmetric_images(space, rng)]
+        for image, types in images:
+            for vtype in ALL_TYPES:
+                assert verify_mathieu(image, types[vtype]) == (True, types[vtype], None)
+
+
 def test_verdicts_and_counts_agree_on_conjugates_and_transposes():
     # t^-1 M t shares M's four verdicts, and M^T has M's left verdict as
     # its right one and the reverse; both have M's numbers of idempotents
@@ -620,7 +668,9 @@ def test_enumeration_guard():
     with pytest.raises(TooLargeError):
         radical(MatrixSubspace.from_matrices(F5, 3, []))  # 5^9 > 2^20
     with pytest.raises(TooLargeError):
-        verify_mathieu(MatrixSubspace.from_matrices(QQ, 2, []), LEFT)
+        verify_mathieu(MatrixSubspace.from_matrices(QQ, 2, [DenseMatrix.identity(QQ, 2)]), LEFT)
+    # the zero space lies in sl_2, and claim (A) answers it over Q
+    assert verify_mathieu(MatrixSubspace.from_matrices(QQ, 2, []), LEFT).holds
     # 2^16 matrices fit the guard, and so does the two-sided verdict: it
     # reads a^n of each member, never the 2^32 multiplier pairs
     for space in (MatrixSubspace.from_matrices(F2, 4, []), trace_zero(F2, 4)):
@@ -773,12 +823,15 @@ def test_radical_memory_does_not_grow_with_the_matrices():
     assert len(rad) == 961
 
 
-def test_trace_zero_f5_n3_verdicts_hold():
-    # claim (A) at n = 3: 3! != 0 in F_5, so sl_3(F_5) is Mathieu.  Its
+def test_trace_zero_f5_n3_verdicts_hold(monkeypatch):
+    # claim (A) at n = 3, checked by exhaustion with the trace answer
+    # bypassed: 3! != 0 in F_5, so sl_3(F_5) is Mathieu.  Its
     # 5^8 members fit the guard, Mat_3(F_5) (5^9) does not; they are
     # formed batch by batch, where all of their coefficient digits at
     # once would be 6.25 MB of int16
     tz = _trace_zero(F5, 3)
+    sizes = counted_batches(monkeypatch)
+    monkeypatch.setattr(verify, "_answered_by_trace", lambda space: False)
     for vtype in (LEFT, RIGHT, TWO_SIDED):
         tracemalloc.start()
         try:
@@ -788,6 +841,7 @@ def test_trace_zero_f5_n3_verdicts_hold():
             tracemalloc.stop()
         assert verdict.holds and verdict.witness is None
         assert peak < 2 * 2 ** 20
+    assert sum(sizes) == 3 * 5 ** 8
     with pytest.raises(TooLargeError):
         radical(tz)
     for vtype in ALL_TYPES:
@@ -865,14 +919,21 @@ def test_failing_verdict_stops_at_its_witness_batch(monkeypatch):
 
 
 def test_holding_verdict_forms_every_member_in_growing_batches(monkeypatch):
+    # claim (A) answers tz(7, 2) with no batch; prop(5, 3) lies outside
+    # sl_3 and is enumerated, as tz(7, 2) is with the trace answer bypassed
     sizes = counted_batches(monkeypatch)
-    for space, expected in [(trace_zero(F7, 2), [64, 256, 23]),
-                            (proposition_family(F5, 3, 1),
-                             [64, 256, 1024, 4096, 4096, 4096, 1993])]:
+    tz, prop = trace_zero(F7, 2), proposition_family(F5, 3, 1)
+    for space, expected in [(tz, []), (prop, [64, 256, 1024, 4096, 4096, 4096, 1993])]:
         for vtype in ALL_TYPES:
             sizes.clear()
             assert verify_mathieu(space, vtype).holds
-            assert sizes == expected and sum(sizes) == space.field.p ** space.dim
+            assert sizes == expected
+    assert sum(expected) == prop.field.p ** prop.dim
+    monkeypatch.setattr(verify, "_answered_by_trace", lambda space: False)
+    for vtype in ALL_TYPES:
+        sizes.clear()
+        assert verify_mathieu(tz, vtype).holds
+        assert sizes == [64, 256, 23] and sum(sizes) == 7 ** 3
 
 
 def test_radical_forms_full_batches(monkeypatch):

@@ -38,18 +38,13 @@ import sys
 import time
 import types
 from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from . import spacefile
 from .errors import MathieuMatError, SpaceFileError
 from .idempotents import LOWER, UPPER, idempotent_family
-from .linalg import DenseMatrix, Field, all_subspaces
-from .matspace import (
-    MatrixSubspace,
-    binary_profile,
-    conjugate,
-    constraint_space,
-    rct_zero_members,
-)
+from .linalg import DenseMatrix, Field, _complement, _eliminate, all_subspaces
+from .matspace import MatrixSubspace, binary_profile, constraint_space
 from .normalize import normalize, rct_certificate
 from .verify import (
     ALL_TYPES,
@@ -227,24 +222,27 @@ def running_pair_space(field) -> MatrixSubspace:
 def _scalar_corners(space):
     """``(conjugators, successes)``: how many t over the space's field
     are invertible, and for how many pairs (t, r) the zero-corner
-    members of t^-1 (space) t are the scalar line alone.  The zero-top-right-block
-    matrices Z_r stabilise W = span(e_(r+1) .. e_n), so t^-1 S t meets
-    Z_r in t^-1 (S meets Stab(tW)) t: its dimension depends only on r
-    and U = tW, the span of t's last n - r columns.  GL_n permutes the U
-    of each dimension transitively, so each U of ``all_subspaces`` is
-    the span of an equal share of the |GL_n| = prod_(i<n) (q^n - q^i)
-    conjugators, and one t is formed per U: the identity columns off U's
-    pivots, then U's canonical basis (e_i at its pivot i modulo those)."""
-    f, n = space.field, space.n
-    conjugators = math.prod(f.p ** n - f.p ** i for i in range(n))
-    eye = DenseMatrix.identity(f, n).entries
+    members of t^-1 (space) t are the scalar line alone.  The
+    zero-top-right-block matrices Z_r stabilise W = span(e_(r+1) .. e_n),
+    so t^-1 S t meets Z_r in t^-1 S_U t, S_U the members of S mapping
+    U = tW, the span of t's last n - r columns, into itself.  GL_n
+    permutes the U of each dimension transitively, so each U of
+    ``all_subspaces`` is the span of an equal share of the
+    |GL_n| = prod_(i<n) (q^n - q^i) conjugators.  C maps U into U iff
+    k . C u = 0 for each row u of U's RREF and each k of its annihilator
+    (``_complement``): dim S_U is dim S less the rank of those r (n - r)
+    values over the basis rows of S, one forward elimination per U."""
+    f, n, p = space.field, space.n, space.field.p
+    conjugators = math.prod(p ** n - p ** i for i in range(n))
+    grids = [[row[i * n:(i + 1) * n] for i in range(n)] for row in space.basis.rows]
     successes = 0
     for r in range(1, n):
         spans = list(all_subspaces(f, n, n - r))
         for u in spans:
-            columns = [e for i, e in enumerate(eye) if i not in u.pivots] + list(u.basis)
-            t = DenseMatrix._trusted(f, zip(*columns), n)
-            if rct_zero_members(conjugate(space, t), r).dim == 1:
+            kills = _complement(f, u.rows, u.pivots, n)
+            values = [[sum(map(mul, k, [sum(map(mul, g, w)) for g in grid])) % p
+                       for k in kills for w in u.rows] for grid in grids]
+            if space.dim - len(_eliminate(f, values, r * (n - r), r * (n - r))) == 1:
                 successes += conjugators // len(spans)
     return conjugators, successes
 
@@ -253,8 +251,8 @@ def repro_counterexample():
     """Exhaustive check that no conjugation over F_2 makes the zero-corner
     members of the adjoined running pair scalar, for either block size.
     Conjugation fixes I, so the pair is adjoined once; all 168 = |GL_3(F_2)|
-    conjugators are decided from 14 conjugates, one per block size r and
-    span of the last 3 - r columns: the 7 planes and 7 lines of F_2^3."""
+    conjugators are decided from 14 ranks, one per block size r and span
+    of the last 3 - r columns: the 7 planes and 7 lines of F_2^3."""
     conjugators, fixed = _scalar_corners(running_pair_space(Field.prime(2)).adjoin_identity())
     expected = "all 168 conjugators fail for r in {1,2}"
     if conjugators == 168 and fixed == 0:

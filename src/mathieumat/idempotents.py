@@ -51,26 +51,18 @@ class AffineFamily(namedtuple("AffineFamily", "n r form particular directions"))
     def rank(self) -> int:
         return self.r if self.form == UPPER else self.n - self.r
 
-    def with_block(self, flat_block) -> DenseMatrix:
-        """The member whose free block is shifted by ``flat_block``."""
-        f = self.particular.field
-        n, r = self.n, self.r
-        if len(flat_block) != (n - r) * r:
-            raise ValueError("block has wrong length")
-        entries = [list(row) for row in self.particular.entries]
-        for a in range(n - r):
-            for s in range(r):
-                entries[r + a][s] = f.add(entries[r + a][s], flat_block[a * r + s])
-        return DenseMatrix(f, entries)
-
     def members(self):
-        """All members (prime fields), lexicographic in direction coords."""
-        f = self.particular.field
+        """All members (prime fields), lexicographic in direction coords:
+        the particular member plus each combination of the directions."""
+        f, n, r = self.particular.field, self.n, self.r
+        top, bottom = self.particular.entries[:r], self.particular.entries[r:]
         for coeffs in itertools.product(f.elements(), repeat=self.dim):
-            shift = [f.zero] * ((self.n - self.r) * self.r)
-            for c, row in zip(coeffs, self.directions.basis):
-                shift = [f.add(x, f.mul(c, y)) for x, y in zip(shift, row)]
-            yield self.with_block(shift)
+            shift = [0] * ((n - r) * r)
+            for c, row in zip(coeffs, self.directions.rows):
+                shift = [x + c * y for x, y in zip(shift, row)]
+            yield DenseMatrix._trusted(f, top + tuple(
+                tuple((x + y) % f.p for x, y in zip(row, shift[a * r:a * r + r])) + row[r:]
+                for a, row in enumerate(bottom)), n)
 
 
 class FullSpaceCertificate(namedtuple("FullSpaceCertificate", "e e_prime r")):

@@ -72,9 +72,6 @@ class MultiPoly(_Frozen):
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.field, self.nvars, tuple(sorted(self.terms.items()))))
-
     def _compatible(self, other):
         if self.field != other.field or self.nvars != other.nvars:
             raise ValueError("polynomials over different rings")

@@ -44,8 +44,8 @@ it has replayed against the powers it followed to find them, and raises
 definitional path.  numpy is imported inside the functions that use it,
 at the first enumeration: commands that never enumerate never load it.
 
-A verdict on a subspace of sl_n with n! != 0 in K holds, read off the
-traces of its basis rows: nothing is enumerated and numpy is not loaded.
+On a subspace of sl_n with n! != 0 in K every verdict holds and zero is
+the only idempotent, read off the basis traces: numpy is not loaded.
 
 ``max_left_ideal`` needs no enumeration and works over any field: A lies
 in the maximal left ideal of a space S iff every row of A lies in the
@@ -230,11 +230,14 @@ def radical(space: MatrixSubspace):
 
 
 def idempotents(space: MatrixSubspace):
-    """All members e with e^2 = e, in coefficient order."""
-    _require_enumerable(space.field, space.dim)
-    return [_matrix(space.field, e)
-            for a in _members(space.field.p, space.n, space.basis.basis)
-            for e in a[(a @ a % space.field.p == a).all(axis=(1, 2))]]
+    """All members e with e^2 = e, in coefficient order; on a subspace of
+    sl_n with n! != 0 in K the zero matrix alone, at any size."""
+    f, n = space.field, space.n
+    if _answered_by_trace(space):
+        return [DenseMatrix._trusted(f, [[f.zero] * n] * n, n)]
+    _require_enumerable(f, space.dim)
+    return [_matrix(f, e) for a in _members(f.p, n, space.basis.basis)
+            for e in a[(a @ a % f.p == a).all(axis=(1, 2))]]
 
 
 def _witness(space: MatrixSubspace, dual: _Dual, a, sides) -> Witness:
@@ -262,15 +265,21 @@ def _witness(space: MatrixSubspace, dual: _Dual, a, sides) -> Witness:
             return witness
 
 
-def _answered_by_trace(space: MatrixSubspace) -> bool:
-    """Whether ``space`` lies in sl_n with n! != 0 in K, where claim (A)
-    answers every verdict: a nonzero idempotent e has tr e = rank e != 0,
-    so the space holds none, and a member whose powers all stay inside is
-    then nilpotent (Fitting).  Over Q the rows are integer multiples of
-    the basis rows, so a zero sum is trace 0."""
+def _traceless(space: MatrixSubspace) -> bool:
+    """Whether every member has trace 0, read off the integer basis rows
+    (over Q multiples of the basis rows, so a zero sum is trace 0)."""
     p, n = space.field.p, space.n
     traces = (sum(row[::n + 1]) for row in space.basis.rows)
-    return (not p or p > n) and not any(tr % p if p else tr for tr in traces)
+    return not any(tr % p if p else tr for tr in traces)
+
+
+def _answered_by_trace(space: MatrixSubspace) -> bool:
+    """Whether ``space`` lies in sl_n with n! != 0 in K, where claim (A)
+    answers every verdict and ``idempotents``: a nonzero idempotent e
+    has tr e = rank e != 0, so the space holds none, and a member whose
+    powers all stay inside is then nilpotent (Fitting)."""
+    p = space.field.p
+    return (not p or p > space.n) and _traceless(space)
 
 
 def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
@@ -365,7 +374,8 @@ class TraceChainReport(namedtuple("TraceChainReport",
         "radical_nilpotent two_sided_mathieu nilpotency_bound_ok")):
     """The implication chain for spaces of trace-zero matrices:
     small-characteristic avoidance => identity-free variant => nilpotent
-    radical => two-sided Mathieu.  The four flags are bools;
+    radical => two-sided Mathieu, claim (A) applied by the trace answer at
+    p > n and enumerated only at p <= n.  The four flags are bools;
     ``nilpotency_bound_ok`` is None when the identity-free variant fails."""
     __slots__ = ()
 
@@ -375,16 +385,16 @@ class TraceChainReport(namedtuple("TraceChainReport",
 
 
 def trace_chain_report(space: MatrixSubspace) -> TraceChainReport:
-    """Evaluate the four chained predicates for a trace-zero subspace.
+    """Evaluate the four chained predicates for a trace-zero subspace; at
+    p > n ``two_sided_mathieu`` is claim (A) applied by the trace answer,
+    and only at p <= n is it enumerated.
 
-    Raises PreconditionViolated when some basis matrix has nonzero
-    trace; raises AssertionError if an implication fails (it cannot,
-    short of a bug)."""
-    f, n = space.field, space.n
-    for m in space.basis_matrices:
-        if m.trace() != f.zero:
-            raise PreconditionViolated("the space contains a nonzero-trace matrix")
-    p = f.p
+    Raises PreconditionViolated when some member has nonzero trace;
+    raises AssertionError if an implication fails (it cannot, short of
+    a bug)."""
+    if not _traceless(space):
+        raise PreconditionViolated("the space contains a nonzero-trace matrix")
+    p, n = space.field.p, space.n
     pred1 = not 0 < p <= n
     pred2 = (not 0 < p <= n - 1) and not space.contains_identity()
     rad = radical(space)

@@ -86,9 +86,22 @@ def solve_affine(a: DenseMatrix, b):
     return tuple(x), kernel(a)
 
 
+def with_block(fam, flat_block) -> DenseMatrix:
+    """The member of the family ``fam`` whose free block is shifted by
+    ``flat_block``, any scalars of the field, converted and checked."""
+    f = fam.particular.field
+    n, r = fam.n, fam.r
+    if len(flat_block) != (n - r) * r:
+        raise ValueError("block has wrong length")
+    entries = [list(row) for row in fam.particular.entries]
+    for a in range(n - r):
+        for s in range(r):
+            entries[r + a][s] = f.add(entries[r + a][s], flat_block[a * r + s])
+    return DenseMatrix(f, entries)
+
+
 def image_conjugator(u: VectorSubspace) -> DenseMatrix:
-    """The t whose last k = dim U columns span U, formed as
-    ``cli._scalar_corners`` forms its conjugators: the identity columns
+    """The t whose last k = dim U columns span U: the identity columns
     off U's pivots, then U's canonical basis.  An idempotent e has image
     U iff t^-1 e t has image span(e_(n-k+1) .. e_n), that is, iff
     t^-1 e t is a member of the lower-form family at r = n - k."""

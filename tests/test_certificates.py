@@ -2,7 +2,8 @@
 
 The check-first ``idempotent_family``, the scalar-line comparison of
 ``rct_zero_is_scalar`` and the counterexample repro's one conjugate per
-conjugator live on here as references, as do (in ``helpers``) the
+conjugator (the repro itself decides each column span by a rank, with no
+conjugate) live on here as references, as do (in ``helpers``) the
 readings that the idempotent trace system and ``left_ideal_normal_form``
 once made a second time: the minor-trace witness, the kernel of one raw
 row per constraint and the reversed-kernel column choice.  Call counts
@@ -308,17 +309,18 @@ def test_main2_builds_the_constraint_space_once(monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["payload"]["conclusion_holds"] is True
 
 
-def test_repro_counterexample_inverts_each_conjugate_once(monkeypatch, capsys):
+def test_repro_counterexample_forms_no_conjugate(monkeypatch, capsys):
     # the column spans come from ``all_subspaces``, not from eliminating
-    # the columns of 512 candidates: the 14 conjugates, one per block size
-    # and span, each invert their t and eliminate twice (the conjugate and
-    # its zero corner), and building the adjoined pair takes 2 more (its
-    # span and the identity adjoined)
+    # the columns of 512 candidates, and each span is decided by a rank:
+    # 14 forward eliminations, one per block size and span, and no
+    # inverse; building the adjoined pair takes 2 more (its span and the
+    # identity adjoined)
     calls = count_calls(monkeypatch, "invert", linalg)
     eliminations = count_calls(monkeypatch, "_eliminate", linalg)
     assert cli.main(["repro", "counterexample", "--json"]) == 0
-    assert len(calls) == 14
-    assert len(eliminations) == 44
+    assert len(calls) == 0
+    assert len(eliminations) == 16
+    assert sum(args[2:] == (2, 2) for args in eliminations) == 14
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["conjugators"] == 168 and payload["successes"] == 0
 

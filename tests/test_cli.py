@@ -1,10 +1,11 @@
 import hashlib
 import json
+import types
 from fractions import Fraction
 
 import pytest
 
-from mathieumat import matspace, spacefile
+from mathieumat import cli, matspace, spacefile
 from mathieumat.cli import _basis_payload, _basis_rows, main, matrix_payload
 from mathieumat.errors import SpaceFileError
 from mathieumat.linalg import DenseMatrix, Field
@@ -393,22 +394,45 @@ def test_cli_repro_fast_names(name, capsys):
 
 def test_cli_repro_counterexample(capsys, monkeypatch):
     # the zero corner of t^-1 S t for block size r depends only on the
-    # span of t's last 3 - r columns: 7 lines and 7 planes, 14 readouts
-    # for the 168 conjugators, not 336
-    readouts = []
-    readout = matspace._readout
+    # span of t's last 3 - r columns: 7 lines and 7 planes, 14 ranks for
+    # the 168 conjugators, not 336, and not one conjugate
+    ranks, conjugates = [], []
+    eliminate, conjugate = cli._eliminate, matspace.conjugate
 
-    def counting(*args):
-        readouts.append(1)
-        return readout(*args)
+    def counting_rank(*args):
+        ranks.append(1)
+        return eliminate(*args)
 
-    monkeypatch.setattr(matspace, "_readout", counting)
+    def counting_conjugate(*args):
+        conjugates.append(1)
+        return conjugate(*args)
+
+    monkeypatch.setattr(cli, "_eliminate", counting_rank)
+    monkeypatch.setattr(matspace, "conjugate", counting_conjugate)
     rc, out, _ = run(capsys, "repro", "counterexample", "--json")
     assert rc == 0
     payload = json.loads(out)["payload"]
     assert payload["match"] is True
     assert payload["conjugators"] == 168 and payload["successes"] == 0
-    assert len(readouts) == 14
+    assert len(ranks) == 14 and conjugates == []
+
+
+def test_cli_repro_mismatches_report_and_exit_1(capsys, monkeypatch):
+    # a repro whose observed outcome differs from the expected one says
+    # what it observed, reports ``match: false`` and exits with status 1
+    monkeypatch.setattr(cli, "_scalar_corners", lambda space: (168, 5))
+    rc, out, _ = run(capsys, "repro", "counterexample", "--json")
+    payload = json.loads(out)["payload"]
+    assert rc == 1 and payload["match"] is False
+    assert payload["observed"] == "5 of 168 conjugators produce a scalar-only corner"
+    assert (payload["conjugators"], payload["successes"]) == (168, 5)
+    monkeypatch.setattr(cli, "verify_mathieu",
+                        lambda space, vtype: types.SimpleNamespace(holds=True))
+    rc, out, _ = run(capsys, "repro", "cor62-f2", "--json")
+    payload = json.loads(out)["payload"]
+    assert rc == 1 and payload["match"] is False
+    assert payload["observed"] == "15 of 15 codim-1 subspaces of Mat_2(F_2) are left Mathieu"
+    assert (payload["total"], payload["left_mathieu"]) == (15, 15)
 
 
 # Nonzero maximal left ideals: a column-kill ideal conjugated by T (not a

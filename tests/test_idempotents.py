@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from mathieumat.matspace import MatrixSubspace, conjugate, constraint_space
 from mathieumat.normalize import rct_certificate
 from mathieumat.verify import idempotents
 
-from helpers import image, image_conjugator, rref, transpose
+from helpers import image, image_conjugator, rref, transpose, with_block
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -180,13 +181,33 @@ def test_certificate_sum_nilpotency():
 
 def test_family_with_block_embedding():
     fam = idempotent_family(MatrixSubspace.full_space(F2, 2), 1, UPPER)
-    shifted = fam.with_block((1,))
+    shifted = with_block(fam, (1,))
     assert shifted == DenseMatrix(F2, [[1, 0], [1, 0]])
     assert shifted.mul(shifted) == shifted
     # one free coordinate: a longer or an empty block is refused
     for block in ((1, 1, 1), ()):
         with pytest.raises(ValueError, match="block has wrong length"):
-            fam.with_block(block)
+            with_block(fam, block)
+    # ``members`` shifts the free block itself and trusts what it builds:
+    # the same matrices, in the same order, as the validating shift by
+    # each combination of the directions
+    rng = random.Random(181)
+    directed = 0
+    for field, n in [(F2, 3), (F3, 3), (F5, 2)] * 4:
+        space = MatrixSubspace.from_matrices(field, n, [
+            random_matrix(rng, field, n) for _ in range(rng.randrange(2, n * n))])
+        for r in range(1, n):
+            for form in (UPPER, LOWER):
+                try:
+                    fam = idempotent_family(space, r, form)
+                except HypothesisFailed:
+                    continue
+                shifts = [[sum(c * x for c, x in zip(coeffs, col)) for col in
+                           zip(*fam.directions.basis)] or [0] * ((n - r) * r)
+                          for coeffs in itertools.product(range(field.p), repeat=fam.dim)]
+                assert list(fam.members()) == [with_block(fam, v) for v in shifts]
+                directed += fam.dim > 0
+    assert directed >= 4
 
 
 def of_shape(e, r, form):
@@ -254,7 +275,7 @@ def test_q_family_points_are_idempotents_of_the_space():
                 except HypothesisFailed:
                     continue
                 checked += 1
-                points = [fam.particular] + [fam.with_block(v) for v in fam.directions.basis]
+                points = [fam.particular] + [with_block(fam, v) for v in fam.directions.basis]
                 for e in points:
                     assert e.mul(e) == e
                     assert space.contains(e)
@@ -352,7 +373,7 @@ def test_q_family_of_each_image_holds_idempotents_with_that_image():
             except HypothesisFailed:
                 continue
             checked += 1
-            for m in [fam.particular] + [fam.with_block(v) for v in fam.directions.basis]:
+            for m in [fam.particular] + [with_block(fam, v) for v in fam.directions.basis]:
                 e = t.mul(m).mul(t_inv)
                 assert e.mul(e) == e and space.contains(e) and image(e) == u
     assert checked >= 20
@@ -394,7 +415,7 @@ def test_certificate_refuses_an_idempotent_outside_the_space(monkeypatch):
     def shifted(constraints, r, form):
         fam = solve(constraints, r, form)
         block = [F3.one] + [F3.zero] * ((fam.n - fam.r) * fam.r - 1)
-        return fam._replace(particular=fam.with_block(block))
+        return fam._replace(particular=with_block(fam, block))
 
     monkeypatch.setattr(idempotent_layer, "_family", shifted)
     with pytest.raises(AssertionError, match="lies outside the space"):

@@ -73,7 +73,6 @@ BOUNDARY = {
     "linalg.DenseMatrix.__init__", "linalg.DenseMatrix.scale",
     "linalg.VectorSubspace.from_vectors", "linalg.VectorSubspace.member",
     "matspace.MatrixSubspace.from_matrices", "matspace.column_space",
-    "idempotents.AffineFamily.with_block",
     "multipoly.MultiPoly.__init__", "multipoly.MultiPoly.evaluate",
     "multipoly.find_nonvanishing",
     "verify.proposition_family", "cli.running_pair_space",
@@ -179,13 +178,15 @@ def test_unit_vectors_are_not_multiplied_out():
 
 
 def test_one_annihilator_read_off():
-    # the trace dual of the verdicts and of small codimensions, and every
-    # kernel, are read off an RREF by ``_complement`` alone; no second loop
-    # builds an annihilator
+    # the trace dual of the verdicts and of small codimensions, every
+    # kernel and the annihilators of the counterexample's column spans are
+    # read off an RREF by ``_complement`` alone; no second loop builds an
+    # annihilator
     found = set()
     for path in MODULES:
         found |= callers(path, {"_complement"})
-    assert found == {"linalg._kernel", "matspace.constraint_space", "verify._Dual.__init__"}
+    assert found == {"linalg._kernel", "matspace.constraint_space", "verify._Dual.__init__",
+                     "cli._scalar_corners"}
 
 
 def test_one_back_substitution():
@@ -328,6 +329,7 @@ DELETED = {
     "linalg.VectorSubspace.reduce", "linalg._subtract_rows", "cli._parse_args",
     "cli._rows_payload", "matspace._conjugate",
     "matspace.BinaryProfile.__new__", "matspace.BinaryProfile._make",
+    "idempotents.AffineFamily.with_block", "multipoly.MultiPoly.__hash__",
 }
 
 

@@ -365,6 +365,12 @@ def test_trace_chain_reports():
     assert z.radical_nilpotent and z.two_sided_mathieu
     with pytest.raises(PreconditionViolated):
         trace_chain_report(MatrixSubspace.full_space(F3, 2))
+    # over Q the traces are read off the integer rows too: a member of
+    # trace 1/2 beside one of trace 0 is refused before the radical's guard
+    with pytest.raises(PreconditionViolated):
+        trace_chain_report(MatrixSubspace.from_matrices(QQ, 2, [
+            DenseMatrix(QQ, [[Fraction(1, 2), 3], [0, 0]]),
+            DenseMatrix(QQ, [[Fraction(1, 3), 0], [1, Fraction(-1, 3)]])]))
 
 
 def test_trace_chain_report_raises_on_a_broken_implication(monkeypatch):
@@ -422,18 +428,37 @@ def test_trace_answer_is_the_enumerated_verdict(monkeypatch):
     assert len(sizes) >= len(answered)
 
 
+def test_trace_answer_is_the_enumerated_idempotents(monkeypatch):
+    # claim (A) inside the guard: on seeded subspaces of sl_n(F_p) with
+    # p > n, ``idempotents`` forms no batch and gives what the enumeration
+    # gives, the zero matrix alone
+    sizes = counted_batches(monkeypatch)
+    rng = random.Random(47)
+    spaces = [MatrixSubspace.from_matrices(field, n, [
+        random_trace_zero(rng, field, n) for _ in range(rng.randint(1, 4))])
+        for field, n in [(F3, 2), (F5, 2), (F7, 2), (F5, 3), (F7, 3), (F5, 4)] * 5]
+    answers = [idempotents(space) for space in spaces]
+    assert sizes == []
+    monkeypatch.setattr(verify, "_answered_by_trace", lambda space: False)
+    for space, answer in zip(spaces, answers):
+        zero = DenseMatrix(space.field, [[0] * space.n] * space.n)
+        assert idempotents(space) == answer == [zero]
+    assert len(sizes) >= len(spaces)
+
+
 def test_trace_answer_holds_past_the_guard():
     # claim (A) where no enumeration reaches: sl_4(F_7) has 7^15 members,
-    # and over Q there is nothing to enumerate; a random conjugate and the
-    # transpose of each space get the same answers
+    # and over Q there is nothing to enumerate, yet the only idempotent is
+    # zero; a random conjugate and the transpose of each space get the
+    # same answers
     rng = random.Random(46)
     sub = MatrixSubspace.from_matrices(QQ, 6, [random_trace_zero(rng, QQ, 6) for _ in range(5)])
     for space in (trace_zero(F7, 4), sub):
-        with pytest.raises(TooLargeError):
-            idempotents(space)
+        zero = DenseMatrix(space.field, [[0] * space.n] * space.n)
         images = [(space, {v: v for v in ALL_TYPES})]
         images += [(image, types) for image, _, types in symmetric_images(space, rng)]
         for image, types in images:
+            assert idempotents(image) == [zero]
             for vtype in ALL_TYPES:
                 assert verify_mathieu(image, types[vtype]) == (True, types[vtype], None)
 

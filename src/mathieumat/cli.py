@@ -52,11 +52,11 @@ from .verify import (
     PRE_TWO_SIDED,
     RIGHT,
     TWO_SIDED,
+    _radical,
     idempotents,
     left_ideal_normal_form,
     max_left_ideal,
     proposition_family,
-    radical,
     verify_mathieu,
 )
 
@@ -176,7 +176,7 @@ def cmd_verify(args, space):
 
 
 def cmd_radical(args, space):
-    elements = [matrix_payload(m) for m in radical(space)]
+    elements = _radical(space).tolist()
     payload = {
         "count": len(elements),
         "sha256": hashlib.sha256(json.dumps(elements).encode("utf-8")).hexdigest(),

@@ -262,7 +262,7 @@ class DenseMatrix(_Frozen):
                 self.rows, self.cols, self.field, other.rows, other.cols, other.field))
         f = self.field
         a, da = _cleared(f, self.entries)
-        bt, db = _cleared(f, [other.column(j) for j in range(other.cols)])
+        bt, db = _cleared(f, list(zip(*other.entries)) if other.rows else [()] * other.cols)
         return DenseMatrix._trusted(f, [
             _scalars(f, [sum(map(operator.mul, row, col)) for col in bt], da * db) for row in a
         ], other.cols)
@@ -322,7 +322,7 @@ def _scalars(field, ints, d) -> tuple:
     F_p, ``d`` is 1, as ``_cleared`` gives it there, and a pivot is."""
     if field.p:
         p = field.p
-        return tuple(x % p for x in ints)
+        return tuple([x % p for x in ints])
     z = field.zero
     return tuple(Fraction(x, d) if x else z for x in ints)
 

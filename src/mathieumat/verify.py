@@ -34,15 +34,18 @@ from their indices in batches with numpy (exact arithmetic mod p, int16
 wherever the sums fit), so memory does not grow with their number, in
 lexicographic order of their basis coefficients (for ``radical``, of the
 row-major entries); the first counterexample in that order is
-returned as a witness.  The verdict scan stops at its first
-counterexample, so its batches start at 64 members and quadruple up to
-``_BATCH``: an early witness costs one small batch.  The scans that run
-to the end take full batches.  ``verify_mathieu`` returns only witnesses
-it has replayed against the powers it followed to find them, and raises
-``AssertionError`` on one that does not replay; ``power_trajectory`` and
-``witness_replays``, which follows the powers itself, stay the
-definitional path.  numpy is imported inside the functions that use it,
-at the first enumeration: commands that never enumerate never load it.
+returned as a witness.  The radical is one array, ``_radical``, the
+staying members of every batch joined: the CLI reports its ``tolist()``,
+and only ``radical`` builds a matrix per element.  The verdict scan
+stops at its first counterexample, so its batches start at 64 members
+and quadruple up to ``_BATCH``: an early witness costs one small batch.
+The scans that run to the end take full batches.  ``verify_mathieu``
+returns only witnesses it has replayed against the powers it followed
+to find them, and raises ``AssertionError`` on one that does not
+replay; ``power_trajectory`` and ``witness_replays``, which follows the
+powers itself, stay the definitional path.  numpy is imported inside
+the functions that use it, at the first enumeration: commands that
+never enumerate never load it.
 
 On a subspace of sl_n with n! != 0 in K every verdict holds and zero is
 the only idempotent, read off the basis traces: numpy is not loaded.
@@ -58,6 +61,7 @@ first k RREF rows, those with a pivot below n, cut to n entries.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .errors import NotLeftIdealError, PreconditionViolated, TooLargeError
@@ -215,18 +219,26 @@ class _Dual:
         else:
             prods = zs[:, None] @ self.cons if side == LEFT else self.cons @ zs[:, None]
             out = (prods % self.p).any(axis=1).transpose(0, 2, 1)
-        return out.reshape(len(zs), np.prod(out.shape[1:]))
+        return out.reshape(len(zs), math.prod(out.shape[1:]))
+
+
+def _radical(space: MatrixSubspace):
+    """The radical as one array (k, n, n) of residues, in ``radical``'s order."""
+    n = space.n
+    _require_enumerable(space.field, n * n)
+    import numpy as np
+    dual = _Dual(space)
+    return np.concatenate([a[dual.staying(a, n, 2 * n - 1)[0]]
+                           for a in _members(space.field.p, n)])
 
 
 def radical(space: MatrixSubspace):
     """All a whose large powers eventually stay inside: every element of
     the cycle of a belongs to the space, i.e. a^n .. a^(2n-1) do.
-    Lexicographic order."""
+    Lexicographic order: one matrix per element of ``_radical``, the
+    array that the CLI reports as it is."""
     f, n = space.field, space.n
-    _require_enumerable(f, n * n)
-    dual = _Dual(space)
-    return [_matrix(f, m) for a in _members(f.p, n)
-            for m in a[dual.staying(a, n, 2 * n - 1)[0]]]
+    return [DenseMatrix._trusted(f, m, n) for m in _radical(space).tolist()]
 
 
 def idempotents(space: MatrixSubspace):
@@ -251,7 +263,7 @@ def _witness(space: MatrixSubspace, dual: _Dual, a, sides) -> Witness:
     for side in sides:
         # a pair asks only whether z_jk != 0: the joint support stands for the cycle
         bad = dual.escapes((cycle != 0).any(axis=0)[None] if side == TWO_SIDED else cycle, side)
-        hit = np.flatnonzero(bad.any(axis=0))
+        hit = bad.any(axis=0).nonzero()[0]
         if len(hit):
             pos = int(hit[-1])      # the first in enumeration order
             b, c = {LEFT: (pos, None), RIGHT: (None, pos)}.get(side, divmod(pos, n * n))
@@ -259,7 +271,7 @@ def _witness(space: MatrixSubspace, dual: _Dual, a, sides) -> Witness:
             b, c = (u if u is None else DenseMatrix.unit(f, n, n, *divmod(u, n))
                     for u in (b, c))
             witness = Witness(a=traj.a, b=b, c=c,
-                              exponent=traj.tail_len + 1 + int(np.argmax(col)))
+                              exponent=traj.tail_len + 1 + int(col.argmax()))
             if not _replays(space, witness, traj):
                 raise AssertionError("witness does not replay: %r" % (witness,))
             return witness
@@ -312,7 +324,8 @@ def verify_mathieu(space: MatrixSubspace, vtype: str) -> MathieuVerdict:
         live = top.any(axis=(1, 2))     # a^n = 0 takes no multiplier outside
         out, top = keep[live], top[live]
         if vtype != TWO_SIDED and len(out):
-            out = out[np.any([dual.escapes(top, side).any(axis=1) for side in sides], axis=0)]
+            bad = np.concatenate([dual.escapes(top, side) for side in sides], axis=1)
+            out = out[bad.any(axis=1)]
         if len(out):
             return MathieuVerdict(False, vtype, _witness(space, dual, a[out[0]], sides))
     return MathieuVerdict(holds=True, vtype=vtype, witness=None)

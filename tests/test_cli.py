@@ -278,6 +278,20 @@ def test_cli_radical(tmp_path, capsys):
     assert len(payload["elements"]) == 4
 
 
+def test_cli_radical_builds_no_matrix(tmp_path, capsys, monkeypatch):
+    # the report is the radical array's rows: no matrix per element
+    from mathieumat import verify
+
+    def refuse(*args):
+        raise AssertionError("radical report built a matrix")
+
+    path = write(tmp_path, "field 3\nn 2\nbasis\n1 0\n0 2\n\n0 1\n0 0\n\n0 0\n1 0\n")
+    monkeypatch.setattr(verify, "_matrix", refuse)
+    monkeypatch.setattr(DenseMatrix, "_trusted", staticmethod(refuse))
+    rc, out, _ = run(capsys, "radical", path, "--json")
+    assert rc == 0 and json.loads(out)["payload"]["count"] == 9
+
+
 def test_cli_maxideal(tmp_path, capsys):
     colkill = "field 3\nn 2\nbasis\n1 0\n0 0\n\n0 0\n1 0\n"
     path = write(tmp_path, colkill)

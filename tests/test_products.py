@@ -103,6 +103,7 @@ def products(draw):
 @example((zeros(QQ, 0, 3), zeros(QQ, 3, 2), [QQ.zero] * 3))
 @example((zeros(QQ, 3, 0), zeros(QQ, 0, 2), []))
 @example((zeros(F5, 2, 0), zeros(F5, 0, 0), []))
+@example((zeros(F5, 2, 0), zeros(F5, 0, 3), []))
 def test_products_match_the_fraction_sum(case):
     a, b, v = case
     f = a.field

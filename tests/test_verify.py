@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mathieumat.cli import _trace_zero
+from mathieumat.cli import _trace_zero, matrix_payload
 from mathieumat.errors import PreconditionViolated, TooLargeError
 from mathieumat.linalg import DenseMatrix, Field, VectorSubspace, invert
 from mathieumat import verify
@@ -921,6 +921,21 @@ def test_dual_enumeration_does_not_depend_on_the_batch_size(monkeypatch, batch, 
     assert max(sizes) <= batch
 
 
+def test_no_codim1_subspace_of_mat3_f2_is_mathieu():
+    # (n-1)! = 2 = 0 in F_2, outside the paper's hypothesis, yet no
+    # subspace of codimension 1 < n is Mathieu of any type, sl_3(F_2) (the
+    # one of them inside sl_3; 3! = 0 too) included: every verdict fails,
+    # with the witness the keyed reference finds
+    from mathieumat.linalg import all_subspaces
+    spaces = [MatrixSubspace(F2, 3, basis) for basis in all_subspaces(F2, 9, 8)]
+    assert len(spaces) == 2 ** 9 - 1 and trace_zero(F2, 3) in spaces
+    for space in spaces:
+        for vtype in ALL_TYPES:
+            verdict = verify_mathieu(space, vtype)
+            assert not verdict.holds
+            assert verdict == keyed_verify.verify_mathieu(space, vtype)
+
+
 def counted_batches(monkeypatch):
     """The sizes of the batches that ``verify`` forms from now on."""
     members, sizes = verify._members, []
@@ -969,6 +984,21 @@ def test_radical_forms_full_batches(monkeypatch):
     sizes.clear()
     assert radical(trace_zero(F3, 2)) == keyed_verify.radical(trace_zero(F3, 2))
     assert sizes == [16] * 5 + [1]
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_radical_array_is_the_reported_radical(p, n):
+    # the CLI reports ``_radical``'s rows as they are; ``radical`` builds
+    # its matrices from the same array, in the same order
+    field, rng = Field.prime(p), random.Random(p * 10 + n)
+    spaces = [MatrixSubspace.from_matrices(field, n, []), trace_zero(field, n)]
+    for dim in (1, n, n * n - 2, n * n - 1):
+        rows = [[rng.randrange(p) for _ in range(n * n)] for _ in range(dim)]
+        spaces.append(MatrixSubspace(field, n, VectorSubspace.from_vectors(field, n * n, rows)))
+    for space in spaces:
+        rad = radical(space)
+        assert verify._radical(space).tolist() == [matrix_payload(m) for m in rad]
+        assert rad == keyed_verify.radical(space)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, F7])

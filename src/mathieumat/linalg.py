@@ -32,15 +32,20 @@ copies its rows once, as lists, and then updates those lists in place.
 Over Q it takes only rows of ``int``: the entry points that hold
 ``Fraction`` rows (``invert``, ``VectorSubspace.from_vectors``,
 ``MatrixSubspace.from_matrices``) clear them once with ``_cleared``.  The
-rows are eliminated fraction-free and stay integers: a forward pass
-clears the rows below each pivot, and one back-substitution, bottom up,
-then changes only the free (non-pivot) columns of the rows above.  Each
-finished row is the canonical RREF row times its pivot, the primitive
-row with a positive pivot.  Over F_p a full elimination of a tall system
-(2 rows > columns, as the n^2 - c basis rows of a space of codimension
-c) takes the same two passes; readouts, inverses and short systems are
-Gauss-Jordan.  The reduced echelon form is unique, so the result does
-not depend on the scaling or the route.
+rows are eliminated fraction-free and stay integers.  Over Q a full
+elimination of a tall system (2 rows > columns, as the n^2 - c basis
+rows of a space of codimension c) goes by columns, left-looking
+(``_by_columns``, after Bareiss): each new row reduces in one dot
+product per free (non-pivot) column, and each new pivot divides exactly
+by the previous one.  The other Q systems are never divided by a pivot:
+a forward pass clears the rows below each pivot, and one
+back-substitution, bottom up, then changes only the free columns of the
+rows above.  Each finished row is the
+canonical RREF row times its pivot, the primitive row with a positive
+pivot.  Over F_p a full elimination of a tall system takes those two
+passes; readouts, inverses and short systems are Gauss-Jordan.  The
+reduced echelon form is unique, so the result does not depend on the
+scaling or the route.
 A :class:`VectorSubspace` keeps those rows (``rows``) and builds its
 ``Fraction`` basis only when ``basis`` is read; ``invert`` divides as
 it returns.  Membership (``_reduce``, behind ``member`` and
@@ -334,26 +339,31 @@ def _eliminate(field, rows, ncols, first=0):
     Over F_p the rows are residues, and a pivot row is scaled to 1 unless
     its pivot is 1 already; the result is the unique RREF, residues in
     [0, p).  Over Q the rows are ``int`` rows, each any nonzero integer
-    multiple of its row (as ``_cleared`` gives them), and nothing is
-    divided by a pivot: a pivot row is made primitive with a positive
-    pivot, and a row is cleared by ``a * row - b * pivot_row`` over its gcd.
+    multiple of its row (as ``_cleared`` gives them), and each finished
+    row is the RREF row times its pivot, the primitive ``int`` row with a
+    positive pivot.  There are three routes:
 
-    Over Q, and over F_p when ``first`` is 0 and 2 * rows > columns (a
-    tall system), a forward pass clears only the rows below each pivot,
-    from the pivot column on.  Then one back-substitution, bottom up,
-    finishes the rows pivoting at ``first`` or later.  The rows X_j below
-    row k are finished, so they are zero at each other's pivots, and row
-    k's entries b_j at their pivots clear with one dot product per free
-    (non-pivot) column f, over the finished rows' entries there: row[f]
-    becomes row[f] - sum_j b_j X_j[f] mod p over F_p; over Q, with s the
-    lcm of the pivots a_j hit, s * row[f] - sum_j b_j (s / a_j) X_j[f],
-    the pivot s * a_k, and the row is divided by its gcd.  Only the free
-    columns change: c of them for a space of codimension c in Mat_n.
-    Each finished row over Q is the RREF row times its pivot, the
-    primitive ``int`` row with a positive pivot.  The other F_p systems
-    (readouts, 3 x 6 inverses, short systems) are Gauss-Jordan, each
-    pivot clearing the other rows: there the back-substitution costs
-    more than it saves.
+    * Over Q a full elimination (``first`` 0) of a tall system (2 * rows
+      > columns) goes by columns, ``_by_columns``, dividing exactly by
+      the previous pivot.
+    * Every other Q system, and over F_p a full elimination of a tall
+      system, takes a forward pass that clears only the rows below each
+      pivot, from the pivot column on.  Over Q nothing is divided by a
+      pivot there: a pivot row is made primitive with a positive pivot,
+      and a row is cleared by ``a * row - b * pivot_row`` over its gcd.
+      Then one back-substitution, bottom up, finishes the rows pivoting
+      at ``first`` or later.  The rows X_j below row k are finished, so
+      they are zero at each other's pivots, and row k's entries b_j at
+      their pivots clear with one dot product per free (non-pivot)
+      column f, over the finished rows' entries there: row[f] becomes
+      row[f] - sum_j b_j X_j[f] mod p over F_p; over Q, with s the lcm
+      of the pivots a_j hit, s * row[f] - sum_j b_j (s / a_j) X_j[f],
+      the pivot s * a_k, and the row is divided by its gcd.  Only the
+      free columns change: c of them for a space of codimension c in
+      Mat_n.
+    * The other F_p systems (readouts, 3 x 6 inverses, short systems)
+      are Gauss-Jordan, each pivot clearing the other rows: there the
+      back-substitution costs more than it saves.
 
     The rows after the finished ones are zero.  Columns before ``first``
     are only eliminated forward, and the rows pivoting there are left
@@ -364,8 +374,10 @@ def _eliminate(field, rows, ncols, first=0):
     pivots or any echelon basis (``matspace.Filtration``).
     """
     p = field.p
-    rows[:] = map(list, rows)
     n = len(rows)
+    if not (p or first) and 2 * n > ncols:
+        return _by_columns(rows, ncols)
+    rows[:] = map(list, rows)
     gauss_jordan = p and (first or 2 * n <= ncols)
     pivots = []
     r = top = 0
@@ -436,6 +448,52 @@ def _eliminate(field, rows, ncols, first=0):
         for f, col in zip(free, cols):
             col.append(row[f])
     return pivots
+
+
+def _by_columns(rows, ncols):
+    """``_eliminate`` of ``int`` rows over Q with ``first`` 0, left-looking
+    (Bareiss's integer-preserving elimination, one row at a time).
+
+    The rows reduced so far are held by their free (non-pivot) columns:
+    ``cols`` holds each free column's entries, one per row, and every row
+    has the same entry d at its own pivot and 0 at the other pivots.  A
+    new row v reduces in one dot product per free column f,
+    w_f = d v_f - sum_j v_(c_j) R_j[f], a bordered minor.  Its first
+    nonzero a, at f = c, is the next pivot: each held entry x at a free
+    column f becomes (a x - R_j[c] w_f) / d, exact by Sylvester's
+    identity, and d becomes a.  At the end each row is made primitive
+    with a positive pivot, and the rows are sorted by pivot; the rows
+    after them are zero rows.
+    """
+    mul = operator.mul
+    free, cols, pivots, d = list(range(ncols)), [[] for _ in range(ncols)], [], 1
+    for v in rows:
+        if not free:
+            break
+        b = [v[c] for c in pivots]
+        w = [d * v[f] - sum(map(mul, b, col)) for f, col in zip(free, cols)]
+        for i, a in enumerate(w):
+            if a:
+                break
+        else:
+            continue
+        pivots.append(free.pop(i))
+        held = cols.pop(i)
+        del w[i]
+        for col, x in zip(cols, w):
+            col[:] = [(a * y - e * x) // d for y, e in zip(col, held)]
+            col.append(x)
+        d = a
+    reduced = []
+    for c, vals in sorted(zip(pivots, zip(*cols) if free else [()] * len(pivots))):
+        g = math.gcd(d, *vals) if d > 0 else -math.gcd(d, *vals)
+        row = [0] * ncols
+        row[c] = d // g
+        for f, x in zip(free, vals):
+            row[f] = x // g
+        reduced.append(row)
+    rows[:] = reduced + [[0] * ncols for _ in range(len(rows) - len(reduced))]
+    return sorted(pivots)
 
 
 class VectorSubspace(_Frozen):

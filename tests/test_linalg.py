@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mathieumat import linalg, spacefile
 from mathieumat.errors import SingularMatrixError
 from mathieumat.linalg import (
     DenseMatrix,
@@ -204,16 +205,20 @@ def low_rank_rows(rng, field, nrows, ncols, rank):
 # columns, rank or None for random rows).  The first is a codim-1 space
 # file at n = 6, the next two the sizes of a codim-2 file at n = 5 and
 # a codim-2 file at n = 4; the next three are rank-deficient; then a
-# square system, and the two sides of the F_p tall rule 2 rows > columns:
-# (8, 16) stays Gauss-Jordan, (9, 16) back-substitutes.
+# square system, the two sides of the tall rule 2 rows > columns ((8, 16)
+# stays Gauss-Jordan over F_p and short over Q, (9, 16) is tall), and
+# more rows than columns.
 TALL = [(35, 36, None), (23, 25, None), (14, 16, None), (20, 24, 12), (30, 36, 29), (16, 9, 5),
-        (16, 16, None), (8, 16, None), (9, 16, None)]
+        (16, 16, None), (8, 16, None), (9, 16, None), (40, 36, None)]
 
 
 def test_eliminate_matches_field_reference():
-    rng = random.Random(12)
+    small = random.Random(12)
     for field in (QQ, F2, F3, F5, Field.prime(2147483647)):
         for case in range(80 + len(TALL)):
+            # each tall case draws from a generator of its own, so that a
+            # new case leaves the others' rows as they are
+            rng = small if case < 80 else random.Random("%d|%d" % (field.p, case))
             if case < 80:
                 nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 8)
                 rows = random_rows(rng, field, nrows, ncols)
@@ -238,9 +243,9 @@ def test_eliminate_matches_field_reference():
             # columns before ``first`` only eliminated forward: from ``top``
             # on, the rows are the reference rows pivoting at ``first`` or
             # later, over Q each times its pivot, then zeros; the tall cases
-            # take first at 0 (over F_p the tall route, but at (8, 16)) and
-            # at their fourth pivot, or last below four (a readout, Gauss-
-            # Jordan over F_p), on their canonical rows
+            # take first at 0 (the tall route, by columns over Q, but at
+            # (8, 16)) and at their fourth pivot, or last below four (a
+            # readout, Gauss-Jordan over F_p), on their canonical rows
             for form, raw in enumerate(caller_forms(rng, field, rows)):
                 given, _ = _cleared(field, raw)
                 firsts = [rng.choice((0, rng.randrange(ncols + 1)))]
@@ -272,6 +277,98 @@ def test_eliminate_matches_field_reference():
                         assert any(forward[k][c] for k in range(top, rank) for c in pivots[k + 1:])
     # plain int rows over Q stay exact: no float from ``1 / a`` on the way
     assert rref(DenseMatrix(QQ, [[3, 7], [3, 7], [12, 28]]))[1] == 1
+
+
+@st.composite
+def tall_q_systems(draw):
+    """``(rows, m)``: a tall system of ``int`` rows over Q (2 rows > m
+    columns), the rows combinations of up to m + 1 generators (full
+    column rank or rank-deficient), zero rows, repeats and negative
+    multiples; entries up to 10^12 in one case of two."""
+    m = draw(st.integers(1, 7))
+    entry = st.integers(-10**12, 10**12) if draw(st.booleans()) else st.integers(-4, 4)
+    gens = draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=m + 1))
+    rows = []
+    for _ in range(draw(st.integers(m // 2 + 1, 2 * m + 2))):
+        kind = draw(st.sampled_from(("zero", "multiple", "combination")))
+        if kind == "multiple" and rows:
+            k = draw(st.sampled_from((1, -1, -3)))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        elif kind == "combination" and gens:
+            ks = [draw(st.integers(-2, 2)) for _ in gens]
+            rows.append([sum(k * g[j] for k, g in zip(ks, gens)) for j in range(m)])
+        else:
+            rows.append([0] * m)
+    return rows, m
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(tall_q_systems())
+@example(([[1, 2], [3, 4], [5, 6], [7, 8], [0, 0]], 2))
+@example(([[0], [-3], [6], [0]], 1))
+@example(([[10**12, -1], [-10**12, 1], [0, 0]], 2))
+def test_tall_q_systems_read_the_padded_short_rref(case):
+    # a tall system over Q goes by columns; padded with zero columns
+    # until it is short, it takes the forward pass and back-substitution,
+    # and its RREF is the original one padded
+    rows, m = case
+    before = [list(r) for r in rows]
+    work = list(rows)
+    pivots = _eliminate(QQ, work, m)
+    assert rows == before  # the caller's rows are not written to
+    pad = [0] * (2 * len(rows) - m)
+    padded = [r + pad for r in rows]
+    assert _eliminate(QQ, padded, 2 * len(rows)) == pivots
+    assert [r + pad for r in work] == padded
+    rank = len(pivots)
+    for row, c in zip(work, pivots):
+        assert row[c] > 0 and math.gcd(*row) == 1
+    assert all(type(x) is int for row in work for x in row)
+    assert work[rank:] == [[0] * m] * (len(rows) - rank)
+    assert len({id(r) for r in work}) == len(work)
+    assert not {id(r) for r in work} & {id(r) for r in rows}
+
+
+class Unread(list):
+    """A row that fails when read."""
+
+    def __getitem__(self, i):
+        raise AssertionError("read a row past full column rank")
+
+
+def test_tall_q_systems_stop_at_full_column_rank():
+    rows = [[2, 4, 0], [0, 3, 3], [1, 0, 5], Unread([1, 1, 1]), Unread([0, 0, 0])]
+    work = list(rows)
+    assert _eliminate(QQ, work, 3) == [0, 1, 2]
+    assert work == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+
+
+def test_only_full_tall_eliminations_over_q_go_by_columns(monkeypatch):
+    calls = []
+    by_columns = linalg._by_columns
+
+    def recording(rows, ncols):
+        calls.append((len(rows), ncols))
+        return by_columns(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_by_columns", recording)
+    # a codim-1 space file at n = 6: {M : tr(CM) = 0} with C[0][0] = 2,
+    # spanned by 2 E_k - C_k E_0 for the 35 other positions k
+    c = [2, -1, 0, 3] * 9
+    mats = []
+    for k in range(1, 36):
+        v = [0] * 36
+        v[0], v[k] = -c[k], 2
+        mats.append("\n".join(" ".join(map(str, v[i:i + 6])) for i in range(0, 36, 6)))
+    space = spacefile.loads("field Q\nn 6\nbasis\n" + "\n\n".join(mats) + "\n")
+    assert calls == [(35, 36)] and space.dim == 35
+    calls.clear()
+    rng = random.Random(49)
+    tall = random_rows(rng, F5, 9, 16)
+    assert _eliminate(F5, [list(r) for r in tall], 16) == reference_eliminate(F5, tall, 16)
+    _eliminate(QQ, _cleared(QQ, random_rows(rng, QQ, 8, 16, small=True))[0], 16)
+    _eliminate(QQ, [[1, 0, 2], [0, 1, 1], [1, 1, 3]], 3, 1)
+    assert calls == []
 
 
 Q_SCALARS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))

@@ -28,24 +28,30 @@ the rows ``[m | I]`` as lists.
 
 Elimination (``_eliminate``, behind ``_kernel``, ``invert``, every
 subspace and the trace system of ``idempotents``) works on integers.  It
-copies its rows once, as lists, and then updates those lists in place.
-Over Q it takes only rows of ``int``: the entry points that hold
-``Fraction`` rows (``invert``, ``VectorSubspace.from_vectors``,
-``MatrixSubspace.from_matrices``) clear them once with ``_cleared``.  The
-rows are eliminated fraction-free and stay integers.  Over Q a full
-elimination of a tall system (2 rows > columns, as the n^2 - c basis
-rows of a space of codimension c) goes by columns, left-looking
-(``_by_columns``, after Bareiss): each new row reduces in one dot
-product per free (non-pivot) column, and each new pivot divides exactly
-by the previous one.  The other Q systems are never divided by a pivot:
-a forward pass clears the rows below each pivot, and one
-back-substitution, bottom up, then changes only the free columns of the
-rows above.  Each finished row is the
-canonical RREF row times its pivot, the primitive row with a positive
-pivot.  Over F_p a full elimination of a tall system takes those two
-passes; readouts, inverses and short systems are Gauss-Jordan.  The
-reduced echelon form is unique, so the result does not depend on the
-scaling or the route.
+never writes to its caller's rows.  Over Q it takes only rows of
+``int``: the entry points that hold ``Fraction`` rows (``invert``,
+``VectorSubspace.from_vectors``, ``MatrixSubspace.from_matrices``) clear
+them once with ``_cleared``.  The rows are eliminated fraction-free and
+stay integers; each finished row is the canonical RREF row times its
+pivot, the primitive row with a positive pivot.  Two rules pick the
+route, both sending only a full elimination (not a readout or a
+forward-only pass) of at least 16 columns off the lists:
+
+* Over F_p such an elimination packs each row into one ``int``, a slot
+  per column (``_packed``), and clears a row in one multiply-add by
+  the pivot row, reducing mod p only as a row is unpacked.  Every other
+  F_p elimination is Gauss-Jordan on lists.
+* Over Q such an elimination of a tall system (2 rows > columns, as the
+  n^2 - c basis rows of a space of codimension c) goes by columns,
+  left-looking (``_by_columns``, after Bareiss): each new row reduces in
+  one dot product per free (non-pivot) column, and each new pivot
+  divides exactly by the previous one.  Every other Q system is never
+  divided by a pivot: a forward pass clears the rows below each pivot,
+  and one back-substitution, bottom up, then changes only the free
+  columns of the rows above.
+
+The reduced echelon form is unique, so the result does not depend on
+the scaling or the route.
 A :class:`VectorSubspace` keeps those rows (``rows``) and builds its
 ``Fraction`` basis only when ``basis`` is read; ``invert`` divides as
 it returns.  Membership (``_reduce``, behind ``member`` and
@@ -332,8 +338,13 @@ def _scalars(field, ints, d) -> tuple:
     return tuple(Fraction(x, d) if x else z for x in ints)
 
 
+# Full eliminations this wide pack their rows over F_p and, when tall, go
+# by columns over Q; narrower ones pay more to set up than they save.
+_WIDE = 16
+
+
 def _eliminate(field, rows, ncols, first=0):
-    """Eliminate a list of rows, copied once, then updated in place (the
+    """Eliminate a list of rows, replacing its items with new rows (the
     caller's row lists are never written to); returns the pivots.
 
     Over F_p the rows are residues, and a pivot row is scaled to 1 unless
@@ -341,29 +352,29 @@ def _eliminate(field, rows, ncols, first=0):
     [0, p).  Over Q the rows are ``int`` rows, each any nonzero integer
     multiple of its row (as ``_cleared`` gives them), and each finished
     row is the RREF row times its pivot, the primitive ``int`` row with a
-    positive pivot.  There are three routes:
+    positive pivot.  A full elimination (``first`` 0) of at least
+    ``_WIDE`` columns leaves the lists:
 
-    * Over Q a full elimination (``first`` 0) of a tall system (2 * rows
-      > columns) goes by columns, ``_by_columns``, dividing exactly by
-      the previous pivot.
-    * Every other Q system, and over F_p a full elimination of a tall
-      system, takes a forward pass that clears only the rows below each
-      pivot, from the pivot column on.  Over Q nothing is divided by a
-      pivot there: a pivot row is made primitive with a positive pivot,
-      and a row is cleared by ``a * row - b * pivot_row`` over its gcd.
-      Then one back-substitution, bottom up, finishes the rows pivoting
-      at ``first`` or later.  The rows X_j below row k are finished, so
+    * over F_p it packs each row into one ``int``, ``_packed``;
+    * over Q, of a tall system (2 * rows > columns), it goes by columns,
+      ``_by_columns``, dividing exactly by the previous pivot.
+
+    The others stay on lists:
+
+    * Over F_p they are Gauss-Jordan from ``first`` on: each pivot there
+      clears every other row but those pivoting before ``first``.
+    * Over Q a forward pass clears only the rows below each pivot, from
+      the pivot column on, and nothing is divided by a pivot: a pivot
+      row is made primitive with a positive pivot, and a row is cleared
+      by ``a * row - b * pivot_row`` over its gcd.  Then one
+      back-substitution, bottom up, finishes the rows pivoting at
+      ``first`` or later.  The rows X_j below row k are finished, so
       they are zero at each other's pivots, and row k's entries b_j at
       their pivots clear with one dot product per free (non-pivot)
-      column f, over the finished rows' entries there: row[f] becomes
-      row[f] - sum_j b_j X_j[f] mod p over F_p; over Q, with s the lcm
-      of the pivots a_j hit, s * row[f] - sum_j b_j (s / a_j) X_j[f],
-      the pivot s * a_k, and the row is divided by its gcd.  Only the
-      free columns change: c of them for a space of codimension c in
-      Mat_n.
-    * The other F_p systems (readouts, 3 x 6 inverses, short systems)
-      are Gauss-Jordan, each pivot clearing the other rows: there the
-      back-substitution costs more than it saves.
+      column f, over the finished rows' entries there: with s the lcm of
+      the pivots a_j hit, row[f] becomes s * row[f] - sum_j b_j (s / a_j)
+      X_j[f], the pivot s * a_k, and the row is divided by its gcd.
+      Only the free columns change.
 
     The rows after the finished ones are zero.  Columns before ``first``
     are only eliminated forward, and the rows pivoting there are left
@@ -375,10 +386,12 @@ def _eliminate(field, rows, ncols, first=0):
     """
     p = field.p
     n = len(rows)
-    if not (p or first) and 2 * n > ncols:
-        return _by_columns(rows, ncols)
+    if not first and ncols >= _WIDE:
+        if p:
+            return _packed(p, rows, ncols)
+        if 2 * n > ncols:
+            return _by_columns(rows, ncols)
     rows[:] = map(list, rows)
-    gauss_jordan = p and (first or 2 * n <= ncols)
     pivots = []
     r = top = 0
     for c in range(ncols):
@@ -402,7 +415,7 @@ def _eliminate(field, rows, ncols, first=0):
                 prow[c:] = [x // g for x in prow[c:]]
                 a = prow[c]
         tail = prow[c:]
-        for i in range(top if gauss_jordan and c >= first else r + 1, n):
+        for i in range(top if p and c >= first else r + 1, n):
             row = rows[i]
             b = row[c]
             if i == r or not b:
@@ -417,7 +430,7 @@ def _eliminate(field, rows, ncols, first=0):
         r += 1
         if c < first:
             top = r
-    if gauss_jordan or r - top < 2:
+    if p or r - top < 2:
         return pivots
     taken = set(pivots)
     free = [f for f in range(pivots[top] + 1, ncols) if f not in taken]
@@ -429,20 +442,16 @@ def _eliminate(field, rows, ncols, first=0):
         if any(b):
             for c in done:
                 row[c] = 0
-            if p:
-                for f, col in zip(free, cols):
-                    row[f] = (row[f] - sum(map(operator.mul, b, col))) % p
-            else:
-                s = math.lcm(*(a for a, x in zip(heads, b) if x))
-                if s != 1:
-                    b = [x * (s // a) for a, x in zip(heads, b)]
-                new = [s * row[f] - sum(map(operator.mul, b, col)) for f, col in zip(free, cols)]
-                c = pivots[k]
-                a = s * row[c]
-                g = math.gcd(a, *new)
-                row[c] = a // g
-                for f, v in zip(free, new):
-                    row[f] = v // g
+            s = math.lcm(*(a for a, x in zip(heads, b) if x))
+            if s != 1:
+                b = [x * (s // a) for a, x in zip(heads, b)]
+            new = [s * row[f] - sum(map(operator.mul, b, col)) for f, col in zip(free, cols)]
+            c = pivots[k]
+            a = s * row[c]
+            g = math.gcd(a, *new)
+            row[c] = a // g
+            for f, v in zip(free, new):
+                row[f] = v // g
         done.append(pivots[k])
         heads.append(row[pivots[k]])
         for f, col in zip(free, cols):
@@ -494,6 +503,71 @@ def _by_columns(rows, ncols):
         reduced.append(row)
     rows[:] = reduced + [[0] * ncols for _ in range(len(rows) - len(reduced))]
     return sorted(pivots)
+
+
+def _packed(p, rows, ncols):
+    """``_eliminate`` of residue rows over F_p with ``first`` 0, each row
+    packed into one ``int`` by a little-endian ``struct`` layout (which
+    fixes the byte order and packs faster than ``array``), column j in
+    slot j.
+
+    Gauss-Jordan with lazy reduction: a new pivot row is unpacked, scaled
+    to 1 at its pivot, reduced and packed again; each other row is
+    cleared by ``row += (p - b) * pivot_row``, b its slot at the pivot
+    mod p.  A slot never goes negative and gains at most (p - 1)^2 a
+    pivot, so the slot is the narrowest of 1, 2, 4 and 8 bytes that
+    holds (p - 1) + k (p - 1)^2 for k = min(rows, ncols) pivots; where
+    8 bytes do not (p above about 7 * 10^8 at 36 columns), every row is
+    reduced after as many pivots as they hold, at least 4 for p < 2^31.
+    The rows are reduced as they are unpacked at the end; the rows past
+    the rank are zero.
+    """
+    from struct import Struct
+
+    k = min(len(rows), ncols)
+    for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
+        sweep = ((1 << 8 * size) - p) // (p - 1) ** 2
+        if sweep >= k:
+            break
+    width = 8 * size
+    mask, nbytes = (1 << width) - 1, size * ncols
+    layout = Struct("<%d%s" % (ncols, code))
+    pack, unpack, from_bytes = layout.pack, layout.unpack, int.from_bytes
+    packed = [from_bytes(pack(*row), "little") for row in rows]
+    n = len(packed)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        shift = width * c
+        for src in range(r, n):
+            if (packed[src] >> shift & mask) % p:
+                break
+        else:
+            continue
+        prow = unpack(packed[src].to_bytes(nbytes, "little"))
+        packed[src] = packed[r]
+        a = prow[c] % p
+        if a == 1:
+            prow = [x % p for x in prow]
+        else:
+            inv = pow(a, -1, p)
+            prow = [x * inv % p for x in prow]
+        prow = packed[r] = from_bytes(pack(*prow), "little")
+        for i in range(n):
+            if i != r:
+                b = (packed[i] >> shift & mask) % p
+                if b:
+                    packed[i] += (p - b) * prow
+        pivots.append(c)
+        r += 1
+        if r < k and not r % sweep:
+            packed = [from_bytes(pack(*[x % p for x in unpack(row.to_bytes(nbytes, "little"))]),
+                                 "little") for row in packed]
+    rows[:] = [[x % p for x in unpack(row.to_bytes(nbytes, "little"))] for row in packed[:r]]
+    rows += ([0] * ncols for _ in range(n - r))
+    return pivots
 
 
 class VectorSubspace(_Frozen):

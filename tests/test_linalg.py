@@ -206,10 +206,11 @@ def low_rank_rows(rng, field, nrows, ncols, rank):
 # file at n = 6, the next two the sizes of a codim-2 file at n = 5 and
 # a codim-2 file at n = 4; the next three are rank-deficient; then a
 # square system, the two sides of the tall rule 2 rows > columns ((8, 16)
-# stays Gauss-Jordan over F_p and short over Q, (9, 16) is tall), and
-# more rows than columns.
+# is short over Q, (9, 16) goes by columns), more rows than columns, and
+# a tall system one column short of the 16 at which a full elimination
+# packs its rows over F_p and goes by columns over Q.
 TALL = [(35, 36, None), (23, 25, None), (14, 16, None), (20, 24, 12), (30, 36, 29), (16, 9, 5),
-        (16, 16, None), (8, 16, None), (9, 16, None), (40, 36, None)]
+        (16, 16, None), (8, 16, None), (9, 16, None), (40, 36, None), (14, 15, None)]
 
 
 def test_eliminate_matches_field_reference():
@@ -243,9 +244,10 @@ def test_eliminate_matches_field_reference():
             # columns before ``first`` only eliminated forward: from ``top``
             # on, the rows are the reference rows pivoting at ``first`` or
             # later, over Q each times its pivot, then zeros; the tall cases
-            # take first at 0 (the tall route, by columns over Q, but at
-            # (8, 16)) and at their fourth pivot, or last below four (a
-            # readout, Gauss-Jordan over F_p), on their canonical rows
+            # take first at 0 (packed over F_p and by columns over Q from
+            # 16 columns on, but the short (8, 16) over Q) and at their
+            # fourth pivot, or last below four (a readout, on lists), on
+            # their canonical rows
             for form, raw in enumerate(caller_forms(rng, field, rows)):
                 given, _ = _cleared(field, raw)
                 firsts = [rng.choice((0, rng.randrange(ncols + 1)))]
@@ -269,9 +271,8 @@ def test_eliminate_matches_field_reference():
                         assert type(x) is int
                     if case >= 80 and form == 0 and (first == 0 or not field.p):
                         # the forward pass alone leaves kept rows that are
-                        # not zero at a later pivot: the back-substitution
-                        # had work (over F_p at first 0; at (8, 16) it is
-                        # Gauss-Jordan that had it)
+                        # not zero at a later pivot: the full elimination
+                        # had work past it
                         forward = list(given)
                         assert _eliminate(field, forward, ncols, ncols) == list(pivots)
                         assert any(forward[k][c] for k in range(top, rank) for c in pivots[k + 1:])
@@ -308,13 +309,14 @@ def tall_q_systems(draw):
 @example(([[0], [-3], [6], [0]], 1))
 @example(([[10**12, -1], [-10**12, 1], [0, 0]], 2))
 def test_tall_q_systems_read_the_padded_short_rref(case):
-    # a tall system over Q goes by columns; padded with zero columns
+    # a tall system over Q by columns (called directly: under 16 columns
+    # ``_eliminate`` takes the forward pass); padded with zero columns
     # until it is short, it takes the forward pass and back-substitution,
     # and its RREF is the original one padded
     rows, m = case
     before = [list(r) for r in rows]
     work = list(rows)
-    pivots = _eliminate(QQ, work, m)
+    pivots = linalg._by_columns(work, m)
     assert rows == before  # the caller's rows are not written to
     pad = [0] * (2 * len(rows) - m)
     padded = [r + pad for r in rows]
@@ -339,8 +341,20 @@ class Unread(list):
 def test_tall_q_systems_stop_at_full_column_rank():
     rows = [[2, 4, 0], [0, 3, 3], [1, 0, 5], Unread([1, 1, 1]), Unread([0, 0, 0])]
     work = list(rows)
-    assert _eliminate(QQ, work, 3) == [0, 1, 2]
+    assert linalg._by_columns(work, 3) == [0, 1, 2]
     assert work == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+
+
+def codim1_n6():
+    """A codim-1 space file at n = 6: {M : tr(CM) = 0} with C[0][0] = 2,
+    spanned by 2 E_k - C_k E_0 for the 35 other positions k."""
+    c = [2, -1, 0, 3] * 9
+    mats = []
+    for k in range(1, 36):
+        v = [0] * 36
+        v[0], v[k] = -c[k], 2
+        mats.append("\n".join(" ".join(map(str, v[i:i + 6])) for i in range(0, 36, 6)))
+    return "field Q\nn 6\nbasis\n" + "\n\n".join(mats) + "\n"
 
 
 def test_only_full_tall_eliminations_over_q_go_by_columns(monkeypatch):
@@ -352,15 +366,7 @@ def test_only_full_tall_eliminations_over_q_go_by_columns(monkeypatch):
         return by_columns(rows, ncols)
 
     monkeypatch.setattr(linalg, "_by_columns", recording)
-    # a codim-1 space file at n = 6: {M : tr(CM) = 0} with C[0][0] = 2,
-    # spanned by 2 E_k - C_k E_0 for the 35 other positions k
-    c = [2, -1, 0, 3] * 9
-    mats = []
-    for k in range(1, 36):
-        v = [0] * 36
-        v[0], v[k] = -c[k], 2
-        mats.append("\n".join(" ".join(map(str, v[i:i + 6])) for i in range(0, 36, 6)))
-    space = spacefile.loads("field Q\nn 6\nbasis\n" + "\n\n".join(mats) + "\n")
+    space = spacefile.loads(codim1_n6())
     assert calls == [(35, 36)] and space.dim == 35
     calls.clear()
     rng = random.Random(49)
@@ -368,7 +374,140 @@ def test_only_full_tall_eliminations_over_q_go_by_columns(monkeypatch):
     assert _eliminate(F5, [list(r) for r in tall], 16) == reference_eliminate(F5, tall, 16)
     _eliminate(QQ, _cleared(QQ, random_rows(rng, QQ, 8, 16, small=True))[0], 16)
     _eliminate(QQ, [[1, 0, 2], [0, 1, 1], [1, 1, 3]], 3, 1)
+    # tall, but under 16 columns
+    tall = random_rows(rng, QQ, 14, 15, small=True)
+    want = reference_eliminate(QQ, [list(r) for r in tall], 15)
+    assert _eliminate(QQ, _cleared(QQ, tall)[0], 15) == want
     assert calls == []
+    # tall at 16 columns
+    _eliminate(QQ, _cleared(QQ, random_rows(rng, QQ, 9, 16, small=True))[0], 16)
+    assert calls == [(9, 16)]
+
+
+F101 = Field.prime(101)
+MERSENNE = Field.prime(2147483647)
+
+
+def test_packed_rows_read_the_reference_rref():
+    # the route itself on every TALL shape, on both sides of 16 columns
+    for field in (F2, F3, F101, MERSENNE):
+        for case, (nrows, ncols, rank) in enumerate(TALL):
+            rng = random.Random("packed|%d|%d" % (field.p, case))
+            rows = (random_rows(rng, field, nrows, ncols, small=True) if rank is None
+                    else low_rank_rows(rng, field, nrows, ncols, rank))
+            expected = [list(r) for r in rows]
+            pivots = reference_eliminate(field, expected, ncols)
+            work = list(rows)
+            assert linalg._packed(field.p, work, ncols) == pivots
+            assert work == expected
+
+
+def slot_filler(p, n):
+    """n rows of n entries whose lazy elimination fills a slot: the rows
+    e_c + (p - 1) e_(n-1) for c < n - 1, then 1 at each of those pivots
+    and p - 1 in the last column.  The last row's pivot entries are 1
+    when their pivots come, so each pivot adds (p - 1)^2 to its last
+    slot, which reaches (p - 1) + (n - 1) (p - 1)^2 before the row is
+    reduced; all n rows are independent unless p divides n - 2."""
+    rows = [[int(j == c) for j in range(n - 1)] + [p - 1] for c in range(n - 1)]
+    return rows + [[1] * (n - 1) + [p - 1]]
+
+
+# Primes at the edges of the slot widths for 36 rows of 36 columns:
+# the largest whose slot of 1, 2, 4 or 8 bytes holds all 36 pivots, and
+# (with the width that the filled slot overflows) the smallest that
+# needs a wider slot or, past 8 bytes, a reduction of every row after
+# 34 pivots (725981981) or 4 (2^31 - 1).
+SLOT_FITS = [3, 43, 10909, 715827883]
+SLOT_OVERFLOWS = [(5, 1), (47, 2), (11083, 4), (725981981, 8), (2147483647, 8)]
+
+
+def test_packed_slots_hold_the_worst_growth():
+    n = 36
+    for p, size in SLOT_OVERFLOWS:
+        # the filled slot overflows an item of ``size`` bytes, so that
+        # width, or no reduction past 8 bytes, would read a wrong row
+        assert (p - 1) + (n - 1) * (p - 1) ** 2 >= 256 ** size
+    for p in SLOT_FITS + [p for p, _ in SLOT_OVERFLOWS]:
+        field = Field.prime(p)
+        rows = slot_filler(p, n)
+        expected = [list(r) for r in rows]
+        pivots = reference_eliminate(field, expected, n)
+        assert len(pivots) == n
+        work = list(rows)
+        assert _eliminate(field, work, n) == pivots
+        assert work == expected
+
+
+@st.composite
+def fp_systems(draw):
+    """``(p, rows, m)``: residue rows of m entries over F_p, made of zero
+    rows, repeats, multiples and combinations of up to five generators
+    (so often rank-deficient), and random rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 101, 65537, 2147483647)))
+    m = draw(st.integers(1, 40))
+    entry = st.integers(0, p - 1)
+    gens = draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(("zero", "repeat", "combination", "random")))
+        if kind == "repeat" and rows:
+            k = draw(st.integers(1, p - 1))
+            rows.append([k * x % p for x in draw(st.sampled_from(rows))])
+        elif kind == "combination" and gens:
+            ks = [draw(entry) for _ in gens]
+            rows.append([sum(k * g[j] for k, g in zip(ks, gens)) % p for j in range(m)])
+        elif kind == "random":
+            rows.append(draw(st.lists(entry, min_size=m, max_size=m)))
+        else:
+            rows.append([0] * m)
+    return p, rows, m
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(fp_systems())
+@example((2, [[1] * 16, [1] * 16, [0] * 16], 16))
+@example((5, [[0] * 20 for _ in range(3)], 20))
+def test_packed_rows_match_list_gauss_jordan(case):
+    p, rows, m = case
+    before = [list(r) for r in rows]
+    expected = [list(r) for r in rows]
+    pivots = reference_eliminate(Field.prime(p), expected, m)
+    work = list(rows)
+    assert linalg._packed(p, work, m) == pivots
+    assert rows == before  # the caller's rows are not written to
+    assert work == expected
+    assert all(type(x) is int and 0 <= x < p for row in work for x in row)
+    assert len({id(r) for r in work}) == len(work)
+    assert not {id(r) for r in work} & {id(r) for r in rows}
+
+
+def test_only_full_wide_eliminations_over_f_p_pack(monkeypatch):
+    calls = []
+    packed = linalg._packed
+
+    def recording(p, rows, ncols):
+        calls.append((len(rows), ncols))
+        return packed(p, rows, ncols)
+
+    monkeypatch.setattr(linalg, "_packed", recording)
+    space = spacefile.loads(codim1_n6(), "101")
+    assert calls == [(35, 36)] and space.dim == 35
+    calls.clear()
+    rng = random.Random(50)
+    tall = random_rows(rng, F5, 14, 15)
+    assert _eliminate(F5, [list(r) for r in tall], 15) == reference_eliminate(F5, tall, 15)
+    wide = random_rows(rng, F5, 35, 36)
+    _eliminate(F5, list(wide), 36, 4)       # a readout
+    _eliminate(F5, list(wide), 36, 36)      # a forward-only pass
+    for nrows, ncols, first in ((35, 36, 0), (8, 16, 0), (9, 16, 0), (20, 36, 5), (9, 6, 0)):
+        rows = random_rows(rng, QQ, nrows, ncols, small=True)
+        _eliminate(QQ, _cleared(QQ, rows)[0], ncols, first)
+    assert calls == []
+    # short or tall, at 16 columns
+    for nrows in (3, 9):
+        _eliminate(F5, random_rows(rng, F5, nrows, 16), 16)
+    assert calls == [(3, 16), (9, 16)]
 
 
 Q_SCALARS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))

@@ -43,7 +43,7 @@ from operator import mul
 from . import spacefile
 from .errors import MathieuMatError, SpaceFileError
 from .idempotents import LOWER, UPPER, idempotent_family
-from .linalg import DenseMatrix, Field, _complement, _eliminate, all_subspaces
+from .linalg import DenseMatrix, Field, _complement, _eliminate, _grid, all_subspaces
 from .matspace import MatrixSubspace, binary_profile, constraint_space
 from .normalize import normalize, rct_certificate
 from .verify import (
@@ -88,7 +88,7 @@ def _basis_rows(vs):
 def _basis_payload(space):
     """``matrix_payload`` of each of ``basis_matrices``, off ``_basis_rows``."""
     n = space.n
-    return [[row[i:i + n] for i in range(0, n * n, n)] for row in _basis_rows(space.basis)]
+    return [_grid(n, row) for row in _basis_rows(space.basis)]
 
 
 def _load(path, field_token):
@@ -234,7 +234,7 @@ def _scalar_corners(space):
     values over the basis rows of S, one forward elimination per U."""
     f, n, p = space.field, space.n, space.field.p
     conjugators = math.prod(p ** n - p ** i for i in range(n))
-    grids = [[row[i * n:(i + 1) * n] for i in range(n)] for row in space.basis.rows]
+    grids = [_grid(n, row) for row in space.basis.rows]
     successes = 0
     for r in range(1, n):
         spans = list(all_subspaces(f, n, n - r))

@@ -327,6 +327,13 @@ def _cleared(field, rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+def _grid(n, row) -> list:
+    """The n rows of the n x n matrix whose row-major entries are the flat
+    sequence ``row``: a ``VectorSubspace.rows`` row of ints, a basis row
+    of ``Fraction``s or a row of report strings alike."""
+    return [row[i * n:(i + 1) * n] for i in range(n)]
+
+
 def _scalars(field, ints, d) -> tuple:
     """The canonical scalars ``x / d`` for the integers ``x`` in ``ints``
     and a nonzero integer ``d``; a zero is ``field.zero`` itself.  Over

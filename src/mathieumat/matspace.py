@@ -49,6 +49,7 @@ from .linalg import (
     _cleared,
     _complement,
     _eliminate,
+    _grid,
     _kernel,
     _readout,
     invert,
@@ -72,7 +73,7 @@ class MatrixSubspace(_Frozen):
     def basis_matrices(self) -> tuple:
         """The basis rows as n x n matrices, built when read."""
         n = self.n
-        return tuple(DenseMatrix._trusted(self.field, [row[i * n:(i + 1) * n] for i in range(n)], n)
+        return tuple(DenseMatrix._trusted(self.field, _grid(n, row), n)
                      for row in self.basis.basis)
 
     @staticmethod
@@ -186,14 +187,8 @@ def column_space(space: MatrixSubspace, vec) -> VectorSubspace:
     return VectorSubspace._span(f, n, _images(f, grids, [f.of(x) for x in vec]))
 
 
-def _grid(n, row) -> list:
-    """The flat integer row of n*n entries (a ``VectorSubspace.rows``
-    row) as the n rows of its matrix."""
-    return [row[i * n:(i + 1) * n] for i in range(n)]
-
-
 def _images(field, grids, v) -> list:
-    """The products g v of ``_grid`` matrices g with a vector v of
+    """The products g v of ``linalg._grid`` matrices g with a vector v of
     canonical scalars or ints, as rows for ``_span``: over Q a nonzero
     integer multiple of each product, over F_p its residues."""
     (v,), _ = _cleared(field, [v])
@@ -243,7 +238,7 @@ class Filtration(_Frozen):
     gives an echelon basis, and any echelon basis in that order is
     adapted: a row vanishes on columns k..n-1 iff its pivot lies past
     their coordinates, so those rows span C_k.  ``grids`` holds that
-    basis bottom-up as ``_grid`` matrices of integer rows, so its first
+    basis bottom-up as ``linalg._grid`` matrices of integer rows, so its first
     ``dims[k]`` members span C_k.  Everything read from them (``dims``,
     the rank bounds, the Bareiss pivots, the canonical ``col_spaces`` and
     the generic-vector ranks) depends only on those spans, so no
@@ -300,7 +295,7 @@ _POINTS = (lambda j: 1, lambda j: j + 1, lambda j: (j + 1) * (j + 2) // 2)
 
 def _rank_bounds(field, n, grids, dims):
     """``(lower, upper)`` bounds on the generic rank of the first ``dims[k]``
-    ``_grid`` matrices at every level k, once per point of ``_POINTS``.
+    ``linalg._grid`` matrices at every level k, once per point of ``_POINTS``.
 
     C x lies in the column space of C, so the generic rank of C_1..C_m is
     at most min(m, rank [C_1 | ... | C_m]); a minor that is nonzero at v

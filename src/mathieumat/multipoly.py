@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .linalg import Field, _Frozen
+from .linalg import Field, _Frozen, _grid
 
 
 class MultiPoly(_Frozen):
@@ -151,12 +151,6 @@ def _mul_into(out: dict, a: dict, b: dict) -> None:
             out[e] = get(e, 0) + c1 * c2
 
 
-def _clean(terms: dict, p: int) -> dict:
-    if p:
-        terms = {e: c % p for e, c in terms.items()}
-    return {e: c for e, c in terms.items() if c}
-
-
 def _div(num: dict, den: dict, p: int, guard: int) -> dict:
     """Exact quotient of term dicts; ArithmeticError if there is none.
 
@@ -226,7 +220,9 @@ def _bareiss_rank(columns, p, guard) -> list:
                 num = {}
                 _mul_into(num, pivot[c], row[cc])
                 _mul_into(num, minus_below, pivot[cc])
-                num = _clean(num, p)
+                if p:
+                    num = {e: v % p for e, v in num.items()}
+                num = {e: v for e, v in num.items() if v}
                 row[cc] = _div(num, prev, p, guard) if num else num
             row[c] = {}
         prev = pivot[c]
@@ -255,11 +251,11 @@ def _action_pivots(field, n, rows) -> list:
     of columns C*x, C the row-major ``rows`` in order: the pivots among
     the first m count the generic rank of the span of the first m rows.
     The rows are integers: over Q any nonzero multiple of C will do, as
-    ``VectorSubspace.rows`` and ``_grid`` hold them."""
+    ``VectorSubspace.rows`` and ``linalg._grid`` hold them."""
     width = _width(2 * min(n, len(rows)))           # linear entries
     keys = [1 << (width * (n - 1 - l)) for l in range(n)]
-    columns = [[{key: c for key, c in zip(keys, row[i * n:(i + 1) * n]) if c}
-                for i in range(n)] for row in rows]
+    columns = [[{key: c for key, c in zip(keys, r) if c} for r in _grid(n, row)]
+               for row in rows]
     return _bareiss_rank(columns, field.p, _guard(n, width))
 
 

@@ -258,6 +258,27 @@ def unit_vector(field, n, k) -> tuple:
     return tuple(field.one if i == k - 1 else field.zero for i in range(n))
 
 
+def unit(field, n, i, j) -> DenseMatrix:
+    """The matrix unit of Mat_n with its 1 at (i, j), 0-based."""
+    return DenseMatrix.unit(field, n, n, i, j)
+
+
+def trace_zero(field, n) -> MatrixSubspace:
+    """sl_n, spanned by the off-diagonal matrix units and the E_11 - E_ii:
+    built from the units alone, not by ``constraint_space``, so that it
+    can check ``constraint_space``."""
+    gens = [unit(field, n, i, j) for i in range(n) for j in range(n) if i != j]
+    gens += [unit(field, n, 0, 0) - unit(field, n, i, i) for i in range(1, n)]
+    return MatrixSubspace.from_matrices(field, n, gens)
+
+
+def column_kill(field, n, k) -> MatrixSubspace:
+    """The left ideal Ann(span(e_(k+1) .. e_n)): the matrices whose last
+    n - k columns vanish."""
+    return MatrixSubspace.from_matrices(field, n, [
+        unit(field, n, i, j) for i in range(n) for j in range(k)])
+
+
 def reference_is_left_ideal(space: MatrixSubspace) -> bool:
     """Whether every unit product E_ij A of a basis matrix A stays inside."""
     f, n = space.field, space.n

@@ -9,6 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from mathieumat.cli import running_pair_space
 from mathieumat.errors import HypothesisFailed, MathieuMatError
 from mathieumat.idempotents import (
     LOWER,
@@ -43,7 +44,7 @@ from mathieumat.verify import (
     witness_replays,
 )
 
-from helpers import all_matrices, degree, elements, neg, reference_is_left_ideal, rref
+from helpers import all_matrices, degree, elements, neg, reference_is_left_ideal, rref, trace_zero
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -57,22 +58,8 @@ def report(number, ok, text):
     assert ok, "criterion %d failed: %s" % (number, text)
 
 
-def pair_space(field):
-    return MatrixSubspace.from_matrices(field, 3, [
-        DenseMatrix(field, [[0, 1, 0], [0, 1, 0], [0, 0, 0]]),
-        DenseMatrix(field, [[0, 0, 0], [0, 1, 1], [0, 0, 0]]),
-    ])
-
-
-def trace_zero(field, n):
-    u = lambda i, j: DenseMatrix.unit(field, n, n, i, j)
-    gens = [u(i, j) for i in range(n) for j in range(n) if i != j]
-    gens += [u(0, 0) - u(i, i) for i in range(1, n)]
-    return MatrixSubspace.from_matrices(field, n, gens)
-
-
 def test_criterion_01_small_field_obstruction_is_exhaustive():
-    space = pair_space(F2)
+    space = running_pair_space(F2)
     conjugators = 0
     successes = 0
     for t in all_matrices(F2, 3, 3):
@@ -91,7 +78,7 @@ def test_criterion_01_small_field_obstruction_is_exhaustive():
 
 
 def test_criterion_02_lift_to_f3_succeeds():
-    m = constraint_space(pair_space(F3))
+    m = constraint_space(running_pair_space(F3))
     cert = rct_certificate(m)
     conclusion = rct_zero_is_scalar(conjugate(constraint_space(m), cert.t), cert.r)
     moved = conjugate(m, cert.t)

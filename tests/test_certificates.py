@@ -31,6 +31,7 @@ from mathieumat.verify import left_ideal_normal_form
 from helpers import (
     PAIR_DUAL,
     all_matrices,
+    column_kill,
     kernel,
     matrix_sum,
     minor_trace,
@@ -231,8 +232,8 @@ def test_left_ideal_columns_match_the_reversed_kernel():
         for n in range(1, 6):
             for _ in range(3):
                 try:
-                    ideal = column_kill(field, n, rng.randrange(n + 1),
-                                        seeded_matrix(rng, field, n))
+                    ideal = conjugate(column_kill(field, n, rng.randrange(n + 1)),
+                                      seeded_matrix(rng, field, n))
                 except SingularMatrixError:
                     continue
                 extra = MatrixSubspace.from_matrices(field, n, [seeded_matrix(rng, field, n)])
@@ -325,12 +326,6 @@ def test_repro_counterexample_forms_no_conjugate(monkeypatch, capsys):
     assert payload["conjugators"] == 168 and payload["successes"] == 0
 
 
-def column_kill(field, n, k, t):
-    """t^-1 {A : A kills the last n - k coordinates} t."""
-    return conjugate(MatrixSubspace.from_matrices(field, n, [
-        DenseMatrix.unit(field, n, n, u, v) for u in range(n) for v in range(k)]), t)
-
-
 def test_full_space_certificate_builds_the_constraint_space_once(monkeypatch):
     # both idempotent forms are solved on the constraints it already has
     calls = count_calls(monkeypatch, "constraint_space", matspace)
@@ -347,7 +342,7 @@ def test_left_ideal_normal_form_inverts_its_conjugator_once(monkeypatch):
     # The kernel is that of the ideal's k rows with a pivot below n, cut
     # to n entries, not of all n^2 k blocks
     t = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [0, 0, 1]])
-    ideal = column_kill(F5, 3, 2, t)
+    ideal = conjugate(column_kill(F5, 3, 2), t)
     calls = count_calls(monkeypatch, "invert", linalg)
     eliminations = count_calls(monkeypatch, "_eliminate", linalg)
     products = count_method_calls(monkeypatch, DenseMatrix, "mul")
@@ -404,7 +399,7 @@ def test_left_ideal_tests_build_no_maximal_left_ideal(monkeypatch):
                                      for j in range(n)] for i in range(n)])
             eye = MatrixSubspace.from_matrices(field, n, [DenseMatrix.identity(field, n)])
             for k in range(n + 1):
-                ideal = column_kill(field, n, k, t)
+                ideal = conjugate(column_kill(field, n, k), t)
                 assert left_ideal_normal_form(ideal).k == k
                 if 0 < k < n:
                     padded = matrix_sum(ideal, eye)

@@ -20,17 +20,13 @@ from mathieumat.matspace import MatrixSubspace, conjugate, constraint_space
 from mathieumat.normalize import rct_certificate
 from mathieumat.verify import idempotents
 
-from helpers import image, image_conjugator, rref, transpose, with_block
+from helpers import image, image_conjugator, rref, trace_zero, transpose, unit, with_block
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 F7 = Field.prime(7)
 QQ = Field.rationals()
-
-
-def unit(field, n, i, j):
-    return DenseMatrix.unit(field, n, n, i, j)
 
 
 def matrix_rank(m):
@@ -41,13 +37,6 @@ def lower_right_free_space(field):
     # {M in Mat_2 : M12 = 0}
     return MatrixSubspace.from_matrices(field, 2, [
         unit(field, 2, 0, 0), unit(field, 2, 1, 0), unit(field, 2, 1, 1)])
-
-
-def trace_zero_space(field, n):
-    gens = [unit(field, n, i, j) for i in range(n) for j in range(n) if i != j]
-    for i in range(1, n):
-        gens.append(unit(field, n, 0, 0) - unit(field, n, i, i))
-    return MatrixSubspace.from_matrices(field, n, gens)
 
 
 def test_family_one_parameter():
@@ -86,7 +75,7 @@ def test_corner_slice_rejects_r_outside_the_corner_range():
 
 def test_family_hypothesis_failed_on_trace_zero_space():
     with pytest.raises(HypothesisFailed) as exc:
-        idempotent_family(trace_zero_space(F5, 2), 1, UPPER)
+        idempotent_family(trace_zero(F5, 2), 1, UPPER)
     assert exc.value.witness == DenseMatrix.identity(F5, 2)
 
 
@@ -168,7 +157,7 @@ def test_certificate_hypothesis_failure():
 
 def test_certificate_precondition_identity_constraint():
     with pytest.raises(PreconditionViolated):
-        full_space_certificate(trace_zero_space(F3, 2), 1)
+        full_space_certificate(trace_zero(F3, 2), 1)
 
 
 def test_certificate_sum_nilpotency():

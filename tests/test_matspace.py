@@ -30,6 +30,8 @@ from helpers import (
     is_rct_zero,
     matrix_sum,
     rct,
+    trace_zero,
+    unit,
     zeros,
 )
 
@@ -37,24 +39,6 @@ F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 QQ = Field.rationals()
-
-
-def unit(field, n, i, j):
-    return DenseMatrix.unit(field, n, n, i, j)
-
-
-def trace_zero_space(field, n):
-    gens = [unit(field, n, i, j) for i in range(n) for j in range(n) if i != j]
-    for i in range(1, n):
-        gens.append(unit(field, n, 0, 0) - unit(field, n, i, i))
-    return MatrixSubspace.from_matrices(field, n, gens)
-
-
-def pair_space(field):
-    return MatrixSubspace.from_matrices(field, 3, [
-        DenseMatrix(field, [[0, 1, 0], [0, 1, 0], [0, 0, 0]]),
-        DenseMatrix(field, [[0, 0, 0], [0, 1, 1], [0, 0, 0]]),
-    ])
 
 
 def random_subspace(rng, field, n, dim_range=None):
@@ -106,7 +90,7 @@ def test_conjugate_rejects_a_conjugator_over_another_field():
 
 
 def test_constraint_space_of_trace_zero():
-    h = trace_zero_space(F5, 2)
+    h = trace_zero(F5, 2)
     c = constraint_space(h)
     assert c.dim == 1
     assert c.contains(DenseMatrix.identity(F5, 2))
@@ -122,7 +106,7 @@ def test_constraint_space_entry_pattern():
             if m.entries[1][0] == m.entries[1][1] == m.entries[2][1]]
     m7 = MatrixSubspace.from_matrices(F2, 3, gens)
     assert m7.dim == 7
-    assert constraint_space(m7) == pair_space(F2)
+    assert constraint_space(m7) == running_pair_space(F2)
 
 
 def test_double_duality_and_dimension():
@@ -174,7 +158,7 @@ def test_trace_pairing_conjugation_invariant():
 
 
 def test_filtration_endpoints():
-    cn = pair_space(F2).adjoin_identity()
+    cn = running_pair_space(F2).adjoin_identity()
     assert filtration_level(cn, 3) == cn
     assert filtration_level(cn, 0) == MatrixSubspace.from_matrices(F2, 3, [])
 
@@ -189,7 +173,7 @@ def test_filtration_nested_chain():
 
 
 def test_filtration_level_two_of_running_example():
-    cn = pair_space(F2).adjoin_identity()
+    cn = running_pair_space(F2).adjoin_identity()
     lvl2 = filtration_level(cn, 2)
     expected = MatrixSubspace.from_matrices(
         F2, 3, [DenseMatrix(F2, [[0, 1, 0], [0, 1, 0], [0, 0, 0]])])
@@ -201,11 +185,11 @@ def test_column_space_examples():
     cs = column_space(eye, (1, 0, 0))
     assert cs == VectorSubspace.from_vectors(F5, 3, [(1, 0, 0)])
 
-    cn2 = pair_space(F2).adjoin_identity()
+    cn2 = running_pair_space(F2).adjoin_identity()
     cs3 = column_space(cn2, (0, 0, 1))
     assert cs3 == VectorSubspace.from_vectors(F2, 3, [(0, 1, 0), (0, 0, 1)])
 
-    cn3 = pair_space(F3).adjoin_identity()
+    cn3 = running_pair_space(F3).adjoin_identity()
     assert column_space(cn3, (1, 1, 1)) == VectorSubspace.full(F3, 3)
 
 
@@ -226,7 +210,7 @@ def test_binary_profile_scalars_only():
 
 
 def test_binary_profile_running_example():
-    prof = binary_profile(pair_space(F2).adjoin_identity())
+    prof = binary_profile(running_pair_space(F2).adjoin_identity())
     assert prof.B == ((0, 1, 0), (0, 1, 1), (0, 0, 1))
     assert prof.b == (0, 2, 2)
     assert prof.col_dims == (0, 1, 2)
@@ -259,7 +243,7 @@ def test_profile_column_bound_and_unit_span_criterion():
 
 def test_profile_specialization_bound_random_vectors():
     rng = random.Random(29)
-    cn = pair_space(F3).adjoin_identity()
+    cn = running_pair_space(F3).adjoin_identity()
     prof = binary_profile(cn)
     for k in range(4):
         level = filtration_level(cn, k)
@@ -377,7 +361,7 @@ def test_find_generic_vector_scalar_space():
 
 
 def test_find_generic_vector_pivot_success_at_bound():
-    cn = pair_space(F3).adjoin_identity()
+    cn = running_pair_space(F3).adjoin_identity()
     v = find_generic_vector(Filtration(cn), 3, require_pivot_one=True)
     assert v[2] == F3.one
     assert column_space(filtration_level(cn, 3), v).dim == 3
@@ -387,7 +371,7 @@ def test_find_generic_vector_pivot_success_at_bound():
 
 
 def test_find_generic_vector_field_too_small():
-    cn = pair_space(F2).adjoin_identity()
+    cn = running_pair_space(F2).adjoin_identity()
     with pytest.raises(FieldTooSmallError) as exc:
         find_generic_vector(Filtration(cn), 3, require_pivot_one=True)
     assert exc.value.needed == 4
@@ -408,7 +392,7 @@ def test_find_generic_vector_trailing_zeros():
 
 
 def test_subspace_elements_enumeration():
-    cn = pair_space(F2)
+    cn = running_pair_space(F2)
     elems = list(elements(cn))
     assert len(elems) == 4
     assert elems[0].is_zero()

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from mathieumat.cli import running_pair_space
 from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import Filtration, MatrixSubspace, column_space
 from mathieumat.multipoly import (
@@ -206,25 +207,17 @@ def test_find_nonvanishing_on_a_constant(field):
         find_nonvanishing(three, [1, 1])
 
 
-def pair_space(field):
-    # dim-2 space whose identity-adjoined filtration has generic dims (0,0,1,3)
-    return MatrixSubspace.from_matrices(field, 3, [
-        DenseMatrix(field, [[0, 1, 0], [0, 1, 0], [0, 0, 0]]),
-        DenseMatrix(field, [[0, 0, 0], [0, 1, 1], [0, 0, 0]]),
-    ])
-
-
 def test_generic_rank_of_action_examples():
     eye = MatrixSubspace.from_matrices(F3, 3, [DenseMatrix.identity(F3, 3)])
     assert generic_rank_of_action(eye) == 1
-    assert generic_rank_of_action(pair_space(F2).adjoin_identity()) == 3
+    assert generic_rank_of_action(running_pair_space(F2).adjoin_identity()) == 3
     assert generic_rank_of_action(MatrixSubspace.from_matrices(F5, 3, [])) == 0
 
 
 def test_generic_rank_univariate_examples():
     eye = MatrixSubspace.from_matrices(F3, 3, [DenseMatrix.identity(F3, 3)])
     assert generic_rank_univariate(eye, 1, 3) == 1
-    assert generic_rank_univariate(pair_space(F2).adjoin_identity(), 2, 3) == 3
+    assert generic_rank_univariate(running_pair_space(F2).adjoin_identity(), 2, 3) == 3
     assert generic_rank_univariate(MatrixSubspace.from_matrices(F3, 3, []), 1, 2) == 0
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from mathieumat import matspace, multipoly
+from mathieumat.cli import running_pair_space
 from mathieumat.errors import FieldTooSmallError, PreconditionViolated
 from mathieumat.linalg import DenseMatrix, Field, invert
 from mathieumat.matspace import (
@@ -37,13 +38,6 @@ F7 = Field.prime(7)
 QQ = Field.rationals()
 
 
-def pair_space(field):
-    return MatrixSubspace.from_matrices(field, 3, [
-        DenseMatrix(field, [[0, 1, 0], [0, 1, 0], [0, 0, 0]]),
-        DenseMatrix(field, [[0, 0, 0], [0, 1, 1], [0, 0, 0]]),
-    ])
-
-
 def e(field, n, k):
     return tuple(field.one if i == k - 1 else field.zero for i in range(n))
 
@@ -68,17 +62,17 @@ def test_pencil_condition_examples():
     assert pencil_condition(eye, 2, 2)
     # before normalization the running example fails at (j, k) = (3, 2):
     # the column space at level 3 has dimension 2 but the pencil rank is 3
-    cn2 = pair_space(F2).adjoin_identity()
+    cn2 = running_pair_space(F2).adjoin_identity()
     assert not pencil_condition(cn2, 3, 2)
     # after a generic-vector move at the top level it holds for every k
-    cn3 = pair_space(F3).adjoin_identity()
+    cn3 = running_pair_space(F3).adjoin_identity()
     moved = conjugate(cn3, move_generic_vector(Filtration(cn3), 3))
     for k in (1, 2, 3):
         assert pencil_condition(moved, 3, k)
 
 
 def test_move_generic_vector_saturates_level():
-    cn3 = pair_space(F3).adjoin_identity()
+    cn3 = running_pair_space(F3).adjoin_identity()
     level = filtration_level(cn3, 3)
     assert column_space(level, e(F3, 3, 3)).dim == 2
     t = move_generic_vector(Filtration(cn3), 3)
@@ -170,7 +164,7 @@ def test_move_permutation_noops():
 
 
 def test_normalize_running_example_over_f3():
-    res = normalize(pair_space(F3).adjoin_identity())
+    res = normalize(running_pair_space(F3).adjoin_identity())
     prof = res.profile
     assert prof.b[2] == prof.d[3] == 3
     assert prof.rows_increasing()
@@ -180,7 +174,7 @@ def test_normalize_running_example_over_f3():
 
 def test_normalize_field_too_small_over_f2():
     with pytest.raises(FieldTooSmallError) as exc:
-        normalize(pair_space(F2).adjoin_identity())
+        normalize(running_pair_space(F2).adjoin_identity())
     assert exc.value.needed == 3
 
 
@@ -438,7 +432,7 @@ def test_rct_zero_is_scalar_for_zero_space():
 
 
 def test_rct_certificate_on_running_dual():
-    m = constraint_space(pair_space(F3))
+    m = constraint_space(running_pair_space(F3))
     cert = rct_certificate(m)
     assert cert.r == 2
     assert rct_zero_is_scalar(conjugate(constraint_space(m), cert.t), cert.r)
@@ -460,5 +454,5 @@ def test_rct_certificate_preconditions():
 
 def test_rct_certificate_field_too_small():
     with pytest.raises(FieldTooSmallError, match="certificate needs #K >= 3") as exc:
-        rct_certificate(constraint_space(pair_space(F2)))
+        rct_certificate(constraint_space(running_pair_space(F2)))
     assert exc.value.needed == 3

@@ -56,6 +56,7 @@ from mathieumat.multipoly import generic_rank_of_action
 from mathieumat.verify import left_ideal_normal_form, max_left_ideal
 
 from helpers import (
+    column_kill,
     filtration_level,
     kernel,
     kernel_constraint_space,
@@ -276,12 +277,6 @@ def spaces_with_positions(draw):
     field, n = draw(fields_and_sizes())
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     return draw(matrix_spaces(field, n)), draw(st.lists(cells, max_size=n * n + 1))
-
-
-def column_kill(field, n, k):
-    """The left ideal of matrices whose last n - k columns vanish."""
-    return MatrixSubspace.from_matrices(field, n, [
-        DenseMatrix.unit(field, n, n, i, j) for i in range(n) for j in range(k)])
 
 
 def column_kill_and_identity(field, n, k):

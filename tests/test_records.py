@@ -48,6 +48,8 @@ from mathieumat.verify import (
     verify_mathieu,
 )
 
+from helpers import column_kill
+
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -57,12 +59,6 @@ def moves_space():
     # normalizes with three logged moves over F_5
     return MatrixSubspace.from_matrices(
         F5, 3, [DenseMatrix(F5, [[0, 0, 0], [1, 1, 0], [0, 1, 0]])])
-
-
-def column_kill():
-    # the left ideal of the matrices with a zero second column
-    return MatrixSubspace.from_matrices(
-        F3, 2, [DenseMatrix.unit(F3, 2, 2, i, 0) for i in (0, 1)])
 
 
 # record -> (its fields in order, a function that returns one)
@@ -76,7 +72,8 @@ RECORDS = {
     TraceChainReport: (("char_avoids_1_to_n", "char_avoids_1_to_n_minus_1_and_identity_free",
                         "radical_nilpotent", "two_sided_mathieu", "nilpotency_bound_ok"),
                        lambda: trace_chain_report(cli._trace_zero(F2, 2))),
-    LeftIdealForm: (("t", "k", "idempotent"), lambda: left_ideal_normal_form(column_kill())),
+    LeftIdealForm: (("t", "k", "idempotent"),
+                    lambda: left_ideal_normal_form(column_kill(F3, 2, 1))),
     LeftIdealEquivalences: (("left_mathieu", "idempotents_in_ideal", "radicals_match",
                              "ideal", "idempotent_count"),
                             lambda: left_ideal_equivalences(cli._trace_zero(F2, 2))),

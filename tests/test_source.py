@@ -155,6 +155,18 @@ def test_one_readout_path():
                      "verify.max_left_ideal"}
 
 
+def test_one_grid_reshape():
+    # a flat row-major row becomes the n rows of its matrix through
+    # ``linalg._grid`` alone, whatever its entries: ints, ``Fraction``s
+    # or report strings
+    found = set()
+    for path in MODULES:
+        found |= callers(path, {"_grid"})
+    assert found == {"matspace.MatrixSubspace.basis_matrices", "matspace.conjugate",
+                     "matspace.column_space", "matspace.Filtration.__init__",
+                     "multipoly._action_pivots", "cli._basis_payload", "cli._scalar_corners"}
+
+
 def test_one_left_ideal_builder():
     # a left ideal's block RREF is laid out from its row space by
     # ``verify._left_ideal`` alone: the maximal left ideal, the left-ideal
@@ -330,6 +342,7 @@ DELETED = {
     "cli._rows_payload", "matspace._conjugate",
     "matspace.BinaryProfile.__new__", "matspace.BinaryProfile._make",
     "idempotents.AffineFamily.with_block", "multipoly.MultiPoly.__hash__",
+    "matspace._grid", "multipoly._clean",
 }
 
 

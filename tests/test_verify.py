@@ -39,6 +39,7 @@ from mathieumat.verify import (
 import keyed_verify
 from helpers import (
     all_matrices,
+    column_kill,
     elements,
     full_power_set,
     matrix_sum,
@@ -48,6 +49,8 @@ from helpers import (
     reference_is_left_ideal,
     small_codim_report,
     symmetric_images,
+    trace_zero,
+    unit,
     zeros,
 )
 
@@ -56,22 +59,6 @@ F3 = Field.prime(3)
 F5 = Field.prime(5)
 F7 = Field.prime(7)
 QQ = Field.rationals()
-
-
-def unit(field, n, i, j):
-    return DenseMatrix.unit(field, n, n, i, j)
-
-
-def trace_zero(field, n):
-    gens = [unit(field, n, i, j) for i in range(n) for j in range(n) if i != j]
-    gens += [unit(field, n, 0, 0) - unit(field, n, i, i) for i in range(1, n)]
-    return MatrixSubspace.from_matrices(field, n, gens)
-
-
-def column_kill(field):
-    # {M in Mat_2 : M e_2 = 0}
-    return MatrixSubspace.from_matrices(field, 2, [
-        unit(field, 2, 0, 0), unit(field, 2, 1, 0)])
 
 
 def test_trajectory_identity():
@@ -178,7 +165,7 @@ def test_verify_trace_zero_odd_characteristic_holds():
 
 def test_two_sided_iff_pre_two_sided_empirically():
     rng = random.Random(11)
-    spaces = [trace_zero(F2, 2), trace_zero(F3, 2), column_kill(F3),
+    spaces = [trace_zero(F2, 2), trace_zero(F3, 2), column_kill(F3, 2, 1),
               MatrixSubspace.from_matrices(F2, 2, [])]
     for _ in range(10):
         gens = [DenseMatrix(F3, [[rng.randrange(3) for _ in range(2)]
@@ -490,7 +477,7 @@ def test_verdicts_and_counts_agree_on_conjugates_and_transposes():
 
 
 def test_max_left_ideal_examples():
-    ck = column_kill(F2)
+    ck = column_kill(F2, 2, 1)
     assert max_left_ideal(ck) == ck
     assert max_left_ideal(trace_zero(F3, 2)).dim == 0
     full = MatrixSubspace.full_space(F3, 2)
@@ -514,7 +501,7 @@ def test_max_left_ideal_properties():
 
 
 def test_left_ideal_normal_form_examples():
-    ck = column_kill(F3)
+    ck = column_kill(F3, 2, 1)
     nf = left_ideal_normal_form(ck)
     assert nf.k == 1 and nf.t == DenseMatrix.identity(F3, 2)
 
@@ -542,7 +529,7 @@ def test_left_ideal_equivalences_examples():
     assert rep.left_mathieu and rep.idempotents_in_ideal and rep.radicals_match
     assert rep.ideal.dim == 0 and rep.idempotent_count == 1
 
-    rep = left_ideal_equivalences(column_kill(F2))
+    rep = left_ideal_equivalences(column_kill(F2, 2, 1))
     assert rep.left_mathieu and rep.consistent
 
     rep = left_ideal_equivalences(trace_zero(F2, 2))
@@ -777,7 +764,7 @@ def test_members_with_a_zero_power_form_no_table(monkeypatch):
     for vtype in (LEFT, RIGHT, PRE_TWO_SIDED):
         assert verify_mathieu(strict, vtype).holds
     assert seen == []
-    for space in (trace_zero(F3, 2), column_kill(F3)):
+    for space in (trace_zero(F3, 2), column_kill(F3, 2, 1)):
         for vtype in (LEFT, RIGHT, PRE_TWO_SIDED):
             assert verify_mathieu(space, vtype) == keyed_verify.verify_mathieu(space, vtype)
     assert seen
@@ -1018,7 +1005,7 @@ def test_dual_spans_the_constraint_space(field, n):
 
 def test_verdicts_and_radicals_eliminate_nothing_once_the_space_is_built(monkeypatch):
     from mathieumat import linalg, matspace
-    spaces = [trace_zero(F2, 3), trace_zero(F5, 2), column_kill(F3),
+    spaces = [trace_zero(F2, 3), trace_zero(F5, 2), column_kill(F3, 2, 1),
               MatrixSubspace.from_matrices(F3, 2, [])]
     original, calls = linalg._eliminate, []
 

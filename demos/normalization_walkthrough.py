@@ -12,10 +12,8 @@ the running example over F_2.
 """
 
 from mathieumat import (
-    DenseMatrix,
     Field,
     FieldTooSmallError,
-    MatrixSubspace,
     binary_profile,
     conjugate,
     constraint_space,
@@ -23,13 +21,7 @@ from mathieumat import (
     rct_certificate,
     rct_zero_is_scalar,
 )
-
-
-def pair_space(field):
-    return MatrixSubspace.from_matrices(field, 3, [
-        DenseMatrix(field, [[0, 1, 0], [0, 1, 0], [0, 0, 0]]),
-        DenseMatrix(field, [[0, 0, 0], [0, 1, 1], [0, 0, 0]]),
-    ])
+from mathieumat.cli import running_pair_space
 
 
 def print_profile(tag, prof):
@@ -41,7 +33,7 @@ def print_profile(tag, prof):
 
 def main():
     print("=== the identity-adjoined running example over F_3 ===")
-    cn = pair_space(Field.prime(3)).adjoin_identity()
+    cn = running_pair_space(Field.prime(3)).adjoin_identity()
     print_profile("profile before", binary_profile(cn))
     result = normalize(cn)
     print("branch:", result.branch)
@@ -56,13 +48,13 @@ def main():
 
     print("=== the same space over F_2 is below the field bound ===")
     try:
-        normalize(pair_space(Field.prime(2)).adjoin_identity())
+        normalize(running_pair_space(Field.prime(2)).adjoin_identity())
     except FieldTooSmallError as exc:
         print("FieldTooSmall:", exc)
     print()
 
     print("=== the zero-corner certificate over F_3 ===")
-    m = constraint_space(pair_space(Field.prime(3)))
+    m = constraint_space(running_pair_space(Field.prime(3)))
     cert = rct_certificate(m)
     print("certificate block size r =", cert.r)
     moved = conjugate(constraint_space(m), cert.t)

@@ -436,21 +436,24 @@ def _read(argv):
         flag.lstrip("-"): values.get(flag, default) for flag, _, default, _, _ in arguments})
 
 
+# The writers of a list's items, where all of them are of one such type.
+_LEAVES = {int: int.__repr__, str: encode_basestring_ascii}
+
+
 def _json(value, nl="\n"):
     """``json.dumps(value, sort_keys=True, indent=2)`` for a report's
     types (dict with str keys, list, str, int, bool, None, finite float),
     written directly: with ``indent`` set, ``json`` encodes in pure
     Python.  ``nl`` is the newline and indent of the line ``value``
-    ends on; a flat ``int`` list is joined in one step."""
+    ends on; a flat ``int`` or ``str`` list is joined in one step."""
     kind = type(value)
     if kind is list:
         if not value:
             return "[]"
         inner = nl + "  "
-        if {*map(type, value)} == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = [_json(x, inner) for x in value]
+        kinds = {*map(type, value)}
+        leaf = len(kinds) == 1 and _LEAVES.get(*kinds)
+        items = map(leaf, value) if leaf else [_json(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if kind is dict:
         if not value:

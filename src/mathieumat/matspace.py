@@ -14,21 +14,22 @@ solved for as basis coefficients; the trace dual of a space of small
 codimension is read off the space's own RREF by ``_complement``.  The
 binary profile, the generic-vector search and the normalization moves
 read all levels, their column spaces and generic dimensions off one
-:class:`Filtration`: one forward elimination, then two cheap bounds on each
-generic dimension.  Evaluation at a point gives only a lower bound;
-where it meets the upper bound the dimension is exact, and one Bareiss
-run decides the rest.  The column space of level k along
-e_k, which drives the moves and is column k of the profile, is read once
-per level, off column k of the level's basis matrices.
+:class:`Filtration`: one forward elimination, then cheap bounds on each
+generic dimension.  Evaluation at a point gives a lower bound; where it
+reaches min(m, n) or meets the upper bound the dimension is exact, and
+one Bareiss run decides the rest.  The column space of level k along
+e_k, which drives the moves and is column k of the profile, has column
+k of the basis matrices that level k adds as a basis: its dimension and
+support are read off those vectors, and its RREF is formed only for the
+unit-triangular move.
 
 Products that feed an elimination stay on integers: they read the basis
 as ``VectorSubspace.rows``, integer rows over Q.  ``conjugate``, the
 one conjugation path, clears t^-1 and t once and hands the flat rows of
 t^-1 M t to one elimination.  A :class:`Filtration` holds its adapted
-basis as integer grids: its column spaces along e_k eliminate their
-columns, and the generic-vector scan and the rank bounds eliminate
-integer images of them forward only, for their rank: the scan needs the
-dimension of a candidate's column space, not the space.
+basis as integer grids; the generic-vector scan and the rank bounds
+eliminate integer images of them forward only, for their rank: the scan
+needs the dimension of a candidate's column space, not the space.
 ``MatrixSubspace.basis_matrices`` and the ``Fraction`` basis of a space
 over Q are views built when read, and never kept: a space that is only
 loaded, conjugated, filtered, dualized, compared or reported builds neither.
@@ -240,19 +241,21 @@ class Filtration(_Frozen):
     their coordinates, so those rows span C_k.  ``grids`` holds that
     basis bottom-up as ``linalg._grid`` matrices of integer rows, so its first
     ``dims[k]`` members span C_k.  Everything read from them (``dims``,
-    the rank bounds, the Bareiss pivots, the canonical ``col_spaces`` and
+    the rank bounds, the Bareiss pivots, the column spaces along e_k and
     the generic-vector ranks) depends only on those spans, so no
-    back-substitution is needed.  C e_k is column k of C, so
-    ``col_spaces[k - 1]``, the column space of C_k along e_k, spans
-    column k of those grids; the generic-vector scan and the rank
-    bounds take the ranks of integer products with them.  ``d[k]`` is
-    read off the bounds of ``_rank_bounds`` when they meet at every
-    level for some point; otherwise one Bareiss run over the columns C*x,
-    in that order, gives every generic dimension: ``d[k]`` counts its
-    pivots among the first ``dims[k]``.
+    back-substitution is needed.  C e_k is column k of C, on which the
+    first ``dims[k - 1]`` members vanish and the ones that level k adds
+    pivot at distinct entries, so column k of those, ``columns[k - 1]``,
+    is a basis of the column space of C_k along e_k: ``col_space(k)``
+    forms its RREF only when asked.  The generic-vector scan and the
+    rank bounds take the ranks of integer products with the grids.
+    ``d[k]`` is read off the bounds of ``_rank_bounds`` when they meet at
+    every level for some point; otherwise one Bareiss run over the
+    columns C*x, in that order, gives every generic dimension: ``d[k]``
+    counts its pivots among the first ``dims[k]``.
     """
 
-    __slots__ = ("space", "grids", "dims", "d", "col_spaces")
+    __slots__ = ("space", "grids", "dims", "d", "columns")
 
     def __init__(self, space: MatrixSubspace):
         f, n = space.field, space.n
@@ -266,26 +269,30 @@ class Filtration(_Frozen):
         d = next((lower for lower, upper in _rank_bounds(f, n, grids, dims) if lower == upper),
                  None)
         if d is None:
-            generic = _action_pivots(f, n, [[x for r in g for x in r] for g in grids])
+            generic = _action_pivots(f, n, grids)
             d = [sum(c < dk for c in generic) for dk in dims]
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "dims", tuple(dims))
         object.__setattr__(self, "d", tuple(d))
-        object.__setattr__(self, "col_spaces", tuple(
-            VectorSubspace._span(f, n, [[r[j] for r in g] for g in grids[:dims[j + 1]]])
-            for j in range(n)))
+        object.__setattr__(self, "columns", tuple(
+            [[r[j] for r in g] for g in grids[dims[j]:dims[j + 1]]] for j in range(n)))
+
+    def col_space(self, k) -> VectorSubspace:
+        """The column space of C_k along e_k as a canonical subspace."""
+        return VectorSubspace._span(self.space.field, self.space.n, self.columns[k - 1])
 
     def profile(self) -> BinaryProfile:
         """The binary profile of the space, read off this filtration."""
-        columns = [_support(cs) for cs in self.col_spaces]
-        return BinaryProfile(self.space.n, tuple(zip(*columns)), tuple(map(sum, columns)),
-                             tuple(cs.dim for cs in self.col_spaces), self.d)
+        n = self.space.n
+        supports = [_support(n, vectors) for vectors in self.columns]
+        return BinaryProfile(n, tuple(zip(*supports)), tuple(map(sum, supports)),
+                             tuple(map(len, self.columns)), self.d)
 
 
-def _support(cs: VectorSubspace) -> list:
-    """0/1 by coordinate: 1 where some vector of ``cs`` is nonzero."""
-    return [int(any(row[i] for row in cs.rows)) for i in range(cs.ambient_dim)]
+def _support(n, vectors) -> list:
+    """0/1 by coordinate of K^n: 1 where one of ``vectors`` is nonzero."""
+    return [int(any(v[i] for v in vectors)) for i in range(n)]
 
 
 # The points v of the lower bounds, by 0-based coordinate j, in the order tried.
@@ -297,20 +304,29 @@ def _rank_bounds(field, n, grids, dims):
     """``(lower, upper)`` bounds on the generic rank of the first ``dims[k]``
     ``linalg._grid`` matrices at every level k, once per point of ``_POINTS``.
 
-    C x lies in the column space of C, so the generic rank of C_1..C_m is
-    at most min(m, rank [C_1 | ... | C_m]); a minor that is nonzero at v
-    is nonzero over K(x), so it is at least the rank of C_1 v .. C_m v.
-    Only the pivots are read, so both eliminations run forward only
-    (``first`` is the column count).
+    A minor that is nonzero at v is nonzero over K(x), so the generic
+    rank of C_1..C_m is at least the rank of C_1 v .. C_m v; it is at
+    most min(m, n), and where the lower bound reaches that at every level
+    it is both bounds.  Otherwise C x lies in the column space of C, so
+    the rank is at most min(m, rank [C_1 | ... | C_m]): that elimination
+    runs once, at the first point that falls short.  Only the pivots are
+    read, so every elimination runs forward only (``first`` is the
+    column count).
     """
     count = len(grids)
-    span = _eliminate(field, [[x for g in grids for x in g[i]] for i in range(n)],
-                      n * count, n * count)
-    upper = [min(m, sum(c < n * m for c in span)) for m in dims]
+    cap = [min(m, n) for m in dims]
+    upper = None
     for point in _POINTS:
         images = _images(field, grids, [point(j) for j in range(n)])
         pivots = _eliminate(field, [[im[i] for im in images] for i in range(n)], count, count)
         lower = [sum(c < m for c in pivots) for m in dims]
+        if lower == cap:
+            yield lower, lower
+            continue
+        if upper is None:
+            span = _eliminate(field, [[x for g in grids for x in g[i]] for i in range(n)],
+                              n * count, n * count)
+            upper = [min(m, sum(c < n * m for c in span)) for m in dims]
         if any(lo > up for lo, up in zip(lower, upper)):
             raise AssertionError("rank bounds cross (lower %r, upper %r); this "
                                  "indicates a bug in the generic-rank machinery"

@@ -246,16 +246,15 @@ def find_nonvanishing(f: MultiPoly, s):
     return None
 
 
-def _action_pivots(field, n, rows) -> list:
-    """Bareiss pivot columns over K(x_1..x_n) of the n x len(rows) matrix
-    of columns C*x, C the row-major ``rows`` in order: the pivots among
-    the first m count the generic rank of the span of the first m rows.
-    The rows are integers: over Q any nonzero multiple of C will do, as
-    ``VectorSubspace.rows`` and ``linalg._grid`` hold them."""
-    width = _width(2 * min(n, len(rows)))           # linear entries
+def _action_pivots(field, n, grids) -> list:
+    """Bareiss pivot columns over K(x_1..x_n) of the n x len(grids) matrix
+    of columns C*x, C the ``linalg._grid`` matrices in order: the pivots
+    among the first m count the generic rank of the span of the first m.
+    The entries are integers: over Q any nonzero multiple of C will do,
+    as ``_grid`` of ``VectorSubspace.rows`` holds them."""
+    width = _width(2 * min(n, len(grids)))          # linear entries
     keys = [1 << (width * (n - 1 - l)) for l in range(n)]
-    columns = [[{key: c for key, c in zip(keys, r) if c} for r in _grid(n, row)]
-               for row in rows]
+    columns = [[{key: c for key, c in zip(keys, r) if c} for r in g] for g in grids]
     return _bareiss_rank(columns, field.p, _guard(n, width))
 
 
@@ -264,4 +263,5 @@ def generic_rank_of_action(space) -> int:
 
     Independent of the chosen basis of the subspace.
     """
-    return len(_action_pivots(space.field, space.n, space.basis.rows))
+    n = space.n
+    return len(_action_pivots(space.field, n, [_grid(n, row) for row in space.basis.rows]))

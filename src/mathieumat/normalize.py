@@ -22,9 +22,10 @@ and returns its conjugator, or None for a no-op; ``normalize`` reads one
 Filtration for the input and one for the conjugate after each logged move.
 The postcondition conjugates the input by the total conjugator only when
 two or more moves compose it: one move formed that conjugate already.
-The moves read the column space of level k along e_k off
-``Filtration.col_spaces``; the generic-vector search reads only the rank
-of each candidate's images, never a column space.
+The moves read the column space of level k along e_k off its basis
+``Filtration.columns``; only a unit-triangular move that is no no-op
+forms its RREF.  The generic-vector search reads only the rank of each
+candidate's images, never a column space.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def move_generic_vector(fil: Filtration, k: int, pivot=False):
     f, n = fil.space.field, fil.space.n
     # The column space along e_k never exceeds d_k, so it is saturated
     # when d_k = 0.
-    if fil.col_spaces[k - 1].dim == fil.d[k]:
+    if len(fil.columns[k - 1]) == fil.d[k]:
         return None
     v = find_generic_vector(fil, k, require_pivot_one=pivot)
     columns = list(DenseMatrix.identity(f, n).entries)
@@ -96,9 +97,11 @@ def move_unit_triangular(fil: Filtration, k: int):
     one-count equals its dimension), for 1 <= k <= n.  None when it
     already is."""
     f, n = fil.space.field, fil.space.n
-    cs = fil.col_spaces[k - 1]
-    if all(sum(1 for x in row if x) == 1 for row in cs.rows):
+    vectors = fil.columns[k - 1]
+    # a span is a coordinate subspace iff its dimension is its support's size
+    if len(vectors) == sum(_support(n, vectors)):
         return None
+    cs = fil.col_space(k)
     columns = list(DenseMatrix.identity(f, n).entries)
     # RREF rows have distinct pivots: each becomes the column of its own.
     for row, lead in zip(cs.basis, cs.pivots):
@@ -112,7 +115,7 @@ def move_permutation(fil: Filtration, k: int):
     1 <= k <= n; None when it already is.  The permutation is stable and
     fixes every coordinate from the lowest 1 of the column downward."""
     f, n = fil.space.field, fil.space.n
-    ind = _support(fil.col_spaces[k - 1])
+    ind = _support(n, fil.columns[k - 1])
     above = ind[:k - 1]
     if all(a >= b for a, b in zip(above, above[1:])):
         return None
@@ -163,7 +166,7 @@ def normalize(space: MatrixSubspace) -> NormalizationResult:
         log.append(Move(kind, k, t))
         dk = fil.d[k]
         fil = Filtration(conjugate(fil.space, t))
-        if kind == "generic_vector" and fil.col_spaces[k - 1].dim != dk:
+        if kind == "generic_vector" and len(fil.columns[k - 1]) != dk:
             raise NormalizationError(
                 "generic-vector move missed dimension %d at level %d" % (dk, k), log)
 

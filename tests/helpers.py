@@ -11,6 +11,7 @@ from mathieumat.linalg import (
     VectorSubspace,
     _cleared,
     _eliminate,
+    _grid,
     _kernel,
     _scalars,
     invert,
@@ -206,8 +207,7 @@ def reversed_kernel_columns(ideal: MatrixSubspace) -> list:
     pivot of W with its coordinates reversed, so no vector of W has its
     last nonzero coordinate at c."""
     f, n = ideal.field, ideal.n
-    common = _kernel(f, [row[i * n:(i + 1) * n] for row in ideal.basis.rows
-                         for i in range(n)], n)
+    common = _kernel(f, [r for row in ideal.basis.rows for r in _grid(n, row)], n)
     last = VectorSubspace._span(f, n, [v[::-1] for v in common.rows]).pivots
     return [c for c in range(n) if n - 1 - c not in last]
 
@@ -329,9 +329,10 @@ def generic_rank_univariate(space, k: int, j: int) -> int:
     """
     if not (1 <= k <= space.n and 1 <= j <= space.n):
         raise ValueError("coordinate indices out of range")
-    rows = [[x if c % space.n in (k - 1, j - 1) else 0 for c, x in enumerate(row)]
-            for row in space.basis.rows]
-    return len(_action_pivots(space.field, space.n, rows))
+    n = space.n
+    grids = [_grid(n, [x if c % n in (k - 1, j - 1) else 0 for c, x in enumerate(row)])
+             for row in space.basis.rows]
+    return len(_action_pivots(space.field, n, grids))
 
 
 def pencil_condition(space: MatrixSubspace, j: int, k: int) -> bool:

@@ -409,6 +409,7 @@ json_scalars = (st.none() | st.booleans() | st.integers()
 json_documents = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=5) | st.lists(st.integers(), max_size=5)
+    | st.lists(st.text(), max_size=5)
     | st.dictionaries(st.text(), inner, max_size=5),
     max_leaves=30)
 

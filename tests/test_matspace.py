@@ -303,12 +303,15 @@ def test_no_bareiss_run_where_the_rank_bounds_meet(bareiss_runs):
     assert bareiss_runs == []
 
 
+# The skew-symmetric matrices of Mat_3(Q).  The rank bounds give 2 against
+# 3 at the top level: rank [C_1|C_2|C_3] is 3, while x^t C x = 0 keeps
+# every C x in a plane.
+SKEW_3 = MatrixSubspace.from_matrices(QQ, 3, [
+    unit(QQ, 3, i, j) - unit(QQ, 3, j, i) for i in range(3) for j in range(i + 1, 3)])
+
+
 @pytest.mark.parametrize("space, d", [
-    # the rank bounds give 2 against 3 at the top level: rank [C_1|C_2|C_3]
-    # is 3, while x^t C x = 0 keeps every C x in a plane
-    (MatrixSubspace.from_matrices(QQ, 3, [
-        unit(QQ, 3, i, j) - unit(QQ, 3, j, i) for i in range(3) for j in range(i + 1, 3)]),
-     (0, 0, 1, 2)),
+    (SKEW_3, (0, 0, 1, 2)),
     # d_3 = 3, but over F_2 no point reaches it
     (running_pair_space(F2).adjoin_identity(), (0, 0, 1, 3)),
 ])
@@ -318,8 +321,10 @@ def test_bareiss_decides_where_the_rank_bounds_differ(space, d, bareiss_runs):
 
 
 def test_rank_bounds_eliminate_forward_only(monkeypatch):
-    # the bounds read only pivots, so both of their eliminations (the span
-    # and each point) take ``first`` at the column count, on both fields
+    # the bounds read only pivots, so every elimination (each point's, and
+    # the span's) takes ``first`` at the column count, on both fields; the
+    # span is eliminated once, and only where some point's lower bound
+    # falls short of min(m, n)
     calls = []
     eliminate = matspace._eliminate
 
@@ -328,16 +333,39 @@ def test_rank_bounds_eliminate_forward_only(monkeypatch):
         return eliminate(field, rows, ncols, first)
 
     rng = random.Random(5)
-    for field in (F2, F5, QQ):
-        space = random_subspace(rng, field, 4, (3, 12))
+    spaces = [random_subspace(rng, field, 4, (3, 12)) for field in (F2, F5, QQ)]
+    short = []
+    for space in [*spaces, SKEW_3]:
+        f, n = space.field, space.n
         fil = Filtration(space)
-        want = list(matspace._rank_bounds(field, 4, fil.grids, fil.dims))
+        want = list(matspace._rank_bounds(f, n, fil.grids, fil.dims))
         monkeypatch.setattr(matspace, "_eliminate", recording)
-        assert list(matspace._rank_bounds(field, 4, fil.grids, fil.dims)) == want
+        assert list(matspace._rank_bounds(f, n, fil.grids, fil.dims)) == want
         monkeypatch.undo()
-        assert len(calls) == 1 + len(matspace._POINTS)
+        cap = [min(m, n) for m in fil.dims]
+        short.append(any(lower != cap for lower, _ in want))
+        assert len(calls) == len(matspace._POINTS) + short[-1]
         assert all(first == ncols for ncols, first in calls)
         calls.clear()
+    assert short[-1] and not all(short)
+
+
+def test_binary_profile_forms_no_column_space(monkeypatch):
+    # the profile reads each level's column space along e_k off the vectors
+    # the level adds, its dimension and its support: no RREF in K^n
+    ambients = []
+    span = VectorSubspace._span
+
+    def recording(field, ambient_dim, rows):
+        ambients.append(ambient_dim)
+        return span(field, ambient_dim, rows)
+
+    rng = random.Random(52)
+    spaces = [random_subspace(rng, field, n) for field in (F2, F5, QQ) for n in (2, 3, 4)]
+    monkeypatch.setattr(VectorSubspace, "_span", staticmethod(recording))
+    for space in [*spaces, SKEW_3, running_pair_space(F2).adjoin_identity()]:
+        binary_profile(space)
+        assert space.n not in ambients
 
 
 def test_rct_examples():

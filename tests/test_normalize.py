@@ -29,17 +29,13 @@ from mathieumat.normalize import (
     rct_zero_is_scalar,
 )
 
-from helpers import filtration_level, mul_vector, pencil_condition
+from helpers import filtration_level, mul_vector, pencil_condition, unit_vector
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 F7 = Field.prime(7)
 QQ = Field.rationals()
-
-
-def e(field, n, k):
-    return tuple(field.one if i == k - 1 else field.zero for i in range(n))
 
 
 def random_space(rng, field, n, adjoin=False):
@@ -74,10 +70,10 @@ def test_pencil_condition_examples():
 def test_move_generic_vector_saturates_level():
     cn3 = running_pair_space(F3).adjoin_identity()
     level = filtration_level(cn3, 3)
-    assert column_space(level, e(F3, 3, 3)).dim == 2
+    assert column_space(level, unit_vector(F3, 3, 3)).dim == 2
     t = move_generic_vector(Filtration(cn3), 3)
     moved = conjugate(cn3, t)
-    assert column_space(filtration_level(moved, 3), e(F3, 3, 3)).dim == 3
+    assert column_space(filtration_level(moved, 3), unit_vector(F3, 3, 3)).dim == 3
     # identity columns right of k (here k = n, so just invertibility)
     invert(t)
 
@@ -95,12 +91,12 @@ def test_move_generic_vector_pivot_form_is_identity_outside_column():
     s = MatrixSubspace.from_matrices(F3, 3, [
         DenseMatrix(F3, [[1, 0, 0], [0, 0, 0], [2, 0, 0]])]).adjoin_identity()
     fil = Filtration(s)
-    assert column_space(filtration_level(s, 2), e(F3, 3, 2)).dim == 0 and fil.d[2] == 1
+    assert column_space(filtration_level(s, 2), unit_vector(F3, 3, 2)).dim == 0 and fil.d[2] == 1
     t = move_generic_vector(fil, 2, pivot=True)
     assert t.entries[1][1] == 1
     for j in (0, 2):
-        assert t.column(j) == e(F3, 3, j + 1)
-    assert column_space(filtration_level(conjugate(s, t), 2), e(F3, 3, 2)).dim == 1
+        assert t.column(j) == unit_vector(F3, 3, j + 1)
+    assert column_space(filtration_level(conjugate(s, t), 2), unit_vector(F3, 3, 2)).dim == 1
 
 
 def test_a_generic_vector_move_that_misses_raises(monkeypatch):
@@ -111,7 +107,7 @@ def test_a_generic_vector_move_that_misses_raises(monkeypatch):
     # the package binds the name "normalize" to the function
     module = importlib.import_module("mathieumat.normalize")
     monkeypatch.setattr(module, "find_generic_vector",
-                        lambda fil, k, require_pivot_one=False: e(F3, 3, k))
+                        lambda fil, k, require_pivot_one=False: unit_vector(F3, 3, k))
     with pytest.raises(NormalizationError, match="missed dimension 2 at level 3"):
         normalize(s)
 
@@ -122,7 +118,7 @@ def test_move_unit_triangular_spans_units():
     s = MatrixSubspace.from_matrices(F5, 3, [m])
     t = move_unit_triangular(Filtration(s), 3)
     out = conjugate(s, t)
-    cs = column_space(filtration_level(out, 3), e(F5, 3, 3))
+    cs = column_space(filtration_level(out, 3), unit_vector(F5, 3, 3))
     assert cs.dim == 1 and cs.member((0, 1, 0))
     # t is lower triangular
     for i in range(3):
@@ -147,7 +143,7 @@ def test_move_permutation_sorts_column():
     ])
     t = move_permutation(Filtration(s), 4)
     out = conjugate(s, t)
-    cs = column_space(filtration_level(out, 4), e(f, 4, 4))
+    cs = column_space(filtration_level(out, 4), unit_vector(f, 4, 4))
     assert cs.member((1, 0, 0, 0)) and cs.member((0, 1, 0, 0))
     prof = binary_profile(out)
     assert [prof.B[i][3] for i in range(4)] == [1, 1, 0, 0]
@@ -348,7 +344,7 @@ def test_one_filtration_per_filtered_space(monkeypatch):
 
 def test_column_spaces_along_unit_vectors_are_read_off_the_filtration(monkeypatch):
     # the profile and the moves read the column space of level k along
-    # e_k off ``Filtration.col_spaces``: outside the rank bounds only the
+    # e_k off ``Filtration.columns``: outside the rank bounds only the
     # generic-vector search multiplies out images (``_images``), so a run
     # without a generic-vector move multiplies out none elsewhere
     calls = []
@@ -402,8 +398,8 @@ def test_lower_triangular_column_replacement():
             ti = invert(t)
         except Exception:
             continue
-        before = column_space(filtration_level(s, k), e(f, n, k))
-        after = column_space(filtration_level(conjugate(s, t), k), e(f, n, k))
+        before = column_space(filtration_level(s, k), unit_vector(f, n, k))
+        after = column_space(filtration_level(conjugate(s, t), k), unit_vector(f, n, k))
         from mathieumat.linalg import VectorSubspace
         expected = VectorSubspace.from_vectors(
             f, n, [mul_vector(ti, v) for v in before.basis])

@@ -701,8 +701,11 @@ def test_filtration_readout_matches_levels(space):
     assert binary_profile(space) == got.profile() == reference_profile(space)
     levels = [filtration_level(space, k) for k in range(space.n + 1)]
     assert got.dims == tuple(level.dim for level in levels)
-    assert got.col_spaces == tuple(column_space(levels[j], unit_vector(space.field, space.n, j))
-                                   for j in range(1, space.n + 1))
+    for k in range(1, space.n + 1):
+        along = column_space(levels[k], unit_vector(space.field, space.n, k))
+        assert got.col_space(k) == along
+        # the vectors level k adds are a basis of its column space along e_k
+        assert len(got.columns[k - 1]) == along.dim
     # the integer grids are multiples of the basis matrices; the public
     # constructor reads them as field scalars
     assert all(MatrixSubspace.from_matrices(space.field, space.n, got.grids[:level.dim])

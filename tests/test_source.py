@@ -164,7 +164,8 @@ def test_one_grid_reshape():
         found |= callers(path, {"_grid"})
     assert found == {"matspace.MatrixSubspace.basis_matrices", "matspace.conjugate",
                      "matspace.column_space", "matspace.Filtration.__init__",
-                     "multipoly._action_pivots", "cli._basis_payload", "cli._scalar_corners"}
+                     "multipoly.generic_rank_of_action", "cli._basis_payload",
+                     "cli._scalar_corners"}
 
 
 def test_one_left_ideal_builder():

@@ -23,7 +23,7 @@ Filtration for the input and one for the conjugate after each logged move.
 The postcondition conjugates the input by the total conjugator only when
 two or more moves compose it: one move formed that conjugate already.
 The moves read the column space of level k along e_k off its basis
-``Filtration.columns``; only a unit-triangular move that is no no-op
+``Filtration.columns``; only a unit-triangular move that is not a no-op
 forms its RREF.  The generic-vector search reads only the rank of each
 candidate's images, never a column space.
 """

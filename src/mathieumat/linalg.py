@@ -172,15 +172,6 @@ class Field(_Frozen):
             raise ValueError("the rationals are not enumerable")
         return range(self.p)
 
-    def first_elements(self, k: int):
-        """The first ``k`` canonical elements: 0, 1, 2, ...
-
-        For F_p at most ``p`` are available; the rationals never run out.
-        """
-        if self.p:
-            return list(range(min(k, self.p)))
-        return [Fraction(i) for i in range(k)]
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

@@ -53,6 +53,7 @@ from .linalg import (
     _grid,
     _kernel,
     _readout,
+    _scalars,
     invert,
 )
 from .multipoly import _action_pivots
@@ -185,14 +186,14 @@ def column_space(space: MatrixSubspace, vec) -> VectorSubspace:
         raise ValueError("vector has wrong length")
     f, n = space.field, space.n
     grids = [_grid(n, row) for row in space.basis.rows]
-    return VectorSubspace._span(f, n, _images(f, grids, [f.of(x) for x in vec]))
+    (v,), _ = _cleared(f, [[f.of(x) for x in vec]])
+    return VectorSubspace._span(f, n, _images(f, grids, v))
 
 
 def _images(field, grids, v) -> list:
-    """The products g v of ``linalg._grid`` matrices g with a vector v of
-    canonical scalars or ints, as rows for ``_span``: over Q a nonzero
-    integer multiple of each product, over F_p its residues."""
-    (v,), _ = _cleared(field, [v])
+    """The products g v of ``linalg._grid`` matrices g with an integer
+    vector v, as rows for ``_span``: over Q the integer products, over
+    F_p their residues."""
     p = field.p
     if p:
         return [[sum(map(mul, row, v)) % p for row in g] for g in grids]
@@ -345,26 +346,26 @@ def find_generic_vector(fil: Filtration, k: int, require_pivot_one=False):
     additionally v_k = 1.  Only the rank of C_1 v .. C_m v is read, so
     each candidate is eliminated forward only.
 
-    Deterministic: scans the grid S^k in lexicographic order, S the first
-    min(#K, max(d_k, 1) + 1) canonical field elements in the pivot form,
-    min(#K, d_k + 1) otherwise.  The top minor's vanishing bound guarantees
-    a witness whenever #K >= d_k (#K > d_k for the pivot form); below those
-    bounds the scan may still succeed, else FieldTooSmallError is raised.
+    Deterministic: scans the grid S^k in lexicographic order, S the
+    integers 0 .. min(#K, m) - 1 with m = max(d_k, 1) + 1 in the pivot
+    form, d_k + 1 otherwise; only the point found becomes canonical
+    scalars.  The top minor's vanishing bound guarantees a witness
+    whenever #K >= d_k (#K > d_k for the pivot form); below those bounds
+    the scan may still succeed, else FieldTooSmallError is raised.
     """
     f, n = fil.space.field, fil.space.n
     if not int(require_pivot_one) <= k <= n:
         raise ValueError("level %d out of range %d..%d" % (k, require_pivot_one, n))
     dk = fil.d[k]
-    zero, one = f.zero, f.one
-    grid = f.first_elements(max(dk, require_pivot_one) + 1)
-    tail = (zero,) * (n - k)
-    for point in itertools.product(grid, repeat=k):
-        if require_pivot_one and point[k - 1] == zero:
+    m = max(dk, require_pivot_one) + 1
+    tail = (0,) * (n - k)
+    for point in itertools.product(range(min(m, f.p or m)), repeat=k):
+        if require_pivot_one and not point[k - 1]:
             continue
-        v = point + tail
-        if len(_eliminate(f, _images(f, fil.grids[:fil.dims[k]], v), n, n)) == dk:
-            if require_pivot_one and point[k - 1] != one:
-                inv = f.inv(point[k - 1])
+        if len(_eliminate(f, _images(f, fil.grids[:fil.dims[k]], point + tail), n, n)) == dk:
+            v = _scalars(f, point + tail, 1)
+            if require_pivot_one and point[k - 1] != 1:
+                inv = f.inv(v[k - 1])
                 v = tuple(f.mul(inv, x) for x in v)
             return v
     needed = dk + require_pivot_one

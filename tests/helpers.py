@@ -1,6 +1,7 @@
 """Functions only the tests use: independent readings that the package
 itself does not need, kept beside the tests that check them."""
 
+import inspect
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -43,6 +44,49 @@ from mathieumat.verify import (
 PAIR_DUAL = ("field 3\nn 3\nbasis\n1 0 0\n0 0 0\n0 0 0\n\n0 1 0\n0 0 0\n0 0 0\n\n"
              "0 0 1\n0 0 0\n0 0 0\n\n0 0 0\n1 2 0\n0 1 0\n\n0 0 0\n0 0 1\n0 0 0\n\n"
              "0 0 0\n0 0 0\n1 0 0\n\n0 0 0\n0 0 0\n0 0 1\n")
+
+
+def record_calls(monkeypatch, name, *owners):
+    """Record every call of ``name`` made through ``owners`` (modules or
+    classes) from here on.
+
+    The callee is the first owner's ``name``; each owner that binds that
+    same object gets a wrapper that records the call and delegates to it,
+    and a static method stays static.  Returns the list of calls, each a
+    dict of the callee's parameter names to their arguments, defaults
+    applied."""
+    original = getattr(owners[0], name)
+    signature = inspect.signature(original)
+    calls = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        if getattr(owner, name, None) is original:
+            static = isinstance(inspect.getattr_static(owner, name), staticmethod)
+            monkeypatch.setattr(owner, name, staticmethod(recording) if static else recording)
+    return calls
+
+
+def random_subspace(rng, field, n, gens=None) -> MatrixSubspace:
+    """The span of a random number of random matrices, that number drawn
+    from the range ``gens`` (``(0, n * n)`` by default): entries are
+    residues over F_p and integers in -3..3 over Q."""
+    lo, hi = gens or (0, n * n)
+    return MatrixSubspace.from_matrices(field, n, [DenseMatrix(field, [
+        [rng.randrange(field.p) if field.p else rng.randrange(-3, 4)
+         for _ in range(n)] for _ in range(n)])
+        for _ in range(rng.randrange(lo, hi + 1))])
+
+
+def first_elements(field, k) -> list:
+    """The first ``k`` canonical scalars 0, 1, 2, ...: at most p of them
+    over F_p; the rationals never run out."""
+    return [field.of(i) for i in range(min(k, field.p or k))]
 
 
 def rref(m: DenseMatrix):

@@ -35,6 +35,7 @@ from helpers import (
     matrix_sum,
     mul_vector,
     negate,
+    record_calls,
     rref,
     transpose,
     zeros,
@@ -237,24 +238,17 @@ def test_public_entry_points_canonicalize_outside_input():
 
 
 def test_structural_algorithms_make_no_field_of_call(monkeypatch):
-    calls = []
-    original = Field.of
-
-    def counting_of(self, x):
-        calls.append(x)
-        return original(self, x)
-
     for f in (F5, QQ):
         built = spaces(f)
         t = DenseMatrix(f, [[1, 2, 3], [1, 3, 3], [2, 5, 7]])
-        monkeypatch.setattr(Field, "of", counting_of)
+        calls = record_calls(monkeypatch, "of", Field)
         for space in built:
             normalize(space.adjoin_identity())
             binary_profile(space)
             conjugate(space, t)
             constraint_space(space)
-        monkeypatch.setattr(Field, "of", original)
+        monkeypatch.undo()
         assert calls == []
-    monkeypatch.setattr(Field, "of", counting_of)
+    calls = record_calls(monkeypatch, "of", Field)
     DenseMatrix(F5, [[7]])          # the public constructor still converts
-    assert calls == [7]
+    assert [call["x"] for call in calls] == [7]

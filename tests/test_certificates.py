@@ -39,6 +39,7 @@ from helpers import (
     mul_vector,
     neg,
     raw_family_directions,
+    record_calls,
     reversed_kernel_columns,
     solve_affine,
 )
@@ -83,22 +84,6 @@ def reference_rct_zero_is_scalar(space, r):
     f, n = space.field, space.n
     scalars = MatrixSubspace.from_matrices(f, n, [DenseMatrix.identity(f, n)])
     return rct_zero_members(space.adjoin_identity(), r) == scalars
-
-
-def count_calls(monkeypatch, name, defined_in):
-    """Record the positional arguments of each call of ``defined_in.name``
-    through every package module that binds it."""
-    original = getattr(defined_in, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in MODULES:
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 # --- differential tests ------------------------------------------------------
@@ -292,7 +277,7 @@ def test_rct_certificate_conjugates_once_per_move(monkeypatch):
             if not s.dim or s.contains_identity():
                 continue
             log = normalize.normalize(s.adjoin_identity()).log
-            calls = count_calls(monkeypatch, "invert", linalg)
+            calls = record_calls(monkeypatch, "invert", linalg, *MODULES)
             cert = rct_certificate(constraint_space(s))
             monkeypatch.undo()
             assert len(calls) == len(log) + (len(log) >= 2)
@@ -304,7 +289,7 @@ def test_rct_certificate_conjugates_once_per_move(monkeypatch):
 def test_main2_builds_the_constraint_space_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "dual.txt"
     path.write_text(PAIR_DUAL)
-    calls = count_calls(monkeypatch, "constraint_space", matspace)
+    calls = record_calls(monkeypatch, "constraint_space", matspace, *MODULES)
     assert cli.main(["main2", str(path), "--json"]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["payload"]["conclusion_holds"] is True
@@ -316,19 +301,19 @@ def test_repro_counterexample_forms_no_conjugate(monkeypatch, capsys):
     # 14 forward eliminations, one per block size and span, and no
     # inverse; building the adjoined pair takes 2 more (its span and the
     # identity adjoined)
-    calls = count_calls(monkeypatch, "invert", linalg)
-    eliminations = count_calls(monkeypatch, "_eliminate", linalg)
+    calls = record_calls(monkeypatch, "invert", linalg, *MODULES)
+    eliminations = record_calls(monkeypatch, "_eliminate", linalg, *MODULES)
     assert cli.main(["repro", "counterexample", "--json"]) == 0
     assert len(calls) == 0
     assert len(eliminations) == 16
-    assert sum(args[2:] == (2, 2) for args in eliminations) == 14
+    assert sum((c["ncols"], c["first"]) == (2, 2) for c in eliminations) == 14
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["conjugators"] == 168 and payload["successes"] == 0
 
 
 def test_full_space_certificate_builds_the_constraint_space_once(monkeypatch):
     # both idempotent forms are solved on the constraints it already has
-    calls = count_calls(monkeypatch, "constraint_space", matspace)
+    calls = record_calls(monkeypatch, "constraint_space", matspace, *MODULES)
     cert = idempotents.full_space_certificate(MatrixSubspace.full_space(F5, 3), 2)
     assert len(calls) == 1
     assert cert.e.mul(cert.e) == cert.e and cert.e_prime.mul(cert.e_prime) == cert.e_prime
@@ -343,13 +328,13 @@ def test_left_ideal_normal_form_inverts_its_conjugator_once(monkeypatch):
     # to n entries, not of all n^2 k blocks
     t = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [0, 0, 1]])
     ideal = conjugate(column_kill(F5, 3, 2), t)
-    calls = count_calls(monkeypatch, "invert", linalg)
-    eliminations = count_calls(monkeypatch, "_eliminate", linalg)
-    products = count_method_calls(monkeypatch, DenseMatrix, "mul")
+    calls = record_calls(monkeypatch, "invert", linalg, *MODULES)
+    eliminations = record_calls(monkeypatch, "_eliminate", linalg, *MODULES)
+    products = record_calls(monkeypatch, "mul", DenseMatrix)
     nf = left_ideal_normal_form(ideal)
     assert len(calls) == 1 and len(eliminations) == 3 and products == []
-    _, rows, ncols = eliminations[0]
-    assert (len(rows), ncols) == (2, 3)
+    call = eliminations[0]
+    assert (len(call["rows"]), call["ncols"], call["first"]) == (2, 3, 0)
     assert nf.k == 2 and ideal.contains(nf.idempotent)
     assert nf.idempotent.mul(nf.idempotent) == nf.idempotent
 
@@ -413,7 +398,7 @@ def test_adjoin_identity_eliminates_once(monkeypatch):
         space = constraint_space(cli.running_pair_space(field))
         want = MatrixSubspace.from_matrices(
             field, 3, list(space.basis_matrices) + [DenseMatrix.identity(field, 3)])
-        eliminations = count_calls(monkeypatch, "_eliminate", linalg)
+        eliminations = record_calls(monkeypatch, "_eliminate", linalg, *MODULES)
         adjoined = space.adjoin_identity()
         monkeypatch.undo()
         assert len(eliminations) == 1 and adjoined == want
@@ -421,14 +406,7 @@ def test_adjoin_identity_eliminates_once(monkeypatch):
 
 def test_rct_certificate_adjoins_the_identity_once(monkeypatch):
     # the normalized space holds I already; only the constraints get it adjoined
-    original = MatrixSubspace.adjoin_identity
-    calls = []
-
-    def counting(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(MatrixSubspace, "adjoin_identity", counting)
+    calls = record_calls(monkeypatch, "adjoin_identity", MatrixSubspace)
     cert = rct_certificate(constraint_space(cli.running_pair_space(F3)))
     assert len(calls) == 1
     assert cert.r == 2
@@ -438,7 +416,7 @@ def test_full_space_certificate_failure_reads_the_zero_corner_once(monkeypatch):
     # constraints <E_11>: I + <E_11> has the non-scalar zero-corner member E_11
     e11 = DenseMatrix.unit(F3, 2, 2, 0, 0)
     space = constraint_space(MatrixSubspace.from_matrices(F3, 2, [e11]))
-    calls = count_calls(monkeypatch, "rct_zero_members", matspace)
+    calls = record_calls(monkeypatch, "rct_zero_members", matspace, *MODULES)
     with pytest.raises(HypothesisFailed) as got:
         idempotents.full_space_certificate(space, 1)
     assert len(calls) == 1
@@ -454,7 +432,7 @@ def write_trace_zero(tmp_path):
 
 
 def test_failing_cli_verify_follows_the_witness_powers_once(monkeypatch, tmp_path, capsys):
-    calls = count_calls(monkeypatch, "power_trajectory", verify)
+    calls = record_calls(monkeypatch, "power_trajectory", verify, *MODULES)
     assert cli.main(["verify", write_trace_zero(tmp_path), "--type", "left", "--json"]) == 0
     assert len(calls) == 1
     witness = json.loads(capsys.readouterr().out)["payload"]["witness"]
@@ -471,22 +449,10 @@ def test_a_witness_that_does_not_replay_raises(monkeypatch, tmp_path):
         cli.main(["verify", write_trace_zero(tmp_path), "--type", "two", "--json"])
 
 
-def count_method_calls(monkeypatch, cls, name):
-    original = getattr(cls, name)
-    calls = []
-
-    def counting(self, *args):
-        calls.append(args)
-        return original(self, *args)
-
-    monkeypatch.setattr(cls, name, counting)
-    return calls
-
-
 def test_matrix_power_makes_no_identity_product(monkeypatch):
     a = DenseMatrix(F5, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
     expected = {k: a.power(k) for k in (1, 2, 4)}
-    calls = count_method_calls(monkeypatch, DenseMatrix, "mul")
+    calls = record_calls(monkeypatch, "mul", DenseMatrix)
     for k, muls in ((1, 0), (2, 1), (4, 2)):
         calls.clear()
         assert a.power(k) == expected[k]
@@ -496,8 +462,8 @@ def test_matrix_power_makes_no_identity_product(monkeypatch):
 def test_trace_chain_report_follows_each_radical_element_once(monkeypatch):
     # sl_2(F_5) is identity-free with 5 > n: a^n and the nilpotency bound
     # are both read off each radical element's one trajectory
-    trajectories = count_calls(monkeypatch, "power_trajectory", verify)
-    powers = count_method_calls(monkeypatch, DenseMatrix, "power")
+    trajectories = record_calls(monkeypatch, "power_trajectory", verify, *MODULES)
+    powers = record_calls(monkeypatch, "power", DenseMatrix)
     report = verify.trace_chain_report(cli._trace_zero(F5, 2))
     assert report == verify.TraceChainReport(
         char_avoids_1_to_n=True, char_avoids_1_to_n_minus_1_and_identity_free=True,

@@ -11,7 +11,7 @@ from mathieumat.errors import SpaceFileError
 from mathieumat.linalg import DenseMatrix, Field
 from mathieumat.matspace import MatrixSubspace, constraint_space
 
-from helpers import PAIR_DUAL
+from helpers import PAIR_DUAL, record_calls
 
 PAIR = """\
 # two generators plus a comment
@@ -410,19 +410,8 @@ def test_cli_repro_counterexample(capsys, monkeypatch):
     # the zero corner of t^-1 S t for block size r depends only on the
     # span of t's last 3 - r columns: 7 lines and 7 planes, 14 ranks for
     # the 168 conjugators, not 336, and not one conjugate
-    ranks, conjugates = [], []
-    eliminate, conjugate = cli._eliminate, matspace.conjugate
-
-    def counting_rank(*args):
-        ranks.append(1)
-        return eliminate(*args)
-
-    def counting_conjugate(*args):
-        conjugates.append(1)
-        return conjugate(*args)
-
-    monkeypatch.setattr(cli, "_eliminate", counting_rank)
-    monkeypatch.setattr(matspace, "conjugate", counting_conjugate)
+    ranks = record_calls(monkeypatch, "_eliminate", cli)
+    conjugates = record_calls(monkeypatch, "conjugate", matspace)
     rc, out, _ = run(capsys, "repro", "counterexample", "--json")
     assert rc == 0
     payload = json.loads(out)["payload"]

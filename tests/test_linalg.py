@@ -27,6 +27,7 @@ from helpers import (
     all_vectors,
     kernel,
     mul_vector,
+    record_calls,
     rref,
     solve_affine,
     transpose,
@@ -88,8 +89,6 @@ def test_field_canonical_values():
     assert QQ.of(2) == Fraction(2)
     assert F5.inv(2) == 3
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert F3.first_elements(5) == [0, 1, 2]
-    assert QQ.first_elements(3) == [Fraction(0), Fraction(1), Fraction(2)]
     # the constants are built once per field, in canonical form
     assert QQ.zero is QQ.zero and type(QQ.one) is Fraction and QQ.one == 1
     assert (F5.zero, F5.one) == (0, 1)
@@ -357,17 +356,15 @@ def codim1_n6():
     return "field Q\nn 6\nbasis\n" + "\n\n".join(mats) + "\n"
 
 
+def shapes(calls):
+    """The (rows, columns) of each recorded elimination."""
+    return [(len(call["rows"]), call["ncols"]) for call in calls]
+
+
 def test_only_full_tall_eliminations_over_q_go_by_columns(monkeypatch):
-    calls = []
-    by_columns = linalg._by_columns
-
-    def recording(rows, ncols):
-        calls.append((len(rows), ncols))
-        return by_columns(rows, ncols)
-
-    monkeypatch.setattr(linalg, "_by_columns", recording)
+    calls = record_calls(monkeypatch, "_by_columns", linalg)
     space = spacefile.loads(codim1_n6())
-    assert calls == [(35, 36)] and space.dim == 35
+    assert shapes(calls) == [(35, 36)] and space.dim == 35
     calls.clear()
     rng = random.Random(49)
     tall = random_rows(rng, F5, 9, 16)
@@ -381,7 +378,7 @@ def test_only_full_tall_eliminations_over_q_go_by_columns(monkeypatch):
     assert calls == []
     # tall at 16 columns
     _eliminate(QQ, _cleared(QQ, random_rows(rng, QQ, 9, 16, small=True))[0], 16)
-    assert calls == [(9, 16)]
+    assert shapes(calls) == [(9, 16)]
 
 
 F101 = Field.prime(101)
@@ -483,16 +480,9 @@ def test_packed_rows_match_list_gauss_jordan(case):
 
 
 def test_only_full_wide_eliminations_over_f_p_pack(monkeypatch):
-    calls = []
-    packed = linalg._packed
-
-    def recording(p, rows, ncols):
-        calls.append((len(rows), ncols))
-        return packed(p, rows, ncols)
-
-    monkeypatch.setattr(linalg, "_packed", recording)
+    calls = record_calls(monkeypatch, "_packed", linalg)
     space = spacefile.loads(codim1_n6(), "101")
-    assert calls == [(35, 36)] and space.dim == 35
+    assert shapes(calls) == [(35, 36)] and space.dim == 35
     calls.clear()
     rng = random.Random(50)
     tall = random_rows(rng, F5, 14, 15)
@@ -507,7 +497,7 @@ def test_only_full_wide_eliminations_over_f_p_pack(monkeypatch):
     # short or tall, at 16 columns
     for nrows in (3, 9):
         _eliminate(F5, random_rows(rng, F5, nrows, 16), 16)
-    assert calls == [(3, 16), (9, 16)]
+    assert shapes(calls) == [(3, 16), (9, 16)]
 
 
 Q_SCALARS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))

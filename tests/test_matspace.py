@@ -29,7 +29,9 @@ from helpers import (
     filtration_level,
     is_rct_zero,
     matrix_sum,
+    random_subspace,
     rct,
+    record_calls,
     trace_zero,
     unit,
     zeros,
@@ -39,15 +41,6 @@ F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 QQ = Field.rationals()
-
-
-def random_subspace(rng, field, n, dim_range=None):
-    lo, hi = dim_range or (0, n * n)
-    gens = [DenseMatrix(field, [
-        [rng.randrange(field.p) if field.p else rng.randrange(-3, 4)
-         for _ in range(n)] for _ in range(n)])
-        for _ in range(rng.randrange(lo, hi + 1))]
-    return MatrixSubspace.from_matrices(field, n, gens)
 
 
 def random_invertible(rng, field, n):
@@ -276,20 +269,8 @@ def test_lower_generic_dims_invariant_under_lower_triangular():
         assert after == before
 
 
-@pytest.fixture
-def bareiss_runs(monkeypatch):
-    runs = []
-    bareiss = multipoly._bareiss_rank
-
-    def counting(*args):
-        runs.append(1)
-        return bareiss(*args)
-
-    monkeypatch.setattr(multipoly, "_bareiss_rank", counting)
-    return runs
-
-
-def test_no_bareiss_run_where_the_rank_bounds_meet(bareiss_runs):
+def test_no_bareiss_run_where_the_rank_bounds_meet(monkeypatch):
+    bareiss_runs = record_calls(monkeypatch, "_bareiss_rank", multipoly)
     for n in range(1, 5):
         assert binary_profile(MatrixSubspace.full_space(F2, n)).d == (0,) + (n,) * n
     # the columns of E_33 would lift the upper bound at level 2 to 3
@@ -315,7 +296,8 @@ SKEW_3 = MatrixSubspace.from_matrices(QQ, 3, [
     # d_3 = 3, but over F_2 no point reaches it
     (running_pair_space(F2).adjoin_identity(), (0, 0, 1, 3)),
 ])
-def test_bareiss_decides_where_the_rank_bounds_differ(space, d, bareiss_runs):
+def test_bareiss_decides_where_the_rank_bounds_differ(space, d, monkeypatch):
+    bareiss_runs = record_calls(monkeypatch, "_bareiss_rank", multipoly)
     assert Filtration(space).d == d
     assert len(bareiss_runs) == 1
 
@@ -325,13 +307,6 @@ def test_rank_bounds_eliminate_forward_only(monkeypatch):
     # the span's) takes ``first`` at the column count, on both fields; the
     # span is eliminated once, and only where some point's lower bound
     # falls short of min(m, n)
-    calls = []
-    eliminate = matspace._eliminate
-
-    def recording(field, rows, ncols, first=0):
-        calls.append((ncols, first))
-        return eliminate(field, rows, ncols, first)
-
     rng = random.Random(5)
     spaces = [random_subspace(rng, field, 4, (3, 12)) for field in (F2, F5, QQ)]
     short = []
@@ -339,33 +314,25 @@ def test_rank_bounds_eliminate_forward_only(monkeypatch):
         f, n = space.field, space.n
         fil = Filtration(space)
         want = list(matspace._rank_bounds(f, n, fil.grids, fil.dims))
-        monkeypatch.setattr(matspace, "_eliminate", recording)
+        calls = record_calls(monkeypatch, "_eliminate", matspace)
         assert list(matspace._rank_bounds(f, n, fil.grids, fil.dims)) == want
         monkeypatch.undo()
         cap = [min(m, n) for m in fil.dims]
         short.append(any(lower != cap for lower, _ in want))
         assert len(calls) == len(matspace._POINTS) + short[-1]
-        assert all(first == ncols for ncols, first in calls)
-        calls.clear()
+        assert all(call["first"] == call["ncols"] for call in calls)
     assert short[-1] and not all(short)
 
 
 def test_binary_profile_forms_no_column_space(monkeypatch):
     # the profile reads each level's column space along e_k off the vectors
     # the level adds, its dimension and its support: no RREF in K^n
-    ambients = []
-    span = VectorSubspace._span
-
-    def recording(field, ambient_dim, rows):
-        ambients.append(ambient_dim)
-        return span(field, ambient_dim, rows)
-
     rng = random.Random(52)
     spaces = [random_subspace(rng, field, n) for field in (F2, F5, QQ) for n in (2, 3, 4)]
-    monkeypatch.setattr(VectorSubspace, "_span", staticmethod(recording))
+    calls = record_calls(monkeypatch, "_span", VectorSubspace)
     for space in [*spaces, SKEW_3, running_pair_space(F2).adjoin_identity()]:
         binary_profile(space)
-        assert space.n not in ambients
+        assert space.n not in [call["ambient_dim"] for call in calls]
 
 
 def test_rct_examples():

@@ -20,7 +20,8 @@ from mathieumat.multipoly import (
     generic_rank_of_action,
 )
 
-from helpers import degree, filtration_level, generic_rank_univariate, poly_sub
+from helpers import (degree, filtration_level, first_elements, generic_rank_univariate, poly_sub,
+                     random_subspace)
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -221,15 +222,6 @@ def test_generic_rank_univariate_examples():
     assert generic_rank_univariate(MatrixSubspace.from_matrices(F3, 3, []), 1, 2) == 0
 
 
-def random_subspace(rng, field, n, max_gens=None):
-    gens = []
-    for _ in range(rng.randrange(0, (max_gens or n * n) + 1)):
-        gens.append(DenseMatrix(field, [
-            [rng.randrange(field.p) if field.p else rng.randrange(-3, 4)
-             for _ in range(n)] for _ in range(n)]))
-    return MatrixSubspace.from_matrices(field, n, gens)
-
-
 def test_specialization_bound():
     # rank of any specialization never exceeds the generic rank
     rng = random.Random(8)
@@ -254,7 +246,7 @@ def test_generic_rank_attained_on_grid():
             d = generic_rank_of_action(space)
             if not field.size_at_least(d):
                 continue
-            grid = field.first_elements(d + 1)
+            grid = first_elements(field, d + 1)
             best = max(
                 (column_space(space, v).dim
                  for v in itertools.product(grid, repeat=n)), default=0)

@@ -29,7 +29,8 @@ from mathieumat.normalize import (
     rct_zero_is_scalar,
 )
 
-from helpers import filtration_level, mul_vector, pencil_condition, unit_vector
+from helpers import (filtration_level, mul_vector, pencil_condition, random_subspace, record_calls,
+                     unit_vector)
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -38,17 +39,10 @@ F7 = Field.prime(7)
 QQ = Field.rationals()
 
 
-def random_space(rng, field, n, adjoin=False):
-    gens = [DenseMatrix(field, [[rng.randrange(field.p) for _ in range(n)]
-                                for _ in range(n)])
-            for _ in range(rng.randrange(0, n))]
-    s = MatrixSubspace.from_matrices(field, n, gens)
-    return s.adjoin_identity() if adjoin else s
-
-
 def normalizable(rng, field, n, adjoin):
     while True:
-        cn = random_space(rng, field, n, adjoin)
+        cn = random_subspace(rng, field, n, (0, n - 1))
+        cn = cn.adjoin_identity() if adjoin else cn
         if field.size_at_least(generic_rank_of_action(cn)):
             return cn
 
@@ -215,13 +209,7 @@ def test_total_conjugator_is_the_product_of_the_logged_ones(monkeypatch):
     # conjugate the move formed: the input is conjugated by t_total again
     # only when two or more moves compose it
     module = importlib.import_module("mathieumat.normalize")
-    calls = []
-
-    def counting(space, t):
-        calls.append(t)
-        return conjugate(space, t)
-
-    monkeypatch.setattr(module, "conjugate", counting)
+    calls = record_calls(monkeypatch, "conjugate", module)
     rng = random.Random(101)
     seen = set()
     for _ in range(20):
@@ -299,19 +287,8 @@ def test_one_filtration_per_filtered_space(monkeypatch):
     # rct_certificate builds nothing besides its normalization, and
     # Bareiss runs at most once per Filtration (only where the rank
     # bounds differ)
-    built, runs = [], []
-    init, bareiss = Filtration.__init__, multipoly._bareiss_rank
-
-    def counting_init(self, space):
-        built.append(1)
-        init(self, space)
-
-    def counting(*args):
-        runs.append(1)
-        return bareiss(*args)
-
-    monkeypatch.setattr(Filtration, "__init__", counting_init)
-    monkeypatch.setattr(multipoly, "_bareiss_rank", counting)
+    built = record_calls(monkeypatch, "__init__", Filtration)
+    runs = record_calls(monkeypatch, "_bareiss_rank", multipoly)
     rng = random.Random(89)
     moves = []
     certified = 0
@@ -386,7 +363,7 @@ def test_lower_triangular_column_replacement():
     f = F5
     n, k = 3, 2
     for _ in range(10):
-        s = random_space(rng, f, n)
+        s = random_subspace(rng, f, n, (0, n - 1))
         entries = [list(row) for row in DenseMatrix.identity(f, n).entries]
         for i in range(k - 1, n):  # in-column and below-diagonal freedom
             entries[i][k - 1] = rng.randrange(1, 5) if i == k - 1 else rng.randrange(5)

@@ -33,7 +33,7 @@ from mathieumat.matspace import (
 from mathieumat.normalize import rct_certificate
 from mathieumat.spacefile import loads
 
-from helpers import rref, zeros
+from helpers import record_calls, rref, zeros
 
 F2, F3, F5 = Field.prime(2), Field.prime(3), Field.prime(5)
 F_BIG, QQ = Field.prime(2**31 - 1), Field.rationals()
@@ -113,8 +113,8 @@ def test_products_match_the_fraction_sum(case):
     assert canonical(f, prod.flatten()) and type(prod.entries) is tuple
     # the integer image is the product times both denominators
     grid, da = _cleared(f, a.entries)
-    _, dv = _cleared(f, [v])
-    (image,) = _images(f, [grid], v)
+    (cleared,), dv = _cleared(f, [v])
+    (image,) = _images(f, [grid], cleared)
     assert all(type(x) is int for x in image)
     assert _scalars(f, image, da * dv) == reference_mul_vector(a, v)
     k = min(a.rows, a.cols)
@@ -235,14 +235,7 @@ def test_mul_builds_at_most_one_fraction_per_entry(monkeypatch):
     a = DenseMatrix(QQ, [[Fraction(1, 3), -2, Fraction(5, 4)], [0, Fraction(7, 6), 1]])
     b = DenseMatrix(QQ, [[1, Fraction(2, 5)], [Fraction(-3, 8), 0], [4, Fraction(1, 9)]])
     want = reference_mul(a, b)
-    made = []
-    original = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        made.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    made = record_calls(monkeypatch, "__new__", Fraction)
     prod = a.mul(b)
     monkeypatch.undo()
     assert prod == want
@@ -256,16 +249,10 @@ def test_integer_rows_are_eliminated_without_clearing(monkeypatch):
     t = DenseMatrix(QQ, [[1, Fraction(1, 2), 3], [1, 3, Fraction(-2, 9)], [2, 5, 7]])
     text = "field Q\nn 2\nbasis\n4 -2\n6 0\n\n0 3\n-9 12\n"
     want = [conjugate(s, t) for s in q_spaces()], loads(text)
-    original = linalg._cleared
-    cleared = []
-
-    def counting(field, rows):
-        cleared.extend(row for row in rows if all(type(x) is int for x in row))
-        return original(field, rows)
-
-    monkeypatch.setattr(linalg, "_cleared", counting)
+    calls = record_calls(monkeypatch, "_cleared", linalg)
     assert ([conjugate(s, t) for s in q_spaces()], loads(text)) == want
-    assert cleared == []
+    assert [row for call in calls for row in call["rows"]
+            if all(type(x) is int for x in row)] == []
 
 
 def test_q_spaces_stay_on_integer_rows(monkeypatch):
@@ -286,21 +273,10 @@ def test_q_spaces_stay_on_integer_rows(monkeypatch):
 
     want = run()
     assert want[0].dim == n * n - 1 and want[1].dim == 1
-    scalars, cleared = [], []
-    original_scalars, original_cleared = linalg._scalars, linalg._cleared
-
-    def counting_scalars(field, ints, d):
-        scalars.append(len(ints))
-        return original_scalars(field, ints, d)
-
-    def counting_cleared(field, rows):
-        cleared.extend(len(row) for row in rows)
-        return original_cleared(field, rows)
-
-    monkeypatch.setattr(linalg, "_scalars", counting_scalars)
-    for module in (linalg, matspace, multipoly):
-        if hasattr(module, "_cleared"):
-            monkeypatch.setattr(module, "_cleared", counting_cleared)
+    scalar_calls = record_calls(monkeypatch, "_scalars", linalg)
+    cleared_calls = record_calls(monkeypatch, "_cleared", linalg, matspace, multipoly)
     assert run() == want
+    scalars = [len(call["ints"]) for call in scalar_calls]
+    cleared = [len(row) for call in cleared_calls for row in call["rows"]]
     assert scalars and n * n not in scalars
     assert cleared and n * n not in cleared

@@ -58,11 +58,13 @@ from mathieumat.verify import left_ideal_normal_form, max_left_ideal
 from helpers import (
     column_kill,
     filtration_level,
+    first_elements,
     kernel,
     kernel_constraint_space,
     matrix_sum,
     mul_vector,
     neg,
+    record_calls,
     reference_is_left_ideal,
     rref,
     transpose,
@@ -210,7 +212,7 @@ def reference_generic_vector(space: MatrixSubspace, k: int, pivot: bool):
     dk = generic_rank_of_action(level)
     if dk == 0:
         return tuple(f.one if pivot and i == k - 1 else f.zero for i in range(n))
-    for point in itertools.product(f.first_elements(dk + 1), repeat=k):
+    for point in itertools.product(first_elements(f, dk + 1), repeat=k):
         if pivot and point[k - 1] == f.zero:
             continue
         v = point + (f.zero,) * (n - k)
@@ -404,20 +406,6 @@ def test_constraint_space_matches_kernel_of_transposes(space):
     assert constraint_space(dual) == space
 
 
-def recorded_eliminations(monkeypatch, module=linalg):
-    """The (rows, columns, first) of every ``_eliminate`` call that
-    ``module`` makes from here on."""
-    original = module._eliminate
-    calls = []
-
-    def recording(field, rows, ncols, first=0):
-        calls.append((len(rows), ncols, first))
-        return original(field, rows, ncols, first)
-
-    monkeypatch.setattr(module, "_eliminate", recording)
-    return calls
-
-
 def codim1_space(field, n, seed):
     """A space of codimension 1 in Mat_n spanned by n^2 - 1 matrices of
     random integers, as the benchmark's space files give them: residues
@@ -477,9 +465,10 @@ def test_constraint_space_eliminates_only_the_smaller_side(space, monkeypatch):
     # one elimination of min(dim, n^2 - dim) rows: the dim transposed basis
     # rows, or the transposed complement vectors of a codim-1 space in
     # Mat_6, one row of 36; at 2 dim = n^2 the basis rows
-    calls = recorded_eliminations(monkeypatch)
+    calls = record_calls(monkeypatch, "_eliminate", linalg)
     constraint_space(space)
-    assert calls == [(min(space.dim, space.n ** 2 - space.dim), space.n ** 2, 0)]
+    assert [(len(c["rows"]), c["ncols"], c["first"]) for c in calls] == [
+        (min(space.dim, space.n ** 2 - space.dim), space.n ** 2, 0)]
 
 
 @pytest.mark.parametrize("m", [
@@ -488,9 +477,9 @@ def test_constraint_space_eliminates_only_the_smaller_side(space, monkeypatch):
     DenseMatrix(QQ, [[1, 2], [3, 4], [5, 6]]),
 ], ids=repr)
 def test_kernel_eliminates_only_the_system_rows(m, monkeypatch):
-    calls = recorded_eliminations(monkeypatch)
+    calls = record_calls(monkeypatch, "_eliminate", linalg)
     kernel(m)
-    assert calls == [(m.rows, m.cols, 0)]
+    assert [(len(c["rows"]), c["ncols"], c["first"]) for c in calls] == [(m.rows, m.cols, 0)]
 
 
 @SETTINGS
@@ -554,7 +543,7 @@ def test_max_left_ideal_eliminates_twice_per_row_but_the_first(n, monkeypatch):
     # per row one readout of R_i, and one intersection for each row after
     # the first; the ideal is laid out from R's RREF, not spanned again
     space, ideal = column_kill_and_identity(F5, n, 1), column_kill(F5, n, 1)
-    calls = recorded_eliminations(monkeypatch)
+    calls = record_calls(monkeypatch, "_eliminate", linalg)
     assert max_left_ideal(space) == ideal
     assert len(calls) == 2 * n - 1
 
@@ -570,7 +559,7 @@ def test_max_left_ideal_stops_at_a_zero_intersection(field, monkeypatch):
         DenseMatrix.unit(field, 4, 4, 0, 0) + DenseMatrix.unit(field, 4, 4, 2, 1),
         DenseMatrix.unit(field, 4, 4, 1, 0) + DenseMatrix.unit(field, 4, 4, 3, 1)]))
     for space, eliminations in ((zero, 1), (codim2, 3)):
-        calls = recorded_eliminations(monkeypatch)
+        calls = record_calls(monkeypatch, "_eliminate", linalg)
         ideal = max_left_ideal(space)
         monkeypatch.undo()
         assert ideal.dim == 0 and ideal == reference_max_left_ideal(space)
@@ -583,10 +572,10 @@ def test_filtration_eliminates_its_basis_forward_only(field, monkeypatch):
     # its one elimination of the n^2 - 1 basis rows takes ``first`` at the
     # column count, as the rank bounds after it do
     space = codim1_space(field, 4, 38)
-    calls = recorded_eliminations(monkeypatch, matspace)
+    calls = record_calls(monkeypatch, "_eliminate", matspace)
     Filtration(space)
-    assert calls[0] == (15, 16, 16)
-    assert all(first == ncols for _, ncols, first in calls)
+    assert (len(calls[0]["rows"]), calls[0]["ncols"], calls[0]["first"]) == (15, 16, 16)
+    assert all(c["first"] == c["ncols"] for c in calls)
 
 
 @SETTINGS

@@ -5,6 +5,8 @@ import pathlib
 import re
 import typing
 
+import pytest
+
 import mathieumat
 
 PACKAGE = pathlib.Path(mathieumat.__file__).parent
@@ -80,7 +82,7 @@ BOUNDARY = {
 BOUNDARY_MODULES = {"spacefile"}
 
 
-def callers(path, names=VALIDATING):
+def callers(path, names):
     """Qualified names of the functions in ``path`` that call a name in
     ``names``, as a function or as a method."""
     found = set()
@@ -101,36 +103,79 @@ def callers(path, names=VALIDATING):
     return found
 
 
-def test_validating_entry_points_are_called_only_at_the_boundary():
+# (names, the functions of the package that call one of them, why no
+# other function does)
+CALLERS = [
+    (VALIDATING, BOUNDARY,
+     "outside input is converted and checked where it enters, and nowhere else"),
+    ({"_scalars"}, {"linalg.VectorSubspace.basis", "idempotents._family", "linalg.invert",
+                    "linalg.DenseMatrix.mul", "matspace.find_generic_vector"},
+     "over Q a subspace keeps integer rows, and ``_scalars`` turns integers into "
+     "canonical Fraction scalars only where a value leaves in that form: the basis "
+     "view, ``invert``, a matrix product, the particular member of an idempotent "
+     "family and the one vector a generic-vector scan returns; ``invert``'s one "
+     "caller, ``conjugate``, clears its Fraction rows straight back to integers"),
+    ({"_cleared"}, {"linalg.DenseMatrix.mul", "linalg.VectorSubspace.from_vectors",
+                    "linalg.VectorSubspace.member", "linalg.invert",
+                    "matspace.MatrixSubspace.contains", "matspace.MatrixSubspace.from_matrices",
+                    "matspace.column_space", "matspace.conjugate"},
+     "Fraction rows are cleared to integers once, where they enter; the integer "
+     "points of the generic-vector scan and of the rank bounds are never cleared"),
+    ({"invert"}, {"matspace.conjugate"},
+     "t^-1 M t is formed on integers by ``matspace.conjugate`` alone: no other "
+     "function forms an inverse to conjugate with"),
+    ({"_readout"}, {"linalg.VectorSubspace.intersect", "matspace.members_vanishing_at",
+                    "verify.max_left_ideal"},
+     "members satisfying linear conditions are read off ``_readout`` by these three "
+     "alone; no subspace method wraps it a second time"),
+    ({"_grid"}, {"matspace.MatrixSubspace.basis_matrices", "matspace.conjugate",
+                 "matspace.column_space", "matspace.Filtration.__init__",
+                 "multipoly.generic_rank_of_action", "cli._basis_payload",
+                 "cli._scalar_corners"},
+     "a flat row-major row becomes the n rows of its matrix through ``linalg._grid`` "
+     "alone, whatever its entries: ints, Fractions or report strings"),
+    ({"_left_ideal"}, {"verify.max_left_ideal", "verify.left_ideal_normal_form"},
+     "a left ideal's block RREF is laid out from its row space by "
+     "``verify._left_ideal`` alone: the maximal left ideal, the left-ideal test and "
+     "the column-kill postcondition all go through it"),
+    ({"_images"}, {"matspace.column_space", "matspace.find_generic_vector",
+                   "matspace._rank_bounds"},
+     "C e_k is column k of C: a ``Filtration`` reads its column spaces along e_k off "
+     "the grids' columns, and only the other vectors, of ``column_space``, the "
+     "generic-vector scan and the rank-bound points, are multiplied out"),
+    ({"_complement"}, {"linalg._kernel", "matspace.constraint_space",
+                       "verify._Dual.__init__", "cli._scalar_corners"},
+     "the trace dual of the verdicts and of small codimensions, every kernel and the "
+     "annihilators of the counterexample's column spans are read off an RREF by "
+     "``_complement`` alone; no second loop builds an annihilator"),
+    ({"_reduce"}, {"linalg.VectorSubspace.member", "matspace.MatrixSubspace.contains",
+                   "matspace.MatrixSubspace.contains_identity"},
+     "``_eliminate`` back-substitutes over both fields on its own, a dot product per "
+     "free column; the row-by-row clearing of ``_reduce`` is left to the three "
+     "membership tests"),
+    ({"__setattr__"}, {"linalg.Field.__init__", "linalg.DenseMatrix._set",
+                       "linalg.VectorSubspace.__init__", "matspace.MatrixSubspace.__init__",
+                       "matspace.Filtration.__init__", "multipoly.MultiPoly.__init__"},
+     "a value is immutable once built: ``object.__setattr__``, the one way past "
+     "``_Frozen``, is called by the constructors alone, so no property fills in a "
+     "cache after the fact"),
+]
+
+
+@pytest.mark.parametrize("names, expected, reason", CALLERS,
+                         ids=["-".join(sorted(names)) for names, _, _ in CALLERS])
+def test_pinned_callers(names, expected, reason):
     found = set()
     for path in MODULES:
-        if path.stem not in BOUNDARY_MODULES:
-            found |= callers(path)
-    assert found == BOUNDARY
-
-
-# Over Q a subspace keeps integer rows, and ``_scalars`` turns integers
-# into canonical ``Fraction`` scalars only where a value leaves in that
-# form: the basis view, ``invert``, a matrix product and the particular
-# member of an idempotent family.  No internal path builds scalars only to
-# clear them back to integers.
-BUILDS_SCALARS = {
-    "linalg.VectorSubspace.basis", "idempotents._family", "linalg.invert",
-    "linalg.DenseMatrix.mul",
-}
-
-
-def test_scalars_are_built_only_at_the_edge():
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"_scalars"})
-    assert found == BUILDS_SCALARS
+        # the space-file format is outside input as a whole
+        if names is not VALIDATING or path.stem not in BOUNDARY_MODULES:
+            found |= callers(path, names)
+    assert found == expected, reason
 
 
 def test_one_conjugation_path():
-    # t^-1 M t is formed on integers by ``matspace.conjugate`` alone: no
-    # chained product ``x.mul(y).mul(z)`` in the package builds a second
-    # one, and no other function forms an inverse to conjugate with
+    # no chained product ``x.mul(y).mul(z)`` in the package builds a
+    # second t^-1 M t beside ``matspace.conjugate``
     chained = []
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
@@ -139,95 +184,6 @@ def test_one_conjugation_path():
                     and getattr(node.func.value.func, "attr", None) == "mul"):
                 chained.append("%s:%d" % (path.name, node.lineno))
     assert chained == []
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"invert"})
-    assert found == {"matspace.conjugate"}
-
-
-def test_one_readout_path():
-    # members satisfying linear conditions are read off ``_readout`` by
-    # these three alone; no subspace method wraps it a second time
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"_readout"})
-    assert found == {"linalg.VectorSubspace.intersect", "matspace.members_vanishing_at",
-                     "verify.max_left_ideal"}
-
-
-def test_one_grid_reshape():
-    # a flat row-major row becomes the n rows of its matrix through
-    # ``linalg._grid`` alone, whatever its entries: ints, ``Fraction``s
-    # or report strings
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"_grid"})
-    assert found == {"matspace.MatrixSubspace.basis_matrices", "matspace.conjugate",
-                     "matspace.column_space", "matspace.Filtration.__init__",
-                     "multipoly.generic_rank_of_action", "cli._basis_payload",
-                     "cli._scalar_corners"}
-
-
-def test_one_left_ideal_builder():
-    # a left ideal's block RREF is laid out from its row space by
-    # ``verify._left_ideal`` alone: the maximal left ideal, the left-ideal
-    # test and the column-kill postcondition all go through it
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"_left_ideal"})
-    assert found == {"verify.max_left_ideal", "verify.left_ideal_normal_form"}
-
-
-def test_unit_vectors_are_not_multiplied_out():
-    # C e_k is column k of C: a ``Filtration`` reads its column spaces
-    # along e_k off the grids' columns, and only the other vectors, of
-    # ``column_space``, the generic-vector scan and the rank-bound points,
-    # are multiplied out
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"_images"})
-    assert found == {"matspace.column_space", "matspace.find_generic_vector",
-                     "matspace._rank_bounds"}
-
-
-def test_one_annihilator_read_off():
-    # the trace dual of the verdicts and of small codimensions, every
-    # kernel and the annihilators of the counterexample's column spans are
-    # read off an RREF by ``_complement`` alone; no second loop builds an
-    # annihilator
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"_complement"})
-    assert found == {"linalg._kernel", "matspace.constraint_space", "verify._Dual.__init__",
-                     "cli._scalar_corners"}
-
-
-def test_one_back_substitution():
-    # ``_eliminate`` back-substitutes over both fields on its own, a dot
-    # product per free column; the row-by-row clearing of ``_reduce`` is
-    # left to the three membership tests
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"_reduce"})
-    assert found == {"linalg.VectorSubspace.member", "matspace.MatrixSubspace.contains",
-                     "matspace.MatrixSubspace.contains_identity"}
-
-
-# A value is immutable once built: ``object.__setattr__``, the one way
-# past ``_Frozen``, is called by the constructors alone, so no property
-# fills in a cache after the fact.
-BUILDERS = {
-    "linalg.Field.__init__", "linalg.DenseMatrix._set", "linalg.VectorSubspace.__init__",
-    "matspace.MatrixSubspace.__init__", "matspace.Filtration.__init__",
-    "multipoly.MultiPoly.__init__",
-}
-
-
-def test_values_are_not_written_after_they_are_built():
-    found = set()
-    for path in MODULES:
-        found |= callers(path, {"__setattr__"})
-    assert found == BUILDERS
 
 
 def test_every_command_has_one_call_shape():
@@ -343,7 +299,7 @@ DELETED = {
     "cli._rows_payload", "matspace._conjugate",
     "matspace.BinaryProfile.__new__", "matspace.BinaryProfile._make",
     "idempotents.AffineFamily.with_block", "multipoly.MultiPoly.__hash__",
-    "matspace._grid", "multipoly._clean",
+    "matspace._grid", "multipoly._clean", "linalg.Field.first_elements",
 }
 
 

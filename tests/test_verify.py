@@ -46,6 +46,7 @@ from helpers import (
     mul_vector,
     neg,
     newton_char_poly,
+    record_calls,
     reference_is_left_ideal,
     small_codim_report,
     symmetric_images,
@@ -227,16 +228,9 @@ def test_witness_replays_rejects_multipliers_that_keep_the_power_inside():
 def test_witness_replays_reads_one_power(monkeypatch):
     h = trace_zero(F2, 2)
     w = verify_mathieu(h, LEFT).witness
-    original = verify.PowerTrajectory.power
-    reads = []
-
-    def counting(self, m):
-        reads.append(m)
-        return original(self, m)
-
-    monkeypatch.setattr(verify.PowerTrajectory, "power", counting)
+    reads = record_calls(monkeypatch, "power", verify.PowerTrajectory)
     assert witness_replays(h, w)
-    assert reads == [w.exponent]
+    assert [call["m"] for call in reads] == [w.exponent]
 
 
 def test_proposition_family_shape_and_verdict():
@@ -366,6 +360,18 @@ def test_trace_chain_report_raises_on_a_broken_implication(monkeypatch):
                         lambda space, kind: types.SimpleNamespace(holds=False))
     with pytest.raises(AssertionError, match="implication chain violated"):
         trace_chain_report(trace_zero(F3, 2))
+
+
+def test_trace_chain_report_reports_a_missed_nilpotency_bound(monkeypatch):
+    # a trajectory with a^n = 0 whose a^(n threshold) is not: the bound is
+    # a reported flag, not a link of the chain, so nothing raises.  Here
+    # a^1 = I leaves sl_2(F_3), so the threshold is 2, and a^4 = I
+    eye, zero = DenseMatrix.identity(F3, 2), zeros(F3, 2, 2)
+    monkeypatch.setattr(verify, "power_trajectory",
+                        lambda a: verify.PowerTrajectory(a, (eye, zero), (eye,)))
+    assert trace_chain_report(trace_zero(F3, 2)) == verify.TraceChainReport(
+        char_avoids_1_to_n=True, char_avoids_1_to_n_minus_1_and_identity_free=True,
+        radical_nilpotent=True, two_sided_mathieu=True, nilpotency_bound_ok=False)
 
 
 def test_trace_chain_report_refuses_at_the_radical_guard(monkeypatch):
@@ -1007,14 +1013,7 @@ def test_verdicts_and_radicals_eliminate_nothing_once_the_space_is_built(monkeyp
     from mathieumat import linalg, matspace
     spaces = [trace_zero(F2, 3), trace_zero(F5, 2), column_kill(F3, 2, 1),
               MatrixSubspace.from_matrices(F3, 2, [])]
-    original, calls = linalg._eliminate, []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in (linalg, matspace):
-        monkeypatch.setattr(module, "_eliminate", counting)
+    calls = record_calls(monkeypatch, "_eliminate", linalg, matspace)
     for space in spaces:
         for vtype in ALL_TYPES:
             verify_mathieu(space, vtype)
